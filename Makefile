@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci lint vet build test race audit golden shard-golden impair degrade fuzz bench bench-smoke scale scale-smoke scenario
+.PHONY: ci lint vet build test race audit golden shard-golden impair degrade fuzz bench bench-smoke scale scale-smoke scenario loc
 
 ci: lint build test race audit golden shard-golden impair bench-smoke scale-smoke scenario
 
@@ -45,13 +45,14 @@ golden:
 	$(GO) test -run 'TestGoldenDigests' ./internal/experiments -sched=heap
 	$(GO) test -run 'TestGoldenDigests' ./internal/experiments -sched=wheel
 
-# Sharded-engine gate, race-enabled: the golden digest matrix across
-# shards x scheduler x pool (byte-identical to the pinned sequential digests),
-# the record-level sharded-vs-sequential differential on a multi-pod fabric,
-# the per-shard + global conservation audit, and the ShardGroup / partitioner
-# unit tests. Any divergence is a synchronization bug — see DESIGN.md §13.
+# Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix
+# across shards x scheduler x pool on a multi-pod fabric, the golden digests
+# pinned at one shard under scheduler x pool, the per-shard + global
+# conservation audit, the one-shard event-count pins, the impairment x shards
+# rule, and the ShardGroup / partitioner unit tests. Any divergence is a
+# synchronization bug — see DESIGN.md §13.
 shard-golden:
-	$(GO) test -race -run 'TestShardGoldenMatrix|TestShardedDifferential|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting' \
+	$(GO) test -race -run 'TestShardedDifferential|TestShardGoldenMatrix|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting|TestCheckImpairShards' \
 		./internal/experiments
 	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestFlushDeterministicOrder' ./internal/sim ./internal/netem
 
@@ -126,3 +127,8 @@ scale:
 # ceiling and the stamped slab geometry.
 scale-smoke:
 	$(GO) test -run='TestScaleSmoke|TestScaleLedgerStateCeiling' -v ./internal/experiments
+
+# Non-test Go line count, the size figure ROADMAP.md's quality aim tracks:
+# every *.go file except *_test.go, outside the bench/ module.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l

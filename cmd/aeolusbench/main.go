@@ -112,6 +112,9 @@ func main() {
 	cfg.DisablePool = *nopool
 	cfg.Scheduler = sched
 	cfg.Impair = timeline
+	// One experiment's runs span many topologies, and experiments.CheckImpair
+	// validates one run at a time, so reject the combination outright rather
+	// than fail on whichever run first splits into several shards.
 	if *shards > 1 && timeline != nil {
 		fmt.Fprintln(os.Stderr, "-shards > 1 is incompatible with -impair/-impair-file: impairments are engine-local")
 		os.Exit(2)

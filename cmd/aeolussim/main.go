@@ -139,6 +139,9 @@ func main() {
 			// scenario's pin; results are identical either way.
 			run.Scheduler = cfg.Scheduler
 		}
+		if err := experiments.CheckImpair(run, spec); err != nil {
+			cliutil.Die(err)
+		}
 		r := experiments.Run(run, spec)
 		print1(r, *cdf)
 		exitOnViolations([]experiments.RunResult{r})
@@ -154,9 +157,6 @@ func main() {
 		*runs = 1
 	}
 	tl := cliutil.Timeline(*impair, *impFile)
-	if *shards > 1 && tl != nil {
-		cliutil.Die(fmt.Errorf("-shards > 1 is incompatible with -impair/-impair-file: impairments are engine-local"))
-	}
 
 	specFor := func(runSeed uint64) experiments.RunSpec {
 		spec := experiments.RunSpec{
@@ -180,8 +180,9 @@ func main() {
 	}
 
 	// Validate the topology, the scheme (ID and -opt values) and the
-	// impairment timeline's targets up front: a bad spec gets an error on
-	// stderr instead of a panic mid-run.
+	// impairment timeline (its targets, and a fabric that still splits into
+	// several shards) up front: a bad spec gets an error on stderr instead of
+	// a panic mid-run.
 	cliutil.Topo(*topo)
 	if _, err := experiments.MakeScheme(specFor(*seed).Scheme); err != nil {
 		cliutil.Die(err)

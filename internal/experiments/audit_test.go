@@ -81,7 +81,7 @@ func TestAuditCatchesInjectedLoss(t *testing.T) {
 	cfg := testConfig()
 	cfg.Audit = true
 	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Seed: 3})
-	net := buildTopo(TopoMicro, scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
+	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	// Sabotage one switch port behind the auditor's back: every packet on
 	// the receiver downlink vanishes without a trace event or counter.
 	pt := net.Switches[0].Ports[0]

@@ -19,7 +19,7 @@ func microIncastRun(cfg Config, n int, threshold int64, msg int64,
 	instrument func(env *transport.Env, bottleneck *netem.Port)) (*transport.Env, *netem.Port) {
 
 	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed})
-	net := buildTopo(TopoMicro, scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
+	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	env := transport.NewEnv(net, scheme.MSS)
 	proto := scheme.New(env)
 	// The bottleneck is the switch downlink to the receiver (host 0).
@@ -42,7 +42,7 @@ func microSustainedRun(cfg Config, n int, threshold int64, msg int64, rounds int
 	instrument func(env *transport.Env, bottleneck *netem.Port)) {
 
 	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed})
-	net := buildTopo(TopoMicro, scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
+	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	env := transport.NewEnv(net, scheme.MSS)
 	proto := scheme.New(env)
 	bottleneck := net.Switches[0].Ports[0]

@@ -58,23 +58,16 @@ func GoldenSpec(id string) RunSpec {
 // GoldenDigest runs the golden trace for a scheme and returns the RunResult
 // digest, with the packet pool on or off, under the default scheduler.
 func GoldenDigest(id string, pool bool) (string, error) {
-	return GoldenDigestIn(id, pool, sim.DefaultScheduler)
+	return GoldenDigestSharded(id, pool, sim.DefaultScheduler, 1)
 }
 
-// GoldenDigestIn is GoldenDigest with an explicit event scheduler. The digest
-// must be byte-identical for every scheduler — the wheel and the reference
-// heap fire events in the same (time, seq) order, so a divergence here means
-// a scheduler bug, not a behavior change.
-func GoldenDigestIn(id string, pool bool, sched sim.SchedulerKind) (string, error) {
-	return GoldenDigestSharded(id, pool, sched, 1)
-}
-
-// GoldenDigestSharded is GoldenDigestIn with a shard-count request on top of
-// the scheduler and pool axes — the full runtime-knob matrix. The golden
-// topology is a single switch, so every shard request collapses to the
-// sequential engine via netem.ShardCount; the digest staying pinned for any
-// -shards value is exactly the single-pod half of the sharding contract
-// (the multi-pod half is the differential test on a sharded fabric).
+// GoldenDigestSharded is GoldenDigest over the full runtime-knob matrix: an
+// explicit event scheduler and a shard-count request. The digest must be
+// byte-identical for every scheduler — the wheel and the reference heap fire
+// events in the same (time, seq) order, so a divergence means a scheduler
+// bug, not a behavior change. The golden topology is a single switch, so
+// every shard request runs as one shard (netem.ShardCount); the shard axis
+// is exercised on a fabric that splits by TestShardedDifferential.
 func GoldenDigestSharded(id string, pool bool, sched sim.SchedulerKind, shards int) (string, error) {
 	spec := GoldenSpec(id)
 	if _, err := MakeScheme(spec.Scheme); err != nil {

@@ -59,16 +59,21 @@ var goldenDigests = map[string]string{
 // compares against the pre-refactor digests. The digests were pinned under
 // the heap scheduler; the wheel must reproduce them byte for byte.
 func TestGoldenDigests(t *testing.T) {
-	scheds := goldenSchedulers(t)
+	checkGoldenPins(t, goldenSchedulers(t))
+}
+
+// checkGoldenPins runs one parallel subtest per pinned scheme: the golden
+// trace at one shard, with the packet pool on and off under each of scheds,
+// against the pinned digest.
+func checkGoldenPins(t *testing.T, scheds []sim.SchedulerKind) {
 	for id, want := range goldenDigests {
-		id, want := id, want
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			for _, sched := range scheds {
 				for _, pool := range []bool{true, false} {
-					got, err := GoldenDigestIn(id, pool, sched)
+					got, err := GoldenDigestSharded(id, pool, sched, 1)
 					if err != nil {
-						t.Fatalf("GoldenDigestIn(%s, pool=%v, %s): %v", id, pool, sched, err)
+						t.Fatalf("GoldenDigestSharded(%s, pool=%v, %s, 1): %v", id, pool, sched, err)
 					}
 					if got != want {
 						t.Errorf("golden digest drifted (sched=%s pool=%v):\n got  %s\n want %s", sched, pool, got, want)

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"sort"
 
 	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -62,18 +64,18 @@ type Config struct {
 	// drops stay visible to the conservation checks.
 	Impair *netem.Timeline
 
-	// Shards, when > 1, partitions every run's fabric spatially and runs one
-	// timing-wheel engine per shard on its own goroutine, synchronized
-	// conservatively on the minimum cross-shard link latency (see
-	// netem.BuildShardedClos and sim.ShardGroup). Like Parallel, DisablePool
-	// and Scheduler it is a runtime knob, not part of a run's identity:
-	// results are independent of the shard count by construction, the shard
-	// golden tests keep proving it, and scenarios do not serialize it. The
-	// request is clamped to the topology's pod structure (an edge switch and
-	// its hosts are never split); single-pod topologies collapse to the
-	// sequential engine. Shards > 1 is incompatible with impairment
-	// timelines (their RNG and engine hooks are single-engine) and ignored
-	// when packet tracing is on.
+	// Shards requests a spatial partition of every run's fabric: one engine
+	// per shard on its own goroutine, synchronized conservatively on the
+	// minimum cross-shard link latency (see netem.BuildShardedClos and
+	// sim.ShardGroup). Like Parallel, DisablePool and Scheduler it is a
+	// runtime knob, not part of a run's identity: results are independent of
+	// the shard count by construction, the shard tests keep proving it, and
+	// scenarios do not serialize it. The run's plan clamps the request to
+	// the topology's pod structure (an edge switch and its hosts are never
+	// split), so single-pod topologies run as one shard. Packet tracing
+	// forces one shard; an impairment timeline on a run that still splits
+	// is an error (their RNG and engine hooks are single-engine), which
+	// CheckImpair reports up front.
 	Shards int
 
 	// Scheduler selects the event-queue implementation backing every run's
@@ -87,7 +89,7 @@ type Config struct {
 	// Observe, when non-nil, is invoked after the topology, transport and
 	// instrumentation are built but before any flow starts, giving callers a
 	// window onto the run's internals (the scale sweep hangs its footprint
-	// probes here). It must not schedule engine events.
+	// probes here). It must not schedule engine events or set env.Done.
 	Observe func(net *netem.Network, env *transport.Env, proto transport.Protocol)
 
 	// Trace holds the packet-level debugging options. They live on Config,
@@ -140,17 +142,6 @@ const (
 	TopoMicro        = "micro"        // 24 hosts on one 100G switch (Fig. 15/16, Table 5)
 )
 
-// buildTopo constructs the named topology with the scheme's qdisc factory.
-// frameBytes is the full on-wire frame size the scheme serializes per hop
-// (netem.WireSizeFor of its MSS); it parameterizes the base-RTT derivation
-// so jumbo-frame schemes (NDP) size their first-RTT window correctly. sched
-// picks the engine's event-queue implementation. The name resolves through
-// the topology catalogue (see topo.go); an unknown name panics with the
-// catalogue listing — the CLIs validate up front via ResolveTopo.
-func buildTopo(topo string, qf netem.QdiscFactory, frameBytes int, sched sim.SchedulerKind) *netem.Network {
-	return mustTopo(topo).Build(qf, frameBytes, sched)
-}
-
 // RunSpec describes one simulation run.
 type RunSpec struct {
 	Scheme   SchemeSpec
@@ -201,10 +192,10 @@ type RunResult struct {
 	Audit *audit.Report
 
 	// Events is the number of engine events fired over the run (drain
-	// included), summed across shard engines on the sharded path; Sched
-	// aggregates scheduler pressure the same way (peaks sum across shards —
-	// the bound on total pending-event memory). Shards records the effective
-	// shard count the run executed with (1 = the sequential engine). None of
+	// included), summed across shard engines; Sched sums every scheduler
+	// statistic the same way (peaks sum across shards — the bound on total
+	// pending-event memory). Shards records the effective shard count the
+	// run executed with (1 = the engine driven directly). None of
 	// these feed the golden digest: they describe the execution, not the
 	// simulated outcome.
 	Events uint64
@@ -218,61 +209,88 @@ type RunResult struct {
 // Records exposes the raw flow records of the run.
 func (r *RunResult) Records() []stats.FlowRecord { return r.records }
 
-// CheckImpair dry-builds the run's topology and applies its impairment
-// timeline to it, returning the error Run would panic with — the CLIs'
-// up-front validation hook, mirroring the MakeScheme check (a target
-// matching no port of the chosen topology is a spec bug, not a run result).
-func CheckImpair(cfg Config, spec RunSpec) error {
-	impair := spec.Impair
-	if impair == nil {
-		impair = cfg.Impair
-	}
-	if impair == nil {
-		return nil
-	}
+// Every run goes through one pipeline — plan, execute, extract — and the
+// sequential engine is simply its one-shard case. The fabric is built by
+// netem.BuildShardedClos and cut along pod boundaries into the effective
+// shard count; each shard gets its own engine, packet pool, transport
+// environment and protocol instance. One shard drives its engine directly.
+// Several advance in conservative lookahead windows (sim.ShardGroup), and
+// packet deliveries that cross the cut are exchanged at window barriers in
+// deterministic (time, source shard, generation order) order, so results
+// are independent of goroutine scheduling.
+//
+// Cross-shard flows exist in two copies: the sender's shard starts the flow
+// (its protocol instance owns the sender state machine), and the receiver's
+// shard gets the descriptor pre-registered (flowRegistrar) so its protocol
+// instance can establish receiver state when the first packet arrives. The
+// receiver side reports completion, so FCT records land in the destination
+// shard's collector and are merged by finish time afterwards. One known
+// divergence: sender-side timeout counts stay on the sender copy, so a
+// cross-shard flow's record reports Timeouts the sender copy suffered as 0.
+
+// flowRegistrar is the cross-shard pre-registration hook the transports
+// implement: it adds a flow descriptor to the instance's table without
+// starting a sender, so the receive path can look the flow up.
+type flowRegistrar interface {
+	Register(f *transport.Flow)
+}
+
+// runPlan is a run built up to its first event: the fabric, and one engine,
+// environment and protocol (and auditor, when auditing) per shard.
+type runPlan struct {
+	scheme Scheme
+	topo   TopoDef
+	sn     *netem.ShardedNetwork
+	envs   []*transport.Env
+	protos []transport.Protocol
+	auds   []*audit.Auditor
+}
+
+// plan resolves the run's scheme, topology, buffer and effective shard
+// count, builds the fabric and its per-shard protocol instances, and
+// installs the impairment timeline, the packet tracer and the auditors, in
+// that order — the timeline goes in before the instrumentation wraps the
+// qdiscs, so injected drops are traced and attributed like any other drop.
+// Observe sees each shard once, before any flow starts.
+func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 	scheme, err := MakeScheme(spec.Scheme)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	topo, err := ResolveTopo(spec.Topo)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	buffer := spec.Buffer
-	if buffer <= 0 {
-		buffer = netem.DefaultBuffer
-	}
-	net := topo.Build(scheme.Factory(buffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
-	_, err = impair.Apply(net, cfg.Seed^spec.Scheme.Seed)
-	return err
-}
-
-// Run executes one simulation and collects the metrics.
-func Run(cfg Config, spec RunSpec) RunResult {
-	if n := effectiveShards(cfg, spec); n > 1 {
-		return runSharded(cfg, spec, n)
-	}
-	scheme := mustScheme(spec.Scheme)
-	topo := mustTopo(spec.Topo)
-	buffer := spec.Buffer
-	if buffer <= 0 {
-		buffer = netem.DefaultBuffer
-	}
-	net := topo.Build(scheme.Factory(buffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
-	if cfg.DisablePool {
-		net.Pool.Disable()
-	}
-	env := transport.NewEnv(net, scheme.MSS)
-	proto := scheme.New(env)
 	impair := spec.Impair
 	if impair == nil {
 		impair = cfg.Impair
 	}
+	n := 1
+	if cfg.Shards > 1 && cfg.Trace.TraceFlow == 0 {
+		n = netem.ShardCount(topo.Spec, cfg.Shards)
+	}
+	if n > 1 && impair != nil {
+		return nil, fmt.Errorf("experiments: impairment timelines need one shard, but topology %s splits into %d (impairments are engine-local)", spec.Topo, n)
+	}
+	buffer := spec.Buffer
+	if buffer <= 0 {
+		buffer = netem.DefaultBuffer
+	}
+	sn := netem.BuildShardedClos(topo.Spec, n, cfg.scheduler(),
+		scheme.Factory(buffer), netem.WireSizeFor(scheme.MSS))
+	p := &runPlan{scheme: scheme, topo: topo, sn: sn,
+		envs: make([]*transport.Env, n), protos: make([]transport.Protocol, n)}
+	for i := range p.envs {
+		view := sn.View(i)
+		if cfg.DisablePool {
+			view.Pool.Disable()
+		}
+		p.envs[i] = transport.NewEnv(view, scheme.MSS)
+		p.protos[i] = scheme.New(p.envs[i])
+	}
 	if impair != nil {
-		// Install before trace/audit instrumentation wraps the qdiscs, so
-		// injected drops are traced and attributed like any other drop.
-		if _, err := impair.Apply(net, cfg.Seed^spec.Scheme.Seed); err != nil {
-			panic("experiments: " + err.Error())
+		if _, err := impair.Apply(sn.Net, cfg.Seed^spec.Scheme.Seed); err != nil {
+			return nil, fmt.Errorf("experiments: %v", err)
 		}
 	}
 	if cfg.Trace.TraceFlow != 0 {
@@ -283,17 +301,48 @@ func Run(cfg Config, spec RunSpec) RunResult {
 		flow := cfg.Trace.TraceFlow
 		tr := &netem.WriterTracer{W: w,
 			Filter: func(p *netem.Packet) bool { return p.Flow == flow }}
-		netem.InstrumentPorts(net.AllPorts(), tr)
-		netem.InstrumentHosts(net.Hosts, tr)
+		netem.InstrumentPorts(sn.Net.AllPorts(), tr)
+		netem.InstrumentHosts(sn.Net.Hosts, tr)
 	}
-	var aud *audit.Auditor
 	if cfg.Audit {
-		aud = audit.Attach(net)
+		p.auds = make([]*audit.Auditor, n)
+		for i := range p.auds {
+			p.auds[i] = audit.AttachScope(sn.Engines[i], sn.Pools[i],
+				sn.ShardPorts(i), sn.ShardHosts(i), n > 1)
+		}
 	}
 	if cfg.Observe != nil {
-		cfg.Observe(net, env, proto)
+		for i, env := range p.envs {
+			cfg.Observe(env.Net, env, p.protos[i])
+		}
 	}
+	return p, nil
+}
 
+// CheckImpair plans the run without executing it and returns the error Run
+// would panic with — the CLIs' up-front validation hook, mirroring the
+// MakeScheme check: an impairment target matching no port of the chosen
+// topology, or a timeline on a run whose fabric still splits into several
+// shards, is a spec bug, not a run result. Runs without a timeline pass
+// without building anything.
+func CheckImpair(cfg Config, spec RunSpec) error {
+	if spec.Impair == nil && cfg.Impair == nil {
+		return nil
+	}
+	cfg.Audit, cfg.Observe = false, nil
+	_, err := plan(cfg, spec)
+	return err
+}
+
+// Run executes one simulation and collects the metrics. A spec the plan
+// rejects panics; the CLIs validate up front (MakeScheme, ResolveTopo,
+// CheckImpair).
+func Run(cfg Config, spec RunSpec) RunResult {
+	p, err := plan(cfg, spec)
+	if err != nil {
+		panic(err)
+	}
+	sn := p.sn
 	var trace []workload.FlowSpec
 	if spec.Workload != nil {
 		flows := spec.Flows
@@ -301,9 +350,9 @@ func Run(cfg Config, spec RunSpec) RunResult {
 			flows = cfg.flowsFor(spec.Workload)
 		}
 		pc := workload.PoissonConfig{
-			CDF: spec.Workload, Hosts: topo.Hosts(),
-			HostRate: net.HostRate,
-			Load:     topo.EdgeLoad(spec.CoreLoad),
+			CDF: spec.Workload, Hosts: p.topo.Hosts(),
+			HostRate: sn.Net.HostRate,
+			Load:     p.topo.EdgeLoad(spec.CoreLoad),
 			Flows:    flows, Seed: cfg.Seed ^ spec.Scheme.Seed,
 			StartAt: sim.Time(10 * sim.Microsecond),
 		}
@@ -311,7 +360,7 @@ func Run(cfg Config, spec RunSpec) RunResult {
 	}
 	if spec.Incast != nil {
 		ic := *spec.Incast
-		ic.Hosts = topo.Hosts()
+		ic.Hosts = p.topo.Hosts()
 		ic.BaseID = uint64(len(trace)) + 1000000
 		trace = workload.Merge(trace, ic.Generate())
 	}
@@ -328,82 +377,237 @@ func Run(cfg Config, spec RunSpec) RunResult {
 			}
 		}
 	}
-	// Steady-state goodput window: the middle half of the arrival span.
-	var d1, d2 int64
+	// Steady-state goodput window: the middle half of the arrival span. Each
+	// shard samples its own meter at the same simulated instants; samplers
+	// scheduled before any flow order ahead of every runtime event at the
+	// same timestamp, so the per-shard samples sum to the one-engine sample.
+	n := len(p.envs)
+	d1s, d2s := make([]int64, n), make([]int64, n)
 	t1 := first.Add(sim.Duration(last-first) / 4)
 	t2 := first.Add(3 * sim.Duration(last-first) / 4)
 	if t2 > t1 {
-		env.Eng.At(t1, func() { d1 = env.Meter.DeliveredPayload })
-		env.Eng.At(t2, func() { d2 = env.Meter.DeliveredPayload })
-	}
-	if aud != nil {
-		for _, f := range trace {
-			aud.RegisterFlow(f.ID, f.Size)
+		for i, env := range p.envs {
+			env.Eng.At(t1, func() { d1s[i] = env.Meter.DeliveredPayload })
+			env.Eng.At(t2, func() { d2s[i] = env.Meter.DeliveredPayload })
 		}
 	}
-	// Pre-size the FCT collector for the whole trace so completion recording
-	// never grows the heap mid-run.
-	env.FCT.Reserve(len(trace))
-	start := env.Eng.Now()
-	transport.Runner(env, proto, trace, last.Add(deadline))
-	endTime := env.Eng.Now()
-	elapsed := endTime.Sub(start)
-	if aud != nil && env.Completed() == len(trace) {
-		// Let in-flight control traffic and pending timers settle so the
-		// drain-time invariants (empty queues, zero residual) can be checked
-		// in the strict, fully-drained form. Completed flows disarm all
-		// retransmission loops, so the drain terminates.
-		env.Eng.Run()
+	// Every shard may carry any flow's packets (spine shards forward traffic
+	// they neither source nor sink), so sizes register with every auditor.
+	for _, f := range trace {
+		for _, a := range p.auds {
+			a.RegisterFlow(f.ID, f.Size)
+		}
+	}
+	// Inject the trace: the sender's shard starts each flow at its arrival
+	// time; a cross-shard receiver gets its own pre-registered copy of the
+	// descriptor. Each FCT collector is pre-sized with the flows it will
+	// record — completions are receiver-side in all three transports — so
+	// completion recording never grows the heap mid-run.
+	perDst := make([]int, n)
+	for _, fs := range trace {
+		perDst[sn.HostShard(netem.NodeID(fs.Dst))]++
+	}
+	for i, env := range p.envs {
+		env.FCT.Reserve(perDst[i])
+	}
+	for _, fs := range trace {
+		f := &transport.Flow{
+			ID:     fs.ID,
+			Src:    netem.NodeID(fs.Src),
+			Dst:    netem.NodeID(fs.Dst),
+			Size:   fs.Size,
+			Start:  fs.Start,
+			PathID: transport.FlowHash(fs.ID),
+		}
+		s := sn.HostShard(f.Src)
+		if d := sn.HostShard(f.Dst); d != s {
+			reg, ok := p.protos[d].(flowRegistrar)
+			if !ok {
+				panic(fmt.Sprintf("experiments: scheme %s cannot register cross-shard flows", p.scheme.Name))
+			}
+			rf := *f
+			reg.Register(&rf)
+		}
+		proto := p.protos[s]
+		p.envs[s].Eng.At(f.Start, func() { proto.Start(f) })
 	}
 
+	total := len(trace)
+	endTime := p.execute(total, last.Add(deadline), p.auds != nil)
+
 	res := RunResult{
-		Scheme:    scheme.Name,
-		Total:     len(trace),
-		Completed: env.Completed(),
-		baseRTT:   net.BaseRTT,
-		records:   env.FCT.Records(),
+		Scheme:    p.scheme.Name,
+		Total:     total,
+		Completed: p.completed(),
+		baseRTT:   sn.Net.BaseRTT,
+		Shards:    n,
 	}
 	// Metric extraction runs on the collector's scratch buffers: the CDF
 	// consumes the filtered view before the next Filter call invalidates it.
-	small := env.FCT.Filter(0, 100_000)
-	res.Small = env.FCT.Summarize(small)
-	res.All = env.FCT.Summarize(env.FCT.Records())
+	fct := p.collector(total)
+	res.records = fct.Records()
+	small := fct.Filter(0, 100_000)
+	res.Small = fct.Summarize(small)
+	res.All = fct.Summarize(res.records)
 	if len(small) > 0 {
-		n := 0
+		k := 0
 		for _, r := range small {
-			if r.FCT() <= net.BaseRTT {
-				n++
+			if r.FCT() <= sn.Net.BaseRTT {
+				k++
 			}
 		}
-		res.FirstRTTFrac = float64(n) / float64(len(small))
+		res.FirstRTTFrac = float64(k) / float64(len(small))
 	}
-	res.Efficiency = env.Meter.Efficiency()
-	capacity := sim.Rate(int64(net.HostRate) * int64(len(net.Hosts)))
-	res.Goodput = env.Meter.Goodput(elapsed, capacity)
+	var meter stats.ByteMeter
+	var d1, d2 int64
+	for i, env := range p.envs {
+		meter.SentPayload += env.Meter.SentPayload
+		meter.DeliveredPayload += env.Meter.DeliveredPayload
+		d1 += d1s[i]
+		d2 += d2s[i]
+	}
+	res.Efficiency = meter.Efficiency()
+	capacity := sim.Rate(int64(sn.Net.HostRate) * int64(len(sn.Net.Hosts)))
+	res.Goodput = meter.Goodput(endTime.Sub(0), capacity)
 	if t2 > t1 && d2 > d1 {
-		// Steady-state goodput over the middle half of the arrival span.
 		res.WindowGoodput = float64(d2-d1) * 8 / sim.Duration(t2-t1).Seconds() / float64(capacity)
-	} else if span := endTime.Sub(first); len(trace) > 0 && span > 0 {
+	} else if span := endTime.Sub(first); total > 0 && span > 0 {
 		// Simultaneous arrivals (pure incast) collapse the middle-half
 		// window to nothing; fall back to the whole arrival→drain span.
-		res.WindowGoodput = float64(env.Meter.DeliveredPayload) * 8 / span.Seconds() / float64(capacity)
+		res.WindowGoodput = float64(meter.DeliveredPayload) * 8 / span.Seconds() / float64(capacity)
 	}
-	res.TimeoutFlows = env.FCT.TimeoutFlows()
-	res.Drops = netem.DropTotals(net.SwitchPorts())
-	for _, pt := range net.AllPorts() {
+	res.TimeoutFlows = fct.TimeoutFlows()
+	res.Drops = netem.DropTotals(sn.Net.SwitchPorts())
+	for _, pt := range sn.Net.AllPorts() {
 		res.TxPackets += pt.TxPackets
 	}
 	res.SmallCDF = stats.FCTCDF(small)
-	res.Events = env.Eng.Fired()
-	res.Sched = env.Eng.SchedStats()
-	res.Shards = 1
-	if aud != nil {
-		aud.AuditProtocol(proto)
-		aud.CheckMeter(env.Meter.SentPayload, env.Meter.DeliveredPayload)
-		res.Audit = aud.Finish()
+	for _, e := range sn.Engines {
+		res.Events += e.Fired()
+		ss := e.SchedStats()
+		res.Sched.Pending += ss.Pending
+		res.Sched.PeakPending += ss.PeakPending
+		res.Sched.Overflow += ss.Overflow
+		res.Sched.PeakOverflow += ss.PeakOverflow
+	}
+	if p.auds != nil {
+		res.Audit = p.auditReport()
 		if cfg.OnAudit != nil {
 			cfg.OnAudit(spec, res.Audit)
 		}
 	}
 	return res
+}
+
+// completed returns the number of flows completed across every shard.
+func (p *runPlan) completed() int {
+	n := 0
+	for _, env := range p.envs {
+		n += env.Completed()
+	}
+	return n
+}
+
+// execute runs the engines until all total flows complete or endAt passes
+// and returns the run's end time: the last completion, or endAt. With drain
+// set and every flow complete, it then runs on until every engine is idle,
+// so in-flight control traffic and disarmed timers settle and the
+// drain-time audit invariants hold in their strict form (completed flows
+// disarm every retransmission loop, so the drain terminates).
+func (p *runPlan) execute(total int, endAt sim.Time, drain bool) sim.Time {
+	if len(p.envs) == 1 {
+		// One engine, driven directly: stop at the event that completes the
+		// last flow, so the end time is that completion's timestamp.
+		env := p.envs[0]
+		env.Done = func(*transport.Flow, stats.FlowRecord) {
+			if env.Completed() == total {
+				env.Eng.Stop()
+			}
+		}
+		env.Eng.RunUntil(endAt)
+		end := env.Eng.Now()
+		if drain && env.Completed() == total {
+			env.Eng.Run()
+		}
+		return end
+	}
+	sn := p.sn
+	var visit func(h netem.Handoff)
+	if p.auds != nil {
+		visit = func(h netem.Handoff) {
+			p.auds[h.Src].Depart(h.P)
+			p.auds[h.Dst].Arrive(h.P)
+		}
+	}
+	group := &sim.ShardGroup{
+		Engines:   sn.Engines,
+		Lookahead: sn.Lookahead,
+		Barrier:   func() { sn.Flush(visit) },
+		StopWhen:  func() bool { return p.completed() == total },
+	}
+	group.Run(endAt)
+	if p.completed() != total {
+		return endAt
+	}
+	// The group stops at the first barrier after the last completion;
+	// recover the completion's timestamp from the records.
+	var end sim.Time
+	for _, env := range p.envs {
+		for _, r := range env.FCT.Records() {
+			end = max(end, r.Finish)
+		}
+	}
+	if drain {
+		group.StopWhen = nil
+		group.Run(sim.MaxTime)
+	}
+	return end
+}
+
+// collector returns the run's flow records: the shard's own collector when
+// there is one shard, otherwise the per-shard records merged by finish time.
+// Within a shard the collector order is completion order; the stable merge
+// keeps it, so ties across shards break deterministically by shard index.
+func (p *runPlan) collector(total int) *stats.FCTCollector {
+	if len(p.envs) == 1 {
+		return &p.envs[0].FCT
+	}
+	merged := &stats.FCTCollector{}
+	merged.Reserve(total)
+	for _, env := range p.envs {
+		for _, r := range env.FCT.Records() {
+			merged.Add(r)
+		}
+	}
+	recs := merged.Records()
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Finish < recs[j].Finish })
+	return merged
+}
+
+// auditReport finishes every shard's auditor and returns the run's report:
+// the shard's own for one shard, otherwise the merged report plus the
+// cross-pool balance only the merged view can check — once every engine
+// drains, every packet handed out by some pool was returned to some pool.
+func (p *runPlan) auditReport() *audit.Report {
+	reps := make([]*audit.Report, len(p.auds))
+	for i, a := range p.auds {
+		a.AuditProtocol(p.protos[i])
+		a.CheckMeter(p.envs[i].Meter.SentPayload, p.envs[i].Meter.DeliveredPayload)
+		reps[i] = a.Finish()
+	}
+	if len(reps) == 1 {
+		return reps[0]
+	}
+	rep := audit.MergeReports(reps)
+	for _, e := range p.sn.Engines {
+		if e.Pending() != 0 {
+			return rep
+		}
+	}
+	if rep.Pool.Gets != rep.Pool.Puts {
+		rep.AddViolation(audit.Violation{Check: "pool-leak",
+			Detail: fmt.Sprintf("engines idle but pools handed out %d packets and got back %d",
+				rep.Pool.Gets, rep.Pool.Puts)})
+	}
+	return rep
 }

@@ -113,7 +113,7 @@ type ScalePoint struct {
 }
 
 // recompute derives events_per_sec from the summed event count over the wall
-// time. Events is already the total across every shard engine (shardrun sums
+// time. Events is already the total across every shard engine (Run sums
 // Fired() before it reaches the point), so this single division is the only
 // one in the pipeline: no per-shard or per-cell float quotient is ever carried
 // into an aggregate, and a ledger merge can restamp the field from its inputs.
@@ -171,10 +171,9 @@ func MeasureScale(cfg Config, width int, load float64) ScalePoint {
 	pt := ScalePoint{Topo: rspec.Topo, Hosts: ScaleFabric(width).Hosts(), Load: load}
 	pt.Flows = rspec.Flows
 
-	// Observe fires once per engine — once on the sequential path, once per
-	// shard on the sharded one — so the heap baseline is taken on the first
-	// call only and the transport footprints are summed across all protocol
-	// instances.
+	// Observe fires once per shard engine, so the heap baseline is taken on
+	// the first call only and the transport footprints are summed across all
+	// protocol instances.
 	var protos []transport.Protocol
 	var heapStart uint64
 	seenBaseline := false

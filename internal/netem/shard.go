@@ -76,7 +76,7 @@ type ShardedNetwork struct {
 // ShardCount returns the effective shard count for a spec: the request
 // clamped to [1, number of edge switches] — an edge switch and its hosts
 // are never split. Single-pod topologies therefore collapse to one shard,
-// where the harness keeps the plain sequential path.
+// which the harness executes on its engine directly.
 func ShardCount(spec TopoSpec, requested int) int {
 	n := spec.normalized()
 	edges := 0
@@ -94,33 +94,31 @@ func ShardCount(spec TopoSpec, requested int) int {
 
 // BuildShardedClos builds the fabric a TopoSpec describes, partitioned into
 // shards engines. The network is wired by the exact same BuildClos pass as
-// the sequential path — node IDs, labels, port orders, routing tables and
+// an unsharded build — node IDs, labels, port orders, routing tables and
 // BaseRTT are byte-identical — and then re-homed: every host, switch and
 // port is assigned to its shard's engine and packet pool, and every port
 // whose destination is foreign gets a CrossLink. shards must already be an
 // effective count from ShardCount (≥ 1); with shards == 1 the result is the
-// sequential network plus empty shard metadata, and no port pays the
-// cross-link path.
+// BuildClos network itself: the re-homing pass is skipped, and the shard
+// accessors below answer with the whole network.
 func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf QdiscFactory, frameBytes int) *ShardedNetwork {
-	sp := spec.normalized()
 	engines := make([]*sim.Engine, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngineWith(sched)
 	}
-	net := BuildClos(engines[0], sp, qf, frameBytes)
-
-	sn := &ShardedNetwork{
-		Net:     net,
-		Engines: engines,
-		Pools:   make([]*PacketPool, shards),
-		bar:     &crossBar{out: make([][]Handoff, shards)},
-		hostsOf: make([][]*Host, shards),
-		portsOf: make([][]*Port, shards),
-	}
+	net := BuildClos(engines[0], spec, qf, frameBytes)
+	sn := &ShardedNetwork{Net: net, Engines: engines, Pools: make([]*PacketPool, shards)}
 	sn.Pools[0] = net.Pool
+	if shards == 1 {
+		return sn
+	}
 	for i := 1; i < shards; i++ {
 		sn.Pools[i] = NewPacketPool()
 	}
+	sn.bar = &crossBar{out: make([][]Handoff, shards)}
+	sn.hostsOf = make([][]*Host, shards)
+	sn.portsOf = make([][]*Port, shards)
+	sp := spec.normalized()
 
 	// Assignment. Hosts follow their edge switch; edge switches map to
 	// contiguous shard blocks; a higher-tier switch joins the shard that
@@ -199,15 +197,30 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Qdi
 func (sn *ShardedNetwork) Shards() int { return len(sn.Engines) }
 
 // HostShard returns the shard owning a host.
-func (sn *ShardedNetwork) HostShard(id NodeID) int { return sn.hostShard[id] }
+func (sn *ShardedNetwork) HostShard(id NodeID) int {
+	if sn.hostShard == nil {
+		return 0
+	}
+	return sn.hostShard[id]
+}
 
 // ShardHosts returns the hosts shard i owns.
-func (sn *ShardedNetwork) ShardHosts(i int) []*Host { return sn.hostsOf[i] }
+func (sn *ShardedNetwork) ShardHosts(i int) []*Host {
+	if sn.hostsOf == nil {
+		return sn.Net.Hosts
+	}
+	return sn.hostsOf[i]
+}
 
 // ShardPorts returns every port homed on shard i, NICs included. The shard
 // sets partition AllPorts: each port fires its events on exactly one shard's
 // engine, which is what per-shard audit instrumentation relies on.
-func (sn *ShardedNetwork) ShardPorts(i int) []*Port { return sn.portsOf[i] }
+func (sn *ShardedNetwork) ShardPorts(i int) []*Port {
+	if sn.portsOf == nil {
+		return sn.Net.AllPorts()
+	}
+	return sn.portsOf[i]
+}
 
 // CrossPorts returns how many ports carry a CrossLink.
 func (sn *ShardedNetwork) CrossPorts() int { return sn.crossed }
@@ -215,8 +228,12 @@ func (sn *ShardedNetwork) CrossPorts() int { return sn.crossed }
 // View returns the per-shard view of the network: the shared structure with
 // the engine, packet pool and endpoint-host set of one shard. A protocol
 // instance built over a view attaches endpoints only to the shard's own
-// hosts and allocates packets only from the shard's pool.
+// hosts and allocates packets only from the shard's pool. A one-shard
+// network is its own view.
 func (sn *ShardedNetwork) View(i int) *Network {
+	if len(sn.Engines) == 1 {
+		return sn.Net
+	}
 	v := *sn.Net
 	v.Eng = sn.Engines[i]
 	v.Pool = sn.Pools[i]

@@ -28,8 +28,9 @@ import "sync"
 //
 // Each round advances the global window by at least Lookahead, so the run
 // terminates. With one engine the loop degenerates to repeated RunUntil
-// calls on a single goroutine and fires events in exactly the sequential
-// order — but the harness keeps shards=1 on the plain Engine path anyway.
+// calls and fires events in exactly the sequential order, but it stops only
+// at a barrier: the harness therefore drives a one-shard run's engine
+// directly, stopping at the exact event that completes the last flow.
 type ShardGroup struct {
 	Engines   []*Engine
 	Lookahead Duration // minimum cross-shard link latency; must be > 0
