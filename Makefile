@@ -3,8 +3,8 @@
 # race detector over the concurrency-bearing packages (the parallel
 # experiment pool, the event engine it drives, and the workload parser the
 # fuzz target exercises), the packet-conservation audit sweep, the
-# golden-digest gate under both event schedulers, and the allocation
-# regression smoke (bench-smoke).
+# golden-digest gate (timing wheel and reference heap, pool on and off), and
+# the allocation regression smoke (bench-smoke).
 
 GO ?= go
 
@@ -37,28 +37,28 @@ race:
 audit:
 	$(GO) test -run 'TestAudit' ./internal/audit ./internal/experiments
 
-# Golden-digest gate, one explicit invocation per event scheduler: the pinned
-# behavior digests must be byte-identical under the reference heap and the
-# timing wheel (the default). A drift here is a scheduler bug, not a tuning
-# knob — see internal/experiments/golden_test.go.
+# Golden-digest gate: the pinned behavior digests must be byte-identical in
+# every cell of {timing wheel, reference heap} x {pool on, pool off}. The heap
+# and pool-off mode exist only as these oracles; a drift in one cell is a
+# scheduler or pool bug, not a behavior change — see
+# internal/experiments/golden_test.go.
 golden:
-	$(GO) test -run 'TestGoldenDigests' ./internal/experiments -sched=heap
-	$(GO) test -run 'TestGoldenDigests' ./internal/experiments -sched=wheel
+	$(GO) test -run 'TestGoldenDigests' ./internal/experiments
 
 # Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix
-# across shards x scheduler x pool on a multi-pod fabric, the golden digests
-# pinned at one shard under scheduler x pool, the per-shard + global
-# conservation audit, the one-shard event-count pins, the impairment x shards
-# rule, and the ShardGroup / partitioner unit tests. Any divergence is a
-# synchronization bug — see DESIGN.md §13.
+# across shards x pool on a multi-pod fabric, the golden digests pinned under
+# shard requests x pool on the single switch (which never splits), the
+# per-shard + global conservation audit, the one-shard event-count pins, the
+# impairment x shards rule, and the ShardGroup / partitioner unit tests. Any
+# divergence is a synchronization bug — see DESIGN.md §13.
 shard-golden:
 	$(GO) test -race -run 'TestShardedDifferential|TestShardGoldenMatrix|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting|TestCheckImpairShards' \
 		./internal/experiments
 	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestFlushDeterministicOrder' ./internal/sim ./internal/netem
 
 # Impairment-layer gate: the timeline-parser seed corpus (the checked-in
-# fuzz inputs as a plain test), the impaired-run determinism contract across
-# both schedulers, and the short loss-sweep smoke (one scheme per transport
+# fuzz inputs as a plain test), the impaired-run determinism contract (rerun
+# and pool off), and the short loss-sweep smoke (one scheme per transport
 # family completes under 5% injected loss with a clean audit).
 impair:
 	$(GO) test -run 'TestImpairmentTimelineSeeds|TestImpairedGoldenDeterminism|TestLossSweepSmoke|TestImpairmentDropsExactlyOnce' \

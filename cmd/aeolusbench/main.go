@@ -43,7 +43,6 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/cliutil"
 	"github.com/aeolus-transport/aeolus/internal/experiments"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
 func main() {
@@ -60,11 +59,9 @@ func main() {
 		quick     = flag.Bool("quick", false, "trim parameter sweeps")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
-		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each fabric; results are identical); with -digest, also verify the sharded digest matrix")
+		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each fabric; results are identical)")
 		progress  = flag.Bool("progress", stderrIsTerminal(), "report per-run progress on stderr")
 		auditOn   = flag.Bool("audit", false, "verify packet-conservation invariants; exit 1 on any violation")
-		nopool    = flag.Bool("nopool", false, "disable packet recycling (results are identical; for bisection)")
-		schedStr  = flag.String("sched", "", "event scheduler: wheel or heap (results are identical; for bisection)")
 		jsonOut   = flag.Bool("json", false, "emit one JSON array of tables instead of aligned text")
 		impair    = flag.String("impair", "", "inline impairment timeline applied to every run, ';'-separated steps")
 		impFile   = flag.String("impair-file", "", "impairment timeline file, text or JSON (see internal/netem/timeline.go)")
@@ -74,7 +71,6 @@ func main() {
 	flag.Parse()
 	stopProfiles := cliutil.StartProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
-	sched := cliutil.Scheduler(*schedStr)
 	timeline := cliutil.Timeline(*impair, *impFile)
 
 	if *list {
@@ -87,7 +83,7 @@ func main() {
 		return
 	}
 	if *digest {
-		printDigests(*schemeID, *shards)
+		printDigests(*schemeID)
 		return
 	}
 	if *scenarios != "" {
@@ -109,10 +105,8 @@ func main() {
 	cfg.Quick = *quick
 	cfg.Parallel = *parallel
 	cfg.Shards = *shards
-	cfg.DisablePool = *nopool
-	cfg.Scheduler = sched
 	cfg.Impair = timeline
-	// One experiment's runs span many topologies, and experiments.CheckImpair
+	// One experiment's runs span many topologies, and experiments.CheckRun
 	// validates one run at a time, so reject the combination outright rather
 	// than fail on whichever run first splits into several shards.
 	if *shards > 1 && timeline != nil {
@@ -192,16 +186,13 @@ func main() {
 	finish()
 }
 
-// printDigests runs the golden trace — pool on and off, under both event
-// schedulers, and (with -shards > 1) with that shard count requested on top —
-// and prints, per scheme, the behavior digest in the goldenDigests table
-// format (for pasting into internal/experiments/golden_test.go after an
-// intentional behavior change) alongside the digest of the scenario that
-// declares the run: the pair ties "what was run" (scenario identity) to "what
-// it did" (behavior). Any divergence across the pool, scheduler or shard
-// matrix is an implementation bug, reported and exit 1. An unknown -scheme
-// gets the catalogue and exit 2.
-func printDigests(id string, shards int) {
+// printDigests runs the golden trace and prints, per scheme, the behavior
+// digest in the goldenDigests table format (for pasting into
+// internal/experiments/golden_test.go after an intentional behavior change)
+// alongside the digest of the scenario that declares the run: the pair ties
+// "what was run" (scenario identity) to "what it did" (behavior). An unknown
+// -scheme gets the catalogue and exit 2.
+func printDigests(id string) {
 	ids := []string{id}
 	if id == "" {
 		ids = ids[:0]
@@ -209,31 +200,14 @@ func printDigests(id string, shards int) {
 			ids = append(ids, e.ID)
 		}
 	}
-	shardVals := []int{1}
-	if shards > 1 {
-		shardVals = append(shardVals, shards)
-	}
 	for _, id := range ids {
-		var ref string
-		for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-			for _, pool := range []bool{true, false} {
-				for _, sh := range shardVals {
-					d, err := experiments.GoldenDigestSharded(id, pool, sched, sh)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(2)
-					}
-					if ref == "" {
-						ref = d
-					} else if d != ref {
-						fmt.Fprintf(os.Stderr, "%s: digest diverges (sched=%s pool=%v shards=%d): %s vs %s\n", id, sched, pool, sh, d, ref)
-						os.Exit(1)
-					}
-				}
-			}
+		d, err := experiments.GoldenDigest(id)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		sc := experiments.GoldenScenario(id)
-		fmt.Printf("%q: %q, // scenario %s\n", id, ref, sc.Digest())
+		fmt.Printf("%q: %q, // scenario %s\n", id, d, sc.Digest())
 	}
 }
 

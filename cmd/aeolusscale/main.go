@@ -24,14 +24,13 @@ import (
 
 func main() {
 	var (
-		out      = flag.String("o", "BENCH_scale.json", "output ledger; its baseline section is preserved")
-		note     = flag.String("note", "open-loop scale sweep: leafspine n x n, WebServer, xpass+aeolus, 100 flows/host", "ledger note (kept if the file already has one)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		quick    = flag.Bool("quick", false, "trim the grid to the 64- and 256-host fabrics")
-		schedStr = flag.String("sched", "", "event scheduler: wheel or heap")
-		shards   = flag.Int("shards", 1, "spatial shards per run; sharded cells get a /sN ledger key and merge alongside the sequential ones")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf  = flag.String("memprofile", "", "write a post-sweep allocation profile to this file")
+		out     = flag.String("o", "BENCH_scale.json", "output ledger; its baseline section is preserved")
+		note    = flag.String("note", "open-loop scale sweep: leafspine n x n, WebServer, xpass+aeolus, 100 flows/host", "ledger note (kept if the file already has one)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		quick   = flag.Bool("quick", false, "trim the grid to the 64- and 256-host fabrics")
+		shards  = flag.Int("shards", 1, "spatial shards per run; sharded cells get a /sN ledger key and merge alongside the sequential ones")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf = flag.String("memprofile", "", "write a post-sweep allocation profile to this file")
 	)
 	flag.Parse()
 	stopProfiles := cliutil.StartProfiles(*cpuProf, *memProf)
@@ -41,7 +40,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Quick = *quick
 	cfg.Shards = *shards
-	cfg.Scheduler = cliutil.Scheduler(*schedStr)
 	cfg.Progress = func(done, total int, elapsed time.Duration) {
 		fmt.Fprintf(os.Stderr, "[%d/%d cells, %v]\n", done, total, elapsed.Round(100*time.Millisecond))
 	}

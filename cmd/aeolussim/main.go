@@ -30,11 +30,12 @@
 //
 // -dump-scenario json|text prints the canonical scenario (internal/scenario)
 // that the current flags resolve to, instead of running it; feeding that file
-// back through -scenario reproduces the flag-driven run bit-identically. With
-// -scenario, the run is fully determined by the scenario file: flags that
-// would change what the run computes (-topo, -scheme, -seed, ...) are
-// rejected, while runtime knobs (-audit, -parallel, -nopool, -trace, -cdf)
-// and an explicit -sched still apply.
+// back through -scenario reproduces the flag-driven run bit-identically. A
+// flag-driven run passes the same validation as a scenario file, so flags
+// and files accept the same runs. With -scenario, the run is fully
+// determined by the scenario file: flags that would change what the run
+// computes (-topo, -scheme, -seed, ...) are rejected, while runtime knobs
+// (-audit, -parallel, -shards, -trace, -cdf) still apply.
 package main
 
 import (
@@ -86,8 +87,6 @@ func main() {
 		trace    = flag.Uint64("trace", 0, "print a packet trace for this flow ID")
 		cdf      = flag.Bool("cdf", false, "print the small-flow FCT CDF (the paper's figure format)")
 		auditOn  = flag.Bool("audit", false, "verify packet-conservation invariants; exit 1 on any violation")
-		nopool   = flag.Bool("nopool", false, "disable packet recycling (results are identical; for bisection)")
-		schedStr = flag.String("sched", "", "event scheduler: wheel or heap (results are identical; for bisection)")
 		impair   = flag.String("impair", "", "inline impairment timeline, ';'-separated steps (e.g. '0s sw0->* loss rate=0.01; 50us sw0->h0 fail; 150us sw0->h0 restore')")
 		impFile  = flag.String("impair-file", "", "impairment timeline file, text or JSON (see internal/netem/timeline.go)")
 		scenFile = flag.String("scenario", "", "run this scenario file (JSON or canonical text) instead of building the run from flags")
@@ -114,8 +113,6 @@ func main() {
 	cfg.Parallel = *parallel
 	cfg.Shards = *shards
 	cfg.Audit = *auditOn
-	cfg.DisablePool = *nopool
-	cfg.Scheduler = cliutil.Scheduler(*schedStr)
 	cfg.Trace.TraceFlow = *trace
 
 	if *scenFile != "" {
@@ -134,12 +131,7 @@ func main() {
 			cliutil.Die(err)
 		}
 		run := cfg.ForScenario(sem)
-		if cfg.Scheduler != "" {
-			// An explicit -sched is a bisection knob and outranks the
-			// scenario's pin; results are identical either way.
-			run.Scheduler = cfg.Scheduler
-		}
-		if err := experiments.CheckImpair(run, spec); err != nil {
+		if err := experiments.CheckRun(run, spec); err != nil {
 			cliutil.Die(err)
 		}
 		r := experiments.Run(run, spec)
@@ -179,23 +171,20 @@ func main() {
 		return spec
 	}
 
-	// Validate the topology, the scheme (ID and -opt values) and the
-	// impairment timeline (its targets, and a fabric that still splits into
-	// several shards) up front: a bad spec gets an error on stderr instead of
-	// a panic mid-run.
+	// Validate up front, so a bad spec gets an error on stderr instead of a
+	// panic or a wrong run: the topology name, then the checks a scenario
+	// file gets — the structural ones on the scenario the flags resolve to
+	// (ToScenario), then the scheme and its -opt values, the traffic and
+	// the impairment timeline against the fabric (CheckRun).
 	cliutil.Topo(*topo)
-	if _, err := experiments.MakeScheme(specFor(*seed).Scheme); err != nil {
+	sc, err := experiments.ToScenario(cfg, specFor(*seed))
+	if err == nil {
+		err = experiments.CheckRun(cfg, specFor(*seed))
+	}
+	if err != nil {
 		cliutil.Die(err)
 	}
-	if err := experiments.CheckImpair(cfg, specFor(*seed)); err != nil {
-		cliutil.Die(err)
-	}
-
 	if *dumpScen != "" {
-		sc, err := experiments.ToScenario(cfg, specFor(*seed))
-		if err != nil {
-			cliutil.Die(err)
-		}
 		dumpScenario(sc, *dumpScen)
 		return
 	}

@@ -39,11 +39,9 @@ func run(aeolus bool) (stats.Summary, int, [netem.NumDropReasons]uint64) {
 	// A deliberately tight 100 KB shared buffer makes the 7-way blind
 	// burst (7 x BDP ≈ 126 KB of unscheduled packets) overflow, as the
 	// paper's testbed switch does at full scale.
-	net := netem.BuildSingleSwitch(eng, 8, netem.TopoConfig{
-		HostRate:  10 * sim.Gbps,
-		LinkDelay: 3 * sim.Microsecond,
-		MakeQdisc: homa.QdiscFactory(opts, 100<<10),
-	})
+	spec := netem.TopoSpec{HostsPerEdge: 8, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: 3 * sim.Microsecond}
+	net := netem.BuildClos(eng, spec, homa.QdiscFactory(opts, 100<<10), 0)
 	env := transport.NewEnv(net, netem.MaxPayload)
 	proto := homa.New(env, opts)
 

@@ -32,11 +32,9 @@ func main() {
 	// 2. Build the fabric. The qdisc factory installs the Aeolus switch
 	//    queues (shaped credit queue + selective dropping) on every port.
 	eng := sim.NewEngine()
-	net := netem.BuildSingleSwitch(eng, 3, netem.TopoConfig{
-		HostRate:  10 * sim.Gbps,
-		LinkDelay: 3 * sim.Microsecond,
-		MakeQdisc: expresspass.QdiscFactory(opts, netem.DefaultBuffer),
-	})
+	spec := netem.TopoSpec{HostsPerEdge: 3, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: 3 * sim.Microsecond}
+	net := netem.BuildClos(eng, spec, expresspass.QdiscFactory(opts, netem.DefaultBuffer), 0)
 	fmt.Printf("fabric: 3 hosts @10Gbps, base RTT %v, BDP %d bytes\n\n",
 		net.BaseRTT, net.BDPBytes())
 

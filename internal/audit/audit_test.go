@@ -9,9 +9,8 @@ import (
 )
 
 func testNet() *netem.Network {
-	return netem.BuildSingleSwitch(sim.NewEngine(), 2, netem.TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
-	})
+	return netem.BuildClos(sim.NewEngine(), netem.TopoSpec{HostsPerEdge: 2, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 }
 
 // dataPkt builds a data packet from the given pool; a nil pool allocates,
@@ -49,15 +48,14 @@ func TestAuditorCleanDelivery(t *testing.T) {
 // TestAuditorAccountsDrops overflows a tiny switch queue and expects the
 // lost payload attributed to drops, with conservation still balancing.
 func TestAuditorAccountsDrops(t *testing.T) {
-	net := netem.BuildSingleSwitch(sim.NewEngine(), 3, netem.TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
-		MakeQdisc: func(kind netem.PortKind, _ sim.Rate) netem.Qdisc {
+	net := netem.BuildClos(sim.NewEngine(), netem.TopoSpec{HostsPerEdge: 3, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
+		func(kind netem.PortKind, _ sim.Rate) netem.Qdisc {
 			if kind == netem.HostNIC {
 				return netem.NewFIFO(0)
 			}
 			return netem.NewFIFO(2 * 1578) // room for two full frames
-		},
-	})
+		}, 0)
 	a := Attach(net)
 	a.RegisterFlow(1, 10*1500)
 	a.RegisterFlow(2, 10*1500)

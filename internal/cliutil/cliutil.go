@@ -1,8 +1,8 @@
 // Package cliutil holds the flag-loading and validation plumbing shared by
 // the simulator CLIs (cmd/aeolussim, cmd/aeolusbench, cmd/aeolusscale): the
-// scheduler/timeline/workload flag values all parse the same way everywhere,
-// and a bad value always means "print the error and exit 2" — the
-// flag-mistake status — not a panic mid-run.
+// timeline, workload, topology and scenario flag values all parse the same
+// way everywhere, and a bad value always means "print the error and exit 2"
+// — the flag-mistake status — not a panic mid-run.
 package cliutil
 
 import (
@@ -14,7 +14,6 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/experiments"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scenario"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
@@ -64,20 +63,6 @@ func StartProfiles(cpu, mem string) func() {
 	}
 }
 
-// Scheduler parses a -sched value. The empty string stays empty — the
-// harness (and a scenario) may still pick the scheduler — so an explicit
-// -sched is distinguishable from the default.
-func Scheduler(s string) sim.SchedulerKind {
-	if s == "" {
-		return ""
-	}
-	kind, err := sim.ParseScheduler(s)
-	if err != nil {
-		Die(err)
-	}
-	return kind
-}
-
 // Timeline loads the -impair/-impair-file pair (inline ';'-separated steps
 // and/or a text or JSON file), nil when both are empty.
 func Timeline(inline, file string) *netem.Timeline {
@@ -121,9 +106,9 @@ func Catalogues(schemes, topos bool) bool {
 }
 
 // LoadScenario reads a scenario file (JSON or canonical text) and runs the
-// full semantic validation — topology, scheme and options, impairment
-// targets — so every error a flag-driven run would hit up front is reported
-// here too.
+// full semantic validation — topology, scheme and options, traffic,
+// impairment targets — so every error a flag-driven run would hit up front
+// is reported here too.
 func LoadScenario(path string) *scenario.Scenario {
 	sc, err := scenario.Load(path)
 	if err != nil {

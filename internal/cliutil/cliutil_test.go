@@ -9,20 +9,7 @@ import (
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/experiments"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 )
-
-func TestSchedulerValues(t *testing.T) {
-	if got := Scheduler(""); got != "" {
-		t.Errorf("Scheduler(\"\") = %q, want empty (harness decides)", got)
-	}
-	if got := Scheduler("wheel"); got != sim.SchedWheel {
-		t.Errorf("Scheduler(wheel) = %q", got)
-	}
-	if got := Scheduler("heap"); got != sim.SchedHeap {
-		t.Errorf("Scheduler(heap) = %q", got)
-	}
-}
 
 func TestTimelineLoading(t *testing.T) {
 	if tl := Timeline("", ""); tl != nil {
@@ -97,8 +84,6 @@ func TestDieExitPaths(t *testing.T) {
 		switch mode {
 		case "die":
 			Die(errors.New("boom"))
-		case "sched":
-			Scheduler("bogus-sched")
 		case "timeline":
 			Timeline("0s * explode", "")
 		case "timeline-both":
@@ -116,7 +101,6 @@ func TestDieExitPaths(t *testing.T) {
 		mode, wantMsg string
 	}{
 		{"die", "boom"},
-		{"sched", "bogus-sched"},
 		{"timeline", "explode"},
 		{"timeline-both", "not both"},
 		{"workload", "no-such-workload"},

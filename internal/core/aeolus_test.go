@@ -11,9 +11,8 @@ import (
 func testEnv(t *testing.T) *transport.Env {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := netem.BuildSingleSwitch(eng, 2, netem.TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
-	})
+	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: 2, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	return transport.NewEnv(net, netem.MaxPayload)
 }
 

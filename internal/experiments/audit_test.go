@@ -37,7 +37,7 @@ func TestAuditSweepAllSchemes(t *testing.T) {
 func auditSweep(t *testing.T, sched sim.SchedulerKind) {
 	cfg := testConfig()
 	cfg.Audit = true
-	cfg.Scheduler = sched
+	cfg.sched = sched
 	var mu sync.Mutex
 	audited := 0
 	cfg.OnAudit = func(_ RunSpec, rep *audit.Report) {

@@ -40,7 +40,7 @@ func BenchmarkSchedulerComparison(b *testing.B) {
 			for _, spec := range auditSweepSpecs() {
 				b.Run(spec.Scheme.ID, func(b *testing.B) {
 					cfg := testConfig()
-					cfg.Scheduler = sched
+					cfg.sched = sched
 					var tx uint64
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {

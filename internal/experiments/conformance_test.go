@@ -22,7 +22,7 @@ func TestSchemeConformance(t *testing.T) {
 				t.Parallel()
 				cfg := GoldenConfig()
 				cfg.Audit = true
-				cfg.Scheduler = sched
+				cfg.sched = sched
 				r := Run(cfg, GoldenSpec(e.ID))
 				if r.Completed != r.Total {
 					t.Errorf("completed %d of %d flows", r.Completed, r.Total)

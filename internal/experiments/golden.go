@@ -56,28 +56,13 @@ func GoldenSpec(id string) RunSpec {
 }
 
 // GoldenDigest runs the golden trace for a scheme and returns the RunResult
-// digest, with the packet pool on or off, under the default scheduler.
-func GoldenDigest(id string, pool bool) (string, error) {
-	return GoldenDigestSharded(id, pool, sim.DefaultScheduler, 1)
-}
-
-// GoldenDigestSharded is GoldenDigest over the full runtime-knob matrix: an
-// explicit event scheduler and a shard-count request. The digest must be
-// byte-identical for every scheduler — the wheel and the reference heap fire
-// events in the same (time, seq) order, so a divergence means a scheduler
-// bug, not a behavior change. The golden topology is a single switch, so
-// every shard request runs as one shard (netem.ShardCount); the shard axis
-// is exercised on a fabric that splits by TestShardedDifferential.
-func GoldenDigestSharded(id string, pool bool, sched sim.SchedulerKind, shards int) (string, error) {
+// digest.
+func GoldenDigest(id string) (string, error) {
 	spec := GoldenSpec(id)
 	if _, err := MakeScheme(spec.Scheme); err != nil {
 		return "", err
 	}
-	cfg := GoldenConfig()
-	cfg.DisablePool = !pool
-	cfg.Scheduler = sched
-	cfg.Shards = shards
-	r := Run(cfg, spec)
+	r := Run(GoldenConfig(), spec)
 	return r.Digest(), nil
 }
 

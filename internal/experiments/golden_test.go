@@ -1,32 +1,26 @@
 package experiments
 
 import (
-	"flag"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
+	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
-// -sched restricts the golden-digest matrix to one scheduler, so CI can gate
-// each implementation in a separate, clearly-labeled invocation:
-//
-//	go test ./internal/experiments -run TestGoldenDigests -sched=heap
-//	go test ./internal/experiments -run TestGoldenDigests -sched=wheel
-//
-// Empty (the default) runs the full scheduler matrix.
-var schedFlag = flag.String("sched", "", "restrict golden-digest runs to one scheduler (heap|wheel); empty = all")
-
-// goldenSchedulers resolves the -sched flag to the scheduler set under test.
-func goldenSchedulers(t *testing.T) []sim.SchedulerKind {
-	if *schedFlag == "" {
-		return []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap}
+// poolOff returns cfg with packet recycling off in every shard: the Observe
+// hook runs before the first packet, so every Get allocates and every Put
+// discards for the whole run. Pooling changes which object carries a
+// packet, never what happens to it, so results must not move.
+func poolOff(cfg Config) Config {
+	observe := cfg.Observe
+	cfg.Observe = func(net *netem.Network, env *transport.Env, proto transport.Protocol) {
+		net.Pool.Disable()
+		if observe != nil {
+			observe(net, env, proto)
+		}
 	}
-	kind, err := sim.ParseScheduler(*schedFlag)
-	if err != nil {
-		t.Fatalf("-sched: %v", err)
-	}
-	return []sim.SchedulerKind{kind}
+	return cfg
 }
 
 // goldenDigests pins the complete observable behavior of every scheme on the
@@ -54,28 +48,26 @@ var goldenDigests = map[string]string{
 	"ndp+aeolus":   "0740894edfe49822c0b7e80770a6af5adc314bed5fff540c166b997cae81a2c3",
 }
 
-// TestGoldenDigests runs the golden trace for every pinned scheme — with the
-// packet pool on and off, under every scheduler the -sched flag selects — and
-// compares against the pre-refactor digests. The digests were pinned under
-// the heap scheduler; the wheel must reproduce them byte for byte.
+// TestGoldenDigests is the golden cross-check: for every pinned scheme, the
+// golden trace must reproduce the pinned digest in every cell of {timing
+// wheel, reference heap} × {pool on, pool off}. The heap and pool-off mode
+// exist only as these oracles: both schedulers fire events in the same
+// (time, seq) order and pooling never changes event order, so a drift in one
+// cell is a scheduler or pool bug, not a behavior change.
 func TestGoldenDigests(t *testing.T) {
-	checkGoldenPins(t, goldenSchedulers(t))
-}
-
-// checkGoldenPins runs one parallel subtest per pinned scheme: the golden
-// trace at one shard, with the packet pool on and off under each of scheds,
-// against the pinned digest.
-func checkGoldenPins(t *testing.T, scheds []sim.SchedulerKind) {
 	for id, want := range goldenDigests {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			for _, sched := range scheds {
+			spec := GoldenSpec(id)
+			for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
 				for _, pool := range []bool{true, false} {
-					got, err := GoldenDigestSharded(id, pool, sched, 1)
-					if err != nil {
-						t.Fatalf("GoldenDigestSharded(%s, pool=%v, %s, 1): %v", id, pool, sched, err)
+					cfg := GoldenConfig()
+					cfg.sched = sched
+					if !pool {
+						cfg = poolOff(cfg)
 					}
-					if got != want {
+					r := Run(cfg, spec)
+					if got := r.Digest(); got != want {
 						t.Errorf("golden digest drifted (sched=%s pool=%v):\n got  %s\n want %s", sched, pool, got, want)
 					}
 				}
@@ -101,9 +93,9 @@ func chaosTimeline(t *testing.T) *netem.Timeline {
 }
 
 // TestImpairedGoldenDeterminism pins the determinism contract under injected
-// chaos: the same (scenario, seed, timeline) must digest byte-identical
-// across heap vs wheel schedulers and pool on/off, and the impaired digest
-// must differ from the pristine baseline (the chaos actually happened).
+// chaos: the same (scenario, seed, timeline) must digest byte-identical with
+// the pool on and off, and the impaired digest must differ from the pristine
+// baseline (the chaos actually happened).
 func TestImpairedGoldenDeterminism(t *testing.T) {
 	tl := chaosTimeline(t)
 	for _, id := range []string{"xpass+aeolus", "homa+aeolus", "ndp+aeolus"} {
@@ -112,30 +104,24 @@ func TestImpairedGoldenDeterminism(t *testing.T) {
 			t.Parallel()
 			spec := GoldenSpec(id)
 			spec.Impair = tl
-			digest := func(pool bool, sched sim.SchedulerKind) string {
-				cfg := GoldenConfig()
-				cfg.DisablePool = !pool
-				cfg.Scheduler = sched
+			digest := func(cfg Config) string {
 				r := Run(cfg, spec)
 				if r.Completed != r.Total {
-					t.Fatalf("impaired run incomplete: %d of %d (sched=%s pool=%v)",
-						r.Completed, r.Total, sched, pool)
+					t.Fatalf("impaired run incomplete: %d of %d", r.Completed, r.Total)
 				}
 				if r.Drops[netem.DropImpairment] == 0 {
 					t.Fatalf("no impairment drops recorded; the timeline was inert")
 				}
 				return r.Digest()
 			}
-			ref := digest(true, sim.SchedWheel)
-			for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-				for _, pool := range []bool{true, false} {
-					if got := digest(pool, sched); got != ref {
-						t.Errorf("impaired digest diverged (sched=%s pool=%v):\n got  %s\n want %s",
-							sched, pool, got, ref)
-					}
-				}
+			ref := digest(GoldenConfig())
+			if got := digest(GoldenConfig()); got != ref {
+				t.Errorf("impaired digest diverged on a rerun:\n got  %s\n want %s", got, ref)
 			}
-			if pristine, err := GoldenDigest(id, true); err != nil {
+			if got := digest(poolOff(GoldenConfig())); got != ref {
+				t.Errorf("impaired digest diverged with the pool off:\n got  %s\n want %s", got, ref)
+			}
+			if pristine, err := GoldenDigest(id); err != nil {
 				t.Fatal(err)
 			} else if pristine == ref {
 				t.Errorf("impaired digest equals pristine digest; impairments had no observable effect")

@@ -51,12 +51,6 @@ type Config struct {
 	// It must tolerate concurrent calls when runs execute under a Pool.
 	OnAudit func(spec RunSpec, rep *audit.Report)
 
-	// DisablePool turns off packet recycling for the run: every Get
-	// allocates and every Put discards. Results are identical either way
-	// (pooling changes object identity, never event order); the knob exists
-	// to prove exactly that, and to bisect should the two ever diverge.
-	DisablePool bool
-
 	// Impair, when non-nil, applies a scripted link-impairment timeline
 	// (netem.Timeline) to every run — the CLIs' -impair/-impair-file knob.
 	// Per-run RunSpec.Impair takes precedence. The timeline is applied after
@@ -67,24 +61,16 @@ type Config struct {
 	// Shards requests a spatial partition of every run's fabric: one engine
 	// per shard on its own goroutine, synchronized conservatively on the
 	// minimum cross-shard link latency (see netem.BuildShardedClos and
-	// sim.ShardGroup). Like Parallel, DisablePool and Scheduler it is a
-	// runtime knob, not part of a run's identity: results are independent of
-	// the shard count by construction, the shard tests keep proving it, and
-	// scenarios do not serialize it. The run's plan clamps the request to
-	// the topology's pod structure (an edge switch and its hosts are never
-	// split), so single-pod topologies run as one shard. Packet tracing
-	// forces one shard; an impairment timeline on a run that still splits
-	// is an error (their RNG and engine hooks are single-engine), which
-	// CheckImpair reports up front.
+	// sim.ShardGroup). Like Parallel it is a runtime knob, not part of a
+	// run's identity: results are independent of the shard count by
+	// construction, the shard tests keep proving it, and scenarios do not
+	// serialize it. The run's plan clamps the request to the topology's pod
+	// structure (an edge switch and its hosts are never split), so
+	// single-pod topologies run as one shard. Packet tracing forces one
+	// shard; an impairment timeline on a run that still splits is an error
+	// (their RNG and engine hooks are single-engine), which CheckRun reports
+	// up front.
 	Shards int
-
-	// Scheduler selects the event-queue implementation backing every run's
-	// engine (sim.SchedWheel or sim.SchedHeap); empty means
-	// sim.DefaultScheduler. Results are identical either way — both
-	// schedulers fire events in the same (time, seq) order, and the golden
-	// digest test proves it — so, like DisablePool, the knob exists to keep
-	// proving that and to bisect should the two ever diverge.
-	Scheduler sim.SchedulerKind
 
 	// Observe, when non-nil, is invoked after the topology, transport and
 	// instrumentation are built but before any flow starts, giving callers a
@@ -97,6 +83,12 @@ type Config struct {
 	// a scenario serializes and what feeds the golden digest — is purely
 	// semantic, and an io.Writer has no place in it.
 	Trace RunOptions
+
+	// sched selects the event queue behind every run's engines; empty means
+	// sim.DefaultScheduler. Only this package's tests set it, to run the
+	// reference heap as an oracle: both schedulers fire events in the same
+	// (time, seq) order, so every digest must match either way.
+	sched sim.SchedulerKind
 }
 
 // RunOptions are the non-serialized debugging knobs of a run. TraceFlow,
@@ -110,10 +102,10 @@ type RunOptions struct {
 
 // scheduler resolves the configured SchedulerKind, defaulting when unset.
 func (c Config) scheduler() sim.SchedulerKind {
-	if c.Scheduler == "" {
+	if c.sched == "" {
 		return sim.DefaultScheduler
 	}
-	return c.Scheduler
+	return c.sched
 }
 
 // DefaultConfig returns a configuration sized for single-core bench runs.
@@ -246,6 +238,32 @@ type runPlan struct {
 	auds   []*audit.Auditor
 }
 
+// resolve looks up the run's scheme and topology and rejects traffic the
+// generators cannot serve on that fabric: fewer than two hosts leave no
+// sender-receiver pair, an incast receiver must be a host, and a Poisson
+// workload needs a positive core load to set its arrival rate.
+func resolve(spec RunSpec) (Scheme, TopoDef, error) {
+	scheme, err := MakeScheme(spec.Scheme)
+	if err != nil {
+		return Scheme{}, TopoDef{}, err
+	}
+	topo, err := ResolveTopo(spec.Topo)
+	if err != nil {
+		return Scheme{}, TopoDef{}, err
+	}
+	hosts := topo.Hosts()
+	switch {
+	case hosts < 2:
+		err = fmt.Errorf("experiments: topology %s has %d host; traffic needs at least 2", spec.Topo, hosts)
+	case spec.Incast != nil && (spec.Incast.Receiver < 0 || spec.Incast.Receiver >= hosts):
+		err = fmt.Errorf("experiments: incast receiver %d is not a host of topology %s (hosts 0..%d)",
+			spec.Incast.Receiver, spec.Topo, hosts-1)
+	case spec.Workload != nil && !(spec.CoreLoad > 0):
+		err = fmt.Errorf("experiments: core load %v must be positive to drive a Poisson workload", spec.CoreLoad)
+	}
+	return scheme, topo, err
+}
+
 // plan resolves the run's scheme, topology, buffer and effective shard
 // count, builds the fabric and its per-shard protocol instances, and
 // installs the impairment timeline, the packet tracer and the auditors, in
@@ -253,11 +271,7 @@ type runPlan struct {
 // qdiscs, so injected drops are traced and attributed like any other drop.
 // Observe sees each shard once, before any flow starts.
 func plan(cfg Config, spec RunSpec) (*runPlan, error) {
-	scheme, err := MakeScheme(spec.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := ResolveTopo(spec.Topo)
+	scheme, topo, err := resolve(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -281,11 +295,7 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 	p := &runPlan{scheme: scheme, topo: topo, sn: sn,
 		envs: make([]*transport.Env, n), protos: make([]transport.Protocol, n)}
 	for i := range p.envs {
-		view := sn.View(i)
-		if cfg.DisablePool {
-			view.Pool.Disable()
-		}
-		p.envs[i] = transport.NewEnv(view, scheme.MSS)
+		p.envs[i] = transport.NewEnv(sn.View(i), scheme.MSS)
 		p.protos[i] = scheme.New(p.envs[i])
 	}
 	if impair != nil {
@@ -319,15 +329,17 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 	return p, nil
 }
 
-// CheckImpair plans the run without executing it and returns the error Run
-// would panic with — the CLIs' up-front validation hook, mirroring the
-// MakeScheme check: an impairment target matching no port of the chosen
-// topology, or a timeline on a run whose fabric still splits into several
-// shards, is a spec bug, not a run result. Runs without a timeline pass
-// without building anything.
-func CheckImpair(cfg Config, spec RunSpec) error {
+// CheckRun returns the error Run would panic with, without executing the
+// run — the up-front validation hook of the CLIs and CheckScenario. An
+// unknown scheme or topology, traffic the generators cannot serve on the
+// fabric, an impairment target matching no port, or a timeline on a run
+// whose fabric still splits into several shards is a spec bug, not a run
+// result. Only a run with a timeline is planned, because its targets
+// resolve against the built fabric; the others build nothing.
+func CheckRun(cfg Config, spec RunSpec) error {
 	if spec.Impair == nil && cfg.Impair == nil {
-		return nil
+		_, _, err := resolve(spec)
+		return err
 	}
 	cfg.Audit, cfg.Observe = false, nil
 	_, err := plan(cfg, spec)
@@ -335,8 +347,7 @@ func CheckImpair(cfg Config, spec RunSpec) error {
 }
 
 // Run executes one simulation and collects the metrics. A spec the plan
-// rejects panics; the CLIs validate up front (MakeScheme, ResolveTopo,
-// CheckImpair).
+// rejects panics; the CLIs validate up front with CheckRun.
 func Run(cfg Config, spec RunSpec) RunResult {
 	p, err := plan(cfg, spec)
 	if err != nil {

@@ -99,9 +99,9 @@ func TestImpairmentDropsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestCheckImpairShards pins where the impairment × shards rule applies:
-// after the pod clamp, so a timeline is rejected only on a run whose fabric
-// really splits into several shards.
+// TestCheckImpairShards pins where CheckRun applies the impairment × shards
+// rule: after the pod clamp, so a timeline is rejected only on a run whose
+// fabric really splits into several shards.
 func TestCheckImpairShards(t *testing.T) {
 	loss := func(target string) *netem.Timeline {
 		return &netem.Timeline{Steps: []netem.TimelineStep{{Target: target, Action: netem.ActLoss, Rate: 0.01}}}
@@ -109,15 +109,15 @@ func TestCheckImpairShards(t *testing.T) {
 	cfg := testConfig()
 	spec := GoldenSpec("xpass+aeolus")
 	spec.Topo, spec.Impair = TopoLeafSpine, loss("leaf0->*")
-	if err := CheckImpair(cfg, spec); err != nil {
+	if err := CheckRun(cfg, spec); err != nil {
 		t.Fatalf("impaired leafspine at one shard: %v", err)
 	}
 	cfg.Shards = 2
-	if err := CheckImpair(cfg, spec); err == nil {
-		t.Error("impaired leafspine at Shards 2: CheckImpair returned nil")
+	if err := CheckRun(cfg, spec); err == nil {
+		t.Error("impaired leafspine at Shards 2: CheckRun returned nil")
 	}
 	spec.Topo, spec.Impair = TopoSingleSwitch, loss("sw0->*")
-	if err := CheckImpair(cfg, spec); err != nil {
+	if err := CheckRun(cfg, spec); err != nil {
 		t.Errorf("impaired single at Shards 2 runs as one shard, got %v", err)
 	}
 }

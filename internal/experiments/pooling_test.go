@@ -9,23 +9,21 @@ import (
 )
 
 // TestPoolOnOffIdenticalResults is the pooling correctness proof: every
-// scheme in the catalogue, run once with packet recycling and once with
-// Config.DisablePool, must produce byte-identical RunResults — every
-// summary, drop counter, CDF point and raw flow record. Pooling changes
-// which object carries a packet, never what happens to it. The sweep runs
-// under both event schedulers so the pooling proof holds on each.
+// scheme in the catalogue, run once with packet recycling and once with the
+// pool disabled, must produce byte-identical RunResults — every summary,
+// drop counter, CDF point and raw flow record. Pooling changes which object
+// carries a packet, never what happens to it. The sweep runs under the
+// production scheduler, the timing wheel; the heap oracle's pool on/off cells
+// are checked by TestGoldenDigests.
 func TestPoolOnOffIdenticalResults(t *testing.T) {
-	for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-		t.Run(string(sched), func(t *testing.T) { poolOnOffSweep(t, sched) })
-	}
+	t.Run(string(sim.SchedWheel), poolOnOffSweep)
 }
 
-func poolOnOffSweep(t *testing.T, sched sim.SchedulerKind) {
+func poolOnOffSweep(t *testing.T) {
 	cfg := testConfig()
 	cfg.Audit = true
-	cfg.Scheduler = sched
-	off := cfg
-	off.DisablePool = true
+	cfg.sched = sim.SchedWheel
+	off := poolOff(cfg)
 	for _, spec := range auditSweepSpecs() {
 		id := spec.Scheme.ID
 		rOn := Run(cfg, spec)

@@ -16,9 +16,9 @@ import (
 // — the CLIs' -dump-scenario path. The split of Config fields is the
 // load-bearing idea:
 //
-//   - semantic fields (Budget, MinFlows, MaxFlows, Seed, Scheduler) are part
-//     of run identity and live in the scenario;
-//   - runtime knobs (Parallel, Progress, Audit, OnAudit, DisablePool,
+//   - semantic fields (Budget, MinFlows, MaxFlows, Seed) are part of run
+//     identity and live in the scenario;
+//   - runtime knobs (Parallel, Progress, Audit, OnAudit, Shards,
 //     process-wide Impair, Observe, Trace) change how a run is executed or
 //     observed, never what it computes, and stay outside.
 //
@@ -44,11 +44,10 @@ func FromScenario(sc *scenario.Scenario) (Config, RunSpec, error) {
 		}
 	}
 	cfg := Config{
-		Budget:    sc.Budget,
-		MinFlows:  sc.MinFlows,
-		MaxFlows:  sc.MaxFlows,
-		Seed:      sc.Seed,
-		Scheduler: sc.Scheduler,
+		Budget:   sc.Budget,
+		MinFlows: sc.MinFlows,
+		MaxFlows: sc.MaxFlows,
+		Seed:     sc.Seed,
 	}
 	spec := RunSpec{
 		Scheme: SchemeSpec{
@@ -107,7 +106,6 @@ func ToScenario(cfg Config, spec RunSpec) (*scenario.Scenario, error) {
 		Flows:      spec.Flows,
 		Buffer:     spec.Buffer,
 		Deadline:   spec.Deadline,
-		Scheduler:  cfg.Scheduler,
 		Impair:     spec.Impair,
 	}
 	if spec.Scheme.Workload != spec.Workload {
@@ -135,35 +133,27 @@ func ToScenario(cfg Config, spec RunSpec) (*scenario.Scenario, error) {
 
 // CheckScenario is the full validation of a scenario file: the structural
 // checks of scenario.Validate plus the semantic resolution the harness would
-// do — the topology catalogue, the scheme catalogue with its options, and a
-// dry application of the impairment timeline against the built topology. A
-// scenario error reads exactly like the CLI flag error it replaces.
+// do (CheckRun) — the topology and scheme catalogues, the traffic checks,
+// and a dry application of the impairment timeline against the built
+// topology. A scenario error reads exactly like the CLI flag error it
+// replaces.
 func CheckScenario(sc *scenario.Scenario) error {
 	cfg, spec, err := FromScenario(sc)
 	if err != nil {
 		return err
 	}
-	if _, err := ResolveTopo(spec.Topo); err != nil {
-		return err
-	}
-	if _, err := MakeScheme(spec.Scheme); err != nil {
-		return err
-	}
-	return CheckImpair(cfg, spec)
+	return CheckRun(cfg, spec)
 }
 
 // ForScenario layers a scenario's semantic config (sem, the first return of
 // FromScenario) over the receiver's runtime knobs, yielding the Config the
-// run executes under. The scenario's scheduler wins only when it pins one.
+// run executes under.
 func (c Config) ForScenario(sem Config) Config {
 	out := c
 	out.Budget = sem.Budget
 	out.MinFlows = sem.MinFlows
 	out.MaxFlows = sem.MaxFlows
 	out.Seed = sem.Seed
-	if sem.Scheduler != "" {
-		out.Scheduler = sem.Scheduler
-	}
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/scenario"
@@ -127,9 +128,9 @@ func TestRegistryScenarioDigests(t *testing.T) {
 // TestScenarioDrivenGolden is the acceptance criterion of the scenario
 // refactor made executable: serializing a golden scenario to its canonical
 // text, parsing it back, and running it through the scenario path
-// (FromScenario + ForScenario) reproduces the pinned behavior digest, across
-// the same scheduler × pool matrix as TestGoldenDigests. The run identity of
-// a scheme is its scenario file — nothing the Go code adds on the side.
+// (FromScenario + ForScenario) reproduces the pinned behavior digest, with
+// the packet pool on and off. The run identity of a scheme is its scenario
+// file — nothing the Go code adds on the side.
 func TestScenarioDrivenGolden(t *testing.T) {
 	for _, id := range []string{"xpass", "homa+aeolus", "ndp"} {
 		id := id
@@ -144,14 +145,15 @@ func TestScenarioDrivenGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sched := range goldenSchedulers(t) {
-				for _, pool := range []bool{true, false} {
-					rt := Config{DisablePool: !pool, Scheduler: sched}
-					r := Run(rt.ForScenario(sem), spec)
-					if got, want := r.Digest(), goldenDigests[id]; got != want {
-						t.Errorf("scenario-driven golden diverged (sched=%s pool=%v):\n got  %s\n want %s",
-							sched, pool, got, want)
-					}
+			for _, pool := range []bool{true, false} {
+				rt := Config{}
+				if !pool {
+					rt = poolOff(rt)
+				}
+				r := Run(rt.ForScenario(sem), spec)
+				if got, want := r.Digest(), goldenDigests[id]; got != want {
+					t.Errorf("scenario-driven golden diverged (pool=%v):\n got  %s\n want %s",
+						pool, got, want)
 				}
 			}
 		})
@@ -197,18 +199,54 @@ func TestToScenarioRoundTrip(t *testing.T) {
 func TestForScenarioKeepsRuntimeKnobs(t *testing.T) {
 	rt := DefaultConfig()
 	rt.Parallel = 7
-	rt.DisablePool = true
-	rt.Scheduler = sim.SchedHeap
+	rt.Shards = 2
+	rt.Audit = true
 	sem := Config{Budget: 1 << 20, MinFlows: 3, MaxFlows: 9, Seed: 42}
 	out := rt.ForScenario(sem)
 	if out.Budget != 1<<20 || out.MinFlows != 3 || out.MaxFlows != 9 || out.Seed != 42 {
 		t.Errorf("semantic fields not layered: %+v", out)
 	}
-	if out.Parallel != 7 || !out.DisablePool || out.Scheduler != sim.SchedHeap {
+	if out.Parallel != 7 || out.Shards != 2 || !out.Audit {
 		t.Errorf("runtime knobs lost: %+v", out)
 	}
-	sem.Scheduler = sim.SchedWheel
-	if out := rt.ForScenario(sem); out.Scheduler != sim.SchedWheel {
-		t.Errorf("scenario-pinned scheduler ignored: %+v", out)
+}
+
+// TestCheckRunRejectsUnservableTraffic covers traffic the generators cannot
+// serve on the chosen fabric. Each case used to pass validation and then
+// panic or misbehave inside the run: a one-host fabric leaves no sender for
+// an incast (divide by zero) or a Poisson pair (IntN(0)), a receiver outside
+// the fabric has no route, and a zero load makes every Poisson arrival start
+// at once. CheckScenario, and so every CLI, must reject each with an error
+// naming the bad value.
+func TestCheckRunRejectsUnservableTraffic(t *testing.T) {
+	incast := &scenario.IncastSpec{Fanin: 3, MsgSize: 64_000}
+	webSearch := &scenario.WorkloadSpec{Name: "WebSearch"}
+	for _, c := range []struct {
+		name string
+		sc   scenario.Scenario
+		want string
+	}{
+		{"one-host incast", scenario.Scenario{Topo: "clos:1,hosts=1", Scheme: "xpass", Incast: incast}, "has 1 host"},
+		{"one-host workload", scenario.Scenario{Topo: "clos:1,hosts=1", Scheme: "xpass",
+			Workload: webSearch, CoreLoad: 0.4, Flows: 5}, "has 1 host"},
+		{"receiver outside fabric", scenario.Scenario{Topo: TopoSingleSwitch, Scheme: "xpass",
+			Incast: &scenario.IncastSpec{Fanin: 3, Receiver: 100, MsgSize: 64_000}}, "receiver 100"},
+		{"zero load", scenario.Scenario{Topo: TopoSingleSwitch, Scheme: "xpass",
+			Workload: webSearch, Flows: 100}, "core load 0"},
+	} {
+		sc := c.sc
+		if err := CheckScenario(&sc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckScenario = %v, want an error mentioning %q", c.name, err, c.want)
+		}
+	}
+	// The same runs with a servable fabric, receiver and load pass.
+	for _, sc := range []scenario.Scenario{
+		{Topo: "clos:1,hosts=2", Scheme: "xpass", Incast: incast},
+		{Topo: TopoSingleSwitch, Scheme: "xpass", Incast: &scenario.IncastSpec{Fanin: 3, Receiver: 7, MsgSize: 64_000}},
+		{Topo: TopoSingleSwitch, Scheme: "xpass", Workload: webSearch, CoreLoad: 0.4, Flows: 100},
+	} {
+		if err := CheckScenario(&sc); err != nil {
+			t.Errorf("CheckScenario(%s on %s): %v", sc.Scheme, sc.Topo, err)
+		}
 	}
 }

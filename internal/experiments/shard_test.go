@@ -37,7 +37,7 @@ func shardDiffConfig() Config {
 // TestShardedDifferential pins the tentpole contract on a fabric that
 // actually splits: the same run on the 8-pod leaf-spine must digest
 // byte-identical, with a clean audit, in every cell of the runtime-knob
-// matrix — shards {1,2,4} × both schedulers × pool on/off.
+// matrix — shards {1,2,4} × pool on/off.
 func TestShardedDifferential(t *testing.T) {
 	spec := shardDiffSpec()
 	cfg := shardDiffConfig()
@@ -50,20 +50,22 @@ func TestShardedDifferential(t *testing.T) {
 	}
 	want := base.Digest()
 	for _, n := range []int{1, 2, 4} {
-		for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-			for _, pool := range []bool{true, false} {
-				cfg.Shards, cfg.Scheduler, cfg.DisablePool = n, sched, !pool
-				res := Run(cfg, spec)
-				if res.Shards != n {
-					t.Fatalf("Shards=%d ran with %d shards", n, res.Shards)
-				}
-				if res.Audit == nil || !res.Audit.Ok() {
-					t.Fatalf("shards=%d sched=%s pool=%v audit: %v", n, sched, pool, res.Audit.Err())
-				}
-				if got := res.Digest(); got != want {
-					t.Errorf("shards=%d sched=%s pool=%v digest diverged from sequential:\n got  %s\n want %s\n(records: seq %d/%d, sharded %d/%d)",
-						n, sched, pool, got, want, base.Completed, base.Total, res.Completed, res.Total)
-				}
+		for _, pool := range []bool{true, false} {
+			run := cfg
+			run.Shards = n
+			if !pool {
+				run = poolOff(run)
+			}
+			res := Run(run, spec)
+			if res.Shards != n {
+				t.Fatalf("Shards=%d ran with %d shards", n, res.Shards)
+			}
+			if res.Audit == nil || !res.Audit.Ok() {
+				t.Fatalf("shards=%d pool=%v audit: %v", n, pool, res.Audit.Err())
+			}
+			if got := res.Digest(); got != want {
+				t.Errorf("shards=%d pool=%v digest diverged from sequential:\n got  %s\n want %s\n(records: seq %d/%d, sharded %d/%d)",
+					n, pool, got, want, base.Completed, base.Total, res.Completed, res.Total)
 			}
 		}
 	}
@@ -135,12 +137,34 @@ func TestShardedAuditSweep(t *testing.T) {
 	}
 }
 
-// TestShardGoldenMatrix pins the golden digests at one shard under both
-// schedulers × pool on/off, race-enabled in make shard-golden. The golden
-// topology is a single switch that never splits, so the shard axis of the
-// matrix runs on the leaf-spine in TestShardedDifferential.
+// TestShardGoldenMatrix pins the golden digests under shard requests {2,4} ×
+// pool on/off, race-enabled in make shard-golden. The golden topology is a
+// single switch that never splits, so every request must fall back to one
+// shard and reproduce the pin; the shard axis itself runs on the leaf-spine
+// in TestShardedDifferential.
 func TestShardGoldenMatrix(t *testing.T) {
-	checkGoldenPins(t, []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap})
+	for id, want := range goldenDigests {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			spec := GoldenSpec(id)
+			for _, shards := range []int{2, 4} {
+				for _, pool := range []bool{true, false} {
+					cfg := GoldenConfig()
+					cfg.Shards = shards
+					if !pool {
+						cfg = poolOff(cfg)
+					}
+					r := Run(cfg, spec)
+					if r.Shards != 1 {
+						t.Fatalf("Shards=%d on the single switch ran with %d shards, want 1", shards, r.Shards)
+					}
+					if got := r.Digest(); got != want {
+						t.Errorf("golden digest drifted (shards=%d pool=%v):\n got  %s\n want %s", shards, pool, got, want)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestShardedEventsAccounting pins the execution metadata on RunResult. One

@@ -10,7 +10,7 @@ import (
 )
 
 // catalogueDigests pins the structural digest of every catalogue fabric (the
-// same table internal/netem/clos_test.go pins against the retired
+// same table internal/netem/clos_test.go pins, captured from the retired
 // hand-written builders). A mismatch means someone edited a catalogue spec —
 // which silently changes every experiment run on that topology.
 var catalogueDigests = map[string]string{

@@ -58,9 +58,8 @@ func BenchmarkXPassQdisc(b *testing.B) {
 // instead of allocating.
 func BenchmarkFabricForwarding(b *testing.B) {
 	eng := sim.NewEngine()
-	net := BuildLeafSpine(eng, 2, 2, 2, TopoConfig{
-		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond,
-	})
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 2}, {Switches: 2}},
+		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond}, nil, 0)
 	for _, h := range net.Hosts {
 		h.EP = nopEndpoint{}
 	}

@@ -10,12 +10,26 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-// This file is the parameterized Clos generator: one data-driven builder that
-// subsumes BuildSingleSwitch, BuildLeafSpine and BuildFatTree3. The legacy
-// builders remain as hand-written references — clos_test.go proves BuildClos
-// reproduces each of them byte-identically (same labels, node IDs, port
-// orders, routing tables and BaseRTT) — but new shapes, in particular the
-// scale-sweep fabrics, are expressed as TopoSpec values instead of new code.
+// This file is the parameterized Clos generator, the one builder every
+// fabric comes from: the paper's single-switch testbed, the leaf-spine and
+// fat-tree evaluation fabrics and the scale-sweep shapes are all TopoSpec
+// values. clos_test.go pins the structure digest (labels, node IDs, port
+// orders, routing tables and BaseRTT) of every catalogue shape.
+
+// PortKind tells a QdiscFactory where a port sits, so transports can install
+// different disciplines at host NICs and at switch ports.
+type PortKind int
+
+// Port kinds.
+const (
+	HostNIC        PortKind = iota // host to first-hop switch
+	SwitchToHost                   // last-hop switch down to a host
+	SwitchToSwitch                 // fabric link
+)
+
+// QdiscFactory builds the queueing discipline for a port of the given kind
+// and rate. Transports provide one when building a topology.
+type QdiscFactory func(kind PortKind, rate sim.Rate) Qdisc
 
 // TierSpec sizes one switch tier of a Clos fabric and describes its wiring to
 // the tier above. Uplinks and Groups apply to the boundary between this tier
@@ -34,9 +48,9 @@ type TierSpec struct {
 }
 
 // TopoSpec is a complete parameterized Clos topology: the tier stack plus the
-// link-timing knobs shared with TopoConfig. Tiers[0] is the edge (host-facing)
-// tier; Tiers[len-1] is the top. It is pure data — the CLIs parse one from a
-// "clos:" spec string, the experiment catalogue declares them as literals, and
+// link-timing knobs. Tiers[0] is the edge (host-facing) tier; Tiers[len-1] is
+// the top. It is pure data — the CLIs parse one from a "clos:" spec string,
+// the experiment catalogue and the tests declare them as literals, and
 // BuildClos turns one into a Network.
 type TopoSpec struct {
 	HostsPerEdge int // hosts under each edge switch
@@ -211,9 +225,10 @@ func (s TopoSpec) CoreLoadFactor() float64 {
 	return f
 }
 
-// tierNames returns the per-tier label prefixes. The one-, two- and
-// three-tier names match the hand-written builders ("sw"; "leaf"/"spine";
-// "tor"/"leaf"/"spine"); deeper stacks fall back to "t<tier>".
+// tierNames returns the per-tier label prefixes: "sw" for one tier,
+// "leaf"/"spine" for two, "tor"/"leaf"/"spine" for three (the labels the
+// structure digests and impairment targets pin); deeper stacks fall back to
+// "t<tier>".
 func (s TopoSpec) tierNames() []string {
 	switch len(s.Tiers) {
 	case 1:
@@ -231,10 +246,10 @@ func (s TopoSpec) tierNames() []string {
 }
 
 // idSpacing returns the NodeID stride between tiers: tier t switch i gets ID
-// spacing*(t+1)+i. The legacy builders hard-coded 1000, which collides switch
-// IDs with host IDs once a fabric exceeds 1000 hosts (or 1000 switches in a
-// tier); the stride grows in 1000-steps so the sub-1000-host legacy shapes
-// keep their exact historical IDs while larger fabrics stay collision-free.
+// spacing*(t+1)+i. A fixed stride of 1000 would collide switch IDs with host
+// IDs once a fabric exceeds 1000 hosts (or 1000 switches in a tier); the
+// stride grows in 1000-steps so the sub-1000-host catalogue shapes keep
+// their pinned IDs while larger fabrics stay collision-free.
 func (s TopoSpec) idSpacing() int {
 	need := s.Hosts()
 	for _, t := range s.Tiers {
@@ -249,36 +264,37 @@ func (s TopoSpec) idSpacing() int {
 	return spacing
 }
 
-// BuildClos wires the fabric a TopoSpec describes. The wiring order — switch
-// creation tier by tier, hosts with their edge down-ports, edge uplinks,
-// middle tiers' down-then-up ports per switch, top-tier down-ports — mirrors
-// the hand-written builders exactly, so for their shapes the result is
-// byte-identical (clos_test.go pins this with structure digests). A spec that
-// fails Validate panics: topology construction errors are program bugs, never
-// run results.
+// BuildClos wires the fabric a TopoSpec describes. The wiring order is
+// fixed — switch creation tier by tier, hosts with their edge down-ports,
+// edge uplinks, middle tiers' down-then-up ports per switch, top-tier
+// down-ports — and clos_test.go pins the result with structure digests. A
+// nil qf installs a DefaultBuffer FIFO on every port. frameBytes is the
+// full-frame serialization size BaseRTT charges per forward hop; zero means
+// WireSizeFor(MaxPayload), the standard-MTU 1538 B frame. Jumbo-MTU fabrics
+// (NDP's 9 KB MSS) pass their own full frame, or the derived BaseRTT/BDP
+// undercounts serialization. A spec that fails Validate panics: topology
+// construction errors are program bugs, never run results.
 func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) *Network {
 	sp := spec.normalized()
 	if err := sp.Validate(); err != nil {
 		panic("netem: " + err.Error())
 	}
-	cfg := TopoConfig{
-		HostRate: sp.HostRate, CoreRate: sp.CoreRate,
-		LinkDelay: sp.LinkDelay, HostDelay: sp.HostDelay, SwitchPipe: sp.SwitchPipe,
-		MakeQdisc: qf, FrameBytes: frameBytes,
+	if qf == nil {
+		qf = func(PortKind, sim.Rate) Qdisc { return NewFIFO(DefaultBuffer) }
 	}
-	core := cfg.core()
+	core := sp.coreRate()
 	T := len(sp.Tiers)
 	nHosts := sp.Hosts()
 	spans, perReach := sp.reachGeometry()
 	names := sp.tierNames()
 	spacing := sp.idSpacing()
 
-	net := &Network{Eng: eng, HostRate: cfg.HostRate}
+	net := &Network{Eng: eng, HostRate: sp.HostRate}
 	sw := make([][]*Switch, T)
 	for t := 0; t < T; t++ {
 		sw[t] = make([]*Switch, sp.Tiers[t].Switches)
 		for i := range sw[t] {
-			sw[t][i] = &Switch{ID: NodeID(spacing*(t+1) + i), Eng: eng, PipeDelay: cfg.SwitchPipe,
+			sw[t][i] = &Switch{ID: NodeID(spacing*(t+1) + i), Eng: eng, PipeDelay: sp.SwitchPipe,
 				Label: fmt.Sprintf("%s%d", names[t], i), Table: make([][]int32, nHosts)}
 		}
 	}
@@ -290,8 +306,7 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) 
 	}
 
 	// linkLabel names the port from switch a toward switch b on a boundary
-	// with u parallel links; the ".n" suffix appears only on parallel links,
-	// matching the legacy single-link labels.
+	// with u parallel links; the ".n" suffix appears only on parallel links.
 	linkLabel := func(a, b *Switch, u, uplinks int) string {
 		if uplinks > 1 {
 			return fmt.Sprintf("%s->%s.%d", a.Label, b.Label, u)
@@ -303,10 +318,10 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) 
 	for e, edge := range sw[0] {
 		for k := 0; k < sp.HostsPerEdge; k++ {
 			id := NodeID(e*sp.HostsPerEdge + k)
-			h := newHost(eng, id, &cfg)
-			h.NIC = NewPort(eng, cfg.qdisc(HostNIC, cfg.HostRate), cfg.HostRate, cfg.LinkDelay,
+			h := &Host{ID: id, Eng: eng, HostDelay: sp.HostDelay}
+			h.NIC = NewPort(eng, qf(HostNIC, sp.HostRate), sp.HostRate, sp.LinkDelay,
 				edge, fmt.Sprintf("h%d->%s", id, edge.Label))
-			down := NewPort(eng, cfg.qdisc(SwitchToHost, cfg.HostRate), cfg.HostRate, cfg.LinkDelay,
+			down := NewPort(eng, qf(SwitchToHost, sp.HostRate), sp.HostRate, sp.LinkDelay,
 				h, fmt.Sprintf("%s->h%d", edge.Label, id))
 			edge.Ports = append(edge.Ports, down)
 			edge.Table[id] = []int32{int32(len(edge.Ports) - 1)}
@@ -324,7 +339,7 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) 
 		var ups []int32
 		for pi := g * ppg; pi < (g+1)*ppg; pi++ {
 			for u := 0; u < uplinks; u++ {
-				up := NewPort(eng, cfg.qdisc(SwitchToSwitch, core), core, cfg.LinkDelay,
+				up := NewPort(eng, qf(SwitchToSwitch, core), core, sp.LinkDelay,
 					sw[t+1][pi], linkLabel(me, sw[t+1][pi], u, uplinks))
 				me.Ports = append(me.Ports, up)
 				ups = append(ups, int32(len(me.Ports)-1))
@@ -349,7 +364,7 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) 
 			child := sw[t-1][c]
 			var downs []int32
 			for u := 0; u < uplinks; u++ {
-				down := NewPort(eng, cfg.qdisc(SwitchToSwitch, core), core, cfg.LinkDelay,
+				down := NewPort(eng, qf(SwitchToSwitch, core), core, sp.LinkDelay,
 					child, linkLabel(me, child, u, uplinks))
 				me.Ports = append(me.Ports, down)
 				downs = append(downs, int32(len(me.Ports)-1))
@@ -379,15 +394,26 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) 
 	for t := 0; t < T; t++ {
 		net.Switches = append(net.Switches, sw[t]...)
 	}
-	rates := make([]sim.Rate, 0, 2*T)
-	rates = append(rates, cfg.HostRate)
-	for i := 0; i < 2*(T-1); i++ {
-		rates = append(rates, core)
-	}
-	rates = append(rates, cfg.HostRate)
-	net.BaseRTT = baseRTT(&cfg, rates, 2*T-1)
+	net.BaseRTT = baseRTT(sp, frameBytes)
 	net.attachPool(NewPacketPool())
 	return net
+}
+
+// baseRTT estimates the zero-load RTT across the fabric's longest path: two
+// host links, 2(T-1) fabric links and 2T-1 switches. Every link costs its
+// propagation both ways, one full-frame serialization forward and one
+// minimum-frame serialization back; every switch its pipeline both ways;
+// the host stack its delay both ways.
+func baseRTT(s TopoSpec, frame int) sim.Duration {
+	if frame <= 0 {
+		frame = WireSizeFor(MaxPayload)
+	}
+	link := func(r sim.Rate) sim.Duration {
+		return 2*s.LinkDelay + sim.TxTime(frame, r) + sim.TxTime(HeaderSize, r)
+	}
+	T := sim.Duration(len(s.Tiers))
+	return 2*link(s.HostRate) + 2*(T-1)*link(s.coreRate()) +
+		2*(2*T-1)*s.SwitchPipe + 2*s.HostDelay
 }
 
 // ParseTopoSpec parses the CLI "clos:" spec grammar:
@@ -530,7 +556,7 @@ func nodeLabel(n Node) string {
 // switches, IDs, labels, port orders, rates, delays, routing tables, BaseRTT —
 // in a canonical text form. Two networks behave identically under this
 // simulator iff their dumps match (qdisc choice aside), so the dump is the
-// basis for the generator-vs-legacy equivalence digests.
+// basis for the pinned structure digests.
 func (n *Network) StructureDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hosts=%d switches=%d hostrate=%v basertt=%s\n",

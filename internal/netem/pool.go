@@ -41,7 +41,7 @@ type PoolObserver interface {
 // through the fabric by pointer — but every pointer aims into the slab, and
 // each slab packet knows its slot (Packet.PoolSlot) so observers can key
 // per-packet state by dense index. A disabled pool allocates individually
-// instead, preserving the old release-to-GC behavior for -nopool runs.
+// instead, preserving the old release-to-GC behavior for pool-off runs.
 type PacketPool struct {
 	free     []*Packet
 	chunks   []*[PacketChunkSize]Packet
@@ -116,7 +116,7 @@ func (pp *PacketPool) Get() *Packet {
 		segs := p.SegList[:0]
 		*p = Packet{SegList: segs, slot: p.slot}
 	} else if pp.disabled {
-		// No recycling: individual allocations keep -nopool runs GC-bounded
+		// No recycling: individual allocations keep pool-off runs GC-bounded
 		// instead of retaining every packet ever issued in the slab.
 		p = &Packet{}
 		pp.allocs++

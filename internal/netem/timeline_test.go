@@ -166,8 +166,8 @@ func TestMatchGlob(t *testing.T) {
 // TestTimelineApply compiles a flap-plus-loss script onto a real topology and
 // checks scheduling, per-port wrapping and drop attribution end to end.
 func TestTimelineApply(t *testing.T) {
-	net := BuildSingleSwitch(sim.NewEngine(), 2,
-		TopoConfig{HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond})
+	net := BuildClos(sim.NewEngine(), TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	tl, err := ParseTimeline("t", []byte(
 		"0s sw0->h1 loss rate=1\n"+
 			"10us sw0->h1 loss rate=0\n"))
@@ -201,8 +201,8 @@ func TestTimelineApply(t *testing.T) {
 }
 
 func TestTimelineApplyRejectsUnmatchedTarget(t *testing.T) {
-	net := BuildSingleSwitch(sim.NewEngine(), 2,
-		TopoConfig{HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond})
+	net := BuildClos(sim.NewEngine(), TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	tl, err := ParseTimeline("t", []byte("0s nosuch->port fail\n"))
 	if err != nil {
 		t.Fatal(err)

@@ -81,9 +81,8 @@ func TestPortWakesForShapedCredits(t *testing.T) {
 
 func TestSingleSwitchDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildSingleSwitch(eng, 4, TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
-	})
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 4, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	cs := attachCollectors(net)
 
 	p := dataPkt(1, 1538, false)
@@ -103,9 +102,8 @@ func TestSingleSwitchDelivery(t *testing.T) {
 
 func TestLeafSpineAllPairsDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildLeafSpine(eng, 2, 3, 4, TopoConfig{
-		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond,
-	})
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 4, Tiers: []TierSpec{{Switches: 3}, {Switches: 2}},
+		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond}, nil, 0)
 	cs := attachCollectors(net)
 
 	n := len(net.Hosts)
@@ -145,9 +143,8 @@ func TestLeafSpineECMPSymmetry(t *testing.T) {
 	// spine switch, which ExpressPass's credit shaping relies on.
 	for pathID := uint32(0); pathID < 8; pathID++ {
 		eng := sim.NewEngine()
-		net := BuildLeafSpine(eng, 4, 2, 1, TopoConfig{
-			HostRate: 100 * sim.Gbps, LinkDelay: 100 * sim.Nanosecond,
-		})
+		net := BuildClos(eng, TopoSpec{HostsPerEdge: 1, Tiers: []TierSpec{{Switches: 2}, {Switches: 4}},
+			HostRate: 100 * sim.Gbps, LinkDelay: 100 * sim.Nanosecond}, nil, 0)
 		cs := attachCollectors(net)
 		fwd := dataPkt(1, 1538, false)
 		fwd.Src, fwd.Dst, fwd.PathID = 0, 1, pathID
@@ -183,10 +180,10 @@ func TestLeafSpineECMPSymmetry(t *testing.T) {
 
 func TestFatTree3Delivery(t *testing.T) {
 	eng := sim.NewEngine()
-	shape := FatTreeShape{Spines: 2, Leaves: 2, ToRs: 4, HostsPerToR: 3, ToRUplinks: 2}
-	net := BuildFatTree3(eng, shape, TopoConfig{
-		HostRate: 100 * sim.Gbps, LinkDelay: sim.Microsecond,
-	})
+	// 4 ToRs of 3 hosts, two uplinks each to their leaf; 2 leaves; 2 spines.
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 3,
+		Tiers:    []TierSpec{{Switches: 4, Uplinks: 2, Groups: 2}, {Switches: 2}, {Switches: 2}},
+		HostRate: 100 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	cs := attachCollectors(net)
 	n := len(net.Hosts)
 	if n != 12 {
@@ -218,9 +215,7 @@ func TestFatTree3Delivery(t *testing.T) {
 
 func TestExpressPassShapeBuilds(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildFatTree3(eng, ExpressPassShape, TopoConfig{
-		HostRate: 100 * sim.Gbps, LinkDelay: 4 * sim.Microsecond, HostDelay: sim.Microsecond,
-	})
+	net := BuildClos(eng, fatTreeSpec, nil, 0)
 	if len(net.Hosts) != 192 {
 		t.Fatalf("hosts = %d, want 192", len(net.Hosts))
 	}
@@ -245,9 +240,7 @@ func TestExpressPassShapeBuilds(t *testing.T) {
 func TestHomaTopologyBaseRTT(t *testing.T) {
 	// Homa/NDP topology: 100G two-tier, base RTT ≈ 4.5 µs with ~0.5 µs links.
 	eng := sim.NewEngine()
-	net := BuildLeafSpine(eng, 8, 8, 8, TopoConfig{
-		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond,
-	})
+	net := BuildClos(eng, leafSpineSpec, nil, 0)
 	if net.BaseRTT < 4*sim.Microsecond || net.BaseRTT > 5*sim.Microsecond {
 		t.Fatalf("BaseRTT = %v, want ≈4.5us", net.BaseRTT)
 	}
@@ -258,9 +251,8 @@ func TestHomaTopologyBaseRTT(t *testing.T) {
 
 func TestHostDelayAppliedOnReceive(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildSingleSwitch(eng, 2, TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond, HostDelay: 5 * sim.Microsecond,
-	})
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond, HostDelay: 5 * sim.Microsecond}, nil, 0)
 	cs := attachCollectors(net)
 	p := dataPkt(1, 1250, false)
 	p.Src, p.Dst = 0, 1
@@ -275,13 +267,9 @@ func TestHostDelayAppliedOnReceive(t *testing.T) {
 
 func TestDropTotals(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildSingleSwitch(eng, 2, TopoConfig{
-		HostRate:  10 * sim.Gbps,
-		LinkDelay: sim.Microsecond,
-		MakeQdisc: func(kind PortKind, rate sim.Rate) Qdisc {
-			return NewSelectiveDrop(6000, DefaultBuffer)
-		},
-	})
+	selective := func(PortKind, sim.Rate) Qdisc { return NewSelectiveDrop(6000, DefaultBuffer) }
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, selective, 0)
 	attachCollectors(net)
 	// Burst 100 unscheduled packets from host 0 to host 1: the switch
 	// downlink (same rate as the NIC) should drop none, so burst two senders
@@ -299,13 +287,8 @@ func TestDropTotals(t *testing.T) {
 
 	// Now two senders into one receiver: contention must drop unscheduled.
 	eng2 := sim.NewEngine()
-	net2 := BuildSingleSwitch(eng2, 3, TopoConfig{
-		HostRate:  10 * sim.Gbps,
-		LinkDelay: sim.Microsecond,
-		MakeQdisc: func(kind PortKind, rate sim.Rate) Qdisc {
-			return NewSelectiveDrop(6000, DefaultBuffer)
-		},
-	})
+	net2 := BuildClos(eng2, TopoSpec{HostsPerEdge: 3, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, selective, 0)
 	attachCollectors(net2)
 	for i := 0; i < 50; i++ {
 		for s := 0; s < 2; s++ {
@@ -334,9 +317,8 @@ func TestCascadingDelay(t *testing.T) {
 			}
 			return NewFIFO(DefaultBuffer)
 		}
-		net := BuildSingleSwitch(eng, 5, TopoConfig{
-			HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond, MakeQdisc: qf,
-		})
+		net := BuildClos(eng, TopoSpec{HostsPerEdge: 5, Tiers: []TierSpec{{Switches: 1}},
+			HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, qf, 0)
 		cs := attachCollectors(net)
 		// Hosts 0-2 each burst 32 unscheduled packets to host 4 (3:1
 		// overload builds a queue); host 3 sends a scheduled packet.
@@ -391,7 +373,8 @@ func TestWireSizeFor(t *testing.T) {
 
 func TestNetworkPortEnumeration(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildLeafSpine(eng, 2, 2, 2, TopoConfig{HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond})
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 2}, {Switches: 2}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	// leaves: 2 down + 2 up each = 8; spines: 2 down each = 4; NICs = 4.
 	if got := len(net.SwitchPorts()); got != 12 {
 		t.Fatalf("switch ports = %d, want 12", got)

@@ -39,10 +39,9 @@ func TestCountingTracer(t *testing.T) {
 
 func TestInstrumentedPortsAndHosts(t *testing.T) {
 	eng := sim.NewEngine()
-	net := BuildSingleSwitch(eng, 3, TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
-		MakeQdisc: func(PortKind, sim.Rate) Qdisc { return NewSelectiveDrop(6000, DefaultBuffer) },
-	})
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 3, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
+		func(PortKind, sim.Rate) Qdisc { return NewSelectiveDrop(6000, DefaultBuffer) }, 0)
 	attachCollectors(net)
 	tr := NewCountingTracer()
 	InstrumentPorts(net.AllPorts(), tr)

@@ -102,9 +102,8 @@ func TestDropTotalsCounterInterface(t *testing.T) {
 // RTT (and therefore BDP) than a standard-MTU one on identical links.
 func TestBaseRTTFollowsFrameBytes(t *testing.T) {
 	build := func(frame int) *Network {
-		return BuildSingleSwitch(sim.NewEngine(), 2, TopoConfig{
-			HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond, FrameBytes: frame,
-		})
+		return BuildClos(sim.NewEngine(), TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
+			HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, frame)
 	}
 	std := build(0)
 	explicit := build(WireSizeFor(MaxPayload))

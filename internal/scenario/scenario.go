@@ -1,7 +1,7 @@
 // Package scenario defines the serializable run specification: one data
 // value that fully determines a simulation run — topology, scheme and its
-// options, workload, load, flow budget, incast, buffer, deadline, scheduler
-// kind, seeds, and an optional embedded impairment timeline. A scenario is
+// options, workload, load, flow budget, incast, buffer, deadline, seeds, and
+// an optional embedded impairment timeline. A scenario is
 // what the per-figure experiment generators declare, what the CLIs dump and
 // replay, and what the golden-digest machinery keys run identity on: two
 // runs with equal scenario digests and equal code are byte-identical.
@@ -34,7 +34,6 @@
 //	max-flows 2000
 //	buffer 102400
 //	deadline 1s
-//	scheduler wheel
 //	incast fanin=5 receiver=0 msg=50000 seed=3 start=10us jitter=0ps
 //	impair 0s sw0->* loss rate=0.01 nth=0 match=all
 //
@@ -44,10 +43,11 @@
 //
 // This package validates structure only — field shapes, workload CDF
 // monotonicity, timeline step forms. Semantic validation (does the topology
-// exist, does the scheme build, do impairment targets match ports) lives in
+// exist, does the scheme build, can the traffic generators serve the fabric,
+// do impairment targets match ports) lives in
 // internal/experiments.CheckScenario, which reuses ResolveTopo, MakeScheme
-// and CheckImpair so a scenario error reads exactly like the CLI flag error
-// it replaces.
+// and CheckRun so a scenario error reads exactly like the CLI flag error it
+// replaces.
 package scenario
 
 import (
@@ -127,12 +127,6 @@ type Scenario struct {
 	// the 500 ms default.
 	Deadline sim.Duration `json:"deadline_ps,omitempty"`
 
-	// Scheduler pins the event-queue implementation ("wheel" or "heap");
-	// empty defers to the runtime configuration. Results are identical
-	// either way — the field exists so a recorded run replays under the
-	// engine it ran on.
-	Scheduler sim.SchedulerKind `json:"scheduler,omitempty"`
-
 	// Impair embeds a scripted link-impairment timeline.
 	Impair *netem.Timeline `json:"impair,omitempty"`
 }
@@ -202,7 +196,7 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	if s.RTO < 0 {
-		return fmt.Errorf("scenario: negative rto %d", s.RTO)
+		return fmt.Errorf("scenario: negative rto %s", s.RTO.ExactString())
 	}
 	if s.Threshold < 0 {
 		return fmt.Errorf("scenario: negative threshold %d", s.Threshold)
@@ -242,12 +236,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario: negative buffer %d", s.Buffer)
 	}
 	if s.Deadline < 0 {
-		return fmt.Errorf("scenario: negative deadline %d", s.Deadline)
-	}
-	if s.Scheduler != "" {
-		if _, err := sim.ParseScheduler(string(s.Scheduler)); err != nil {
-			return fmt.Errorf("scenario: %v", err)
-		}
+		return fmt.Errorf("scenario: negative deadline %s", s.Deadline.ExactString())
 	}
 	if s.Impair != nil && len(s.Impair.Steps) == 0 {
 		s.Impair = nil
@@ -447,9 +436,6 @@ func (s *Scenario) Text() string {
 	}
 	if s.Deadline != 0 {
 		line("deadline %s", s.Deadline.ExactString())
-	}
-	if s.Scheduler != "" {
-		line("scheduler %s", s.Scheduler)
 	}
 	if s.Impair != nil {
 		for _, st := range s.Impair.Steps {
@@ -710,12 +696,6 @@ func parseText(name string, data []byte) (*Scenario, error) {
 			s.Buffer, err = oneInt()
 		case "deadline":
 			s.Deadline, err = oneDur()
-		case "scheduler":
-			a, e := one()
-			if e != nil {
-				return nil, e
-			}
-			s.Scheduler = sim.SchedulerKind(a)
 		case "impair":
 			tl, e := netem.ParseTimeline("impair", []byte(strings.Join(args, " ")))
 			if e != nil {

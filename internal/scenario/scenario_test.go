@@ -40,10 +40,9 @@ func full(t *testing.T) *Scenario {
 			Fanin: 5, Receiver: 0, MsgSize: 50_000, Seed: 3,
 			StartAt: 10 * sim.Microsecond, Jitter: 2 * sim.Microsecond,
 		},
-		Buffer:    100 << 10,
-		Deadline:  sim.Second,
-		Scheduler: sim.SchedWheel,
-		Impair:    tl,
+		Buffer:   100 << 10,
+		Deadline: sim.Second,
+		Impair:   tl,
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestParseErrors(t *testing.T) {
 		{"workload without budget", "topo micro\nscheme homa\nworkload name=WebServer\n", "flows or budget"},
 		{"bad incast key", "topo micro\nscheme homa\nincast fanin=1 msg=1 hosts=4\n", "unknown incast parameter"},
 		{"negative rto", "topo micro\nscheme homa\nrto -5ms\nincast fanin=1 msg=1\n", "negative rto"},
-		{"bad scheduler", "topo micro\nscheme homa\nscheduler quantum\nincast fanin=1 msg=1\n", "scheduler"},
+		{"bad scheduler", "topo micro\nscheme homa\nscheduler wheel\nincast fanin=1 msg=1\n", `unknown directive "scheduler"`},
 		{"bad impair", "topo micro\nscheme homa\nimpair 0s sw0->* explode\nincast fanin=1 msg=1\n", "impair"},
 		{"non-monotone points", "topo micro\nscheme homa\nflows 5\nworkload inline=w\npoint 100 0\npoint 50 1\n", "not monotone"},
 		{"json unknown field", `{"topo":"micro","scheme":"homa","warp":9,"incast":{"fanin":1,"msg_bytes":1}}`, "unknown field"},

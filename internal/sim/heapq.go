@@ -7,9 +7,9 @@ import (
 // heapQueue is the reference scheduler: a binary min-heap of slab indices
 // ordered by (time, schedAt, seq). Every operation is O(log n); Cancel is a
 // true removal via the event's stored heap position, so — like the wheel —
-// the heap never holds a canceled event. It exists as the differential
-// baseline for the wheel (FuzzSchedulerEquivalence, the golden digests) and
-// as the -sched=heap escape hatch. The sift routines mirror container/heap;
+// the heap never holds a canceled event. It exists only as the differential
+// baseline for the wheel (FuzzSchedulerEquivalence, the golden digests);
+// production runs never select it. The sift routines mirror container/heap;
 // since (time, schedAt, seq) is a strict total order (seq is unique), pop
 // order does not depend on the internal heap shape anyway.
 type heapQueue struct {

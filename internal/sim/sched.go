@@ -4,9 +4,9 @@ import "fmt"
 
 // SchedulerKind selects the event-queue implementation backing an Engine.
 // Both schedulers fire events in identical (time, schedAt, seq) order — the
-// golden digest test and FuzzSchedulerEquivalence prove it — so the choice is
-// purely a performance knob with the heap retained as the reference
-// implementation.
+// golden digest test and FuzzSchedulerEquivalence prove it. Production runs
+// use the wheel; the heap is kept as the reference implementation those
+// tests compare it against.
 type SchedulerKind string
 
 const (
@@ -21,21 +21,6 @@ const (
 
 // DefaultScheduler is what NewEngine uses.
 const DefaultScheduler = SchedWheel
-
-// ParseScheduler maps a -sched flag value to a SchedulerKind. The empty
-// string selects the default; anything else must name a known scheduler.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch SchedulerKind(s) {
-	case "":
-		return DefaultScheduler, nil
-	case SchedWheel:
-		return SchedWheel, nil
-	case SchedHeap:
-		return SchedHeap, nil
-	default:
-		return "", fmt.Errorf("sim: unknown scheduler %q (want %q or %q)", s, SchedWheel, SchedHeap)
-	}
-}
 
 // SchedStats is a snapshot of an event queue's occupancy: how many events
 // are pending now, the high-water marks over the engine's lifetime, and —

@@ -15,11 +15,9 @@ import (
 func build(t *testing.T, hosts int, opts Options) (*transport.Env, *Protocol) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := netem.BuildSingleSwitch(eng, hosts, netem.TopoConfig{
-		HostRate:  10 * sim.Gbps,
-		LinkDelay: 3 * sim.Microsecond,
-		MakeQdisc: QdiscFactory(opts, netem.DefaultBuffer),
-	})
+	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: hosts, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: 3 * sim.Microsecond},
+		QdiscFactory(opts, netem.DefaultBuffer), 0)
 	env := transport.NewEnv(net, netem.MaxPayload)
 	return env, New(env, opts)
 }

@@ -13,11 +13,10 @@ import (
 func build(t *testing.T, opts Options) (*transport.Env, *Protocol) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := netem.BuildLeafSpine(eng, 2, 4, 4, netem.TopoConfig{
-		HostRate:  100 * sim.Gbps,
-		LinkDelay: 500 * sim.Nanosecond,
-		MakeQdisc: QdiscFactory(opts, netem.DefaultBuffer),
-	})
+	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: 4,
+		Tiers:    []netem.TierSpec{{Switches: 4}, {Switches: 2}},
+		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond},
+		QdiscFactory(opts, netem.DefaultBuffer), 0)
 	env := transport.NewEnv(net, MSS)
 	return env, New(env, opts)
 }

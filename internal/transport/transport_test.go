@@ -12,9 +12,8 @@ import (
 func testEnv(t *testing.T) *Env {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := netem.BuildSingleSwitch(eng, 4, netem.TopoConfig{
-		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond,
-	})
+	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: 4, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
 	return NewEnv(net, netem.MaxPayload)
 }
 
