@@ -3,14 +3,15 @@
 # race detector over the concurrency-bearing packages (the parallel
 # experiment pool, the event engine it drives, and the workload parser the
 # fuzz target exercises), the packet-conservation audit sweep, the
-# golden-digest gate (timing wheel and reference heap, pool on and off), and
-# the allocation regression smoke (bench-smoke).
+# golden-digest gate (timing wheel and reference heap, pool on and off), the
+# allocation regression smoke (bench-smoke), and the benchmark module's own
+# build and tests (bench-check).
 
 GO ?= go
 
-.PHONY: ci lint vet build test race audit golden shard-golden impair degrade fuzz bench bench-smoke scale scale-smoke scenario loc
+.PHONY: ci lint vet build test race audit golden shard-golden impair degrade fuzz bench bench-smoke bench-check scale scale-smoke scenario loc
 
-ci: lint build test race audit golden shard-golden impair bench-smoke scale-smoke scenario
+ci: lint build test race audit golden shard-golden impair bench-smoke bench-check scale-smoke scenario
 
 # gofmt gate (fails listing any unformatted file) + go vet.
 lint:
@@ -102,6 +103,13 @@ bench-smoke:
 		-run=TestFlowTableLookupGate ./internal/transport/rdbase
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
 	$(GO) test -race -run=TestPool ./internal/netem
+
+# The benchmark is its own module (bench/, run by bench/run.sh), so the root
+# build and test targets skip it. Its tests run every workload at its tiny
+# size against the pinned output digests and check the metric names, so a
+# moved digest fails here rather than only when aeolusperf exits 1.
+bench-check:
+	cd bench && $(GO) build ./... && $(GO) test ./...
 
 # Scenario gate: the scenario package's own tests (round-trip identity, the
 # checked-in fuzz seed corpus as plain tests), every checked-in example under

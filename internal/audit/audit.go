@@ -1,7 +1,7 @@
 // Package audit is an opt-in packet-conservation checker for simulation
 // runs: it attaches to the existing observability seams (port/host tracing
-// and drop hooks), follows every packet from injection to its terminal
-// event, and verifies at drain time that the books balance.
+// and the ports' drop counters), follows every packet from injection to its
+// terminal event, and verifies at drain time that the books balance.
 //
 // The invariants checked:
 //
@@ -271,7 +271,7 @@ type Auditor struct {
 	flowIdx    flatmap.Index               // flow ID -> dense index into flowAccts
 	flowAccts  []flowAcct
 	lastTime   sim.Time
-	hookDrops  [netem.NumDropReasons]uint64
+	drops      uint64 // traced drops
 }
 
 // slotOf returns the packet's dense ledger slot, or -1 when the packet must
@@ -333,9 +333,8 @@ func (a *Auditor) forget(p *netem.Packet) {
 	delete(a.pkts, p)
 }
 
-// Attach instruments every port and host of the network and claims each
-// port's drop hook. Call once, before traffic starts; the returned auditor
-// observes the whole run.
+// Attach instruments every port and host of the network. Call once, before
+// traffic starts; the returned auditor observes the whole run.
 func Attach(net *netem.Network) *Auditor {
 	return AttachScope(net.Eng, net.Pool, net.AllPorts(), net.Hosts, false)
 }
@@ -355,11 +354,6 @@ func AttachScope(eng *sim.Engine, pool *netem.PacketPool, ports []*netem.Port, h
 		ports:  ports,
 		shared: shared,
 		pkts:   make(map[*netem.Packet]*pktState),
-	}
-	for _, pt := range ports {
-		pt.Q.SetDropHook(func(p *netem.Packet, r netem.DropReason) {
-			a.hookDrops[r]++
-		})
 	}
 	netem.InstrumentPorts(ports, a)
 	netem.InstrumentHosts(hosts, a)
@@ -497,6 +491,7 @@ func (a *Auditor) Trace(now sim.Time, ev netem.TraceEvent, where string, p *nete
 			st.payload = 0
 		}
 	case netem.TraceDrop:
+		a.drops++
 		if st.dropped {
 			a.report.add(Violation{Check: "double-drop", Where: where, Flow: p.Flow,
 				Detail: fmt.Sprintf("packet %v dropped twice", p)})
@@ -659,16 +654,16 @@ func (a *Auditor) Finish() *Report {
 		a.report.Pool = pp.Stats()
 	}
 
-	// Drop-hook tallies must agree with the qdisc counters: a mismatch means
-	// a discipline dropped without firing its hook, or a counter was missed
-	// by the aggregation.
-	a.report.DropsByReason = a.hookDrops
-	totals := netem.DropTotals(a.ports)
-	for r, n := range totals {
-		if a.hookDrops[r] != n {
-			a.report.add(Violation{Check: "drop-count", Where: netem.DropReason(r).String(),
-				Detail: fmt.Sprintf("drop hooks saw %d drops, qdisc counters report %d", a.hookDrops[r], n)})
-		}
+	// Traced drops must agree with the port counters: a mismatch means a
+	// packet was refused outside Port.Send, or a drop escaped the tracer.
+	a.report.DropsByReason = netem.DropTotals(a.ports)
+	var counted uint64
+	for _, n := range a.report.DropsByReason {
+		counted += n
+	}
+	if counted != a.drops {
+		a.report.add(Violation{Check: "drop-count",
+			Detail: fmt.Sprintf("tracer saw %d drops, port counters report %d", a.drops, counted)})
 	}
 	return &a.report
 }

@@ -52,9 +52,9 @@ func TestAuditorAccountsDrops(t *testing.T) {
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
 		func(kind netem.PortKind, _ sim.Rate) netem.Qdisc {
 			if kind == netem.HostNIC {
-				return netem.NewFIFO(0)
+				return netem.NewQueue(1, 0, 0)
 			}
-			return netem.NewFIFO(2 * 1578) // room for two full frames
+			return netem.NewQueue(1, 0, 2*1578) // room for two full frames
 		}, 0)
 	a := Attach(net)
 	a.RegisterFlow(1, 10*1500)
@@ -82,6 +82,18 @@ func TestAuditorAccountsDrops(t *testing.T) {
 	}
 	if rep.DropsByReason[netem.DropTailFull] == 0 {
 		t.Fatalf("tail drops not classified: %+v", rep.DropsByReason)
+	}
+}
+
+// TestAuditorDetectsUncountedDrop: a traced drop that no port counted — a
+// packet refused outside Port.Send — is a drop-count violation.
+func TestAuditorDetectsUncountedDrop(t *testing.T) {
+	a := Attach(testNet())
+	p := dataPkt(nil, 1, 0, 1500)
+	a.Trace(0, netem.TraceEnqueue, "h0->sw0", p)
+	a.Trace(1, netem.TraceDrop, "sw0->h1", p)
+	if rep := a.Finish(); !hasCheck(rep, "drop-count") {
+		t.Fatalf("uncounted drop not flagged: %v", rep.Err())
 	}
 }
 

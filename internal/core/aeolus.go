@@ -1,12 +1,12 @@
 // Package core implements the Aeolus building block (§3 of the paper): the
 // minimal pre-credit rate control (line-rate burst of one BDP of unscheduled
-// packets, §3.1), the sender-side probe/selective-ACK loss detection and
-// retransmission ordering (§3.3), and the oracle priority queue used to
-// model the paper's "hypothetical" idealized baselines.
+// packets, §3.1) and the sender-side probe/selective-ACK loss detection and
+// retransmission ordering (§3.3).
 //
-// The selective-dropping switch queue itself (§3.2/§4.1) lives in
-// internal/netem as SelectiveDrop, since it is a property of the fabric;
-// this package provides the factory that installs it everywhere.
+// The selective-dropping switch queue itself (§3.2/§4.1) is a threshold on
+// internal/netem's Queue, since it is a property of the fabric; so is the
+// scheduled-first queue that models the paper's "hypothetical" idealized
+// baselines. Each transport's qdisc factory installs them.
 //
 // Aeolus is deliberately a layer, not a transport: ExpressPass, Homa and NDP
 // each embed a PreCredit per flow and spend their own scheduled transmission

@@ -287,11 +287,13 @@ func TestMakeProbe(t *testing.T) {
 	}
 }
 
+// TestOraclePrioSchedFirstNeverDrops checks the oracle queue of the
+// hypothetical baselines — netem's scheduled-first queue, unbounded — never
+// drops and serves scheduled packets first.
 func TestOraclePrioSchedFirstNeverDrops(t *testing.T) {
-	q := NewOraclePrio()
+	q := netem.NewSchedFirstQueue(0)
 	for i := 0; i < 1000; i++ {
-		ok := q.Enqueue(&netem.Packet{Type: netem.Data, Flow: uint64(i), WireSize: 1538}, 0)
-		if !ok {
+		if q.Enqueue(&netem.Packet{Type: netem.Data, Flow: uint64(i), WireSize: 1538}, 0) != netem.Queued {
 			t.Fatal("oracle queue dropped")
 		}
 	}
@@ -305,20 +307,6 @@ func TestOraclePrioSchedFirstNeverDrops(t *testing.T) {
 	}
 	if q.NextWake(0) != sim.MaxTime {
 		t.Fatal("NextWake should be MaxTime")
-	}
-}
-
-func TestFactories(t *testing.T) {
-	sf := SelectiveFactory(DefaultThreshold, netem.DefaultBuffer)
-	if _, ok := sf(netem.HostNIC, 10*sim.Gbps).(*OraclePrio); !ok {
-		t.Fatal("NIC qdisc should be scheduled-first priority")
-	}
-	if _, ok := sf(netem.SwitchToHost, 10*sim.Gbps).(*netem.SelectiveDrop); !ok {
-		t.Fatal("switch qdisc should be SelectiveDrop")
-	}
-	of := OracleFactory()
-	if _, ok := of(netem.SwitchToSwitch, 10*sim.Gbps).(*OraclePrio); !ok {
-		t.Fatal("oracle factory mismatch")
 	}
 }
 
@@ -463,43 +451,53 @@ func TestPreCreditAuditDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestOraclePrioAuditBacklog checks AuditQdisc covers the oracle queue: a
+// mixed scheduled/unscheduled backlog audits clean, and a queued packet whose
+// size changes behind the queue's back shows up as byte drift. The packet
+// count is derived from the bands, so it cannot drift on its own.
 func TestOraclePrioAuditBacklog(t *testing.T) {
-	q := NewOraclePrio()
-	q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538}, 0)
+	q := netem.NewSchedFirstQueue(0)
+	u := &netem.Packet{Type: netem.Data, WireSize: 1538}
+	q.Enqueue(u, 0)
+	q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538, Scheduled: true}, 0)
 	q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538, Scheduled: true}, 0)
 	q.Dequeue(0)
 	if err := netem.AuditQdisc(q); err != nil {
 		t.Fatalf("clean oracle queue failed audit: %v", err)
 	}
-	q.unsched.bytes += 9
+	if b := q.Backlog(); b.Packets != 2 || b.Bytes != 2*1538 {
+		t.Fatalf("backlog = %+v, want 2 packets / %d bytes", b, 2*1538)
+	}
+	u.WireSize += 9
 	if err := netem.AuditQdisc(q); err == nil {
 		t.Fatal("oracle byte drift not detected")
 	}
-	q.unsched.bytes -= 9
-	q.sched.n++
-	if err := netem.AuditQdisc(q); err == nil {
-		t.Fatal("oracle packet-count drift not detected")
+	u.WireSize -= 9
+	if err := netem.AuditQdisc(q); err != nil {
+		t.Fatalf("restored oracle queue failed audit: %v", err)
 	}
 }
 
-// TestOraclePrioDropsReachDropTotals is the regression for OraclePrio's
-// tail drops being invisible to netem.DropTotals: the aggregation had no
-// case for disciplines outside the netem package, so the xpass+prio and
-// oracle schemes always reported zero drops.
+// TestOraclePrioDropsReachDropTotals is the regression for the §5.5
+// two-priority queue's tail drops being invisible to netem.DropTotals: the
+// aggregation once had no case for a discipline outside the netem package,
+// so the xpass+prio and oracle schemes always reported zero drops.
 func TestOraclePrioDropsReachDropTotals(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewBoundedPrio(2000)
-	pt := netem.NewPort(eng, q, 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")
+	pt := netem.NewPort(eng, netem.NewSchedFirstQueue(2000), 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")
 	ports := []*netem.Port{pt}
-	pt.Q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538}, eng.Now())
-	pt.Q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538}, eng.Now())
+	// The first packet goes straight to the serializer, the second queues,
+	// the third overflows the shared buffer.
+	for i := 0; i < 3; i++ {
+		pt.Send(&netem.Packet{Type: netem.Data, WireSize: 1538})
+	}
 	tot := netem.DropTotals(ports)
 	if tot[netem.DropTailFull] != 1 {
-		t.Fatalf("DropTotals = %v, want 1 tail drop from OraclePrio", tot)
+		t.Fatalf("DropTotals = %v, want 1 tail drop", tot)
 	}
 	// And still visible once the port is instrumented.
 	netem.InstrumentPorts(ports, netem.NewCountingTracer())
-	pt.Q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538}, eng.Now())
+	pt.Send(&netem.Packet{Type: netem.Data, WireSize: 1538})
 	if tot := netem.DropTotals(ports); tot[netem.DropTailFull] != 2 {
 		t.Fatalf("DropTotals after instrumentation = %v, want 2", tot)
 	}

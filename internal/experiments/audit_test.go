@@ -75,8 +75,8 @@ func auditSweep(t *testing.T, sched sim.SchedulerKind) {
 }
 
 // TestAuditCatchesInjectedLoss proves the auditor is live end-to-end: a
-// fault-injection qdisc silently discarding packets (no drop hook, no
-// counter) must surface as a conservation violation.
+// fault-injection qdisc silently discarding packets (no trace event, no
+// drop counter) must surface as a conservation violation.
 func TestAuditCatchesInjectedLoss(t *testing.T) {
 	cfg := testConfig()
 	cfg.Audit = true
@@ -102,8 +102,8 @@ func TestAuditCatchesInjectedLoss(t *testing.T) {
 // the audit layer exists to catch.
 type dropAllQdisc struct{ netem.Qdisc }
 
-func (d dropAllQdisc) Enqueue(*netem.Packet, sim.Time) bool { return true }
-func (d dropAllQdisc) Dequeue(sim.Time) *netem.Packet       { return nil }
+func (d dropAllQdisc) Enqueue(*netem.Packet, sim.Time) netem.DropReason { return netem.Queued }
+func (d dropAllQdisc) Dequeue(sim.Time) *netem.Packet                   { return nil }
 
 // TestWindowGoodputIncastFallback is the regression for the steady-state
 // goodput metric degenerating to zero on pure incast runs: simultaneous

@@ -83,14 +83,14 @@ func Fig15(cfg Config) []Table {
 			func(env *transport.Env, bn *netem.Port) {
 				// Sample while the per-RTT bursts keep arriving.
 				stop := sim.Time(10 * sim.Microsecond).Add(sim.Duration(rounds) * env.Net.BaseRTT)
+				// The maxQueue column is this queue's high-water mark: a
+				// bottleneck of any other shape panics here rather than
+				// leave the column silently unobserved.
+				data := bn.Q.(*netem.XPassQdisc).Data().(*netem.Queue)
 				var tick func()
 				tick = func() {
 					sampler.Observe(bn.Backlog().Bytes)
-					if q, ok := bn.Q.(*netem.XPassQdisc); ok {
-						if sd, ok := q.Data().(*netem.SelectiveDrop); ok {
-							sampler.ObserveMax(sd.MaxBacklogBytes())
-						}
-					}
+					sampler.ObserveMax(data.MaxBacklogBytes())
 					if env.Eng.Now() < stop {
 						env.Eng.After(200*sim.Nanosecond, tick)
 					}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -141,5 +143,40 @@ func TestGoldenCoversCatalogue(t *testing.T) {
 	}
 	if n := len(Schemes()); n != len(goldenDigests) {
 		t.Errorf("catalogue has %d schemes, goldenDigests pins %d", n, len(goldenDigests))
+	}
+}
+
+// queueTableDigests pins the SHA-256 of the rendered seed-1 Quick tables of
+// the experiments whose numbers come straight from the port disciplines: the
+// testbed incasts over selective dropping (fig8 for ExpressPass, fig11 for
+// Homa's priority queues), the bottleneck queue-length and first-RTT
+// utilization sweeps (fig15, fig16), and the shared-buffer priority-queue
+// comparison (table5). fig15 and fig16 drive the engine themselves, so no
+// scenario digest covers them.
+var queueTableDigests = map[string]string{
+	"fig8":   "84166e4befa0ee7e662f92bd694a94a02d62c9122973dec278653ff9e9a07647",
+	"fig11":  "57deab6690ce53153c749b8600675464d4de372193f85dd2cccccf8b7974eeda",
+	"fig15":  "97989b6af60da968bb0b970b2c13fede5ccac4b1bebbb20c5e31e675aaac15fd",
+	"fig16":  "aceffdc3892101996393414a387354b2bda7da41fe9022aa4da2548faecf2fc6",
+	"table5": "19c210b9ae22d0f1224e9cac5b78826d917ba2c435693845b77cbe593dd2b11d",
+}
+
+// TestQueueTableDigests regenerates each pinned experiment at seed 1 in Quick
+// mode and compares the digest of its rendered tables.
+func TestQueueTableDigests(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Quick, cfg.Budget = true, 8<<20
+	for id, want := range queueTableDigests {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, tb := range e.Fn(cfg) {
+			tb.Fprint(h)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s tables digest %s, want %s", id, got, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"github.com/aeolus-transport/aeolus/internal/audit"
@@ -81,7 +80,7 @@ type Config struct {
 	// Trace holds the packet-level debugging options. They live on Config,
 	// not RunSpec, because they are observational: a run's identity — what
 	// a scenario serializes and what feeds the golden digest — is purely
-	// semantic, and an io.Writer has no place in it.
+	// semantic.
 	Trace RunOptions
 
 	// sched selects the event queue behind every run's engines; empty means
@@ -93,11 +92,10 @@ type Config struct {
 
 // RunOptions are the non-serialized debugging knobs of a run. TraceFlow,
 // when nonzero, prints every port/host event of that flow — the
-// packet-level view. Output goes to TraceTo, or to a mutex-guarded
-// os.Stderr so traced runs stay legible under a Pool.
+// packet-level view — to a mutex-guarded os.Stderr, so traced runs stay
+// legible under a Pool.
 type RunOptions struct {
 	TraceFlow uint64
-	TraceTo   io.Writer
 }
 
 // scheduler resolves the configured SchedulerKind, defaulting when unset.
@@ -304,12 +302,8 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 		}
 	}
 	if cfg.Trace.TraceFlow != 0 {
-		w := cfg.Trace.TraceTo
-		if w == nil {
-			w = stderrLocked
-		}
 		flow := cfg.Trace.TraceFlow
-		tr := &netem.WriterTracer{W: w,
+		tr := &netem.WriterTracer{W: stderrLocked,
 			Filter: func(p *netem.Packet) bool { return p.Flow == flow }}
 		netem.InstrumentPorts(sn.Net.AllPorts(), tr)
 		netem.InstrumentHosts(sn.Net.Hosts, tr)

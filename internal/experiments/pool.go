@@ -138,16 +138,6 @@ func (p *Pool) Collect() []RunResult {
 	return p.results
 }
 
-// runAll is the submit-then-collect convenience used by experiments whose
-// runs are a flat list of specs.
-func runAll(cfg Config, specs []RunSpec) []RunResult {
-	p := NewPool(cfg)
-	for _, s := range specs {
-		p.Submit(s)
-	}
-	return p.Collect()
-}
-
 // forEachPar runs fn(0..n-1) across cfg.Workers() goroutines and waits for
 // all of them. It serves runs that need per-run instrumentation (the §5.5
 // microbenchmarks attach samplers inside the run) rather than plain Run;
@@ -183,7 +173,7 @@ func forEachPar(cfg Config, n int, fn func(i int)) {
 }
 
 // lockedWriter serializes writes from concurrently-traced runs onto one
-// underlying stream (os.Stderr by default for RunSpec.TraceFlow).
+// underlying stream (os.Stderr for Config.Trace.TraceFlow).
 type lockedWriter struct {
 	mu sync.Mutex
 	w  io.Writer

@@ -40,7 +40,11 @@ func TestPoolSerialEquivalence(t *testing.T) {
 	for i, s := range specs {
 		serial[i] = Run(cfg, s)
 	}
-	parallel := runAll(cfg, specs)
+	pool := NewPool(cfg)
+	for _, s := range specs {
+		pool.Submit(s)
+	}
+	parallel := pool.Collect()
 	if len(parallel) != len(serial) {
 		t.Fatalf("%d parallel results, want %d", len(parallel), len(serial))
 	}

@@ -157,18 +157,9 @@ func (c Config) ForScenario(sem Config) Config {
 	return out
 }
 
-// RunScenario executes one scenario under the caller's runtime knobs.
-func RunScenario(rt Config, sc *scenario.Scenario) (RunResult, error) {
-	sem, spec, err := FromScenario(sc)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return Run(rt.ForScenario(sem), spec), nil
-}
-
-// runScenarios is the scenario-declared counterpart of runAll: every
-// scenario runs under its own semantic config layered over rt's runtime
-// knobs, fanned across a Pool, results in declaration order.
+// runScenarios runs every scenario under its own semantic config layered
+// over rt's runtime knobs, fanned across a Pool, results in declaration
+// order.
 func runScenarios(rt Config, scns []scenario.Scenario) []RunResult {
 	p := NewPool(rt)
 	for i := range scns {

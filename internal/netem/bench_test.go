@@ -7,9 +7,11 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
+// The qdisc benchmarks call through the Qdisc interface, as Port does.
+
 // BenchmarkSelectiveDrop measures the Aeolus switch queue's hot path.
 func BenchmarkSelectiveDrop(b *testing.B) {
-	q := NewSelectiveDrop(6<<10, DefaultBuffer)
+	var q Qdisc = NewQueue(1, 6<<10, DefaultBuffer)
 	p := dataPkt(1, 1538, false)
 	s := dataPkt(2, 1538, true)
 	b.ReportAllocs()
@@ -23,7 +25,7 @@ func BenchmarkSelectiveDrop(b *testing.B) {
 
 // BenchmarkPrioQdisc measures the 8-band strict-priority queue.
 func BenchmarkPrioQdisc(b *testing.B) {
-	q := NewPrioQdisc(8, DefaultBuffer)
+	var q Qdisc = NewQueue(8, 0, DefaultBuffer)
 	pkts := make([]*Packet, 8)
 	for i := range pkts {
 		pkts[i] = dataPkt(uint64(i), 1538, false)
@@ -38,7 +40,7 @@ func BenchmarkPrioQdisc(b *testing.B) {
 
 // BenchmarkXPassQdisc measures the shaped credit queue plus data path.
 func BenchmarkXPassQdisc(b *testing.B) {
-	q := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(100 * sim.Gbps)})
+	var q Qdisc = NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(100 * sim.Gbps)})
 	credit := &Packet{Type: Credit, WireSize: CreditSize}
 	data := dataPkt(1, 1538, true)
 	b.ReportAllocs()
@@ -83,7 +85,7 @@ func BenchmarkPortPath(b *testing.B) {
 	eng := sim.NewEngine()
 	pool := NewPacketPool()
 	host := &Host{ID: 0, Eng: eng, EP: nopEndpoint{}, Pool: pool}
-	pt := NewPort(eng, NewFIFO(DefaultBuffer), 100*sim.Gbps, 500*sim.Nanosecond, host, "bench")
+	pt := NewPort(eng, NewQueue(1, 0, DefaultBuffer), 100*sim.Gbps, 500*sim.Nanosecond, host, "bench")
 	pt.Pool = pool
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -110,7 +112,7 @@ func TestPortPathAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	pool := NewPacketPool()
 	host := &Host{ID: 0, Eng: eng, EP: nopEndpoint{}, Pool: pool}
-	pt := NewPort(eng, NewFIFO(DefaultBuffer), 100*sim.Gbps, 500*sim.Nanosecond, host, "gate")
+	pt := NewPort(eng, NewQueue(1, 0, DefaultBuffer), 100*sim.Gbps, 500*sim.Nanosecond, host, "gate")
 	pt.Pool = pool
 	var flow uint64
 	cycle := func() {

@@ -280,7 +280,7 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) 
 		panic("netem: " + err.Error())
 	}
 	if qf == nil {
-		qf = func(PortKind, sim.Rate) Qdisc { return NewFIFO(DefaultBuffer) }
+		qf = func(PortKind, sim.Rate) Qdisc { return NewQueue(1, 0, DefaultBuffer) }
 	}
 	core := sp.coreRate()
 	T := len(sp.Tiers)

@@ -13,9 +13,9 @@ import (
 // blackholes, full link failure (queue frozen), rate degradation, and added
 // delay with jitter. Impairments compose on one port, can be reconfigured
 // mid-run (scripted via Timeline in timeline.go), and stay visible to the
-// conservation auditor: every injected discard goes through the qdisc drop
-// machinery under DropImpairment, so byte accounting and drop-counter
-// coherence hold under injected chaos.
+// conservation auditor: every injected discard is a refusal under
+// DropImpairment, counted and released by Port.Send like any other drop, so
+// byte accounting and drop-counter coherence hold under injected chaos.
 //
 // Composition order on the arrival path is fixed: link failure, then
 // blackhole, then the loss process (every-nth, Gilbert-Elliott, or uniform —
@@ -28,7 +28,6 @@ import (
 // simulation events.
 type LinkImpairment struct {
 	port *Port
-	q    *ImpairedQdisc
 	rng  *rand.Rand
 
 	origRate sim.Rate
@@ -62,13 +61,11 @@ type LinkImpairment struct {
 }
 
 // ImpairedQdisc interposes a LinkImpairment between a port and its queueing
-// discipline. It owns a DropCounter so injected discards are tallied and
-// hooked exactly once, under DropImpairment, at the Enqueue boundary — where
-// Port.Send releases refused packets back to the pool.
+// discipline: it refuses injected discards under DropImpairment and passes
+// everything else to the inner discipline.
 type ImpairedQdisc struct {
 	inner Qdisc
 	li    *LinkImpairment
-	dc    DropCounter
 }
 
 // InstallImpairment wraps the port's current qdisc with an impairment stage
@@ -81,8 +78,7 @@ func InstallImpairment(pt *Port, seed uint64) *LinkImpairment {
 		rng:      sim.NewRand(seed, 0x105e),
 		origRate: pt.Rate,
 	}
-	li.q = &ImpairedQdisc{inner: pt.Q, li: li}
-	pt.Q = li.q
+	pt.Q = &ImpairedQdisc{inner: pt.Q, li: li}
 	pt.Imp = li
 	return li
 }
@@ -142,9 +138,6 @@ func (li *LinkImpairment) SetDelay(add, jitter sim.Duration) {
 	li.addDelay, li.jitter = add, jitter
 }
 
-// Injected returns the number of packets this impairment discarded.
-func (li *LinkImpairment) Injected() uint64 { return li.q.dc.Drops[DropImpairment] }
-
 // Port returns the impaired port.
 func (li *LinkImpairment) Port() *Port { return li.port }
 
@@ -192,13 +185,11 @@ func (li *LinkImpairment) wireDelay() sim.Duration {
 	return d
 }
 
-// Enqueue implements Qdisc: impairment drops are counted and hooked under
-// DropImpairment, then refused so the port terminates the packet (releasing
-// it to the pool).
-func (q *ImpairedQdisc) Enqueue(p *Packet, now sim.Time) bool {
+// Enqueue implements Qdisc: an impairment drop is refused under
+// DropImpairment, so the port counts it and releases the packet.
+func (q *ImpairedQdisc) Enqueue(p *Packet, now sim.Time) DropReason {
 	if q.li.dropOnArrival(p) {
-		q.dc.Drop(p, DropImpairment)
-		return false
+		return DropImpairment
 	}
 	return q.inner.Enqueue(p, now)
 }
@@ -222,16 +213,6 @@ func (q *ImpairedQdisc) NextWake(now sim.Time) sim.Time {
 
 // Backlog implements Qdisc.
 func (q *ImpairedQdisc) Backlog() Backlog { return q.inner.Backlog() }
-
-// SetDropHook implements Qdisc: the hook observes both injected drops and the
-// inner discipline's own drops, each exactly once.
-func (q *ImpairedQdisc) SetDropHook(h DropHook) {
-	q.dc.SetDropHook(h)
-	q.inner.SetDropHook(h)
-}
-
-// Inner returns the wrapped discipline (diagnostics and audits).
-func (q *ImpairedQdisc) Inner() Qdisc { return q.inner }
 
 // Packet match classes for impairment targeting. MatchClass resolves the
 // class names accepted by the timeline format.

@@ -28,33 +28,32 @@ func impairedPort(rate sim.Rate, delay sim.Duration, seed uint64) (*sim.Engine, 
 	eng := sim.NewEngine()
 	pool := NewPacketPool()
 	dst := &sink{pool: pool, eng: eng}
-	pt := NewPort(eng, NewFIFO(0), rate, delay, dst, "sw0->h0")
+	pt := NewPort(eng, NewQueue(1, 0, 0), rate, delay, dst, "sw0->h0")
 	pt.Pool = pool
 	li := InstallImpairment(pt, seed)
 	return eng, pt, li, dst
 }
 
 func TestImpairmentTargetedLoss(t *testing.T) {
-	_, pt, li, _ := impairedPort(10*sim.Gbps, 0, 7)
+	eng, pt, li, dst := impairedPort(10*sim.Gbps, 0, 7)
 	li.SetLoss(1.0, 0, func(p *Packet) bool { return p.Type == Probe })
+	tr := NewCountingTracer()
+	InstrumentPorts([]*Port{pt}, tr)
 
-	var hooked []DropReason
-	pt.Q.SetDropHook(func(p *Packet, r DropReason) { hooked = append(hooked, r) })
-
-	if pt.Q.Enqueue(&Packet{Type: Probe, WireSize: 64}, 0) {
+	probe, data := pt.Pool.Get(), pt.Pool.Get()
+	probe.Type, probe.WireSize = Probe, 64
+	data.Type, data.WireSize, data.Scheduled = Data, 1538, true
+	pt.Send(probe)
+	pt.Send(data)
+	eng.Run()
+	if tr.Total(TraceDrop, Probe) != 1 {
 		t.Fatal("probe survived rate-1 loss")
 	}
-	if !pt.Q.Enqueue(dataPkt(1, 1538, true), 0) {
+	if dst.n != 1 || tr.Total(TraceDrop, Data) != 0 {
 		t.Fatal("non-matching packet dropped")
 	}
-	if li.Injected() != 1 {
-		t.Fatalf("injected = %d, want 1", li.Injected())
-	}
-	if len(hooked) != 1 || hooked[0] != DropImpairment {
-		t.Fatalf("drop hook saw %v, want one DropImpairment", hooked)
-	}
-	if tot := DropTotals([]*Port{pt}); tot[DropImpairment] != 1 {
-		t.Fatalf("DropTotals[impair] = %d, want 1", tot[DropImpairment])
+	if tot := DropTotals([]*Port{pt}); tot != [NumDropReasons]uint64{DropImpairment: 1} {
+		t.Fatalf("DropTotals = %v, want one impairment drop", tot)
 	}
 }
 
@@ -64,7 +63,7 @@ func TestImpairmentStatisticalRate(t *testing.T) {
 	dropped := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if !pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) {
+		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) != Queued {
 			dropped++
 		}
 	}
@@ -79,9 +78,9 @@ func TestImpairmentDeterministicNth(t *testing.T) {
 	li.SetLoss(0, 5, func(p *Packet) bool { return p.Type == Data })
 	var pattern []bool
 	for i := 0; i < 20; i++ {
-		pattern = append(pattern, !pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0))
+		pattern = append(pattern, pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) == DropImpairment)
 		// Control packets never advance the nth counter.
-		if !pt.Q.Enqueue(&Packet{Type: Ack, WireSize: 64}, 0) {
+		if pt.Q.Enqueue(&Packet{Type: Ack, WireSize: 64}, 0) != Queued {
 			t.Fatal("control packet dropped by data-matched nth loss")
 		}
 	}
@@ -90,9 +89,6 @@ func TestImpairmentDeterministicNth(t *testing.T) {
 		if droppedHere != want {
 			t.Fatalf("packet %d dropped=%v, want %v (every 5th)", i, droppedHere, want)
 		}
-	}
-	if li.Injected() != 4 {
-		t.Fatalf("injected = %d, want 4", li.Injected())
 	}
 }
 
@@ -118,8 +114,8 @@ func TestImpairmentFailFreezeRestore(t *testing.T) {
 			t.Fatalf("backlog %d during outage, want 2 (frozen)", got)
 		}
 		pt.Send(mk(4)) // arrival on a dead link
-		if li.Injected() != 1 {
-			t.Fatalf("injected = %d, want 1 (outage arrival)", li.Injected())
+		if n := pt.Drops[DropImpairment]; n != 1 {
+			t.Fatalf("impairment drops = %d, want 1 (outage arrival)", n)
 		}
 	})
 	eng.At(sim.Time(10*sim.Microsecond), func() { li.Restore() })
@@ -162,8 +158,8 @@ func TestImpairmentBlackholeKeepsDraining(t *testing.T) {
 	if dst.n != 2 {
 		t.Fatalf("delivered %d, want 2 (backlog drains through a blackhole)", dst.n)
 	}
-	if li.Injected() != 1 {
-		t.Fatalf("injected = %d, want 1", li.Injected())
+	if n := pt.Drops[DropImpairment]; n != 1 {
+		t.Fatalf("impairment drops = %d, want 1", n)
 	}
 }
 
@@ -225,19 +221,18 @@ func TestImpairmentDelayAndJitter(t *testing.T) {
 }
 
 // TestImpairmentDropsReleaseToPool is the regression for the folded-in
-// LossyQdisc, whose silent refusals were invisible to the drop hook: every
-// impairment drop must fire the hook under DropImpairment exactly once and
-// the refused packet must return to the pool.
+// LossyQdisc, whose silent refusals were invisible to drop accounting: every
+// impairment drop must be traced and counted under DropImpairment exactly
+// once and the refused packet must return to the pool.
 func TestImpairmentDropsReleaseToPool(t *testing.T) {
 	eng, pt, li, dst := impairedPort(8*sim.Gbps, 0, 9)
 	li.SetLoss(0.5, 0, nil)
-	var hookDrops uint64
-	pt.Q.SetDropHook(func(p *Packet, r DropReason) {
-		if r != DropImpairment {
-			t.Fatalf("drop reason %v, want impair", r)
+	var tracedDrops uint64
+	InstrumentPorts([]*Port{pt}, TraceFunc(func(_ sim.Time, ev TraceEvent, _ string, _ *Packet) {
+		if ev == TraceDrop {
+			tracedDrops++
 		}
-		hookDrops++
-	})
+	}))
 	const n = 200
 	eng.At(0, func() {
 		for i := 0; i < n; i++ {
@@ -247,14 +242,14 @@ func TestImpairmentDropsReleaseToPool(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if hookDrops == 0 {
-		t.Fatal("no drops hooked at 50% loss")
+	if tracedDrops == 0 {
+		t.Fatal("no drops traced at 50% loss")
 	}
-	if hookDrops != li.Injected() {
-		t.Fatalf("hook saw %d drops, controller injected %d", hookDrops, li.Injected())
+	if want := [NumDropReasons]uint64{DropImpairment: tracedDrops}; pt.Drops != want {
+		t.Fatalf("port drops %v, want the %d traced drops under impair only", pt.Drops, tracedDrops)
 	}
-	if uint64(dst.n)+hookDrops != n {
-		t.Fatalf("delivered %d + dropped %d != sent %d", dst.n, hookDrops, n)
+	if uint64(dst.n)+tracedDrops != n {
+		t.Fatalf("delivered %d + dropped %d != sent %d", dst.n, tracedDrops, n)
 	}
 	if live := pt.Pool.Live(); live != 0 {
 		t.Fatalf("%d packets leaked after impairment drops", live)
@@ -310,7 +305,7 @@ func TestImpairmentGilbertElliottStationary(t *testing.T) {
 	dropped, bursts, run := 0, 0, 0
 	maxRun := 0
 	for i := 0; i < n; i++ {
-		if !pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) {
+		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) != Queued {
 			dropped++
 			run++
 			continue
@@ -335,9 +330,6 @@ func TestImpairmentGilbertElliottStationary(t *testing.T) {
 	if maxRun < 2 {
 		t.Fatal("no multi-packet loss burst in 60k packets — loss is not correlated")
 	}
-	if li.Injected() != uint64(dropped) {
-		t.Fatalf("Injected() = %d, dropped %d", li.Injected(), dropped)
-	}
 }
 
 // TestImpairmentGilbertElliottMatchAndExclusivity: the chain only sees
@@ -348,34 +340,34 @@ func TestImpairmentGilbertElliottMatchAndExclusivity(t *testing.T) {
 	li.SetGE(1, 0, 0, 1, func(p *Packet) bool { return p.Type == Data })
 	// First matching arrival is lossless (good state, good=0) and flips the
 	// chain to bad with p=1; control packets neither drop nor advance it.
-	if !pt.Q.Enqueue(dataPkt(0, 100, false), 0) {
+	if pt.Q.Enqueue(dataPkt(0, 100, false), 0) != Queued {
 		t.Fatal("first data packet dropped from the good state with good=0")
 	}
 	for i := 0; i < 5; i++ {
-		if !pt.Q.Enqueue(&Packet{Type: Ack, WireSize: 64}, 0) {
+		if pt.Q.Enqueue(&Packet{Type: Ack, WireSize: 64}, 0) != Queued {
 			t.Fatal("control packet dropped by data-matched ge loss")
 		}
 	}
 	// r=0: the chain is absorbed in the bad state with bad=1 — every
 	// further data packet drops.
 	for i := 1; i <= 5; i++ {
-		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) {
+		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) == Queued {
 			t.Fatalf("data packet %d survived the absorbed bad state", i)
 		}
 	}
 	// SetLoss replaces the chain entirely.
 	li.SetLoss(0, 0, nil)
-	if !pt.Q.Enqueue(dataPkt(99, 100, false), 0) {
+	if pt.Q.Enqueue(dataPkt(99, 100, false), 0) != Queued {
 		t.Fatal("ge state leaked through SetLoss")
 	}
 	// And SetGE replaces uniform loss: rate-1 loss then a fresh all-pass
 	// chain (good=0, p=0) lets everything through again.
 	li.SetLoss(1, 0, nil)
-	if pt.Q.Enqueue(dataPkt(100, 100, false), 0) {
+	if pt.Q.Enqueue(dataPkt(100, 100, false), 0) == Queued {
 		t.Fatal("rate-1 loss let a packet through")
 	}
 	li.SetGE(0, 0, 0, 1, nil)
-	if !pt.Q.Enqueue(dataPkt(101, 100, false), 0) {
+	if pt.Q.Enqueue(dataPkt(101, 100, false), 0) != Queued {
 		t.Fatal("uniform loss leaked through SetGE")
 	}
 }

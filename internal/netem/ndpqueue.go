@@ -30,12 +30,10 @@ type NDPQueueConfig struct {
 // data queue that either trims (original NDP) or selectively drops
 // (NDP+Aeolus) on overflow.
 type NDPQueue struct {
-	DropCounter
-	cfg      NDPQueueConfig
-	ctrl     fifo
-	data     fifo
-	trimmed  uint64
-	maxBytes int64
+	cfg     NDPQueueConfig
+	ctrl    fifo
+	data    fifo
+	trimmed uint64
 }
 
 // NewNDPQueue returns a queue with the given configuration.
@@ -53,46 +51,33 @@ func NewNDPQueue(cfg NDPQueueConfig) *NDPQueue {
 func (q *NDPQueue) Trimmed() uint64 { return q.trimmed }
 
 // Enqueue implements Qdisc.
-func (q *NDPQueue) Enqueue(p *Packet, _ sim.Time) bool {
+func (q *NDPQueue) Enqueue(p *Packet, _ sim.Time) DropReason {
 	if p.Type.IsControl() || p.Trimmed {
 		if q.ctrl.size()+int64(p.WireSize) > q.cfg.CtrlLimitBytes {
-			q.drop(p, DropTrimFail)
-			return false
+			return DropTrimFail
 		}
 		q.ctrl.push(p)
-		q.track()
-		return true
+		return Queued
 	}
 	// Data packet.
 	if q.cfg.SelectiveThresholdBytes > 0 && !p.Scheduled &&
 		q.data.size()+int64(p.WireSize) > q.cfg.SelectiveThresholdBytes {
-		q.drop(p, DropSelective)
-		return false
+		return DropSelective
 	}
 	if q.data.size()+int64(p.WireSize) > q.cfg.DataLimitBytes {
-		if q.cfg.Trim {
-			p.Trim()
-			if q.ctrl.size()+int64(p.WireSize) > q.cfg.CtrlLimitBytes {
-				q.drop(p, DropTrimFail)
-				return false
-			}
-			q.trimmed++
-			q.ctrl.push(p)
-			q.track()
-			return true
+		if !q.cfg.Trim {
+			return DropTailFull
 		}
-		q.drop(p, DropTailFull)
-		return false
+		p.Trim()
+		if q.ctrl.size()+int64(p.WireSize) > q.cfg.CtrlLimitBytes {
+			return DropTrimFail
+		}
+		q.trimmed++
+		q.ctrl.push(p)
+		return Queued
 	}
 	q.data.push(p)
-	q.track()
-	return true
-}
-
-func (q *NDPQueue) track() {
-	if t := q.ctrl.size() + q.data.size(); t > q.maxBytes {
-		q.maxBytes = t
-	}
+	return Queued
 }
 
 // Dequeue implements Qdisc: control strictly before data.
@@ -110,9 +95,3 @@ func (q *NDPQueue) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
 func (q *NDPQueue) Backlog() Backlog {
 	return Backlog{q.ctrl.len() + q.data.len(), q.ctrl.size() + q.data.size()}
 }
-
-// DataBacklog reports the data queue occupancy only.
-func (q *NDPQueue) DataBacklog() Backlog { return Backlog{q.data.len(), q.data.size()} }
-
-// MaxBacklogBytes reports the high-water mark of total occupancy.
-func (q *NDPQueue) MaxBacklogBytes() int64 { return q.maxBytes }

@@ -180,53 +180,13 @@ func (n *Network) attachPool(pp *PacketPool) {
 	}
 }
 
-// DropTotals aggregates qdisc drop counters across the given ports.
+// DropTotals sums the ports' drop counters by reason.
 func DropTotals(ports []*Port) [NumDropReasons]uint64 {
 	var tot [NumDropReasons]uint64
 	for _, pt := range ports {
-		if dc, ok := dropCounterOf(pt.Q); ok {
-			for i, v := range dc.Drops {
-				tot[i] += v
-			}
+		for i, n := range pt.Drops {
+			tot[i] += n
 		}
 	}
 	return tot
-}
-
-// dropCounterOf extracts the embedded DropCounter of a qdisc. Wrappers
-// (tracing instrumentation, fault injection) are unwrapped first so counters
-// stay visible on instrumented ports; everything else resolves through the
-// Counter method any discipline embedding DropCounter provides, which also
-// covers disciplines defined outside this package.
-func dropCounterOf(q Qdisc) (*DropCounter, bool) {
-	switch v := q.(type) {
-	case *tracedQdisc:
-		return dropCounterOf(v.Qdisc)
-	case *ImpairedQdisc:
-		// Includes injected-drop tallies plus the inner discipline's.
-		sum := v.dc
-		if inner, ok := dropCounterOf(v.inner); ok {
-			for i, n := range inner.Drops {
-				sum.Drops[i] += n
-			}
-		}
-		return &sum, true
-	case *XPassQdisc:
-		// Includes the inner data qdisc's counter too.
-		var sum DropCounter
-		for i, n := range v.Drops {
-			sum.Drops[i] += n
-		}
-		if inner, ok := dropCounterOf(v.cfg.Data); ok {
-			for i, n := range inner.Drops {
-				sum.Drops[i] += n
-			}
-		}
-		return &sum, true
-	default:
-		if c, ok := q.(interface{ Counter() *DropCounter }); ok {
-			return c.Counter(), true
-		}
-		return nil, false
-	}
 }

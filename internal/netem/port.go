@@ -41,6 +41,7 @@ type Port struct {
 	// Counters.
 	TxPackets uint64
 	TxBytes   int64
+	Drops     [NumDropReasons]uint64 // packets the qdisc refused, by reason
 }
 
 // portTxDone and portWake are zero-state Handler views of a Port: casting
@@ -67,22 +68,19 @@ func NewPort(eng *sim.Engine, q Qdisc, rate sim.Rate, delay sim.Duration, dst No
 	return &Port{Eng: eng, Q: q, Rate: rate, Delay: delay, Dst: dst, Label: label}
 }
 
-// Send offers a packet to the port. If the qdisc drops it, the port
-// terminates the packet's life and releases it to the pool — drop hooks and
-// tracing run inside Enqueue, before the release.
+// Send offers a packet to the port. A packet the qdisc refuses dies here,
+// the one place a drop is counted: the port adds it to Drops under the
+// qdisc's reason and releases it to the pool, mirroring Host.deliver for
+// deliveries. A tracer, when installed, has already seen the drop inside
+// Enqueue.
 func (pt *Port) Send(p *Packet) {
-	if pt.Q.Enqueue(p, pt.Eng.Now()) {
-		pt.kick()
-	} else {
-		pt.ReleasePacket(p)
+	if r := pt.Q.Enqueue(p, pt.Eng.Now()); r != Queued {
+		pt.Drops[r]++
+		pt.Pool.Put(p)
+		return
 	}
+	pt.kick()
 }
-
-// ReleasePacket terminates the life of a packet refused by the port's qdisc
-// stack and returns it to the pool. Any drop hook or trace must already have
-// fired (inside Enqueue); this is the single terminal release point for
-// drops, mirroring Host.deliver for deliveries.
-func (pt *Port) ReleasePacket(p *Packet) { pt.Pool.Put(p) }
 
 // kick starts the serializer if it is idle and a packet is eligible. If the
 // qdisc is holding shaped packets, a wake-up is scheduled instead.

@@ -52,7 +52,7 @@ func TestPortFIFOOrderProperty(t *testing.T) {
 		eng := sim.NewEngine()
 		dst := &collector{eng: eng}
 		host := &Host{ID: 1, Eng: eng, EP: dst}
-		pt := NewPort(eng, NewFIFO(0), 10*sim.Gbps, sim.Microsecond, host, "t")
+		pt := NewPort(eng, NewQueue(1, 0, 0), 10*sim.Gbps, sim.Microsecond, host, "t")
 		for i, sz := range sizesRaw {
 			p := dataPkt(uint64(i), int(sz)+64, false)
 			pt.Send(p)
@@ -74,50 +74,50 @@ func TestPortFIFOOrderProperty(t *testing.T) {
 }
 
 // Property: NDPQueue conserves packets — every enqueued packet is either
-// dequeued (possibly trimmed) or reported dropped; nothing vanishes.
+// dequeued (possibly trimmed) or refused as a lost header (a trimming queue
+// never tail-drops); nothing vanishes.
 func TestNDPQueueConservationProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		q := NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 3 * 9000, CtrlLimitBytes: 2 * 9000})
-		in, out, dropped := 0, 0, 0
+		in, out := 0, 0
 		for i, op := range ops {
+			var p *Packet
 			switch op % 4 {
 			case 0, 1:
-				p := dataPkt(uint64(i), 9000, false)
-				if q.Enqueue(p, 0) {
-					in++
-				} else {
-					dropped++
-				}
+				p = dataPkt(uint64(i), 9000, false)
 			case 2:
-				p := &Packet{Type: Pull, WireSize: HeaderSize}
-				if q.Enqueue(p, 0) {
-					in++
-				} else {
-					dropped++
-				}
+				p = &Packet{Type: Pull, WireSize: HeaderSize}
 			case 3:
 				if q.Dequeue(0) != nil {
 					out++
 				}
 			}
-			b := q.Backlog()
-			if in != out+b.Packets {
+			if p != nil {
+				switch q.Enqueue(p, 0) {
+				case Queued:
+					in++
+				case DropTrimFail:
+				default:
+					return false
+				}
+			}
+			if in != out+q.Backlog().Packets {
 				return false
 			}
 		}
-		return int(q.TotalDrops()) == dropped
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: PrioQdisc serves strictly by band — a dequeued packet's band is
+// Property: a Queue serves strictly by band — a dequeued packet's band is
 // never greater than any band still queued... i.e. at each dequeue, the
 // returned packet has the minimum band among queued packets.
 func TestPrioQdiscStrictnessProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
-		q := NewPrioQdisc(8, 0)
+		q := NewQueue(8, 0, 0)
 		queued := map[uint8]int{}
 		for i, op := range ops {
 			if op%3 != 0 {

@@ -4,7 +4,7 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-// DropReason classifies why a queueing discipline discarded a packet.
+// DropReason classifies why a queueing discipline refused a packet.
 type DropReason uint8
 
 // Drop reasons.
@@ -15,7 +15,11 @@ const (
 	DropTrimFail                     // NDP control queue full, trimmed header lost
 	DropImpairment                   // injected by the link-impairment layer (loss, blackhole, failed link)
 
-	numDropReasons // sentinel: must stay last
+	numDropReasons // sentinel: must stay last among the reasons
+
+	// Queued is what Enqueue returns for a packet it accepted. It is not a
+	// reason: no counter is indexed by it.
+	Queued = numDropReasons
 )
 
 // NumDropReasons is the number of distinct DropReason values; every
@@ -31,16 +35,16 @@ const (
 	_ = uint(len(dropReasonNames) - NumDropReasons)
 )
 
-// String names the drop reason.
+// String names the drop reason, or "queued" for Queued.
 func (r DropReason) String() string {
-	if int(r) < len(dropReasonNames) {
+	switch {
+	case int(r) < len(dropReasonNames):
 		return dropReasonNames[r]
+	case r == Queued:
+		return "queued"
 	}
 	return "unknown"
 }
-
-// DropHook observes every packet a qdisc discards.
-type DropHook func(p *Packet, reason DropReason)
 
 // Backlog is an instantaneous queue occupancy measurement.
 type Backlog struct {
@@ -49,14 +53,16 @@ type Backlog struct {
 }
 
 // Qdisc is a queueing discipline attached to an output port. Enqueue may
-// accept, discard, or mutate (trim) the packet; Dequeue returns the next
+// accept, refuse, or mutate (trim) the packet; Dequeue returns the next
 // packet eligible for transmission, or nil if none is eligible right now.
 // Shaped disciplines (the ExpressPass credit queue) may hold eligible packets
 // until a future instant, which they advertise through NextWake.
 type Qdisc interface {
-	// Enqueue offers p to the queue at the current instant. It returns true
-	// if the packet was queued (possibly mutated), false if it was dropped.
-	Enqueue(p *Packet, now sim.Time) bool
+	// Enqueue offers p to the queue at the current instant. It returns
+	// Queued if the packet was queued (possibly mutated), otherwise the
+	// reason it refused it. A discipline never counts or releases a refused
+	// packet: Port.Send does both.
+	Enqueue(p *Packet, now sim.Time) DropReason
 
 	// Dequeue removes and returns the next transmittable packet, or nil.
 	Dequeue(now sim.Time) *Packet
@@ -68,46 +74,9 @@ type Qdisc interface {
 
 	// Backlog reports current occupancy (all internal queues combined).
 	Backlog() Backlog
-
-	// SetDropHook installs a drop observer (at most one; nil clears it).
-	SetDropHook(h DropHook)
 }
 
-// DropCounter tallies drops by reason; embed it in qdisc implementations.
-type DropCounter struct {
-	hook  DropHook
-	Drops [NumDropReasons]uint64 // indexed by DropReason
-}
-
-// SetDropHook installs the observer.
-func (d *DropCounter) SetDropHook(h DropHook) { d.hook = h }
-
-// Counter exposes the counter itself, so aggregation helpers (DropTotals)
-// reach the tallies of any discipline embedding DropCounter — including ones
-// defined outside this package — without a per-type case.
-func (d *DropCounter) Counter() *DropCounter { return d }
-
-func (d *DropCounter) drop(p *Packet, r DropReason) {
-	d.Drops[r]++
-	if d.hook != nil {
-		d.hook(p, r)
-	}
-}
-
-// Drop records a discarded packet. It is exported so qdisc implementations
-// outside this package can reuse the counter/hook plumbing.
-func (d *DropCounter) Drop(p *Packet, r DropReason) { d.drop(p, r) }
-
-// TotalDrops sums drops across all reasons.
-func (d *DropCounter) TotalDrops() uint64 {
-	var s uint64
-	for _, v := range d.Drops {
-		s += v
-	}
-	return s
-}
-
-// fifo is the byte-accounted packet FIFO underlying most disciplines. The
+// fifo is the byte-accounted packet FIFO underlying every discipline. The
 // zero value is ready to use.
 type fifo struct {
 	pkts  []*Packet
@@ -146,157 +115,81 @@ func (f *fifo) len() int    { return len(f.pkts) - f.head }
 func (f *fifo) size() int64 { return f.bytes }
 func (f *fifo) empty() bool { return f.head == len(f.pkts) }
 
-// FIFO is a drop-tail queue with a byte limit. LimitBytes <= 0 means
-// unlimited (useful for host NICs, which model an unbounded send buffer).
-type FIFO struct {
-	DropCounter
-	LimitBytes int64
-	q          fifo
+// Queue is the port discipline of a commodity shared-buffer switch, and of
+// every port but NDP's and ExpressPass's credit shaper (which wraps one):
+// strict-priority bands, band 0 served first, all drawing on one byte buffer
+// so arrivals are tail-dropped regardless of band once it is full.
+//
+// Aeolus adds no mechanism of its own (§3.2, §4.1): an optional selective
+// dropping threshold discards an arriving *unscheduled* data packet whenever
+// the port's total backlog would exceed it, while scheduled and control
+// packets are bounded only by the buffer. This is the RED/ECN
+// re-interpretation on commodity switches: unscheduled packets are Non-ECT
+// and dropped at the RED threshold; scheduled packets are ECT(0) and would
+// merely be marked, which endpoints ignore. For Homa the threshold applies
+// per port across its eight priority queues (§5.1: "for Homa, we configure
+// per-port ECN/RED").
+type Queue struct {
+	limit      int64 // shared buffer bound; <= 0 means unbounded
+	threshold  int64 // selective dropping threshold; <= 0 means off
+	schedFirst bool  // band rule: scheduled-first instead of Packet.Prio
+	bands      []fifo
+	total      int64
 	maxBytes   int64
 }
 
-// NewFIFO returns a drop-tail FIFO bounded to limitBytes.
-func NewFIFO(limitBytes int64) *FIFO { return &FIFO{LimitBytes: limitBytes} }
-
-// Enqueue implements Qdisc.
-func (q *FIFO) Enqueue(p *Packet, _ sim.Time) bool {
-	if q.LimitBytes > 0 && q.q.size()+int64(p.WireSize) > q.LimitBytes {
-		q.drop(p, DropTailFull)
-		return false
-	}
-	q.q.push(p)
-	if q.q.size() > q.maxBytes {
-		q.maxBytes = q.q.size()
-	}
-	return true
+// NewQueue returns a queue whose packets pick their band by Packet.Prio
+// (clamped to the last band), with a selective dropping threshold and a
+// shared buffer bound; either <= 0 means none. One band is a plain FIFO:
+// drop-tail, or the Aeolus switch queue with a threshold.
+func NewQueue(bands int, thresholdBytes, limitBytes int64) *Queue {
+	return &Queue{limit: limitBytes, threshold: thresholdBytes, bands: make([]fifo, bands)}
 }
 
-// Dequeue implements Qdisc.
-func (q *FIFO) Dequeue(_ sim.Time) *Packet { return q.q.pop() }
-
-// NextWake implements Qdisc.
-func (q *FIFO) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
-
-// Backlog implements Qdisc.
-func (q *FIFO) Backlog() Backlog { return Backlog{q.q.len(), q.q.size()} }
-
-// MaxBacklogBytes reports the high-water mark of queue occupancy.
-func (q *FIFO) MaxBacklogBytes() int64 { return q.maxBytes }
-
-// SelectiveDrop is the Aeolus switch queue (§3.2, §4.1): a single FIFO in
-// which an arriving *unscheduled* packet is discarded whenever the backlog
-// would exceed ThresholdBytes, while scheduled (and all control) packets are
-// only bounded by the full buffer LimitBytes. This reproduces the RED/ECN
-// re-interpretation on commodity switches: unscheduled packets are Non-ECT
-// and get dropped at the RED threshold; scheduled packets are ECT(0) and
-// would merely be marked, which endpoints ignore.
-type SelectiveDrop struct {
-	DropCounter
-	ThresholdBytes int64 // selective dropping threshold (paper default 6 KB)
-	LimitBytes     int64 // physical buffer bound for scheduled packets
-	q              fifo
-	maxBytes       int64
-}
-
-// NewSelectiveDrop returns a selective-dropping queue.
-func NewSelectiveDrop(thresholdBytes, limitBytes int64) *SelectiveDrop {
-	return &SelectiveDrop{ThresholdBytes: thresholdBytes, LimitBytes: limitBytes}
+// NewSchedFirstQueue returns the two-band queue that serves scheduled and
+// control packets ahead of unscheduled data. Unbounded (limitBytes <= 0) it
+// is the oracle of the paper's hypothetical baselines (Figs. 1, 3, 4 and
+// Table 1) — scheduled packets proceed as if no unscheduled packets were
+// present — and the host NIC queue that keeps a sender's scheduled packets
+// out from behind its own pre-credit burst. Bounded, it is the realizable
+// two-priority-queue alternative of §5.5 that Aeolus argues against:
+// unscheduled packets in the low band can fill the shared buffer and starve
+// scheduled arrivals (Table 5).
+func NewSchedFirstQueue(limitBytes int64) *Queue {
+	q := NewQueue(2, 0, limitBytes)
+	q.schedFirst = true
+	return q
 }
 
 // Enqueue implements Qdisc.
-func (q *SelectiveDrop) Enqueue(p *Packet, _ sim.Time) bool {
-	protected := p.Scheduled || p.Type.IsControl()
-	if !protected && q.q.size()+int64(p.WireSize) > q.ThresholdBytes {
-		q.drop(p, DropSelective)
-		return false
+func (q *Queue) Enqueue(p *Packet, _ sim.Time) DropReason {
+	total := q.total + int64(p.WireSize)
+	unsched := !p.Scheduled && !p.Type.IsControl()
+	if q.threshold > 0 && unsched && total > q.threshold {
+		return DropSelective
 	}
-	if q.LimitBytes > 0 && q.q.size()+int64(p.WireSize) > q.LimitBytes {
-		q.drop(p, DropTailFull)
-		return false
+	if q.limit > 0 && total > q.limit {
+		return DropTailFull
 	}
-	q.q.push(p)
-	if q.q.size() > q.maxBytes {
-		q.maxBytes = q.q.size()
-	}
-	return true
-}
-
-// Dequeue implements Qdisc.
-func (q *SelectiveDrop) Dequeue(_ sim.Time) *Packet { return q.q.pop() }
-
-// NextWake implements Qdisc.
-func (q *SelectiveDrop) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
-
-// Backlog implements Qdisc.
-func (q *SelectiveDrop) Backlog() Backlog { return Backlog{q.q.len(), q.q.size()} }
-
-// MaxBacklogBytes reports the high-water mark of queue occupancy.
-func (q *SelectiveDrop) MaxBacklogBytes() int64 { return q.maxBytes }
-
-// PrioQdisc is a strict-priority discipline with NumBands bands selected by
-// Packet.Prio (band 0 served first) and a *shared* byte buffer across bands,
-// matching the shared-buffer commodity switch of §5.5/Table 5: when the
-// buffer is full, arrivals are tail-dropped regardless of priority, so a
-// full low-priority queue can starve high-priority arrivals of buffer.
-type PrioQdisc struct {
-	DropCounter
-	LimitBytes int64
-
-	// SelectiveThresholdBytes, when positive, applies Aeolus selective
-	// dropping at *port* granularity across all bands: an arriving
-	// unscheduled packet is discarded once the port's total backlog would
-	// exceed the threshold, while scheduled and control packets pass up to
-	// LimitBytes. This is the paper's Homa+Aeolus switch configuration
-	// (§5.1: "for Homa, we configure per-port ECN/RED"), which preserves
-	// Homa's priority structure while capping unscheduled interference.
-	SelectiveThresholdBytes int64
-
-	bands    []fifo
-	total    int64
-	maxBytes int64
-}
-
-// NewPrioQdisc returns a strict-priority qdisc with the given band count and
-// shared byte limit.
-func NewPrioQdisc(numBands int, limitBytes int64) *PrioQdisc {
-	return &PrioQdisc{LimitBytes: limitBytes, bands: make([]fifo, numBands)}
-}
-
-// NewPrioSelective returns a strict-priority qdisc with per-port Aeolus
-// selective dropping of unscheduled packets.
-func NewPrioSelective(numBands int, thresholdBytes, limitBytes int64) *PrioQdisc {
-	return &PrioQdisc{LimitBytes: limitBytes, SelectiveThresholdBytes: thresholdBytes,
-		bands: make([]fifo, numBands)}
-}
-
-// Enqueue implements Qdisc.
-func (q *PrioQdisc) Enqueue(p *Packet, _ sim.Time) bool {
-	if q.SelectiveThresholdBytes > 0 && !p.Scheduled && !p.Type.IsControl() &&
-		q.total+int64(p.WireSize) > q.SelectiveThresholdBytes {
-		q.drop(p, DropSelective)
-		return false
-	}
-	if q.LimitBytes > 0 && q.total+int64(p.WireSize) > q.LimitBytes {
-		q.drop(p, DropTailFull)
-		return false
-	}
-	b := int(p.Prio)
-	if b >= len(q.bands) {
+	b := 0
+	if q.schedFirst {
+		if unsched {
+			b = 1
+		}
+	} else if b = int(p.Prio); b >= len(q.bands) {
 		b = len(q.bands) - 1
 	}
 	q.bands[b].push(p)
-	q.total += int64(p.WireSize)
-	if q.total > q.maxBytes {
-		q.maxBytes = q.total
-	}
-	return true
+	q.total = total
+	q.maxBytes = max(q.maxBytes, total)
+	return Queued
 }
 
-// Dequeue implements Qdisc.
-func (q *PrioQdisc) Dequeue(_ sim.Time) *Packet {
+// Dequeue implements Qdisc: the head of the first non-empty band.
+func (q *Queue) Dequeue(_ sim.Time) *Packet {
 	for i := range q.bands {
-		if !q.bands[i].empty() {
-			p := q.bands[i].pop()
+		if f := &q.bands[i]; !f.empty() {
+			p := f.pop()
 			q.total -= int64(p.WireSize)
 			return p
 		}
@@ -305,10 +198,10 @@ func (q *PrioQdisc) Dequeue(_ sim.Time) *Packet {
 }
 
 // NextWake implements Qdisc.
-func (q *PrioQdisc) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
+func (q *Queue) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
 
 // Backlog implements Qdisc.
-func (q *PrioQdisc) Backlog() Backlog {
+func (q *Queue) Backlog() Backlog {
 	var n int
 	for i := range q.bands {
 		n += q.bands[i].len()
@@ -317,9 +210,4 @@ func (q *PrioQdisc) Backlog() Backlog {
 }
 
 // MaxBacklogBytes reports the high-water mark of total occupancy.
-func (q *PrioQdisc) MaxBacklogBytes() int64 { return q.maxBytes }
-
-// BandBacklog reports the occupancy of one priority band.
-func (q *PrioQdisc) BandBacklog(band int) Backlog {
-	return Backlog{q.bands[band].len(), q.bands[band].size()}
-}
+func (q *Queue) MaxBacklogBytes() int64 { return q.maxBytes }

@@ -12,16 +12,13 @@ func dataPkt(flow uint64, size int, scheduled bool) *Packet {
 }
 
 func TestFIFOOrderAndLimit(t *testing.T) {
-	q := NewFIFO(3000)
+	q := NewQueue(1, 0, 3000)
 	a, b, c := dataPkt(1, 1500, false), dataPkt(2, 1500, false), dataPkt(3, 1500, false)
-	if !q.Enqueue(a, 0) || !q.Enqueue(b, 0) {
+	if q.Enqueue(a, 0) != Queued || q.Enqueue(b, 0) != Queued {
 		t.Fatal("enqueue within limit failed")
 	}
-	if q.Enqueue(c, 0) {
-		t.Fatal("enqueue over limit succeeded")
-	}
-	if q.Drops[DropTailFull] != 1 {
-		t.Fatalf("tail drops = %d, want 1", q.Drops[DropTailFull])
+	if r := q.Enqueue(c, 0); r != DropTailFull {
+		t.Fatalf("enqueue over limit = %v, want a tail drop", r)
 	}
 	if got := q.Dequeue(0); got != a {
 		t.Fatalf("first dequeue = %v, want a", got)
@@ -35,9 +32,9 @@ func TestFIFOOrderAndLimit(t *testing.T) {
 }
 
 func TestFIFOUnlimited(t *testing.T) {
-	q := NewFIFO(0)
+	q := NewQueue(1, 0, 0)
 	for i := 0; i < 10000; i++ {
-		if !q.Enqueue(dataPkt(uint64(i), 1538, false), 0) {
+		if q.Enqueue(dataPkt(uint64(i), 1538, false), 0) != Queued {
 			t.Fatal("unlimited FIFO dropped")
 		}
 	}
@@ -47,7 +44,7 @@ func TestFIFOUnlimited(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	q := NewFIFO(0)
+	q := NewQueue(1, 0, 0)
 	// Interleave enqueue/dequeue so head grows past the compaction trigger.
 	var inFlight int
 	for i := 0; i < 50000; i++ {
@@ -67,64 +64,61 @@ func TestFIFOCompaction(t *testing.T) {
 
 func TestSelectiveDropThreshold(t *testing.T) {
 	// 6 KB threshold with 1538 B frames: exactly 4 unscheduled fit, 5th dropped.
-	q := NewSelectiveDrop(6000, DefaultBuffer)
+	q := NewQueue(1, 6000, DefaultBuffer)
 	for i := 0; i < 4; i++ {
-		if !q.Enqueue(dataPkt(uint64(i), 1500, false), 0) {
+		if q.Enqueue(dataPkt(uint64(i), 1500, false), 0) != Queued {
 			t.Fatalf("unscheduled packet %d below threshold dropped", i)
 		}
 	}
-	if q.Enqueue(dataPkt(9, 1500, false), 0) {
-		t.Fatal("unscheduled packet above threshold accepted")
-	}
-	if q.Drops[DropSelective] != 1 {
-		t.Fatalf("selective drops = %d, want 1", q.Drops[DropSelective])
+	if r := q.Enqueue(dataPkt(9, 1500, false), 0); r != DropSelective {
+		t.Fatalf("unscheduled packet above threshold = %v, want a selective drop", r)
 	}
 	// Scheduled packets pass the threshold up to the buffer bound.
 	for i := 0; i < 100; i++ {
-		if !q.Enqueue(dataPkt(uint64(100+i), 1500, true), 0) {
+		if q.Enqueue(dataPkt(uint64(100+i), 1500, true), 0) != Queued {
 			t.Fatalf("scheduled packet %d dropped below buffer bound (backlog %v)", i, q.Backlog())
 		}
 	}
 	// Control packets are protected too (§3.3: probes/ACKs are scheduled).
 	probe := &Packet{Type: Probe, WireSize: ProbeSize}
-	if !q.Enqueue(probe, 0) {
+	if q.Enqueue(probe, 0) != Queued {
 		t.Fatal("control packet dropped by selective dropping")
 	}
 }
 
 func TestSelectiveDropBufferBound(t *testing.T) {
-	q := NewSelectiveDrop(6000, 10000)
+	q := NewQueue(1, 6000, 10000)
 	for i := 0; i < 6; i++ {
 		q.Enqueue(dataPkt(uint64(i), 1500, true), 0)
 	}
 	// 9000 queued; a 1500 B scheduled packet would exceed the 10 KB buffer.
-	if q.Enqueue(dataPkt(99, 1500, true), 0) {
-		t.Fatal("scheduled packet above buffer bound accepted")
-	}
-	if q.Drops[DropTailFull] != 1 {
-		t.Fatalf("tail drops = %d, want 1", q.Drops[DropTailFull])
+	if r := q.Enqueue(dataPkt(99, 1500, true), 0); r != DropTailFull {
+		t.Fatalf("scheduled packet above buffer bound = %v, want a tail drop", r)
 	}
 }
 
 // Property: in any interleaving of scheduled/unscheduled enqueues, selective
-// dropping never discards a scheduled packet while the buffer has room, and
-// accounting is conserved: enqueued = dequeued + dropped + backlog.
+// dropping never discards a scheduled packet while the buffer has room,
+// refuses unscheduled packets only as selective drops, and conserves
+// packets: enqueued = dequeued + backlog.
 func TestSelectiveDropConservationProperty(t *testing.T) {
 	prop := func(ops []byte) bool {
-		q := NewSelectiveDrop(6000, 50000)
-		accepted, dropped, dequeued := 0, 0, 0
+		q := NewQueue(1, 6000, 50000)
+		accepted, dequeued := 0, 0
 		for i, op := range ops {
 			switch op % 3 {
 			case 0:
 				p := dataPkt(uint64(i), 1500, false)
-				if q.Enqueue(p, 0) {
+				switch q.Enqueue(p, 0) {
+				case Queued:
 					accepted++
-				} else {
-					dropped++
+				case DropSelective:
+				default:
+					return false
 				}
 			case 1:
 				p := dataPkt(uint64(i), 1500, true)
-				if q.Enqueue(p, 0) {
+				if q.Enqueue(p, 0) == Queued {
 					accepted++
 				} else {
 					return false // scheduled must never drop below 50 KB here
@@ -142,8 +136,7 @@ func TestSelectiveDropConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return accepted == dequeued+q.Backlog().Packets &&
-			int(q.TotalDrops()) == dropped
+		return accepted == dequeued+q.Backlog().Packets
 	}
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -152,7 +145,7 @@ func TestSelectiveDropConservationProperty(t *testing.T) {
 }
 
 func TestPrioQdiscStrictOrder(t *testing.T) {
-	q := NewPrioQdisc(8, DefaultBuffer)
+	q := NewQueue(8, 0, DefaultBuffer)
 	lo := dataPkt(1, 1500, false)
 	lo.Prio = 7
 	hi := dataPkt(2, 1500, true)
@@ -171,31 +164,50 @@ func TestPrioQdiscStrictOrder(t *testing.T) {
 }
 
 func TestPrioQdiscSharedBufferStarvation(t *testing.T) {
-	// Reproduce the Table 5 pathology: low-priority packets fill the shared
-	// buffer and a high-priority arrival is tail-dropped.
-	q := NewPrioQdisc(2, 15380)
-	for i := 0; i < 10; i++ {
-		p := dataPkt(uint64(i), 1538, false)
-		p.Prio = 1
-		if !q.Enqueue(p, 0) {
-			t.Fatalf("low-prio fill %d dropped early", i)
+	// Reproduce the Table 5 pathology under both band rules: low-priority
+	// (unscheduled) packets fill the shared buffer and a high-priority
+	// (scheduled) arrival is tail-dropped.
+	for _, q := range []*Queue{NewQueue(2, 0, 15380), NewSchedFirstQueue(15380)} {
+		for i := 0; i < 10; i++ {
+			p := dataPkt(uint64(i), 1538, false)
+			p.Prio = 1
+			if q.Enqueue(p, 0) != Queued {
+				t.Fatalf("low-prio fill %d dropped early", i)
+			}
+		}
+		hi := dataPkt(99, 1538, true)
+		hi.Prio = 0
+		if r := q.Enqueue(hi, 0); r != DropTailFull {
+			t.Fatalf("high-priority packet into a full shared buffer = %v, want a tail drop", r)
 		}
 	}
-	hi := dataPkt(99, 1538, true)
-	hi.Prio = 0
-	if q.Enqueue(hi, 0) {
-		t.Fatal("high-priority packet accepted into a full shared buffer")
+}
+
+func TestSchedFirstQueueOrder(t *testing.T) {
+	// Scheduled and control packets share band 0 in arrival order; Prio is
+	// ignored.
+	q := NewSchedFirstQueue(0)
+	unsched := dataPkt(1, 1500, false)
+	sched := dataPkt(2, 1500, true)
+	sched.Prio = 7
+	probe := &Packet{Type: Probe, WireSize: ProbeSize, Prio: 5}
+	for _, p := range []*Packet{unsched, sched, probe} {
+		if q.Enqueue(p, 0) != Queued {
+			t.Fatalf("unbounded queue refused %v", p)
+		}
 	}
-	if q.Drops[DropTailFull] != 1 {
-		t.Fatalf("drops = %d, want 1", q.Drops[DropTailFull])
+	for i, w := range []*Packet{sched, probe, unsched} {
+		if got := q.Dequeue(0); got != w {
+			t.Fatalf("dequeue %d = %v, want %v", i, got, w)
+		}
 	}
 }
 
 func TestPrioQdiscClampsOutOfRangeBand(t *testing.T) {
-	q := NewPrioQdisc(2, DefaultBuffer)
+	q := NewQueue(2, 0, DefaultBuffer)
 	p := dataPkt(1, 100, false)
 	p.Prio = 200
-	if !q.Enqueue(p, 0) {
+	if q.Enqueue(p, 0) != Queued {
 		t.Fatal("out-of-range priority dropped")
 	}
 	if got := q.Dequeue(0); got != p {
@@ -206,12 +218,12 @@ func TestPrioQdiscClampsOutOfRangeBand(t *testing.T) {
 func TestNDPQueueTrims(t *testing.T) {
 	q := NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 4 * 9000})
 	for i := 0; i < 4; i++ {
-		if !q.Enqueue(dataPkt(uint64(i), 9000, false), 0) {
+		if q.Enqueue(dataPkt(uint64(i), 9000, false), 0) != Queued {
 			t.Fatalf("data packet %d dropped below limit", i)
 		}
 	}
 	p := dataPkt(9, 9000, false)
-	if !q.Enqueue(p, 0) {
+	if q.Enqueue(p, 0) != Queued {
 		t.Fatal("overflow packet dropped instead of trimmed")
 	}
 	if !p.Trimmed || p.WireSize != HeaderSize || p.PayloadLen != 0 {
@@ -244,18 +256,18 @@ func TestNDPQueueSelectiveMode(t *testing.T) {
 	// NDP+Aeolus: selective dropping instead of trimming.
 	q := NewNDPQueue(NDPQueueConfig{SelectiveThresholdBytes: 6000, DataLimitBytes: DefaultBuffer})
 	for i := 0; i < 4; i++ {
-		if !q.Enqueue(dataPkt(uint64(i), 1500, false), 0) {
+		if q.Enqueue(dataPkt(uint64(i), 1500, false), 0) != Queued {
 			t.Fatalf("unscheduled %d dropped below threshold", i)
 		}
 	}
 	over := dataPkt(9, 1500, false)
-	if q.Enqueue(over, 0) {
-		t.Fatal("unscheduled packet above threshold accepted")
+	if r := q.Enqueue(over, 0); r != DropSelective {
+		t.Fatalf("unscheduled packet above threshold = %v, want a selective drop", r)
 	}
 	if over.Trimmed {
 		t.Fatal("selective mode trimmed instead of dropping")
 	}
-	if !q.Enqueue(dataPkt(10, 1500, true), 0) {
+	if q.Enqueue(dataPkt(10, 1500, true), 0) != Queued {
 		t.Fatal("scheduled packet dropped below data limit")
 	}
 }
@@ -289,15 +301,12 @@ func TestXPassQdiscShaping(t *testing.T) {
 func TestXPassQdiscCreditOverflow(t *testing.T) {
 	q := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(10 * sim.Gbps), CreditLimit: 3})
 	for i := 0; i < 3; i++ {
-		if !q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0) {
+		if q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0) != Queued {
 			t.Fatalf("credit %d dropped below limit", i)
 		}
 	}
-	if q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0) {
-		t.Fatal("credit accepted above limit")
-	}
-	if q.CreditDrops() != 1 {
-		t.Fatalf("credit drops = %d, want 1", q.CreditDrops())
+	if r := q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0); r != DropCreditOver {
+		t.Fatalf("credit above limit = %v, want a credit drop", r)
 	}
 }
 
@@ -325,7 +334,7 @@ func TestCreditRateFor(t *testing.T) {
 }
 
 func TestDropReasonString(t *testing.T) {
-	if DropSelective.String() != "selective" || DropReason(99).String() != "unknown" {
+	if DropSelective.String() != "selective" || Queued.String() != "queued" || DropReason(99).String() != "unknown" {
 		t.Fatal("DropReason.String mismatch")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-func testQdisc(kind PortKind, rate sim.Rate) Qdisc { return NewFIFO(DefaultBuffer) }
+func testQdisc(kind PortKind, rate sim.Rate) Qdisc { return NewQueue(1, 0, DefaultBuffer) }
 
 func TestShardCountClamps(t *testing.T) {
 	tests := []struct {

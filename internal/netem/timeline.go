@@ -421,15 +421,6 @@ type ImpairmentSet struct {
 	Controllers map[string]*LinkImpairment
 }
 
-// InjectedDrops sums impairment-injected drops across all controlled ports.
-func (s *ImpairmentSet) InjectedDrops() uint64 {
-	var n uint64
-	for _, li := range s.Controllers {
-		n += li.Injected()
-	}
-	return n
-}
-
 // Apply compiles the timeline onto a built network: every port matched by
 // any step is wrapped with a LinkImpairment (seeded from seed and the port
 // label, so per-port randomness is stable regardless of step order), and

@@ -189,7 +189,7 @@ func TestTimelineApply(t *testing.T) {
 	net.Eng.At(sim.Time(5*sim.Microsecond), send)  // during rate-1 loss
 	net.Eng.At(sim.Time(20*sim.Microsecond), send) // after loss cleared
 	net.Eng.Run()
-	if got := set.InjectedDrops(); got != 1 {
+	if got := DropTotals(net.SwitchPorts())[DropImpairment]; got != 1 {
 		t.Fatalf("injected drops = %d, want 1", got)
 	}
 	if h := net.Hosts[1]; h.RxPackets != 1 {

@@ -32,7 +32,7 @@ func TestPortSerializationTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &collector{eng: eng}
 	host := &Host{ID: 1, Eng: eng, EP: dst}
-	pt := NewPort(eng, NewFIFO(0), 10*sim.Gbps, 2*sim.Microsecond, host, "t")
+	pt := NewPort(eng, NewQueue(1, 0, 0), 10*sim.Gbps, 2*sim.Microsecond, host, "t")
 
 	p1 := dataPkt(1, 1250, false) // 1 µs at 10G
 	p2 := dataPkt(2, 1250, false)
@@ -267,7 +267,7 @@ func TestHostDelayAppliedOnReceive(t *testing.T) {
 
 func TestDropTotals(t *testing.T) {
 	eng := sim.NewEngine()
-	selective := func(PortKind, sim.Rate) Qdisc { return NewSelectiveDrop(6000, DefaultBuffer) }
+	selective := func(PortKind, sim.Rate) Qdisc { return NewQueue(1, 6000, DefaultBuffer) }
 	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, selective, 0)
 	attachCollectors(net)
@@ -313,9 +313,9 @@ func TestCascadingDelay(t *testing.T) {
 		eng := sim.NewEngine()
 		qf := func(kind PortKind, rate sim.Rate) Qdisc {
 			if selective {
-				return NewSelectiveDrop(6000, DefaultBuffer)
+				return NewQueue(1, 6000, DefaultBuffer)
 			}
-			return NewFIFO(DefaultBuffer)
+			return NewQueue(1, 0, DefaultBuffer)
 		}
 		net := BuildClos(eng, TopoSpec{HostsPerEdge: 5, Tiers: []TierSpec{{Switches: 1}},
 			HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, qf, 0)

@@ -34,6 +34,12 @@ type Tracer interface {
 	Trace(now sim.Time, ev TraceEvent, where string, p *Packet)
 }
 
+// TraceFunc adapts a function to the Tracer interface.
+type TraceFunc func(now sim.Time, ev TraceEvent, where string, p *Packet)
+
+// Trace implements Tracer.
+func (f TraceFunc) Trace(now sim.Time, ev TraceEvent, where string, p *Packet) { f(now, ev, where, p) }
+
 // WriterTracer formats events as one line each, suitable for debugging and
 // for diffing deterministic runs. Filter, when non-nil, limits output to
 // packets it returns true for.
@@ -82,31 +88,30 @@ func (t *CountingTracer) Total(ev TraceEvent, typ PacketType) uint64 {
 type tracedQdisc struct {
 	Qdisc
 	tracer Tracer
-	eng    *sim.Engine
 	where  string
 }
 
-// Enqueue implements Qdisc.
-func (q *tracedQdisc) Enqueue(p *Packet, now sim.Time) bool {
+// Enqueue implements Qdisc. A refusal is traced as a drop; Port.Send then
+// counts it and releases the packet.
+func (q *tracedQdisc) Enqueue(p *Packet, now sim.Time) DropReason {
 	wasTrimmed := p.Trimmed
-	ok := q.Qdisc.Enqueue(p, now)
+	r := q.Qdisc.Enqueue(p, now)
 	switch {
-	case !ok:
-		// The inner drop hook already fired; trace the drop too.
+	case r != Queued:
 		q.tracer.Trace(now, TraceDrop, q.where, p)
 	case !wasTrimmed && p.Trimmed:
 		q.tracer.Trace(now, TraceTrim, q.where, p)
 	default:
 		q.tracer.Trace(now, TraceEnqueue, q.where, p)
 	}
-	return ok
+	return r
 }
 
 // InstrumentPorts wraps every given port's qdisc so the tracer observes all
 // enqueues, drops and trims. Call before traffic starts.
 func InstrumentPorts(ports []*Port, tr Tracer) {
 	for _, pt := range ports {
-		pt.Q = &tracedQdisc{Qdisc: pt.Q, tracer: tr, eng: pt.Eng, where: pt.Label}
+		pt.Q = &tracedQdisc{Qdisc: pt.Q, tracer: tr, where: pt.Label}
 	}
 }
 

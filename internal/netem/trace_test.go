@@ -41,7 +41,7 @@ func TestInstrumentedPortsAndHosts(t *testing.T) {
 	eng := sim.NewEngine()
 	net := BuildClos(eng, TopoSpec{HostsPerEdge: 3, Tiers: []TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
-		func(PortKind, sim.Rate) Qdisc { return NewSelectiveDrop(6000, DefaultBuffer) }, 0)
+		func(PortKind, sim.Rate) Qdisc { return NewQueue(1, 6000, DefaultBuffer) }, 0)
 	attachCollectors(net)
 	tr := NewCountingTracer()
 	InstrumentPorts(net.AllPorts(), tr)
@@ -76,17 +76,16 @@ func TestInstrumentedPortsAndHosts(t *testing.T) {
 }
 
 func TestTraceTrimEvent(t *testing.T) {
-	eng := sim.NewEngine()
 	tr := NewCountingTracer()
 	q := NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 2 * 9000})
-	traced := &tracedQdisc{Qdisc: q, tracer: tr, eng: eng, where: "t"}
+	traced := &tracedQdisc{Qdisc: q, tracer: tr, where: "t"}
 	for i := 0; i < 2; i++ {
-		if !traced.Enqueue(dataPkt(uint64(i), 9000, false), 0) {
+		if traced.Enqueue(dataPkt(uint64(i), 9000, false), 0) != Queued {
 			t.Fatal("fill dropped")
 		}
 	}
 	over := dataPkt(9, 9000, false)
-	if !traced.Enqueue(over, 0) {
+	if traced.Enqueue(over, 0) != Queued {
 		t.Fatal("overflow should trim, not drop")
 	}
 	if tr.Total(TraceTrim, Data) != 1 {

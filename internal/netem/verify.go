@@ -2,14 +2,6 @@ package netem
 
 import "fmt"
 
-// BacklogAuditor lets queueing disciplines defined outside this package
-// expose an internal-consistency check to AuditQdisc: implementations verify
-// their cached byte/packet counters against actual queue contents and return
-// a descriptive error on the first mismatch.
-type BacklogAuditor interface {
-	AuditBacklog() error
-}
-
 // audit recomputes the FIFO's byte total from its contents and compares it
 // against the cached counter.
 func (f *fifo) audit(name string) error {
@@ -30,33 +22,27 @@ func (f *fifo) audit(name string) error {
 }
 
 // AuditQdisc verifies a discipline's cached byte counters against its actual
-// queue contents: FIFO byte totals, the PrioQdisc shared-buffer total against
-// the per-band sums, the two NDP queues, and the ExpressPass credit queue plus
-// its inner data discipline. Instrumentation and fault-injection wrappers are
-// unwrapped; disciplines from other packages are checked through
-// BacklogAuditor when they implement it, and pass vacuously otherwise.
+// queue contents: each Queue band and the shared-buffer total against the
+// band sums, the two NDP queues, and the ExpressPass credit queue plus its
+// inner data discipline. Instrumentation and fault-injection wrappers are
+// unwrapped; any other discipline passes vacuously.
 func AuditQdisc(q Qdisc) error {
 	switch v := q.(type) {
 	case *tracedQdisc:
 		return AuditQdisc(v.Qdisc)
 	case *ImpairedQdisc:
 		return AuditQdisc(v.inner)
-	case *FIFO:
-		return v.q.audit("fifo")
-	case *SelectiveDrop:
-		return v.q.audit("selective-drop")
-	case *PrioQdisc:
+	case *Queue:
 		var total int64
 		for i := range v.bands {
-			if err := v.bands[i].audit(fmt.Sprintf("prio band %d", i)); err != nil {
+			if err := v.bands[i].audit(fmt.Sprintf("band %d", i)); err != nil {
 				return err
 			}
 			total += v.bands[i].size()
 		}
 		if total != v.total {
-			return fmt.Errorf("prio: cached total %d, bands sum to %d", v.total, total)
+			return fmt.Errorf("queue: cached total %d, bands sum to %d", v.total, total)
 		}
-		return nil
 	case *NDPQueue:
 		if err := v.ctrl.audit("ndp ctrl"); err != nil {
 			return err
@@ -67,10 +53,6 @@ func AuditQdisc(q Qdisc) error {
 			return err
 		}
 		return AuditQdisc(v.cfg.Data)
-	default:
-		if a, ok := q.(BacklogAuditor); ok {
-			return a.AuditBacklog()
-		}
-		return nil
 	}
+	return nil
 }

@@ -8,15 +8,16 @@ import (
 
 func TestAuditQdiscCleanQueues(t *testing.T) {
 	qs := []Qdisc{
-		NewFIFO(0),
-		NewSelectiveDrop(6<<10, DefaultBuffer),
-		NewPrioQdisc(8, DefaultBuffer),
+		NewQueue(1, 0, 0),
+		NewQueue(1, 6<<10, DefaultBuffer),
+		NewQueue(8, 0, DefaultBuffer),
+		NewSchedFirstQueue(0),
 		NewNDPQueue(NDPQueueConfig{Trim: true}),
 		NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(10 * sim.Gbps)}),
 	}
 	for _, q := range qs {
 		for i := 0; i < 5; i++ {
-			q.Enqueue(dataPkt(uint64(i), 1538, true), 0)
+			q.Enqueue(dataPkt(uint64(i), 1538, i%2 == 0), 0)
 		}
 		q.Dequeue(0)
 		if err := AuditQdisc(q); err != nil {
@@ -26,18 +27,27 @@ func TestAuditQdiscCleanQueues(t *testing.T) {
 }
 
 func TestAuditQdiscDetectsCounterDrift(t *testing.T) {
-	f := NewFIFO(0)
+	f := NewQueue(1, 0, 0)
 	f.Enqueue(dataPkt(1, 1538, false), 0)
-	f.q.bytes += 7
+	f.bands[0].bytes += 7
 	if err := AuditQdisc(f); err == nil {
 		t.Error("FIFO byte drift not detected")
 	}
 
-	pq := NewPrioQdisc(4, DefaultBuffer)
+	pq := NewQueue(4, 0, DefaultBuffer)
 	pq.Enqueue(dataPkt(1, 1538, false), 0)
 	pq.total -= 100
 	if err := AuditQdisc(pq); err == nil {
-		t.Error("PrioQdisc total drift not detected")
+		t.Error("priority queue total drift not detected")
+	}
+
+	sq := NewSchedFirstQueue(0)
+	sq.Enqueue(dataPkt(1, 1538, false), 0)
+	sq.Enqueue(dataPkt(2, 1538, true), 0)
+	sq.Dequeue(0)
+	sq.bands[1].bytes += 9
+	if err := AuditQdisc(sq); err == nil {
+		t.Error("scheduled-first unscheduled-band drift not detected")
 	}
 
 	nq := NewNDPQueue(NDPQueueConfig{Trim: true})
@@ -56,44 +66,36 @@ func TestAuditQdiscDetectsCounterDrift(t *testing.T) {
 }
 
 func TestAuditQdiscUnwrapsInstrumentation(t *testing.T) {
-	f := NewFIFO(0)
+	f := NewQueue(1, 0, 0)
 	q := Qdisc(&tracedQdisc{Qdisc: &ImpairedQdisc{inner: f, li: &LinkImpairment{}}, tracer: NewCountingTracer(), where: "t"})
 	f.Enqueue(dataPkt(1, 1538, false), 0)
 	if err := AuditQdisc(q); err != nil {
 		t.Fatalf("wrapped clean queue failed audit: %v", err)
 	}
-	f.q.bytes = 42
+	f.bands[0].bytes = 42
 	if err := AuditQdisc(q); err == nil {
 		t.Fatal("drift behind wrappers not detected")
 	}
 }
 
 // TestDropTotalsThroughInstrumentation is the regression for drop counters
-// vanishing from aggregation once a port was instrumented: dropCounterOf
-// used to return false for the tracing wrapper, so every audited or traced
-// run reported zero switch drops.
+// vanishing from aggregation once a port was instrumented: the tracing
+// wrapper used to hide the discipline's counter, so every audited or traced
+// run reported zero switch drops. Port.Send now counts every refusal itself,
+// whatever wraps the qdisc.
 func TestDropTotalsThroughInstrumentation(t *testing.T) {
 	eng := sim.NewEngine()
-	sd := NewSelectiveDrop(1000, 2000)
-	pt := NewPort(eng, sd, 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")
+	pt := NewPort(eng, NewQueue(1, 1000, 2000), 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")
 	ports := []*Port{pt}
 	InstrumentPorts(ports, NewCountingTracer())
 
-	// Two unscheduled packets: the second exceeds the selective threshold.
-	pt.Q.Enqueue(dataPkt(1, 800, false), eng.Now())
-	pt.Q.Enqueue(dataPkt(1, 800, false), eng.Now())
-	tot := DropTotals(ports)
-	if tot[DropSelective] != 1 {
-		t.Fatalf("DropTotals through instrumented port = %v, want 1 selective drop", tot)
+	// Three unscheduled packets: the first goes straight to the serializer,
+	// the second queues, the third exceeds the selective threshold.
+	for i := 0; i < 3; i++ {
+		pt.Send(dataPkt(1, 800, false))
 	}
-}
-
-// TestDropTotalsCounterInterface checks the generic Counter()-based
-// resolution that reaches disciplines defined outside this package.
-func TestDropTotalsCounterInterface(t *testing.T) {
-	var dc DropCounter
-	if dc.Counter() != &dc {
-		t.Fatal("Counter() must expose the embedded counter itself")
+	if tot := DropTotals(ports); tot != [NumDropReasons]uint64{DropSelective: 1} {
+		t.Fatalf("DropTotals through instrumented port = %v, want 1 selective drop", tot)
 	}
 }
 

@@ -16,7 +16,8 @@ type XPassQdiscConfig struct {
 	CreditLimit int
 
 	// Data is the discipline for non-credit packets. ExpressPass proper uses
-	// a plain FIFO; ExpressPass+Aeolus uses a SelectiveDrop queue.
+	// a drop-tail FIFO; ExpressPass+Aeolus adds a selective dropping
+	// threshold to it.
 	Data Qdisc
 }
 
@@ -32,7 +33,6 @@ func CreditRateFor(link sim.Rate) sim.Rate {
 // Credits for reverse-direction flows traverse this port and are paced so
 // that credit-induced data cannot oversubscribe any link.
 type XPassQdisc struct {
-	DropCounter
 	cfg        XPassQdiscConfig
 	credits    fifo
 	nextCredit sim.Time // earliest instant the next credit may leave
@@ -45,7 +45,7 @@ func NewXPassQdisc(cfg XPassQdiscConfig) *XPassQdisc {
 		cfg.CreditLimit = 15
 	}
 	if cfg.Data == nil {
-		cfg.Data = NewFIFO(DefaultBuffer)
+		cfg.Data = NewQueue(1, 0, DefaultBuffer)
 	}
 	q := &XPassQdisc{cfg: cfg}
 	q.gap = sim.TxTime(CreditSize, cfg.CreditRate)
@@ -56,14 +56,13 @@ func NewXPassQdisc(cfg XPassQdiscConfig) *XPassQdisc {
 func (q *XPassQdisc) Data() Qdisc { return q.cfg.Data }
 
 // Enqueue implements Qdisc.
-func (q *XPassQdisc) Enqueue(p *Packet, now sim.Time) bool {
+func (q *XPassQdisc) Enqueue(p *Packet, now sim.Time) DropReason {
 	if p.Type == Credit {
 		if q.credits.len() >= q.cfg.CreditLimit {
-			q.drop(p, DropCreditOver)
-			return false
+			return DropCreditOver
 		}
 		q.credits.push(p)
-		return true
+		return Queued
 	}
 	return q.cfg.Data.Enqueue(p, now)
 }
@@ -99,14 +98,3 @@ func (q *XPassQdisc) Backlog() Backlog {
 	b.Bytes += q.credits.size()
 	return b
 }
-
-// SetDropHook installs the observer on both the credit path and the inner
-// data discipline.
-func (q *XPassQdisc) SetDropHook(h DropHook) {
-	q.DropCounter.SetDropHook(h)
-	q.cfg.Data.SetDropHook(h)
-}
-
-// CreditDrops reports credits discarded by the shaper bound; this is the
-// congestion feedback signal of ExpressPass.
-func (q *XPassQdisc) CreditDrops() uint64 { return q.Drops[DropCreditOver] }

@@ -6,7 +6,6 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/core"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scheme"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
@@ -58,7 +57,7 @@ func init() {
 			Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
 				// Idealized pre-credit: scheduled-first data queues that
 				// never drop scheduled packets.
-				return wrapData(func(sim.Rate) netem.Qdisc { return core.NewOraclePrio() })
+				return wrapData(func() netem.Qdisc { return netem.NewSchedFirstQueue(0) })
 			},
 		},
 		scheme.Variant[Options]{
@@ -72,7 +71,7 @@ func init() {
 				o.RTOOnly = true
 			},
 			Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
-				return wrapData(func(sim.Rate) netem.Qdisc { return core.NewBoundedPrio(buffer) })
+				return wrapData(func() netem.Qdisc { return netem.NewSchedFirstQueue(buffer) })
 			},
 		},
 	)
@@ -96,22 +95,4 @@ func applyOpt(o *Options, key, val string) error {
 		return fmt.Errorf("unknown option %q (ExpressPass takes initrate, aggressiveness, targetloss, probetimeout, maxproberesends)", key)
 	}
 	return err
-}
-
-// wrapData builds an ExpressPass fabric whose per-port data queue is
-// produced by mk (credit shaping is always retained; host NICs get the
-// scheduled-first unbounded queue).
-func wrapData(mk func(sim.Rate) netem.Qdisc) netem.QdiscFactory {
-	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
-		var data netem.Qdisc
-		if kind == netem.HostNIC {
-			data = core.NewOraclePrio()
-		} else {
-			data = mk(rate)
-		}
-		return netem.NewXPassQdisc(netem.XPassQdiscConfig{
-			CreditRate: netem.CreditRateFor(rate),
-			Data:       data,
-		})
-	}
 }

@@ -75,20 +75,27 @@ func DefaultOptions() Options {
 }
 
 // QdiscFactory returns the fabric discipline for an ExpressPass network:
-// per-port shaped credit queues, plus either plain FIFOs (vanilla) or
-// selective-dropping data queues (Aeolus). Host NICs always get a shaped
-// credit queue over a scheduled-first data queue so pre-credit bursts never
-// block a sender's own scheduled packets or outgoing credits.
+// per-port shaped credit queues over drop-tail data FIFOs, with a selective
+// dropping threshold under Aeolus.
 func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
+	var threshold int64
+	if opts.Aeolus.Enabled {
+		threshold = opts.Aeolus.ThresholdBytes
+	}
+	return wrapData(func() netem.Qdisc { return netem.NewQueue(1, threshold, bufferBytes) })
+}
+
+// wrapData builds an ExpressPass fabric whose per-port data queue is
+// produced by mk. Every port keeps its shaped credit queue, and host NICs
+// always get an unbounded scheduled-first data queue, so pre-credit bursts
+// never block a sender's own scheduled packets or outgoing credits.
+func wrapData(mk func() netem.Qdisc) netem.QdiscFactory {
 	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
 		var data netem.Qdisc
-		switch {
-		case kind == netem.HostNIC:
-			data = core.NewOraclePrio()
-		case opts.Aeolus.Enabled:
-			data = netem.NewSelectiveDrop(opts.Aeolus.ThresholdBytes, bufferBytes)
-		default:
-			data = netem.NewFIFO(bufferBytes)
+		if kind == netem.HostNIC {
+			data = netem.NewSchedFirstQueue(0)
+		} else {
+			data = mk()
 		}
 		return netem.NewXPassQdisc(netem.XPassQdiscConfig{
 			CreditRate: netem.CreditRateFor(rate),

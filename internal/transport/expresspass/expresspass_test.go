@@ -137,13 +137,11 @@ func TestScheduledNeverDroppedUnderAeolus(t *testing.T) {
 		StartAt: sim.Time(sim.Microsecond),
 	}).Generate()
 	dropped := 0
-	for _, pt := range env.Net.SwitchPorts() {
-		pt.Q.SetDropHook(func(pkt *netem.Packet, reason netem.DropReason) {
-			if pkt.Scheduled || pkt.Type.IsControl() {
-				dropped++
-			}
-		})
-	}
+	netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, pkt *netem.Packet) {
+		if ev == netem.TraceDrop && (pkt.Scheduled || pkt.Type.IsControl()) {
+			dropped++
+		}
+	}))
 	runTrace(env, p, trace)
 	if dropped != 0 {
 		t.Fatalf("%d scheduled/control packets dropped — SPF violated", dropped)

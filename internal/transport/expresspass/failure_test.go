@@ -108,13 +108,11 @@ func TestHeavyIncastProbesSurvive(t *testing.T) {
 	opts.Aeolus = core.DefaultOptions()
 	env, p := build(t, 8, opts)
 	probeDrops := 0
-	for _, pt := range env.Net.SwitchPorts() {
-		pt.Q.SetDropHook(func(pkt *netem.Packet, _ netem.DropReason) {
-			if pkt.Type == netem.Probe {
-				probeDrops++
-			}
-		})
-	}
+	netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, pkt *netem.Packet) {
+		if ev == netem.TraceDrop && pkt.Type == netem.Probe {
+			probeDrops++
+		}
+	}))
 	// 70 concurrent messages into one receiver (senders cycle over hosts).
 	trace := (&workload.IncastConfig{
 		Fanin: 70, Receiver: 0, Hosts: 8, MsgSize: 20_000, Seed: 21,

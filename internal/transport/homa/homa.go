@@ -88,21 +88,20 @@ func DefaultOptions() Options {
 }
 
 // QdiscFactory returns the fabric discipline: 8 strict priorities with a
-// shared buffer for original Homa, a single selective-dropping FIFO for
-// Homa+Aeolus. Host NICs get an unbounded variant of the same policy so
-// local ordering matches the fabric's.
+// shared buffer, plus per-port selective dropping for Homa+Aeolus — the
+// paper's configuration keeps Homa's priority queues ("for Homa, we
+// configure per-port ECN/RED", §5.1). Host NICs get an unbounded variant of
+// the same bands so local ordering matches the fabric's.
 func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
+	var threshold int64
+	if opts.Aeolus.Enabled {
+		threshold = opts.Aeolus.ThresholdBytes
+	}
 	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
 		if kind == netem.HostNIC {
-			return netem.NewPrioQdisc(opts.NumPrios, 0) // unbounded host queue
+			return netem.NewQueue(opts.NumPrios, 0, 0) // unbounded host queue
 		}
-		if opts.Aeolus.Enabled {
-			// The paper's Homa+Aeolus switch configuration: keep Homa's
-			// priority queues, apply selective dropping per port ("for
-			// Homa, we configure per-port ECN/RED", §5.1).
-			return netem.NewPrioSelective(opts.NumPrios, opts.Aeolus.ThresholdBytes, bufferBytes)
-		}
-		return netem.NewPrioQdisc(opts.NumPrios, bufferBytes)
+		return netem.NewQueue(opts.NumPrios, threshold, bufferBytes)
 	}
 }
 

@@ -106,18 +106,16 @@ func TestIncastVanillaDropsScheduledAeolusDoesNot(t *testing.T) {
 		opts.Aeolus.Enabled = aeolus
 		opts.Aeolus.ThresholdBytes = core.DefaultThreshold
 		env, p := build(t, opts, 500<<10)
-		for _, pt := range env.Net.SwitchPorts() {
-			pt.Q.SetDropHook(func(pkt *netem.Packet, _ netem.DropReason) {
-				if pkt.Type != netem.Data {
-					return
-				}
-				if pkt.Scheduled {
-					schedDrops++
-				} else {
-					unschedDrops++
-				}
-			})
-		}
+		netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, pkt *netem.Packet) {
+			if ev != netem.TraceDrop || pkt.Type != netem.Data {
+				return
+			}
+			if pkt.Scheduled {
+				schedDrops++
+			} else {
+				unschedDrops++
+			}
+		}))
 		trace := (&workload.IncastConfig{
 			Fanin: 15, Receiver: 0, Hosts: 16, MsgSize: 200_000, Seed: 5,
 			StartAt: sim.Time(sim.Microsecond),

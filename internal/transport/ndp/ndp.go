@@ -76,7 +76,7 @@ func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
 	}
 	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
 		if kind == netem.HostNIC {
-			return core.NewOraclePrio()
+			return netem.NewSchedFirstQueue(0)
 		}
 		if opts.Aeolus.Enabled {
 			return netem.NewNDPQueue(netem.NDPQueueConfig{

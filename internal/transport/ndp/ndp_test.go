@@ -96,14 +96,15 @@ func TestAeolusIncastDropsInsteadOfTrims(t *testing.T) {
 	opts.Aeolus = core.DefaultOptions()
 	opts.Aeolus.ThresholdBytes = 4 * netem.JumboMTU
 	env, p := build(t, opts)
-	schedDrops := 0
-	for _, pt := range env.Net.SwitchPorts() {
-		pt.Q.SetDropHook(func(pkt *netem.Packet, _ netem.DropReason) {
-			if pkt.Type == netem.Data && pkt.Scheduled {
-				schedDrops++
-			}
-		})
-	}
+	schedDrops, trimmed := 0, 0
+	netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, pkt *netem.Packet) {
+		switch {
+		case ev == netem.TraceTrim:
+			trimmed++
+		case ev == netem.TraceDrop && pkt.Type == netem.Data && pkt.Scheduled:
+			schedDrops++
+		}
+	}))
 	trace := (&workload.IncastConfig{
 		Fanin: 15, Receiver: 0, Hosts: 16, MsgSize: 150_000, Seed: 12,
 		StartAt: sim.Time(sim.Microsecond),
@@ -111,12 +112,6 @@ func TestAeolusIncastDropsInsteadOfTrims(t *testing.T) {
 	done := transport.Runner(env, p, trace, sim.Time(sim.Second))
 	if done != 15 {
 		t.Fatalf("completed %d of 15", done)
-	}
-	var trimmed uint64
-	for _, pt := range env.Net.SwitchPorts() {
-		if q, ok := pt.Q.(*netem.NDPQueue); ok {
-			trimmed += q.Trimmed()
-		}
 	}
 	if trimmed != 0 {
 		t.Fatalf("NDP+Aeolus trimmed %d packets; trimming must be off", trimmed)
