@@ -1,17 +1,16 @@
 # Tier-1 gate: `make ci` must pass before every commit. It is what the
 # repository's CI runs: lint (gofmt + vet), full build, full test suite, the
-# race detector over the concurrency-bearing packages (the parallel
-# experiment pool, the event engine it drives, and the workload parser the
-# fuzz target exercises), the packet-conservation audit sweep, the
-# golden-digest gate (timing wheel and reference heap, pool on and off), the
-# allocation regression smoke (bench-smoke), and the benchmark module's own
-# build and tests (bench-check).
+# race detector over the concurrency-bearing packages (see race), the
+# packet-conservation audit sweep, the golden-digest gate (timing wheel and
+# reference heap, pool on and off), the allocation regression smoke
+# (bench-smoke), the benchmark module's own build and tests (bench-check),
+# and the rule that every example program is tested (examples).
 
 GO ?= go
 
-.PHONY: ci lint vet build test race audit golden shard-golden impair degrade fuzz bench bench-smoke bench-check scale scale-smoke scenario loc
+.PHONY: ci lint vet build test race audit golden shard-golden impair degrade fuzz bench bench-smoke bench-check scale scale-smoke scenario examples loc
 
-ci: lint build test race audit golden shard-golden impair bench-smoke bench-check scale-smoke scenario
+ci: lint build test race audit golden shard-golden impair bench-smoke bench-check scale-smoke scenario examples
 
 # gofmt gate (fails listing any unformatted file) + go vet.
 lint:
@@ -30,6 +29,11 @@ build:
 test:
 	$(GO) test ./...
 
+# Race detector over the concurrency-bearing packages: the experiments
+# fan-out (forEachPar, which RunScenarios and the §5.5 microbenchmarks
+# share) and the sharded harness, the event engine and ShardGroup, the
+# sharded network and packet pool, and the workload parser the fuzz target
+# exercises.
 race:
 	$(GO) test -race ./internal/experiments ./internal/sim ./internal/netem ./internal/workload
 
@@ -50,10 +54,10 @@ golden:
 # across shards x pool on a multi-pod fabric, the golden digests pinned under
 # shard requests x pool on the single switch (which never splits), the
 # per-shard + global conservation audit, the one-shard event-count pins, the
-# impairment x shards rule, and the ShardGroup / partitioner unit tests. Any
-# divergence is a synchronization bug — see DESIGN.md §13.
+# impairment and trace x shards rules, and the ShardGroup / partitioner unit
+# tests. Any divergence is a synchronization bug — see DESIGN.md §13.
 shard-golden:
-	$(GO) test -race -run 'TestShardedDifferential|TestShardGoldenMatrix|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting|TestCheckImpairShards' \
+	$(GO) test -race -run 'TestShardedDifferential|TestShardGoldenMatrix|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting|TestCheckImpairShards|TestCheckTraceShards' \
 		./internal/experiments
 	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestFlushDeterministicOrder' ./internal/sim ./internal/netem
 
@@ -135,6 +139,15 @@ scale:
 # ceiling and the stamped slab geometry.
 scale-smoke:
 	$(GO) test -run='TestScaleSmoke|TestScaleLedgerStateCeiling' -v ./internal/experiments
+
+# Every example program is a tested one: each examples/*/main.go needs a
+# main_test.go beside it (the existing ones pin their stdout digests).
+examples:
+	@status=0; for f in examples/*/main.go; do \
+		if [ ! -f "$$(dirname $$f)/main_test.go" ]; then \
+			echo "$$f has no main_test.go beside it"; status=1; \
+		fi; \
+	done; exit $$status
 
 # Non-test Go line count, the size figure ROADMAP.md's quality aim tracks:
 # every *.go file except *_test.go, outside the bench/ module.

@@ -59,7 +59,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "trim parameter sweeps")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
-		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each fabric; results are identical)")
+		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each fabric; deterministic at a given count, equal to the one-shard run only for RNG-free configurations)")
 		progress  = flag.Bool("progress", stderrIsTerminal(), "report per-run progress on stderr")
 		auditOn   = flag.Bool("audit", false, "verify packet-conservation invariants; exit 1 on any violation")
 		jsonOut   = flag.Bool("json", false, "emit one JSON array of tables instead of aligned text")
@@ -120,8 +120,8 @@ func main() {
 	var violated int
 	if *auditOn {
 		cfg.Audit = true
-		// Runs execute concurrently under the experiment pool; serialize both
-		// the tally and the stderr reporting.
+		// An experiment's runs execute concurrently; serialize both the tally
+		// and the stderr reporting.
 		cfg.OnAudit = func(spec experiments.RunSpec, rep *audit.Report) {
 			auditMu.Lock()
 			defer auditMu.Unlock()

@@ -19,23 +19,25 @@
 //
 // -workload accepts either a built-in name or the path of a CDF file in the
 // "<bytes> <cumulative probability>" text format. With -runs N the same
-// experiment repeats over N consecutive seeds — executed concurrently on
-// -parallel workers — and a cross-run summary is appended; results are
-// independent of -parallel.
+// experiment repeats over N consecutive scheme and incast seeds — executed
+// concurrently on -parallel workers — and a cross-run summary is appended;
+// results are independent of -parallel.
 //
 // -impair (inline steps) or -impair-file (text or JSON file) script link
 // impairments — loss, failure, rate caps, delay — on the built topology; see
 // internal/netem/timeline.go for the grammar. Injected drops show up in the
 // drops line as impair=N and are audit-accounted like any other drop.
 //
-// -dump-scenario json|text prints the canonical scenario (internal/scenario)
-// that the current flags resolve to, instead of running it; feeding that file
-// back through -scenario reproduces the flag-driven run bit-identically. A
-// flag-driven run passes the same validation as a scenario file, so flags
-// and files accept the same runs. With -scenario, the run is fully
-// determined by the scenario file: flags that would change what the run
-// computes (-topo, -scheme, -seed, ...) are rejected, while runtime knobs
-// (-audit, -parallel, -shards, -trace, -cdf) still apply.
+// The flags build a scenario (internal/scenario), and the run is that
+// scenario: -dump-scenario json|text prints it instead of running it, and
+// feeding that file back through -scenario reproduces the flag-driven run
+// bit-identically. Flags and files pass the same validation, under the
+// runtime knobs the run gets, so they accept the same runs. With -scenario,
+// the run is fully determined by the scenario file: flags that would change
+// what the run computes (-topo, -scheme, -seed, ...) are rejected, while
+// runtime knobs (-audit, -parallel, -shards, -trace, -cdf) still apply.
+// -trace needs one engine, so it is rejected with -shards on a fabric that
+// splits.
 package main
 
 import (
@@ -51,7 +53,6 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/stats"
-	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
 // semanticFlags are the flags that change what a run computes — exactly the
@@ -82,7 +83,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		runs     = flag.Int("runs", 1, "repeat over this many consecutive seeds")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (with -runs > 1)")
-		shards   = flag.Int("shards", 1, "spatial shards per run (>1 partitions the fabric across goroutines; results are identical)")
+		shards   = flag.Int("shards", 1, "spatial shards per run (>1 partitions the fabric across goroutines; deterministic at a given count, equal to the one-shard run only for RNG-free configurations)")
 		deadline = flag.Int64("deadline", 500, "extra simulated time after last arrival, ms")
 		trace    = flag.Uint64("trace", 0, "print a packet trace for this flow ID")
 		cdf      = flag.Bool("cdf", false, "print the small-flow FCT CDF (the paper's figure format)")
@@ -107,107 +108,86 @@ func main() {
 		return
 	}
 
-	cfg := experiments.DefaultConfig()
-	cfg.Budget = *budget << 20
-	cfg.Seed = *seed
-	cfg.Parallel = *parallel
-	cfg.Shards = *shards
-	cfg.Audit = *auditOn
-	cfg.Trace.TraceFlow = *trace
-
+	cfg := experiments.Config{Parallel: *parallel, Shards: *shards, Audit: *auditOn, TraceFlow: *trace}
+	var scns []scenario.Scenario
 	if *scenFile != "" {
 		flag.Visit(func(f *flag.Flag) {
 			if semanticFlags[f.Name] {
 				cliutil.Die(fmt.Errorf("-%s conflicts with -scenario: the scenario file determines the run; edit it (or regenerate with -dump-scenario) instead", f.Name))
 			}
 		})
-		sc := cliutil.LoadScenario(*scenFile)
-		if *dumpScen != "" {
-			dumpScenario(sc, *dumpScen)
-			return
+		scns = []scenario.Scenario{*cliutil.LoadScenario(*scenFile)}
+	} else {
+		wl := cliutil.Workload(*wlName)
+		if wl == nil && *incast == 0 {
+			fmt.Fprintln(os.Stderr, "nothing to send: give -workload and/or -incast")
+			os.Exit(2)
 		}
-		sem, spec, err := experiments.FromScenario(sc)
-		if err != nil {
-			cliutil.Die(err)
-		}
-		run := cfg.ForScenario(sem)
-		if err := experiments.CheckRun(run, spec); err != nil {
-			cliutil.Die(err)
-		}
-		r := experiments.Run(run, spec)
-		print1(r, *cdf)
-		exitOnViolations([]experiments.RunResult{r})
-		return
-	}
-
-	wl := cliutil.Workload(*wlName)
-	if wl == nil && *incast == 0 {
-		fmt.Fprintln(os.Stderr, "nothing to send: give -workload and/or -incast")
-		os.Exit(2)
-	}
-	if *runs < 1 {
-		*runs = 1
-	}
-	tl := cliutil.Timeline(*impair, *impFile)
-
-	specFor := func(runSeed uint64) experiments.RunSpec {
-		spec := experiments.RunSpec{
-			Scheme: experiments.SchemeSpec{
-				ID: *scheme, Workload: wl, Opts: opts,
-				RTO:       sim.Duration(*rtoUs) * sim.Microsecond,
-				Threshold: *thresh, Seed: runSeed,
-			},
-			Topo: *topo, Buffer: *buffer,
-			Workload: wl, CoreLoad: *load, Flows: *flows,
+		sc := scenario.Scenario{
+			Topo: *topo, Scheme: *scheme, Opts: opts,
+			RTO:       sim.Duration(*rtoUs) * sim.Microsecond,
+			Threshold: *thresh, Seed: *seed, SchemeSeed: *seed,
+			Workload: scenario.From(wl), Flows: *flows, Buffer: *buffer,
 			Deadline: sim.Duration(*deadline) * sim.Millisecond,
-			Impair:   tl,
+			Impair:   cliutil.Timeline(*impair, *impFile),
 		}
-		if *incast > 0 {
-			spec.Incast = &workload.IncastConfig{
-				Fanin: *incast, Receiver: 0, MsgSize: *msg, Seed: runSeed,
-				StartAt: sim.Time(10 * sim.Microsecond),
+		if wl != nil {
+			// The core load drives only the Poisson arrivals, and the budget
+			// and clamps only a derived flow count; anywhere else they are
+			// dead knobs that would pollute the scenario digest.
+			sc.CoreLoad = *load
+			if *flows == 0 {
+				d := experiments.DefaultConfig()
+				sc.Budget, sc.MinFlows, sc.MaxFlows = *budget<<20, d.MinFlows, d.MaxFlows
 			}
 		}
-		return spec
+		if *incast > 0 {
+			sc.Incast = &scenario.IncastSpec{Fanin: *incast, MsgSize: *msg, Seed: *seed,
+				StartAt: 10 * sim.Microsecond}
+		}
+		// An unknown topology is reported ahead of any other flag mistake.
+		cliutil.Topo(*topo)
+		// -runs N: the same run over N consecutive scheme and incast seeds.
+		scns = make([]scenario.Scenario, max(*runs, 1))
+		for i := range scns {
+			scns[i] = sc
+			scns[i].SchemeSeed += uint64(i)
+			if sc.Incast != nil {
+				ic := *sc.Incast
+				ic.Seed += uint64(i)
+				scns[i].Incast = &ic
+			}
+		}
 	}
 
-	// Validate up front, so a bad spec gets an error on stderr instead of a
-	// panic or a wrong run: the topology name, then the checks a scenario
-	// file gets — the structural ones on the scenario the flags resolve to
-	// (ToScenario), then the scheme and its -opt values, the traffic and
-	// the impairment timeline against the fabric (CheckRun).
-	cliutil.Topo(*topo)
-	sc, err := experiments.ToScenario(cfg, specFor(*seed))
-	if err == nil {
-		err = experiments.CheckRun(cfg, specFor(*seed))
-	}
-	if err != nil {
+	// Validate up front, under the runtime knobs the run gets, so a bad run
+	// gets an error on stderr instead of a panic or a wrong run: the
+	// scenario's structure, then the scheme and its -opt values, the
+	// traffic, the shard rule and the impairment timeline against the
+	// fabric. The copies of -runs differ only in their seeds.
+	if err := experiments.CheckScenario(cfg, &scns[0]); err != nil {
 		cliutil.Die(err)
 	}
 	if *dumpScen != "" {
-		dumpScenario(sc, *dumpScen)
+		dumpScenario(&scns[0], *dumpScen)
 		return
 	}
-
-	if *runs == 1 {
-		r := experiments.Run(cfg, specFor(*seed))
-		print1(r, *cdf)
-		exitOnViolations([]experiments.RunResult{r})
-		return
+	results := experiments.RunScenarios(cfg, scns)
+	if len(results) == 1 {
+		print1(results[0], *cdf)
+	} else {
+		printRuns(scns, results)
 	}
+	exitOnViolations(results)
+}
 
-	// Seed-replicated mode: the same experiment over consecutive seeds, fanned
-	// across the pool. Each run derives everything from its own seed, so the
-	// output is identical for every -parallel value.
-	pool := experiments.NewPool(cfg)
-	for i := 0; i < *runs; i++ {
-		pool.Submit(specFor(*seed + uint64(i)))
-	}
-	results := pool.Collect()
+// printRuns prints one line per seed-replicated run and the cross-run
+// summary.
+func printRuns(scns []scenario.Scenario, results []experiments.RunResult) {
 	var smallMeans, allMeans, effs []float64
 	for i, r := range results {
 		fmt.Printf("run %-3d seed=%-5d small mean=%sus p99=%sus | all mean=%sus max=%sus | eff=%.3f timeouts=%d\n",
-			i, *seed+uint64(i),
+			i, scns[i].SchemeSeed,
 			stats.FormatDur(r.Small.Mean), stats.FormatDur(r.Small.P99),
 			stats.FormatDur(r.All.Mean), stats.FormatDur(r.All.Max),
 			r.Efficiency, r.TimeoutFlows)
@@ -215,11 +195,10 @@ func main() {
 		allMeans = append(allMeans, r.All.Mean.Microseconds())
 		effs = append(effs, r.Efficiency)
 	}
-	fmt.Printf("\nacross %d seeds (%s, %s):\n", *runs, results[0].Scheme, *topo)
+	fmt.Printf("\nacross %d seeds (%s, %s):\n", len(results), results[0].Scheme, scns[0].Topo)
 	fmt.Printf("  small-flow mean FCT  %.2f ± %.2f us\n", mean(smallMeans), stddev(smallMeans))
 	fmt.Printf("  all-flow mean FCT    %.2f ± %.2f us\n", mean(allMeans), stddev(allMeans))
 	fmt.Printf("  efficiency           %.3f ± %.3f\n", mean(effs), stddev(effs))
-	exitOnViolations(results)
 }
 
 // dumpScenario prints the scenario in the requested interchange form. File

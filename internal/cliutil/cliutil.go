@@ -105,16 +105,13 @@ func Catalogues(schemes, topos bool) bool {
 	return schemes || topos
 }
 
-// LoadScenario reads a scenario file (JSON or canonical text) and runs the
-// full semantic validation — topology, scheme and options, traffic,
-// impairment targets — so every error a flag-driven run would hit up front
-// is reported here too.
+// LoadScenario reads a scenario file (JSON or canonical text) with its
+// structural checks. The semantic ones — topology, scheme and options,
+// traffic, impairment targets — depend on the runtime knobs the run gets, so
+// the caller runs experiments.CheckScenario under those.
 func LoadScenario(path string) *scenario.Scenario {
 	sc, err := scenario.Load(path)
 	if err != nil {
-		Die(err)
-	}
-	if err := experiments.CheckScenario(sc); err != nil {
 		Die(err)
 	}
 	return sc

@@ -75,7 +75,7 @@ func Ablation(cfg Config) []Table {
 		Columns: []string{"variant", "p50/us", "p99/us", "mean/us", "in1RTT", "maxFCT/us", "efficiency"}}
 
 	names, scns := ablationCases(cfg)
-	for i, r := range runScenarios(cfg, scns) {
+	for i, r := range RunScenarios(cfg, scns) {
 		t.Add(names[i],
 			stats.FormatDur(r.Small.P50), stats.FormatDur(r.Small.P99),
 			stats.FormatDur(r.Small.Mean), f3(r.FirstRTTFrac),

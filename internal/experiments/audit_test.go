@@ -45,15 +45,13 @@ func auditSweep(t *testing.T, sched sim.SchedulerKind) {
 		defer mu.Unlock()
 		audited++
 	}
-	// Through the Pool, so concurrent audited runs are exercised too (the
+	// Fanned out, so concurrent audited runs are exercised too (the
 	// race-enabled CI pass covers this package).
 	cfg.Parallel = 4
-	pool := NewPool(cfg)
 	specs := auditSweepSpecs()
-	for _, spec := range specs {
-		pool.Submit(spec)
-	}
-	for i, r := range pool.Collect() {
+	res := make([]RunResult, len(specs))
+	forEachPar(cfg, len(specs), func(i int) { res[i] = Run(cfg, specs[i]) })
+	for i, r := range res {
 		id := specs[i].Scheme.ID
 		if r.Completed != r.Total {
 			t.Errorf("%s: completed %d of %d", id, r.Completed, r.Total)

@@ -11,41 +11,19 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
-// microIncastRun builds the many-to-one microbenchmark of §5.5 (N senders,
-// one receiver, one 100G switch, 200 KB per sender) under ExpressPass+Aeolus
-// with the given selective-dropping threshold, runs it, and returns the
-// receiver downlink port plus the environment for instrumentation.
-func microIncastRun(cfg Config, n int, threshold int64, msg int64,
-	instrument func(env *transport.Env, bottleneck *netem.Port)) (*transport.Env, *netem.Port) {
+// microRun runs the §5.5 microbenchmark under ExpressPass+Aeolus with the
+// given selective-dropping threshold: n senders on one 100G switch each send
+// msg bytes to host 0 at 10 µs — "in each RTT, all the senders transfer
+// 200KB data to the receiver" — and again every base RTT for the given
+// number of rounds. probe instruments the run through the receiver downlink,
+// the bottleneck, before the first flow starts.
+func microRun(cfg Config, n int, threshold, msg int64, rounds int,
+	probe func(env *transport.Env, bottleneck *netem.Port)) {
 
 	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed})
 	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	env := transport.NewEnv(net, scheme.MSS)
 	proto := scheme.New(env)
-	// The bottleneck is the switch downlink to the receiver (host 0).
-	bottleneck := net.Switches[0].Ports[0]
-	trace := (&workload.IncastConfig{
-		Fanin: n, Receiver: 0, Hosts: len(net.Hosts), MsgSize: msg,
-		Seed: cfg.Seed, StartAt: sim.Time(10 * sim.Microsecond),
-	}).Generate()
-	if instrument != nil {
-		instrument(env, bottleneck)
-	}
-	transport.Runner(env, proto, trace, sim.Time(200*sim.Millisecond))
-	return env, bottleneck
-}
-
-// microSustainedRun is the §5.5 microbenchmark as described: "in each RTT,
-// all the senders transfer 200KB data to the receiver" — a fresh burst per
-// sender every base RTT for the given number of rounds.
-func microSustainedRun(cfg Config, n int, threshold int64, msg int64, rounds int,
-	instrument func(env *transport.Env, bottleneck *netem.Port)) {
-
-	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed})
-	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
-	env := transport.NewEnv(net, scheme.MSS)
-	proto := scheme.New(env)
-	bottleneck := net.Switches[0].Ports[0]
 	var traces [][]workload.FlowSpec
 	for round := 0; round < rounds; round++ {
 		start := sim.Time(10 * sim.Microsecond).Add(sim.Duration(round) * net.BaseRTT)
@@ -55,9 +33,7 @@ func microSustainedRun(cfg Config, n int, threshold int64, msg int64, rounds int
 			BaseID: uint64(round) * 10000,
 		}).Generate())
 	}
-	if instrument != nil {
-		instrument(env, bottleneck)
-	}
+	probe(env, net.Switches[0].Ports[0])
 	transport.Runner(env, proto, workload.Merge(traces...), sim.Time(200*sim.Millisecond))
 }
 
@@ -79,7 +55,7 @@ func Fig15(cfg Config) []Table {
 	samplers := make([]stats.QueueSampler, len(thresholds))
 	forEachPar(cfg, len(thresholds), func(i int) {
 		sampler := &samplers[i]
-		microSustainedRun(cfg, 16, thresholds[i], 200_000, rounds,
+		microRun(cfg, 16, thresholds[i], 200_000, rounds,
 			func(env *transport.Env, bn *netem.Port) {
 				// Sample while the per-RTT bursts keep arriving.
 				stop := sim.Time(10 * sim.Microsecond).Add(sim.Duration(rounds) * env.Net.BaseRTT)
@@ -120,7 +96,7 @@ func Fig16(cfg Config) []Table {
 	forEachPar(cfg, len(utils), func(i int) {
 		n, th := fanins[i/len(thresholds)], thresholds[i%len(thresholds)]
 		var meter stats.UtilizationMeter
-		_, _ = microIncastRun(cfg, n, th, 200_000,
+		microRun(cfg, n, th, 200_000, 1,
 			func(env *transport.Env, bn *netem.Port) {
 				// Window: one base RTT starting when the burst's front
 				// reaches the bottleneck.
@@ -191,7 +167,7 @@ func Fig17(cfg Config) []Table {
 		avg.Columns = []string{"scheme", "N=32", "N=128"}
 		p99.Columns = avg.Columns
 	}
-	res := runScenarios(cfg, Fig17Scenarios(cfg))
+	res := RunScenarios(cfg, Fig17Scenarios(cfg))
 	i := 0
 	for range fig17Schemes {
 		arow := []string{""}
@@ -254,7 +230,7 @@ func Fig18(cfg Config) []Table {
 	}
 	t := Table{ID: "fig18", Title: "Goodput vs offered load (Web Search + 64-to-1 incast mix)",
 		Columns: cols}
-	res := runScenarios(cfg, Fig18Scenarios(cfg))
+	res := RunScenarios(cfg, Fig18Scenarios(cfg))
 	i := 0
 	for range fig17Schemes {
 		row := []string{""}

@@ -110,7 +110,7 @@ func degradeLoss(cfg Config) Table {
 		Title:   "FCT slowdown and goodput vs injected loss (16-to-1, 64KB each)",
 		Columns: []string{"scheme", "loss", "completed", "meanSlowdown", "p99Slowdown", "goodput", "timeouts", "injectedDrops"}}
 	rates := degradeLossRates(cfg.Quick)
-	res := runScenarios(cfg, DegradeLossScenarios(cfg))
+	res := RunScenarios(cfg, DegradeLossScenarios(cfg))
 	i := 0
 	for range fig17Schemes {
 		for _, rate := range rates {
@@ -130,7 +130,7 @@ func degradeFlap(cfg Config) Table {
 	t := Table{ID: "degrade-flap",
 		Title:   "Link-flap recovery: receiver downlink fails 50..250µs, 1% loss throughout",
 		Columns: []string{"scheme", "completed", "meanFCT/us", "pristineFCT/us", "p99FCT/us", "timeouts", "injectedDrops"}}
-	res := runScenarios(cfg, DegradeFlapScenarios(cfg))
+	res := RunScenarios(cfg, DegradeFlapScenarios(cfg))
 	for i := 0; i < len(res); i += 2 {
 		flapped, pristine := res[i], res[i+1]
 		t.Add(flapped.Scheme,

@@ -38,7 +38,7 @@ func TestExampleScenarios(t *testing.T) {
 			t.Errorf("%s: %v", base, err)
 			continue
 		}
-		if err := CheckScenario(sc); err != nil {
+		if err := CheckScenario(Config{}, sc); err != nil {
 			t.Errorf("%s: %v", base, err)
 			continue
 		}

@@ -31,12 +31,13 @@ type Config struct {
 	Quick bool
 
 	// Parallel is the number of simulation runs executed concurrently by
-	// the experiment pool; 0 means runtime.GOMAXPROCS(0). Results are
+	// the experiment fan-out; 0 means runtime.GOMAXPROCS(0). Results are
 	// independent of this value: every run derives its randomness from
 	// (Seed, RunSpec) alone, never from scheduling order.
 	Parallel int
 
-	// Progress, when non-nil, is invoked after every completed run. It must
+	// Progress, when non-nil, is invoked after every completed run of a
+	// fanned-out batch, with the batch's run count as the total. It must
 	// tolerate concurrent calls; see ProgressPrinter.
 	Progress ProgressFunc
 
@@ -47,7 +48,7 @@ type Config struct {
 	Audit bool
 
 	// OnAudit, when non-nil and Audit is set, receives every run's report.
-	// It must tolerate concurrent calls when runs execute under a Pool.
+	// It must tolerate concurrent calls when runs are fanned out.
 	OnAudit func(spec RunSpec, rep *audit.Report)
 
 	// Impair, when non-nil, applies a scripted link-impairment timeline
@@ -60,15 +61,16 @@ type Config struct {
 	// Shards requests a spatial partition of every run's fabric: one engine
 	// per shard on its own goroutine, synchronized conservatively on the
 	// minimum cross-shard link latency (see netem.BuildShardedClos and
-	// sim.ShardGroup). Like Parallel it is a runtime knob, not part of a
-	// run's identity: results are independent of the shard count by
-	// construction, the shard tests keep proving it, and scenarios do not
-	// serialize it. The run's plan clamps the request to the topology's pod
-	// structure (an edge switch and its hosts are never split), so
-	// single-pod topologies run as one shard. Packet tracing forces one
-	// shard; an impairment timeline on a run that still splits is an error
-	// (their RNG and engine hooks are single-engine), which CheckRun reports
-	// up front.
+	// sim.ShardGroup). Like Parallel it is a runtime knob that scenarios do
+	// not serialize. A run is deterministic at a given shard count, but it
+	// equals the one-shard run only when the scheme draws no random numbers
+	// (Homa and NDP spraying and ExpressPass credit jitter draw per protocol
+	// instance, and a sharded run has one instance per shard). The run's plan
+	// clamps the request to the topology's pod structure (an edge switch and
+	// its hosts are never split), so single-pod topologies run as one shard.
+	// A packet trace or an impairment timeline on a run that still splits is
+	// an error (the tracer and the timeline's RNG and engine hooks are
+	// single-engine), which CheckRun reports up front.
 	Shards int
 
 	// Observe, when non-nil, is invoked after the topology, transport and
@@ -77,25 +79,18 @@ type Config struct {
 	// probes here). It must not schedule engine events or set env.Done.
 	Observe func(net *netem.Network, env *transport.Env, proto transport.Protocol)
 
-	// Trace holds the packet-level debugging options. They live on Config,
-	// not RunSpec, because they are observational: a run's identity — what
-	// a scenario serializes and what feeds the golden digest — is purely
-	// semantic.
-	Trace RunOptions
+	// TraceFlow, when nonzero, prints every port/host event of that flow —
+	// the packet-level view — to a mutex-guarded os.Stderr, so traced runs
+	// stay legible when fanned out. It lives on Config, not RunSpec, because
+	// it is observational: a run's identity — what a scenario serializes and
+	// what feeds the golden digest — is purely semantic.
+	TraceFlow uint64
 
 	// sched selects the event queue behind every run's engines; empty means
 	// sim.DefaultScheduler. Only this package's tests set it, to run the
 	// reference heap as an oracle: both schedulers fire events in the same
 	// (time, seq) order, so every digest must match either way.
 	sched sim.SchedulerKind
-}
-
-// RunOptions are the non-serialized debugging knobs of a run. TraceFlow,
-// when nonzero, prints every port/host event of that flow — the
-// packet-level view — to a mutex-guarded os.Stderr, so traced runs stay
-// legible under a Pool.
-type RunOptions struct {
-	TraceFlow uint64
 }
 
 // scheduler resolves the configured SchedulerKind, defaulting when unset.
@@ -236,18 +231,26 @@ type runPlan struct {
 	auds   []*audit.Auditor
 }
 
-// resolve looks up the run's scheme and topology and rejects traffic the
-// generators cannot serve on that fabric: fewer than two hosts leave no
+// resolve looks up the run's scheme and topology and clamps the shard
+// request to the topology's pod structure, returning a plan with one slot
+// per effective shard and nothing built. It rejects traffic the generators
+// cannot serve on that fabric — fewer than two hosts leave no
 // sender-receiver pair, an incast receiver must be a host, and a Poisson
-// workload needs a positive core load to set its arrival rate.
-func resolve(spec RunSpec) (Scheme, TopoDef, error) {
+// workload needs a positive core load to set its arrival rate — and an
+// impairment timeline or a packet trace on a fabric that still splits into
+// several shards.
+func resolve(cfg Config, spec RunSpec) (*runPlan, error) {
 	scheme, err := MakeScheme(spec.Scheme)
 	if err != nil {
-		return Scheme{}, TopoDef{}, err
+		return nil, err
 	}
 	topo, err := ResolveTopo(spec.Topo)
 	if err != nil {
-		return Scheme{}, TopoDef{}, err
+		return nil, err
+	}
+	n := 1
+	if cfg.Shards > 1 {
+		n = netem.ShardCount(topo.Spec, cfg.Shards)
 	}
 	hosts := topo.Hosts()
 	switch {
@@ -258,51 +261,50 @@ func resolve(spec RunSpec) (Scheme, TopoDef, error) {
 			spec.Incast.Receiver, spec.Topo, hosts-1)
 	case spec.Workload != nil && !(spec.CoreLoad > 0):
 		err = fmt.Errorf("experiments: core load %v must be positive to drive a Poisson workload", spec.CoreLoad)
+	case n > 1 && (spec.Impair != nil || cfg.Impair != nil):
+		err = fmt.Errorf("experiments: impairment timelines need one shard, but topology %s splits into %d (impairments are engine-local)", spec.Topo, n)
+	case n > 1 && cfg.TraceFlow != 0:
+		err = fmt.Errorf("experiments: packet tracing needs one shard, but topology %s splits into %d (the tracer is engine-local)", spec.Topo, n)
 	}
-	return scheme, topo, err
-}
-
-// plan resolves the run's scheme, topology, buffer and effective shard
-// count, builds the fabric and its per-shard protocol instances, and
-// installs the impairment timeline, the packet tracer and the auditors, in
-// that order — the timeline goes in before the instrumentation wraps the
-// qdiscs, so injected drops are traced and attributed like any other drop.
-// Observe sees each shard once, before any flow starts.
-func plan(cfg Config, spec RunSpec) (*runPlan, error) {
-	scheme, topo, err := resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	impair := spec.Impair
-	if impair == nil {
-		impair = cfg.Impair
+	return &runPlan{scheme: scheme, topo: topo,
+		envs: make([]*transport.Env, n), protos: make([]transport.Protocol, n)}, nil
+}
+
+// plan resolves the run, builds the fabric and its per-shard protocol
+// instances, and installs the impairment timeline, the packet tracer and the
+// auditors, in that order — the timeline goes in before the instrumentation
+// wraps the qdiscs, so injected drops are traced and attributed like any
+// other drop. Observe sees each shard once, before any flow starts.
+func plan(cfg Config, spec RunSpec) (*runPlan, error) {
+	p, err := resolve(cfg, spec)
+	if err != nil {
+		return nil, err
 	}
-	n := 1
-	if cfg.Shards > 1 && cfg.Trace.TraceFlow == 0 {
-		n = netem.ShardCount(topo.Spec, cfg.Shards)
-	}
-	if n > 1 && impair != nil {
-		return nil, fmt.Errorf("experiments: impairment timelines need one shard, but topology %s splits into %d (impairments are engine-local)", spec.Topo, n)
-	}
+	n := len(p.envs)
 	buffer := spec.Buffer
 	if buffer <= 0 {
 		buffer = netem.DefaultBuffer
 	}
-	sn := netem.BuildShardedClos(topo.Spec, n, cfg.scheduler(),
-		scheme.Factory(buffer), netem.WireSizeFor(scheme.MSS))
-	p := &runPlan{scheme: scheme, topo: topo, sn: sn,
-		envs: make([]*transport.Env, n), protos: make([]transport.Protocol, n)}
+	sn := netem.BuildShardedClos(p.topo.Spec, n, cfg.scheduler(),
+		p.scheme.Factory(buffer), netem.WireSizeFor(p.scheme.MSS))
+	p.sn = sn
 	for i := range p.envs {
-		p.envs[i] = transport.NewEnv(sn.View(i), scheme.MSS)
-		p.protos[i] = scheme.New(p.envs[i])
+		p.envs[i] = transport.NewEnv(sn.View(i), p.scheme.MSS)
+		p.protos[i] = p.scheme.New(p.envs[i])
+	}
+	impair := spec.Impair
+	if impair == nil {
+		impair = cfg.Impair
 	}
 	if impair != nil {
 		if _, err := impair.Apply(sn.Net, cfg.Seed^spec.Scheme.Seed); err != nil {
 			return nil, fmt.Errorf("experiments: %v", err)
 		}
 	}
-	if cfg.Trace.TraceFlow != 0 {
-		flow := cfg.Trace.TraceFlow
+	if flow := cfg.TraceFlow; flow != 0 {
 		tr := &netem.WriterTracer{W: stderrLocked,
 			Filter: func(p *netem.Packet) bool { return p.Flow == flow }}
 		netem.InstrumentPorts(sn.Net.AllPorts(), tr)
@@ -326,13 +328,13 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 // CheckRun returns the error Run would panic with, without executing the
 // run — the up-front validation hook of the CLIs and CheckScenario. An
 // unknown scheme or topology, traffic the generators cannot serve on the
-// fabric, an impairment target matching no port, or a timeline on a run
-// whose fabric still splits into several shards is a spec bug, not a run
-// result. Only a run with a timeline is planned, because its targets
-// resolve against the built fabric; the others build nothing.
+// fabric, an impairment target matching no port, or a timeline or packet
+// trace on a run whose fabric still splits into several shards is a spec
+// bug, not a run result. Only a run with a timeline is planned, because its
+// targets resolve against the built fabric; the others build nothing.
 func CheckRun(cfg Config, spec RunSpec) error {
 	if spec.Impair == nil && cfg.Impair == nil {
-		_, _, err := resolve(spec)
+		_, err := resolve(cfg, spec)
 		return err
 	}
 	cfg.Audit, cfg.Observe = false, nil

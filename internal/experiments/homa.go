@@ -35,7 +35,7 @@ func Fig4Scenarios(cfg Config) []scenario.Scenario {
 func Table1(cfg Config) []Table {
 	t := Table{ID: "table1", Title: "Hypothetical vs eager vs original Homa (Cache Follower)",
 		Columns: []string{"scheme", "tailFCT(0-100KB)/us", "efficiency", "avgFCT(all)/us"}}
-	for _, r := range runScenarios(cfg, Table1Scenarios(cfg)) {
+	for _, r := range RunScenarios(cfg, Table1Scenarios(cfg)) {
 		t.Add(r.Scheme, stats.FormatDur(r.Small.P999), f2(r.Efficiency),
 			stats.FormatDur(r.All.Mean))
 	}
@@ -89,7 +89,7 @@ func Fig13(cfg Config) []Table {
 	loads := loadSweep(cfg.Quick)
 	t := Table{ID: "fig13", Title: "Flows suffering timeouts vs load (Homa ± Aeolus)",
 		Columns: []string{"workload", "load", "flows", "Homa", "Homa+Aeolus"}}
-	res := runScenarios(cfg, Fig13Scenarios(cfg))
+	res := RunScenarios(cfg, Fig13Scenarios(cfg))
 	i := 0
 	for _, wl := range workload.All {
 		for _, load := range loads {
@@ -122,7 +122,7 @@ func Fig13Scenarios(cfg Config) []scenario.Scenario {
 func Table3(cfg Config) []Table {
 	t := Table{ID: "table3", Title: "Avg FCT of all flows: eager Homa vs Homa+Aeolus (54% core)",
 		Columns: []string{"workload", "EagerHoma/us", "Homa+Aeolus/us", "reduction", "effEager", "effAeolus"}}
-	res := runScenarios(cfg, Table3Scenarios(cfg))
+	res := RunScenarios(cfg, Table3Scenarios(cfg))
 	for i, wl := range workload.All {
 		eager, aeolus := res[2*i], res[2*i+1]
 		mean := [2]float64{eager.All.Mean.Microseconds(), aeolus.All.Mean.Microseconds()}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -29,11 +30,9 @@ func lossSweep(t *testing.T, schemes []string, rates []float64) {
 			specs = append(specs, spec)
 		}
 	}
-	pool := NewPool(cfg)
-	for _, spec := range specs {
-		pool.Submit(spec)
-	}
-	for j, r := range pool.Collect() {
+	res := make([]RunResult, len(specs))
+	forEachPar(cfg, len(specs), func(i int) { res[i] = Run(cfg, specs[i]) })
+	for j, r := range res {
 		k := keys[j]
 		if r.Completed != r.Total {
 			t.Errorf("%s at %g loss: completed %d of %d — recovery failed",
@@ -119,5 +118,27 @@ func TestCheckImpairShards(t *testing.T) {
 	spec.Topo, spec.Impair = TopoSingleSwitch, loss("sw0->*")
 	if err := CheckRun(cfg, spec); err != nil {
 		t.Errorf("impaired single at Shards 2 runs as one shard, got %v", err)
+	}
+}
+
+// TestCheckTraceShards applies the same rule to packet tracing: a trace on a
+// run whose fabric splits is rejected up front, naming the conflict, rather
+// than silently run on one shard; a single-pod fabric traces at any shard
+// count.
+func TestCheckTraceShards(t *testing.T) {
+	cfg := testConfig()
+	cfg.TraceFlow = 3
+	spec := GoldenSpec("xpass+aeolus")
+	spec.Topo = TopoLeafSpine
+	if err := CheckRun(cfg, spec); err != nil {
+		t.Fatalf("traced leafspine at one shard: %v", err)
+	}
+	cfg.Shards = 2
+	if err := CheckRun(cfg, spec); err == nil || !strings.Contains(err.Error(), "tracing needs one shard") {
+		t.Errorf("traced leafspine at Shards 2: CheckRun = %v, want the trace x shards conflict", err)
+	}
+	spec.Topo = TopoSingleSwitch
+	if err := CheckRun(cfg, spec); err != nil {
+		t.Errorf("traced single at Shards 2 runs as one shard, got %v", err)
 	}
 }

@@ -6,19 +6,20 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // The experiments layer is "embarrassingly parallel": every (scheme,
 // workload, load) cell is one self-contained simulation run owning a private
 // sim.Engine, netem.Network and PCG random streams, with seeds derived only
-// from (Config.Seed, RunSpec). Pool exploits that: it fans runs across
-// worker goroutines and hands the results back in submission order, so
+// from the run's scenario. forEachPar exploits that: it fans a batch of runs
+// across worker goroutines, each writing only its own result slot, so
 // parallel output is byte-identical to a serial loop over Run.
 
-// ProgressFunc observes run completions: done runs out of total submitted so
-// far, and the wall-clock elapsed since the pool started. Implementations
-// must be safe for concurrent calls from worker goroutines.
+// ProgressFunc observes run completions: done runs out of the batch's total,
+// and the wall-clock elapsed since the batch started. Implementations must be
+// safe for concurrent calls from worker goroutines.
 type ProgressFunc func(done, total int, elapsed time.Duration)
 
 // ProgressPrinter returns a mutex-guarded ProgressFunc that rewrites a
@@ -34,7 +35,8 @@ func ProgressPrinter(w io.Writer) ProgressFunc {
 	}
 }
 
-// Workers resolves the pool width: Parallel when positive, else GOMAXPROCS.
+// Workers resolves the fan-out width: Parallel when positive, else
+// GOMAXPROCS.
 func (c Config) Workers() int {
 	if c.Parallel > 0 {
 		return c.Parallel
@@ -42,112 +44,21 @@ func (c Config) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pool executes simulation runs on a fixed set of worker goroutines.
-// Submission order is preserved: Collect returns result i for the i-th
-// Submit call regardless of completion order. Runs share no state, so a
-// Pool produces exactly the results of a serial loop over Run.
-//
-// A Pool is built for one experiment, fed from a single submitting
-// goroutine, and torn down by Collect; it is not reusable afterwards.
-type Pool struct {
-	cfg  Config
-	jobs chan poolJob
-	wg   sync.WaitGroup
-
-	// runFn is the run entry point; tests swap it to inject slow or
-	// synthetic runs. Everything else goes through it unchanged.
-	runFn func(Config, RunSpec) RunResult
-
-	mu      sync.Mutex
-	results []RunResult
-	done    int
-
-	start     time.Time
-	collected bool
-}
-
-type poolJob struct {
-	idx  int
-	cfg  Config
-	spec RunSpec
-}
-
-// NewPool starts cfg.Workers() workers and returns the pool.
-func NewPool(cfg Config) *Pool {
-	p := &Pool{
-		cfg:   cfg,
-		jobs:  make(chan poolJob),
-		runFn: Run,
-		start: time.Now(),
-	}
-	n := cfg.Workers()
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for j := range p.jobs {
-		res := p.runFn(j.cfg, j.spec)
-		p.mu.Lock()
-		p.results[j.idx] = res
-		p.done++
-		done, total := p.done, len(p.results)
-		p.mu.Unlock()
-		if p.cfg.Progress != nil {
-			p.cfg.Progress(done, total, time.Since(p.start))
+// forEachPar runs fn(0..n-1) across cfg.Workers() goroutines, waits for all
+// of them, and reports each completion to cfg.Progress out of n. It is the
+// one fan-out of the package: RunScenarios drives it with plain Run, and the
+// §5.5 microbenchmarks with runs that attach probes inside. Each fn call must
+// be self-contained and write only to caller-owned slots distinct per index.
+func forEachPar(cfg Config, n int, fn func(i int)) {
+	if cfg.Progress != nil {
+		var done atomic.Int64
+		start, run := time.Now(), fn
+		fn = func(i int) {
+			run(i)
+			cfg.Progress(int(done.Add(1)), n, time.Since(start))
 		}
 	}
-}
-
-// Submit enqueues one run under the pool's Config and returns the index its
-// result will occupy in the slice Collect returns. It blocks while all
-// workers are busy; that backpressure bounds in-flight simulations at the
-// worker count.
-func (p *Pool) Submit(spec RunSpec) int {
-	return p.SubmitCfg(p.cfg, spec)
-}
-
-// SubmitCfg is Submit with a per-run Config — the scenario path uses it,
-// since every scenario carries its own semantic configuration (budget,
-// seeds, clamps) layered over the pool's runtime knobs.
-func (p *Pool) SubmitCfg(cfg Config, spec RunSpec) int {
-	if p.collected {
-		panic("experiments: Submit after Collect")
-	}
-	p.mu.Lock()
-	idx := len(p.results)
-	p.results = append(p.results, RunResult{})
-	p.mu.Unlock()
-	p.jobs <- poolJob{idx: idx, cfg: cfg, spec: spec}
-	return idx
-}
-
-// Collect waits for every submitted run and returns the results in
-// submission order. The pool cannot be used again afterwards.
-func (p *Pool) Collect() []RunResult {
-	if p.collected {
-		panic("experiments: Collect called twice")
-	}
-	p.collected = true
-	close(p.jobs)
-	p.wg.Wait()
-	return p.results
-}
-
-// forEachPar runs fn(0..n-1) across cfg.Workers() goroutines and waits for
-// all of them. It serves runs that need per-run instrumentation (the §5.5
-// microbenchmarks attach samplers inside the run) rather than plain Run;
-// each fn call must be self-contained and write only to caller-owned slots
-// distinct per index.
-func forEachPar(cfg Config, n int, fn func(i int)) {
-	workers := cfg.Workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(cfg.Workers(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -173,7 +84,7 @@ func forEachPar(cfg Config, n int, fn func(i int)) {
 }
 
 // lockedWriter serializes writes from concurrently-traced runs onto one
-// underlying stream (os.Stderr for Config.Trace.TraceFlow).
+// underlying stream (os.Stderr for Config.TraceFlow).
 type lockedWriter struct {
 	mu sync.Mutex
 	w  io.Writer

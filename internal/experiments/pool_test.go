@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
-	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
 // fig9Cfg is a budget small enough that the serial baseline stays cheap.
@@ -18,39 +18,29 @@ func fig9Cfg(seed uint64, parallel int) Config {
 }
 
 // TestPoolSerialEquivalence is the core determinism guarantee of the
-// parallel executor: running fig9's specs through a 4-worker Pool must give
-// results identical to a serial loop over Run, and the full Fig9 tables must
-// be identical cell-for-cell between Parallel=1 and Parallel=4. A second
-// seed guards against accidental coupling between run seeds and scheduling.
+// parallel fan-out: running fig9's scenarios through RunScenarios on 4
+// workers must give results identical to a serial loop over Run, in
+// declaration order, and the full Fig9 tables must be identical
+// cell-for-cell between Parallel=1 and Parallel=4. A second seed guards
+// against accidental coupling between run seeds and scheduling.
 func TestPoolSerialEquivalence(t *testing.T) {
 	// Seed 1: raw results. The fig9 grid — (workload × scheme) cells — run
-	// once serially via Run and once through a 4-worker pool; every field of
+	// once serially via Run and once through RunScenarios; every field of
 	// every RunResult (records included) must match.
 	cfg := fig9Cfg(1, 4)
-	var specs []RunSpec
-	for _, wl := range workload.All {
-		for _, id := range []string{"xpass", "xpass+aeolus"} {
-			specs = append(specs, RunSpec{
-				Scheme: SchemeSpec{ID: id, Workload: wl, Seed: cfg.Seed},
-				Topo:   TopoFatTree, Workload: wl, CoreLoad: 0.4,
-			})
-		}
+	scns := Fig9Scenarios(cfg)
+	serial := make([]RunResult, len(scns))
+	for i := range scns {
+		sem, spec := mustFromScenario(scns[i])
+		serial[i] = Run(cfg.ForScenario(sem), spec)
 	}
-	serial := make([]RunResult, len(specs))
-	for i, s := range specs {
-		serial[i] = Run(cfg, s)
-	}
-	pool := NewPool(cfg)
-	for _, s := range specs {
-		pool.Submit(s)
-	}
-	parallel := pool.Collect()
+	parallel := RunScenarios(cfg, scns)
 	if len(parallel) != len(serial) {
 		t.Fatalf("%d parallel results, want %d", len(parallel), len(serial))
 	}
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("run %d diverged between serial and pooled execution:\nserial:   %+v\nparallel: %+v",
+			t.Errorf("run %d diverged between serial and fanned-out execution:\nserial:   %+v\nparallel: %+v",
 				i, serial[i].All, parallel[i].All)
 		}
 	}
@@ -67,22 +57,20 @@ func TestPoolSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestPoolStress hammers a wide pool with many tiny runs; its real assertion
-// is the race detector (the Makefile runs this package under -race).
+// TestPoolStress fans many tiny runs across a wide RunScenarios; its real
+// assertion is the race detector (the Makefile runs this package under
+// -race).
 func TestPoolStress(t *testing.T) {
-	cfg := Config{Budget: 1 << 20, MinFlows: 10, MaxFlows: 50, Seed: 3,
-		Quick: true, Parallel: 8}
-	p := NewPool(cfg)
+	cfg := Config{Parallel: 8}
 	const runs = 48
-	for i := 0; i < runs; i++ {
-		p.Submit(RunSpec{
-			Scheme: SchemeSpec{ID: "xpass+aeolus", Seed: uint64(i)},
-			Topo:   TopoSingleSwitch,
-			Incast: &workload.IncastConfig{Fanin: 3, Receiver: 0, MsgSize: 4_000,
-				Seed: uint64(i), StartAt: sim.Time(10 * sim.Microsecond)},
-		})
+	scns := make([]scenario.Scenario, runs)
+	for i := range scns {
+		scns[i] = scenario.Scenario{Topo: TopoSingleSwitch, Scheme: "xpass+aeolus",
+			Seed: 3, SchemeSeed: uint64(i),
+			Incast: &scenario.IncastSpec{Fanin: 3, Receiver: 0, MsgSize: 4_000,
+				Seed: uint64(i), StartAt: 10 * sim.Microsecond}}
 	}
-	res := p.Collect()
+	res := RunScenarios(cfg, scns)
 	if len(res) != runs {
 		t.Fatalf("collected %d results, want %d", len(res), runs)
 	}
@@ -93,67 +81,29 @@ func TestPoolStress(t *testing.T) {
 	}
 }
 
-// TestPoolPreservesSubmissionOrder injects a deliberately slow first run and
-// checks that Collect still returns results by submission index, not by
-// completion time.
-func TestPoolPreservesSubmissionOrder(t *testing.T) {
-	p := NewPool(Config{Parallel: 4})
-	p.runFn = func(_ Config, spec RunSpec) RunResult {
-		if spec.Flows == 0 {
-			// The first-submitted run finishes last.
-			time.Sleep(50 * time.Millisecond)
-		}
-		return RunResult{Total: spec.Flows, Scheme: "fake"}
-	}
-	const n = 16
-	for i := 0; i < n; i++ {
-		if idx := p.Submit(RunSpec{Flows: i}); idx != i {
-			t.Fatalf("Submit returned index %d, want %d", idx, i)
-		}
-	}
-	res := p.Collect()
-	if len(res) != n {
-		t.Fatalf("collected %d results, want %d", len(res), n)
-	}
-	for i, r := range res {
-		if r.Total != i {
-			t.Errorf("result %d carries marker %d; submission order not preserved", i, r.Total)
-		}
-	}
-}
-
 // TestPoolProgress checks the reporter sees every completion exactly once,
-// with a monotone done count, under concurrent workers.
+// with the batch's run count as the total, under concurrent workers.
 func TestPoolProgress(t *testing.T) {
+	const n = 40
 	var mu sync.Mutex
-	var calls int
-	maxDone := 0
+	seen := make(map[int]bool)
 	cfg := Config{Parallel: 8, Progress: func(done, total int, elapsed time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
-		calls++
-		if done > maxDone {
-			maxDone = done
+		if done < 1 || done > n || seen[done] {
+			t.Errorf("progress done=%d out of range or repeated", done)
 		}
-		if done < 1 || done > total {
-			t.Errorf("progress done=%d total=%d out of range", done, total)
+		seen[done] = true
+		if total != n {
+			t.Errorf("progress total=%d, want the batch's %d runs", total, n)
 		}
 		if elapsed < 0 {
 			t.Errorf("negative elapsed %v", elapsed)
 		}
 	}}
-	p := NewPool(cfg)
-	p.runFn = func(Config, RunSpec) RunResult { return RunResult{} }
-	const n = 40
-	for i := 0; i < n; i++ {
-		p.Submit(RunSpec{Flows: i})
-	}
-	p.Collect()
-	if calls != n {
-		t.Fatalf("progress called %d times, want %d", calls, n)
-	}
-	if maxDone != n {
-		t.Fatalf("max done %d, want %d", maxDone, n)
+	forEachPar(cfg, n, func(int) {})
+	if len(seen) != n {
+		t.Fatalf("progress reported %d distinct completions, want %d", len(seen), n)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/scenario"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
 // goldenScenarioDigests pins the scenario (content) digest of every golden
@@ -85,7 +84,7 @@ func TestRegistryScenarioDigests(t *testing.T) {
 		covered++
 		h := sha256.New()
 		for i, sc := range e.Scenarios(DefaultConfig()) {
-			if err := CheckScenario(&sc); err != nil {
+			if err := CheckScenario(Config{}, &sc); err != nil {
 				t.Fatalf("%s[%d]: %v", e.ID, i, err)
 			}
 			// Both interchange forms must reproduce the value exactly; the
@@ -160,40 +159,6 @@ func TestScenarioDrivenGolden(t *testing.T) {
 	}
 }
 
-// TestToScenarioRoundTrip checks the lifting direction: lowering a scenario
-// and lifting the (Config, RunSpec) pair back reproduces the original value —
-// the -dump-scenario contract.
-func TestToScenarioRoundTrip(t *testing.T) {
-	cases := map[string]scenario.Scenario{
-		"golden":  GoldenScenario("xpass+prio"),
-		"poisson": poissonScenario(DefaultConfig(), "homa", "WebSearch", TopoLeafSpine, 0.54),
-		"degrade": degradeScenario(DefaultConfig(), "ndp+aeolus", FlapTimeline(0.01, 50*sim.Microsecond, 250*sim.Microsecond)),
-		"scale":   ScaleScenario(DefaultConfig(), 8, 0.4),
-	}
-	for name, src := range cases {
-		name, src := name, src
-		t.Run(name, func(t *testing.T) {
-			want := src
-			if err := want.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			cfg, spec, err := FromScenario(&src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ToScenario(cfg, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The name is presentation, not identity, and is not lifted.
-			want.Name = ""
-			if !reflect.DeepEqual(got, &want) {
-				t.Errorf("round trip diverged:\n got  %#v\n want %#v", got, &want)
-			}
-		})
-	}
-}
-
 // TestForScenarioKeepsRuntimeKnobs checks the Config layering: semantic
 // fields come from the scenario, runtime knobs survive from the caller.
 func TestForScenarioKeepsRuntimeKnobs(t *testing.T) {
@@ -235,7 +200,7 @@ func TestCheckRunRejectsUnservableTraffic(t *testing.T) {
 			Workload: webSearch, Flows: 100}, "core load 0"},
 	} {
 		sc := c.sc
-		if err := CheckScenario(&sc); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := CheckScenario(Config{}, &sc); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: CheckScenario = %v, want an error mentioning %q", c.name, err, c.want)
 		}
 	}
@@ -245,7 +210,7 @@ func TestCheckRunRejectsUnservableTraffic(t *testing.T) {
 		{Topo: TopoSingleSwitch, Scheme: "xpass", Incast: &scenario.IncastSpec{Fanin: 3, Receiver: 7, MsgSize: 64_000}},
 		{Topo: TopoSingleSwitch, Scheme: "xpass", Workload: webSearch, CoreLoad: 0.4, Flows: 100},
 	} {
-		if err := CheckScenario(&sc); err != nil {
+		if err := CheckScenario(Config{}, &sc); err != nil {
 			t.Errorf("CheckScenario(%s on %s): %v", sc.Scheme, sc.Topo, err)
 		}
 	}

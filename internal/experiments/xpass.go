@@ -57,7 +57,7 @@ func Fig1(cfg Config) []Table {
 		Columns: fctCols}
 	b := Table{ID: "fig1b", Title: "Blind burst in the pre-credit phase (Homa vs ideal)",
 		Columns: fctCols}
-	res := runScenarios(cfg, Fig1Scenarios(cfg))
+	res := RunScenarios(cfg, Fig1Scenarios(cfg))
 	addFCTRow(&a, wl.Name(), res[0])
 	addFCTRow(&a, wl.Name(), res[1])
 	addFCTRow(&b, wl.Name(), res[2])
@@ -106,8 +106,8 @@ func fctSweepScenarios(cfg Config, wls []*workload.CDF, ids []string, topo strin
 	return scns
 }
 
-// fctSweep runs one simulation per (workload, scheme) pair — all cells in
-// parallel through a Pool — and tabulates the small-flow FCT rows.
+// fctSweep runs one simulation per (workload, scheme) pair — all cells
+// fanned out by RunScenarios — and tabulates the small-flow FCT rows.
 func fctSweep(cfg Config, t *Table, wls []*workload.CDF, ids []string, topo string, load float64) {
 	var names []string
 	for _, wl := range wls {
@@ -115,7 +115,7 @@ func fctSweep(cfg Config, t *Table, wls []*workload.CDF, ids []string, topo stri
 			names = append(names, wl.Name())
 		}
 	}
-	for i, r := range runScenarios(cfg, fctSweepScenarios(cfg, wls, ids, topo, load)) {
+	for i, r := range RunScenarios(cfg, fctSweepScenarios(cfg, wls, ids, topo, load)) {
 		addFCTRow(t, names[i], r)
 	}
 }
@@ -178,7 +178,7 @@ func incastMCT(cfg Config, id, base, aeolus string) []Table {
 	t := Table{ID: id, Title: "7-to-1 incast MCT on the 10G testbed topology",
 		Columns: []string{"scheme", "msgKB", "rounds", "p50/us", "mean/us", "p99/us", "max/us"}}
 	sizes, rounds := incastMCTShape(cfg)
-	res := runScenarios(cfg, incastMCTScenarios(cfg, base, aeolus))
+	res := RunScenarios(cfg, incastMCTScenarios(cfg, base, aeolus))
 	i := 0
 	for range []string{base, aeolus} {
 		for _, size := range sizes {
@@ -220,7 +220,7 @@ func Fig10(cfg Config) []Table {
 	loads := loadSweep(cfg.Quick)
 	t := Table{ID: "fig10", Title: "Avg FCT of 0-100KB flows vs load (ExpressPass ± Aeolus)",
 		Columns: []string{"workload", "load", "ExpressPass/us", "ExpressPass+Aeolus/us", "improvement"}}
-	res := runScenarios(cfg, Fig10Scenarios(cfg))
+	res := RunScenarios(cfg, Fig10Scenarios(cfg))
 	i := 0
 	for _, wl := range workload.All {
 		for _, load := range loads {
@@ -269,7 +269,7 @@ func Fig10Scenarios(cfg Config) []scenario.Scenario {
 func Table4(cfg Config) []Table {
 	t := Table{ID: "table4", Title: "Aeolus vs priority queueing: ambiguity (Cache Follower, fat-tree)",
 		Columns: []string{"scheme", "maxFCT/us", "efficiency"}}
-	for _, r := range runScenarios(cfg, Table4Scenarios(cfg)) {
+	for _, r := range RunScenarios(cfg, Table4Scenarios(cfg)) {
 		t.Add(r.Scheme, stats.FormatDur(r.All.Max), f2(r.Efficiency))
 	}
 	return []Table{t}
@@ -294,7 +294,7 @@ func Table4Scenarios(cfg Config) []scenario.Scenario {
 func Table5(cfg Config) []Table {
 	t := Table{ID: "table5", Title: "Aeolus vs priority queueing: 20-to-1 incast, 400KB each",
 		Columns: []string{"scheme", "avgFCT/us", "maxFCT/us"}}
-	for _, r := range runScenarios(cfg, Table5Scenarios(cfg)) {
+	for _, r := range RunScenarios(cfg, Table5Scenarios(cfg)) {
 		t.Add(r.Scheme, stats.FormatDur(r.All.Mean), stats.FormatDur(r.All.Max))
 	}
 	return []Table{t}
