@@ -3,8 +3,10 @@
 # race detector over the concurrency-bearing packages (see race), the
 # packet-conservation audit sweep, the golden-digest gate (timing wheel and
 # reference heap, pool on and off), the allocation regression smoke
-# (bench-smoke), the benchmark module's own build and tests (bench-check),
-# and the rule that every example program is tested (examples).
+# (bench-smoke: the port path, a traced delivery and a Homa message allocate
+# nothing per packet), the benchmark module's own build and tests
+# (bench-check), and the rule that every example program is tested
+# (examples).
 
 GO ?= go
 
@@ -93,19 +95,22 @@ bench:
 	| $(GO) run ./cmd/benchjson -o BENCH_micro.json
 
 # Allocation-regression smoke for CI: the port-path allocation and packet-slab
-# churn gates (committed allocs/op + ns/op ceilings), the event-scheduler
-# hot-path and cold-pending-set gates (committed schedule/cancel ceilings, both
-# schedulers, cache-hot and out-of-cache), the flow-table lookup gate, one
-# quick iteration of the hot-path benchmarks, and the race detector over the
-# packet-pool tests.
+# churn gates (committed allocs/op + ns/op ceilings), the zero-allocation
+# traced host delivery, the event-scheduler hot-path and cold-pending-set
+# gates (committed schedule/cancel ceilings, both schedulers, cache-hot and
+# out-of-cache), the flow-table lookup gate, the Homa+Aeolus message whose
+# allocations must not grow with its size (4 MB vs 200 KB: nothing allocates
+# per packet), one quick iteration of the hot-path benchmarks, and the race
+# detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
-		-run='TestPortPathAllocs|TestPacketSlabChurnGate' ./internal/netem
+		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs' ./internal/netem
 	$(GO) test -bench=. -benchtime=1x -benchmem \
 		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate' ./internal/sim
 	$(GO) test -bench=BenchmarkFlowTableLookup -benchtime=100x -benchmem \
 		-run=TestFlowTableLookupGate ./internal/transport/rdbase
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
+	$(GO) test -run=TestMessageAllocsFlat ./internal/transport/homa
 	$(GO) test -race -run=TestPool ./internal/netem
 
 # The benchmark is its own module (bench/, run by bench/run.sh), so the root

@@ -1,7 +1,7 @@
 // Package audit is an opt-in packet-conservation checker for simulation
-// runs: it attaches to the existing observability seams (port/host tracing
-// and the ports' drop counters), follows every packet from injection to its
-// terminal event, and verifies at drain time that the books balance.
+// runs: it attaches to the existing observability seams (the port and host
+// taps and the ports' drop counters), follows every packet from injection to
+// its terminal event, and verifies at drain time that the books balance.
 //
 // The invariants checked:
 //
@@ -654,8 +654,8 @@ func (a *Auditor) Finish() *Report {
 		a.report.Pool = pp.Stats()
 	}
 
-	// Traced drops must agree with the port counters: a mismatch means a
-	// packet was refused outside Port.Send, or a drop escaped the tracer.
+	// Port.Send traces and counts every refusal, so traced drops that disagree
+	// with the port counters mean a counter moved outside Send or a lost tap.
 	a.report.DropsByReason = netem.DropTotals(a.ports)
 	var counted uint64
 	for _, n := range a.report.DropsByReason {

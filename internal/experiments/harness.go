@@ -53,9 +53,9 @@ type Config struct {
 
 	// Impair, when non-nil, applies a scripted link-impairment timeline
 	// (netem.Timeline) to every run — the CLIs' -impair/-impair-file knob.
-	// Per-run RunSpec.Impair takes precedence. The timeline is applied after
-	// the topology is built and before audit instrumentation, so injected
-	// drops stay visible to the conservation checks.
+	// Per-run RunSpec.Impair takes precedence. An injected drop is a refusal
+	// at Port.Send, traced and counted like any other drop, so the
+	// conservation checks see it.
 	Impair *netem.Timeline
 
 	// Shards requests a spatial partition of every run's fabric: one engine
@@ -275,9 +275,10 @@ func resolve(cfg Config, spec RunSpec) (*runPlan, error) {
 
 // plan resolves the run, builds the fabric and its per-shard protocol
 // instances, and installs the impairment timeline, the packet tracer and the
-// auditors, in that order — the timeline goes in before the instrumentation
-// wraps the qdiscs, so injected drops are traced and attributed like any
-// other drop. Observe sees each shard once, before any flow starts.
+// auditors. None of them wraps anything: the timeline sets each port's Imp
+// and the tracers its Tap, which Port.Send consults in a fixed order, so an
+// injected drop is traced and attributed like any other drop. Observe sees
+// each shard once, before any flow starts.
 func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 	p, err := resolve(cfg, spec)
 	if err != nil {
@@ -300,7 +301,7 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 		impair = cfg.Impair
 	}
 	if impair != nil {
-		if _, err := impair.Apply(sn.Net, cfg.Seed^spec.Scheme.Seed); err != nil {
+		if err := impair.Apply(sn.Net, cfg.Seed^spec.Scheme.Seed); err != nil {
 			return nil, fmt.Errorf("experiments: %v", err)
 		}
 	}

@@ -131,6 +131,23 @@ func TestPortPathAllocs(t *testing.T) {
 	}
 }
 
+// TestTracedDeliveryAllocs gates the host tap: a traced delivery allocates
+// nothing, because InstrumentHosts computes the host's label once.
+func TestTracedDeliveryAllocs(t *testing.T) {
+	pool := NewPacketPool()
+	host := &Host{ID: 3, Eng: sim.NewEngine(), EP: nopEndpoint{}, Pool: pool}
+	InstrumentHosts([]*Host{host}, NewCountingTracer())
+	deliver := func() {
+		p := pool.Get()
+		p.Type, p.WireSize = Data, 1538
+		host.Receive(p)
+	}
+	deliver() // warm the pool and the tracer's maps
+	if avg := testing.AllocsPerRun(1000, deliver); avg != 0 {
+		t.Errorf("a traced delivery allocates %.2f objects, want 0", avg)
+	}
+}
+
 // churnLivePackets is the standing live population of the slab-churn
 // benchmark: 8 chunks (~450 KB of packets) so the working set spans several
 // slab chunks and outsizes L1/L2 — the in-flight population of a loaded

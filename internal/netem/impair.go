@@ -19,8 +19,11 @@ import (
 //
 // Composition order on the arrival path is fixed: link failure, then
 // blackhole, then the loss process (every-nth, Gilbert-Elliott, or uniform —
-// mutually exclusive), then the inner discipline. Rate caps and delay/jitter act on the serializer side (the Port
-// consults the controller when it transmits) and never discard packets.
+// mutually exclusive), then the port's own discipline; Port.Send asks the
+// controller before it offers a packet to the qdisc. A failed link also
+// freezes the serializer (Port.kick idles until Restore). Rate caps and
+// delay/jitter act on the serializer side (the Port consults the controller
+// when it transmits) and never discard packets.
 
 // LinkImpairment is the impairment controller of one port. Install it with
 // InstallImpairment, then configure it directly (tests) or let a Timeline
@@ -60,25 +63,16 @@ type LinkImpairment struct {
 	jitter   sim.Duration
 }
 
-// ImpairedQdisc interposes a LinkImpairment between a port and its queueing
-// discipline: it refuses injected discards under DropImpairment and passes
-// everything else to the inner discipline.
-type ImpairedQdisc struct {
-	inner Qdisc
-	li    *LinkImpairment
-}
-
-// InstallImpairment wraps the port's current qdisc with an impairment stage
-// and returns the controller. The zero configuration impairs nothing; seed
-// drives the (per-port) loss and jitter processes deterministically. Install
-// before audit instrumentation (audit.Attach) so injected drops are traced.
+// InstallImpairment hangs an impairment controller off the port and returns
+// it. The zero configuration impairs nothing; seed drives the (per-port) loss
+// and jitter processes deterministically. The port's qdisc and any tap are
+// untouched, so instrumentation may come before or after.
 func InstallImpairment(pt *Port, seed uint64) *LinkImpairment {
 	li := &LinkImpairment{
 		port:     pt,
 		rng:      sim.NewRand(seed, 0x105e),
 		origRate: pt.Rate,
 	}
-	pt.Q = &ImpairedQdisc{inner: pt.Q, li: li}
 	pt.Imp = li
 	return li
 }
@@ -184,35 +178,6 @@ func (li *LinkImpairment) wireDelay() sim.Duration {
 	}
 	return d
 }
-
-// Enqueue implements Qdisc: an impairment drop is refused under
-// DropImpairment, so the port counts it and releases the packet.
-func (q *ImpairedQdisc) Enqueue(p *Packet, now sim.Time) DropReason {
-	if q.li.dropOnArrival(p) {
-		return DropImpairment
-	}
-	return q.inner.Enqueue(p, now)
-}
-
-// Dequeue implements Qdisc; a failed link yields nothing.
-func (q *ImpairedQdisc) Dequeue(now sim.Time) *Packet {
-	if q.li.down {
-		return nil
-	}
-	return q.inner.Dequeue(now)
-}
-
-// NextWake implements Qdisc. While the link is down there is no wake-up:
-// Restore kicks the port explicitly.
-func (q *ImpairedQdisc) NextWake(now sim.Time) sim.Time {
-	if q.li.down {
-		return sim.MaxTime
-	}
-	return q.inner.NextWake(now)
-}
-
-// Backlog implements Qdisc.
-func (q *ImpairedQdisc) Backlog() Backlog { return q.inner.Backlog() }
 
 // Packet match classes for impairment targeting. MatchClass resolves the
 // class names accepted by the timeline format.

@@ -58,12 +58,12 @@ func TestImpairmentTargetedLoss(t *testing.T) {
 }
 
 func TestImpairmentStatisticalRate(t *testing.T) {
-	_, pt, li, _ := impairedPort(10*sim.Gbps, 0, 11)
+	_, _, li, _ := impairedPort(10*sim.Gbps, 0, 11)
 	li.SetLoss(0.3, 0, nil)
 	dropped := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) != Queued {
+		if li.dropOnArrival(dataPkt(uint64(i), 100, false)) {
 			dropped++
 		}
 	}
@@ -74,13 +74,13 @@ func TestImpairmentStatisticalRate(t *testing.T) {
 }
 
 func TestImpairmentDeterministicNth(t *testing.T) {
-	_, pt, li, _ := impairedPort(10*sim.Gbps, 0, 3)
+	_, _, li, _ := impairedPort(10*sim.Gbps, 0, 3)
 	li.SetLoss(0, 5, func(p *Packet) bool { return p.Type == Data })
 	var pattern []bool
 	for i := 0; i < 20; i++ {
-		pattern = append(pattern, pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) == DropImpairment)
+		pattern = append(pattern, li.dropOnArrival(dataPkt(uint64(i), 100, false)))
 		// Control packets never advance the nth counter.
-		if pt.Q.Enqueue(&Packet{Type: Ack, WireSize: 64}, 0) != Queued {
+		if li.dropOnArrival(&Packet{Type: Ack, WireSize: 64}) {
 			t.Fatal("control packet dropped by data-matched nth loss")
 		}
 	}
@@ -259,6 +259,32 @@ func TestImpairmentDropsReleaseToPool(t *testing.T) {
 	}
 }
 
+// TestImpairmentAfterInstrumentation pins that install order no longer
+// matters: a port tapped before InstallImpairment traces and counts an
+// injected drop exactly once, because Port.Send decides and reports it.
+func TestImpairmentAfterInstrumentation(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := NewPacketPool()
+	pt := NewPort(eng, NewQueue(1, 0, 0), 10*sim.Gbps, 0, &sink{pool: pool}, "sw0->h0")
+	pt.Pool = pool
+	tr := NewCountingTracer()
+	InstrumentPorts([]*Port{pt}, tr)
+	InstallImpairment(pt, 1).SetBlackhole(true)
+	p := pool.Get()
+	p.Type, p.WireSize = Data, 1000
+	pt.Send(p)
+	eng.Run()
+	if n := tr.Total(TraceDrop, Data); n != 1 {
+		t.Fatalf("traced %d drops, want 1", n)
+	}
+	if want := [NumDropReasons]uint64{DropImpairment: 1}; pt.Drops != want {
+		t.Fatalf("port drops %v, want %v", pt.Drops, want)
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d packets leaked", live)
+	}
+}
+
 func TestMatchClasses(t *testing.T) {
 	sched := dataPkt(1, 1538, true)
 	unsched := dataPkt(2, 1538, false)
@@ -298,14 +324,14 @@ func TestMatchClasses(t *testing.T) {
 // genuinely bursty: the mean run of consecutive drops approaches 1/r, which
 // independent loss at the same rate cannot produce.
 func TestImpairmentGilbertElliottStationary(t *testing.T) {
-	_, pt, li, _ := impairedPort(10*sim.Gbps, 0, 17)
+	_, _, li, _ := impairedPort(10*sim.Gbps, 0, 17)
 	const p, r = 0.02, 0.25
 	li.SetGE(p, r, 0, 1, nil)
 	const n = 60000
 	dropped, bursts, run := 0, 0, 0
 	maxRun := 0
 	for i := 0; i < n; i++ {
-		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) != Queued {
+		if li.dropOnArrival(dataPkt(uint64(i), 100, false)) {
 			dropped++
 			run++
 			continue
@@ -336,38 +362,38 @@ func TestImpairmentGilbertElliottStationary(t *testing.T) {
 // matching packets, SetLoss clears the GE process, and SetGE clears uniform
 // loss — the processes are mutually exclusive by construction.
 func TestImpairmentGilbertElliottMatchAndExclusivity(t *testing.T) {
-	_, pt, li, _ := impairedPort(10*sim.Gbps, 0, 23)
+	_, _, li, _ := impairedPort(10*sim.Gbps, 0, 23)
 	li.SetGE(1, 0, 0, 1, func(p *Packet) bool { return p.Type == Data })
 	// First matching arrival is lossless (good state, good=0) and flips the
 	// chain to bad with p=1; control packets neither drop nor advance it.
-	if pt.Q.Enqueue(dataPkt(0, 100, false), 0) != Queued {
+	if li.dropOnArrival(dataPkt(0, 100, false)) {
 		t.Fatal("first data packet dropped from the good state with good=0")
 	}
 	for i := 0; i < 5; i++ {
-		if pt.Q.Enqueue(&Packet{Type: Ack, WireSize: 64}, 0) != Queued {
+		if li.dropOnArrival(&Packet{Type: Ack, WireSize: 64}) {
 			t.Fatal("control packet dropped by data-matched ge loss")
 		}
 	}
 	// r=0: the chain is absorbed in the bad state with bad=1 — every
 	// further data packet drops.
 	for i := 1; i <= 5; i++ {
-		if pt.Q.Enqueue(dataPkt(uint64(i), 100, false), 0) == Queued {
+		if !li.dropOnArrival(dataPkt(uint64(i), 100, false)) {
 			t.Fatalf("data packet %d survived the absorbed bad state", i)
 		}
 	}
 	// SetLoss replaces the chain entirely.
 	li.SetLoss(0, 0, nil)
-	if pt.Q.Enqueue(dataPkt(99, 100, false), 0) != Queued {
+	if li.dropOnArrival(dataPkt(99, 100, false)) {
 		t.Fatal("ge state leaked through SetLoss")
 	}
 	// And SetGE replaces uniform loss: rate-1 loss then a fresh all-pass
 	// chain (good=0, p=0) lets everything through again.
 	li.SetLoss(1, 0, nil)
-	if pt.Q.Enqueue(dataPkt(100, 100, false), 0) == Queued {
+	if !li.dropOnArrival(dataPkt(100, 100, false)) {
 		t.Fatal("rate-1 loss let a packet through")
 	}
 	li.SetGE(0, 0, 0, 1, nil)
-	if pt.Q.Enqueue(dataPkt(101, 100, false), 0) != Queued {
+	if li.dropOnArrival(dataPkt(101, 100, false)) {
 		t.Fatal("uniform loss leaked through SetGE")
 	}
 }

@@ -23,6 +23,11 @@ type Host struct {
 	Pool      *PacketPool // releases delivered packets; nil is valid
 	HostDelay sim.Duration
 
+	// Tap, when non-nil, observes every delivery under label (both set by
+	// InstrumentHosts). Untraced hosts pay one nil check.
+	Tap   Tracer
+	label string
+
 	RxPackets uint64
 	RxBytes   int64
 }
@@ -40,10 +45,13 @@ func (h *Host) Receive(p *Packet) {
 	h.deliver(p)
 }
 
-// deliver hands the packet to the endpoint, then releases it: the endpoint
-// boundary terminates a delivered packet's life. Endpoints must not retain
-// the packet or alias its SegList past Receive.
+// deliver shows the packet to the tap, hands it to the endpoint, then
+// releases it: the endpoint boundary terminates a delivered packet's life.
+// Endpoints must not retain the packet or alias its SegList past Receive.
 func (h *Host) deliver(p *Packet) {
+	if h.Tap != nil {
+		h.Tap.Trace(h.Eng.Now(), TraceDeliver, h.label, p)
+	}
 	if h.EP != nil {
 		h.EP.Receive(p)
 	}

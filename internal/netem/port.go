@@ -24,9 +24,14 @@ type Port struct {
 	Label string      // e.g. "leaf3->spine1", for diagnostics
 
 	// Imp, when non-nil, is the link-impairment controller installed by
-	// InstallImpairment: it may mutate Rate and add per-packet delivery
-	// delay. Unimpaired ports pay nothing for it.
+	// InstallImpairment: it may refuse arrivals, freeze the serializer,
+	// mutate Rate and add per-packet delivery delay. Unimpaired ports pay
+	// one nil check for it.
 	Imp *LinkImpairment
+
+	// Tap, when non-nil, observes the fate of every packet offered to the
+	// port (set by InstrumentPorts). Untraced ports pay one nil check.
+	Tap Tracer
 
 	// X, when non-nil, marks this port as a cross-shard link: the delivery
 	// event is handed to the shard exchange instead of the local engine, and
@@ -41,7 +46,7 @@ type Port struct {
 	// Counters.
 	TxPackets uint64
 	TxBytes   int64
-	Drops     [NumDropReasons]uint64 // packets the qdisc refused, by reason
+	Drops     [NumDropReasons]uint64 // packets Send refused, by reason
 }
 
 // portTxDone and portWake are zero-state Handler views of a Port: casting
@@ -68,13 +73,30 @@ func NewPort(eng *sim.Engine, q Qdisc, rate sim.Rate, delay sim.Duration, dst No
 	return &Port{Eng: eng, Q: q, Rate: rate, Delay: delay, Dst: dst, Label: label}
 }
 
-// Send offers a packet to the port. A packet the qdisc refuses dies here,
-// the one place a drop is counted: the port adds it to Drops under the
-// qdisc's reason and releases it to the pool, mirroring Host.deliver for
-// deliveries. A tracer, when installed, has already seen the drop inside
-// Enqueue.
+// Send offers a packet to the port and settles its fate in one place, in a
+// fixed order: the impairment's arrival drop (DropImpairment), otherwise the
+// qdisc's Enqueue; then the tap, when set, observes the outcome (a drop, a
+// trim, or a plain enqueue); then a refused packet is counted in Drops under
+// its reason and released to the pool, mirroring Host.deliver for
+// deliveries.
 func (pt *Port) Send(p *Packet) {
-	if r := pt.Q.Enqueue(p, pt.Eng.Now()); r != Queued {
+	now := pt.Eng.Now()
+	wasTrimmed := p.Trimmed
+	r := DropImpairment
+	if pt.Imp == nil || !pt.Imp.dropOnArrival(p) {
+		r = pt.Q.Enqueue(p, now)
+	}
+	if pt.Tap != nil {
+		ev := TraceEnqueue
+		switch {
+		case r != Queued:
+			ev = TraceDrop
+		case !wasTrimmed && p.Trimmed:
+			ev = TraceTrim
+		}
+		pt.Tap.Trace(now, ev, pt.Label, p)
+	}
+	if r != Queued {
 		pt.Drops[r]++
 		pt.Pool.Put(p)
 		return
@@ -83,9 +105,10 @@ func (pt *Port) Send(p *Packet) {
 }
 
 // kick starts the serializer if it is idle and a packet is eligible. If the
-// qdisc is holding shaped packets, a wake-up is scheduled instead.
+// qdisc is holding shaped packets, a wake-up is scheduled instead. A failed
+// link is frozen: kick does nothing until LinkImpairment.Restore kicks it.
 func (pt *Port) kick() {
-	if pt.busy {
+	if pt.busy || pt.Imp != nil && pt.Imp.down {
 		return
 	}
 	now := pt.Eng.Now()

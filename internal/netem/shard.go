@@ -1,7 +1,8 @@
 package netem
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
@@ -261,14 +262,8 @@ func (sn *ShardedNetwork) Flush(visit func(h Handoff)) int {
 	// it, making the merged order — and therefore the destination engines'
 	// event sequence — independent of scheduling accidents, and consistent
 	// with the (time, schedAt, seq) dispatch order the stamps induce.
-	sort.SliceStable(bar.scratch, func(a, b int) bool {
-		if bar.scratch[a].At != bar.scratch[b].At {
-			return bar.scratch[a].At < bar.scratch[b].At
-		}
-		if bar.scratch[a].Gen != bar.scratch[b].Gen {
-			return bar.scratch[a].Gen < bar.scratch[b].Gen
-		}
-		return bar.scratch[a].Src < bar.scratch[b].Src
+	slices.SortStableFunc(bar.scratch, func(a, b Handoff) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Gen, b.Gen), cmp.Compare(a.Src, b.Src))
 	})
 	// Backdating each delivery to its generation instant restores the
 	// scheduling order of the sequential run: a delivery competing with a

@@ -14,7 +14,7 @@ import (
 
 // This file is the scripted side of the impairment layer: a Timeline is a
 // serializable list of (at, target, action, params) steps that Apply compiles
-// onto a built network — wrapping every targeted port with a LinkImpairment
+// onto a built network — installing a LinkImpairment on every targeted port
 // and scheduling each step on the sim engine. The same timeline with the same
 // seed reproduces the same chaos bit for bit, which is what makes degraded
 // runs diffable across schedulers and schemes (scenario-as-data).
@@ -415,21 +415,13 @@ func matchGlob(pattern, s string) bool {
 	return px == len(pattern)
 }
 
-// ImpairmentSet is the result of applying a timeline: the per-port
-// controllers, keyed by port label.
-type ImpairmentSet struct {
-	Controllers map[string]*LinkImpairment
-}
-
 // Apply compiles the timeline onto a built network: every port matched by
-// any step is wrapped with a LinkImpairment (seeded from seed and the port
-// label, so per-port randomness is stable regardless of step order), and
-// each step is scheduled on the engine at its offset. Call after the
-// topology is built and before audit instrumentation, so injected drops are
-// traced. A step whose target matches no port is an error — a silently
-// inert chaos script would invalidate the experiment it was meant to stress.
-func (tl *Timeline) Apply(net *Network, seed uint64) (*ImpairmentSet, error) {
-	set := &ImpairmentSet{Controllers: make(map[string]*LinkImpairment)}
+// any step gets one LinkImpairment (seeded from seed and the port label, so
+// per-port randomness is stable regardless of step order), and each step is
+// scheduled on the engine at its offset. A step whose target matches no port
+// is an error — a silently inert chaos script would invalidate the
+// experiment it was meant to stress.
+func (tl *Timeline) Apply(net *Network, seed uint64) error {
 	ports := net.AllPorts()
 	for i, st := range tl.Steps {
 		var targets []*LinkImpairment
@@ -437,15 +429,13 @@ func (tl *Timeline) Apply(net *Network, seed uint64) (*ImpairmentSet, error) {
 			if !matchGlob(st.Target, pt.Label) {
 				continue
 			}
-			li, ok := set.Controllers[pt.Label]
-			if !ok {
-				li = InstallImpairment(pt, seed^labelHash(pt.Label))
-				set.Controllers[pt.Label] = li
+			if pt.Imp == nil {
+				InstallImpairment(pt, seed^labelHash(pt.Label))
 			}
-			targets = append(targets, li)
+			targets = append(targets, pt.Imp)
 		}
 		if len(targets) == 0 {
-			return nil, fmt.Errorf("timeline step %d: target %q matches no port", i, st.Target)
+			return fmt.Errorf("timeline step %d: target %q matches no port", i, st.Target)
 		}
 		step := st // capture
 		net.Eng.At(sim.Time(st.At), func() {
@@ -454,7 +444,7 @@ func (tl *Timeline) Apply(net *Network, seed uint64) (*ImpairmentSet, error) {
 			}
 		})
 	}
-	return set, nil
+	return nil
 }
 
 func applyStep(li *LinkImpairment, st TimelineStep) {

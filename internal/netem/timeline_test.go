@@ -164,7 +164,7 @@ func TestMatchGlob(t *testing.T) {
 }
 
 // TestTimelineApply compiles a flap-plus-loss script onto a real topology and
-// checks scheduling, per-port wrapping and drop attribution end to end.
+// checks scheduling, per-port installation and drop attribution end to end.
 func TestTimelineApply(t *testing.T) {
 	net := BuildClos(sim.NewEngine(), TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
@@ -174,12 +174,17 @@ func TestTimelineApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := tl.Apply(net, 42)
-	if err != nil {
+	if err := tl.Apply(net, 42); err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Controllers) != 1 {
-		t.Fatalf("%d controllers, want 1 (only sw0->h1 targeted)", len(set.Controllers))
+	impaired := 0
+	for _, pt := range net.AllPorts() {
+		if pt.Imp != nil {
+			impaired++
+		}
+	}
+	if impaired != 1 {
+		t.Fatalf("%d impaired ports, want 1 (only sw0->h1 targeted)", impaired)
 	}
 	send := func() {
 		p := net.Pool.Get()
@@ -207,7 +212,7 @@ func TestTimelineApplyRejectsUnmatchedTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tl.Apply(net, 1); err == nil {
+	if err := tl.Apply(net, 1); err == nil {
 		t.Fatal("timeline targeting no port must be rejected")
 	}
 }

@@ -13,7 +13,7 @@ type TraceEvent uint8
 // Trace event kinds.
 const (
 	TraceEnqueue TraceEvent = iota // accepted into a port queue
-	TraceDrop                      // discarded by a port queue
+	TraceDrop                      // refused by a port: qdisc or impairment
 	TraceTrim                      // payload cut by an NDP queue
 	TraceDeliver                   // handed to a host endpoint
 )
@@ -84,55 +84,32 @@ func (t *CountingTracer) Total(ev TraceEvent, typ PacketType) uint64 {
 	return t.Counts[ev][typ]
 }
 
-// tracedQdisc wraps a discipline with enqueue/drop/trim tracing.
-type tracedQdisc struct {
-	Qdisc
-	tracer Tracer
-	where  string
-}
-
-// Enqueue implements Qdisc. A refusal is traced as a drop; Port.Send then
-// counts it and releases the packet.
-func (q *tracedQdisc) Enqueue(p *Packet, now sim.Time) DropReason {
-	wasTrimmed := p.Trimmed
-	r := q.Qdisc.Enqueue(p, now)
-	switch {
-	case r != Queued:
-		q.tracer.Trace(now, TraceDrop, q.where, p)
-	case !wasTrimmed && p.Trimmed:
-		q.tracer.Trace(now, TraceTrim, q.where, p)
-	default:
-		q.tracer.Trace(now, TraceEnqueue, q.where, p)
-	}
-	return r
-}
-
-// InstrumentPorts wraps every given port's qdisc so the tracer observes all
-// enqueues, drops and trims. Call before traffic starts.
+// InstrumentPorts makes the tracer a tap on every given port, so it observes
+// all enqueues, drops and trims where Port.Send decides them. A port that
+// already has a tap keeps it, and the new tracer sees each event after it.
 func InstrumentPorts(ports []*Port, tr Tracer) {
 	for _, pt := range ports {
-		pt.Q = &tracedQdisc{Qdisc: pt.Q, tracer: tr, where: pt.Label}
+		pt.Tap = tee(pt.Tap, tr)
 	}
 }
 
-// InstrumentHosts wraps every host endpoint so the tracer observes packet
-// deliveries. Call after the protocol has attached its endpoints.
+// InstrumentHosts makes the tracer a tap on every given host, so it observes
+// packet deliveries, labelled "host<ID>"; taps chain as in InstrumentPorts.
 func InstrumentHosts(hosts []*Host, tr Tracer) {
 	for _, h := range hosts {
-		h.EP = &tracedEndpoint{inner: h.EP, tracer: tr, host: h}
+		h.Tap = tee(h.Tap, tr)
+		h.label = fmt.Sprintf("host%d", h.ID)
 	}
 }
 
-type tracedEndpoint struct {
-	inner  Endpoint
-	tracer Tracer
-	host   *Host
-}
-
-// Receive implements Endpoint.
-func (t *tracedEndpoint) Receive(p *Packet) {
-	t.tracer.Trace(t.host.Eng.Now(), TraceDeliver, fmt.Sprintf("host%d", t.host.ID), p)
-	if t.inner != nil {
-		t.inner.Receive(p)
+// tee returns tr when no tap is set yet, otherwise a tracer that forwards
+// each event to the existing tap and then to tr.
+func tee(tap, tr Tracer) Tracer {
+	if tap == nil {
+		return tr
 	}
+	return TraceFunc(func(now sim.Time, ev TraceEvent, where string, p *Packet) {
+		tap.Trace(now, ev, where, p)
+		tr.Trace(now, ev, where, p)
+	})
 }

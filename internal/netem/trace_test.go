@@ -75,24 +75,52 @@ func TestInstrumentedPortsAndHosts(t *testing.T) {
 	}
 }
 
+// TestTapsChainInInstallOrder: instrumenting a tapped port or host chains
+// the new tracer after the existing one, so each event reaches both, the
+// first-installed tracer first.
+func TestTapsChainInInstallOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, nil, 0)
+	var log []string
+	for _, name := range []string{"first", "second"} {
+		tr := TraceFunc(func(_ sim.Time, ev TraceEvent, where string, _ *Packet) {
+			log = append(log, name+" "+ev.String()+" "+where)
+		})
+		InstrumentPorts(net.AllPorts(), tr)
+		InstrumentHosts(net.Hosts, tr)
+	}
+	p := net.Pool.Get()
+	p.Type, p.Src, p.Dst, p.WireSize = Data, 0, 1, 1000
+	net.Hosts[0].Send(p)
+	eng.Run()
+	want := "first ENQ h0->sw0; second ENQ h0->sw0; first ENQ sw0->h1; second ENQ sw0->h1; " +
+		"first DELIVER host1; second DELIVER host1"
+	if got := strings.Join(log, "; "); got != want {
+		t.Fatalf("events:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestTraceTrimEvent overflows an NDP port's data queue: Port.Send reports
+// the packet the queue cut to a header as a trim, not an enqueue or a drop.
 func TestTraceTrimEvent(t *testing.T) {
 	tr := NewCountingTracer()
-	q := NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 2 * 9000})
-	traced := &tracedQdisc{Qdisc: q, tracer: tr, where: "t"}
-	for i := 0; i < 2; i++ {
-		if traced.Enqueue(dataPkt(uint64(i), 9000, false), 0) != Queued {
-			t.Fatal("fill dropped")
-		}
-	}
-	over := dataPkt(9, 9000, false)
-	if traced.Enqueue(over, 0) != Queued {
-		t.Fatal("overflow should trim, not drop")
+	pt := NewPort(sim.NewEngine(), NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 2 * 9000}),
+		10*sim.Gbps, 0, nil, "t")
+	InstrumentPorts([]*Port{pt}, tr)
+	// The first packet goes straight to the serializer, the next two fill
+	// the data queue, and the fourth overflows it.
+	for i := 0; i < 4; i++ {
+		pt.Send(dataPkt(uint64(i), 9000, false))
 	}
 	if tr.Total(TraceTrim, Data) != 1 {
 		t.Fatalf("trim events = %d, want 1", tr.Total(TraceTrim, Data))
 	}
-	if tr.Total(TraceEnqueue, Data) != 2 {
-		t.Fatalf("enqueue events = %d, want 2", tr.Total(TraceEnqueue, Data))
+	if tr.Total(TraceEnqueue, Data) != 3 {
+		t.Fatalf("enqueue events = %d, want 3", tr.Total(TraceEnqueue, Data))
+	}
+	if pt.Drops != [NumDropReasons]uint64{} {
+		t.Fatalf("drops %v, want none: a trim is not a drop", pt.Drops)
 	}
 }
 

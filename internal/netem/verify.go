@@ -24,14 +24,9 @@ func (f *fifo) audit(name string) error {
 // AuditQdisc verifies a discipline's cached byte counters against its actual
 // queue contents: each Queue band and the shared-buffer total against the
 // band sums, the two NDP queues, and the ExpressPass credit queue plus its
-// inner data discipline. Instrumentation and fault-injection wrappers are
-// unwrapped; any other discipline passes vacuously.
+// inner data discipline. Any other discipline passes vacuously.
 func AuditQdisc(q Qdisc) error {
 	switch v := q.(type) {
-	case *tracedQdisc:
-		return AuditQdisc(v.Qdisc)
-	case *ImpairedQdisc:
-		return AuditQdisc(v.inner)
 	case *Queue:
 		var total int64
 		for i := range v.bands {

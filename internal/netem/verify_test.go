@@ -65,24 +65,34 @@ func TestAuditQdiscDetectsCounterDrift(t *testing.T) {
 	}
 }
 
-func TestAuditQdiscUnwrapsInstrumentation(t *testing.T) {
-	f := NewQueue(1, 0, 0)
-	q := Qdisc(&tracedQdisc{Qdisc: &ImpairedQdisc{inner: f, li: &LinkImpairment{}}, tracer: NewCountingTracer(), where: "t"})
-	f.Enqueue(dataPkt(1, 1538, false), 0)
-	if err := AuditQdisc(q); err != nil {
-		t.Fatalf("wrapped clean queue failed audit: %v", err)
+// TestInstrumentedImpairedPortKeepsItsQdisc: taps and impairment hang off
+// the port, never around its discipline, so on a traced, impaired port pt.Q
+// is still the scheme's own queue and AuditQdisc reads its counters.
+func TestInstrumentedImpairedPortKeepsItsQdisc(t *testing.T) {
+	q := NewQueue(1, 0, DefaultBuffer)
+	pt := NewPort(sim.NewEngine(), q, 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")
+	InstrumentPorts([]*Port{pt}, NewCountingTracer())
+	InstallImpairment(pt, 1)
+	InstrumentPorts([]*Port{pt}, NewCountingTracer())
+	if pt.Q != Qdisc(q) {
+		t.Fatalf("pt.Q is %T, want the port's own *Queue", pt.Q)
 	}
-	f.bands[0].bytes = 42
-	if err := AuditQdisc(q); err == nil {
-		t.Fatal("drift behind wrappers not detected")
+	// The first packet goes to the serializer, the second stays queued.
+	pt.Send(dataPkt(1, 1538, false))
+	pt.Send(dataPkt(2, 1538, false))
+	if err := AuditQdisc(pt.Q); err != nil {
+		t.Fatalf("clean queue failed audit: %v", err)
+	}
+	q.bands[0].bytes = 42
+	if err := AuditQdisc(pt.Q); err == nil {
+		t.Fatal("corrupted byte counter not detected")
 	}
 }
 
 // TestDropTotalsThroughInstrumentation is the regression for drop counters
-// vanishing from aggregation once a port was instrumented: the tracing
+// vanishing from aggregation once a port was instrumented: a tracing
 // wrapper used to hide the discipline's counter, so every audited or traced
-// run reported zero switch drops. Port.Send now counts every refusal itself,
-// whatever wraps the qdisc.
+// run reported zero switch drops. Port.Send now counts every refusal itself.
 func TestDropTotalsThroughInstrumentation(t *testing.T) {
 	eng := sim.NewEngine()
 	pt := NewPort(eng, NewQueue(1, 1000, 2000), 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")

@@ -4,18 +4,24 @@ import (
 	"fmt"
 )
 
-// Handler is the allocation-free alternative to scheduling a closure: an
-// object implementing Fire is dispatched directly when its event comes due.
-// Hot-path callers (port serialization, packet delivery, timers) implement
-// Handler on long-lived objects so that scheduling captures no environment.
+// Handler is what every event runs: an object implementing Fire is
+// dispatched directly when its event comes due. Hot-path callers (port
+// serialization, packet delivery, timers) implement Handler on long-lived
+// objects so that scheduling captures no environment; At and After wrap
+// their closure as a funcHandler.
 type Handler interface{ Fire() }
+
+// funcHandler is the Handler view of a closure. A func value is
+// pointer-shaped, so storing one in a Handler allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // Event flag bits. Fired and canceled survive release so stale handles keep
 // reading an event's final state truthfully until the slot is reissued.
 const (
 	evFired uint8 = 1 << iota
 	evCanceled
-	evHasFn // callback is a closure in the slab's cold fns array
 )
 
 // Event is a scheduled callback, a 64-byte slot in the engine's slab arena.
@@ -23,8 +29,7 @@ const (
 // resolve (fire or cancel); callers refer to them only through the
 // generation-checked Handle returned by At/After, never by raw pointer or
 // index. The layout packs the dispatch keys (time, schedAt, seq) and the
-// handler word into one cache line; the cold closure path lives outside the
-// struct entirely (eventSlab.fns).
+// handler word into one cache line.
 type Event struct {
 	time Time
 	seq  uint64
@@ -198,27 +203,23 @@ func (e *Engine) acquire(t Time) (*Event, uint32) {
 }
 
 // release returns a resolved (fired or canceled) event to the slab's free
-// list. The callback references are dropped so the engine does not pin
-// closures or handlers alive; the generation is NOT bumped here — it bumps
-// on reissue, so stale handles keep reading the event's final state
-// truthfully until the slot is reused.
+// list. The handler reference is dropped so the engine does not pin closures
+// or handlers alive; the generation is NOT bumped here — it bumps on
+// reissue, so stale handles keep reading the event's final state truthfully
+// until the slot is reused.
 func (e *Engine) release(ev *Event, idx uint32) {
 	ev.h = nil
-	if ev.flags&evHasFn != 0 {
-		e.slab.clearFn(idx)
-		ev.flags &^= evHasFn
-	}
 	e.slab.free(idx)
 }
 
-func (e *Engine) schedule(t Time, fn func(), h Handler) Handle {
-	return e.scheduleFrom(t, e.now, fn, h)
+func (e *Engine) schedule(t Time, h Handler) Handle {
+	return e.scheduleFrom(t, e.now, h)
 }
 
 // scheduleFrom is schedule with an explicit schedAt stamp. The stamp must be
 // set before the event enters the queue — it is part of the heap's ordering
 // key, and mutating a key after insertion would corrupt the heap invariant.
-func (e *Engine) scheduleFrom(t, from Time, fn func(), h Handler) Handle {
+func (e *Engine) scheduleFrom(t, from Time, h Handler) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -228,31 +229,27 @@ func (e *Engine) scheduleFrom(t, from Time, fn func(), h Handler) Handle {
 	ev, idx := e.acquire(t)
 	ev.schedAt = from
 	ev.h = h
-	if fn != nil {
-		ev.flags |= evHasFn
-		e.slab.setFn(idx, fn)
-	}
 	e.q.schedule(ev, idx)
 	return Handle{eng: e, idx: idx, gen: ev.gen}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics —
 // that is always a logic error in a simulation.
-func (e *Engine) At(t Time, fn func()) Handle { return e.schedule(t, fn, nil) }
+func (e *Engine) At(t Time, fn func()) Handle { return e.schedule(t, funcHandler(fn)) }
 
 // After schedules fn to run d from now. A negative d panics.
 func (e *Engine) After(d Duration, fn func()) Handle {
-	return e.schedule(e.now.Add(d), fn, nil)
+	return e.schedule(e.now.Add(d), funcHandler(fn))
 }
 
 // AtHandler schedules h.Fire to run at absolute time t without allocating a
 // closure. Scheduling in the past panics.
-func (e *Engine) AtHandler(t Time, h Handler) Handle { return e.schedule(t, nil, h) }
+func (e *Engine) AtHandler(t Time, h Handler) Handle { return e.schedule(t, h) }
 
 // AfterHandler schedules h.Fire to run d from now without allocating a
 // closure. A negative d panics.
 func (e *Engine) AfterHandler(d Duration, h Handler) Handle {
-	return e.schedule(e.now.Add(d), nil, h)
+	return e.schedule(e.now.Add(d), h)
 }
 
 // AtHandlerFrom schedules h.Fire at absolute time t, stamping the event as if
@@ -266,7 +263,7 @@ func (e *Engine) AfterHandler(d Duration, h Handler) Handle {
 // same-timestamp collisions at contended queues resolve identically. t must
 // not precede the engine clock and from must not exceed t; either panics.
 func (e *Engine) AtHandlerFrom(t, from Time, h Handler) Handle {
-	return e.scheduleFrom(t, from, nil, h)
+	return e.scheduleFrom(t, from, h)
 }
 
 // Stop makes the current Run call return after the in-flight event completes.
@@ -299,7 +296,7 @@ func (e *Engine) CheckInvariants() error {
 		if ev.in != listNone {
 			return fmt.Errorf("sim: free-list entry %d still claims wheel list %d", i, ev.in)
 		}
-		if ev.h != nil || ev.flags&evHasFn != 0 || e.slab.fn(i) != nil {
+		if ev.h != nil {
 			return fmt.Errorf("sim: free-list entry %d retains a callback", i)
 		}
 		if !ev.resolved() {
@@ -333,19 +330,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.now = ev.time
 		ev.flags |= evFired
 		h := ev.h
-		var fn func()
-		if h == nil {
-			fn = e.slab.fn(idx)
-		}
-		// Release before firing: the callback may immediately reschedule and
+		// Release before firing: the handler may immediately reschedule and
 		// reuse this very slot (the common timer-rearm pattern), which is
 		// safe because reissue bumps the generation.
 		e.release(ev, idx)
-		if h != nil {
-			h.Fire()
-		} else {
-			fn()
-		}
+		h.Fire()
 		e.fired++
 	}
 	if deadline != MaxTime && e.now < deadline && !e.stopped {

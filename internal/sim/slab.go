@@ -4,9 +4,7 @@ package sim
 // dense uint32 indices instead of pointers, so the scheduler's intrusive
 // links, the heap's positions and every Handle are 4-byte indices into
 // contiguous chunks — the hot pending set packs into a few cache-resident
-// pages instead of being scattered across the GC heap, and the chunks
-// themselves hold no pointers the collector must trace (the cold closure
-// path lives in a parallel, lazily allocated chunk array).
+// pages instead of being scattered across the GC heap.
 //
 // Chunks never move and never shrink: an index issued once stays valid for
 // the engine's lifetime, and the generation counter on each slot extends the
@@ -15,7 +13,7 @@ package sim
 
 const (
 	// eventChunkBits sizes a chunk at 4096 events — 256 KiB of 64-byte
-	// events, a few pages of closure slots when the cold path is in use.
+	// events.
 	eventChunkBits = 12
 
 	// EventChunkSize is the number of events per slab chunk. Exported so the
@@ -36,13 +34,6 @@ const nilIdx = ^uint32(0)
 // hottest slots first and carving stops once the pool warms up.
 type eventSlab struct {
 	chunks []*[EventChunkSize]Event
-
-	// fns holds the cold closure path: fns[c][i] is the callback of event
-	// c<<eventChunkBits|i when it was scheduled with At/After rather than a
-	// Handler. A chunk's closure array is allocated only when the first
-	// closure lands in it, so handler-only workloads (the packet hot path)
-	// never pay for it.
-	fns []*[EventChunkSize]func()
 
 	freeHead uint32 // LIFO free list threaded through Event.next
 	freeLen  uint32
@@ -71,7 +62,6 @@ func (s *eventSlab) alloc() (*Event, uint32) {
 	idx := uint32(s.carved)
 	if int(idx>>eventChunkBits) == len(s.chunks) {
 		s.chunks = append(s.chunks, new([EventChunkSize]Event))
-		s.fns = append(s.fns, nil)
 	}
 	s.carved++
 	ev := s.at(idx)
@@ -82,7 +72,7 @@ func (s *eventSlab) alloc() (*Event, uint32) {
 }
 
 // free threads a resolved slot back onto the free list. The caller has
-// already cleared the callback references; the slot's generation is NOT
+// already cleared the handler reference; the slot's generation is NOT
 // bumped here — it bumps on reissue, so stale handles keep reading the
 // event's final state truthfully until the slot is reused.
 func (s *eventSlab) free(idx uint32) {
@@ -91,29 +81,4 @@ func (s *eventSlab) free(idx uint32) {
 	ev.prev = nilIdx
 	s.freeHead = idx
 	s.freeLen++
-}
-
-// setFn stores an event's closure in the cold parallel array, allocating
-// the chunk's closure slots on first use.
-func (s *eventSlab) setFn(idx uint32, fn func()) {
-	c := idx >> eventChunkBits
-	if s.fns[c] == nil {
-		s.fns[c] = new([EventChunkSize]func())
-	}
-	s.fns[c][idx&eventChunkMask] = fn
-}
-
-// fn returns the closure stored for idx, nil when none is set.
-func (s *eventSlab) fn(idx uint32) func() {
-	c := idx >> eventChunkBits
-	if fns := s.fns[c]; fns != nil {
-		return fns[idx&eventChunkMask]
-	}
-	return nil
-}
-
-// clearFn drops the closure reference so the engine does not pin it alive
-// after the event resolves.
-func (s *eventSlab) clearFn(idx uint32) {
-	s.fns[idx>>eventChunkBits][idx&eventChunkMask] = nil
 }

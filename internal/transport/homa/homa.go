@@ -26,8 +26,9 @@
 package homa
 
 import (
+	"cmp"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"github.com/aeolus-transport/aeolus/internal/core"
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -425,11 +426,10 @@ func (r *rxHost) schedule() {
 	if len(active) == 0 {
 		return
 	}
-	sort.Slice(active, func(i, j int) bool {
-		if active[i].remaining() != active[j].remaining() {
-			return active[i].remaining() < active[j].remaining()
-		}
-		return active[i].rx.Flow.ID < active[j].rx.Flow.ID
+	// Flow IDs are unique, so the order is total and the permutation is the
+	// same whatever the sort; SortFunc, unlike sort.Slice, allocates nothing.
+	slices.SortFunc(active, func(a, b *rxMsg) int {
+		return cmp.Or(cmp.Compare(a.remaining(), b.remaining()), cmp.Compare(a.rx.Flow.ID, b.rx.Flow.ID))
 	})
 	k := r.p.opts.Overcommit
 	if k > len(active) {

@@ -96,6 +96,28 @@ func TestSingleLargeMessageUsesGrants(t *testing.T) {
 	}
 }
 
+// TestMessageAllocsFlat gates the zero-allocation claim on the Homa path: a
+// lone Homa+Aeolus message costs about as many allocations at 4 MB as at
+// 200 KB, so nothing on the way (grant scheduling included) allocates per
+// packet.
+func TestMessageAllocsFlat(t *testing.T) {
+	allocs := func(size int64) float64 {
+		return testing.AllocsPerRun(1, func() {
+			opts := DefaultOptions()
+			opts.Aeolus.Enabled = true
+			opts.Aeolus.ThresholdBytes = core.DefaultThreshold
+			env, p := build(t, opts, netem.DefaultBuffer)
+			if transport.Runner(env, p, oneFlow(0, 5, size), sim.Time(sim.Second)) != 1 {
+				t.Fatalf("%d-byte message did not complete", size)
+			}
+		})
+	}
+	small, large := allocs(200_000), allocs(4_000_000)
+	if large > small*1.1 {
+		t.Errorf("a 4 MB message allocates %.0f objects, a 200 KB one %.0f: something allocates per packet", large, small)
+	}
+}
+
 func TestIncastVanillaDropsScheduledAeolusDoesNot(t *testing.T) {
 	// Heavy incast into one receiver with a small shared buffer: vanilla
 	// Homa (unscheduled at high priority) must lose scheduled packets;
