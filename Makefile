@@ -4,8 +4,9 @@
 # packet-conservation audit sweep, the golden-digest gate (timing wheel and
 # reference heap, pool on and off), the allocation regression smoke
 # (bench-smoke: the port path, a traced delivery and a Homa message allocate
-# nothing per packet), the benchmark module's own build and tests
-# (bench-check), and the rule that every example program is tested
+# nothing per packet, a queue's buffer follows its backlog, and a small run
+# stays under its allocation ceiling), the benchmark module's own build and
+# tests (bench-check), and the rule that every example program is tested
 # (examples).
 
 GO ?= go
@@ -96,21 +97,26 @@ bench:
 
 # Allocation-regression smoke for CI: the port-path allocation and packet-slab
 # churn gates (committed allocs/op + ns/op ceilings), the zero-allocation
-# traced host delivery, the event-scheduler hot-path and cold-pending-set
-# gates (committed schedule/cancel ceilings, both schedulers, cache-hot and
-# out-of-cache), the flow-table lookup gate, the Homa+Aeolus message whose
-# allocations must not grow with its size (4 MB vs 200 KB: nothing allocates
-# per packet), one quick iteration of the hot-path benchmarks, and the race
-# detector over the packet-pool tests.
+# traced host delivery, the queue-buffer gate (100k packets through a FIFO at
+# a backlog of 4 and the ExpressPass credit queue at its 15-credit cap leave
+# 8- and 16-slot rings: a buffer follows its backlog, not its busy period),
+# the event-scheduler hot-path and cold-pending-set gates (committed
+# schedule/cancel ceilings, both schedulers, cache-hot and out-of-cache), the
+# flow-table lookup gate, the Homa+Aeolus message whose allocations must not
+# grow with its size (4 MB vs 200 KB: nothing allocates per packet), the
+# small-run allocation ceilings (a 7-to-1 30 KB leafspine incast per Aeolus
+# family under a committed byte budget), one quick iteration of the hot-path
+# benchmarks, and the race detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
-		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs' ./internal/netem
+		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs|TestQueueBufferFollowsBacklog' ./internal/netem
 	$(GO) test -bench=. -benchtime=1x -benchmem \
 		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate' ./internal/sim
 	$(GO) test -bench=BenchmarkFlowTableLookup -benchtime=100x -benchmem \
 		-run=TestFlowTableLookupGate ./internal/transport/rdbase
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
 	$(GO) test -run=TestMessageAllocsFlat ./internal/transport/homa
+	$(GO) test -run=TestSmallRunAllocCeiling ./internal/experiments
 	$(GO) test -race -run=TestPool ./internal/netem
 
 # The benchmark is its own module (bench/, run by bench/run.sh), so the root

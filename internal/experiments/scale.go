@@ -13,6 +13,7 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/transport"
+	"github.com/aeolus-transport/aeolus/internal/transport/rdbase"
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
@@ -81,11 +82,13 @@ type ScalePoint struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 
 	// Slab geometry the cell was measured under. Chunk sizes change cache
-	// behavior, so cells measured under different geometry are not directly
-	// comparable; stamping them keeps old baseline cells honest. Zero in
-	// cells recorded before the slab allocators existed.
+	// behavior and the retained heap (the flow-table chunk moves
+	// state_bytes_per_flow directly), so cells measured under different
+	// geometry are not directly comparable; stamping them keeps old baseline
+	// cells honest. Zero in cells recorded before the geometry was stamped.
 	EventChunk  int `json:"event_chunk,omitempty"`
 	PacketChunk int `json:"packet_chunk,omitempty"`
+	FlowChunk   int `json:"flow_chunk,omitempty"`
 
 	// Scheduler pressure: the engine's peak simultaneous pending events and,
 	// for the timing wheel, the peak population of the far-future overflow
@@ -200,6 +203,7 @@ func MeasureScale(cfg Config, width int, load float64) ScalePoint {
 	pt.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	pt.EventChunk = sim.EventChunkSize
 	pt.PacketChunk = netem.PacketChunkSize
+	pt.FlowChunk = rdbase.FlowChunkSize
 	pt.recompute()
 	pt.PeakPending, pt.PeakOverflow = res.Sched.PeakPending, res.Sched.PeakOverflow
 	pt.HeapPeakBytes = max(sampled, heapEnd)

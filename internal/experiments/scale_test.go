@@ -7,6 +7,7 @@ import (
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
+	"github.com/aeolus-transport/aeolus/internal/transport/rdbase"
 )
 
 // ledgerPath is the committed scale ledger at the repo root, relative to this
@@ -175,9 +176,11 @@ func TestScaleLedgerStateCeiling(t *testing.T) {
 		t.Errorf("no h1024 cells in %s current section; run `make scale` on the full grid", ledgerPath)
 	}
 	for key, pt := range led.Current {
-		if pt.EventChunk != sim.EventChunkSize || pt.PacketChunk != netem.PacketChunkSize {
-			t.Errorf("%s: measured under slab geometry event=%d packet=%d, compiled constants are %d/%d — re-run `make scale`",
-				key, pt.EventChunk, pt.PacketChunk, sim.EventChunkSize, netem.PacketChunkSize)
+		if pt.EventChunk != sim.EventChunkSize || pt.PacketChunk != netem.PacketChunkSize ||
+			pt.FlowChunk != rdbase.FlowChunkSize {
+			t.Errorf("%s: measured under slab geometry event=%d packet=%d flow=%d, compiled constants are %d/%d/%d — re-run `make scale`",
+				key, pt.EventChunk, pt.PacketChunk, pt.FlowChunk,
+				sim.EventChunkSize, netem.PacketChunkSize, rdbase.FlowChunkSize)
 		}
 	}
 }

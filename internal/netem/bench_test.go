@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/raceflag"
@@ -229,6 +230,78 @@ func TestPacketSlabChurnGate(t *testing.T) {
 	if ns := res.NsPerOp(); res.N >= slabGateIterations && ns > slabChurnNsCeiling {
 		t.Errorf("slab churn %d ns/op, ceiling %d", ns, slabChurnNsCeiling)
 	}
+}
+
+// TestQueueBufferFollowsBacklog gates the ring FIFO: a queue's buffer is
+// sized by its peak backlog, not its busy period. 100k packets stream
+// through a FIFO whose backlog never exceeds 4, and through the ExpressPass
+// credit queue held at its 15-credit cap (the CreditLimit default). Each
+// ring must end at the next power of two of its backlog (8 and 16 slots),
+// allocating once per size it reaches — 8, then 16 for the credits — and
+// never while the stream passes.
+func TestQueueBufferFollowsBacklog(t *testing.T) {
+	const packets = 100_000
+	cases := []struct {
+		name    string
+		q       Qdisc
+		ring    func(Qdisc) *fifo
+		typ     PacketType
+		backlog int
+		slots   int
+		allocs  uint64
+	}{
+		{"fifo", NewQueue(1, 0, 0), func(q Qdisc) *fifo { return &q.(*Queue).bands[0] }, Data, 4, 8, 1},
+		{"xpass credits", NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(100 * sim.Gbps)}),
+			func(q Qdisc) *fifo { return &q.(*XPassQdisc).credits }, Credit, 15, 16, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pkts := make([]*Packet, c.backlog)
+			for i := range pkts {
+				pkts[i] = &Packet{Type: c.typ, WireSize: CreditSize}
+			}
+			now := sim.Time(0)
+			allocs := mallocs(func() {
+				for _, p := range pkts {
+					if r := c.q.Enqueue(p, now); r != Queued {
+						t.Fatalf("filling to a backlog of %d: %v", c.backlog, r)
+					}
+				}
+				// Each step serves the head and requeues it, so the backlog
+				// holds while the live range walks round the ring.
+				for range packets {
+					now = now.Add(sim.Microsecond)
+					p := c.q.Dequeue(now)
+					if p == nil {
+						t.Fatal("dequeue returned nil with a backlog")
+					}
+					c.q.Enqueue(p, now)
+				}
+			})
+			if got := c.q.Backlog().Packets; got != c.backlog {
+				t.Errorf("backlog %d after the stream, want %d", got, c.backlog)
+			}
+			if got := len(c.ring(c.q).ring); got > c.slots {
+				t.Errorf("%d packets at a backlog of %d left a %d-slot buffer, want at most %d",
+					packets, c.backlog, got, c.slots)
+			}
+			if allocs > c.allocs {
+				t.Errorf("%d packets at a backlog of %d allocated %d times, want at most %d",
+					packets, c.backlog, allocs, c.allocs)
+			}
+		})
+	}
+}
+
+// mallocs counts the heap allocations f makes, on one P as
+// testing.AllocsPerRun does, but for a single call including its first.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 type nopEndpoint struct{}

@@ -145,3 +145,100 @@ func TestPrioQdiscStrictnessProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a queue's ring keeps FIFO order and exact byte counts however
+// Enqueue and Dequeue interleave. Each op pushes op&7 packets, then pops
+// op>>3&7, so runs wrap the ring and grow it while packets are queued; a
+// plain slice is the reference, and AuditQdisc must pass after every step.
+func TestQueueRingProperty(t *testing.T) {
+	prop := func(ops []uint8) bool {
+		q := NewQueue(1, 0, 0)
+		var ref []*Packet
+		var refBytes int64
+		id := uint64(0)
+		for _, op := range ops {
+			for range op & 7 {
+				p := dataPkt(id, 64+int(id%1400), false)
+				id++
+				if q.Enqueue(p, 0) != Queued {
+					return false
+				}
+				ref = append(ref, p)
+				refBytes += int64(p.WireSize)
+				if AuditQdisc(q) != nil {
+					return false
+				}
+			}
+			for range op >> 3 & 7 {
+				p := q.Dequeue(0)
+				if len(ref) == 0 {
+					if p != nil {
+						return false
+					}
+					continue
+				}
+				if p != ref[0] {
+					return false
+				}
+				ref = ref[1:]
+				refBytes -= int64(p.WireSize)
+				if AuditQdisc(q) != nil {
+					return false
+				}
+			}
+			if b := q.Backlog(); b.Packets != len(ref) || b.Bytes != refBytes {
+				return false
+			}
+		}
+		return true
+	}
+	// Push 6, pop 5, push 12: the ring wraps at 8 slots, then grows to 16
+	// with its live range split across the wrap point.
+	wrapThenGrow := []uint8{6 | 5<<3, 7, 5}
+	if !prop(wrapThenGrow) {
+		t.Fatal("wrap-then-grow sequence broke order, bytes or the audit")
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFIFOAuditCatchesCorruption: fifo.audit walks the live range across
+// the wrap point, so a nil live slot or byte drift is caught wherever it sits.
+func TestFIFOAuditCatchesCorruption(t *testing.T) {
+	wrapped := func() *fifo {
+		var f fifo
+		for i := range 6 {
+			f.push(dataPkt(uint64(i), 1538, false))
+		}
+		for range 5 {
+			f.pop()
+		}
+		for i := range 5 {
+			f.push(dataPkt(uint64(10+i), 1538, false))
+		}
+		if f.head+f.n <= len(f.ring) {
+			t.Fatalf("setup: live range [%d, %d) does not wrap an %d-slot ring", f.head, f.head+f.n, len(f.ring))
+		}
+		return &f
+	}
+	if err := wrapped().audit("clean"); err != nil {
+		t.Fatalf("clean wrapped ring failed audit: %v", err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(f *fifo)
+	}{
+		{"nil live slot past the wrap", func(f *fifo) { f.ring[(f.head+f.n-1)&(len(f.ring)-1)] = nil }},
+		{"byte drift", func(f *fifo) { f.bytes -= 3 }},
+		{"live count over the ring", func(f *fifo) { f.n = len(f.ring) + 1 }},
+		{"head outside the ring", func(f *fifo) { f.head = len(f.ring) }},
+	}
+	for _, c := range cases {
+		f := wrapped()
+		c.corrupt(f)
+		if err := f.audit(c.name); err == nil {
+			t.Errorf("%s: not detected", c.name)
+		}
+	}
+}

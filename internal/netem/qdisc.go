@@ -76,44 +76,53 @@ type Qdisc interface {
 	Backlog() Backlog
 }
 
-// fifo is the byte-accounted packet FIFO underlying every discipline. The
-// zero value is ready to use.
+// fifo is the byte-accounted packet FIFO underlying every discipline: a
+// power-of-two ring that doubles only when its live backlog fills it. A
+// port can stay busy for millions of packets at a backlog of a few, so a
+// queue's buffer is sized by its peak backlog, never by its busy period.
+// The zero value is ready to use.
 type fifo struct {
-	pkts  []*Packet
-	head  int
+	ring  []*Packet // len is 0 or a power of two
+	head  int       // ring index of the oldest packet
+	n     int       // live packets: ring[head], ring[head+1], ... modulo len
 	bytes int64
 }
 
+// fifoMinSlots is the ring's first allocation: one cache line of pointers.
+const fifoMinSlots = 8
+
 func (f *fifo) push(p *Packet) {
-	f.pkts = append(f.pkts, p)
+	if f.n == len(f.ring) {
+		f.grow()
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
+	f.n++
 	f.bytes += int64(p.WireSize)
 }
 
+// grow doubles the ring, unwrapping the live range to the front.
+func (f *fifo) grow() {
+	ring := make([]*Packet, max(2*len(f.ring), fifoMinSlots))
+	k := copy(ring, f.ring[f.head:])
+	copy(ring[k:], f.ring[:f.head])
+	f.ring, f.head = ring, 0
+}
+
 func (f *fifo) pop() *Packet {
-	if f.head == len(f.pkts) {
+	if f.n == 0 {
 		return nil
 	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
 	f.bytes -= int64(p.WireSize)
-	if f.head == len(f.pkts) {
-		f.pkts = f.pkts[:0]
-		f.head = 0
-	} else if f.head > 1024 && f.head*2 > len(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		for i := n; i < len(f.pkts); i++ {
-			f.pkts[i] = nil
-		}
-		f.pkts = f.pkts[:n]
-		f.head = 0
-	}
 	return p
 }
 
-func (f *fifo) len() int    { return len(f.pkts) - f.head }
+func (f *fifo) len() int    { return f.n }
 func (f *fifo) size() int64 { return f.bytes }
-func (f *fifo) empty() bool { return f.head == len(f.pkts) }
+func (f *fifo) empty() bool { return f.n == 0 }
 
 // Queue is the port discipline of a commodity shared-buffer switch, and of
 // every port but NDP's and ExpressPass's credit shaper (which wraps one):

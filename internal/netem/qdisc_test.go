@@ -45,7 +45,7 @@ func TestFIFOUnlimited(t *testing.T) {
 
 func TestFIFOCompaction(t *testing.T) {
 	q := NewQueue(1, 0, 0)
-	// Interleave enqueue/dequeue so head grows past the compaction trigger.
+	// Interleave enqueue/dequeue so the head wraps the ring many times.
 	var inFlight int
 	for i := 0; i < 50000; i++ {
 		q.Enqueue(dataPkt(uint64(i), 100, false), 0)

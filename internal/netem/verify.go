@@ -2,21 +2,23 @@ package netem
 
 import "fmt"
 
-// audit recomputes the FIFO's byte total from its contents and compares it
-// against the cached counter.
+// audit walks the FIFO's live range, rejecting a nil live slot, and
+// compares the recomputed byte total against the cached counter.
 func (f *fifo) audit(name string) error {
+	if len(f.ring)&(len(f.ring)-1) != 0 || f.n < 0 || f.n > len(f.ring) ||
+		f.head < 0 || f.head >= max(len(f.ring), 1) {
+		return fmt.Errorf("%s: %d live packets from head %d do not fit a %d-slot ring", name, f.n, f.head, len(f.ring))
+	}
 	var bytes int64
-	for i := f.head; i < len(f.pkts); i++ {
-		if f.pkts[i] == nil {
+	for i := 0; i < f.n; i++ {
+		p := f.ring[(f.head+i)&(len(f.ring)-1)]
+		if p == nil {
 			return fmt.Errorf("%s: nil packet at live position %d", name, i)
 		}
-		bytes += int64(f.pkts[i].WireSize)
+		bytes += int64(p.WireSize)
 	}
 	if bytes != f.bytes {
 		return fmt.Errorf("%s: cached %d bytes, contents sum to %d", name, f.bytes, bytes)
-	}
-	if f.head < 0 || f.head > len(f.pkts) {
-		return fmt.Errorf("%s: head %d outside [0, %d]", name, f.head, len(f.pkts))
 	}
 	return nil
 }

@@ -12,9 +12,12 @@ package sim
 // stale Handle (and any stale index a test or tool holds) is detectable.
 
 const (
-	// eventChunkBits sizes a chunk at 4096 events — 256 KiB of 64-byte
-	// events.
-	eventChunkBits = 12
+	// eventChunkBits sizes a chunk at 256 events — 16 KiB of 64-byte
+	// events. A short run carves a few hundred slots in all, so a larger
+	// chunk would be mostly untouched memory; a long run pays one chunk
+	// allocation per 256 slots of its peak population, and at() stays one
+	// shift and one mask whatever the size.
+	eventChunkBits = 8
 
 	// EventChunkSize is the number of events per slab chunk. Exported so the
 	// scale ledger can stamp the slab geometry a measurement ran under.

@@ -155,13 +155,19 @@ func Ctrl(env *transport.Env, f *transport.Flow, typ netem.PacketType,
 	env.Net.Host(src).Send(p)
 }
 
-// flowChunkBits sizes FlowTable's value slab chunks: 256 values per chunk
-// keeps growth allocation-cheap while packing per-flow machines that are
-// touched together (sequential flow IDs) into contiguous memory.
+// flowChunkBits sizes FlowTable's value slab chunks at 32 values. Every
+// host's receive table carves a chunk for a handful of flows, so a chunk
+// must be small next to the flows a host holds; 32 still packs per-flow
+// machines that are touched together (sequential flow IDs) into contiguous
+// memory, and at() stays one shift and one mask.
 const (
-	flowChunkBits = 8
-	flowChunkSize = 1 << flowChunkBits
-	flowChunkMask = flowChunkSize - 1
+	flowChunkBits = 5
+
+	// FlowChunkSize is the number of values per FlowTable chunk. Exported so
+	// the scale ledger can stamp the table geometry a measurement ran under.
+	FlowChunkSize = 1 << flowChunkBits
+
+	flowChunkMask = FlowChunkSize - 1
 )
 
 // FlowTable is an open-addressed table of packed per-flow state structs
@@ -173,7 +179,7 @@ const (
 // accounting), so the table does not support deletion.
 type FlowTable[T any] struct {
 	idx    flatmap.Index
-	chunks []*[flowChunkSize]T
+	chunks []*[FlowChunkSize]T
 }
 
 // at returns the value at a dense slot.
@@ -196,7 +202,7 @@ func (t *FlowTable[T]) Get(id uint64) *T {
 func (t *FlowTable[T]) Put(id uint64) (v *T, added bool) {
 	slot, added := t.idx.Put(id)
 	if added && int(slot>>flowChunkBits) == len(t.chunks) {
-		t.chunks = append(t.chunks, new([flowChunkSize]T))
+		t.chunks = append(t.chunks, new([FlowChunkSize]T))
 	}
 	return t.at(slot), added
 }
