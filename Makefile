@@ -1,13 +1,13 @@
 # Tier-1 gate: `make ci` must pass before every commit. It is what the
 # repository's CI runs: lint (gofmt + vet), full build, full test suite, the
 # race detector over the concurrency-bearing packages (see race), the
-# packet-conservation audit sweep, the golden-digest gate (timing wheel and
-# reference heap, pool on and off), the allocation regression smoke
-# (bench-smoke: the port path, a traced delivery and a Homa message allocate
-# nothing per packet, a queue's buffer follows its backlog, and a small run
-# stays under its allocation ceiling), the benchmark module's own build and
-# tests (bench-check), and the rule that every example program is tested
-# (examples).
+# packet-conservation audit sweep, the golden-digest and scheduler-contract
+# gate (timing wheel and reference heap, pool on and off), the allocation
+# regression smoke (bench-smoke: the port path, a traced delivery and a Homa
+# message allocate nothing per packet, a queue's buffer follows its backlog,
+# and a small run stays under its allocation ceiling), the benchmark module's
+# own build and tests (bench-check), and the rule that every example program
+# is tested (examples).
 
 GO ?= go
 
@@ -45,13 +45,17 @@ race:
 audit:
 	$(GO) test -run 'TestAudit' ./internal/audit ./internal/experiments
 
-# Golden-digest gate: the pinned behavior digests must be byte-identical in
-# every cell of {timing wheel, reference heap} x {pool on, pool off}. The heap
+# Golden-digest and scheduler-contract gate: the pinned behavior digests must
+# be byte-identical in every cell of {timing wheel, reference heap} x {pool on,
+# pool off}, and the wheel must match the heap oracle op for op on the
+# scheduler differential's seed corpus (firings, NextEventTime, Pending, Now
+# and CheckInvariants after every op) and pass the wheel's own tests. The heap
 # and pool-off mode exist only as these oracles; a drift in one cell is a
 # scheduler or pool bug, not a behavior change — see
-# internal/experiments/golden_test.go.
+# internal/experiments/golden_test.go and internal/sim/fuzz_test.go.
 golden:
 	$(GO) test -run 'TestGoldenDigests' ./internal/experiments
+	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetectsWheelCorruption' ./internal/sim
 
 # Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix
 # across shards x pool on a multi-pod fabric, the golden digests pinned under

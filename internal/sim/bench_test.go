@@ -49,8 +49,8 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 		pending.Cancel()
 		pending = e.At(e.Now()+1000, func() {})
 		if i%256 == 255 {
-			// Advance past the armed horizon so canceled events drain and
-			// recycle; lazy cancellation reclaims only at the timestamp.
+			// Advance past the armed horizon so the surviving event fires;
+			// each Cancel already removed its event and recycled the slot.
 			e.RunUntil(e.Now() + 2000)
 		}
 	}

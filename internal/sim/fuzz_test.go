@@ -6,17 +6,19 @@ import (
 )
 
 // schedTrace is the observable history of one scheduler interpreting an op
-// program: every firing as (label, time, firedSoFar) plus Pending and Now
-// after every op. Two schedulers are equivalent iff their traces are
-// identical.
+// program: every firing as (label, time, firedSoFar), every NextEventTime
+// read (-1 when nothing is pending), plus Pending and Now after every op.
+// Two schedulers are equivalent iff their traces are identical.
 type schedTrace struct {
 	Fires    [][3]int64
+	Nexts    []Time
 	Pendings []int
 	Nows     []Time
 }
 
-// runSchedProgram interprets prog on an engine with the given scheduler.
-// Opcodes (byte % 6), with operands drawn from following bytes:
+// runSchedProgram interprets prog on an engine with the given scheduler and
+// fails t as soon as CheckInvariants reports a fault after an op.
+// Opcodes (byte % 8), with operands drawn from following bytes:
 //
 //	0: schedule at now+delta (delta exponential in one byte, so every wheel
 //	   level and the overflow list are reachable)
@@ -25,7 +27,11 @@ type schedTrace struct {
 //	3: reset the shared rearmable timer to now+delta
 //	4: stop the shared timer
 //	5: schedule at now (zero delay)
-func runSchedProgram(kind SchedulerKind, prog []byte) schedTrace {
+//	6: schedule at now+delta stamped as if scheduled at now/2 (a backdated
+//	   AtHandlerFrom, which fires before same-instant events stamped later)
+//	7: read NextEventTime into the trace
+func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
+	t.Helper()
 	e := NewEngineWith(kind)
 	var tr schedTrace
 	var handles []Handle
@@ -41,10 +47,15 @@ func runSchedProgram(kind SchedulerKind, prog []byte) schedTrace {
 		// Exponential spread: shifts 0..51 cover every level plus overflow.
 		return (Duration(1) << (b % 52)) + Duration(b%7)
 	}
+	checked := func(step int) {
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after op %d of %v: %v", kind, step, prog, err)
+		}
+	}
 
 	for i := 0; i+1 < len(prog); i += 2 {
 		op, arg := prog[i], prog[i+1]
-		switch op % 6 {
+		switch op % 8 {
 		case 0:
 			label++
 			handles = append(handles, e.At(e.Now().Add(delta(arg)), record(label)))
@@ -63,35 +74,79 @@ func runSchedProgram(kind SchedulerKind, prog []byte) schedTrace {
 		case 5:
 			label++
 			handles = append(handles, e.At(e.Now(), record(label)))
+		case 6:
+			label++
+			handles = append(handles, e.AtHandlerFrom(e.Now().Add(delta(arg)), e.Now()/2, funcHandler(record(label))))
+		case 7:
+			next, ok := e.NextEventTime()
+			if !ok {
+				next = -1
+			}
+			tr.Nexts = append(tr.Nexts, next)
 		}
 		tr.Pendings = append(tr.Pendings, e.Pending())
 		tr.Nows = append(tr.Nows, e.Now())
+		checked(i / 2)
 	}
 	e.RunUntil(e.Now() + (1 << 53)) // drain everything, overflow included
 	tr.Pendings = append(tr.Pendings, e.Pending())
 	tr.Nows = append(tr.Nows, e.Now())
+	checked(len(prog) / 2)
 	return tr
 }
 
+// schedSeeds is the hand-written corpus that FuzzSchedulerEquivalence starts
+// from and TestSchedulerEquivalenceSeeds replays. Each is a list of (opcode,
+// operand) pairs for runSchedProgram.
+var schedSeeds = [][]byte{
+	{0, 10, 0, 10, 2, 20},                      // same-time pair, then run
+	{0, 1, 0, 48, 1, 0, 2, 50},                 // overflow + cancel
+	{3, 9, 2, 3, 3, 12, 2, 40, 4, 0},           // timer rearm across levels
+	{5, 0, 5, 0, 2, 1, 0, 30, 1, 1, 2, 51},     // zero-delay batch
+	{0, 12, 0, 24, 0, 36, 0, 51, 2, 13, 2, 37}, // one event per tier
+	{0, 6, 1, 0, 0, 6, 1, 0, 0, 6, 2, 8, 0, 6}, // churny cancel/replace
+
+	// Two events at 1027 and 1030 share level-1 slot 16, window [1024, 1088).
+	// RunUntil(514) stops short of the window start, so the clock must stay
+	// put; a zero-delay event at 514 follows. RunUntil(1026) then stops
+	// inside the window, before its earliest event, leaving the wheel clock
+	// at the window start behind the engine clock; another zero-delay event
+	// at 1026 must fire before the window's two.
+	{0, 10, 0, 62, 2, 9, 5, 0, 7, 0, 2, 217, 5, 0, 7, 0},
+
+	// A lone event at 8198 on level 2: RunUntil(4101) must leave it pending,
+	// the next RunUntil pops it without a cascade. Then a plain and a
+	// backdated event share one far instant (level 3) and fire backdated
+	// first.
+	{0, 13, 2, 12, 7, 0, 2, 14, 0, 20, 6, 20, 7, 0, 2, 21},
+
+	// Two overflow events (2^49 and 2^50+1) behind one level-0 event: after
+	// the levels drain, RunUntil stops short of the overflow minimum, then
+	// the next one migrates 2^49 (2^50+1 stays behind the horizon) and then
+	// 2^50+1.
+	{0, 49, 0, 50, 0, 3, 2, 4, 2, 30, 7, 0, 2, 51, 5, 0, 7, 0},
+}
+
 // FuzzSchedulerEquivalence replays random schedule/cancel/reset/advance
-// programs on the heap and the wheel and requires identical firing sequences
-// and identical Pending()/Now() after every step — the differential proof
-// that the wheel is a drop-in replacement for the reference heap.
+// programs on the heap and the wheel and requires identical firing sequences,
+// identical NextEventTime reads, identical Pending()/Now() after every step
+// and clean invariants on both — the differential proof that the wheel is a
+// drop-in replacement for the reference heap.
 func FuzzSchedulerEquivalence(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 10, 2, 20})                      // same-time pair, then run
-	f.Add([]byte{0, 1, 0, 48, 1, 0, 2, 50})                 // overflow + cancel
-	f.Add([]byte{3, 9, 2, 3, 3, 12, 2, 40, 4, 0})           // timer rearm across levels
-	f.Add([]byte{5, 0, 5, 0, 2, 1, 0, 30, 1, 1, 2, 51})     // zero-delay batch
-	f.Add([]byte{0, 12, 0, 24, 0, 36, 0, 51, 2, 13, 2, 37}) // one event per tier
-	f.Add([]byte{0, 6, 1, 0, 0, 6, 1, 0, 0, 6, 2, 8, 0, 6}) // churny cancel/replace
+	for _, prog := range schedSeeds {
+		f.Add(prog)
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
-		heapTr := runSchedProgram(SchedHeap, prog)
-		wheelTr := runSchedProgram(SchedWheel, prog)
+		heapTr := runSchedProgram(t, SchedHeap, prog)
+		wheelTr := runSchedProgram(t, SchedWheel, prog)
 		if !reflect.DeepEqual(heapTr.Fires, wheelTr.Fires) {
 			t.Fatalf("firing sequences diverge:\nheap:  %v\nwheel: %v", heapTr.Fires, wheelTr.Fires)
+		}
+		if !reflect.DeepEqual(heapTr.Nexts, wheelTr.Nexts) {
+			t.Fatalf("NextEventTime diverges:\nheap:  %v\nwheel: %v", heapTr.Nexts, wheelTr.Nexts)
 		}
 		if !reflect.DeepEqual(heapTr.Pendings, wheelTr.Pendings) {
 			t.Fatalf("Pending() diverges:\nheap:  %v\nwheel: %v", heapTr.Pendings, wheelTr.Pendings)
@@ -105,14 +160,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 // TestSchedulerEquivalenceSeeds runs the fuzz seed corpus as a plain test so
 // the differential check is part of every `go test` run, not only -fuzz.
 func TestSchedulerEquivalenceSeeds(t *testing.T) {
-	seeds := [][]byte{
-		{0, 10, 0, 10, 2, 20},
-		{0, 1, 0, 48, 1, 0, 2, 50},
-		{3, 9, 2, 3, 3, 12, 2, 40, 4, 0},
-		{5, 0, 5, 0, 2, 1, 0, 30, 1, 1, 2, 51},
-		{0, 12, 0, 24, 0, 36, 0, 51, 2, 13, 2, 37},
-		{0, 6, 1, 0, 0, 6, 1, 0, 0, 6, 2, 8, 0, 6},
-	}
+	seeds := append([][]byte(nil), schedSeeds...)
 	// A deterministic pseudo-random program sweep on top of the hand seeds.
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func() byte {
@@ -129,8 +177,8 @@ func TestSchedulerEquivalenceSeeds(t *testing.T) {
 		seeds = append(seeds, prog)
 	}
 	for i, prog := range seeds {
-		heapTr := runSchedProgram(SchedHeap, prog)
-		wheelTr := runSchedProgram(SchedWheel, prog)
+		heapTr := runSchedProgram(t, SchedHeap, prog)
+		wheelTr := runSchedProgram(t, SchedWheel, prog)
 		if !reflect.DeepEqual(heapTr, wheelTr) {
 			t.Fatalf("seed %d: schedulers diverge on %v\nheap:  %+v\nwheel: %+v", i, prog, heapTr, wheelTr)
 		}

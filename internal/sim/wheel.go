@@ -34,10 +34,13 @@ const (
 // a slot touches the contiguous event slab rather than chasing heap
 // pointers.
 //
-// Costs: schedule and remove are O(1); popDue advances the clock straight to
-// the next event time (this is a discrete-event simulator — no tick parade)
-// and cascades at most one slot per level, so each event is relinked at most
-// wheelLevels times over its whole life.
+// Costs: schedule and remove are O(1). popDue reads each slot once: it
+// descends from the lowest occupied slot, pops a lone resident of any level
+// directly, and cascades a slot of several only when it is the earliest, so
+// each event is relinked at most wheelLevels times over its whole life and
+// the clock jumps between deadlines (this is a discrete-event simulator — no
+// tick parade). The one remaining slot scan is nextTime's, for
+// NextEventTime.
 type wheel struct {
 	sl       *eventSlab
 	cur      Time
@@ -45,7 +48,8 @@ type wheel struct {
 	occupied [wheelLevels]uint64    // bit s set iff slots[l<<6|s] is nonempty
 
 	// overflow holds events beyond the top level's horizon, unordered; they
-	// migrate into the wheel when the clock crosses a horizon boundary.
+	// migrate into the wheel once every level has drained and the clock
+	// jumps to the overflow minimum.
 	// overflowMin caches the earliest overflow deadline so the common
 	// popDue path never walks the list; a removal of the cached minimum
 	// marks it dirty for lazy recomputation. overflowLen counts residents
@@ -120,7 +124,7 @@ func (w *wheel) remove(ev *Event, idx uint32) {
 	case listOverflow:
 		w.overflowLen--
 		// Removing the cached minimum invalidates the cache; mark it dirty so
-		// the next nextTime recomputes instead of reporting a canceled
+		// the next overflowFirst recomputes instead of reporting a canceled
 		// deadline. Mass cancellation stays O(1) per cancel — the walk is
 		// deferred to the next earliest-deadline query.
 		if !w.overflowDirty && ev.time == w.overflowMin {
@@ -144,8 +148,10 @@ func (w *wheel) remove(ev *Event, idx uint32) {
 // resident precedes every level-(l+1) resident (they differ from the clock in
 // a higher bit group), and overflow events lie beyond all of them. So the
 // earliest event lives in the lowest occupied slot of the lowest occupied
-// level — and at level 0 that slot holds a single timestamp, making the
-// common case a bitmap scan plus one slab load.
+// level. A level-0 slot holds a single timestamp; a higher slot is scanned
+// for its minimum. Dispatch never calls this — popDue descends instead, so
+// the scan is paid only by NextEventTime, which the sharded runner reads
+// once per window.
 func (w *wheel) nextTime() (Time, bool) {
 	for l := 0; l < wheelLevels; l++ {
 		occ := w.occupied[l]
@@ -153,12 +159,11 @@ func (w *wheel) nextTime() (Time, bool) {
 			continue
 		}
 		s := bits.TrailingZeros64(occ)
-		li := &w.slots[l<<wheelBits|s]
 		if l == 0 {
-			return w.sl.at(li.head).time, true
+			return w.cur&^wheelMask | Time(s), true
 		}
 		best := MaxTime
-		for i := li.head; i != nilIdx; {
+		for i := w.slots[l<<wheelBits|s].head; i != nilIdx; {
 			ev := w.sl.at(i)
 			if ev.time < best {
 				best = ev.time
@@ -168,50 +173,26 @@ func (w *wheel) nextTime() (Time, bool) {
 		return best, true
 	}
 	if !w.overflow.empty() {
-		if w.overflowDirty {
-			w.overflowMin = MaxTime
-			for i := w.overflow.head; i != nilIdx; {
-				ev := w.sl.at(i)
-				if ev.time < w.overflowMin {
-					w.overflowMin = ev.time
-				}
-				i = ev.next
-			}
-			w.overflowDirty = false
-		}
-		return w.overflowMin, true
+		return w.overflowFirst(), true
 	}
 	return MaxTime, false
 }
 
-// advance jumps the wheel clock to t (the next deadline) and cascades: the
-// slot containing t at each level may hold events that now share a narrower
-// window with the clock, so they re-place strictly downward. Crossing a
-// horizon boundary first migrates overflow events that have come into range.
-func (w *wheel) advance(t Time) {
-	if (uint64(w.cur^t))>>wheelHorizonBits != 0 {
-		w.cur = t
-		w.migrateOverflow()
-	} else {
-		w.cur = t
-	}
-	for l := wheelLevels - 1; l >= 1; l-- {
-		s := int((uint64(t) >> (l * wheelBits)) & wheelMask)
-		if w.occupied[l]&(1<<s) == 0 {
-			continue
-		}
-		li := &w.slots[l<<wheelBits|s]
-		for i := li.head; i != nilIdx; {
+// overflowFirst returns the earliest overflow deadline, recomputing the
+// cached minimum when a cancel invalidated it.
+func (w *wheel) overflowFirst() Time {
+	if w.overflowDirty {
+		w.overflowMin = MaxTime
+		for i := w.overflow.head; i != nilIdx; {
 			ev := w.sl.at(i)
-			next := ev.next
-			li.unlink(w.sl, ev)
-			// Cascades move strictly downward: ev now shares group l with the
-			// clock, so place picks a lower level, never this slot again.
-			w.place(ev, i)
-			i = next
+			if ev.time < w.overflowMin {
+				w.overflowMin = ev.time
+			}
+			i = ev.next
 		}
-		w.occupied[l] &^= 1 << s
+		w.overflowDirty = false
 	}
+	return w.overflowMin
 }
 
 // migrateOverflow re-places every overflow event now within the horizon and
@@ -233,6 +214,17 @@ func (w *wheel) migrateOverflow() {
 	w.overflowDirty = false
 }
 
+// popDue descends from the earliest occupied slot and reads each slot once.
+// The lowest occupied slot of the lowest occupied level is the earliest
+// window. If it holds one event, that event pops directly: any other event
+// due at the same instant would share its slot. If it holds several, the
+// clock moves to the window start, which precedes them all (at level 0 the
+// start is their common instant, read from the bitmap), and a higher slot
+// cascades strictly downward in one pass before the descent repeats. Only
+// when every level is empty does the clock jump to the overflow minimum.
+// The clock never passes limit, so after a call that finds nothing due it
+// may rest at a window start behind the engine clock; placement only needs
+// every resident at or after it.
 func (w *wheel) popDue(limit Time) uint32 {
 	if h := w.due.head; h != nilIdx {
 		ev := w.sl.at(h)
@@ -243,37 +235,67 @@ func (w *wheel) popDue(limit Time) uint32 {
 		w.count--
 		return h
 	}
-	t, ok := w.nextTime()
-	if !ok || t > limit {
-		return nilIdx
+	var li *slotList
+	for {
+		l := 0
+		for l < wheelLevels && w.occupied[l] == 0 {
+			l++
+		}
+		if l == wheelLevels {
+			if w.overflow.empty() || w.overflowFirst() > limit {
+				return nilIdx
+			}
+			w.cur = w.overflowMin
+			w.migrateOverflow()
+			continue
+		}
+		s := bits.TrailingZeros64(w.occupied[l])
+		li = &w.slots[l<<wheelBits|s]
+		if h := li.head; h == li.tail {
+			ev := w.sl.at(h)
+			if ev.time > limit {
+				return nilIdx
+			}
+			w.cur = ev.time
+			li.unlink(w.sl, ev)
+			w.occupied[l] &^= 1 << s
+			w.count--
+			return h
+		}
+		shift := l * wheelBits
+		start := w.cur&^(Time(1)<<(shift+wheelBits)-1) | Time(s)<<shift
+		if start > limit {
+			return nilIdx
+		}
+		w.cur = start
+		w.occupied[l] &^= 1 << s
+		if l == 0 {
+			break
+		}
+		// Every resident now shares group l with the clock, so place picks a
+		// lower level for each; pushBack rewrites the links, so the list is
+		// detached whole.
+		i := li.head
+		li.init()
+		for i != nilIdx {
+			ev := w.sl.at(i)
+			next := ev.next
+			w.place(ev, i)
+			i = next
+		}
 	}
-	w.advance(t)
 
-	// Detach the level-0 slot at the clock — exactly the events at time t —
-	// and sort it by (schedAt, seq) into the dispatch batch. Direct local
-	// schedules append in that order already; cascaded arrivals and backdated
-	// cross-shard deliveries can interleave, hence the sort (pdqsort, linear
-	// on the already-sorted common case).
-	s := uint16(uint64(t) & wheelMask)
-	li := &w.slots[s]
-	if h := li.head; h != nilIdx && h == li.tail {
-		// Lone event at this timestamp — the overwhelmingly common case in a
-		// simulation with picosecond resolution. No batch, no sort.
-		li.unlink(w.sl, w.sl.at(h))
-		w.occupied[0] &^= 1 << s
-		w.count--
-		return h
-	}
-	w.scratch = w.scratch[:0]
-	for i := li.head; i != nilIdx; {
-		ev := w.sl.at(i)
-		next := ev.next
-		li.unlink(w.sl, ev)
-		w.scratch = append(w.scratch, i)
-		i = next
-	}
-	w.occupied[0] &^= 1 << s
+	// Several events share the clock's instant: sort the level-0 slot by
+	// (schedAt, seq) into the dispatch batch. Direct local schedules append
+	// in that order already; cascaded arrivals and backdated cross-shard
+	// deliveries can interleave, hence the sort (pdqsort, linear on the
+	// already-sorted common case).
 	sl := w.sl
+	w.scratch = w.scratch[:0]
+	for i := li.head; i != nilIdx; i = sl.at(i).next {
+		w.scratch = append(w.scratch, i)
+	}
+	li.init() // pushBack below rewrites every link
 	slices.SortFunc(w.scratch, func(a, b uint32) int {
 		ea, eb := sl.at(a), sl.at(b)
 		switch {
@@ -323,8 +345,10 @@ func (w *wheel) stats() SchedStats {
 
 // check validates the wheel's structural invariants: occupancy bits mirror
 // slot contents, every resident event is pending, in the slot its deadline
-// selects, within its level's window of the clock (no overdue cascade), and
-// not behind the clock; the dispatch batch holds only current-instant events
+// selects, on exactly the level its deadline selects against the clock (no
+// overdue cascade, none left in the clock's own slot), and not behind the
+// clock; the wheel clock is not ahead of the engine clock, though it may
+// rest behind it; the dispatch batch holds only current-instant events
 // in seq order; overflow events are genuinely beyond the horizon with a
 // truthful cached minimum; and the total count matches size.
 func (w *wheel) check(now Time) error {
@@ -339,6 +363,9 @@ func (w *wheel) check(now Time) error {
 			occupied := w.occupied[l]&(1<<s) != 0
 			if occupied != !li.empty() {
 				return fmt.Errorf("sim: wheel level %d slot %d occupancy bit %v disagrees with contents", l, s, occupied)
+			}
+			if li.head == nilIdx && li.tail == nilIdx {
+				continue // all checkLinks would verify, without naming 512 slots per call
 			}
 			n, err := li.checkLinks(w.sl, id, fmt.Sprintf("wheel level %d slot %d", l, s))
 			if err != nil {
@@ -356,8 +383,10 @@ func (w *wheel) check(now Time) error {
 				if got := int((uint64(ev.time) >> (l * wheelBits)) & wheelMask); got != s {
 					return fmt.Errorf("sim: event at %v in wheel level %d slot %d, deadline selects slot %d", ev.time, l, s, got)
 				}
-				if uint64(ev.time^w.cur)>>((l+1)*wheelBits) != 0 {
-					return fmt.Errorf("sim: event at %v overdue for cascade out of level %d (clock %v)", ev.time, l, w.cur)
+				// Overdue for a cascade, or left in the clock's own slot above
+				// level 0, where a same-instant schedule would miss it.
+				if d := uint64(ev.time ^ w.cur); d>>((l+1)*wheelBits) != 0 || (l > 0 && d>>(l*wheelBits) == 0) {
+					return fmt.Errorf("sim: event at %v on wheel level %d, clock %v selects another", ev.time, l, w.cur)
 				}
 				i = ev.next
 			}

@@ -220,7 +220,92 @@ func TestCheckInvariantsDetectsWheelCorruption(t *testing.T) {
 	if err := e.CheckInvariants(); err == nil {
 		t.Fatal("wheel clock ahead of engine clock not detected")
 	}
-	_ = e
+
+	e, w = newPopulated()
+	// With both clocks at 64 the level-1 event at 100 sits in the clock's
+	// own level-1 slot: it belongs on level 0, and a same-instant schedule
+	// would land there, apart from it.
+	e.now, w.cur = 64, 64
+	if err := e.CheckInvariants(); err == nil {
+		t.Fatal("resident in the clock's own level-1 slot not detected")
+	}
+}
+
+// TestWheelClockRestsInsideWindow stops a RunUntil inside a multi-event
+// slot's window, short of its earliest event. The engine clock must read the
+// deadline, the wheel clock rests at the window start behind it, and an
+// event scheduled at the deadline fires before the window's events.
+func TestWheelClockRestsInsideWindow(t *testing.T) {
+	e := NewEngine()
+	w := e.q.(*wheel)
+	var order []Time
+	rec := func() { order = append(order, e.Now()) }
+	const start = Time(5 << wheelBits) // level-1 slot 5: [320, 384)
+	e.At(start+10, rec)
+	e.At(start+20, rec)
+	deadline := start + 3
+	if got := e.RunUntil(deadline); got != deadline || e.Now() != deadline {
+		t.Fatalf("RunUntil returned %v, Now() = %v, want %v", got, e.Now(), deadline)
+	}
+	if len(order) != 0 {
+		t.Fatalf("fired %v before the window's first event", order)
+	}
+	if w.cur != start {
+		t.Fatalf("wheel clock %v, want the window start %v", w.cur, start)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("resting inside the window: %v", err)
+	}
+	e.At(deadline, rec)
+	e.Run()
+	want := []Time{deadline, start + 10, start + 20}
+	if len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Fatalf("fired at %v, want %v", order, want)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("drained: %v", err)
+	}
+}
+
+// TestWheelSameInstantAcrossLevels parks an event far ahead on level 3, lets
+// the clock come within 10 ticks of it, and then schedules two more events at
+// that instant, one backdated. Placement is relative to the wheel clock, not
+// the engine clock, so all three share the parked event's slot — which is
+// what lets popDue pop a lone higher-level resident as the only event at its
+// instant. They fire in (schedAt, seq) order, as the heap fires them.
+func TestWheelSameInstantAcrossLevels(t *testing.T) {
+	const at = Time(3<<(3*wheelBits) + 5) // level 3 from the origin
+	for _, kind := range []SchedulerKind{SchedHeap, SchedWheel} {
+		e := NewEngineWith(kind)
+		var order []string
+		rec := func(name string) func() { return func() { order = append(order, name) } }
+		e.RunUntil(100)
+		far := e.At(at, rec("far")) // schedAt 100
+		e.At(at-10, rec("step"))
+		e.RunUntil(at - 10)
+		late := e.At(at, rec("late"))                                  // schedAt at-10
+		back := e.AtHandlerFrom(at, 50, funcHandler(rec("backdated"))) // schedAt 50
+		if kind == SchedWheel {
+			in := far.deref().in
+			if in>>wheelBits != 3 || late.deref().in != in || back.deref().in != in {
+				t.Fatalf("lists: far %d, late %d, backdated %d; want one level-3 slot",
+					in, late.deref().in, back.deref().in)
+			}
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		e.Run()
+		want := []string{"step", "backdated", "far", "late"}
+		if len(order) != len(want) {
+			t.Fatalf("%s: fired %v, want %v", kind, order, want)
+		}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("%s: fired %v, want %v", kind, order, want)
+			}
+		}
+	}
 }
 
 // TestWheelPendingAcrossLevels cross-checks Pending and EventAllocs while
