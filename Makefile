@@ -84,11 +84,13 @@ degrade:
 	@echo "wrote results/degradation.json"
 
 # Short fuzz pass over the CDF text parser, the scheduler differential and
-# the impairment-timeline parser (CI smoke; raise -fuzztime locally).
+# the three text grammars with a round-trip contract: impairment timelines,
+# "clos:" fabric specs and scenarios (CI smoke; raise -fuzztime locally).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCDFParse -fuzztime=30s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=30s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzImpairmentTimeline -fuzztime=30s ./internal/netem
+	$(GO) test -run=^$$ -fuzz=FuzzTopoSpecRoundTrip -fuzztime=30s ./internal/netem
 	$(GO) test -run=^$$ -fuzz=FuzzScenarioRoundTrip -fuzztime=30s ./internal/scenario
 
 # Full benchmark ledger: micro (event engine, qdiscs, port path) and macro
@@ -130,13 +132,15 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) build ./... && $(GO) test ./...
 
-# Scenario gate: the scenario package's own tests (round-trip identity, the
-# checked-in fuzz seed corpus as plain tests), every checked-in example under
+# Scenario gate: the tests of the value codec every text grammar binds its
+# keys through (internal/kv: lossless render and set back, the repeated-key
+# rule) and of the scenario package (round-trip identity, the checked-in fuzz
+# seed corpus as plain tests), every checked-in example under
 # examples/scenarios parsed + semantically validated + digest-pinned with the
 # smallest example run end to end against the golden behavior digest, and the
 # pinned scenario digests of every registry experiment and golden run.
 scenario:
-	$(GO) test ./internal/scenario
+	$(GO) test ./internal/kv ./internal/scenario
 	$(GO) test -run 'TestExampleScenario|TestRegistryScenarioDigests|TestGoldenScenarioDigests|TestScenarioDrivenGolden' \
 		./internal/experiments
 

@@ -94,10 +94,13 @@ func main() {
 		dumpScen = flag.String("dump-scenario", "", "print the canonical scenario the flags resolve to, in this form (json or text), and exit")
 	)
 	opts := map[string]string{}
-	flag.Func("opt", "scheme option as key=value (repeatable; keys are per-scheme)", func(s string) error {
+	flag.Func("opt", "scheme option as key=value (repeatable, each key once; keys are per-scheme)", func(s string) error {
 		k, v, ok := strings.Cut(s, "=")
 		if !ok || k == "" {
 			return fmt.Errorf("want key=value, got %q", s)
+		}
+		if _, dup := opts[k]; dup {
+			return fmt.Errorf("repeated key %q", k)
 		}
 		opts[k] = v
 		return nil

@@ -194,6 +194,7 @@ func TestFlagValidation(t *testing.T) {
 		{"buffer-negative", "-topo single -incast 3 -buffer -5", "buffer -5"},
 		{"deadline-negative", "-topo single -incast 3 -deadline -1", "deadline -1ms"},
 		{"one-host-incast", "-topo clos:1,hosts=1 -incast 1", "has 1 host"},
+		{"clos-repeated", "-topo clos:1,hosts=4,hosts=8 -incast 3", `repeated parameter "hosts"`},
 		{"one-host-workload", "-topo clos:1,hosts=1 -workload WebSearch -flows 5", "has 1 host"},
 		{"trace-shards", "-topo leafspine -scheme homa+aeolus -workload WebSearch -load 0.5 -flows 200 -shards 2 -trace 3",
 			"tracing needs one shard"},
@@ -211,5 +212,18 @@ func TestFlagValidation(t *testing.T) {
 				t.Errorf("aeolussim %s output %q does not mention %q", tc.args, out, tc.want)
 			}
 		})
+	}
+}
+
+// TestRepeatedOptKey checks that -opt takes each key once: a second value
+// for a key is a flag error (status 2), not a silent override.
+func TestRepeatedOptKey(t *testing.T) {
+	_, stderr, code := aeolussim(t, "-topo", "single", "-incast", "3", "-scheme", "homa",
+		"-opt", "spray=true", "-opt", "spray=false")
+	if code != 2 {
+		t.Fatalf("repeated -opt key exited %d, want status 2:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, `repeated key "spray"`) {
+		t.Errorf("stderr does not name the repeated key:\n%s", stderr)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -69,6 +70,42 @@ func auditSweep(t *testing.T, sched sim.SchedulerKind) {
 	}
 	if audited != len(specs) {
 		t.Errorf("OnAudit fired %d times, want %d", audited, len(specs))
+	}
+}
+
+// TestAuditMicrobenchmarks checks that the §5.5 microbenchmarks, which build
+// their runs outside Run, honour Config.Audit and Config.Impair as Run does:
+// every run of the quick fig16 sweep reports a clean audit through OnAudit
+// without changing the table, and a blackholed bottleneck switch does change
+// it.
+func TestAuditMicrobenchmarks(t *testing.T) {
+	cfg := testConfig()
+	plain := Fig16(cfg)
+	cfg.Audit = true
+	var mu sync.Mutex
+	audited := 0
+	cfg.OnAudit = func(spec RunSpec, rep *audit.Report) {
+		mu.Lock()
+		defer mu.Unlock()
+		audited++
+		if err := rep.Err(); err != nil {
+			t.Errorf("%s on %s: %v", spec.Scheme.ID, spec.Topo, err)
+		}
+	}
+	if got := Fig16(cfg); !reflect.DeepEqual(got, plain) {
+		t.Errorf("auditing changed the fig16 table:\n%+v\nwant\n%+v", got, plain)
+	}
+	if audited != 12 {
+		t.Errorf("OnAudit fired %d times, want one per quick fig16 run (12)", audited)
+	}
+	tl, err := netem.ParseTimeline("blackhole", []byte("0s sw0->* blackhole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = testConfig()
+	cfg.Impair = tl
+	if got := Fig16(cfg); reflect.DeepEqual(got, plain) {
+		t.Errorf("a blackholed switch left the fig16 table unchanged:\n%+v", got)
 	}
 }
 

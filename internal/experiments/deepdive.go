@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -16,14 +17,22 @@ import (
 // msg bytes to host 0 at 10 µs — "in each RTT, all the senders transfer
 // 200KB data to the receiver" — and again every base RTT for the given
 // number of rounds. probe instruments the run through the receiver downlink,
-// the bottleneck, before the first flow starts.
+// the bottleneck, before the first flow starts. The run honours the
+// Config knobs Run does: the impairment timeline under Run's seed rule, and
+// the auditor, drained after a complete run and reported through OnAudit.
 func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 	probe func(env *transport.Env, bottleneck *netem.Port)) {
 
-	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed})
+	spec := SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed}
+	scheme := mustScheme(spec)
 	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	env := transport.NewEnv(net, scheme.MSS)
 	proto := scheme.New(env)
+	if cfg.Impair != nil {
+		if err := cfg.Impair.Apply(net, cfg.Seed^spec.Seed); err != nil {
+			panic(fmt.Sprintf("experiments: %v", err))
+		}
+	}
 	var traces [][]workload.FlowSpec
 	for round := 0; round < rounds; round++ {
 		start := sim.Time(10 * sim.Microsecond).Add(sim.Duration(round) * net.BaseRTT)
@@ -33,8 +42,27 @@ func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 			BaseID: uint64(round) * 10000,
 		}).Generate())
 	}
+	trace := workload.Merge(traces...)
+	var aud *audit.Auditor
+	if cfg.Audit {
+		aud = audit.Attach(net)
+		for _, f := range trace {
+			aud.RegisterFlow(f.ID, f.Size)
+		}
+	}
 	probe(env, net.Switches[0].Ports[0])
-	transport.Runner(env, proto, workload.Merge(traces...), sim.Time(200*sim.Millisecond))
+	done := transport.Runner(env, proto, trace, sim.Time(200*sim.Millisecond))
+	if aud == nil {
+		return
+	}
+	if done == len(trace) {
+		env.Eng.Run() // drain, so the drain-time checks hold in their strict form
+	}
+	aud.AuditProtocol(proto)
+	aud.CheckMeter(env.Meter.SentPayload, env.Meter.DeliveredPayload)
+	if cfg.OnAudit != nil {
+		cfg.OnAudit(RunSpec{Scheme: spec, Topo: TopoMicro}, aud.Finish())
+	}
 }
 
 // Fig15 reproduces Figure 15: average and maximum queue length on the

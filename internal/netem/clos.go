@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
@@ -430,10 +431,11 @@ func baseRTT(s TopoSpec, frame int) sim.Duration {
 // For example "clos:32x2g16/16/8,hosts=6,rate=100Gbps,delay=4us,hostdelay=1us"
 // is the ExpressPass 192-host fat-tree, and "clos:32/32,hosts=32,delay=500ns"
 // is a 1024-host leaf-spine. Rates and durations use the sim package's units
-// ("100Gbps", "500ns"). The leading "clos:" is optional.
+// ("100Gbps", "500ns"). The leading "clos:" is optional; a key given twice
+// is an error.
 func ParseTopoSpec(s string) (TopoSpec, error) {
 	raw := strings.TrimPrefix(s, "clos:")
-	spec := TopoSpec{HostsPerEdge: 8, HostRate: 100 * sim.Gbps, LinkDelay: sim.Microsecond}
+	spec := closDefaults
 	fields := strings.Split(raw, ",")
 	if fields[0] == "" {
 		return TopoSpec{}, fmt.Errorf("clos spec %q: missing tier list", s)
@@ -445,36 +447,25 @@ func ParseTopoSpec(s string) (TopoSpec, error) {
 		}
 		spec.Tiers = append(spec.Tiers, tier)
 	}
-	for _, kv := range fields[1:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return TopoSpec{}, fmt.Errorf("clos spec %q: field %q is not key=value", s, kv)
-		}
-		var err error
-		switch key {
-		case "hosts":
-			spec.HostsPerEdge, err = strconv.Atoi(val)
-		case "rate":
-			spec.HostRate, err = sim.ParseRate(val)
-		case "core":
-			spec.CoreRate, err = sim.ParseRate(val)
-		case "delay":
-			spec.LinkDelay, err = sim.ParseDuration(val)
-		case "hostdelay":
-			spec.HostDelay, err = sim.ParseDuration(val)
-		case "pipe":
-			spec.SwitchPipe, err = sim.ParseDuration(val)
-		default:
-			err = fmt.Errorf("unknown key %q (want hosts, rate, core, delay, hostdelay or pipe)", key)
-		}
-		if err != nil {
-			return TopoSpec{}, fmt.Errorf("clos spec %q: %v", s, err)
-		}
+	if err := kv.Parse(fields[1:], spec.params()); err != nil {
+		return TopoSpec{}, fmt.Errorf("clos spec %q: %v", s, err)
 	}
 	if err := spec.Validate(); err != nil {
 		return TopoSpec{}, fmt.Errorf("%v (in %q)", err, s)
 	}
 	return spec, nil
+}
+
+// closDefaults is what a "clos:" spec leaves unsaid: 8 hosts per edge
+// switch on 100G links with 1 µs of propagation delay.
+var closDefaults = TopoSpec{HostsPerEdge: 8, HostRate: 100 * sim.Gbps, LinkDelay: sim.Microsecond}
+
+// params binds the "clos:" spec keys to the spec's fields, in render order.
+func (s *TopoSpec) params() []kv.Field {
+	return []kv.Field{
+		{Key: "hosts", Ptr: &s.HostsPerEdge}, {Key: "rate", Ptr: &s.HostRate}, {Key: "core", Ptr: &s.CoreRate},
+		{Key: "delay", Ptr: &s.LinkDelay}, {Key: "hostdelay", Ptr: &s.HostDelay}, {Key: "pipe", Ptr: &s.SwitchPipe},
+	}
 }
 
 // parseTier parses one "<switches>[x<uplinks>][g<groups>]" tier term.
@@ -526,16 +517,14 @@ func (s TopoSpec) String() string {
 			}
 		}
 	}
-	fmt.Fprintf(&b, ",hosts=%d,rate=%v", n.HostsPerEdge, n.HostRate)
-	if n.CoreRate != 0 {
-		fmt.Fprintf(&b, ",core=%v", n.CoreRate)
-	}
-	fmt.Fprintf(&b, ",delay=%s", n.LinkDelay.ExactString())
-	if n.HostDelay != 0 {
-		fmt.Fprintf(&b, ",hostdelay=%s", n.HostDelay.ExactString())
-	}
-	if n.SwitchPipe != 0 {
-		fmt.Fprintf(&b, ",pipe=%s", n.SwitchPipe.ExactString())
+	// A key is omitted only when both its value and its default are zero,
+	// so the keys with a non-zero default (hosts, rate, delay) always show.
+	def := closDefaults
+	defs := def.params()
+	for i, f := range n.params() {
+		if !f.Zero() || !defs[i].Zero() {
+			fmt.Fprintf(&b, ",%s=%s", f.Key, f.String())
+		}
 	}
 	return b.String()
 }

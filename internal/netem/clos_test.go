@@ -267,8 +267,9 @@ func TestParseTopoSpec(t *testing.T) {
 		"clos:8/8,hosts=0",           // no hosts
 		"clos:8/8,hosts=8,rate=fast", // bad rate
 		"clos:8/8,hosts=8,frame=9000",
-		"clos:4g2/2,hosts=2", // partitioned: top boundary split into 2 groups
-		"clos:3g2/2,hosts=2", // groups don't divide switches
+		"clos:8/8,hosts=8,hosts=4", // a key given twice
+		"clos:4g2/2,hosts=2",       // partitioned: top boundary split into 2 groups
+		"clos:3g2/2,hosts=2",       // groups don't divide switches
 	}
 	for _, in := range bad {
 		if in == "clos:8/8" {
@@ -282,6 +283,30 @@ func TestParseTopoSpec(t *testing.T) {
 			t.Errorf("ParseTopoSpec(%q): expected error", in)
 		}
 	}
+}
+
+// FuzzTopoSpecRoundTrip holds the "clos:" grammar to its contract, seeded
+// with the catalogue shapes this file pins: ParseTopoSpec never panics, and
+// an accepted spec renders through String to a spec that parses back and
+// renders the same text.
+func FuzzTopoSpecRoundTrip(f *testing.F) {
+	for _, spec := range []TopoSpec{singleSpec, microSpec, leafSpineSpec, fatTreeSpec, incastFabricSpec} {
+		f.Add(spec.String())
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseTopoSpec(in)
+		if err != nil {
+			return
+		}
+		out := spec.String()
+		back, err := ParseTopoSpec(out)
+		if err != nil {
+			t.Fatalf("ParseTopoSpec(%q) renders %q, which does not parse: %v", in, out, err)
+		}
+		if again := back.String(); again != out {
+			t.Fatalf("ParseTopoSpec(%q) renders %q, which renders %q", in, out, again)
+		}
+	})
 }
 
 // TestClosValidate exercises the spec-level rejections directly.

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
@@ -36,7 +36,7 @@ import (
 // all|data|ctrl|sched|unsched), ge (Gilbert-Elliott correlated loss; params
 // p, r, good, bad — all probabilities in [0,1] — and match as for loss),
 // fail, restore, blackhole, rate (param cap, 0 restores the original rate)
-// and delay (params add, jitter).
+// and delay (params add, jitter). A parameter given twice is an error.
 //
 // The JSON form is an array of step objects with the field names below.
 // Both renderers are canonical: parse → render → parse is the identity
@@ -110,6 +110,27 @@ func targetChar(r rune) bool {
 	return strings.ContainsRune("-><.*_:+/", r)
 }
 
+// params binds the step's key=value parameters to its fields, the one table
+// the text parser, the renderer and the validator share.
+func (st *TimelineStep) params() []kv.Field {
+	return []kv.Field{
+		{Key: "rate", Ptr: &st.Rate}, {Key: "nth", Ptr: &st.Nth}, {Key: "match", Ptr: &st.Match},
+		{Key: "p", Ptr: &st.P}, {Key: "r", Ptr: &st.R}, {Key: "good", Ptr: &st.Good}, {Key: "bad", Ptr: &st.Bad},
+		{Key: "cap", Ptr: &st.Cap}, {Key: "add", Ptr: &st.Add}, {Key: "jitter", Ptr: &st.Jitter},
+	}
+}
+
+// actionParams lists, per action, the parameters it takes in render order.
+var actionParams = map[string][]string{
+	ActLoss:      {"rate", "nth", "match"},
+	ActGE:        {"p", "r", "good", "bad", "match"},
+	ActFail:      nil,
+	ActRestore:   nil,
+	ActBlackhole: nil,
+	ActRate:      {"cap"},
+	ActDelay:     {"add", "jitter"},
+}
+
 // validate checks one step and normalizes it to canonical form. Both parsers
 // funnel through it, so a Timeline in memory is always renderable and a
 // rendered form always re-parses to the same value.
@@ -125,94 +146,35 @@ func (st *TimelineStep) validate() error {
 			return fmt.Errorf("bad character %q in target %q", r, st.Target)
 		}
 	}
-	// Reject params foreign to the action so every non-zero field is
-	// rendered and every rendered field is meaningful.
-	forbid := func(cond bool, what string) error {
-		if cond {
-			return fmt.Errorf("action %s takes no %s", st.Action, what)
-		}
-		return nil
-	}
-	geParams := st.P != 0 || st.R != 0 || st.Good != 0 || st.Bad != 0
-	switch st.Action {
-	case ActLoss:
-		if math.IsNaN(st.Rate) || math.IsInf(st.Rate, 0) || st.Rate < 0 || st.Rate > 1 {
-			return fmt.Errorf("loss rate %v outside [0,1]", st.Rate)
-		}
-		if st.Nth < 0 {
-			return fmt.Errorf("negative nth %d", st.Nth)
-		}
-		if st.Match == "all" {
-			st.Match = "" // canonical
-		}
-		if _, err := MatchClass(st.Match); err != nil {
-			return err
-		}
-		if err := forbid(geParams, "ge params"); err != nil {
-			return err
-		}
-		if err := forbid(st.Cap != 0, "cap"); err != nil {
-			return err
-		}
-		return forbid(st.Add != 0 || st.Jitter != 0, "delay")
-	case ActGE:
-		for _, pr := range [...]struct {
-			name string
-			v    float64
-		}{{"p", st.P}, {"r", st.R}, {"good", st.Good}, {"bad", st.Bad}} {
-			if math.IsNaN(pr.v) || math.IsInf(pr.v, 0) || pr.v < 0 || pr.v > 1 {
-				return fmt.Errorf("ge %s %v outside [0,1]", pr.name, pr.v)
-			}
-		}
-		if st.Match == "all" {
-			st.Match = "" // canonical
-		}
-		if _, err := MatchClass(st.Match); err != nil {
-			return err
-		}
-		if err := forbid(st.Rate != 0 || st.Nth != 0, "loss params"); err != nil {
-			return err
-		}
-		if err := forbid(st.Cap != 0, "cap"); err != nil {
-			return err
-		}
-		return forbid(st.Add != 0 || st.Jitter != 0, "delay")
-	case ActFail, ActRestore, ActBlackhole:
-		if err := forbid(st.Rate != 0 || st.Nth != 0 || st.Match != "", "loss params"); err != nil {
-			return err
-		}
-		if err := forbid(geParams, "ge params"); err != nil {
-			return err
-		}
-		if err := forbid(st.Cap != 0, "cap"); err != nil {
-			return err
-		}
-		return forbid(st.Add != 0 || st.Jitter != 0, "delay")
-	case ActRate:
-		if st.Cap < 0 {
-			return fmt.Errorf("negative cap %d", st.Cap)
-		}
-		if err := forbid(st.Rate != 0 || st.Nth != 0 || st.Match != "", "loss params"); err != nil {
-			return err
-		}
-		if err := forbid(geParams, "ge params"); err != nil {
-			return err
-		}
-		return forbid(st.Add != 0 || st.Jitter != 0, "delay")
-	case ActDelay:
-		if st.Add < 0 || st.Jitter < 0 {
-			return fmt.Errorf("negative delay add=%d jitter=%d", st.Add, st.Jitter)
-		}
-		if err := forbid(st.Rate != 0 || st.Nth != 0 || st.Match != "", "loss params"); err != nil {
-			return err
-		}
-		if err := forbid(geParams, "ge params"); err != nil {
-			return err
-		}
-		return forbid(st.Cap != 0, "cap")
-	default:
+	takes, ok := actionParams[st.Action]
+	if !ok {
 		return fmt.Errorf("unknown action %q (want loss, ge, fail, restore, blackhole, rate or delay)", st.Action)
 	}
+	// Reject params foreign to the action so every non-zero field is
+	// rendered and every rendered field is meaningful. The range checks
+	// then hold for every action, as a foreign param is zero.
+	for _, f := range st.params() {
+		if !f.Zero() && !slices.Contains(takes, f.Key) {
+			return fmt.Errorf("action %s takes no %s", st.Action, f.Key)
+		}
+		// Every float parameter is a probability (NaN fails both bounds).
+		if p, ok := f.Ptr.(*float64); ok && !(*p >= 0 && *p <= 1) {
+			return fmt.Errorf("%s %s %v outside [0,1]", st.Action, f.Key, *p)
+		}
+	}
+	switch {
+	case st.Nth < 0:
+		return fmt.Errorf("negative nth %d", st.Nth)
+	case st.Cap < 0:
+		return fmt.Errorf("negative cap %d", st.Cap)
+	case st.Add < 0 || st.Jitter < 0:
+		return fmt.Errorf("negative delay add=%d jitter=%d", st.Add, st.Jitter)
+	}
+	if st.Match == "all" {
+		st.Match = "" // canonical
+	}
+	_, err := MatchClass(st.Match)
+	return err
 }
 
 // ParseTimeline parses a timeline in either format: JSON when the input
@@ -272,62 +234,8 @@ func parseTimelineText(name string, data []byte) (*Timeline, error) {
 			return nil, fmt.Errorf("%s:%d: %v", name, lineno+1, err)
 		}
 		st := TimelineStep{At: at, Target: fields[1], Action: fields[2]}
-		for _, kv := range fields[3:] {
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("%s:%d: parameter %q is not key=value", name, lineno+1, kv)
-			}
-			switch key {
-			case "rate":
-				st.Rate, err = strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad rate %q", name, lineno+1, val)
-				}
-			case "nth":
-				st.Nth, err = strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad nth %q", name, lineno+1, val)
-				}
-			case "match":
-				st.Match = val
-			case "p":
-				st.P, err = strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad p %q", name, lineno+1, val)
-				}
-			case "r":
-				st.R, err = strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad r %q", name, lineno+1, val)
-				}
-			case "good":
-				st.Good, err = strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad good %q", name, lineno+1, val)
-				}
-			case "bad":
-				st.Bad, err = strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad bad %q", name, lineno+1, val)
-				}
-			case "cap":
-				st.Cap, err = sim.ParseRate(val)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: %v", name, lineno+1, err)
-				}
-			case "add":
-				st.Add, err = sim.ParseDuration(val)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: %v", name, lineno+1, err)
-				}
-			case "jitter":
-				st.Jitter, err = sim.ParseDuration(val)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: %v", name, lineno+1, err)
-				}
-			default:
-				return nil, fmt.Errorf("%s:%d: unknown parameter %q", name, lineno+1, key)
-			}
+		if err := kv.Parse(fields[3:], st.params()); err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", name, lineno+1, err)
 		}
 		if err := st.validate(); err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", name, lineno+1, err)
@@ -351,30 +259,18 @@ func (tl *Timeline) Text() string {
 }
 
 // Text renders one step in the canonical text grammar (no trailing newline):
-// the line form Timeline.Text emits and parseTimelineText reads back.
+// the line form Timeline.Text emits and parseTimelineText reads back. Every
+// parameter the action takes is explicit; an empty match renders as all.
 func (st TimelineStep) Text() string {
+	if st.Match == "" {
+		st.Match = "all"
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s %s", st.At.ExactString(), st.Target, st.Action)
-	switch st.Action {
-	case ActLoss:
-		match := st.Match
-		if match == "" {
-			match = "all"
-		}
-		fmt.Fprintf(&b, " rate=%s nth=%d match=%s",
-			strconv.FormatFloat(st.Rate, 'g', -1, 64), st.Nth, match)
-	case ActGE:
-		match := st.Match
-		if match == "" {
-			match = "all"
-		}
-		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-		fmt.Fprintf(&b, " p=%s r=%s good=%s bad=%s match=%s",
-			g(st.P), g(st.R), g(st.Good), g(st.Bad), match)
-	case ActRate:
-		fmt.Fprintf(&b, " cap=%s", st.Cap)
-	case ActDelay:
-		fmt.Fprintf(&b, " add=%s jitter=%s", st.Add.ExactString(), st.Jitter.ExactString())
+	params := st.params()
+	for _, key := range actionParams[st.Action] {
+		f, _ := kv.Lookup(params, key) // every row key is in params
+		fmt.Fprintf(&b, " %s=%s", key, f.String())
 	}
 	return b.String()
 }

@@ -124,6 +124,7 @@ func TestParseTimelineRejectsMalformed(t *testing.T) {
 		{"negative cap", "0s * rate cap=-3bps\n", "negative"},
 		{"bad kv", "0s * loss rate\n", "not key=value"},
 		{"unknown key", "0s * loss frobnicate=1\n", "unknown parameter"},
+		{"repeated key", "0s * loss rate=0.1 rate=0.2\n", `repeated parameter "rate"`},
 		{"empty target via json", `[{"at_ps":0,"target":"","action":"fail"}]`, "empty target"},
 		{"target with space via json", `[{"at_ps":0,"target":"a b","action":"fail"}]`, "bad character"},
 		{"unknown json field", `[{"at_ps":0,"target":"*","action":"fail","bogus":1}]`, "bogus"},

@@ -55,14 +55,16 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/workload"
@@ -358,41 +360,38 @@ func (s *Scenario) JSON() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
+// scalars binds the single-value directives to the scenario's fields, in
+// render order: one table drives parseText's default arm and Text.
+func (s *Scenario) scalars() []kv.Field {
+	return []kv.Field{
+		{Key: "name", Ptr: &s.Name}, {Key: "topo", Ptr: &s.Topo}, {Key: "scheme", Ptr: &s.Scheme},
+		{Key: "rto", Ptr: &s.RTO}, {Key: "threshold", Ptr: &s.Threshold},
+		{Key: "seed", Ptr: &s.Seed}, {Key: "scheme-seed", Ptr: &s.SchemeSeed},
+		{Key: "load", Ptr: &s.CoreLoad}, {Key: "flows", Ptr: &s.Flows}, {Key: "budget", Ptr: &s.Budget},
+		{Key: "min-flows", Ptr: &s.MinFlows}, {Key: "max-flows", Ptr: &s.MaxFlows},
+		{Key: "buffer", Ptr: &s.Buffer}, {Key: "deadline", Ptr: &s.Deadline},
+	}
+}
+
+// params binds the incast directive's key=value parameters to its fields.
+func (ic *IncastSpec) params() []kv.Field {
+	return []kv.Field{
+		{Key: "fanin", Ptr: &ic.Fanin}, {Key: "receiver", Ptr: &ic.Receiver}, {Key: "msg", Ptr: &ic.MsgSize},
+		{Key: "seed", Ptr: &ic.Seed}, {Key: "start", Ptr: &ic.StartAt}, {Key: "jitter", Ptr: &ic.Jitter},
+	}
+}
+
 // fmtFloat renders a float losslessly (shortest form that round-trips).
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Text renders the canonical text form: fixed directive order, durations via
 // ExactString, floats at full precision — lossless, so
-// Parse(name, []byte(s.Text())) reproduces s exactly.
+// Parse(name, []byte(s.Text())) reproduces s exactly. A zero scalar is
+// omitted, except topo and scheme.
 func (s *Scenario) Text() string {
 	var b strings.Builder
 	b.WriteString("# aeolus scenario\n")
 	line := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-	if s.Name != "" {
-		line("name %s", s.Name)
-	}
-	line("topo %s", s.Topo)
-	line("scheme %s", s.Scheme)
-	keys := make([]string, 0, len(s.Opts))
-	for k := range s.Opts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		line("opt %s=%s", k, s.Opts[k])
-	}
-	if s.RTO != 0 {
-		line("rto %s", s.RTO.ExactString())
-	}
-	if s.Threshold != 0 {
-		line("threshold %d", s.Threshold)
-	}
-	if s.Seed != 0 {
-		line("seed %d", s.Seed)
-	}
-	if s.SchemeSeed != 0 {
-		line("scheme-seed %d", s.SchemeSeed)
-	}
 	writeWorkload := func(directive string, w *WorkloadSpec) {
 		if w == nil {
 			return
@@ -409,33 +408,28 @@ func (s *Scenario) Text() string {
 			line("%s name=%s", directive, w.Name)
 		}
 	}
-	writeWorkload("workload", s.Workload)
-	writeWorkload("scheme-workload", s.SchemeWorkload)
-	if s.CoreLoad != 0 {
-		line("load %s", fmtFloat(s.CoreLoad))
-	}
-	if s.Flows != 0 {
-		line("flows %d", s.Flows)
-	}
-	if s.Budget != 0 {
-		line("budget %d", s.Budget)
-	}
-	if s.MinFlows != 0 {
-		line("min-flows %d", s.MinFlows)
-	}
-	if s.MaxFlows != 0 {
-		line("max-flows %d", s.MaxFlows)
-	}
-	if ic := s.Incast; ic != nil {
-		line("incast fanin=%d receiver=%d msg=%d seed=%d start=%s jitter=%s",
-			ic.Fanin, ic.Receiver, ic.MsgSize, ic.Seed,
-			ic.StartAt.ExactString(), ic.Jitter.ExactString())
-	}
-	if s.Buffer != 0 {
-		line("buffer %d", s.Buffer)
-	}
-	if s.Deadline != 0 {
-		line("deadline %s", s.Deadline.ExactString())
+	for _, f := range s.scalars() {
+		if !f.Zero() || f.Key == "topo" || f.Key == "scheme" {
+			line("%s %s", f.Key, f.String())
+		}
+		// The other directives render after the scalar they follow.
+		switch f.Key {
+		case "scheme":
+			for _, k := range slices.Sorted(maps.Keys(s.Opts)) {
+				line("opt %s=%s", k, s.Opts[k])
+			}
+		case "scheme-seed":
+			writeWorkload("workload", s.Workload)
+			writeWorkload("scheme-workload", s.SchemeWorkload)
+		case "max-flows":
+			if ic := s.Incast; ic != nil {
+				b.WriteString("incast")
+				for _, p := range ic.params() {
+					fmt.Fprintf(&b, " %s=%s", p.Key, p.String())
+				}
+				b.WriteByte('\n')
+			}
+		}
 	}
 	if s.Impair != nil {
 		for _, st := range s.Impair.Steps {
@@ -513,6 +507,7 @@ func parseWorkloadRef(arg string) (*WorkloadSpec, bool, error) {
 
 func parseText(name string, data []byte) (*Scenario, error) {
 	s := &Scenario{}
+	scalars := s.scalars()
 	seen := map[string]bool{}
 	var pointsInto *WorkloadSpec // target of point lines (last inline workload)
 	fail := func(lineno int, format string, args ...any) error {
@@ -544,51 +539,11 @@ func parseText(name string, data []byte) (*Scenario, error) {
 			}
 			return args[0], nil
 		}
-		oneInt := func() (int64, error) {
-			a, err := one()
-			if err != nil {
-				return 0, err
-			}
-			v, err := strconv.ParseInt(a, 10, 64)
-			if err != nil {
-				return 0, fail(lineno, "%s: bad integer %q", directive, a)
-			}
-			return v, nil
-		}
-		oneUint := func() (uint64, error) {
-			a, err := one()
-			if err != nil {
-				return 0, err
-			}
-			v, err := strconv.ParseUint(a, 10, 64)
-			if err != nil {
-				return 0, fail(lineno, "%s: bad unsigned integer %q", directive, a)
-			}
-			return v, nil
-		}
-		oneDur := func() (sim.Duration, error) {
-			a, err := one()
-			if err != nil {
-				return 0, err
-			}
-			d, err := sim.ParseDuration(a)
-			if err != nil {
-				return 0, fail(lineno, "%s: %v", directive, err)
-			}
-			return d, nil
-		}
-		var err error
 		switch directive {
-		case "name":
-			s.Name, err = one()
-		case "topo":
-			s.Topo, err = one()
-		case "scheme":
-			s.Scheme, err = one()
 		case "opt":
-			a, e := one()
-			if e != nil {
-				return nil, e
+			a, err := one()
+			if err != nil {
+				return nil, err
 			}
 			k, v, ok := strings.Cut(a, "=")
 			if !ok || k == "" {
@@ -601,22 +556,14 @@ func parseText(name string, data []byte) (*Scenario, error) {
 				return nil, fail(lineno, "duplicate opt key %q", k)
 			}
 			s.Opts[k] = v
-		case "rto":
-			s.RTO, err = oneDur()
-		case "threshold":
-			s.Threshold, err = oneInt()
-		case "seed":
-			s.Seed, err = oneUint()
-		case "scheme-seed":
-			s.SchemeSeed, err = oneUint()
 		case "workload", "scheme-workload":
-			a, e := one()
-			if e != nil {
-				return nil, e
+			a, err := one()
+			if err != nil {
+				return nil, err
 			}
-			w, inline, e := parseWorkloadRef(a)
-			if e != nil {
-				return nil, fail(lineno, "%s: %v", directive, e)
+			w, inline, err := parseWorkloadRef(a)
+			if err != nil {
+				return nil, fail(lineno, "%s: %v", directive, err)
 			}
 			if directive == "workload" {
 				s.Workload = w
@@ -640,66 +587,16 @@ func parseText(name string, data []byte) (*Scenario, error) {
 				return nil, fail(lineno, "point wants two numbers, got %q %q", args[0], args[1])
 			}
 			pointsInto.Points = append(pointsInto.Points, [2]float64{bv, pv})
-		case "load":
-			a, e := one()
-			if e != nil {
-				return nil, e
-			}
-			s.CoreLoad, err = strconv.ParseFloat(a, 64)
-			if err != nil {
-				return nil, fail(lineno, "load: bad number %q", a)
-			}
-		case "flows":
-			var v int64
-			v, err = oneInt()
-			s.Flows = int(v)
-		case "budget":
-			s.Budget, err = oneInt()
-		case "min-flows":
-			var v int64
-			v, err = oneInt()
-			s.MinFlows = int(v)
-		case "max-flows":
-			var v int64
-			v, err = oneInt()
-			s.MaxFlows = int(v)
 		case "incast":
 			ic := &IncastSpec{}
-			for _, kv := range args {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fail(lineno, "incast parameter %q is not key=value", kv)
-				}
-				var e error
-				switch k {
-				case "fanin":
-					ic.Fanin, e = strconv.Atoi(v)
-				case "receiver":
-					ic.Receiver, e = strconv.Atoi(v)
-				case "msg":
-					ic.MsgSize, e = strconv.ParseInt(v, 10, 64)
-				case "seed":
-					ic.Seed, e = strconv.ParseUint(v, 10, 64)
-				case "start":
-					ic.StartAt, e = sim.ParseDuration(v)
-				case "jitter":
-					ic.Jitter, e = sim.ParseDuration(v)
-				default:
-					return nil, fail(lineno, "unknown incast parameter %q", k)
-				}
-				if e != nil {
-					return nil, fail(lineno, "incast %s: bad value %q", k, v)
-				}
+			if err := kv.Parse(args, ic.params()); err != nil {
+				return nil, fail(lineno, "incast: %v", err)
 			}
 			s.Incast = ic
-		case "buffer":
-			s.Buffer, err = oneInt()
-		case "deadline":
-			s.Deadline, err = oneDur()
 		case "impair":
-			tl, e := netem.ParseTimeline("impair", []byte(strings.Join(args, " ")))
-			if e != nil {
-				return nil, fail(lineno, "%v", e)
+			tl, err := netem.ParseTimeline("impair", []byte(strings.Join(args, " ")))
+			if err != nil {
+				return nil, fail(lineno, "%v", err)
 			}
 			if len(tl.Steps) != 1 {
 				return nil, fail(lineno, "impair wants exactly one timeline step per line")
@@ -709,10 +606,17 @@ func parseText(name string, data []byte) (*Scenario, error) {
 			}
 			s.Impair.Steps = append(s.Impair.Steps, tl.Steps[0])
 		default:
-			return nil, fail(lineno, "unknown directive %q", directive)
-		}
-		if err != nil {
-			return nil, err
+			f, err := kv.Lookup(scalars, directive)
+			if err != nil {
+				return nil, fail(lineno, "unknown directive %q", directive)
+			}
+			a, err := one()
+			if err != nil {
+				return nil, err
+			}
+			if err := f.Set(a); err != nil {
+				return nil, fail(lineno, "%s: %v", directive, err)
+			}
 		}
 	}
 	if err := s.Validate(); err != nil {

@@ -152,7 +152,8 @@ func TestParseErrors(t *testing.T) {
 		{"orphan point", "topo micro\nscheme homa\npoint 1 0\nincast fanin=1 msg=1\n", "outside an inline workload"},
 		{"no traffic", "topo micro\nscheme homa\n", "nothing to send"},
 		{"workload without budget", "topo micro\nscheme homa\nworkload name=WebServer\n", "flows or budget"},
-		{"bad incast key", "topo micro\nscheme homa\nincast fanin=1 msg=1 hosts=4\n", "unknown incast parameter"},
+		{"bad incast key", "topo micro\nscheme homa\nincast fanin=1 msg=1 hosts=4\n", "unknown parameter"},
+		{"repeated incast key", "topo micro\nscheme homa\nincast fanin=1 msg=1 fanin=2\n", `repeated parameter "fanin"`},
 		{"negative rto", "topo micro\nscheme homa\nrto -5ms\nincast fanin=1 msg=1\n", "negative rto"},
 		{"bad scheduler", "topo micro\nscheme homa\nscheduler wheel\nincast fanin=1 msg=1\n", `unknown directive "scheduler"`},
 		{"bad impair", "topo micro\nscheme homa\nimpair 0s sw0->* explode\nincast fanin=1 msg=1\n", "impair"},

@@ -15,9 +15,12 @@ package scheme
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/transport"
@@ -147,9 +150,9 @@ type Family[O any] struct {
 	// workload — everything shared by all variants).
 	Defaults func(spec Spec) O
 
-	// Apply sets one -opt key on the options; it returns an error naming
-	// the valid keys for unknown ones. Nil disables option pass-through.
-	Apply func(o *O, key, value string) error
+	// Options binds the -opt keys to fields of o: the option table Build
+	// sets user options through. Nil disables option pass-through.
+	Options func(o *O) []kv.Field
 
 	// Protocol constructs the transport over the final options.
 	Protocol func(env *transport.Env, o O) transport.Protocol
@@ -159,7 +162,7 @@ type Family[O any] struct {
 }
 
 // Variant decorates a Family: the registered scheme ID is Base+Suffix, the
-// options are Defaults → Mutate → Opts, and the fabric is either the
+// options are Defaults → Mutate → Options, and the fabric is either the
 // family's base Qdisc or the variant's override. This is the composition
 // that replaces per-variant switch arms.
 type Variant[O any] struct {
@@ -190,7 +193,7 @@ func (f Family[O]) Register(variants ...Variant[O]) {
 				if v.Mutate != nil {
 					v.Mutate(&o, spec)
 				}
-				if err := applyOpts(&o, spec, f.Apply); err != nil {
+				if err := applyOpts(&o, spec, f.Options); err != nil {
 					return Scheme{}, fmt.Errorf("scheme %s: %w", f.Base+v.Suffix, err)
 				}
 				qd := f.Qdisc
@@ -212,22 +215,23 @@ func (f Family[O]) Register(variants ...Variant[O]) {
 	}
 }
 
-// applyOpts applies the generic key=value options in sorted key order.
-func applyOpts[O any](o *O, spec Spec, apply func(*O, string, string) error) error {
+// applyOpts sets the generic key=value options through the family's option
+// table, in sorted key order. An unknown key is an error listing the table.
+func applyOpts[O any](o *O, spec Spec, options func(*O) []kv.Field) error {
 	if len(spec.Opts) == 0 {
 		return nil
 	}
-	if apply == nil {
+	if options == nil {
 		return fmt.Errorf("scheme takes no -opt options")
 	}
-	keys := make([]string, 0, len(spec.Opts))
-	for k := range spec.Opts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := apply(o, k, spec.Opts[k]); err != nil {
-			return err
+	fields := options(o)
+	for _, k := range slices.Sorted(maps.Keys(spec.Opts)) {
+		f, err := kv.Lookup(fields, k)
+		if err == nil {
+			err = f.Set(spec.Opts[k])
+		}
+		if err != nil {
+			return fmt.Errorf("option %s: %v", k, err)
 		}
 	}
 	return nil

@@ -80,7 +80,7 @@ func TestBuildUnknownCarriesCatalogue(t *testing.T) {
 
 // TestOptsPassThrough exercises the generic -opt plumbing: valid keys
 // apply silently, bad values and unknown keys surface as Build errors
-// naming the key.
+// naming the key, and durations parse in the sim units.
 func TestOptsPassThrough(t *testing.T) {
 	if _, err := scheme.Build(scheme.Spec{ID: "xpass",
 		Opts: map[string]string{"initrate": "0.25", "targetloss": "0.1"}}); err != nil {
@@ -99,6 +99,18 @@ func TestOptsPassThrough(t *testing.T) {
 	if _, err := scheme.Build(scheme.Spec{ID: "xpass",
 		Opts: map[string]string{"warp": "9"}}); err == nil {
 		t.Error("unknown key accepted")
+	} else if !strings.Contains(err.Error(), "initrate, aggressiveness, targetloss, probetimeout, maxproberesends") {
+		t.Errorf("unknown-key error does not list the option table: %v", err)
+	}
+	// Durations take the sim units of every other grammar: ps included, a
+	// bare number as picoseconds, no Go-only units.
+	for _, id := range []string{"xpass+aeolus", "homa+aeolus", "ndp+aeolus"} {
+		for v, ok := range map[string]bool{"2500ps": true, "2500": true, "1.5us": true, "1m": false, "-1us": false} {
+			_, err := scheme.Build(scheme.Spec{ID: id, Opts: map[string]string{"probetimeout": v}})
+			if (err == nil) != ok {
+				t.Errorf("%s -opt probetimeout=%s: error %v, want accepted=%v", id, v, err, ok)
+			}
+		}
 	}
 }
 

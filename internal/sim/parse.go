@@ -13,12 +13,15 @@ import (
 // impairment-timeline format (internal/netem) is built on them and its fuzz
 // target leans on the round-trip guarantee.
 
-// durUnits maps duration suffixes to their picosecond multiplier, longest
-// suffix first so "ms" is not mistaken for "s".
-var durUnits = []struct {
+// unit is one suffix of a "<number><unit>" quantity and its multiplier.
+type unit[T ~int64] struct {
 	suffix string
-	mul    Duration
-}{
+	mul    T
+}
+
+// durUnits maps duration suffixes to their picosecond multiplier, ordered so
+// that no suffix is tried after one it ends with ("ms" before "s").
+var durUnits = []unit[Duration]{
 	{"ps", Picosecond},
 	{"ns", Nanosecond},
 	{"us", Microsecond},
@@ -27,13 +30,37 @@ var durUnits = []struct {
 	{"s", Second},
 }
 
+// rateUnits maps rate suffixes to bits per second, in the same order rule.
+var rateUnits = []unit[Rate]{
+	{"Gbps", Gbps},
+	{"Mbps", Mbps},
+	{"Kbps", Kbps},
+	{"bps", BitPerSecond},
+}
+
 // ParseDuration parses a non-negative duration written as "<number><unit>"
 // with unit ps, ns, us (or µs), ms or s — e.g. "50ms", "1.5us", "123ps". A
 // bare number is picoseconds. Integer values are parsed exactly (no float
 // rounding), so any ExactString output round-trips losslessly.
 func ParseDuration(s string) (Duration, error) {
-	num, mul := s, Duration(0)
-	for _, u := range durUnits {
+	return parseUnits(s, "duration", `"50ms", "1.5us", "123ps"`, durUnits)
+}
+
+// ParseRate parses a non-negative rate written as "<number><unit>" with unit
+// bps, Kbps, Mbps or Gbps (e.g. "100Gbps", "2.5Gbps"). A bare number is bits
+// per second. Integer values parse exactly, so Rate.String output (which is
+// always an integer count of an exact unit) round-trips losslessly.
+func ParseRate(s string) (Rate, error) {
+	return parseUnits(s, "rate", `"100Gbps", "2.5Gbps"`, rateUnits)
+}
+
+// parseUnits is the parser behind ParseDuration and ParseRate: a number and
+// an optional suffix from units, where a bare number counts the base unit
+// (the multiplier 1). what names the quantity in errors; examples follow
+// "want e.g." when the input is not a number at all.
+func parseUnits[T ~int64](s, what, examples string, units []unit[T]) (T, error) {
+	num, mul := s, T(0)
+	for _, u := range units {
 		if strings.HasSuffix(s, u.suffix) && len(s) > len(u.suffix) {
 			num, mul = s[:len(s)-len(u.suffix)], u.mul
 			break
@@ -41,33 +68,33 @@ func ParseDuration(s string) (Duration, error) {
 	}
 	if mul == 0 {
 		if _, err := strconv.ParseFloat(s, 64); err != nil {
-			return 0, fmt.Errorf("sim: bad duration %q (want e.g. \"50ms\", \"1.5us\", \"123ps\")", s)
+			return 0, fmt.Errorf("sim: bad %s %q (want e.g. %s)", what, s, examples)
 		}
-		mul = Picosecond
+		mul = 1
 	}
 	// Exact integer path first: "9223372036854775807ps" and every
 	// ExactString rendering must survive unharmed by float precision.
 	if iv, err := strconv.ParseInt(num, 10, 64); err == nil {
 		if iv < 0 {
-			return 0, fmt.Errorf("sim: negative duration %q", s)
+			return 0, fmt.Errorf("sim: negative %s %q", what, s)
 		}
 		if iv > math.MaxInt64/int64(mul) {
-			return 0, fmt.Errorf("sim: duration %q overflows", s)
+			return 0, fmt.Errorf("sim: %s %q overflows", what, s)
 		}
-		return Duration(iv) * mul, nil
+		return T(iv) * mul, nil
 	}
 	fv, err := strconv.ParseFloat(num, 64)
 	if err != nil {
-		return 0, fmt.Errorf("sim: bad duration %q: %v", s, err)
+		return 0, fmt.Errorf("sim: bad %s %q: %v", what, s, err)
 	}
-	ps := fv * float64(mul)
-	if math.IsNaN(ps) || ps < 0 {
-		return 0, fmt.Errorf("sim: negative or NaN duration %q", s)
+	v := fv * float64(mul)
+	if math.IsNaN(v) || v < 0 {
+		return 0, fmt.Errorf("sim: negative or NaN %s %q", what, s)
 	}
-	if ps >= float64(math.MaxInt64) {
-		return 0, fmt.Errorf("sim: duration %q overflows", s)
+	if v >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("sim: %s %q overflows", what, s)
 	}
-	return Duration(math.Round(ps)), nil
+	return T(math.Round(v)), nil
 }
 
 // ExactString renders the duration as an integer count of the largest unit
@@ -88,56 +115,4 @@ func (d Duration) ExactString() string {
 		}
 	}
 	return strconv.FormatInt(int64(d), 10) + "ps"
-}
-
-// rateUnits maps rate suffixes to bits per second, longest first.
-var rateUnits = []struct {
-	suffix string
-	mul    Rate
-}{
-	{"Gbps", Gbps},
-	{"Mbps", Mbps},
-	{"Kbps", Kbps},
-	{"bps", BitPerSecond},
-}
-
-// ParseRate parses a non-negative rate written as "<number><unit>" with unit
-// bps, Kbps, Mbps or Gbps (e.g. "100Gbps", "2.5Gbps"). A bare number is bits
-// per second. Integer values parse exactly, so Rate.String output (which is
-// always an integer count of an exact unit) round-trips losslessly.
-func ParseRate(s string) (Rate, error) {
-	num, mul := s, Rate(0)
-	for _, u := range rateUnits {
-		if strings.HasSuffix(s, u.suffix) && len(s) > len(u.suffix) {
-			num, mul = s[:len(s)-len(u.suffix)], u.mul
-			break
-		}
-	}
-	if mul == 0 {
-		if _, err := strconv.ParseFloat(s, 64); err != nil {
-			return 0, fmt.Errorf("sim: bad rate %q (want e.g. \"100Gbps\", \"2.5Gbps\")", s)
-		}
-		mul = BitPerSecond
-	}
-	if iv, err := strconv.ParseInt(num, 10, 64); err == nil {
-		if iv < 0 {
-			return 0, fmt.Errorf("sim: negative rate %q", s)
-		}
-		if iv > math.MaxInt64/int64(mul) {
-			return 0, fmt.Errorf("sim: rate %q overflows", s)
-		}
-		return Rate(iv) * mul, nil
-	}
-	fv, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("sim: bad rate %q: %v", s, err)
-	}
-	bps := fv * float64(mul)
-	if math.IsNaN(bps) || bps < 0 {
-		return 0, fmt.Errorf("sim: negative or NaN rate %q", s)
-	}
-	if bps >= float64(math.MaxInt64) {
-		return 0, fmt.Errorf("sim: rate %q overflows", s)
-	}
-	return Rate(math.Round(bps)), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/aeolus-transport/aeolus/internal/core"
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scheme"
 	"github.com/aeolus-transport/aeolus/internal/transport"
@@ -25,7 +26,7 @@ func init() {
 			}
 			return opts
 		},
-		Apply: applyOpt,
+		Options: options,
 		Protocol: func(env *transport.Env, o Options) transport.Protocol {
 			return New(env, o)
 		},
@@ -77,22 +78,11 @@ func init() {
 	)
 }
 
-// applyOpt maps generic -opt keys onto the typed options.
-func applyOpt(o *Options, key, val string) error {
-	var err error
-	switch key {
-	case "initrate":
-		o.InitRate, err = scheme.OptFloat(key, val)
-	case "aggressiveness":
-		o.Aggressiveness, err = scheme.OptFloat(key, val)
-	case "targetloss":
-		o.TargetLoss, err = scheme.OptFloat(key, val)
-	case "probetimeout":
-		o.Aeolus.ProbeTimeout, err = scheme.OptDuration(key, val)
-	case "maxproberesends":
-		o.Aeolus.MaxProbeResends, err = scheme.OptInt(key, val)
-	default:
-		return fmt.Errorf("unknown option %q (ExpressPass takes initrate, aggressiveness, targetloss, probetimeout, maxproberesends)", key)
+// options binds ExpressPass's -opt keys to its options.
+func options(o *Options) []kv.Field {
+	return []kv.Field{
+		{Key: "initrate", Ptr: &o.InitRate}, {Key: "aggressiveness", Ptr: &o.Aggressiveness},
+		{Key: "targetloss", Ptr: &o.TargetLoss}, {Key: "probetimeout", Ptr: &o.Aeolus.ProbeTimeout},
+		{Key: "maxproberesends", Ptr: &o.Aeolus.MaxProbeResends},
 	}
-	return err
 }

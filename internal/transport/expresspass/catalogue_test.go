@@ -1,0 +1,37 @@
+package expresspass
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/aeolus-transport/aeolus/internal/core"
+	"github.com/aeolus-transport/aeolus/internal/kv"
+)
+
+// TestOptionTable checks the -opt table against the options it binds: every
+// option of the ExpressPass+Aeolus defaults renders and sets back unchanged,
+// and a distinct value per key lands in the field the key names.
+func TestOptionTable(t *testing.T) {
+	want := DefaultOptions()
+	want.Aeolus = core.DefaultOptions()
+	o := want
+	for _, f := range options(&o) {
+		if err := f.Set(f.String()); err != nil {
+			t.Errorf("-opt %s=%s: %v", f.Key, f.String(), err)
+		}
+	}
+	if !reflect.DeepEqual(o, want) {
+		t.Errorf("render and set back changed the options:\n%+v\nwant\n%+v", o, want)
+	}
+
+	var got Options
+	words := []string{"initrate=0.5", "aggressiveness=0.25", "targetloss=0.125", "probetimeout=2500ps", "maxproberesends=5"}
+	if err := kv.Parse(words, options(&got)); err != nil {
+		t.Fatal(err)
+	}
+	bound := Options{InitRate: 0.5, Aggressiveness: 0.25, TargetLoss: 0.125,
+		Aeolus: core.Options{ProbeTimeout: 2500, MaxProbeResends: 5}}
+	if !reflect.DeepEqual(got, bound) {
+		t.Errorf("%q set %+v, want %+v", words, got, bound)
+	}
+}

@@ -1,9 +1,8 @@
 package homa
 
 import (
-	"fmt"
-
 	"github.com/aeolus-transport/aeolus/internal/core"
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scheme"
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -24,7 +23,7 @@ func init() {
 			}
 			return opts
 		},
-		Apply: applyOpt,
+		Options: options,
 		Protocol: func(env *transport.Env, o Options) transport.Protocol {
 			return New(env, o)
 		},
@@ -73,24 +72,11 @@ func init() {
 	)
 }
 
-// applyOpt maps generic -opt keys onto the typed options.
-func applyOpt(o *Options, key, val string) error {
-	var err error
-	switch key {
-	case "overcommit":
-		o.Overcommit, err = scheme.OptInt(key, val)
-	case "numprios":
-		o.NumPrios, err = scheme.OptInt(key, val)
-	case "unschedprios":
-		o.UnschedPrios, err = scheme.OptInt(key, val)
-	case "rttbytes":
-		o.RTTBytes, err = scheme.OptInt64(key, val)
-	case "spray":
-		o.Spray, err = scheme.OptBool(key, val)
-	case "probetimeout":
-		o.Aeolus.ProbeTimeout, err = scheme.OptDuration(key, val)
-	default:
-		return fmt.Errorf("unknown option %q (Homa takes overcommit, numprios, unschedprios, rttbytes, spray, probetimeout)", key)
+// options binds Homa's -opt keys to its options.
+func options(o *Options) []kv.Field {
+	return []kv.Field{
+		{Key: "overcommit", Ptr: &o.Overcommit}, {Key: "numprios", Ptr: &o.NumPrios},
+		{Key: "unschedprios", Ptr: &o.UnschedPrios}, {Key: "rttbytes", Ptr: &o.RTTBytes},
+		{Key: "spray", Ptr: &o.Spray}, {Key: "probetimeout", Ptr: &o.Aeolus.ProbeTimeout},
 	}
-	return err
 }

@@ -1,9 +1,8 @@
 package ndp
 
 import (
-	"fmt"
-
 	"github.com/aeolus-transport/aeolus/internal/core"
+	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scheme"
 	"github.com/aeolus-transport/aeolus/internal/transport"
@@ -23,7 +22,7 @@ func init() {
 			}
 			return opts
 		},
-		Apply: applyOpt,
+		Options: options,
 		Protocol: func(env *transport.Env, o Options) transport.Protocol {
 			return New(env, o)
 		},
@@ -50,18 +49,10 @@ func init() {
 	)
 }
 
-// applyOpt maps generic -opt keys onto the typed options.
-func applyOpt(o *Options, key, val string) error {
-	var err error
-	switch key {
-	case "trimpkts":
-		o.TrimThresholdPkts, err = scheme.OptInt(key, val)
-	case "spray":
-		o.Spray, err = scheme.OptBool(key, val)
-	case "probetimeout":
-		o.Aeolus.ProbeTimeout, err = scheme.OptDuration(key, val)
-	default:
-		return fmt.Errorf("unknown option %q (NDP takes trimpkts, spray, probetimeout)", key)
+// options binds NDP's -opt keys to its options.
+func options(o *Options) []kv.Field {
+	return []kv.Field{
+		{Key: "trimpkts", Ptr: &o.TrimThresholdPkts}, {Key: "spray", Ptr: &o.Spray},
+		{Key: "probetimeout", Ptr: &o.Aeolus.ProbeTimeout},
 	}
-	return err
 }
