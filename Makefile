@@ -47,14 +47,17 @@ audit:
 
 # Golden-digest and scheduler-contract gate: the pinned behavior digests must
 # be byte-identical in every cell of {timing wheel, reference heap} x {pool on,
-# pool off}, and the wheel must match the heap oracle op for op on the
-# scheduler differential's seed corpus (firings, NextEventTime, Pending, Now
-# and CheckInvariants after every op) and pass the wheel's own tests. The heap
-# and pool-off mode exist only as these oracles; a drift in one cell is a
+# pool off}, the Quick seed-1 tables of fig8, fig11, fig15, fig16 and table5
+# must match their pinned digests (the same pins as aeolusperf's paper-quick
+# workload, and the only digest of the fig15/fig16 microbenchmark runs, which
+# declare no scenarios), and the wheel must match the heap oracle op for op on
+# the scheduler differential's seed corpus (firings, NextEventTime, Pending,
+# Now and CheckInvariants after every op) and pass the wheel's own tests. The
+# heap and pool-off mode exist only as these oracles; a drift in one cell is a
 # scheduler or pool bug, not a behavior change — see
 # internal/experiments/golden_test.go and internal/sim/fuzz_test.go.
 golden:
-	$(GO) test -run 'TestGoldenDigests' ./internal/experiments
+	$(GO) test -run 'TestGoldenDigests|TestQueueTableDigests' ./internal/experiments
 	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetectsWheelCorruption' ./internal/sim
 
 # Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix

@@ -1,6 +1,6 @@
 // Command workloadgen samples flow traces from the paper's workload
-// distributions and prints them (or summary statistics). It also regenerates
-// the analytic Figure 2 table (-fig2).
+// distributions and prints them (or summary statistics). The analytic
+// Figure 2 table is an experiment: aeolusbench -exp fig2.
 //
 // Examples:
 //
@@ -8,7 +8,6 @@
 //	workloadgen -workload DataMining -stats
 //	workloadgen -workload my-trace.cdf -stats
 //	workloadgen -workload WebServer -dump-cdf > webserver.cdf
-//	workloadgen -fig2
 package main
 
 import (
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/aeolus-transport/aeolus/internal/experiments"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
@@ -31,17 +29,8 @@ func main() {
 		rate   = flag.Int64("gbps", 100, "edge link rate, Gbps")
 		seed   = flag.Uint64("seed", 1, "random seed")
 		stat   = flag.Bool("stats", false, "print distribution statistics instead of a trace")
-		fig2   = flag.Bool("fig2", false, "print the Figure 2 analytic table")
 	)
 	flag.Parse()
-
-	if *fig2 {
-		for _, t := range experiments.Fig2(experiments.DefaultConfig()) {
-			t.Fprint(os.Stdout)
-			fmt.Println()
-		}
-		return
-	}
 
 	wl, err := workload.Resolve(*wlName)
 	if err != nil {

@@ -1,13 +1,19 @@
 package experiments
 
 import (
+	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/netem"
+	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
+	"github.com/aeolus-transport/aeolus/internal/transport"
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
@@ -73,8 +79,9 @@ func auditSweep(t *testing.T, sched sim.SchedulerKind) {
 	}
 }
 
-// TestAuditMicrobenchmarks checks that the §5.5 microbenchmarks, which build
-// their runs outside Run, honour Config.Audit and Config.Impair as Run does:
+// TestAuditMicrobenchmarks checks that the §5.5 microbenchmarks, which plan
+// their runs but drive them outside Run, honour Config.Audit and
+// Config.Impair as Run does:
 // every run of the quick fig16 sweep reports a clean audit through OnAudit
 // without changing the table, and a blackholed bottleneck switch does change
 // it.
@@ -109,14 +116,59 @@ func TestAuditMicrobenchmarks(t *testing.T) {
 	}
 }
 
+// TestMicrobenchmarkRuntimeKnobs checks the other runtime knobs on the
+// §5.5 microbenchmarks' runs: Config.TraceFlow prints the traced flow's
+// packet events, and Config.Observe, which only Run calls, sees none of the
+// fig15 and fig16 runs, nor the dry plan CheckScenario makes of a scenario
+// with an impairment timeline.
+func TestMicrobenchmarkRuntimeKnobs(t *testing.T) {
+	var trace bytes.Buffer
+	defer func(w io.Writer) { stderrLocked = w }(stderrLocked)
+	stderrLocked = LockedWriter(&trace)
+	var observed atomic.Int32
+	cfg := testConfig()
+	cfg.Observe = func(*netem.Network, *transport.Env, transport.Protocol) { observed.Add(1) }
+	cfg.TraceFlow = 1
+	Fig16(cfg)
+	if trace.Len() == 0 {
+		t.Fatal("fig16 traced flow 1 but wrote no events")
+	}
+	for _, l := range strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n") {
+		if !strings.Contains(l, "{flow=1 ") {
+			t.Fatalf("trace line of another flow: %q", l)
+		}
+	}
+	cfg.TraceFlow = 0
+	Fig15(cfg)
+	tl, err := netem.ParseTimeline("blackhole", []byte("0s sw0->* blackhole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := scenario.Scenario{Topo: TopoMicro, Scheme: "xpass+aeolus", Impair: tl,
+		Incast: &scenario.IncastSpec{Fanin: 2, MsgSize: 20_000}}
+	if err := CheckScenario(cfg, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if n := observed.Load(); n != 0 {
+		t.Errorf("Observe called %d times outside Run", n)
+	}
+}
+
 // TestAuditCatchesInjectedLoss proves the auditor is live end-to-end: a
 // fault-injection qdisc silently discarding packets (no trace event, no
 // drop counter) must surface as a conservation violation.
 func TestAuditCatchesInjectedLoss(t *testing.T) {
 	cfg := testConfig()
 	cfg.Audit = true
-	scheme := mustScheme(SchemeSpec{ID: "xpass+aeolus", Seed: 3})
-	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
+	scheme, err := MakeScheme(SchemeSpec{ID: "xpass+aeolus", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := ResolveTopo(TopoMicro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topo.Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	// Sabotage one switch port behind the auditor's back: every packet on
 	// the receiver downlink vanishes without a trace event or counter.
 	pt := net.Switches[0].Ports[0]

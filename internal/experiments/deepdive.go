@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -17,22 +16,18 @@ import (
 // msg bytes to host 0 at 10 µs — "in each RTT, all the senders transfer
 // 200KB data to the receiver" — and again every base RTT for the given
 // number of rounds. probe instruments the run through the receiver downlink,
-// the bottleneck, before the first flow starts. The run honours the
-// Config knobs Run does: the impairment timeline under Run's seed rule, and
-// the auditor, drained after a complete run and reported through OnAudit.
+// the bottleneck, before the first flow starts. The run is built by plan and
+// driven by Run's stages, so it honours every runtime knob Run does except
+// Observe: its multi-round traffic and in-run probe are all that is its own.
 func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 	probe func(env *transport.Env, bottleneck *netem.Port)) {
 
-	spec := SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed}
-	scheme := mustScheme(spec)
-	net := mustTopo(TopoMicro).Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
-	env := transport.NewEnv(net, scheme.MSS)
-	proto := scheme.New(env)
-	if cfg.Impair != nil {
-		if err := cfg.Impair.Apply(net, cfg.Seed^spec.Seed); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
+	spec := RunSpec{Scheme: SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed}, Topo: TopoMicro}
+	p, err := plan(cfg, spec)
+	if err != nil {
+		panic(err)
 	}
+	net := p.sn.Net
 	var traces [][]workload.FlowSpec
 	for round := 0; round < rounds; round++ {
 		start := sim.Time(10 * sim.Microsecond).Add(sim.Duration(round) * net.BaseRTT)
@@ -43,26 +38,10 @@ func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 		}).Generate())
 	}
 	trace := workload.Merge(traces...)
-	var aud *audit.Auditor
-	if cfg.Audit {
-		aud = audit.Attach(net)
-		for _, f := range trace {
-			aud.RegisterFlow(f.ID, f.Size)
-		}
-	}
-	probe(env, net.Switches[0].Ports[0])
-	done := transport.Runner(env, proto, trace, sim.Time(200*sim.Millisecond))
-	if aud == nil {
-		return
-	}
-	if done == len(trace) {
-		env.Eng.Run() // drain, so the drain-time checks hold in their strict form
-	}
-	aud.AuditProtocol(proto)
-	aud.CheckMeter(env.Meter.SentPayload, env.Meter.DeliveredPayload)
-	if cfg.OnAudit != nil {
-		cfg.OnAudit(RunSpec{Scheme: spec, Topo: TopoMicro}, aud.Finish())
-	}
+	probe(p.envs[0], net.Switches[0].Ports[0])
+	p.inject(trace)
+	p.execute(len(trace), sim.Time(200*sim.Millisecond), p.auds != nil)
+	p.finishAudit(cfg, spec)
 }
 
 // Fig15 reproduces Figure 15: average and maximum queue length on the

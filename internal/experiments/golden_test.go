@@ -151,8 +151,9 @@ func TestGoldenCoversCatalogue(t *testing.T) {
 // testbed incasts over selective dropping (fig8 for ExpressPass, fig11 for
 // Homa's priority queues), the bottleneck queue-length and first-RTT
 // utilization sweeps (fig15, fig16), and the shared-buffer priority-queue
-// comparison (table5). fig15 and fig16 drive the engine themselves, so no
-// scenario digest covers them.
+// comparison (table5). fig15 and fig16 are built by plan like every run, but
+// their multi-round traffic has no scenario form, so no scenario digest
+// covers them: these pins do.
 var queueTableDigests = map[string]string{
 	"fig8":   "84166e4befa0ee7e662f92bd694a94a02d62c9122973dec278653ff9e9a07647",
 	"fig11":  "57deab6690ce53153c749b8600675464d4de372193f85dd2cccccf8b7974eeda",

@@ -73,10 +73,12 @@ type Config struct {
 	// single-engine), which CheckRun reports up front.
 	Shards int
 
-	// Observe, when non-nil, is invoked after the topology, transport and
-	// instrumentation are built but before any flow starts, giving callers a
-	// window onto the run's internals (the scale sweep hangs its footprint
-	// probes here). It must not schedule engine events or set env.Done.
+	// Observe, when non-nil, is invoked by Run once per shard, right after
+	// plan has built the topology, transport and instrumentation and before
+	// any flow starts, giving callers a window onto the run's internals (the
+	// scale sweep hangs its footprint probes here). The §5.5
+	// microbenchmarks (Fig. 15/16) plan their runs without Run and are not
+	// observed. It must not schedule engine events or set env.Done.
 	Observe func(net *netem.Network, env *transport.Env, proto transport.Protocol)
 
 	// TraceFlow, when nonzero, prints every port/host event of that flow —
@@ -277,8 +279,9 @@ func resolve(cfg Config, spec RunSpec) (*runPlan, error) {
 // instances, and installs the impairment timeline, the packet tracer and the
 // auditors. None of them wraps anything: the timeline sets each port's Imp
 // and the tracers its Tap, which Port.Send consults in a fixed order, so an
-// injected drop is traced and attributed like any other drop. Observe sees
-// each shard once, before any flow starts.
+// injected drop is traced and attributed like any other drop. plan is the
+// only place a run is built: Run and the §5.5 microbenchmarks both start
+// here.
 func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 	p, err := resolve(cfg, spec)
 	if err != nil {
@@ -318,11 +321,6 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 				sn.ShardPorts(i), sn.ShardHosts(i), n > 1)
 		}
 	}
-	if cfg.Observe != nil {
-		for i, env := range p.envs {
-			cfg.Observe(env.Net, env, p.protos[i])
-		}
-	}
 	return p, nil
 }
 
@@ -338,17 +336,24 @@ func CheckRun(cfg Config, spec RunSpec) error {
 		_, err := resolve(cfg, spec)
 		return err
 	}
-	cfg.Audit, cfg.Observe = false, nil
+	cfg.Audit = false
 	_, err := plan(cfg, spec)
 	return err
 }
 
-// Run executes one simulation and collects the metrics. A spec the plan
-// rejects panics; the CLIs validate up front with CheckRun.
+// Run executes one simulation and collects the metrics, in stages: plan,
+// observe, traffic and goodput samplers, inject, execute, extract and
+// finishAudit. A spec the plan rejects panics; the CLIs validate up front
+// with CheckRun.
 func Run(cfg Config, spec RunSpec) RunResult {
 	p, err := plan(cfg, spec)
 	if err != nil {
 		panic(err)
+	}
+	if cfg.Observe != nil {
+		for i, env := range p.envs {
+			cfg.Observe(env.Net, env, p.protos[i])
+		}
 	}
 	sn := p.sn
 	var trace []workload.FlowSpec
@@ -399,46 +404,7 @@ func Run(cfg Config, spec RunSpec) RunResult {
 			env.Eng.At(t2, func() { d2s[i] = env.Meter.DeliveredPayload })
 		}
 	}
-	// Every shard may carry any flow's packets (spine shards forward traffic
-	// they neither source nor sink), so sizes register with every auditor.
-	for _, f := range trace {
-		for _, a := range p.auds {
-			a.RegisterFlow(f.ID, f.Size)
-		}
-	}
-	// Inject the trace: the sender's shard starts each flow at its arrival
-	// time; a cross-shard receiver gets its own pre-registered copy of the
-	// descriptor. Each FCT collector is pre-sized with the flows it will
-	// record — completions are receiver-side in all three transports — so
-	// completion recording never grows the heap mid-run.
-	perDst := make([]int, n)
-	for _, fs := range trace {
-		perDst[sn.HostShard(netem.NodeID(fs.Dst))]++
-	}
-	for i, env := range p.envs {
-		env.FCT.Reserve(perDst[i])
-	}
-	for _, fs := range trace {
-		f := &transport.Flow{
-			ID:     fs.ID,
-			Src:    netem.NodeID(fs.Src),
-			Dst:    netem.NodeID(fs.Dst),
-			Size:   fs.Size,
-			Start:  fs.Start,
-			PathID: transport.FlowHash(fs.ID),
-		}
-		s := sn.HostShard(f.Src)
-		if d := sn.HostShard(f.Dst); d != s {
-			reg, ok := p.protos[d].(flowRegistrar)
-			if !ok {
-				panic(fmt.Sprintf("experiments: scheme %s cannot register cross-shard flows", p.scheme.Name))
-			}
-			rf := *f
-			reg.Register(&rf)
-		}
-		proto := p.protos[s]
-		p.envs[s].Eng.At(f.Start, func() { proto.Start(f) })
-	}
+	p.inject(trace)
 
 	total := len(trace)
 	endTime := p.execute(total, last.Add(deadline), p.auds != nil)
@@ -498,13 +464,52 @@ func Run(cfg Config, spec RunSpec) RunResult {
 		res.Sched.Overflow += ss.Overflow
 		res.Sched.PeakOverflow += ss.PeakOverflow
 	}
-	if p.auds != nil {
-		res.Audit = p.auditReport()
-		if cfg.OnAudit != nil {
-			cfg.OnAudit(spec, res.Audit)
+	res.Audit = p.finishAudit(cfg, spec)
+	return res
+}
+
+// inject hands the trace to the engines. Every shard may carry any flow's
+// packets (spine shards forward traffic they neither source nor sink), so
+// sizes register with every auditor. Each FCT collector is pre-sized with
+// the flows it will record — completions are receiver-side in all three
+// transports — so completion recording never grows the heap mid-run. The
+// sender's shard then starts each flow at its arrival time; a cross-shard
+// receiver gets its own pre-registered copy of the descriptor.
+func (p *runPlan) inject(trace []workload.FlowSpec) {
+	sn := p.sn
+	for _, f := range trace {
+		for _, a := range p.auds {
+			a.RegisterFlow(f.ID, f.Size)
 		}
 	}
-	return res
+	perDst := make([]int, len(p.envs))
+	for _, fs := range trace {
+		perDst[sn.HostShard(netem.NodeID(fs.Dst))]++
+	}
+	for i, env := range p.envs {
+		env.FCT.Reserve(perDst[i])
+	}
+	for _, fs := range trace {
+		f := &transport.Flow{
+			ID:     fs.ID,
+			Src:    netem.NodeID(fs.Src),
+			Dst:    netem.NodeID(fs.Dst),
+			Size:   fs.Size,
+			Start:  fs.Start,
+			PathID: transport.FlowHash(fs.ID),
+		}
+		s := sn.HostShard(f.Src)
+		if d := sn.HostShard(f.Dst); d != s {
+			reg, ok := p.protos[d].(flowRegistrar)
+			if !ok {
+				panic(fmt.Sprintf("experiments: scheme %s cannot register cross-shard flows", p.scheme.Name))
+			}
+			rf := *f
+			reg.Register(&rf)
+		}
+		proto := p.protos[s]
+		p.envs[s].Eng.At(f.Start, func() { proto.Start(f) })
+	}
 }
 
 // completed returns the number of flows completed across every shard.
@@ -590,6 +595,19 @@ func (p *runPlan) collector(total int) *stats.FCTCollector {
 	recs := merged.Records()
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Finish < recs[j].Finish })
 	return merged
+}
+
+// finishAudit returns the run's audit report, also handed to Config.OnAudit,
+// or nil when the run is not audited.
+func (p *runPlan) finishAudit(cfg Config, spec RunSpec) *audit.Report {
+	if p.auds == nil {
+		return nil
+	}
+	rep := p.auditReport()
+	if cfg.OnAudit != nil {
+		cfg.OnAudit(spec, rep)
+	}
+	return rep
 }
 
 // auditReport finishes every shard's auditor and returns the run's report:

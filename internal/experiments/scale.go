@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"strconv"
@@ -365,11 +367,13 @@ func LoadScaleLedger(path string) (ScaleLedger, error) {
 // cell key, preserving an existing file's note, baseline and any current cells
 // not re-measured this run — so a sharded sweep can land next to the
 // sequential cells instead of erasing them. The first write seeds the
-// baseline, and committing it freezes the reference.
+// baseline, and committing it freezes the reference. Only a missing file
+// starts a fresh ledger: a file that cannot be read or parsed is an error and
+// is left untouched, so a damaged ledger never silently re-seeds its baseline.
 func WriteScaleLedger(path, note string, points []ScalePoint) error {
 	led, err := LoadScaleLedger(path)
-	if err != nil {
-		led = ScaleLedger{}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
 	if led.Note == "" {
 		led.Note = note

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -234,5 +235,22 @@ func TestScaleLedgerRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadScaleLedger(filepath.Join(t.TempDir(), "missing.json")); !os.IsNotExist(err) {
 		t.Errorf("missing ledger: err = %v, want IsNotExist", err)
+	}
+
+	// A ledger that exists but does not parse is an error, and the write
+	// leaves its bytes alone rather than re-seeding the baseline.
+	corrupt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt = corrupt[:len(corrupt)/2]
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteScaleLedger(path, "", second); err == nil {
+		t.Error("a truncated ledger was overwritten without an error")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, corrupt) {
+		t.Errorf("a failed write changed the ledger file (read err %v)", err)
 	}
 }

@@ -23,18 +23,6 @@ type (
 // catalogue, suitable for printing to users verbatim.
 func MakeScheme(spec SchemeSpec) (Scheme, error) { return scheme.Build(spec) }
 
-// mustScheme builds a scheme whose ID is known-good — the in-tree
-// experiment definitions. The registry-completeness and conformance tests
-// keep every catalogued ID buildable, so a panic here is a programming
-// error, not bad user input.
-func mustScheme(spec SchemeSpec) Scheme {
-	s, err := scheme.Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Schemes returns the catalogue in registration order.
 func Schemes() []scheme.Entry { return scheme.Entries() }
 

@@ -128,13 +128,3 @@ func TopoCatalog() string {
 	sb.WriteString("or a clos:<tier>/<tier>...[,key=value]... spec, e.g. \"clos:32/32,hosts=32,delay=500ns\"")
 	return sb.String()
 }
-
-// mustTopo resolves a topology name, panicking on failure — for harness
-// paths whose CLIs have already validated the name up front.
-func mustTopo(name string) TopoDef {
-	d, err := ResolveTopo(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return d
-}

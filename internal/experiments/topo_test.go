@@ -96,7 +96,10 @@ func TestCatalogueEdgeLoads(t *testing.T) {
 		{TopoMicro, 1},
 	}
 	for _, tc := range cases {
-		d := mustTopo(tc.name)
+		d, err := ResolveTopo(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := 0.8 / d.EdgeLoad(0.8); got != tc.factor {
 			t.Errorf("%s: load factor %v, want %v", tc.name, got, tc.factor)
 		}

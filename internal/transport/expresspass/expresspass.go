@@ -137,14 +137,6 @@ func New(env *transport.Env, opts Options) *Protocol {
 // resolve the flow; on sequential runs Start's own AddFlow covers it.
 func (p *Protocol) Register(f *transport.Flow) { p.tbl.AddFlow(f) }
 
-// Name implements transport.Protocol.
-func (p *Protocol) Name() string {
-	if p.opts.Aeolus.Enabled {
-		return "ExpressPass+Aeolus"
-	}
-	return "ExpressPass"
-}
-
 // Start implements transport.Protocol.
 func (p *Protocol) Start(f *transport.Flow) {
 	p.tbl.AddFlow(f)

@@ -190,20 +190,6 @@ func TestWastedCreditsBounded(t *testing.T) {
 	}
 }
 
-func TestProtocolName(t *testing.T) {
-	opts := DefaultOptions()
-	env, p := build(t, 2, opts)
-	if p.Name() != "ExpressPass" {
-		t.Fatal(p.Name())
-	}
-	opts.Aeolus.Enabled = true
-	_, p2 := build(t, 2, opts)
-	_ = env
-	if p2.Name() != "ExpressPass+Aeolus" {
-		t.Fatal(p2.Name())
-	}
-}
-
 // TestCreditFeedbackBacksOffUnderContention pins the other half of the
 // feedback loop: when many flows share one bottleneck, per-flow credit
 // rates must converge well below line rate (credit drops at the shaped

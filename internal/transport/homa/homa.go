@@ -164,14 +164,6 @@ func New(env *transport.Env, opts Options) *Protocol {
 // half of a cross-shard flow (see expresspass.Protocol.Register).
 func (p *Protocol) Register(f *transport.Flow) { p.tbl.AddFlow(f) }
 
-// Name implements transport.Protocol.
-func (p *Protocol) Name() string {
-	if p.opts.Aeolus.Enabled {
-		return "Homa+Aeolus"
-	}
-	return "Homa"
-}
-
 // Start implements transport.Protocol.
 func (p *Protocol) Start(f *transport.Flow) {
 	p.tbl.AddFlow(f)

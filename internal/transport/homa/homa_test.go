@@ -296,19 +296,6 @@ func (s epSpy) Receive(p *netem.Packet) {
 	s.inner.Receive(p)
 }
 
-func TestProtocolName(t *testing.T) {
-	opts := DefaultOptions()
-	_, p := build(t, opts, netem.DefaultBuffer)
-	if p.Name() != "Homa" {
-		t.Fatal(p.Name())
-	}
-	opts.Aeolus.Enabled = true
-	_, p2 := build(t, opts, netem.DefaultBuffer)
-	if p2.Name() != "Homa+Aeolus" {
-		t.Fatal(p2.Name())
-	}
-}
-
 // TestLateDuplicateDoesNotResurrectMessage is the regression test for the
 // ghost-state bug: a duplicate data packet arriving after a message
 // completed must hit the tombstoned entry, not recreate the message, arm a

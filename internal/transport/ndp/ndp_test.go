@@ -186,16 +186,3 @@ func TestPoissonMixCompletes(t *testing.T) {
 		}
 	}
 }
-
-func TestProtocolName(t *testing.T) {
-	opts := DefaultOptions()
-	_, p := build(t, opts)
-	if p.Name() != "NDP" {
-		t.Fatal(p.Name())
-	}
-	opts.Aeolus.Enabled = true
-	_, p2 := build(t, opts)
-	if p2.Name() != "NDP+Aeolus" {
-		t.Fatal(p2.Name())
-	}
-}

@@ -38,9 +38,6 @@ type Flow struct {
 // ID — logically distributed state in one object, as is conventional in
 // packet-level simulators.
 type Protocol interface {
-	// Name identifies the protocol in reports, e.g. "ExpressPass+Aeolus".
-	Name() string
-
 	// Start injects a new flow at the sender. Callers must invoke it at
 	// flow.Start simulated time.
 	Start(f *Flow)

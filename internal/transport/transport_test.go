@@ -153,7 +153,6 @@ func TestFlowHashDeterministicAndSpread(t *testing.T) {
 // nullProto completes flows instantly without any network traffic.
 type nullProto struct{ env *Env }
 
-func (n *nullProto) Name() string { return "null" }
 func (n *nullProto) Start(f *Flow) {
 	n.env.FlowDone(f)
 }
