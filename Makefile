@@ -129,22 +129,25 @@ bench-smoke:
 	$(GO) test -race -run=TestPool ./internal/netem
 
 # The benchmark is its own module (bench/, run by bench/run.sh), so the root
-# build and test targets skip it. Its tests run every workload at its tiny
-# size against the pinned output digests and check the metric names, so a
-# moved digest fails here rather than only when aeolusperf exits 1.
+# build, vet and test targets skip it: this target builds and vets it and
+# runs its tests. Those run every workload at its tiny size against the
+# pinned output digests and check the metric names, so a moved digest fails
+# here rather than only when aeolusperf exits 1.
 bench-check:
-	cd bench && $(GO) build ./... && $(GO) test ./...
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # Scenario gate: the tests of the value codec every text grammar binds its
 # keys through (internal/kv: lossless render and set back, the repeated-key
 # rule) and of the scenario package (round-trip identity, the checked-in fuzz
 # seed corpus as plain tests), every checked-in example under
 # examples/scenarios parsed + semantically validated + digest-pinned with the
-# smallest example run end to end against the golden behavior digest, and the
-# pinned scenario digests of every registry experiment and golden run.
+# smallest example run end to end against the golden behavior digest, the
+# pinned scenario digests of every registry experiment and golden run, and
+# the rule that a registry entry runs exactly the scenarios it declares, in
+# one batch.
 scenario:
 	$(GO) test ./internal/kv ./internal/scenario
-	$(GO) test -run 'TestExampleScenario|TestRegistryScenarioDigests|TestGoldenScenarioDigests|TestScenarioDrivenGolden' \
+	$(GO) test -run 'TestExampleScenario|TestRegistryScenarioDigests|TestGoldenScenarioDigests|TestScenarioDrivenGolden|TestExperimentRunsItsScenarios' \
 		./internal/experiments
 
 # Full scale sweep: the open-loop {64,256,1024}-host x {0.4,0.8}-load grid,

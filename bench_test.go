@@ -1,11 +1,12 @@
-// Package aeolus_test hosts the benchmark harness: one testing.B benchmark
-// per table and figure of the Aeolus paper's evaluation. Each benchmark
-// executes the corresponding experiment end-to-end on the packet-level
-// simulator and logs the regenerated table.
+// Package aeolus_test hosts the benchmark harness: one testing.B
+// sub-benchmark per registry experiment, each regenerating that table or
+// figure of the Aeolus paper's evaluation end-to-end on the packet-level
+// simulator and logging the regenerated tables.
 //
 // Benchmarks are macro-scale (whole simulations); run them once each:
 //
-//	go test -bench=. -benchtime=1x -benchmem
+//	go test -bench=Registry -benchtime=1x -benchmem
+//	go test -bench='Registry/table1$' -benchtime=1x
 //
 // The AEOLUS_BUDGET environment variable (MiB of offered traffic per
 // simulation run, default 24) scales fidelity; AEOLUS_FULL=1 disables the
@@ -36,104 +37,28 @@ func benchConfig() experiments.Config {
 	return cfg
 }
 
-// runExperiment executes the experiment b.N times, logging its tables once
-// and reporting the number of simulation runs per iteration.
-func runExperiment(b *testing.B, id string) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables := e.Fn(cfg)
-		if i == 0 {
-			var sb strings.Builder
-			for _, t := range tables {
-				t.Fprint(&sb)
-				sb.WriteString("\n")
+// BenchmarkRegistry regenerates every registry experiment b.N times, logging
+// its tables once. scale is skipped: its sweep times its own cells and owns
+// the process while doing so (cmd/aeolusscale runs it).
+func BenchmarkRegistry(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			if e.ID == "scale" {
+				b.Skip("the scale sweep times its own cells and owns the process; run cmd/aeolusscale")
 			}
-			b.Log("\n" + sb.String())
-		}
+			cfg := benchConfig()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables := e.Fn(cfg)
+				if i == 0 {
+					var sb strings.Builder
+					for _, t := range tables {
+						t.Fprint(&sb)
+						sb.WriteString("\n")
+					}
+					b.Log("\n" + sb.String())
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkFig1 regenerates Figure 1: the performance gap between the
-// existing proactive baselines and idealized pre-credit handling.
-func BenchmarkFig1(b *testing.B) { runExperiment(b, "fig1") }
-
-// BenchmarkFig2 regenerates Figure 2: the fraction of flows and bytes that
-// could finish within the first RTT at each link speed (analytic).
-func BenchmarkFig2(b *testing.B) { runExperiment(b, "fig2") }
-
-// BenchmarkFig3 regenerates Figure 3: ExpressPass vs hypothetical
-// ExpressPass small-flow FCT on the oversubscribed fat-tree.
-func BenchmarkFig3(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkFig4 regenerates Figure 4: Homa vs hypothetical Homa small-flow
-// FCT on the two-tier fabric.
-func BenchmarkFig4(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkTable1 regenerates Table 1: tail FCT, transfer efficiency and
-// average FCT under hypothetical, eager and original Homa.
-func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
-
-// BenchmarkFig8 regenerates Figure 8: testbed 7-to-1 incast MCT under
-// ExpressPass with and without Aeolus.
-func BenchmarkFig8(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9 regenerates Figure 9: ExpressPass ± Aeolus small-flow FCT
-// across the four production workloads.
-func BenchmarkFig9(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10 regenerates Figure 10: average small-flow FCT versus load
-// for ExpressPass ± Aeolus.
-func BenchmarkFig10(b *testing.B) { runExperiment(b, "fig10") }
-
-// BenchmarkFig11 regenerates Figure 11: testbed 7-to-1 incast MCT under
-// Homa with and without Aeolus.
-func BenchmarkFig11(b *testing.B) { runExperiment(b, "fig11") }
-
-// BenchmarkFig12 regenerates Figure 12: Homa ± Aeolus small-flow FCT across
-// the four workloads at 54% core load.
-func BenchmarkFig12(b *testing.B) { runExperiment(b, "fig12") }
-
-// BenchmarkFig13 regenerates Figure 13: flows suffering timeouts versus
-// load under Homa ± Aeolus.
-func BenchmarkFig13(b *testing.B) { runExperiment(b, "fig13") }
-
-// BenchmarkTable3 regenerates Table 3: average FCT of all flows under eager
-// Homa versus Homa+Aeolus.
-func BenchmarkTable3(b *testing.B) { runExperiment(b, "table3") }
-
-// BenchmarkFig14 regenerates Figure 14: NDP ± Aeolus small-flow FCT across
-// the four workloads.
-func BenchmarkFig14(b *testing.B) { runExperiment(b, "fig14") }
-
-// BenchmarkFig15 regenerates Figure 15: queue length versus the selective
-// dropping threshold.
-func BenchmarkFig15(b *testing.B) { runExperiment(b, "fig15") }
-
-// BenchmarkFig16 regenerates Figure 16: first-RTT bottleneck utilization
-// versus fan-in and threshold.
-func BenchmarkFig16(b *testing.B) { runExperiment(b, "fig16") }
-
-// BenchmarkTable4 regenerates Table 4: the trapped-vs-lost ambiguity of
-// priority queueing (max FCT and transfer efficiency).
-func BenchmarkTable4(b *testing.B) { runExperiment(b, "table4") }
-
-// BenchmarkTable5 regenerates Table 5: priority queueing's shared-buffer
-// starvation under a 20-to-1 incast.
-func BenchmarkTable5(b *testing.B) { runExperiment(b, "table5") }
-
-// BenchmarkFig17 regenerates Figure 17: FCT slowdown under N-to-1 incast
-// for all six schemes.
-func BenchmarkFig17(b *testing.B) { runExperiment(b, "fig17") }
-
-// BenchmarkFig18 regenerates Figure 18: goodput versus offered load for all
-// six schemes.
-func BenchmarkFig18(b *testing.B) { runExperiment(b, "fig18") }
-
-// BenchmarkAblation runs the design-choice ablation: selective-dropping
-// threshold sweep and probe-based versus RTO-only first-RTT recovery.
-func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }

@@ -23,6 +23,11 @@
 // JSON array; each element is a self-contained scenario file runnable with
 // aeolussim -scenario (see internal/scenario).
 //
+// Every scenario the selected experiments declare is validated under the
+// flags before anything runs or prints: a flag value one of those runs
+// cannot take (a zero or negative -budget, an -impair target missing from an
+// experiment's fabric) exits 2 naming the experiment and the problem.
+//
 // The -budget flag (in MiB of offered traffic per run) trades fidelity for
 // time; -quick trims parameter sweeps for a fast pass. Independent
 // simulation runs within an experiment execute concurrently on -parallel
@@ -91,7 +96,7 @@ func main() {
 		scfg.Budget = *budget << 20
 		scfg.Seed = *seed
 		scfg.Quick = *quick
-		printScenarios(*scenarios, scfg)
+		printScenarios(mustFind(*scenarios), scfg)
 		return
 	}
 	if *exp == "" {
@@ -112,6 +117,13 @@ func main() {
 	if *shards > 1 && timeline != nil {
 		fmt.Fprintln(os.Stderr, "-shards > 1 is incompatible with -impair/-impair-file: impairments are engine-local")
 		os.Exit(2)
+	}
+	selected := experiments.Registry
+	if *exp != "all" {
+		selected = []experiments.Experiment{mustFind(*exp)}
+	}
+	for _, e := range selected {
+		checkScenarios(e, cfg)
 	}
 	if *progress {
 		cfg.Progress = experiments.ProgressPrinter(os.Stderr)
@@ -170,20 +182,36 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *exp == "all" {
-		for _, e := range experiments.Registry {
-			run(e)
-		}
-		finish()
-		return
+	for _, e := range selected {
+		run(e)
 	}
-	e, err := experiments.ByID(*exp)
+	finish()
+}
+
+// mustFind looks an experiment up by ID; an unknown ID gets the list of
+// known ones and exit 2.
+func mustFind(id string) experiments.Experiment {
+	e, err := experiments.ByID(id)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	run(e)
-	finish()
+	return e
+}
+
+// checkScenarios validates every run e declares under cfg, as aeolussim
+// validates its scenario: the first one the harness would reject exits 2
+// with "<id>: <error>" rather than panic mid-sweep.
+func checkScenarios(e experiments.Experiment, cfg experiments.Config) {
+	if e.Scenarios == nil {
+		return
+	}
+	for _, sc := range e.Scenarios(cfg) {
+		if err := experiments.CheckScenario(cfg, &sc); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			os.Exit(2)
+		}
+	}
 }
 
 // printDigests runs the golden trace and prints, per scheme, the behavior
@@ -213,18 +241,15 @@ func printDigests(id string) {
 
 // printScenarios emits the scenario values declaring an experiment's runs as
 // a JSON array — each element is a complete scenario file, runnable with
-// aeolussim -scenario. Experiments with no scenario-declared runs (the
-// analytic fig2, the instrumented fig15/fig16) are reported and exit 2.
-func printScenarios(id string, cfg experiments.Config) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+// aeolussim -scenario — after validating them all. Experiments with no
+// scenario-declared runs (the analytic fig2, the instrumented fig15/fig16)
+// are reported and exit 2.
+func printScenarios(e experiments.Experiment, cfg experiments.Config) {
 	if e.Scenarios == nil {
-		fmt.Fprintf(os.Stderr, "%s declares no scenario runs (analytic or instrumented microbenchmark)\n", id)
+		fmt.Fprintf(os.Stderr, "%s declares no scenario runs (analytic or instrumented microbenchmark)\n", e.ID)
 		os.Exit(2)
 	}
+	checkScenarios(e, cfg)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(e.Scenarios(cfg)); err != nil {

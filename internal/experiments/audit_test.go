@@ -87,7 +87,7 @@ func auditSweep(t *testing.T, sched sim.SchedulerKind) {
 // it.
 func TestAuditMicrobenchmarks(t *testing.T) {
 	cfg := testConfig()
-	plain := Fig16(cfg)
+	plain := fig16(cfg)
 	cfg.Audit = true
 	var mu sync.Mutex
 	audited := 0
@@ -99,7 +99,7 @@ func TestAuditMicrobenchmarks(t *testing.T) {
 			t.Errorf("%s on %s: %v", spec.Scheme.ID, spec.Topo, err)
 		}
 	}
-	if got := Fig16(cfg); !reflect.DeepEqual(got, plain) {
+	if got := fig16(cfg); !reflect.DeepEqual(got, plain) {
 		t.Errorf("auditing changed the fig16 table:\n%+v\nwant\n%+v", got, plain)
 	}
 	if audited != 12 {
@@ -111,7 +111,7 @@ func TestAuditMicrobenchmarks(t *testing.T) {
 	}
 	cfg = testConfig()
 	cfg.Impair = tl
-	if got := Fig16(cfg); reflect.DeepEqual(got, plain) {
+	if got := fig16(cfg); reflect.DeepEqual(got, plain) {
 		t.Errorf("a blackholed switch left the fig16 table unchanged:\n%+v", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestMicrobenchmarkRuntimeKnobs(t *testing.T) {
 	cfg := testConfig()
 	cfg.Observe = func(*netem.Network, *transport.Env, transport.Protocol) { observed.Add(1) }
 	cfg.TraceFlow = 1
-	Fig16(cfg)
+	fig16(cfg)
 	if trace.Len() == 0 {
 		t.Fatal("fig16 traced flow 1 but wrote no events")
 	}
@@ -139,7 +139,7 @@ func TestMicrobenchmarkRuntimeKnobs(t *testing.T) {
 		}
 	}
 	cfg.TraceFlow = 0
-	Fig15(cfg)
+	fig15(cfg)
 	tl, err := netem.ParseTimeline("blackhole", []byte("0s sw0->* blackhole"))
 	if err != nil {
 		t.Fatal(err)

@@ -44,11 +44,11 @@ func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 	p.finishAudit(cfg, spec)
 }
 
-// Fig15 reproduces Figure 15: average and maximum queue length on the
+// fig15 reproduces Figure 15: average and maximum queue length on the
 // congested link under different selective dropping thresholds (16-to-1,
 // 200 KB per sender). The paper's observation: queue length is nearly
 // linear in the threshold.
-func Fig15(cfg Config) []Table {
+func fig15(cfg Config) []Table {
 	t := Table{ID: "fig15", Title: "Queue length vs selective dropping threshold (16-to-1, 200KB each)",
 		Columns: []string{"threshold/KB", "avgQueue/KB", "maxQueue/KB"}}
 	thresholds := []int64{1538, 3 << 10, 6 << 10, 12 << 10, 24 << 10, 48 << 10, 96 << 10}
@@ -87,11 +87,11 @@ func Fig15(cfg Config) []Table {
 	return []Table{t}
 }
 
-// Fig16 reproduces Figure 16: average utilization of the bottleneck link in
+// fig16 reproduces Figure 16: average utilization of the bottleneck link in
 // the first RTT under different traffic demands (fan-in N) and selective
 // dropping thresholds. The paper's observation: a threshold of 4 packets
 // (6 KB) already achieves full first-RTT throughput at every demand.
-func Fig16(cfg Config) []Table {
+func fig16(cfg Config) []Table {
 	t := Table{ID: "fig16", Title: "First-RTT bottleneck utilization vs fan-in and threshold",
 		Columns: []string{"fanin", "th=1.5KB", "th=3KB", "th=6KB", "th=12KB"}}
 	fanins := []int{2, 4, 8, 16, 24, 32, 40}
@@ -136,10 +136,10 @@ func fig17Fanins(quick bool) []int {
 	return []int{32, 64, 128, 256}
 }
 
-// Fig17Scenarios declares the (scheme × fan-in) incast grid of Fig. 17: the
-// 144-host 100G/400G fabric with 500 KB buffers, 64 KB messages, and a 40 µs
-// RTO for the Homa variants.
-func Fig17Scenarios(cfg Config) []scenario.Scenario {
+// fig17Scenarios declares the (scheme × fan-in) incast grid of Figure 17:
+// the 144-host 100G/400G fabric with 500 KB buffers, 64 KB messages, and a
+// 40 µs RTO for the Homa variants.
+func fig17Scenarios(cfg Config) []scenario.Scenario {
 	var scns []scenario.Scenario
 	for _, id := range fig17Schemes {
 		for _, n := range fig17Fanins(cfg.Quick) {
@@ -161,28 +161,20 @@ func Fig17Scenarios(cfg Config) []scenario.Scenario {
 	return scns
 }
 
-// Fig17 reproduces Figure 17: FCT slowdown (average and 99th percentile)
-// under N-to-1 incast for N in 32..256, on the 144-host 100G/400G fabric
-// with 500 KB buffers and 64 KB flows; Homa uses a 40 µs RTO.
-func Fig17(cfg Config) []Table {
-	avg := Table{ID: "fig17a", Title: "Incast FCT slowdown (average)",
-		Columns: []string{"scheme", "N=32", "N=64", "N=128", "N=256"}}
-	p99 := Table{ID: "fig17b", Title: "Incast FCT slowdown (99th percentile)",
-		Columns: []string{"scheme", "N=32", "N=64", "N=128", "N=256"}}
-	fanins := fig17Fanins(cfg.Quick)
-	if cfg.Quick {
-		avg.Columns = []string{"scheme", "N=32", "N=128"}
-		p99.Columns = avg.Columns
+// fig17Tables renders Figure 17: FCT slowdown (average and 99th percentile)
+// under N-to-1 incast, one row per scheme and one column per fan-in.
+func fig17Tables(cfg Config, scns []scenario.Scenario, res []RunResult) []Table {
+	n := len(fig17Fanins(cfg.Quick))
+	cols := []string{"scheme"}
+	for _, sc := range scns[:n] {
+		cols = append(cols, fmt.Sprintf("N=%d", sc.Incast.Fanin))
 	}
-	res := RunScenarios(cfg, Fig17Scenarios(cfg))
-	i := 0
-	for range fig17Schemes {
-		arow := []string{""}
-		prow := []string{""}
-		for range fanins {
-			r := res[i]
-			i++
-			arow[0], prow[0] = r.Scheme, r.Scheme
+	avg := Table{ID: "fig17a", Title: "Incast FCT slowdown (average)", Columns: cols}
+	p99 := Table{ID: "fig17b", Title: "Incast FCT slowdown (99th percentile)", Columns: cols}
+	for i := 0; i < len(res); i += n {
+		arow := []string{res[i].Scheme}
+		prow := []string{res[i].Scheme}
+		for _, r := range res[i : i+n] {
 			arow = append(arow, f1(r.All.MeanSlowdown))
 			prow = append(prow, f1(r.All.P99Slowdown))
 		}
@@ -200,13 +192,13 @@ func fig18Loads(quick bool) []float64 {
 	return []float64{0.3, 0.5, 0.7, 0.9}
 }
 
-// Fig18Scenarios declares the (scheme × load) goodput grid of Fig. 18: Web
+// fig18Scenarios declares the (scheme × load) goodput grid of Figure 18: Web
 // Search traffic plus a 64-to-1 incast on the 144-host fabric, half the
 // configured budget with a 500-flow floor so the steady state has a real span.
-func Fig18Scenarios(cfg Config) []scenario.Scenario {
+func fig18Scenarios(cfg Config) []scenario.Scenario {
 	sweep := cfg
 	sweep.Budget = cfg.Budget / 2
-	sweep.MinFlows = maxI(cfg.MinFlows, 500)
+	sweep.MinFlows = max(cfg.MinFlows, 500)
 	wl := workload.WebSearch.Name()
 	var scns []scenario.Scenario
 	for _, id := range fig17Schemes {
@@ -226,25 +218,20 @@ func Fig18Scenarios(cfg Config) []scenario.Scenario {
 	return scns
 }
 
-// Fig18 reproduces Figure 18: goodput (normalized by capacity) across
-// varying network loads, for all six schemes, under a mix of Web Search
-// traffic and 64-to-1 incast bursts.
-func Fig18(cfg Config) []Table {
-	loads := fig18Loads(cfg.Quick)
+// fig18Tables renders Figure 18: goodput (normalized by capacity) across
+// varying network loads, one row per scheme and one column per load.
+func fig18Tables(cfg Config, scns []scenario.Scenario, res []RunResult) []Table {
+	n := len(fig18Loads(cfg.Quick))
 	cols := []string{"scheme"}
-	for _, l := range loads {
-		cols = append(cols, fmt.Sprintf("load=%.1f", l))
+	for _, sc := range scns[:n] {
+		cols = append(cols, fmt.Sprintf("load=%.1f", sc.CoreLoad))
 	}
 	t := Table{ID: "fig18", Title: "Goodput vs offered load (Web Search + 64-to-1 incast mix)",
 		Columns: cols}
-	res := RunScenarios(cfg, Fig18Scenarios(cfg))
-	i := 0
-	for range fig17Schemes {
-		row := []string{""}
-		for range loads {
-			row[0] = res[i].Scheme
-			row = append(row, f3(res[i].WindowGoodput))
-			i++
+	for i := 0; i < len(res); i += n {
+		row := []string{res[i].Scheme}
+		for _, r := range res[i : i+n] {
+			row = append(row, f3(r.WindowGoodput))
 		}
 		t.Add(row...)
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/workload"
@@ -12,6 +14,16 @@ import (
 // testConfig is small enough for CI but large enough for directional shapes.
 func testConfig() Config {
 	return Config{Budget: 24 << 20, MinFlows: 100, MaxFlows: 2000, Seed: 1, Quick: true}
+}
+
+// regenerate renders registry experiment id's tables under cfg.
+func regenerate(t *testing.T, id string, cfg Config) []Table {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Fn(cfg)
 }
 
 func cell(t *Table, row int, col string) string {
@@ -46,8 +58,33 @@ func TestRegistryResolves(t *testing.T) {
 	}
 }
 
+// TestExperimentRunsItsScenarios checks that a registry entry runs exactly
+// the scenarios it declares, in one batch: every progress report counts out
+// of the declared total, and there is one report per declared run.
+func TestExperimentRunsItsScenarios(t *testing.T) {
+	for _, id := range []string{"fig8", "fig11", "table5", "fig17", "degrade"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		want := len(e.Scenarios(cfg))
+		var mu sync.Mutex
+		totals := map[int]int{} // reported batch total -> reports
+		cfg.Progress = func(_, total int, _ time.Duration) {
+			mu.Lock()
+			defer mu.Unlock()
+			totals[total]++
+		}
+		e.Fn(cfg)
+		if len(totals) != 1 || totals[want] != want {
+			t.Errorf("%s declares %d runs; progress reports per batch total: %v", id, want, totals)
+		}
+	}
+}
+
 func TestFig2Shape(t *testing.T) {
-	tables := Fig2(testConfig())
+	tables := fig2(testConfig())
 	if len(tables) != 2 {
 		t.Fatalf("fig2 returned %d tables", len(tables))
 	}
@@ -68,7 +105,7 @@ func TestFig2Shape(t *testing.T) {
 
 func TestFig3IdealBeatsVanilla(t *testing.T) {
 	cfg := testConfig()
-	tables := Fig3(cfg)
+	tables := regenerate(t, "fig3", cfg)
 	tab := tables[0]
 	// Rows alternate vanilla/ideal per workload; ideal must roughly halve
 	// the median (paper: 1.5 RTT -> 0.5 RTT) and finish most flows in 1 RTT.
@@ -89,7 +126,7 @@ func TestFig3IdealBeatsVanilla(t *testing.T) {
 
 func TestFig9AeolusImprovesExpressPass(t *testing.T) {
 	cfg := testConfig()
-	tables := Fig9(cfg)
+	tables := regenerate(t, "fig9", cfg)
 	tab := tables[0]
 	for i := 0; i < len(tab.Rows); i += 2 {
 		vanilla := cellF(t, &tab, i, "mean/us")
@@ -102,7 +139,7 @@ func TestFig9AeolusImprovesExpressPass(t *testing.T) {
 }
 
 func TestTable5PriorityQueueingMuchWorse(t *testing.T) {
-	tables := Table5(testConfig())
+	tables := regenerate(t, "table5", testConfig())
 	tab := tables[0]
 	aeolusMax := cellF(t, &tab, 0, "maxFCT/us")
 	prioMax := cellF(t, &tab, 1, "maxFCT/us")
@@ -117,7 +154,7 @@ func TestTable5PriorityQueueingMuchWorse(t *testing.T) {
 }
 
 func TestFig15QueueTracksThreshold(t *testing.T) {
-	tables := Fig15(testConfig())
+	tables := fig15(testConfig())
 	tab := tables[0]
 	prev := -1.0
 	for i := range tab.Rows {
@@ -135,7 +172,7 @@ func TestFig15QueueTracksThreshold(t *testing.T) {
 }
 
 func TestFig16HighThresholdSaturates(t *testing.T) {
-	tables := Fig16(testConfig())
+	tables := fig16(testConfig())
 	tab := tables[0]
 	for i := range tab.Rows {
 		if u := cellF(t, &tab, i, "th=12KB"); u < 0.9 {
@@ -146,7 +183,7 @@ func TestFig16HighThresholdSaturates(t *testing.T) {
 }
 
 func TestFig17AeolusNeverWorseMuch(t *testing.T) {
-	tables := Fig17(testConfig())
+	tables := regenerate(t, "fig17", testConfig())
 	avg := tables[0]
 	// Find paired rows: scheme and scheme+Aeolus.
 	rows := map[string]int{}

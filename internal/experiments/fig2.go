@@ -5,7 +5,7 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
 
-// Fig2 reproduces Figure 2: the fraction of flows (a) and bytes (b) that
+// fig2 reproduces Figure 2: the fraction of flows (a) and bytes (b) that
 // could have been finished within the first RTT (pre-credit phase) under
 // different link speeds, for the four production workloads.
 //
@@ -14,7 +14,7 @@ import (
 // B/A with A the workload's mean flow size and B the bytes one RTT carries
 // (capped at 1). The RTT is held at the paper's 100G-fabric base RTT so the
 // BDP scales linearly with link speed.
-func Fig2(cfg Config) []Table {
+func fig2(Config) []Table {
 	speeds := []sim.Rate{1 * sim.Gbps, 10 * sim.Gbps, 25 * sim.Gbps, 40 * sim.Gbps, 100 * sim.Gbps}
 	const rtt = 20 * sim.Microsecond // representative intra-DC base RTT
 

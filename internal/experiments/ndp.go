@@ -1,22 +1,12 @@
 package experiments
 
-import (
-	"github.com/aeolus-transport/aeolus/internal/scenario"
-	"github.com/aeolus-transport/aeolus/internal/workload"
-)
+import "github.com/aeolus-transport/aeolus/internal/workload"
 
-// Fig14 reproduces Figure 14: FCT of 0-100KB flows under NDP with cutting
+// fig14 reproduces Figure 14: FCT of 0-100KB flows under NDP with cutting
 // payload and NDP+Aeolus (selective dropping, no switch modification)
 // across the four workloads, on the two-tier 100G fabric at 40% core load.
 // The paper's claim: the two CDFs nearly coincide.
-func Fig14(cfg Config) []Table {
-	t := Table{ID: "fig14", Title: "NDP ± Aeolus, 0-100KB flows (leaf-spine, 40% core)",
-		Columns: fctCols}
-	fctSweep(cfg, &t, workload.All, []string{"ndp", "ndp+aeolus"}, TopoLeafSpine, 0.4)
-	return []Table{t}
-}
-
-// Fig14Scenarios declares Fig. 14's sweep.
-func Fig14Scenarios(cfg Config) []scenario.Scenario {
-	return fctSweepScenarios(cfg, workload.All, []string{"ndp", "ndp+aeolus"}, TopoLeafSpine, 0.4)
-}
+var fig14 = fctGrid{id: "fig14",
+	title:   "NDP ± Aeolus, 0-100KB flows (leaf-spine, 40% core)",
+	wls:     workload.All,
+	schemes: []string{"ndp", "ndp+aeolus"}, topo: TopoLeafSpine, load: 0.4}

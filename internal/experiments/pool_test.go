@@ -20,7 +20,7 @@ func fig9Cfg(seed uint64, parallel int) Config {
 // TestPoolSerialEquivalence is the core determinism guarantee of the
 // parallel fan-out: running fig9's scenarios through RunScenarios on 4
 // workers must give results identical to a serial loop over Run, in
-// declaration order, and the full Fig9 tables must be identical
+// declaration order, and the full fig9 tables must be identical
 // cell-for-cell between Parallel=1 and Parallel=4. A second seed guards
 // against accidental coupling between run seeds and scheduling.
 func TestPoolSerialEquivalence(t *testing.T) {
@@ -28,7 +28,7 @@ func TestPoolSerialEquivalence(t *testing.T) {
 	// once serially via Run and once through RunScenarios; every field of
 	// every RunResult (records included) must match.
 	cfg := fig9Cfg(1, 4)
-	scns := Fig9Scenarios(cfg)
+	scns := fig9.scenarios(cfg)
 	serial := make([]RunResult, len(scns))
 	for i := range scns {
 		sem, spec := mustFromScenario(scns[i])
@@ -49,10 +49,10 @@ func TestPoolSerialEquivalence(t *testing.T) {
 	// Parallel=1 and Parallel=4. The second seed guards against any
 	// accidental coupling between run seeding and scheduling.
 	for _, seed := range []uint64{1, 42} {
-		t1 := Fig9(fig9Cfg(seed, 1))
-		t4 := Fig9(fig9Cfg(seed, 4))
+		t1 := regenerate(t, "fig9", fig9Cfg(seed, 1))
+		t4 := regenerate(t, "fig9", fig9Cfg(seed, 4))
 		if !reflect.DeepEqual(t1, t4) {
-			t.Errorf("seed %d: Fig9 tables differ between Parallel=1 and Parallel=4:\n%+v\nvs\n%+v", seed, t1, t4)
+			t.Errorf("seed %d: fig9 tables differ between Parallel=1 and Parallel=4:\n%+v\nvs\n%+v", seed, t1, t4)
 		}
 	}
 }

@@ -9,12 +9,13 @@ import (
 
 // Experiment binds an ID to the function regenerating that table/figure and,
 // where the figure is a set of simulator runs, to the scenario values that
-// declare those runs. Scenarios is the serializable ground truth — Fn renders
-// tables from exactly the runs Scenarios declares — so anything that can run a
-// scenario (the CLIs, a golden test, a foreign harness) can reproduce a
-// registry figure cell by cell. It is nil only for the analytic fig2 (no
-// simulation at all) and the instrumented fig15/fig16 microbenchmarks, whose
-// in-run probes are observational hooks a serialized run cannot carry.
+// declare those runs. Scenarios is the serializable ground truth: anything
+// that can run a scenario (the CLIs, a golden test, a foreign harness) can
+// reproduce a registry figure cell by cell. Where it is set, runs derives Fn
+// from it, except for scale, which measures its cells one at a time. It is
+// nil only for the analytic fig2 (no simulation at all) and the instrumented
+// fig15/fig16 microbenchmarks, whose in-run probes are observational hooks a
+// serialized run cannot carry.
 type Experiment struct {
 	ID        string
 	Paper     string // what the paper shows
@@ -22,52 +23,65 @@ type Experiment struct {
 	Scenarios func(Config) []scenario.Scenario
 }
 
+// runs declares a registry entry whose figure is a set of simulator runs:
+// scenarios generates them, and tables renders the results, each beside the
+// scenario that produced it. Fn runs the declared scenarios in one
+// RunScenarios batch, so it cannot run anything Scenarios does not declare.
+func runs(id, paper string, scenarios func(Config) []scenario.Scenario,
+	tables func(cfg Config, scns []scenario.Scenario, res []RunResult) []Table) Experiment {
+	return Experiment{ID: id, Paper: paper, Scenarios: scenarios,
+		Fn: func(cfg Config) []Table {
+			s := scenarios(cfg)
+			return tables(cfg, s, RunScenarios(cfg, s))
+		}}
+}
+
 // Registry lists every reproduced table and figure in paper order.
 var Registry = []Experiment{
-	{ID: "fig1", Paper: "Gap between proactive baselines and ideal pre-credit handling",
-		Fn: Fig1, Scenarios: Fig1Scenarios},
+	runs("fig1", "Gap between proactive baselines and ideal pre-credit handling",
+		fig1Scenarios, fig1Tables),
 	{ID: "fig2", Paper: "Fraction of flows/bytes finishable in the first RTT vs link speed",
-		Fn: Fig2}, // analytic: no simulation runs
-	{ID: "fig3", Paper: "ExpressPass vs hypothetical ExpressPass, small-flow FCT",
-		Fn: Fig3, Scenarios: Fig3Scenarios},
-	{ID: "fig4", Paper: "Homa vs hypothetical Homa, small-flow FCT",
-		Fn: Fig4, Scenarios: Fig4Scenarios},
-	{ID: "table1", Paper: "Hypothetical vs eager vs original Homa",
-		Fn: Table1, Scenarios: Table1Scenarios},
-	{ID: "fig8", Paper: "Testbed 7-to-1 incast MCT, ExpressPass ± Aeolus",
-		Fn: Fig8, Scenarios: Fig8Scenarios},
-	{ID: "fig9", Paper: "ExpressPass ± Aeolus small-flow FCT, four workloads",
-		Fn: Fig9, Scenarios: Fig9Scenarios},
-	{ID: "fig10", Paper: "ExpressPass ± Aeolus avg small-flow FCT vs load",
-		Fn: Fig10, Scenarios: Fig10Scenarios},
-	{ID: "fig11", Paper: "Testbed 7-to-1 incast MCT, Homa ± Aeolus",
-		Fn: Fig11, Scenarios: Fig11Scenarios},
-	{ID: "fig12", Paper: "Homa ± Aeolus small-flow FCT, four workloads",
-		Fn: Fig12, Scenarios: Fig12Scenarios},
-	{ID: "fig13", Paper: "Flows suffering timeouts vs load, Homa ± Aeolus",
-		Fn: Fig13, Scenarios: Fig13Scenarios},
-	{ID: "table3", Paper: "Avg FCT of all flows, eager Homa vs Homa+Aeolus",
-		Fn: Table3, Scenarios: Table3Scenarios},
-	{ID: "fig14", Paper: "NDP ± Aeolus small-flow FCT, four workloads",
-		Fn: Fig14, Scenarios: Fig14Scenarios},
+		Fn: fig2}, // analytic: no simulation runs
+	runs("fig3", "ExpressPass vs hypothetical ExpressPass, small-flow FCT",
+		fig3.scenarios, fig3.tables),
+	runs("fig4", "Homa vs hypothetical Homa, small-flow FCT",
+		fig4.scenarios, fig4.tables),
+	runs("table1", "Hypothetical vs eager vs original Homa",
+		table1Scenarios, table1Tables),
+	runs("fig8", "Testbed 7-to-1 incast MCT, ExpressPass ± Aeolus",
+		fig8.scenarios, fig8.tables),
+	runs("fig9", "ExpressPass ± Aeolus small-flow FCT, four workloads",
+		fig9.scenarios, fig9.tables),
+	runs("fig10", "ExpressPass ± Aeolus avg small-flow FCT vs load",
+		fig10Grid.scenarios, fig10Tables),
+	runs("fig11", "Testbed 7-to-1 incast MCT, Homa ± Aeolus",
+		fig11.scenarios, fig11.tables),
+	runs("fig12", "Homa ± Aeolus small-flow FCT, four workloads",
+		fig12.scenarios, fig12.tables),
+	runs("fig13", "Flows suffering timeouts vs load, Homa ± Aeolus",
+		fig13Grid.scenarios, fig13Tables),
+	runs("table3", "Avg FCT of all flows, eager Homa vs Homa+Aeolus",
+		table3Grid.scenarios, table3Tables),
+	runs("fig14", "NDP ± Aeolus small-flow FCT, four workloads",
+		fig14.scenarios, fig14.tables),
 	{ID: "fig15", Paper: "Queue length vs selective dropping threshold",
-		Fn: Fig15}, // instrumented microbenchmark: in-run queue probes
+		Fn: fig15}, // instrumented microbenchmark: in-run queue probes
 	{ID: "fig16", Paper: "First-RTT utilization vs fan-in and threshold",
-		Fn: Fig16}, // instrumented microbenchmark: in-run utilization probes
-	{ID: "table4", Paper: "Aeolus vs priority queueing: ambiguity",
-		Fn: Table4, Scenarios: Table4Scenarios},
-	{ID: "table5", Paper: "Aeolus vs priority queueing: shared-buffer incast",
-		Fn: Table5, Scenarios: Table5Scenarios},
-	{ID: "fig17", Paper: "Heavy-incast FCT slowdown, six schemes",
-		Fn: Fig17, Scenarios: Fig17Scenarios},
-	{ID: "fig18", Paper: "Goodput vs offered load, six schemes",
-		Fn: Fig18, Scenarios: Fig18Scenarios},
-	{ID: "ablation", Paper: "Design-choice ablation: threshold sweep, probe vs RTO-only recovery",
-		Fn: Ablation, Scenarios: AblationScenarios},
-	{ID: "degrade", Paper: "Degradation sweep under injected loss and link flap (not in the paper)",
-		Fn: Degradation, Scenarios: DegradationScenarios},
+		Fn: fig16}, // instrumented microbenchmark: in-run utilization probes
+	runs("table4", "Aeolus vs priority queueing: ambiguity",
+		table4Scenarios, table4Tables),
+	runs("table5", "Aeolus vs priority queueing: shared-buffer incast",
+		table5Scenarios, table5Tables),
+	runs("fig17", "Heavy-incast FCT slowdown, six schemes",
+		fig17Scenarios, fig17Tables),
+	runs("fig18", "Goodput vs offered load, six schemes",
+		fig18Scenarios, fig18Tables),
+	runs("ablation", "Design-choice ablation: threshold sweep, probe vs RTO-only recovery",
+		ablationScenarios, ablationTables),
+	runs("degrade", "Degradation sweep under injected loss and link flap (not in the paper)",
+		degradeScenarios, degradeTables),
 	{ID: "scale", Paper: "Open-loop scale sweep: simulator throughput and memory vs fabric size (not in the paper)",
-		Fn: ScaleSweep, Scenarios: ScaleScenarios},
+		Fn: scaleSweep, Scenarios: ScaleScenarios}, // measures its cells one at a time
 }
 
 // ByID returns the experiment with the given ID.

@@ -225,9 +225,9 @@ func MeasureScale(cfg Config, width int, load float64) ScalePoint {
 	return pt
 }
 
-// ScaleSweep is the "scale" registry entry: the full grid, serially,
+// scaleSweep is the "scale" registry entry: the full grid, serially,
 // smallest fabric first, one table row per cell.
-func ScaleSweep(cfg Config) []Table {
+func scaleSweep(cfg Config) []Table {
 	points := RunScaleGrid(cfg)
 	t := Table{ID: "scale",
 		Title: "Open-loop scale sweep: simulator throughput and memory vs fabric size (WebServer, xpass+aeolus)",

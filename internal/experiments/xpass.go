@@ -46,28 +46,41 @@ func percentileOf(recs []stats.FlowRecord, p float64) sim.Duration {
 	return fcts[idx]
 }
 
-// Fig1 reproduces Figure 1: the gap between the existing proactive
-// baselines and the idealized pre-credit handling, on Cache Follower at 40%
-// core load. (a) ExpressPass wastes the first RTT — mean small-flow FCT vs
-// the hypothetical ideal; (b) Homa's blind burst — tail small-flow FCT vs
-// the hypothetical ideal.
-func Fig1(cfg Config) []Table {
-	wl := workload.CacheFollower
-	a := Table{ID: "fig1a", Title: "Waiting credits in the pre-credit phase (ExpressPass vs ideal)",
-		Columns: fctCols}
-	b := Table{ID: "fig1b", Title: "Blind burst in the pre-credit phase (Homa vs ideal)",
-		Columns: fctCols}
-	res := RunScenarios(cfg, Fig1Scenarios(cfg))
-	addFCTRow(&a, wl.Name(), res[0])
-	addFCTRow(&a, wl.Name(), res[1])
-	addFCTRow(&b, wl.Name(), res[2])
-	addFCTRow(&b, wl.Name(), res[3])
-	return []Table{a, b}
+// fctGrid declares the small-flow FCT grid: one run per (workload, scheme)
+// pair on one fabric at one core load, nested in the order a serial double
+// loop would produce, and rendered as one fctCols row per run.
+type fctGrid struct {
+	id, title string
+	wls       []*workload.CDF
+	schemes   []string
+	topo      string
+	load      float64
+	minFlows  int // flow floor, where tails need samples
 }
 
-// Fig1Scenarios declares Fig. 1's four runs: each proactive baseline and
-// its idealized oracle, on the fabric its own paper used.
-func Fig1Scenarios(cfg Config) []scenario.Scenario {
+func (g fctGrid) scenarios(cfg Config) []scenario.Scenario {
+	cfg.MinFlows = max(cfg.MinFlows, g.minFlows)
+	var scns []scenario.Scenario
+	for _, wl := range g.wls {
+		for _, id := range g.schemes {
+			scns = append(scns, poissonScenario(cfg, id, wl.Name(), g.topo, g.load))
+		}
+	}
+	return scns
+}
+
+func (g fctGrid) tables(_ Config, scns []scenario.Scenario, res []RunResult) []Table {
+	t := Table{ID: g.id, Title: g.title, Columns: fctCols}
+	for i, r := range res {
+		addFCTRow(&t, scns[i].Workload.Name, r)
+	}
+	return []Table{t}
+}
+
+// fig1Scenarios declares Figure 1's four runs: each proactive baseline and
+// its idealized oracle, on Cache Follower at 40% core load over the fabric
+// its own paper used.
+func fig1Scenarios(cfg Config) []scenario.Scenario {
 	wl := workload.CacheFollower.Name()
 	return []scenario.Scenario{
 		poissonScenario(cfg, "xpass", wl, TopoFatTree, 0.4),
@@ -77,59 +90,35 @@ func Fig1Scenarios(cfg Config) []scenario.Scenario {
 	}
 }
 
-// Fig3 reproduces Figure 3: FCT of 0-100KB flows under original ExpressPass
+// fig1Tables renders Figure 1's gap between the existing proactive
+// baselines and the idealized pre-credit handling: (a) ExpressPass wastes
+// the first RTT — mean small-flow FCT vs the hypothetical ideal; (b) Homa's
+// blind burst — tail small-flow FCT vs the hypothetical ideal.
+func fig1Tables(_ Config, scns []scenario.Scenario, res []RunResult) []Table {
+	a := Table{ID: "fig1a", Title: "Waiting credits in the pre-credit phase (ExpressPass vs ideal)",
+		Columns: fctCols}
+	b := Table{ID: "fig1b", Title: "Blind burst in the pre-credit phase (Homa vs ideal)",
+		Columns: fctCols}
+	for i, t := range []*Table{&a, &a, &b, &b} {
+		addFCTRow(t, scns[i].Workload.Name, res[i])
+	}
+	return []Table{a, b}
+}
+
+// fig3 reproduces Figure 3: FCT of 0-100KB flows under original ExpressPass
 // and the hypothetical ExpressPass with the idealized pre-credit solution,
 // on Cache Follower and Web Server over the 100G fat-tree.
-func Fig3(cfg Config) []Table {
-	t := Table{ID: "fig3", Title: "ExpressPass vs hypothetical ExpressPass, 0-100KB flows (fat-tree, 40% core)",
-		Columns: fctCols}
-	fctSweep(cfg, &t, []*workload.CDF{workload.CacheFollower, workload.WebServer},
-		[]string{"xpass", "xpass+oracle"}, TopoFatTree, 0.4)
-	return []Table{t}
-}
+var fig3 = fctGrid{id: "fig3",
+	title:   "ExpressPass vs hypothetical ExpressPass, 0-100KB flows (fat-tree, 40% core)",
+	wls:     []*workload.CDF{workload.CacheFollower, workload.WebServer},
+	schemes: []string{"xpass", "xpass+oracle"}, topo: TopoFatTree, load: 0.4}
 
-// Fig3Scenarios declares Fig. 3's sweep.
-func Fig3Scenarios(cfg Config) []scenario.Scenario {
-	return fctSweepScenarios(cfg, []*workload.CDF{workload.CacheFollower, workload.WebServer},
-		[]string{"xpass", "xpass+oracle"}, TopoFatTree, 0.4)
-}
-
-// fctSweepScenarios declares one run per (workload, scheme) pair, nested in
-// the order a serial double loop would produce.
-func fctSweepScenarios(cfg Config, wls []*workload.CDF, ids []string, topo string, load float64) []scenario.Scenario {
-	var scns []scenario.Scenario
-	for _, wl := range wls {
-		for _, id := range ids {
-			scns = append(scns, poissonScenario(cfg, id, wl.Name(), topo, load))
-		}
-	}
-	return scns
-}
-
-// fctSweep runs one simulation per (workload, scheme) pair — all cells
-// fanned out by RunScenarios — and tabulates the small-flow FCT rows.
-func fctSweep(cfg Config, t *Table, wls []*workload.CDF, ids []string, topo string, load float64) {
-	var names []string
-	for _, wl := range wls {
-		for range ids {
-			names = append(names, wl.Name())
-		}
-	}
-	for i, r := range RunScenarios(cfg, fctSweepScenarios(cfg, wls, ids, topo, load)) {
-		addFCTRow(t, names[i], r)
-	}
-}
-
-// Fig8 reproduces Figure 8: message completion times of a 7-to-1 incast on
-// the 10G single-switch testbed, ExpressPass with and without Aeolus, for
-// message sizes 30-50 KB.
-func Fig8(cfg Config) []Table {
-	return incastMCT(cfg, "fig8", "xpass", "xpass+aeolus")
-}
-
-// Fig8Scenarios declares Fig. 8's incast grid.
-func Fig8Scenarios(cfg Config) []scenario.Scenario {
-	return incastMCTScenarios(cfg, "xpass", "xpass+aeolus")
+// incastStudy declares a testbed 7-to-1 incast study of a scheme and its
+// Aeolus counterpart on the 10G single switch: every message size, several
+// rounds each, the round index folded into both seeds so rounds are
+// independent draws. Its table summarizes the MCTs of each size's rounds.
+type incastStudy struct {
+	id, base, aeolus string
 }
 
 // incastMCTShape returns the message sizes and repetition rounds of the
@@ -141,13 +130,10 @@ func incastMCTShape(cfg Config) ([]int64, int) {
 	return []int64{30_000, 35_000, 40_000, 45_000, 50_000}, 20
 }
 
-// incastMCTScenarios declares the testbed 7-to-1 incast grid for two
-// schemes: every message size, several rounds each, the round index folded
-// into both seeds so rounds are independent draws.
-func incastMCTScenarios(cfg Config, base, aeolus string) []scenario.Scenario {
+func (s incastStudy) scenarios(cfg Config) []scenario.Scenario {
 	sizes, rounds := incastMCTShape(cfg)
 	var scns []scenario.Scenario
-	for _, schemeID := range []string{base, aeolus} {
+	for _, schemeID := range []string{s.base, s.aeolus} {
 		for _, size := range sizes {
 			for round := 0; round < rounds; round++ {
 				scns = append(scns, scenario.Scenario{
@@ -172,112 +158,87 @@ func incastMCTScenarios(cfg Config, base, aeolus string) []scenario.Scenario {
 	return scns
 }
 
-// incastMCT runs the testbed 7-to-1 incast for two schemes across the
-// paper's message sizes, several rounds each, and tabulates MCT stats.
-func incastMCT(cfg Config, id, base, aeolus string) []Table {
-	t := Table{ID: id, Title: "7-to-1 incast MCT on the 10G testbed topology",
+func (s incastStudy) tables(cfg Config, scns []scenario.Scenario, res []RunResult) []Table {
+	t := Table{ID: s.id, Title: "7-to-1 incast MCT on the 10G testbed topology",
 		Columns: []string{"scheme", "msgKB", "rounds", "p50/us", "mean/us", "p99/us", "max/us"}}
-	sizes, rounds := incastMCTShape(cfg)
-	res := RunScenarios(cfg, incastMCTScenarios(cfg, base, aeolus))
-	i := 0
-	for range []string{base, aeolus} {
-		for _, size := range sizes {
-			var recs []stats.FlowRecord
-			var scheme string
-			for round := 0; round < rounds; round++ {
-				scheme = res[i].Scheme
-				recs = append(recs, res[i].records...)
-				i++
-			}
-			s := stats.Summarize(recs)
-			t.Add(scheme, fmt.Sprint(size/1000), fmt.Sprint(rounds),
-				stats.FormatDur(s.P50), stats.FormatDur(s.Mean),
-				stats.FormatDur(s.P99), stats.FormatDur(s.Max))
+	_, rounds := incastMCTShape(cfg)
+	for i := 0; i < len(res); i += rounds {
+		var recs []stats.FlowRecord
+		for _, r := range res[i : i+rounds] {
+			recs = append(recs, r.records...)
 		}
+		m := stats.Summarize(recs)
+		t.Add(res[i].Scheme, fmt.Sprint(scns[i].Incast.MsgSize/1000), fmt.Sprint(rounds),
+			stats.FormatDur(m.P50), stats.FormatDur(m.Mean),
+			stats.FormatDur(m.P99), stats.FormatDur(m.Max))
 	}
 	return []Table{t}
 }
 
-// Fig9 reproduces Figure 9: FCT of 0-100KB flows under ExpressPass with and
+// fig8 reproduces Figure 8: message completion times of a 7-to-1 incast on
+// the 10G single-switch testbed, ExpressPass with and without Aeolus, for
+// message sizes 30-50 KB.
+var fig8 = incastStudy{id: "fig8", base: "xpass", aeolus: "xpass+aeolus"}
+
+// fig9 reproduces Figure 9: FCT of 0-100KB flows under ExpressPass with and
 // without Aeolus across the four workloads, on the oversubscribed fat-tree
 // at 40% core load.
-func Fig9(cfg Config) []Table {
-	t := Table{ID: "fig9", Title: "ExpressPass ± Aeolus, 0-100KB flows (fat-tree, 40% core)",
-		Columns: fctCols}
-	fctSweep(cfg, &t, workload.All, []string{"xpass", "xpass+aeolus"}, TopoFatTree, 0.4)
-	return []Table{t}
+var fig9 = fctGrid{id: "fig9",
+	title:   "ExpressPass ± Aeolus, 0-100KB flows (fat-tree, 40% core)",
+	wls:     workload.All,
+	schemes: []string{"xpass", "xpass+aeolus"}, topo: TopoFatTree, load: 0.4}
+
+// loadGrid declares the (workload × load × scheme) grid of the vs-load
+// figures (Figs. 10 and 13), its loads trimmed under -quick, at a quarter of
+// the configured budget — many runs; keep each lighter.
+type loadGrid struct {
+	schemes []string
+	topo    string
 }
 
-// Fig9Scenarios declares Fig. 9's sweep.
-func Fig9Scenarios(cfg Config) []scenario.Scenario {
-	return fctSweepScenarios(cfg, workload.All, []string{"xpass", "xpass+aeolus"}, TopoFatTree, 0.4)
-}
-
-// Fig10 reproduces Figure 10: average FCT of 0-100KB flows as the load
-// varies from 20% to 90%, ExpressPass with and without Aeolus, across the
-// four workloads.
-func Fig10(cfg Config) []Table {
-	loads := loadSweep(cfg.Quick)
-	t := Table{ID: "fig10", Title: "Avg FCT of 0-100KB flows vs load (ExpressPass ± Aeolus)",
-		Columns: []string{"workload", "load", "ExpressPass/us", "ExpressPass+Aeolus/us", "improvement"}}
-	res := RunScenarios(cfg, Fig10Scenarios(cfg))
-	i := 0
-	for _, wl := range workload.All {
-		for _, load := range loads {
-			mean := [2]float64{res[i].Small.Mean.Microseconds(), res[i+1].Small.Mean.Microseconds()}
-			i += 2
-			impr := 0.0
-			if mean[0] > 0 {
-				impr = 1 - mean[1]/mean[0]
-			}
-			t.Add(wl.Name(), f2(load), f2(mean[0]), f2(mean[1]), f3(impr))
-		}
+func (g loadGrid) scenarios(cfg Config) []scenario.Scenario {
+	loads := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+	if cfg.Quick {
+		loads = []float64{0.2, 0.5, 0.8}
 	}
-	return []Table{t}
-}
-
-// loadSweep is the load grid of the vs-load figures (Figs. 10 and 13),
-// trimmed under -quick.
-func loadSweep(quick bool) []float64 {
-	if quick {
-		return []float64{0.2, 0.5, 0.8}
-	}
-	return []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-}
-
-// Fig10Scenarios declares the (workload × load × scheme) grid of Fig. 10
-// at a quarter of the configured budget — many runs; keep each lighter.
-func Fig10Scenarios(cfg Config) []scenario.Scenario {
 	sweep := cfg
 	sweep.Budget = cfg.Budget / 4
 	var scns []scenario.Scenario
 	for _, wl := range workload.All {
-		for _, load := range loadSweep(cfg.Quick) {
-			for _, id := range []string{"xpass", "xpass+aeolus"} {
-				scns = append(scns, poissonScenario(sweep, id, wl.Name(), TopoFatTree, load))
+		for _, load := range loads {
+			for _, id := range g.schemes {
+				scns = append(scns, poissonScenario(sweep, id, wl.Name(), g.topo, load))
 			}
 		}
 	}
 	return scns
 }
 
-// Table4 reproduces Table 4: the trapped-vs-lost ambiguity of the
-// priority-queueing alternative. ExpressPass+Aeolus against ExpressPass
-// with two shared-buffer priority queues recovering only by RTO (10 ms and
-// 20 µs), on Cache Follower over the 100G fat-tree; maximum FCT and
-// transfer efficiency.
-func Table4(cfg Config) []Table {
-	t := Table{ID: "table4", Title: "Aeolus vs priority queueing: ambiguity (Cache Follower, fat-tree)",
-		Columns: []string{"scheme", "maxFCT/us", "efficiency"}}
-	for _, r := range RunScenarios(cfg, Table4Scenarios(cfg)) {
-		t.Add(r.Scheme, stats.FormatDur(r.All.Max), f2(r.Efficiency))
+// fig10Grid declares Figure 10's runs: ExpressPass with and without Aeolus
+// as the load varies from 20% to 90%, across the four workloads.
+var fig10Grid = loadGrid{schemes: []string{"xpass", "xpass+aeolus"}, topo: TopoFatTree}
+
+// fig10Tables renders Figure 10: the average FCT of 0-100KB flows of each
+// (workload, load) pair of runs, and Aeolus's improvement.
+func fig10Tables(_ Config, scns []scenario.Scenario, res []RunResult) []Table {
+	t := Table{ID: "fig10", Title: "Avg FCT of 0-100KB flows vs load (ExpressPass ± Aeolus)",
+		Columns: []string{"workload", "load", "ExpressPass/us", "ExpressPass+Aeolus/us", "improvement"}}
+	for i := 0; i < len(res); i += len(fig10Grid.schemes) {
+		mean := [2]float64{res[i].Small.Mean.Microseconds(), res[i+1].Small.Mean.Microseconds()}
+		impr := 0.0
+		if mean[0] > 0 {
+			impr = 1 - mean[1]/mean[0]
+		}
+		t.Add(scns[i].Workload.Name, f2(scns[i].CoreLoad), f2(mean[0]), f2(mean[1]), f3(impr))
 	}
 	return []Table{t}
 }
 
-// Table4Scenarios declares Aeolus against the two RTO-only priority-queue
-// alternatives on Cache Follower over the fat-tree.
-func Table4Scenarios(cfg Config) []scenario.Scenario {
+// table4Scenarios declares Table 4's trapped-vs-lost ambiguity of the
+// priority-queueing alternative: ExpressPass+Aeolus against ExpressPass with
+// two shared-buffer priority queues recovering only by RTO (10 ms and
+// 20 µs), on Cache Follower over the 100G fat-tree.
+func table4Scenarios(cfg Config) []scenario.Scenario {
 	wl := workload.CacheFollower.Name()
 	aeolus := poissonScenario(cfg, "xpass+aeolus", wl, TopoFatTree, 0.4)
 	prioSlow := poissonScenario(cfg, "xpass+prio", wl, TopoFatTree, 0.4)
@@ -287,22 +248,21 @@ func Table4Scenarios(cfg Config) []scenario.Scenario {
 	return []scenario.Scenario{aeolus, prioSlow, prioFast}
 }
 
-// Table5 reproduces Table 5: the shared-buffer starvation of priority
-// queueing. A 20-to-1 incast of 400 KB messages into one 100G port with a
-// shared 200KB buffer; Aeolus selective dropping against two priority
-// queues; average and maximum FCT.
-func Table5(cfg Config) []Table {
-	t := Table{ID: "table5", Title: "Aeolus vs priority queueing: 20-to-1 incast, 400KB each",
-		Columns: []string{"scheme", "avgFCT/us", "maxFCT/us"}}
-	for _, r := range RunScenarios(cfg, Table5Scenarios(cfg)) {
-		t.Add(r.Scheme, stats.FormatDur(r.All.Mean), stats.FormatDur(r.All.Max))
+// table4Tables renders Table 4: maximum FCT and transfer efficiency.
+func table4Tables(_ Config, _ []scenario.Scenario, res []RunResult) []Table {
+	t := Table{ID: "table4", Title: "Aeolus vs priority queueing: ambiguity (Cache Follower, fat-tree)",
+		Columns: []string{"scheme", "maxFCT/us", "efficiency"}}
+	for _, r := range res {
+		t.Add(r.Scheme, stats.FormatDur(r.All.Max), f2(r.Efficiency))
 	}
 	return []Table{t}
 }
 
-// Table5Scenarios declares the shared-buffer 20-to-1 incast, Aeolus against
-// the 10 ms RTO-only priority-queue alternative.
-func Table5Scenarios(cfg Config) []scenario.Scenario {
+// table5Scenarios declares Table 5's shared-buffer starvation of priority
+// queueing: a 20-to-1 incast of 400 KB messages into one 100G port with a
+// shared 200KB buffer, Aeolus selective dropping against the 10 ms RTO-only
+// priority-queue alternative.
+func table5Scenarios(cfg Config) []scenario.Scenario {
 	aeolus := scenario.Scenario{
 		Topo:       TopoMicro,
 		Scheme:     "xpass+aeolus",
@@ -317,4 +277,14 @@ func Table5Scenarios(cfg Config) []scenario.Scenario {
 	prio.Scheme = "xpass+prio"
 	prio.RTO = 10 * sim.Millisecond
 	return []scenario.Scenario{aeolus, prio}
+}
+
+// table5Tables renders Table 5: average and maximum FCT.
+func table5Tables(_ Config, _ []scenario.Scenario, res []RunResult) []Table {
+	t := Table{ID: "table5", Title: "Aeolus vs priority queueing: 20-to-1 incast, 400KB each",
+		Columns: []string{"scheme", "avgFCT/us", "maxFCT/us"}}
+	for _, r := range res {
+		t.Add(r.Scheme, stats.FormatDur(r.All.Mean), stats.FormatDur(r.All.Max))
+	}
+	return []Table{t}
 }

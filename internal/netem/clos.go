@@ -89,15 +89,6 @@ func (s TopoSpec) Hosts() int {
 	return s.HostsPerEdge * s.Tiers[0].Switches
 }
 
-// NumSwitches returns the total switch count across all tiers.
-func (s TopoSpec) NumSwitches() int {
-	n := 0
-	for _, t := range s.Tiers {
-		n += t.Switches
-	}
-	return n
-}
-
 func (s TopoSpec) coreRate() sim.Rate {
 	if s.CoreRate > 0 {
 		return s.CoreRate

@@ -159,9 +159,6 @@ func NewEngineWith(kind SchedulerKind) *Engine {
 	return e
 }
 
-// Scheduler reports which event-queue implementation backs the engine.
-func (e *Engine) Scheduler() SchedulerKind { return e.q.kind() }
-
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 

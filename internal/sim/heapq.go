@@ -125,8 +125,6 @@ func (q *heapQueue) next() (Time, bool) {
 
 func (q *heapQueue) size() int { return len(q.h) }
 
-func (q *heapQueue) kind() SchedulerKind { return SchedHeap }
-
 // stats reports occupancy; the heap has no overflow tier, so those fields
 // stay zero.
 func (q *heapQueue) stats() SchedStats {

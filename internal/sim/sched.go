@@ -62,9 +62,6 @@ type scheduler interface {
 	// size is the number of pending events.
 	size() int
 
-	// kind names the implementation.
-	kind() SchedulerKind
-
 	// stats snapshots the queue's occupancy and lifetime high-water marks.
 	stats() SchedStats
 

@@ -332,8 +332,6 @@ func (w *wheel) next() (Time, bool) {
 
 func (w *wheel) size() int { return w.count }
 
-func (w *wheel) kind() SchedulerKind { return SchedWheel }
-
 func (w *wheel) stats() SchedStats {
 	return SchedStats{
 		Pending:      w.count,
