@@ -184,8 +184,8 @@ func TestShardedEventsAccounting(t *testing.T) {
 		events  uint64
 		pending int
 	}{
-		{shardDiffSpec(), true, 202755, 0},
-		{xpass, false, 260676, 18},
+		{shardDiffSpec(), true, 162380, 0},
+		{xpass, false, 196060, 18},
 	} {
 		cfg := shardDiffConfig()
 		cfg.Audit = c.audit

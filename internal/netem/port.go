@@ -39,9 +39,16 @@ type Port struct {
 	// inside a shard (and every port of an unsharded run) pay one nil check.
 	X *CrossLink
 
-	busy   bool
-	wake   sim.Handle
-	wakeAt sim.Time
+	// The serializer is busy until the tx-done event at (txEnd, txStamp)
+	// fires. kick reserves that stamp at tx start but schedules the event
+	// (txArmed) only once a packet waits for it, so a transmission that
+	// leaves the queue empty costs no tx-done unless a packet arrives before
+	// it would have fired; the event then fires exactly where it would have.
+	txEnd   sim.Time
+	txStamp sim.Stamp
+	txArmed bool
+	wake    sim.Handle
+	wakeAt  sim.Time
 
 	// Counters.
 	TxPackets uint64
@@ -56,7 +63,7 @@ type portTxDone Port
 
 func (d *portTxDone) Fire() {
 	pt := (*Port)(d)
-	pt.busy = false
+	pt.txArmed = false
 	pt.kick()
 }
 
@@ -105,10 +112,18 @@ func (pt *Port) Send(p *Packet) {
 }
 
 // kick starts the serializer if it is idle and a packet is eligible. If the
-// qdisc is holding shaped packets, a wake-up is scheduled instead. A failed
-// link is frozen: kick does nothing until LinkImpairment.Restore kicks it.
+// qdisc is holding shaped packets, a wake-up is scheduled instead. A busy
+// serializer arms its tx-done when a packet waits, so that tx-done kicks
+// again. A failed link is frozen: kick does nothing until
+// LinkImpairment.Restore kicks it.
 func (pt *Port) kick() {
-	if pt.busy || pt.Imp != nil && pt.Imp.down {
+	if pt.txArmed || pt.Imp != nil && pt.Imp.down {
+		return
+	}
+	if !pt.Eng.Passed(pt.txEnd, pt.txStamp) {
+		if pt.Q.Backlog().Packets > 0 {
+			pt.armTxDone()
+		}
 		return
 	}
 	now := pt.Eng.Now()
@@ -129,11 +144,13 @@ func (pt *Port) kick() {
 		pt.wake = pt.Eng.AtHandler(w, (*portWake)(pt))
 		return
 	}
-	pt.busy = true
 	pt.TxPackets++
 	pt.TxBytes += int64(p.WireSize)
 	tx := sim.TxTime(p.WireSize, pt.Rate)
-	pt.Eng.AfterHandler(tx, (*portTxDone)(pt))
+	pt.txEnd, pt.txStamp = now.Add(tx), pt.Eng.Reserve()
+	if pt.Q.Backlog().Packets > 0 {
+		pt.armTxDone()
+	}
 	p.next = pt.Dst
 	delay := pt.Delay
 	if pt.Imp != nil {
@@ -144,6 +161,13 @@ func (pt *Port) kick() {
 		return
 	}
 	pt.Eng.AfterHandler(tx+delay, p)
+}
+
+// armTxDone schedules the tx-done event of the current transmission at its
+// reserved stamp.
+func (pt *Port) armTxDone() {
+	pt.txArmed = true
+	pt.Eng.AtStamped(pt.txEnd, pt.txStamp, (*portTxDone)(pt))
 }
 
 // Backlog reports the qdisc occupancy.

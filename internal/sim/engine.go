@@ -37,8 +37,9 @@ type Event struct {
 
 	// schedAt is the simulated instant the scheduling decision was made —
 	// the secondary ordering key between seq and time. On the normal paths it
-	// equals the engine clock at the schedule call, which makes it
-	// nondecreasing in seq and therefore invisible: (time, schedAt, seq)
+	// equals the engine clock when the seq was issued (at the schedule call,
+	// or at Reserve for an event scheduled later with AtStamped), which makes
+	// it nondecreasing in seq and therefore invisible: (time, schedAt, seq)
 	// order is exactly the historical (time, seq) order. Its purpose is
 	// AtHandlerFrom, where a sharded runner backdates a barrier-scheduled
 	// cross-shard delivery to the instant the source shard generated it, so
@@ -128,12 +129,30 @@ func (h Handle) Cancel() {
 	h.eng.release(ev, h.idx)
 }
 
+// Stamp is an event's dispatch position within its instant: the (schedAt,
+// seq) pair that orders events sharing a deadline. Reserve hands one out
+// ahead of time, so a caller can decide later whether the event is needed
+// at all and, if it is, schedule it with AtStamped exactly where it would
+// have fired had it been scheduled at once.
+type Stamp struct {
+	at  Time
+	seq uint64
+}
+
+// before reports whether s dispatches ahead of o at a shared instant.
+func (s Stamp) before(o Stamp) bool { return s.at < o.at || s.at == o.at && s.seq < o.seq }
+
 // Engine is the discrete-event scheduler. It is not safe for concurrent use;
 // the whole simulation runs on one goroutine.
 type Engine struct {
-	slab    eventSlab
-	q       scheduler
-	now     Time
+	slab eventSlab
+	q    scheduler
+	now  Time
+	// firing is the stamp of the event being dispatched. After a RunUntil
+	// that finds nothing more due it is (now, last seq issued), which no
+	// stamp issued so far comes after: every event at or before now has then
+	// fired. See Passed.
+	firing  Stamp
 	nextSeq uint64
 	fired   uint64
 	stopped bool
@@ -145,8 +164,10 @@ func NewEngine() *Engine { return NewEngineWith(DefaultScheduler) }
 
 // NewEngineWith returns an engine backed by the named scheduler. Both kinds
 // fire events in identical (time, schedAt, seq) order; see SchedulerKind.
+// Seq 0 is never issued, so the zero firing stamp precedes every event: at
+// time zero, before the first dispatch, nothing has passed.
 func NewEngineWith(kind SchedulerKind) *Engine {
-	e := &Engine{}
+	e := &Engine{nextSeq: 1}
 	e.slab.freeHead = nilIdx
 	switch kind {
 	case SchedHeap:
@@ -187,18 +208,6 @@ func (e *Engine) EventAllocs() uint64 { return e.slab.carved }
 // starts from; it never mutates the queue.
 func (e *Engine) NextEventTime() (Time, bool) { return e.q.next() }
 
-// acquire takes an event slot from the slab and stamps it with a fresh
-// generation, invalidating every handle to its previous life.
-func (e *Engine) acquire(t Time) (*Event, uint32) {
-	ev, idx := e.slab.alloc()
-	ev.gen++
-	ev.time = t
-	ev.seq = e.nextSeq
-	ev.flags = 0
-	e.nextSeq++
-	return ev, idx
-}
-
 // release returns a resolved (fired or canceled) event to the slab's free
 // list. The handler reference is dropped so the engine does not pin closures
 // or handlers alive; the generation is NOT bumped here — it bumps on
@@ -209,22 +218,38 @@ func (e *Engine) release(ev *Event, idx uint32) {
 	e.slab.free(idx)
 }
 
-func (e *Engine) schedule(t Time, h Handler) Handle {
-	return e.scheduleFrom(t, e.now, h)
+// Reserve takes the stamp a schedule made now would get and consumes its
+// seq, so every later schedule dispatches after it at a shared instant.
+func (e *Engine) Reserve() Stamp {
+	s := Stamp{e.now, e.nextSeq}
+	e.nextSeq++
+	return s
 }
 
-// scheduleFrom is schedule with an explicit schedAt stamp. The stamp must be
-// set before the event enters the queue — it is part of the heap's ordering
-// key, and mutating a key after insertion would corrupt the heap invariant.
-func (e *Engine) scheduleFrom(t, from Time, h Handler) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+// Passed reports whether an event at t holding stamp s would already have
+// fired: t is behind the clock, or t is now and s does not come after the
+// stamp of the event being dispatched.
+func (e *Engine) Passed(t Time, s Stamp) bool {
+	return t < e.now || t == e.now && !e.firing.before(s)
+}
+
+// AtStamped schedules h.Fire at absolute time t holding the stamp s, which
+// Reserve issued earlier: the event fires exactly where one scheduled at the
+// reservation would have. Every schedule goes through here; the plain ones
+// reserve their stamp on the spot. Scheduling an event that has already
+// passed (see Passed), or stamping it later than its deadline, panics —
+// either is always a logic error in a simulation.
+func (e *Engine) AtStamped(t Time, s Stamp, h Handler) Handle {
+	if e.Passed(t, s) {
+		panic(fmt.Sprintf("sim: scheduling event at %v (stamp %v) before now %v", t, s, e.now))
 	}
-	if from > t {
-		panic(fmt.Sprintf("sim: schedule stamp %v after deadline %v", from, t))
+	if s.at > t {
+		panic(fmt.Sprintf("sim: schedule stamp %v after deadline %v", s.at, t))
 	}
-	ev, idx := e.acquire(t)
-	ev.schedAt = from
+	ev, idx := e.slab.alloc()
+	ev.gen++ // invalidates every handle to the slot's previous life
+	ev.time, ev.schedAt, ev.seq = t, s.at, s.seq
+	ev.flags = 0
 	ev.h = h
 	e.q.schedule(ev, idx)
 	return Handle{eng: e, idx: idx, gen: ev.gen}
@@ -232,35 +257,38 @@ func (e *Engine) scheduleFrom(t, from Time, h Handler) Handle {
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics —
 // that is always a logic error in a simulation.
-func (e *Engine) At(t Time, fn func()) Handle { return e.schedule(t, funcHandler(fn)) }
+func (e *Engine) At(t Time, fn func()) Handle { return e.AtStamped(t, e.Reserve(), funcHandler(fn)) }
 
 // After schedules fn to run d from now. A negative d panics.
 func (e *Engine) After(d Duration, fn func()) Handle {
-	return e.schedule(e.now.Add(d), funcHandler(fn))
+	return e.AtStamped(e.now.Add(d), e.Reserve(), funcHandler(fn))
 }
 
 // AtHandler schedules h.Fire to run at absolute time t without allocating a
 // closure. Scheduling in the past panics.
-func (e *Engine) AtHandler(t Time, h Handler) Handle { return e.schedule(t, h) }
+func (e *Engine) AtHandler(t Time, h Handler) Handle { return e.AtStamped(t, e.Reserve(), h) }
 
 // AfterHandler schedules h.Fire to run d from now without allocating a
 // closure. A negative d panics.
 func (e *Engine) AfterHandler(d Duration, h Handler) Handle {
-	return e.schedule(e.now.Add(d), h)
+	return e.AtStamped(e.now.Add(d), e.Reserve(), h)
 }
 
 // AtHandlerFrom schedules h.Fire at absolute time t, stamping the event as if
 // it had been scheduled at the (possibly earlier) instant from. The stamp only
 // influences tie-breaking among events sharing a deadline: events fire in
 // (time, schedAt, seq) order, and on a lone engine schedAt is nondecreasing in
-// seq, so backdating is the one way the stamp can ever matter. The sharded
-// runner uses it when a window barrier transfers a cross-shard packet delivery
-// onto its destination engine: stamping the source shard's generation instant
-// restores the scheduling order a sequential run would have had, so
-// same-timestamp collisions at contended queues resolve identically. t must
-// not precede the engine clock and from must not exceed t; either panics.
+// seq, so backdating is the one way the stamp's instant can ever matter. The
+// sharded runner uses it when a window barrier transfers a cross-shard packet
+// delivery onto its destination engine: stamping the source shard's
+// generation instant restores the scheduling order a sequential run would
+// have had, so same-timestamp collisions at contended queues resolve
+// identically. As for AtStamped, an event that has already passed, or a from
+// after t, panics.
 func (e *Engine) AtHandlerFrom(t, from Time, h Handler) Handle {
-	return e.scheduleFrom(t, from, h)
+	s := e.Reserve()
+	s.at = from
+	return e.AtStamped(t, s, h)
 }
 
 // Stop makes the current Run call return after the in-flight event completes.
@@ -325,6 +353,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		ev := e.slab.at(idx)
 		e.now = ev.time
+		e.firing = Stamp{ev.schedAt, ev.seq}
 		ev.flags |= evFired
 		h := ev.h
 		// Release before firing: the handler may immediately reschedule and
@@ -334,8 +363,13 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		h.Fire()
 		e.fired++
 	}
-	if deadline != MaxTime && e.now < deadline && !e.stopped {
-		e.now = deadline
+	if !e.stopped && e.now <= deadline {
+		// Nothing at or before the deadline is pending, so every event at or
+		// before the (possibly advanced) clock has fired.
+		if deadline != MaxTime {
+			e.now = deadline
+		}
+		e.firing = Stamp{e.now, e.nextSeq - 1}
 	}
 	return e.now
 }

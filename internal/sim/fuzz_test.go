@@ -18,7 +18,7 @@ type schedTrace struct {
 
 // runSchedProgram interprets prog on an engine with the given scheduler and
 // fails t as soon as CheckInvariants reports a fault after an op.
-// Opcodes (byte % 8), with operands drawn from following bytes:
+// Opcodes (byte % 11), with operands drawn from following bytes:
 //
 //	0: schedule at now+delta (delta exponential in one byte, so every wheel
 //	   level and the overflow list are reachable)
@@ -30,11 +30,19 @@ type schedTrace struct {
 //	6: schedule at now+delta stamped as if scheduled at now/2 (a backdated
 //	   AtHandlerFrom, which fires before same-instant events stamped later)
 //	7: read NextEventTime into the trace
+//	8: reserve a stamp now
+//	9: schedule at now+delta holding the k-th reserved stamp (it fires
+//	   where an event scheduled at the reservation would have)
+//	10: schedule A and then B at now+delta with a stamp reserved between
+//	   them; when A fires, its handler schedules at its own instant holding
+//	   that stamp, which has not passed and must fire before B, still
+//	   waiting in A's dispatch batch
 func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 	t.Helper()
 	e := NewEngineWith(kind)
 	var tr schedTrace
 	var handles []Handle
+	var stamps []Stamp
 	label := int64(0)
 
 	var tm Timer
@@ -55,7 +63,7 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 
 	for i := 0; i+1 < len(prog); i += 2 {
 		op, arg := prog[i], prog[i+1]
-		switch op % 8 {
+		switch op % 11 {
 		case 0:
 			label++
 			handles = append(handles, e.At(e.Now().Add(delta(arg)), record(label)))
@@ -83,6 +91,26 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 				next = -1
 			}
 			tr.Nexts = append(tr.Nexts, next)
+		case 8:
+			stamps = append(stamps, e.Reserve())
+		case 9:
+			if len(stamps) > 0 {
+				k := int(arg) % len(stamps)
+				label++
+				handles = append(handles, e.AtStamped(e.Now().Add(delta(arg)), stamps[k], funcHandler(record(label))))
+				stamps = append(stamps[:k], stamps[k+1:]...)
+			}
+		case 10:
+			at := e.Now().Add(delta(arg))
+			label += 3
+			a, s, b := label-2, label-1, label
+			var mid Stamp
+			handles = append(handles, e.At(at, func() {
+				record(a)()
+				e.AtStamped(e.Now(), mid, funcHandler(record(s)))
+			}))
+			mid = e.Reserve()
+			handles = append(handles, e.At(at, record(b)))
 		}
 		tr.Pendings = append(tr.Pendings, e.Pending())
 		tr.Nows = append(tr.Nows, e.Now())
@@ -125,6 +153,24 @@ var schedSeeds = [][]byte{
 	// the next one migrates 2^49 (2^50+1 stays behind the horizon) and then
 	// 2^50+1.
 	{0, 49, 0, 50, 0, 3, 2, 4, 2, 30, 7, 0, 2, 51, 5, 0, 7, 0},
+
+	// A and B share instant 37 with a stamp reserved between them: A's
+	// handler schedules at 37 holding it, into the live batch ahead of B.
+	{10, 5, 2, 10},
+
+	// Two such triples at one instant: the first reserved stamp walks back
+	// past B1, A2 and B2 to the head of the batch, the second past B2 only.
+	{10, 5, 10, 5, 7, 0, 2, 10},
+
+	// B canceled: A pops alone, and its stamped event goes to the level-0
+	// slot rather than a batch. Then, at 1027, a zero-delay event and a
+	// triple one tick later.
+	{10, 5, 1, 1, 2, 10, 10, 0, 5, 0, 2, 1},
+
+	// Reserved stamps used later: one at a level-1 instant it shares with a
+	// plain event scheduled after the reservation (the stamped one fires
+	// first), one at a far level-3 instant after time has moved on.
+	{8, 0, 8, 0, 0, 10, 9, 10, 2, 11, 9, 20, 7, 0, 2, 21},
 }
 
 // FuzzSchedulerEquivalence replays random schedule/cancel/reset/advance

@@ -41,8 +41,12 @@ type SchedStats struct {
 // (pointer, slab index) pairs: the pointer spares re-derefencing a slot the
 // caller already has in hand, the index is what the queues store.
 type scheduler interface {
-	// schedule inserts a pending event. The engine guarantees ev.time is not
-	// in the past and ev.seq is strictly larger than every earlier event's.
+	// schedule inserts a pending event. The engine guarantees the event has
+	// not passed: ev.time is not in the past, and an event at the current
+	// instant is stamped after the one being dispatched. Seqs are unique but
+	// need not grow: an event holding a reserved stamp (Engine.AtStamped)
+	// enters the queue after events with larger seqs, possibly at the
+	// current instant, ahead of pending events stamped later.
 	schedule(ev *Event, idx uint32)
 
 	// remove deletes a pending event before it fires.
@@ -106,6 +110,27 @@ func (l *slotList) pushBack(sl *eventSlab, ev *Event, idx uint32, id uint16) {
 		l.head = idx
 	}
 	l.tail = idx
+}
+
+// insertAfter links ev (at slab index idx) right behind the resident at
+// slab index after, or at the head when after is nilIdx, and records the
+// owning list id on the event.
+func (l *slotList) insertAfter(sl *eventSlab, ev *Event, idx, after uint32, id uint16) {
+	ev.in = id
+	ev.prev = after
+	if after == nilIdx {
+		ev.next = l.head
+		l.head = idx
+	} else {
+		a := sl.at(after)
+		ev.next = a.next
+		a.next = idx
+	}
+	if ev.next != nilIdx {
+		sl.at(ev.next).prev = idx
+	} else {
+		l.tail = idx
+	}
 }
 
 // unlink removes ev from this list in O(1) and clears its links. Callers

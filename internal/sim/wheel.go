@@ -62,10 +62,10 @@ type wheel struct {
 
 	// due is the same-timestamp dispatch batch: the level-0 slot at cur,
 	// detached and sorted by (schedAt, seq). popDue serves from it until it
-	// drains; events scheduled at the current instant mid-batch land back in
-	// the level-0 slot and form the next batch. Such events carry schedAt ==
-	// cur while everything already in the batch was scheduled strictly
-	// earlier, so serving the batch first preserves the dispatch order.
+	// drains. While it is live, an event scheduled at its instant joins it at
+	// its (schedAt, seq) position (insertDue): a plain schedule carries the
+	// largest stamp yet and appends, while a reserved, earlier stamp must
+	// still fire ahead of the batch's later residents.
 	due slotList
 
 	count   int
@@ -91,7 +91,39 @@ func (w *wheel) schedule(ev *Event, idx uint32) {
 	if w.count > w.peakCount {
 		w.peakCount = w.count
 	}
+	if ev.time == w.cur && !w.due.empty() {
+		w.insertDue(ev, idx)
+		return
+	}
 	w.place(ev, idx)
+}
+
+// insertDue links ev into the live dispatch batch at its (schedAt, seq)
+// position, walking back from the tail: a plain schedule stops at once, a
+// reserved stamp passes every resident stamped after it. Nothing it passes
+// has fired yet, because the engine refuses a stamp that has already passed.
+func (w *wheel) insertDue(ev *Event, idx uint32) {
+	at := w.due.tail
+	for at != nilIdx && stampCmp(w.sl.at(at), ev) > 0 {
+		at = w.sl.at(at).prev
+	}
+	w.due.insertAfter(w.sl, ev, idx, at, listDue)
+}
+
+// stampCmp orders two events sharing an instant by (schedAt, seq).
+func stampCmp(a, b *Event) int {
+	switch {
+	case a.schedAt < b.schedAt:
+		return -1
+	case a.schedAt > b.schedAt:
+		return 1
+	case a.seq < b.seq:
+		return -1
+	case a.seq > b.seq:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // place links ev into the slot its deadline selects relative to the current
@@ -287,30 +319,16 @@ func (w *wheel) popDue(limit Time) uint32 {
 
 	// Several events share the clock's instant: sort the level-0 slot by
 	// (schedAt, seq) into the dispatch batch. Direct local schedules append
-	// in that order already; cascaded arrivals and backdated cross-shard
-	// deliveries can interleave, hence the sort (pdqsort, linear on the
-	// already-sorted common case).
+	// in that order already; cascaded arrivals, reserved stamps and
+	// backdated cross-shard deliveries can interleave, hence the sort
+	// (pdqsort, linear on the already-sorted common case).
 	sl := w.sl
 	w.scratch = w.scratch[:0]
 	for i := li.head; i != nilIdx; i = sl.at(i).next {
 		w.scratch = append(w.scratch, i)
 	}
 	li.init() // pushBack below rewrites every link
-	slices.SortFunc(w.scratch, func(a, b uint32) int {
-		ea, eb := sl.at(a), sl.at(b)
-		switch {
-		case ea.schedAt < eb.schedAt:
-			return -1
-		case ea.schedAt > eb.schedAt:
-			return 1
-		case ea.seq < eb.seq:
-			return -1
-		case ea.seq > eb.seq:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(w.scratch, func(a, b uint32) int { return stampCmp(sl.at(a), sl.at(b)) })
 	for _, i := range w.scratch {
 		w.due.pushBack(sl, sl.at(i), i, listDue)
 	}
@@ -347,7 +365,8 @@ func (w *wheel) stats() SchedStats {
 // overdue cascade, none left in the clock's own slot), and not behind the
 // clock; the wheel clock is not ahead of the engine clock, though it may
 // rest behind it; the dispatch batch holds only current-instant events
-// in seq order; overflow events are genuinely beyond the horizon with a
+// in (schedAt, seq) order, and while it is live no other event shares its
+// instant; overflow events are genuinely beyond the horizon with a
 // truthful cached minimum; and the total count matches size.
 func (w *wheel) check(now Time) error {
 	if w.cur > now {
@@ -385,6 +404,9 @@ func (w *wheel) check(now Time) error {
 				// level 0, where a same-instant schedule would miss it.
 				if d := uint64(ev.time ^ w.cur); d>>((l+1)*wheelBits) != 0 || (l > 0 && d>>(l*wheelBits) == 0) {
 					return fmt.Errorf("sim: event at %v on wheel level %d, clock %v selects another", ev.time, l, w.cur)
+				}
+				if ev.time == w.cur && !w.due.empty() {
+					return fmt.Errorf("sim: event at %v outside the live dispatch batch of its instant", ev.time)
 				}
 				i = ev.next
 			}

@@ -254,10 +254,19 @@ type rxHost struct {
 	host  netem.NodeID
 	flows rdbase.FlowTable[rxFlow]
 
-	pullQ   []uint64 // flow IDs awaiting a pull slot
-	pacing  bool
-	pullTm  sim.Timer
-	pullSeq int64
+	// pullQ holds the pull slots awaiting the pacer as runs of one flow,
+	// served from pullHead; a flow's whole debt is one run.
+	pullQ    []pullRun
+	pullHead int
+	pacing   bool
+	pullTm   sim.Timer
+	pullSeq  int64
+}
+
+// pullRun is n consecutive pull slots of one flow.
+type pullRun struct {
+	flow uint64
+	n    int
 }
 
 func (r *rxHost) receive(pkt *netem.Packet) {
@@ -319,17 +328,23 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 	}
 }
 
-// servePulls converts outstanding pull debt into pull-queue slots.
+// servePulls converts outstanding pull debt into pull-queue slots and
+// starts the pacer.
 func (r *rxHost) servePulls(fl *rxFlow) {
-	for fl.pullDebt > 0 {
-		fl.pullDebt--
-		r.enqueuePull(fl.rx.Flow.ID)
+	if fl.pullDebt == 0 {
+		return
 	}
-}
-
-// enqueuePull adds a pull slot for the flow and starts the pacer.
-func (r *rxHost) enqueuePull(flow uint64) {
-	r.pullQ = append(r.pullQ, flow)
+	if k := len(r.pullQ) - 1; k >= r.pullHead && r.pullQ[k].flow == fl.rx.Flow.ID {
+		r.pullQ[k].n += fl.pullDebt
+	} else {
+		if r.pullHead > 0 && len(r.pullQ) == cap(r.pullQ) {
+			// Reuse the served prefix before growing.
+			r.pullQ = r.pullQ[:copy(r.pullQ, r.pullQ[r.pullHead:])]
+			r.pullHead = 0
+		}
+		r.pullQ = append(r.pullQ, pullRun{fl.rx.Flow.ID, fl.pullDebt})
+	}
+	fl.pullDebt = 0
 	if !r.pacing {
 		r.pacing = true
 		r.pacePull()
@@ -339,12 +354,17 @@ func (r *rxHost) enqueuePull(flow uint64) {
 // pacePull emits one PULL per full-MTU serialization time, so the data the
 // pulls trigger arrives at exactly the receiver's link rate.
 func (r *rxHost) pacePull() {
-	if len(r.pullQ) == 0 {
+	if r.pullHead == len(r.pullQ) {
 		r.pacing = false
 		return
 	}
-	flow := r.pullQ[0]
-	r.pullQ = r.pullQ[1:]
+	run := &r.pullQ[r.pullHead]
+	flow := run.flow
+	if run.n--; run.n == 0 {
+		if r.pullHead++; r.pullHead == len(r.pullQ) {
+			r.pullQ, r.pullHead = r.pullQ[:0], 0
+		}
+	}
 	if fl := r.flows.Get(flow); fl != nil && !fl.rx.Done {
 		r.pullSeq++
 		fl.rx.SendCtrl(netem.Pull, r.pullSeq, 0)
