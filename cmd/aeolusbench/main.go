@@ -23,9 +23,9 @@
 // JSON array; each element is a self-contained scenario file runnable with
 // aeolussim -scenario (see internal/scenario).
 //
-// Every scenario the selected experiments declare is validated under the
-// flags before anything runs or prints: a flag value one of those runs
-// cannot take (a zero or negative -budget, an -impair target missing from an
+// Every run the selected experiments make is validated under the flags
+// before anything runs or prints: a flag value one of those runs cannot take
+// (a zero or negative -budget, an -impair target missing from an
 // experiment's fabric) exits 2 naming the experiment and the problem.
 //
 // The -budget flag (in MiB of offered traffic per run) trades fidelity for
@@ -123,7 +123,7 @@ func main() {
 		selected = []experiments.Experiment{mustFind(*exp)}
 	}
 	for _, e := range selected {
-		checkScenarios(e, cfg)
+		check(e, cfg)
 	}
 	if *progress {
 		cfg.Progress = experiments.ProgressPrinter(os.Stderr)
@@ -199,18 +199,16 @@ func mustFind(id string) experiments.Experiment {
 	return e
 }
 
-// checkScenarios validates every run e declares under cfg, as aeolussim
-// validates its scenario: the first one the harness would reject exits 2
-// with "<id>: <error>" rather than panic mid-sweep.
-func checkScenarios(e experiments.Experiment, cfg experiments.Config) {
-	if e.Scenarios == nil {
+// check validates every run e makes under cfg, as aeolussim validates its
+// scenario: the first one the harness would reject exits 2 with
+// "<id>: <error>" rather than panic mid-sweep.
+func check(e experiments.Experiment, cfg experiments.Config) {
+	if e.Check == nil {
 		return
 	}
-	for _, sc := range e.Scenarios(cfg) {
-		if err := experiments.CheckScenario(cfg, &sc); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(2)
-		}
+	if err := e.Check(cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+		os.Exit(2)
 	}
 }
 
@@ -249,7 +247,7 @@ func printScenarios(e experiments.Experiment, cfg experiments.Config) {
 		fmt.Fprintf(os.Stderr, "%s declares no scenario runs (analytic or instrumented microbenchmark)\n", e.ID)
 		os.Exit(2)
 	}
-	checkScenarios(e, cfg)
+	check(e, cfg)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(e.Scenarios(cfg)); err != nil {

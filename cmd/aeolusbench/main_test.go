@@ -56,6 +56,8 @@ func TestFlagValidation(t *testing.T) {
 			"fig1: scenario: negative flow budget"},
 		{"impair-no-port", []string{"-exp", "fig9", "-quick", "-impair", "0s sw0->* loss rate=0.1"},
 			`fig9: experiments: timeline step 0: target "sw0->*" matches no port`},
+		{"impair-no-port-microbenchmark", []string{"-exp", "fig15", "-quick", "-impair", "0s sw9->* loss rate=0.1"},
+			`fig15: experiments: timeline step 0: target "sw9->*" matches no port`},
 		{"scenarios-budget-zero", []string{"-scenarios", "fig9", "-budget", "0"},
 			"fig9: scenario: workload needs flows or budget"},
 	} {

@@ -13,8 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
+	"github.com/aeolus-transport/aeolus/internal/cliutil"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 	"github.com/aeolus-transport/aeolus/internal/workload"
 )
@@ -53,6 +55,18 @@ func main() {
 		return
 	}
 
+	// The generator draws two distinct endpoints per flow and spaces arrivals
+	// by the load on the edge rate: reject what it cannot serve.
+	switch {
+	case *hosts < 2:
+		cliutil.Die(fmt.Errorf("-hosts %d: a flow needs two distinct hosts", *hosts))
+	case *flows < 0:
+		cliutil.Die(fmt.Errorf("-flows %d: the flow count must not be negative", *flows))
+	case !(*load > 0) || math.IsInf(*load, 1):
+		cliutil.Die(fmt.Errorf("-load %v: the load must be positive and finite", *load))
+	case *rate <= 0:
+		cliutil.Die(fmt.Errorf("-gbps %d: the link rate must be positive", *rate))
+	}
 	cfg := workload.PoissonConfig{
 		CDF: wl, Hosts: *hosts, HostRate: sim.Rate(*rate) * sim.Gbps,
 		Load: *load, Flows: *flows, Seed: *seed,

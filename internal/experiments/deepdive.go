@@ -22,7 +22,7 @@ import (
 func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 	probe func(env *transport.Env, bottleneck *netem.Port)) {
 
-	spec := RunSpec{Scheme: SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed}, Topo: TopoMicro}
+	spec := microSpec(cfg, threshold)
 	p, err := plan(cfg, spec)
 	if err != nil {
 		panic(err)
@@ -43,6 +43,15 @@ func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 	p.execute(len(trace), sim.Time(200*sim.Millisecond), p.auds != nil)
 	p.finishAudit(cfg, spec)
 }
+
+// microSpec is the run microRun plans.
+func microSpec(cfg Config, threshold int64) RunSpec {
+	return RunSpec{Scheme: SchemeSpec{ID: "xpass+aeolus", Threshold: threshold, Seed: cfg.Seed}, Topo: TopoMicro}
+}
+
+// checkMicro is the Check of fig15 and fig16. Their runs differ only in the
+// threshold, which no check reads, so one spec stands for them all.
+func checkMicro(cfg Config) error { return CheckRun(cfg, microSpec(cfg, 0)) }
 
 // fig15 reproduces Figure 15: average and maximum queue length on the
 // congested link under different selective dropping thresholds (16-to-1,

@@ -461,8 +461,6 @@ func Run(cfg Config, spec RunSpec) RunResult {
 		ss := e.SchedStats()
 		res.Sched.Pending += ss.Pending
 		res.Sched.PeakPending += ss.PeakPending
-		res.Sched.Overflow += ss.Overflow
-		res.Sched.PeakOverflow += ss.PeakOverflow
 	}
 	res.Audit = p.finishAudit(cfg, spec)
 	return res

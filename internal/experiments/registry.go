@@ -21,6 +21,9 @@ type Experiment struct {
 	Paper     string // what the paper shows
 	Fn        func(Config) []Table
 	Scenarios func(Config) []scenario.Scenario
+	// Check returns the error Fn's first bad run under a Config would panic
+	// with, running nothing; it is nil only for fig2, which runs nothing.
+	Check func(Config) error
 }
 
 // runs declares a registry entry whose figure is a set of simulator runs:
@@ -29,11 +32,23 @@ type Experiment struct {
 // RunScenarios batch, so it cannot run anything Scenarios does not declare.
 func runs(id, paper string, scenarios func(Config) []scenario.Scenario,
 	tables func(cfg Config, scns []scenario.Scenario, res []RunResult) []Table) Experiment {
-	return Experiment{ID: id, Paper: paper, Scenarios: scenarios,
+	return Experiment{ID: id, Paper: paper, Scenarios: scenarios, Check: checkScenarios(scenarios),
 		Fn: func(cfg Config) []Table {
 			s := scenarios(cfg)
 			return tables(cfg, s, RunScenarios(cfg, s))
 		}}
+}
+
+// checkScenarios is the Check of an entry whose runs scenarios declares.
+func checkScenarios(scenarios func(Config) []scenario.Scenario) func(Config) error {
+	return func(cfg Config) error {
+		for _, sc := range scenarios(cfg) {
+			if err := CheckScenario(cfg, &sc); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // Registry lists every reproduced table and figure in paper order.
@@ -65,9 +80,9 @@ var Registry = []Experiment{
 	runs("fig14", "NDP ± Aeolus small-flow FCT, four workloads",
 		fig14.scenarios, fig14.tables),
 	{ID: "fig15", Paper: "Queue length vs selective dropping threshold",
-		Fn: fig15}, // instrumented microbenchmark: in-run queue probes
+		Fn: fig15, Check: checkMicro}, // instrumented microbenchmark: in-run queue probes
 	{ID: "fig16", Paper: "First-RTT utilization vs fan-in and threshold",
-		Fn: fig16}, // instrumented microbenchmark: in-run utilization probes
+		Fn: fig16, Check: checkMicro}, // instrumented microbenchmark: in-run utilization probes
 	runs("table4", "Aeolus vs priority queueing: ambiguity",
 		table4Scenarios, table4Tables),
 	runs("table5", "Aeolus vs priority queueing: shared-buffer incast",
@@ -81,7 +96,7 @@ var Registry = []Experiment{
 	runs("degrade", "Degradation sweep under injected loss and link flap (not in the paper)",
 		degradeScenarios, degradeTables),
 	{ID: "scale", Paper: "Open-loop scale sweep: simulator throughput and memory vs fabric size (not in the paper)",
-		Fn: scaleSweep, Scenarios: ScaleScenarios}, // measures its cells one at a time
+		Fn: scaleSweep, Scenarios: ScaleScenarios, Check: checkScenarios(ScaleScenarios)}, // measures its cells one at a time
 }
 
 // ByID returns the experiment with the given ID.

@@ -22,12 +22,11 @@ import (
 // The scale sweep (ROADMAP "paper-scale and beyond") answers the question the
 // paper's fixed 64..192-host fabrics cannot: how does the simulator itself
 // hold up as the fabric grows — events per wall-clock second, scheduler
-// pressure (peak pending events, timing-wheel overflow spill), heap and RSS
-// high-water marks, and the per-flow state the transports retain. Each cell
-// is one open-loop run: an n-leaf/n-spine non-blocking Clos (n² hosts) under
-// a Poisson WebServer workload at a fixed per-host flow count, so offered
-// work scales linearly with the host count and cells are comparable across
-// fabric sizes.
+// pressure (peak pending events), heap and RSS high-water marks, and the
+// per-flow state the transports retain. Each cell is one open-loop run: an
+// n-leaf/n-spine non-blocking Clos (n² hosts) under a Poisson WebServer
+// workload at a fixed per-host flow count, so offered work scales linearly
+// with the host count and cells are comparable across fabric sizes.
 //
 // Unlike every other experiment, the sweep runs its cells serially and owns
 // the whole process while doing so: wall-clock throughput, sampled heap peaks
@@ -92,11 +91,9 @@ type ScalePoint struct {
 	PacketChunk int `json:"packet_chunk,omitempty"`
 	FlowChunk   int `json:"flow_chunk,omitempty"`
 
-	// Scheduler pressure: the engine's peak simultaneous pending events and,
-	// for the timing wheel, the peak population of the far-future overflow
-	// list (see sim.SchedStats).
-	PeakPending  int `json:"peak_pending"`
-	PeakOverflow int `json:"peak_overflow"`
+	// Scheduler pressure: the engine's peak simultaneous pending events (see
+	// sim.SchedStats).
+	PeakPending int `json:"peak_pending"`
 
 	// HeapPeakBytes is the maximum live-heap size sampled during the run;
 	// RSSPeakBytes is the kernel's VmHWM — process-wide and monotone, so only
@@ -207,7 +204,7 @@ func MeasureScale(cfg Config, width int, load float64) ScalePoint {
 	pt.PacketChunk = netem.PacketChunkSize
 	pt.FlowChunk = rdbase.FlowChunkSize
 	pt.recompute()
-	pt.PeakPending, pt.PeakOverflow = res.Sched.PeakPending, res.Sched.PeakOverflow
+	pt.PeakPending = res.Sched.PeakPending
 	pt.HeapPeakBytes = max(sampled, heapEnd)
 	pt.RSSPeakBytes = vmHWMBytes()
 	if heapEnd > heapStart && pt.Flows > 0 {
@@ -232,13 +229,12 @@ func scaleSweep(cfg Config) []Table {
 	t := Table{ID: "scale",
 		Title: "Open-loop scale sweep: simulator throughput and memory vs fabric size (WebServer, xpass+aeolus)",
 		Columns: []string{"hosts", "load", "shards", "flows", "completed", "events", "wall/s",
-			"events/s", "peakPending", "peakOverflow", "heapPeak/MB", "state/flow", "audit"}}
+			"events/s", "peakPending", "heapPeak/MB", "state/flow", "audit"}}
 	for _, p := range points {
 		t.Add(fmt.Sprint(p.Hosts), fmt.Sprintf("%g", p.Load), fmt.Sprint(max(p.Shards, 1)), fmt.Sprint(p.Flows),
 			fmt.Sprintf("%d/%d", p.Completed, p.Flows), fmt.Sprint(p.Events),
 			f2(p.WallSeconds), fmt.Sprintf("%.3g", p.EventsPerSec),
-			fmt.Sprint(p.PeakPending), fmt.Sprint(p.PeakOverflow),
-			f1(float64(p.HeapPeakBytes)/(1<<20)), f1(p.StateBytesPerFlow),
+			fmt.Sprint(p.PeakPending), f1(float64(p.HeapPeakBytes)/(1<<20)), f1(p.StateBytesPerFlow),
 			auditMark(p.AuditClean))
 	}
 	return []Table{t}

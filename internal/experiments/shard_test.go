@@ -211,8 +211,6 @@ func TestShardedEventsAccounting(t *testing.T) {
 		ss := e.SchedStats()
 		sum.Pending += ss.Pending
 		sum.PeakPending += ss.PeakPending
-		sum.Overflow += ss.Overflow
-		sum.PeakOverflow += ss.PeakOverflow
 	}
 	if len(engines) != 4 || r.Events != events || r.Sched != sum {
 		t.Errorf("sharded run over %d engines reported Events=%d Sched=%+v, engines sum to %d, %+v",

@@ -48,8 +48,8 @@ type Event struct {
 	schedAt Time
 
 	// Scheduler residency, all in slab indices. The heap uses index; the
-	// wheel links the event into an intrusive list (a slot, the overflow
-	// level, or the dispatch batch) named by in. An event outside any queue
+	// wheel links the event into an intrusive list (a slot or the dispatch
+	// batch) named by in. An event outside any queue
 	// has index -1 and in == listNone.
 	next, prev uint32
 	index      int32
@@ -192,8 +192,7 @@ func (e *Engine) Pending() int { return e.q.size() }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // SchedStats snapshots the event queue's occupancy: current and peak pending
-// events, and — on the timing wheel — the beyond-horizon overflow-list
-// occupancy. The peaks are maintained inline by the scheduler, so this is a
+// events. The peak is maintained inline by the scheduler, so this is a
 // cheap read at any point during or after a run.
 func (e *Engine) SchedStats() SchedStats { return e.q.stats() }
 
@@ -300,9 +299,9 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // CheckInvariants verifies the engine's internal bookkeeping: the scheduler's
 // own structure (heap order and index bookkeeping, or wheel slot membership,
-// occupancy bitmaps, cascade currency and overflow horizon), that no pending
-// event is behind the clock, and that the slab's free list holds only
-// resolved, fully unlinked events. It returns nil when everything is
+// occupancy bitmaps and cascade currency), that no pending event is behind
+// the clock, and that the slab's free list holds only resolved, fully
+// unlinked events. It returns nil when everything is
 // coherent; the audit layer calls it at drain time, and it is cheap enough
 // to call in tests after every run.
 func (e *Engine) CheckInvariants() error {

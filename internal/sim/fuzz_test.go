@@ -18,10 +18,10 @@ type schedTrace struct {
 
 // runSchedProgram interprets prog on an engine with the given scheduler and
 // fails t as soon as CheckInvariants reports a fault after an op.
-// Opcodes (byte % 11), with operands drawn from following bytes:
+// Opcodes (byte % 12), with operands drawn from following bytes:
 //
-//	0: schedule at now+delta (delta exponential in one byte, so every wheel
-//	   level and the overflow list are reachable)
+//	0: schedule at now+delta (delta exponential in one byte, reaching wheel
+//	   levels 0 through 8)
 //	1: cancel the k-th live handle
 //	2: RunUntil(now+delta)
 //	3: reset the shared rearmable timer to now+delta
@@ -37,6 +37,8 @@ type schedTrace struct {
 //	   them; when A fires, its handler schedules at its own instant holding
 //	   that stamp, which has not passed and must fire before B, still
 //	   waiting in A's dispatch batch
+//	11: schedule at now+2^(54 + arg%9), on wheel level 9 or 10, unless that
+//	   would pass MaxTime
 func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 	t.Helper()
 	e := NewEngineWith(kind)
@@ -52,7 +54,7 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 		return func() { tr.Fires = append(tr.Fires, [3]int64{lbl, int64(e.Now()), int64(e.Fired())}) }
 	}
 	delta := func(b byte) Duration {
-		// Exponential spread: shifts 0..51 cover every level plus overflow.
+		// Exponential spread: shifts 0..51 cover levels 0 through 8.
 		return (Duration(1) << (b % 52)) + Duration(b%7)
 	}
 	checked := func(step int) {
@@ -63,7 +65,7 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 
 	for i := 0; i+1 < len(prog); i += 2 {
 		op, arg := prog[i], prog[i+1]
-		switch op % 11 {
+		switch op % 12 {
 		case 0:
 			label++
 			handles = append(handles, e.At(e.Now().Add(delta(arg)), record(label)))
@@ -111,12 +113,17 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 			}))
 			mid = e.Reserve()
 			handles = append(handles, e.At(at, record(b)))
+		case 11:
+			if d := Time(1) << (54 + arg%9); e.Now() <= MaxTime-d {
+				label++
+				handles = append(handles, e.At(e.Now()+d, record(label)))
+			}
 		}
 		tr.Pendings = append(tr.Pendings, e.Pending())
 		tr.Nows = append(tr.Nows, e.Now())
 		checked(i / 2)
 	}
-	e.RunUntil(e.Now() + (1 << 53)) // drain everything, overflow included
+	e.Run()
 	tr.Pendings = append(tr.Pendings, e.Pending())
 	tr.Nows = append(tr.Nows, e.Now())
 	checked(len(prog) / 2)
@@ -128,7 +135,7 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 // operand) pairs for runSchedProgram.
 var schedSeeds = [][]byte{
 	{0, 10, 0, 10, 2, 20},                      // same-time pair, then run
-	{0, 1, 0, 48, 1, 0, 2, 50},                 // overflow + cancel
+	{0, 1, 0, 48, 1, 0, 2, 50},                 // level 8 + cancel
 	{3, 9, 2, 3, 3, 12, 2, 40, 4, 0},           // timer rearm across levels
 	{5, 0, 5, 0, 2, 1, 0, 30, 1, 1, 2, 51},     // zero-delay batch
 	{0, 12, 0, 24, 0, 36, 0, 51, 2, 13, 2, 37}, // one event per tier
@@ -148,10 +155,9 @@ var schedSeeds = [][]byte{
 	// first.
 	{0, 13, 2, 12, 7, 0, 2, 14, 0, 20, 6, 20, 7, 0, 2, 21},
 
-	// Two overflow events (2^49 and 2^50+1) behind one level-0 event: after
-	// the levels drain, RunUntil stops short of the overflow minimum, then
-	// the next one migrates 2^49 (2^50+1 stays behind the horizon) and then
-	// 2^50+1.
+	// Two level-8 events (2^49 and 2^50+1, slots 2 and 4) behind one level-0
+	// event: once it has fired, RunUntil stops short of both, and the next
+	// RunUntil pops each as the lone resident of its slot.
 	{0, 49, 0, 50, 0, 3, 2, 4, 2, 30, 7, 0, 2, 51, 5, 0, 7, 0},
 
 	// A and B share instant 37 with a stamp reserved between them: A's
@@ -171,6 +177,17 @@ var schedSeeds = [][]byte{
 	// plain event scheduled after the reservation (the stamped one fires
 	// first), one at a far level-3 instant after time has moved on.
 	{8, 0, 8, 0, 0, 10, 9, 10, 2, 11, 9, 20, 7, 0, 2, 21},
+
+	// Events at 2^54 (level 9) and 2^62 (level 10, slot 4) behind one at 11
+	// (level 0). After that one fires, 2^62+11 joins 2^62 in slot 4 and
+	// 2^61+11 takes slot 2. Canceling 2^54 leaves NextEventTime to read
+	// slot 2, canceling 2^61+11 leaves it to scan slot 4, and the drain
+	// cascades slot 4 through the top level's window mask.
+	{0, 3, 11, 0, 11, 8, 2, 3, 11, 8, 11, 7, 1, 1, 7, 0, 1, 3, 7, 0},
+
+	// Two events at 2^55 share a level-9 slot behind one at 11: the drain
+	// cascades them into one level-0 dispatch batch, fired in seq order.
+	{0, 3, 11, 1, 11, 1, 7, 0, 2, 3, 7, 0},
 }
 
 // FuzzSchedulerEquivalence replays random schedule/cancel/reset/advance

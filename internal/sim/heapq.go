@@ -125,8 +125,7 @@ func (q *heapQueue) next() (Time, bool) {
 
 func (q *heapQueue) size() int { return len(q.h) }
 
-// stats reports occupancy; the heap has no overflow tier, so those fields
-// stay zero.
+// stats reports occupancy.
 func (q *heapQueue) stats() SchedStats {
 	return SchedStats{Pending: len(q.h), PeakPending: q.peak}
 }

@@ -23,16 +23,16 @@ const (
 const DefaultScheduler = SchedWheel
 
 // SchedStats is a snapshot of an event queue's occupancy: how many events
-// are pending now, the high-water marks over the engine's lifetime, and —
-// for the timing wheel — how many events sit on the beyond-horizon overflow
-// list. The peaks are maintained inline by the schedulers (a compare and a
-// conditional store on the schedule path), so reading them costs nothing
-// during a run; the scale sweep reports them per (hosts, load) point.
+// are pending now and the high-water mark over the engine's lifetime. The
+// peak is maintained inline by the schedulers (a compare and a conditional
+// store on the schedule path), so reading it costs nothing during a run; the
+// scale sweep reports it per (hosts, load) point.
 type SchedStats struct {
-	Pending      int // events waiting to fire right now
-	PeakPending  int // largest Pending ever observed
-	Overflow     int // wheel only: events parked beyond the 2^48-tick horizon
-	PeakOverflow int // wheel only: largest Overflow ever observed
+	Pending     int // events waiting to fire right now
+	PeakPending int // largest Pending ever observed
+	// PeakOverflow is always zero on both schedulers: the wheel places every
+	// deadline in a slot. It stays because the benchmark module reads it.
+	PeakOverflow int
 }
 
 // scheduler is the event-queue contract the Engine drives. Exactly the events
@@ -74,22 +74,21 @@ type scheduler interface {
 	check(now Time) error
 }
 
-// Wheel list identifiers, stored in Event.in. The 512 slot lists are named
-// level<<wheelBits | slot; the overflow list and the dispatch batch follow.
-// listNone marks an event resident in no list (free, or in the heap).
+// Wheel list identifiers, stored in Event.in. The 704 slot lists are named
+// level<<wheelBits | slot; the dispatch batch follows. listNone marks an
+// event resident in no list (free, or in the heap).
 const (
-	numSlotLists = wheelLevels * wheelSlots // slot list ids: 0..511
-	listOverflow = numSlotLists
-	listDue      = numSlotLists + 1
+	numSlotLists = wheelLevels * wheelSlots // slot list ids: 0..703
+	listDue      = uint16(numSlotLists)
 	listNone     = ^uint16(0)
 )
 
 // slotList is an intrusive doubly-linked list of pending events, used by the
-// timing wheel for its slots, its overflow level and its same-timestamp
-// dispatch batch. Links are slab indices living on the Event itself, so
-// membership changes are a handful of 4-byte stores with no allocation and
-// the list head is a single word. The zero value is NOT an empty list —
-// index 0 is a real slot — so wheels initialize head and tail to nilIdx.
+// timing wheel for its slots and its same-timestamp dispatch batch. Links
+// are slab indices living on the Event itself, so membership changes are a
+// handful of 4-byte stores with no allocation and the list head is a single
+// word. The zero value is NOT an empty list — index 0 is a real slot — so
+// wheels initialize head and tail to nilIdx.
 type slotList struct {
 	head, tail uint32
 }

@@ -4,20 +4,20 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
-// Wheel geometry. Eight levels of 64 slots cover deltas up to 2^48
-// picoseconds (≈ 281 simulated seconds) — far beyond any simulation horizon
-// in this repository; anything further sits on an overflow list until the
-// clock gets close enough. Level l slots are 64^l ticks wide, so level 0
-// slots hold exactly one timestamp and a dispatch batch is exactly the
-// same-time events.
+// Wheel geometry. Level l slots are 64^l ticks wide, so level 0 slots hold
+// exactly one timestamp and a dispatch batch is exactly the same-time
+// events. The levels cover every value bit of a non-negative Time (eleven
+// levels, 66 bits for 63, the top level using slots 0..7), so every deadline
+// has a slot.
 const (
-	wheelBits        = 6
-	wheelSlots       = 1 << wheelBits
-	wheelMask        = wheelSlots - 1
-	wheelLevels      = 8
-	wheelHorizonBits = wheelBits * wheelLevels // 48
+	wheelBits   = 6
+	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
+	timeBits    = int(8*unsafe.Sizeof(Time(0))) - 1 // value bits of a non-negative Time
+	wheelLevels = (timeBits + wheelBits - 1) / wheelBits
 )
 
 // wheel is the hierarchical timing-wheel scheduler. Placement uses the
@@ -30,7 +30,7 @@ const (
 // always that level's earliest window.
 //
 // The slot lists are slab-index links (slotList), so the whole wheel
-// skeleton is 512 two-word list heads — 4 KiB, cache-resident — and walking
+// skeleton is 704 two-word list heads — 5.5 KiB, cache-resident — and walking
 // a slot touches the contiguous event slab rather than chasing heap
 // pointers.
 //
@@ -39,26 +39,12 @@ const (
 // directly, and cascades a slot of several only when it is the earliest, so
 // each event is relinked at most wheelLevels times over its whole life and
 // the clock jumps between deadlines (this is a discrete-event simulator — no
-// tick parade). The one remaining slot scan is nextTime's, for
-// NextEventTime.
+// tick parade). The one remaining slot scan is next's, for NextEventTime.
 type wheel struct {
 	sl       *eventSlab
 	cur      Time
 	slots    [numSlotLists]slotList // indexed level<<wheelBits | slot
 	occupied [wheelLevels]uint64    // bit s set iff slots[l<<6|s] is nonempty
-
-	// overflow holds events beyond the top level's horizon, unordered; they
-	// migrate into the wheel once every level has drained and the clock
-	// jumps to the overflow minimum.
-	// overflowMin caches the earliest overflow deadline so the common
-	// popDue path never walks the list; a removal of the cached minimum
-	// marks it dirty for lazy recomputation. overflowLen counts residents
-	// (the intrusive list has no length of its own) so occupancy is
-	// observable without a walk.
-	overflow      slotList
-	overflowMin   Time
-	overflowDirty bool
-	overflowLen   int
 
 	// due is the same-timestamp dispatch batch: the level-0 slot at cur,
 	// detached and sorted by (schedAt, seq). popDue serves from it until it
@@ -71,9 +57,7 @@ type wheel struct {
 	count   int
 	scratch []uint32 // reusable sort buffer for dispatch batches
 
-	// Lifetime high-water marks, maintained inline on the schedule path.
-	peakCount    int
-	peakOverflow int
+	peakCount int // lifetime high-water mark, maintained inline on the schedule path
 }
 
 func newWheel(sl *eventSlab) *wheel {
@@ -81,7 +65,6 @@ func newWheel(sl *eventSlab) *wheel {
 	for i := range w.slots {
 		w.slots[i].init()
 	}
-	w.overflow.init()
 	w.due.init()
 	return w
 }
@@ -127,20 +110,9 @@ func stampCmp(a, b *Event) int {
 }
 
 // place links ev into the slot its deadline selects relative to the current
-// wheel clock, or onto the overflow list when it is beyond the horizon.
+// wheel clock.
 func (w *wheel) place(ev *Event, idx uint32) {
 	d := uint64(ev.time ^ w.cur)
-	if d>>wheelHorizonBits != 0 {
-		if !w.overflowDirty && (w.overflow.empty() || ev.time < w.overflowMin) {
-			w.overflowMin = ev.time
-		}
-		w.overflow.pushBack(w.sl, ev, idx, listOverflow)
-		w.overflowLen++
-		if w.overflowLen > w.peakOverflow {
-			w.peakOverflow = w.overflowLen
-		}
-		return
-	}
 	l := 0
 	if d != 0 {
 		l = (63 - bits.LeadingZeros64(d)) / wheelBits
@@ -153,16 +125,6 @@ func (w *wheel) place(ev *Event, idx uint32) {
 
 func (w *wheel) remove(ev *Event, idx uint32) {
 	switch id := ev.in; id {
-	case listOverflow:
-		w.overflowLen--
-		// Removing the cached minimum invalidates the cache; mark it dirty so
-		// the next overflowFirst recomputes instead of reporting a canceled
-		// deadline. Mass cancellation stays O(1) per cancel — the walk is
-		// deferred to the next earliest-deadline query.
-		if !w.overflowDirty && ev.time == w.overflowMin {
-			w.overflowDirty = true
-		}
-		w.overflow.unlink(w.sl, ev)
 	case listDue:
 		w.due.unlink(w.sl, ev)
 	default:
@@ -175,16 +137,20 @@ func (w *wheel) remove(ev *Event, idx uint32) {
 	w.count--
 }
 
-// nextTime returns the earliest pending deadline without mutating the wheel.
-// The XOR placement rule makes levels strictly ordered in time: every level-l
-// resident precedes every level-(l+1) resident (they differ from the clock in
-// a higher bit group), and overflow events lie beyond all of them. So the
-// earliest event lives in the lowest occupied slot of the lowest occupied
-// level. A level-0 slot holds a single timestamp; a higher slot is scanned
-// for its minimum. Dispatch never calls this — popDue descends instead, so
-// the scan is paid only by NextEventTime, which the sharded runner reads
-// once per window.
-func (w *wheel) nextTime() (Time, bool) {
+// next returns the earliest pending deadline without mutating the wheel.
+// A partially drained dispatch batch holds the current instant's remaining
+// events, which by construction precede everything still in the slots. The
+// XOR placement rule makes levels strictly ordered in time: every level-l
+// resident precedes every level-(l+1) resident (they differ from the clock
+// in a higher bit group). So the earliest event in the slots lives in the
+// lowest occupied slot of the lowest occupied level. A level-0 slot holds a
+// single timestamp; a higher slot is scanned for its minimum. Dispatch never
+// calls this — popDue descends instead, so the scan is paid only by
+// NextEventTime, which the sharded runner reads once per window.
+func (w *wheel) next() (Time, bool) {
+	if h := w.due.head; h != nilIdx {
+		return w.sl.at(h).time, true
+	}
 	for l := 0; l < wheelLevels; l++ {
 		occ := w.occupied[l]
 		if occ == 0 {
@@ -204,46 +170,7 @@ func (w *wheel) nextTime() (Time, bool) {
 		}
 		return best, true
 	}
-	if !w.overflow.empty() {
-		return w.overflowFirst(), true
-	}
 	return MaxTime, false
-}
-
-// overflowFirst returns the earliest overflow deadline, recomputing the
-// cached minimum when a cancel invalidated it.
-func (w *wheel) overflowFirst() Time {
-	if w.overflowDirty {
-		w.overflowMin = MaxTime
-		for i := w.overflow.head; i != nilIdx; {
-			ev := w.sl.at(i)
-			if ev.time < w.overflowMin {
-				w.overflowMin = ev.time
-			}
-			i = ev.next
-		}
-		w.overflowDirty = false
-	}
-	return w.overflowMin
-}
-
-// migrateOverflow re-places every overflow event now within the horizon and
-// refreshes the cached minimum of whatever stays behind.
-func (w *wheel) migrateOverflow() {
-	w.overflowMin = MaxTime
-	for i := w.overflow.head; i != nilIdx; {
-		ev := w.sl.at(i)
-		next := ev.next
-		if uint64(ev.time^w.cur)>>wheelHorizonBits == 0 {
-			w.overflow.unlink(w.sl, ev)
-			w.overflowLen--
-			w.place(ev, i)
-		} else if ev.time < w.overflowMin {
-			w.overflowMin = ev.time
-		}
-		i = next
-	}
-	w.overflowDirty = false
 }
 
 // popDue descends from the earliest occupied slot and reads each slot once.
@@ -252,8 +179,9 @@ func (w *wheel) migrateOverflow() {
 // due at the same instant would share its slot. If it holds several, the
 // clock moves to the window start, which precedes them all (at level 0 the
 // start is their common instant, read from the bitmap), and a higher slot
-// cascades strictly downward in one pass before the descent repeats. Only
-// when every level is empty does the clock jump to the overflow minimum.
+// cascades strictly downward in one pass before the descent repeats. (On
+// the top level the window-start mask shifts 1 by 66, which Go defines as 0,
+// so the start keeps no bit of the clock: there is no higher group to keep.)
 // The clock never passes limit, so after a call that finds nothing due it
 // may rest at a window start behind the engine clock; placement only needs
 // every resident at or after it.
@@ -274,12 +202,7 @@ func (w *wheel) popDue(limit Time) uint32 {
 			l++
 		}
 		if l == wheelLevels {
-			if w.overflow.empty() || w.overflowFirst() > limit {
-				return nilIdx
-			}
-			w.cur = w.overflowMin
-			w.migrateOverflow()
-			continue
+			return nilIdx
 		}
 		s := bits.TrailingZeros64(w.occupied[l])
 		li = &w.slots[l<<wheelBits|s]
@@ -338,25 +261,10 @@ func (w *wheel) popDue(limit Time) uint32 {
 	return h
 }
 
-// next returns the earliest pending deadline without mutating the wheel.
-// A partially drained dispatch batch holds the current instant's remaining
-// events, which by construction precede everything still in the slots.
-func (w *wheel) next() (Time, bool) {
-	if h := w.due.head; h != nilIdx {
-		return w.sl.at(h).time, true
-	}
-	return w.nextTime()
-}
-
 func (w *wheel) size() int { return w.count }
 
 func (w *wheel) stats() SchedStats {
-	return SchedStats{
-		Pending:      w.count,
-		PeakPending:  w.peakCount,
-		Overflow:     w.overflowLen,
-		PeakOverflow: w.peakOverflow,
-	}
+	return SchedStats{Pending: w.count, PeakPending: w.peakCount}
 }
 
 // check validates the wheel's structural invariants: occupancy bits mirror
@@ -366,8 +274,7 @@ func (w *wheel) stats() SchedStats {
 // clock; the wheel clock is not ahead of the engine clock, though it may
 // rest behind it; the dispatch batch holds only current-instant events
 // in (schedAt, seq) order, and while it is live no other event shares its
-// instant; overflow events are genuinely beyond the horizon with a
-// truthful cached minimum; and the total count matches size.
+// instant; and the total count matches size.
 func (w *wheel) check(now Time) error {
 	if w.cur > now {
 		return fmt.Errorf("sim: wheel clock %v ahead of engine clock %v", w.cur, now)
@@ -382,7 +289,7 @@ func (w *wheel) check(now Time) error {
 				return fmt.Errorf("sim: wheel level %d slot %d occupancy bit %v disagrees with contents", l, s, occupied)
 			}
 			if li.head == nilIdx && li.tail == nilIdx {
-				continue // all checkLinks would verify, without naming 512 slots per call
+				continue // all checkLinks would verify, without naming 704 slots per call
 			}
 			n, err := li.checkLinks(w.sl, id, fmt.Sprintf("wheel level %d slot %d", l, s))
 			if err != nil {
@@ -433,31 +340,6 @@ func (w *wheel) check(now Time) error {
 		}
 		prevSchedAt, prevSeq = ev.schedAt, ev.seq
 		i = ev.next
-	}
-	n, err = w.overflow.checkLinks(w.sl, listOverflow, "wheel overflow")
-	if err != nil {
-		return err
-	}
-	if n != w.overflowLen {
-		return fmt.Errorf("sim: overflow list holds %d events but overflowLen says %d", n, w.overflowLen)
-	}
-	count += n
-	min := MaxTime
-	for i := w.overflow.head; i != nilIdx; {
-		ev := w.sl.at(i)
-		if ev.resolved() {
-			return fmt.Errorf("sim: resolved event on the overflow list")
-		}
-		if uint64(ev.time^w.cur)>>wheelHorizonBits == 0 {
-			return fmt.Errorf("sim: overflow event at %v already within the wheel horizon (clock %v)", ev.time, w.cur)
-		}
-		if ev.time < min {
-			min = ev.time
-		}
-		i = ev.next
-	}
-	if !w.overflow.empty() && !w.overflowDirty && w.overflowMin != min {
-		return fmt.Errorf("sim: cached overflow minimum %v, actual %v", w.overflowMin, min)
 	}
 	if count != w.count {
 		return fmt.Errorf("sim: wheel holds %d events but count says %d", count, w.count)

@@ -5,64 +5,79 @@ import (
 	"testing"
 )
 
-// wheelHorizon is the first delta that no longer fits in the wheel's levels
-// and must ride the overflow list.
-const wheelHorizon = Time(1) << wheelHorizonBits
+// level8 is the earliest deadline a fresh wheel places above level 7: its
+// bit 48 differs from the clock at zero.
+const level8 = Time(1) << (8 * wheelBits)
 
-// TestWheelFarFutureOverflow schedules events beyond the top level's horizon
-// and checks they park on the overflow list, survive invariant checks, and
-// fire in order once the clock gets there — interleaved with near events.
-func TestWheelFarFutureOverflow(t *testing.T) {
+// TestWheelFarFuture schedules deadlines on the wheel's top three levels, up
+// to MaxTime, between near events, and checks each lands in the slot the
+// placement rule selects, the invariants hold after every schedule, and all
+// fire in order as the clock cascades down to them.
+func TestWheelFarFuture(t *testing.T) {
 	e := NewEngine()
 	w := e.q.(*wheel)
 	var order []int
-	e.At(5, func() { order = append(order, 1) })
-	e.At(wheelHorizon+7, func() { order = append(order, 3) })    // one horizon out
-	e.At(3*wheelHorizon+11, func() { order = append(order, 4) }) // several horizons out
-	e.At(Time(1000*Microsecond), func() { order = append(order, 2) })
-	if w.overflow.empty() {
-		t.Fatal("far-future events did not land on the overflow list")
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatalf("with overflow residents: %v", err)
-	}
-	e.Run()
-	if len(order) != 4 {
-		t.Fatalf("fired %d of 4 events", len(order))
-	}
-	for i, want := range []int{1, 2, 3, 4} {
-		if order[i] != want {
-			t.Fatalf("firing order %v, want [1 2 3 4]", order)
+	for i, at := range []Time{
+		5,
+		level8 + 7,            // level 8, slot 1
+		3*level8 + 11,         // level 8, slot 3
+		5<<(9*wheelBits) + 13, // level 9, slot 5
+		Time(1) << 62,         // level 10, slot 4
+		MaxTime,               // level 10, slot 7
+		Time(1000 * Microsecond),
+	} {
+		e.At(at, func() { order = append(order, i) })
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("after scheduling at %v: %v", at, err)
 		}
 	}
-	if !w.overflow.empty() {
-		t.Fatal("overflow list not drained")
+	if w.occupied[8] != 1<<1|1<<3 || w.occupied[9] != 1<<5 || w.occupied[10] != 1<<4|1<<7 {
+		t.Fatalf("occupancy of levels 8..10 = %#x %#x %#x, want 0xa 0x20 0x90",
+			w.occupied[8], w.occupied[9], w.occupied[10])
+	}
+	if end := e.Run(); end != MaxTime {
+		t.Fatalf("run ended at %v, want MaxTime", end)
+	}
+	want := []int{0, 6, 1, 2, 3, 4, 5}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("drained: %v", err)
 	}
 }
 
-// TestWheelOverflowCancel removes overflow residents (including the cached
-// minimum, forcing the lazy rescan) and checks the remaining events still
-// fire correctly.
+// TestWheelOverflowCancel cancels the earlier of two events sharing a
+// top-level slot and checks the other still fires at its deadline.
 func TestWheelOverflowCancel(t *testing.T) {
 	e := NewEngine()
-	hMin := e.At(wheelHorizon+1, func() { t.Fatal("canceled overflow event fired") })
+	const at = Time(1) << 62
+	hMin := e.At(at+1, func() { t.Fatal("canceled top-level event fired") })
 	fired := false
-	e.At(wheelHorizon+2, func() { fired = true })
-	hMin.Cancel() // cancels the cached overflow minimum
+	e.At(at+2, func() { fired = true })
+	if in := hMin.deref().in; in != 10<<wheelBits|4 {
+		t.Fatalf("event at 2^62+1 in list %d, want level 10 slot 4", in)
+	}
+	hMin.Cancel()
 	if err := e.CheckInvariants(); err != nil {
-		t.Fatalf("after canceling the overflow minimum: %v", err)
+		t.Fatalf("after canceling the slot's earliest event: %v", err)
 	}
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1", got)
 	}
-	if end := e.Run(); end != wheelHorizon+2 {
-		t.Fatalf("run ended at %v, want %v", end, wheelHorizon+2)
+	if next, ok := e.NextEventTime(); !ok || next != at+2 {
+		t.Fatalf("NextEventTime() = (%v, %v), want %v", next, ok, at+2)
+	}
+	if end := e.Run(); end != at+2 {
+		t.Fatalf("run ended at %v, want %v", end, at+2)
 	}
 	if !fired {
-		t.Fatal("surviving overflow event did not fire")
+		t.Fatal("surviving top-level event did not fire")
 	}
 }
 
@@ -141,8 +156,8 @@ func TestWheelInvariantsUnderChurn(t *testing.T) {
 	var handles []Handle
 	for round := 0; round < 200; round++ {
 		for i := 0; i < 20; i++ {
-			// Deltas spread across every level and into overflow.
-			d := Duration(1) << rng.Uint64N(52)
+			// Deltas spread across every level.
+			d := Duration(1) << rng.Uint64N(62)
 			handles = append(handles, e.After(d+Duration(rng.Uint64N(1000)), func() {}))
 		}
 		for i := 0; i < 8 && len(handles) > 0; i++ {
@@ -173,7 +188,7 @@ func TestCheckInvariantsDetectsWheelCorruption(t *testing.T) {
 		e := NewEngine()
 		e.At(100, func() {})
 		e.At(5000, func() {})
-		e.At(wheelHorizon+3, func() {})
+		e.At(level8+3, func() {})
 		return e, e.q.(*wheel)
 	}
 
@@ -204,14 +219,6 @@ func TestCheckInvariantsDetectsWheelCorruption(t *testing.T) {
 	w.occupied[1] |= 1 << 9
 	if err := e.CheckInvariants(); err == nil {
 		t.Fatal("slot mismembership not detected")
-	}
-
-	e, w = newPopulated()
-	// An overflow resident whose delta now fits the horizon is an overdue
-	// migration.
-	w.sl.at(w.overflow.head).time = 200
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("overdue overflow migration not detected")
 	}
 
 	e, w = newPopulated()
@@ -309,10 +316,10 @@ func TestWheelSameInstantAcrossLevels(t *testing.T) {
 }
 
 // TestWheelPendingAcrossLevels cross-checks Pending and EventAllocs while
-// events sit at different levels and in overflow.
+// events sit at different levels, up to the top one.
 func TestWheelPendingAcrossLevels(t *testing.T) {
 	e := NewEngine()
-	deltas := []Duration{1, 63, 64, 4095, 4096, 1 << 18, 1 << 30, 1 << 47, 1 << 50}
+	deltas := []Duration{1, 63, 64, 4095, 4096, 1 << 18, 1 << 30, 1 << 47, 1 << 50, 1 << 55, 1 << 62}
 	for _, d := range deltas {
 		e.After(d, func() {})
 	}
@@ -328,45 +335,42 @@ func TestWheelPendingAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowMassCancel is the capacity gate for the overflow list:
-// with over a million events parked beyond the horizon, canceling large
-// swaths of them — repeatedly including the cached minimum, in an order
-// adversarial to the lazy-rescan cache — must keep the earliest-deadline
-// query truthful, keep the occupancy counter exact, and leave the survivors
-// firing in timestamp order.
+// TestWheelOverflowMassCancel is the capacity gate for one crowded slot:
+// with over a million events parked in a single level-8 slot, canceling
+// large swaths of them — repeatedly including the slot's earliest event —
+// must keep the earliest-deadline query truthful, keep the occupancy counter
+// exact, and leave the survivors firing in timestamp order.
 func TestWheelOverflowMassCancel(t *testing.T) {
 	const n = 1 << 20 // ~1.05M pending events
 	e := NewEngine()
 	w := e.q.(*wheel)
 
-	// Park n events beyond the horizon with a deterministic shuffled order of
-	// deadlines so the overflow list is thoroughly unsorted. With the wheel
-	// levels empty, nextTime answers straight from the overflow cache.
+	// Park n events in level-8 slot 1 with a deterministic shuffled order of
+	// deadlines so the slot list is thoroughly unsorted. With the lower
+	// levels empty, next scans that slot for its minimum.
 	handles := make([]Handle, n)
 	r := rand.New(rand.NewPCG(7, 9))
 	perm := r.Perm(n)
 	for _, p := range perm {
-		handles[p] = e.At(wheelHorizon+Time(2*p+2), func() {})
+		handles[p] = e.At(level8+Time(2*p+2), func() {})
 	}
 	if got := e.Pending(); got != n {
 		t.Fatalf("Pending() = %d, want %d", got, n)
 	}
-	st := e.SchedStats()
-	if st.Overflow != n {
-		t.Fatalf("Overflow = %d, want %d", st.Overflow, n)
+	if w.occupied[8] != 1<<1 {
+		t.Fatalf("level-8 occupancy %#x, want slot 1 only", w.occupied[8])
 	}
-	if st.PeakPending != n || st.PeakOverflow != n {
-		t.Fatalf("peaks = (%d, %d), want (%d, %d)", st.PeakPending, st.PeakOverflow, n, n)
+	if st := e.SchedStats(); st != (SchedStats{Pending: n, PeakPending: n}) {
+		t.Fatalf("stats = %+v, want %d pending at the peak", st, n)
 	}
 
-	// Cancel the current minimum 64 times in a row: each cancel must
-	// invalidate the cached minimum so the next query rescans instead of
-	// reporting a dead deadline.
+	// Cancel the current minimum 64 times in a row: each query must rescan
+	// the slot instead of reporting a dead deadline.
 	for i := 0; i < 64; i++ {
 		handles[i].Cancel()
-		if min, ok := w.nextTime(); !ok || min != wheelHorizon+Time(2*(i+1)+2) {
-			t.Fatalf("after canceling minimum %d: nextTime = (%v, %v), want %v",
-				i, min, ok, wheelHorizon+Time(2*(i+1)+2))
+		if min, ok := w.next(); !ok || min != level8+Time(2*(i+1)+2) {
+			t.Fatalf("after canceling minimum %d: next = (%v, %v), want %v",
+				i, min, ok, level8+Time(2*(i+1)+2))
 		}
 	}
 	// Mass-cancel three quarters of the remainder (every index not divisible
@@ -378,14 +382,14 @@ func TestWheelOverflowMassCancel(t *testing.T) {
 			canceled++
 		}
 	}
-	if st := e.SchedStats(); st.Overflow != n-canceled {
-		t.Fatalf("Overflow after mass cancel = %d, want %d", st.Overflow, n-canceled)
+	if st := e.SchedStats(); st.Pending != n-canceled {
+		t.Fatalf("Pending after mass cancel = %d, want %d", st.Pending, n-canceled)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("after mass cancellation: %v", err)
 	}
-	if min, ok := w.nextTime(); ok && min < wheelHorizon {
-		t.Fatalf("nextTime = %v, below the horizon", min)
+	if min, ok := w.next(); !ok || min != level8+Time(2*64+2) {
+		t.Fatalf("next = (%v, %v), want %v", min, ok, level8+Time(2*64+2))
 	}
 
 	// The survivors must fire in timestamp order, and all of them must fire.
@@ -410,7 +414,7 @@ func TestWheelOverflowMassCancel(t *testing.T) {
 	if fired != want {
 		t.Fatalf("fired %d events, want %d", fired, want)
 	}
-	if st := e.SchedStats(); st.Pending != 0 || st.Overflow != 0 {
+	if st := e.SchedStats(); st.Pending != 0 {
 		t.Fatalf("post-drain stats = %+v, want empty", st)
 	}
 	if err := e.CheckInvariants(); err != nil {

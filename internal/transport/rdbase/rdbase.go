@@ -218,14 +218,6 @@ func (t *FlowTable[T]) At(i int) *T { return t.at(uint32(i)) }
 // Keys returns the flow IDs in insertion order (read-only view).
 func (t *FlowTable[T]) Keys() []uint64 { return t.idx.Keys() }
 
-// Each visits every entry in insertion order — deterministic, since flows
-// are inserted in simulated-event order.
-func (t *FlowTable[T]) Each(f func(id uint64, v *T)) {
-	for slot, id := range t.idx.Keys() {
-		f(id, t.at(uint32(slot)))
-	}
-}
-
 // AuditPreCredits checks every per-flow PreCredit machine for internal
 // consistency, in flow-ID order, prefixing violations with the transport
 // name. It is the shared body of the transports' AuditInvariants.
@@ -292,7 +284,6 @@ func (t *Tables[S]) Len() (flows, senders int) { return t.flows.Len(), t.senders
 // (netem.NodeID's contract), so the map is a flat slice indexed by host ID.
 type HostMap[R any] struct {
 	hosts []*R
-	n     int
 	mk    func(host netem.NodeID) *R
 }
 
@@ -312,13 +303,9 @@ func (h *HostMap[R]) Get(host netem.NodeID) *R {
 	if r == nil {
 		r = h.mk(host)
 		h.hosts[host] = r
-		h.n++
 	}
 	return r
 }
-
-// Len returns the number of materialized host entries.
-func (h *HostMap[R]) Len() int { return h.n }
 
 // Each visits every materialized host state in host-ID order.
 func (h *HostMap[R]) Each(f func(host netem.NodeID, r *R)) {
