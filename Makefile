@@ -5,7 +5,8 @@
 # gate (timing wheel and reference heap, pool on and off), the allocation
 # regression smoke (bench-smoke: the port path, a traced delivery and a Homa
 # message allocate nothing per packet, a queue's buffer follows its backlog,
-# and a small run stays under its allocation ceiling), the benchmark module's
+# a small run stays under its allocation ceiling, and each added flow under
+# its allocation-count ceiling), the benchmark module's
 # own build and tests (bench-check), and the rule that every example program
 # is tested (examples).
 
@@ -55,7 +56,9 @@ audit:
 # Now and CheckInvariants after every op) and pass the wheel's own tests, and
 # a port must resolve the ties at its tx end as an always-scheduled tx-done
 # would, on both schedulers, while scheduling tx-done only when a packet
-# waits (the event count per packet is pinned). The
+# waits (the event count per packet is pinned), and the senders must stamp
+# the wire fields the digests ride on (Homa's data bands from its cutoffs and
+# grants, probes on band 0, ExpressPass on each flow's ECMP hash). The
 # heap and pool-off mode exist only as these oracles; a drift in one cell is a
 # scheduler or pool bug, not a behavior change — see
 # internal/experiments/golden_test.go and internal/sim/fuzz_test.go.
@@ -63,6 +66,7 @@ golden:
 	$(GO) test -run 'TestGoldenDigests|TestQueueTableDigests' ./internal/experiments
 	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetectsWheelCorruption' ./internal/sim
 	$(GO) test -run 'TestPortTxDoneTies|TestIdlePortEventsPerPacket' ./internal/netem
+	$(GO) test -run 'TestWire' ./internal/transport/homa ./internal/transport/expresspass
 
 # Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix
 # across shards x pool on a multi-pod fabric, the golden digests pinned under
@@ -118,7 +122,9 @@ bench:
 # flow-table lookup gate, the Homa+Aeolus message whose allocations must not
 # grow with its size (4 MB vs 200 KB: nothing allocates per packet), the
 # small-run allocation ceilings (a 7-to-1 30 KB leafspine incast per Aeolus
-# family under a committed byte budget), one quick iteration of the hot-path
+# family under a committed byte budget), the per-flow allocation-count
+# ceilings (the objects each flow adds to a 30 KB leafspine incast, from 8 to
+# 16 senders, per Aeolus family), one quick iteration of the hot-path
 # benchmarks, and the race detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
@@ -129,7 +135,7 @@ bench-smoke:
 		-run=TestFlowTableLookupGate ./internal/transport/rdbase
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
 	$(GO) test -run=TestMessageAllocsFlat ./internal/transport/homa
-	$(GO) test -run=TestSmallRunAllocCeiling ./internal/experiments
+	$(GO) test -run='TestSmallRunAllocCeiling|TestPerFlowMallocCeiling' ./internal/experiments
 	$(GO) test -race -run=TestPool ./internal/netem
 
 # The benchmark is its own module (bench/, run by bench/run.sh), so the root

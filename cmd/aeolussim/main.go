@@ -121,6 +121,12 @@ func main() {
 		})
 		scns = []scenario.Scenario{*cliutil.LoadScenario(*scenFile)}
 	} else {
+		switch {
+		case *runs < 1:
+			cliutil.Die(fmt.Errorf("-runs %d: at least one run is needed", *runs))
+		case *incast < 0:
+			cliutil.Die(fmt.Errorf("-incast %d: the fan-in must not be negative", *incast))
+		}
 		wl := cliutil.Workload(*wlName)
 		if wl == nil && *incast == 0 {
 			fmt.Fprintln(os.Stderr, "nothing to send: give -workload and/or -incast")
@@ -151,7 +157,7 @@ func main() {
 		// An unknown topology is reported ahead of any other flag mistake.
 		cliutil.Topo(*topo)
 		// -runs N: the same run over N consecutive scheme and incast seeds.
-		scns = make([]scenario.Scenario, max(*runs, 1))
+		scns = make([]scenario.Scenario, *runs)
 		for i := range scns {
 			scns[i] = sc
 			scns[i].SchemeSeed += uint64(i)

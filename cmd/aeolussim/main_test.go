@@ -198,6 +198,12 @@ func TestFlagValidation(t *testing.T) {
 		{"one-host-workload", "-topo clos:1,hosts=1 -workload WebSearch -flows 5", "has 1 host"},
 		{"trace-shards", "-topo leafspine -scheme homa+aeolus -workload WebSearch -load 0.5 -flows 200 -shards 2 -trace 3",
 			"tracing needs one shard"},
+		{"load-gap-overflow", "-topo single -workload WebSearch -load 1e-300 -flows 5", "core load 1e-300"},
+		{"load-gap-under-tick", "-topo single -workload WebSearch -load 1e300 -flows 3", "core load 1e+300"},
+		{"load-span-overflow", "-topo single -workload WebSearch -load 1.6e-9 -flows 200", "core load 1.6e-09"},
+		{"runs-zero", "-topo single -incast 3 -runs 0", "-runs 0:"},
+		{"runs-negative", "-topo single -incast 3 -runs -3", "-runs -3:"},
+		{"incast-negative", "-topo single -workload WebSearch -flows 5 -incast -2", "-incast -2:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := aeolussim(t, strings.Fields(tc.args)...)

@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench -benchmem` output (stdin) into
 // a machine-readable JSON ledger, preserving the "baseline" section of the
 // existing output file so regressions stay visible against the committed
-// pre-optimization numbers:
+// pre-optimization numbers (an output file it cannot read or parse is left
+// as it is, and benchjson exits 1):
 //
 //	go test -bench . -benchtime 100x -benchmem -run '^$' ./... | benchjson -o BENCH_micro.json
 //
@@ -21,9 +22,11 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sort"
 	"strconv"
@@ -70,13 +73,17 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Only a missing ledger starts a fresh one. An unreadable or damaged
+	// ledger is left untouched: rewriting it would re-seed the frozen
+	// baseline from this run.
 	var led Ledger
-	if prev, err := os.ReadFile(*out); err == nil {
-		// Tolerate a corrupt or hand-edited file: start over but say so.
-		if err := json.Unmarshal(prev, &led); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: ignoring unparsable %s: %v\n", *out, err)
-			led = Ledger{}
-		}
+	prev, err := os.ReadFile(*out)
+	if err == nil {
+		err = json.Unmarshal(prev, &led)
+	}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(os.Stderr, "benchjson: %s left untouched: %v\n", *out, err)
+		os.Exit(1)
 	}
 	led.Current = current
 	if led.Baseline == nil {

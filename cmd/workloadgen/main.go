@@ -66,10 +66,16 @@ func main() {
 		cliutil.Die(fmt.Errorf("-load %v: the load must be positive and finite", *load))
 	case *rate <= 0:
 		cliutil.Die(fmt.Errorf("-gbps %d: the link rate must be positive", *rate))
+	case *rate > int64(sim.Rate(math.MaxInt64)/sim.Gbps):
+		cliutil.Die(fmt.Errorf("-gbps %d: the link rate overflows the simulator's bit rate (at most %d Gbps)",
+			*rate, sim.Rate(math.MaxInt64)/sim.Gbps))
 	}
 	cfg := workload.PoissonConfig{
 		CDF: wl, Hosts: *hosts, HostRate: sim.Rate(*rate) * sim.Gbps,
 		Load: *load, Flows: *flows, Seed: *seed,
+	}
+	if err := cfg.Check(); err != nil {
+		cliutil.Die(fmt.Errorf("-load %v -gbps %d: %v", *load, *rate, err))
 	}
 	fmt.Println("# id src dst size_bytes start_us")
 	for _, f := range cfg.Generate() {

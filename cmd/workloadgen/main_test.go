@@ -78,6 +78,12 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-load", "0"}, "-load 0:"},
 		{[]string{"-load", "NaN"}, "-load NaN:"},
 		{[]string{"-gbps", "0"}, "-gbps 0:"},
+		// Arrivals the simulation clock cannot place: gaps past int64
+		// picoseconds, gaps under one picosecond, and a rate that overflows.
+		{[]string{"-flows", "3", "-load", "1e-300"}, "-load 1e-300"},
+		{[]string{"-flows", "3", "-load", "1e300"}, "-load 1e+300"},
+		{[]string{"-flows", "3", "-gbps", "9223372036"}, "-gbps 9223372036:"},
+		{[]string{"-flows", "3", "-gbps", "20000000000"}, "-gbps 20000000000:"},
 	} {
 		stdout, stderr, code := workloadgen(t, tc.args...)
 		if code != 2 || stdout != "" {

@@ -9,14 +9,15 @@
 // baselines. Each transport's qdisc factory installs them.
 //
 // Aeolus is deliberately a layer, not a transport: ExpressPass, Homa and NDP
-// each embed a PreCredit per flow and spend their own scheduled transmission
-// opportunities (credits, grants, pulls) through PreCredit.NextRetx, which
-// reproduces §3.3's "reuse the preserved proactive transport as a reliable
-// means to recover dropped pre-credit packets".
+// each embed a PreCredit per flow as the flow's sender and spend their own
+// scheduled transmission opportunities (credits, grants, pulls) through
+// PreCredit.Spend, which reproduces §3.3's "reuse the preserved proactive
+// transport as a reliable means to recover dropped pre-credit packets".
 package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -77,27 +78,33 @@ const (
 	ClassNone                     // nothing left to transmit
 )
 
-// PreCredit is the sender-side Aeolus state machine for one flow. The host
-// transport provides the raw packet senders; PreCredit decides what to send
-// in the pre-credit phase and how each later scheduled opportunity is spent.
+// ProbeAckMark distinguishes a probe ACK from a per-packet data ACK in the
+// Meta field of Ack packets. Every transport's receiver sets it.
+const ProbeAckMark int64 = 1
+
+// PreCredit is the Aeolus sender of one flow: it builds and sends the flow's
+// data packets and probes, decides what to send in the pre-credit phase, and
+// spends each later scheduled opportunity the host transport receives. A
+// transport embeds one per flow by value, readies it with Init and sets the
+// per-flow wire fields (Spray, UnschedPrio, SchedPrio).
 //
 // One machine exists per live flow — at the h1024 sweep cells that is a
 // hundred thousand of them resident at once — so the struct is packed for
 // footprint: counters and scan pointers are int32 (segment counts cannot
 // approach 2^31), the Options relevant to the sender are copied into three
-// scalar fields instead of embedding the whole struct, and the flag bytes
-// sit together at the tail so padding is paid once. The packing is purely
-// representational; every method still computes in int.
+// scalar fields instead of embedding the whole struct, and the byte-wide
+// fields sit together at the tail so padding is paid once. The packing is
+// purely representational; every method still computes in int.
 type PreCredit struct {
 	Env  *transport.Env
 	Flow *transport.Flow
 	Seg  transport.Segmenter
 
-	// SendSeg transmits segment seg, marked scheduled or unscheduled.
-	SendSeg func(seg int, scheduled bool)
-	// SendProbe transmits the 64-byte probe carrying the sequence of the
-	// last unscheduled byte (and the flow size, for Homa-style receivers).
-	SendProbe func()
+	// Spray, when non-nil, draws the path of every data packet and probe
+	// (per-packet spraying); nil routes them on the flow's ECMP hash. The
+	// draw happens once per packet, as it is built, so a sprayed run draws
+	// in the order the flow's packets are sent.
+	Spray *rand.Rand
 
 	probeTimeout sim.Duration // Options.ProbeTimeout; zero disables the §6 timer
 
@@ -118,6 +125,11 @@ type PreCredit struct {
 	resends    int32
 	maxResends int32 // Options.MaxProbeResends
 
+	// UnschedPrio and SchedPrio are the fabric priority bands of burst and
+	// scheduled data packets (Homa's; the other transports leave band 0).
+	// The probe always rides band 0.
+	UnschedPrio, SchedPrio uint8
+
 	enabled    bool // Options.Enabled
 	stopped    bool
 	probeSent  bool
@@ -130,16 +142,17 @@ type PreCredit struct {
 	// duplicate probe would be pure overhead.
 	oppSeen bool
 
-	// noUnackedSweep disables the ClassUnacked class. Original transports
-	// without per-packet ACKs (vanilla Homa) assume burst delivery and
-	// surface losses only through ForceLost.
-	noUnackedSweep bool
+	// noProbe is the probe switch DisableProbe sets: no probe is sent and
+	// the ClassUnacked class is off. Original transports without per-packet
+	// ACKs (vanilla Homa) assume burst delivery and surface losses only
+	// through ForceLost.
+	noProbe bool
 }
 
-// NewPreCredit builds the state machine for a flow. bdpBytes bounds the
-// burst ("a flow sender ... sends a bandwidth-delay product worth of
-// unscheduled packets at line-rate", §3.1).
-func NewPreCredit(env *transport.Env, f *transport.Flow, opts Options, bdpBytes int64) *PreCredit {
+// Init readies the machine in place for flow f. bdpBytes bounds the burst
+// ("a flow sender ... sends a bandwidth-delay product worth of unscheduled
+// packets at line-rate", §3.1).
+func (pc *PreCredit) Init(env *transport.Env, f *transport.Flow, opts Options, bdpBytes int64) {
 	seg := transport.Segmenter{Size: f.Size, MSS: env.MSS}
 	n := seg.NumSegs()
 	burst := int(bdpBytes / int64(env.MSS))
@@ -149,7 +162,7 @@ func NewPreCredit(env *transport.Env, f *transport.Flow, opts Options, bdpBytes 
 	if burst > n {
 		burst = n
 	}
-	pc := &PreCredit{
+	*pc = PreCredit{
 		Env: env, Flow: f, Seg: seg,
 		probeTimeout: opts.ProbeTimeout,
 		maxResends:   int32(opts.MaxProbeResends),
@@ -159,8 +172,14 @@ func NewPreCredit(env *transport.Env, f *transport.Flow, opts Options, bdpBytes 
 	pc.acked, pc.assigned = transport.NewBitsetPair(n)
 	pc.pacer.Init(env.Eng, pc.sendNext)
 	pc.timer.Init(env.Eng, pc.onProbeTimeout)
-	return pc
 }
+
+// DisableProbe turns off the Aeolus probe/per-packet-ACK loss detection
+// while keeping the burst: no probe is sent and the ClassUnacked sweep is
+// off, so losses surface only through ForceLost (receiver resend requests) —
+// the original-transport and RTO-only configurations. The §6 safety timer
+// still runs its course.
+func (pc *PreCredit) DisableProbe() { pc.noProbe = true }
 
 // BurstLimit returns the number of segments the pre-credit phase may send.
 func (pc *PreCredit) BurstLimit() int { return int(pc.burstLimit) }
@@ -204,7 +223,7 @@ func (pc *PreCredit) sendNext() {
 	seg := int(pc.burstSent)
 	pc.burstSent++
 	pc.nextNew = pc.burstSent
-	pc.SendSeg(seg, false)
+	pc.send(seg, false)
 	gap := sim.TxTime(netem.WireSizeFor(pc.Seg.SegLen(seg)), pc.Env.Net.HostRate)
 	pc.pacer.Reset(gap)
 }
@@ -215,7 +234,7 @@ func (pc *PreCredit) finishBurst() {
 		return
 	}
 	pc.probeSent = true
-	pc.SendProbe()
+	pc.sendProbe()
 	pc.armTimer()
 }
 
@@ -231,7 +250,7 @@ func (pc *PreCredit) onProbeTimeout() {
 		return
 	}
 	pc.resends++
-	pc.SendProbe()
+	pc.sendProbe()
 	pc.armTimer()
 }
 
@@ -255,6 +274,19 @@ func (pc *PreCredit) OnAck(off int64) {
 	}
 	pc.acked.Set(i)
 	pc.ackCount++
+}
+
+// OnAckPacket routes an Ack packet: a probe ACK triggers the §3.3 loss
+// inference, a data ACK marks its segment. It reports whether the packet was
+// the probe ACK, so a transport can hook the phase change (Homa drains its
+// grant quota once the probe verdict lands).
+func (pc *PreCredit) OnAckPacket(p *netem.Packet) (probeAck bool) {
+	if p.Meta == ProbeAckMark {
+		pc.OnProbeAck()
+		return true
+	}
+	pc.OnAck(p.Seq)
+	return false
 }
 
 // OnProbeAck processes the probe's ACK: every burst segment that is neither
@@ -287,9 +319,6 @@ func (pc *PreCredit) ForceLost(seg int) {
 	pc.lost = append(pc.lost, int32(seg))
 	pc.assigned.Set(seg)
 }
-
-// DisableUnackedSweep turns off the ClassUnacked sweep; see noUnackedSweep.
-func (pc *PreCredit) DisableUnackedSweep() { pc.noUnackedSweep = true }
 
 // NextLost pops only loss-detected segments, for transports that retransmit
 // resend-requested packets immediately rather than through the next
@@ -356,7 +385,7 @@ func (pc *PreCredit) Next() (seg int, class RetxClass) {
 	// verdict is pending, blind class-3 retransmissions would both
 	// duplicate in-flight packets and burn opportunities the upcoming loss
 	// report needs, so the sweep waits for the probe ACK.
-	if pc.noUnackedSweep || (pc.probeSent && !pc.probeAcked) {
+	if pc.noProbe || (pc.probeSent && !pc.probeAcked) {
 		return -1, ClassNone
 	}
 	for pc.unackedP < pc.burstSent {
@@ -369,6 +398,27 @@ func (pc *PreCredit) Next() (seg int, class RetxClass) {
 		return s, ClassUnacked
 	}
 	return -1, ClassNone
+}
+
+// Spend spends one scheduled transmission opportunity (credit, grant quota,
+// pull) on the next segment in the §3.3 priority order, sending it as a
+// scheduled packet. ClassNone means the opportunity found nothing to send,
+// and nothing was sent.
+func (pc *PreCredit) Spend() (seg int, class RetxClass) {
+	seg, class = pc.Next()
+	if class != ClassNone {
+		pc.send(seg, true)
+	}
+	return seg, class
+}
+
+// DrainLost retransmits every pending loss-queue segment at once as a
+// scheduled packet — the path for transports that answer resend requests or
+// timeouts without waiting for fresh transmission opportunities.
+func (pc *PreCredit) DrainLost() {
+	for seg, ok := pc.NextLost(); ok; seg, ok = pc.NextLost() {
+		pc.send(seg, true)
+	}
 }
 
 // Done reports whether every segment is either acknowledged or assigned and
@@ -388,7 +438,7 @@ func (pc *PreCredit) Done() bool {
 			return false
 		}
 	}
-	if pc.noUnackedSweep {
+	if pc.noProbe {
 		return true
 	}
 	for i := int(pc.unackedP); i < int(pc.burstSent); i++ {
@@ -466,20 +516,35 @@ func (pc *PreCredit) Audit() error {
 	return nil
 }
 
-// MakeProbe builds the Aeolus probe packet for this flow: minimum Ethernet
-// size, scheduled (protected), carrying the end-of-burst sequence and the
-// flow size (so a Homa-style receiver learns the demand even if every
-// unscheduled packet was dropped, §4.2).
-func (pc *PreCredit) MakeProbe() *netem.Packet {
+// send builds data segment seg, marked scheduled or unscheduled, and puts
+// it on the sending host's NIC. It is the one place a data packet is built.
+func (pc *PreCredit) send(seg int, scheduled bool) {
+	payload := pc.Seg.SegLen(seg)
+	pc.Env.CountSent(payload)
 	p := pc.Env.Pkt()
-	p.Type = netem.Probe
-	p.Flow = pc.Flow.ID
-	p.Src = pc.Flow.Src
-	p.Dst = pc.Flow.Dst
-	p.Seq = pc.ProbeSeq()
-	p.WireSize = netem.ProbeSize
-	p.Scheduled = true
-	p.PathID = pc.Flow.PathID
-	p.Meta = pc.Flow.Size
-	return p
+	p.Type, p.Flow, p.Src, p.Dst = netem.Data, pc.Flow.ID, pc.Flow.Src, pc.Flow.Dst
+	p.Seq, p.PayloadLen = pc.Seg.Offset(seg), payload
+	p.WireSize, p.Scheduled = netem.WireSizeFor(payload), scheduled
+	p.Prio = pc.UnschedPrio
+	if scheduled {
+		p.Prio = pc.SchedPrio
+	}
+	p.PathID = pc.Flow.Path(pc.Spray)
+	pc.Env.Net.Host(pc.Flow.Src).Send(p)
+}
+
+// sendProbe sends the Aeolus probe, unless DisableProbe turned it off:
+// minimum Ethernet size, scheduled (protected), on band 0, carrying the
+// end-of-burst sequence and the flow size (so a Homa-style receiver learns
+// the demand even if every unscheduled packet was dropped, §4.2).
+func (pc *PreCredit) sendProbe() {
+	if pc.noProbe {
+		return
+	}
+	p := pc.Env.Pkt()
+	p.Type, p.Flow, p.Src, p.Dst = netem.Probe, pc.Flow.ID, pc.Flow.Src, pc.Flow.Dst
+	p.Seq, p.Meta = pc.ProbeSeq(), pc.Flow.Size
+	p.WireSize, p.Scheduled = netem.ProbeSize, true
+	p.PathID = pc.Flow.Path(pc.Spray)
+	pc.Env.Net.Host(pc.Flow.Src).Send(p)
 }

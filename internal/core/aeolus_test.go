@@ -21,15 +21,38 @@ type sentRec struct {
 	scheduled bool
 }
 
+// harness readies the machine of flow 1, host 0 to host 1, and records what
+// it puts on host 0's NIC (see tap).
 func harness(t *testing.T, size int64, opts Options) (*transport.Env, *PreCredit, *[]sentRec, *int) {
 	env := testEnv(t)
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
+	pc := newPreCredit(env, f, opts, env.Net.BDPBytes())
+	sent, probes := tap(env, f.ID)
+	return env, pc, sent, probes
+}
+
+func newPreCredit(env *transport.Env, f *transport.Flow, opts Options, bdpBytes int64) *PreCredit {
+	pc := new(PreCredit)
+	pc.Init(env, f, opts, bdpBytes)
+	return pc
+}
+
+// tap records what host 0 puts on its NIC for flow id: the data segments in
+// send order and the number of probes.
+func tap(env *transport.Env, id uint64) (*[]sentRec, *int) {
 	var sent []sentRec
 	probes := 0
-	pc := NewPreCredit(env, f, opts, env.Net.BDPBytes())
-	pc.SendSeg = func(seg int, sched bool) { sent = append(sent, sentRec{seg, sched}) }
-	pc.SendProbe = func() { probes++ }
-	return env, pc, &sent, &probes
+	netem.InstrumentPorts([]*netem.Port{env.Net.Host(0).NIC}, netem.TraceFunc(
+		func(_ sim.Time, _ netem.TraceEvent, _ string, p *netem.Packet) {
+			switch {
+			case p.Flow != id:
+			case p.Type == netem.Probe:
+				probes++
+			case p.Type == netem.Data:
+				sent = append(sent, sentRec{int(p.Seq / int64(env.MSS)), p.Scheduled})
+			}
+		}))
+	return &sent, &probes
 }
 
 func TestPreCreditBurstsBDPAtLineRate(t *testing.T) {
@@ -112,16 +135,13 @@ func TestPreCreditDisabledSkipsBurst(t *testing.T) {
 }
 
 func TestPreCreditLossDetectionAndOrdering(t *testing.T) {
-	env, pc, _, _ := harness(t, 20*1460, DefaultOptions())
+	env, pc, sent, _ := harness(t, 20*1460, DefaultOptions())
 	// Force a small burst window: use bdp for 4 segments.
-	pc = NewPreCredit(env, pc.Flow, DefaultOptions(), 4*1460)
-	var sent []sentRec
-	pc.SendSeg = func(seg int, sched bool) { sent = append(sent, sentRec{seg, sched}) }
-	pc.SendProbe = func() {}
+	pc = newPreCredit(env, pc.Flow, DefaultOptions(), 4*1460)
 	pc.Start()
 	env.Eng.Run()
-	if len(sent) != 4 {
-		t.Fatalf("burst = %d, want 4", len(sent))
+	if len(*sent) != 4 {
+		t.Fatalf("burst = %d, want 4", len(*sent))
 	}
 
 	// Segments 0 and 2 ACKed, 1 and 3 lost.
@@ -147,9 +167,7 @@ func TestPreCreditLossDetectionAndOrdering(t *testing.T) {
 func TestPreCreditHoldsClass3WhileProbePending(t *testing.T) {
 	env, _, _, _ := harness(t, 4*1460, DefaultOptions())
 	f := &transport.Flow{ID: 2, Src: 0, Dst: 1, Size: 4 * 1460}
-	pc := NewPreCredit(env, f, DefaultOptions(), 4*1460)
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() {}
+	pc := newPreCredit(env, f, DefaultOptions(), 4*1460)
 	pc.Start()
 	env.Eng.Run()
 
@@ -185,9 +203,7 @@ func TestPreCreditHoldsClass3WhileProbePending(t *testing.T) {
 func TestPreCreditAckRacesLossVerdict(t *testing.T) {
 	env, _, _, _ := harness(t, 2*1460, DefaultOptions())
 	f := &transport.Flow{ID: 3, Src: 0, Dst: 1, Size: 2 * 1460}
-	pc := NewPreCredit(env, f, DefaultOptions(), 4*1460)
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() {}
+	pc := newPreCredit(env, f, DefaultOptions(), 4*1460)
 	pc.Start()
 	env.Eng.Run()
 	pc.OnProbeAck() // both segments flagged lost
@@ -202,9 +218,7 @@ func TestPreCreditAckRacesLossVerdict(t *testing.T) {
 func TestPreCreditNoDoubleRetransmission(t *testing.T) {
 	env, _, _, _ := harness(t, 3*1460, DefaultOptions())
 	f := &transport.Flow{ID: 4, Src: 0, Dst: 1, Size: 3 * 1460}
-	pc := NewPreCredit(env, f, DefaultOptions(), 3*1460)
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() {}
+	pc := newPreCredit(env, f, DefaultOptions(), 3*1460)
 	pc.Start()
 	env.Eng.Run()
 
@@ -236,15 +250,13 @@ func TestPreCreditProbeSafetyTimer(t *testing.T) {
 	f := &transport.Flow{ID: 5, Src: 0, Dst: 1, Size: 1460}
 	opts := Options{Enabled: true, ThresholdBytes: DefaultThreshold,
 		ProbeTimeout: 10 * sim.Microsecond, MaxProbeResends: 2}
-	pc := NewPreCredit(env, f, opts, 4*1460)
-	probes := 0
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() { probes++ }
+	pc := newPreCredit(env, f, opts, 4*1460)
+	_, probes := tap(env, f.ID)
 	pc.Start()
 	env.Eng.Run()
 	// Initial probe + 2 resends (no ACK ever arrives).
-	if probes != 3 {
-		t.Fatalf("probes = %d, want 3", probes)
+	if *probes != 3 {
+		t.Fatalf("probes = %d, want 3", *probes)
 	}
 }
 
@@ -252,30 +264,37 @@ func TestPreCreditProbeTimerCanceledByAck(t *testing.T) {
 	env, _, _, _ := harness(t, 1460, Options{})
 	f := &transport.Flow{ID: 6, Src: 0, Dst: 1, Size: 1460}
 	opts := Options{Enabled: true, ProbeTimeout: 10 * sim.Microsecond, MaxProbeResends: 5}
-	pc := NewPreCredit(env, f, opts, 4*1460)
-	probes := 0
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() { probes++ }
+	pc := newPreCredit(env, f, opts, 4*1460)
+	_, probes := tap(env, f.ID)
 	pc.Start()
 	env.Eng.After(2*sim.Microsecond, func() {
 		pc.OnAck(0)
 		pc.OnProbeAck()
 	})
 	env.Eng.Run()
-	if probes != 1 {
-		t.Fatalf("probes = %d, want 1 (timer canceled by probe ACK)", probes)
+	if *probes != 1 {
+		t.Fatalf("probes = %d, want 1 (timer canceled by probe ACK)", *probes)
 	}
 }
 
 func TestMakeProbe(t *testing.T) {
-	env, _, _, _ := harness(t, 5000, Options{})
+	env := testEnv(t)
 	f := &transport.Flow{ID: 7, Src: 0, Dst: 1, Size: 5000, PathID: 99}
-	pc := NewPreCredit(env, f, DefaultOptions(), 2*1460)
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() {}
+	var probe *netem.Packet
+	netem.InstrumentPorts([]*netem.Port{env.Net.Host(0).NIC}, netem.TraceFunc(
+		func(_ sim.Time, _ netem.TraceEvent, _ string, p *netem.Packet) {
+			if p.Type == netem.Probe && probe == nil {
+				cp := *p
+				probe = &cp
+			}
+		}))
+	pc := newPreCredit(env, f, DefaultOptions(), 2*1460)
 	pc.Start()
 	env.Eng.Run()
-	p := pc.MakeProbe()
+	p := probe
+	if p == nil {
+		t.Fatal("no probe on host 0's NIC")
+	}
 	if p.Type != netem.Probe || !p.Scheduled || p.WireSize != netem.ProbeSize {
 		t.Fatalf("bad probe %v", p)
 	}
@@ -325,9 +344,7 @@ func TestDefaultOptions(t *testing.T) {
 func TestPreCreditDoneSkipsStaleLostEntries(t *testing.T) {
 	env, _, _, _ := harness(t, 2*1460, DefaultOptions())
 	f := &transport.Flow{ID: 8, Src: 0, Dst: 1, Size: 2 * 1460}
-	pc := NewPreCredit(env, f, DefaultOptions(), 4*1460)
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() {}
+	pc := newPreCredit(env, f, DefaultOptions(), 4*1460)
 	pc.Start()
 	env.Eng.Run()
 
@@ -355,17 +372,15 @@ func TestPreCreditProbeTimerStopsAfterOpportunity(t *testing.T) {
 	env, _, _, _ := harness(t, 4*1460, Options{})
 	f := &transport.Flow{ID: 9, Src: 0, Dst: 1, Size: 4 * 1460}
 	opts := Options{Enabled: true, ProbeTimeout: 10 * sim.Microsecond, MaxProbeResends: 5}
-	pc := NewPreCredit(env, f, opts, 2*1460)
-	probes := 0
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() { probes++ }
+	pc := newPreCredit(env, f, opts, 2*1460)
+	_, probes := tap(env, f.ID)
 	pc.Start()
 	// A credit arrives before the timeout and is spent through Next; the
 	// probe ACK itself is still in flight (not yet processed).
 	env.Eng.After(5*sim.Microsecond, func() { pc.Next() })
 	env.Eng.Run()
-	if probes != 1 {
-		t.Fatalf("probes = %d, want 1 (credit arrival must stop the safety timer)", probes)
+	if *probes != 1 {
+		t.Fatalf("probes = %d, want 1 (credit arrival must stop the safety timer)", *probes)
 	}
 }
 
@@ -375,24 +390,20 @@ func TestPreCreditProbeTimerStopsAfterStopBurst(t *testing.T) {
 	env, _, _, _ := harness(t, 64*1460, Options{})
 	f := &transport.Flow{ID: 10, Src: 0, Dst: 1, Size: 64 * 1460}
 	opts := Options{Enabled: true, ProbeTimeout: 10 * sim.Microsecond, MaxProbeResends: 5}
-	pc := NewPreCredit(env, f, opts, 64*1460)
-	probes := 0
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() { probes++ }
+	pc := newPreCredit(env, f, opts, 64*1460)
+	_, probes := tap(env, f.ID)
 	pc.Start()
 	env.Eng.After(2*sim.Microsecond, pc.StopBurst)
 	env.Eng.Run()
-	if probes != 1 {
-		t.Fatalf("probes = %d, want 1 (StopBurst is a credit arrival)", probes)
+	if *probes != 1 {
+		t.Fatalf("probes = %d, want 1 (StopBurst is a credit arrival)", *probes)
 	}
 }
 
 func TestPreCreditAuditCleanLifecycle(t *testing.T) {
 	env, _, _, _ := harness(t, 6*1460, DefaultOptions())
 	f := &transport.Flow{ID: 11, Src: 0, Dst: 1, Size: 6 * 1460}
-	pc := NewPreCredit(env, f, DefaultOptions(), 3*1460)
-	pc.SendSeg = func(int, bool) {}
-	pc.SendProbe = func() {}
+	pc := newPreCredit(env, f, DefaultOptions(), 3*1460)
 	if err := pc.Audit(); err != nil {
 		t.Fatalf("fresh: %v", err)
 	}
@@ -423,9 +434,7 @@ func TestPreCreditAuditDetectsCorruption(t *testing.T) {
 	mk := func() *PreCredit {
 		env := testEnv(t)
 		f := &transport.Flow{ID: 12, Src: 0, Dst: 1, Size: 4 * 1460}
-		pc := NewPreCredit(env, f, DefaultOptions(), 2*1460)
-		pc.SendSeg = func(int, bool) {}
-		pc.SendProbe = func() {}
+		pc := newPreCredit(env, f, DefaultOptions(), 2*1460)
 		pc.Start()
 		env.Eng.Run()
 		return pc

@@ -106,3 +106,52 @@ func TestSmallRunAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// perFlowMallocCeilings are the committed allocation-count budgets of each
+// Aeolus family per flow a leafspine incast of 30 KB messages adds. A flow's
+// sender is one packed table slot and its receiver another; what remains per
+// flow is its descriptor, its segment bitmaps, the closures its timers bind,
+// and its share of the growing tables and packet slabs. The recorded counts
+// are 24.5, 26.8 and 19.6; one more closure or object per flow pushes a
+// family past its ceiling.
+var perFlowMallocCeilings = map[string]float64{
+	"xpass+aeolus": 25.2,
+	"homa+aeolus":  27.5,
+	"ndp+aeolus":   20.3,
+}
+
+// TestPerFlowMallocCeiling gates how many objects each added flow costs: the
+// runtime.MemStats.Mallocs of the second of two identical Runs (so
+// package-level lazy state is excluded) of a 16-to-1 incast, less that of an
+// 8-to-1 incast, divided by the 8 added flows.
+func TestPerFlowMallocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the runtime allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(id string, fanin int) uint64 {
+		spec := RunSpec{
+			Scheme: SchemeSpec{ID: id, Seed: 1},
+			Topo:   TopoLeafSpine,
+			Incast: &workload.IncastConfig{Fanin: fanin, Receiver: 0, MsgSize: 30_000, Seed: 1,
+				StartAt: sim.Time(10 * sim.Microsecond)},
+		}
+		cfg := testConfig()
+		Run(cfg, spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(cfg, spec)
+		runtime.ReadMemStats(&after)
+		if res.Completed != res.Total {
+			t.Fatalf("%s: %d-to-1 incast completed %d of %d", id, fanin, res.Completed, res.Total)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, id := range []string{"xpass+aeolus", "homa+aeolus", "ndp+aeolus"} {
+		perFlow := float64(mallocs(id, 16)-mallocs(id, 8)) / 8
+		t.Logf("%s: %.1f mallocs per added flow", id, perFlow)
+		if ceil := perFlowMallocCeilings[id]; perFlow > ceil {
+			t.Errorf("%s: each added flow costs %.1f mallocs, ceiling %.1f", id, perFlow, ceil)
+		}
+	}
+}

@@ -238,9 +238,10 @@ type runPlan struct {
 // per effective shard and nothing built. It rejects traffic the generators
 // cannot serve on that fabric — fewer than two hosts leave no
 // sender-receiver pair, an incast receiver must be a host, and a Poisson
-// workload needs a positive core load to set its arrival rate — and an
+// workload needs a positive core load to set its arrival rate — an
 // impairment timeline or a packet trace on a fabric that still splits into
-// several shards.
+// several shards, and Poisson arrivals the simulation clock cannot place
+// (workload.PoissonConfig.Check).
 func resolve(cfg Config, spec RunSpec) (*runPlan, error) {
 	scheme, err := MakeScheme(spec.Scheme)
 	if err != nil {
@@ -267,12 +268,29 @@ func resolve(cfg Config, spec RunSpec) (*runPlan, error) {
 		err = fmt.Errorf("experiments: impairment timelines need one shard, but topology %s splits into %d (impairments are engine-local)", spec.Topo, n)
 	case n > 1 && cfg.TraceFlow != 0:
 		err = fmt.Errorf("experiments: packet tracing needs one shard, but topology %s splits into %d (the tracer is engine-local)", spec.Topo, n)
+	case spec.Workload != nil:
+		if perr := poisson(cfg, spec, topo).Check(); perr != nil {
+			err = fmt.Errorf("experiments: core load %v on topology %s: %v", spec.CoreLoad, spec.Topo, perr)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &runPlan{scheme: scheme, topo: topo,
 		envs: make([]*transport.Env, n), protos: make([]transport.Protocol, n)}, nil
+}
+
+// poisson is the arrival process of spec's workload on topo.
+func poisson(cfg Config, spec RunSpec, topo TopoDef) *workload.PoissonConfig {
+	flows := spec.Flows
+	if flows <= 0 {
+		flows = cfg.flowsFor(spec.Workload)
+	}
+	return &workload.PoissonConfig{
+		CDF: spec.Workload, Hosts: topo.Hosts(), HostRate: topo.Spec.HostRate,
+		Load: topo.EdgeLoad(spec.CoreLoad), Flows: flows,
+		Seed: cfg.Seed ^ spec.Scheme.Seed, StartAt: sim.Time(10 * sim.Microsecond),
+	}
 }
 
 // plan resolves the run, builds the fabric and its per-shard protocol
@@ -358,18 +376,7 @@ func Run(cfg Config, spec RunSpec) RunResult {
 	sn := p.sn
 	var trace []workload.FlowSpec
 	if spec.Workload != nil {
-		flows := spec.Flows
-		if flows <= 0 {
-			flows = cfg.flowsFor(spec.Workload)
-		}
-		pc := workload.PoissonConfig{
-			CDF: spec.Workload, Hosts: p.topo.Hosts(),
-			HostRate: sn.Net.HostRate,
-			Load:     p.topo.EdgeLoad(spec.CoreLoad),
-			Flows:    flows, Seed: cfg.Seed ^ spec.Scheme.Seed,
-			StartAt: sim.Time(10 * sim.Microsecond),
-		}
-		trace = pc.Generate()
+		trace = poisson(cfg, spec, p.topo).Generate()
 	}
 	if spec.Incast != nil {
 		ic := *spec.Incast

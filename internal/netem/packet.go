@@ -99,9 +99,10 @@ type Packet struct {
 
 	SendTime sim.Time // first placed on the wire at the source
 
-	// Meta carries one transport-specific scalar: Homa uses it for the
-	// message length on unscheduled/probe packets; NDP pulls use it for the
-	// pull counter; Aeolus probes carry the flow size for Homa integration.
+	// Meta carries one transport-specific scalar of a control packet: the
+	// flow size on an Aeolus probe and an ExpressPass credit request, the
+	// priority level on a Homa grant, and the probe mark on the ACK of an
+	// Aeolus probe. Data packets leave it zero.
 	Meta int64
 
 	// SegList carries segment indices on Resend requests — the simulator's

@@ -16,9 +16,10 @@
 // burst, the receiver ACKs each unscheduled arrival, and first-RTT losses
 // are retransmitted through subsequent credits in the §3.3 priority order.
 //
-// The package is a policy layer over the shared receiver-driven substrate
-// (internal/transport/rdbase): rdbase owns the PreCredit binding, packet
-// construction and the RTO lifecycle; this file owns credit pacing and the
+// The package is a policy layer: each flow's sender is the Aeolus machine
+// (internal/core.PreCredit), which builds and sends the flow's packets, and
+// the shared receiver-driven substrate (internal/transport/rdbase) owns
+// reassembly and the RTO lifecycle; this file owns credit pacing and the
 // feedback control.
 package expresspass
 
@@ -112,6 +113,7 @@ type Protocol struct {
 
 	tbl       rdbase.Tables[sender]
 	receivers rdbase.FlowTable[receiver]
+	missing   []int // the receivers' scratch for loss scans
 
 	// WastedCredits counts credits that arrived at a sender with nothing
 	// left to send.
@@ -165,10 +167,10 @@ func (ep *endpoint) Receive(pkt *netem.Packet) {
 	}
 }
 
-// sender is the per-flow sender state: the rdbase substrate plus the
+// sender is the per-flow sender state: the Aeolus sender plus the
 // credit-stop handshake and the credit-request retry timer.
 type sender struct {
-	rdbase.Sender
+	core.PreCredit
 	p *Protocol
 
 	stopSent bool
@@ -226,18 +228,20 @@ func (s *sender) receive(pkt *netem.Packet) {
 	case netem.Credit:
 		s.onCredit()
 	case netem.Ack:
-		s.OnAck(pkt)
+		s.OnAckPacket(pkt)
 	case netem.Resend:
-		s.ForceLost(pkt.SegList)
+		for _, seg := range pkt.SegList {
+			s.ForceLost(int(seg))
+		}
 		s.stopSent = false
 	}
 }
 
 func (s *sender) onCredit() {
-	s.PC.StopBurst()
+	s.StopBurst()
 	if _, class := s.Spend(); class == core.ClassNone {
 		s.p.WastedCredits++
-		if !s.stopSent && s.PC.Done() {
+		if !s.stopSent && s.Done() {
 			s.stopSent = true
 			rdbase.Ctrl(s.Env, s.Flow, netem.CtrlOther,
 				s.Flow.Src, s.Flow.Dst, 0, 0, s.Flow.PathID)
@@ -282,11 +286,11 @@ func (r *receiver) host() *netem.Host { return r.p.env.Net.Host(r.rx.Flow.Dst) }
 func (r *receiver) receive(pkt *netem.Packet) {
 	switch pkt.Type {
 	case netem.CreditReq:
-		r.establish(pkt.Meta)
+		r.establish()
 		r.startCrediting()
 	case netem.Probe:
-		r.establish(pkt.Meta)
-		r.rx.SendAck(pkt.Seq, rdbase.ProbeAckMark)
+		r.establish()
+		r.rx.SendAck(pkt.Seq, core.ProbeAckMark)
 		// The probe carries the flow size, so it doubles as a backup credit
 		// request when the request itself was lost: without this, first-RTT
 		// losses would sit in the sender's lost queue with no credits ever
@@ -303,13 +307,15 @@ func (r *receiver) receive(pkt *netem.Packet) {
 	}
 }
 
-// establish learns the flow size (idempotent) and replays early data.
-func (r *receiver) establish(size int64) {
-	if r.rx.Tracker != nil {
+// establish starts reassembly once the credit request or the probe, both
+// of which carry the flow size, announces the flow (idempotent), and replays
+// early data.
+func (r *receiver) establish() {
+	if r.rx.Tracking() {
 		return
 	}
 	r.rx.Flow = r.p.tbl.Flow(r.flowID)
-	r.rx.Tracker = transport.NewRxTracker(size, r.p.env.MSS)
+	r.rx.Track()
 	for _, off := range r.pending {
 		r.rx.Accept(off)
 	}
@@ -325,7 +331,7 @@ func (r *receiver) onData(pkt *netem.Packet) {
 	if pkt.Scheduled {
 		r.dataIn++
 	}
-	if r.rx.Tracker == nil {
+	if !r.rx.Tracking() {
 		r.pending = append(r.pending, pkt.Seq)
 		return
 	}
@@ -348,7 +354,7 @@ func (r *receiver) sendAckDeferred(seq int64, mark int64) {
 }
 
 func (r *receiver) maybeFinish() {
-	if r.rx.Done || r.rx.Tracker == nil || !r.rx.Complete() {
+	if r.rx.Done || !r.rx.Tracking() || !r.rx.Complete() {
 		return
 	}
 	r.rx.Done = true
@@ -445,11 +451,12 @@ func (r *receiver) feedbackTick() {
 // resume crediting. Idle detection, the done guard and rearming live in
 // rdbase.RTO.
 func (r *receiver) rtoExpire() {
-	if r.rx.Tracker == nil {
+	if !r.rx.Tracking() {
 		return
 	}
 	r.rx.Flow.Timeouts++
-	r.rx.SendResend(r.rx.Missing(r.rx.Tracker.Seg.NumSegs()))
+	r.p.missing = r.rx.Missing(r.rx.Seg().NumSegs(), r.p.missing[:0])
+	r.rx.SendResend(r.p.missing)
 	r.startCrediting()
 }
 
@@ -463,8 +470,7 @@ func maxF(a, b float64) float64 {
 // AuditInvariants checks every flow's Aeolus state machine for internal
 // consistency, returning one error per violation in flow-ID order.
 func (p *Protocol) AuditInvariants() []error {
-	return rdbase.AuditPreCredits("expresspass", p.tbl.Senders(),
-		func(s *sender) *core.PreCredit { return s.PC })
+	return rdbase.AuditPreCredits("expresspass", p.tbl.Senders())
 }
 
 // Footprint implements transport.FootprintReporter: resident flow

@@ -276,3 +276,34 @@ func (s epSpy) Receive(p *netem.Packet) {
 		s.inner.Receive(p)
 	}
 }
+
+// TestWireECMPPath checks that ExpressPass+Aeolus never sprays: every packet,
+// data, probe and control alike, rides its flow's ECMP hash.
+func TestWireECMPPath(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Aeolus = core.DefaultOptions()
+	env, p := build(t, 8, opts)
+	pkts := map[netem.PacketType]int{}
+	var nics []*netem.Port
+	for _, h := range env.Net.Hosts {
+		nics = append(nics, h.NIC)
+	}
+	netem.InstrumentPorts(nics, netem.TraceFunc(func(_ sim.Time, _ netem.TraceEvent, _ string, pkt *netem.Packet) {
+		pkts[pkt.Type]++
+		if want := transport.FlowHash(pkt.Flow); pkt.PathID != want {
+			t.Errorf("flow %d: %v packet on path %d, want the flow hash %d", pkt.Flow, pkt.Type, pkt.PathID, want)
+		}
+	}))
+	trace := (&workload.IncastConfig{
+		Fanin: 7, Receiver: 0, Hosts: 8, MsgSize: 30_000, Seed: 1,
+		StartAt: sim.Time(sim.Microsecond),
+	}).Generate()
+	if done := runTrace(env, p, trace); done != len(trace) {
+		t.Fatalf("completed %d of %d", done, len(trace))
+	}
+	for _, typ := range []netem.PacketType{netem.CreditReq, netem.Data, netem.Probe, netem.Credit, netem.Ack} {
+		if pkts[typ] == 0 {
+			t.Fatalf("no %v packets: %v", typ, pkts)
+		}
+	}
+}

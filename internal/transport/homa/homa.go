@@ -19,10 +19,11 @@
 // first-RTT losses, and grants retransmit them as scheduled packets in the
 // §3.3 priority order.
 //
-// The package is a policy layer over the shared receiver-driven substrate
-// (internal/transport/rdbase): rdbase owns the PreCredit binding, packet
-// construction and the RTO lifecycle; this file owns priority selection and
-// the SRPT grant scheduler.
+// The package is a policy layer: each message's sender is the Aeolus machine
+// (internal/core.PreCredit), which builds and sends the message's packets at
+// the priorities this file picks, and the shared receiver-driven substrate
+// (internal/transport/rdbase) owns reassembly and the RTO lifecycle; this
+// file owns priority selection and the SRPT grant scheduler.
 package homa
 
 import (
@@ -110,13 +111,14 @@ func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
 type Protocol struct {
 	env  *transport.Env
 	opts Options
-	rng  *rand.Rand
+	rng  *rand.Rand // draws each sprayed packet's path; nil when Spray is off
 
 	rttBytes int64
 	cutoffs  []int64
 
 	tbl     rdbase.Tables[sender]
 	rxHosts rdbase.HostMap[rxHost]
+	missing []int // the receivers' scratch for loss scans
 }
 
 // New builds the protocol and attaches it to every host of the environment.
@@ -132,9 +134,11 @@ func New(env *transport.Env, opts Options) *Protocol {
 	}
 	p := &Protocol{
 		env: env, opts: opts,
-		rng:      sim.NewRand(opts.Seed, 0x40a1),
 		rttBytes: opts.RTTBytes,
 		tbl:      rdbase.NewTables[sender](),
+	}
+	if opts.Spray {
+		p.rng = sim.NewRand(opts.Seed, 0x40a1)
 	}
 	p.rxHosts = rdbase.NewHostMap(func(host netem.NodeID) *rxHost {
 		return &rxHost{p: p, host: host}
@@ -169,7 +173,7 @@ func (p *Protocol) Start(f *transport.Flow) {
 	p.tbl.AddFlow(f)
 	s := p.tbl.AddSender(f.ID)
 	s.init(p, f)
-	s.start()
+	s.Start()
 }
 
 type endpoint struct {
@@ -189,69 +193,47 @@ func (ep *endpoint) Receive(pkt *netem.Packet) {
 	}
 }
 
-// pathID draws a spraying path for one packet (or the flow hash when
-// spraying is off).
-func (p *Protocol) pathID(f *transport.Flow) uint32 {
-	if p.opts.Spray {
-		return p.rng.Uint32()
-	}
-	return f.PathID
-}
-
-// sender is the per-message sender state: the rdbase substrate plus Homa's
-// priority selection and grant-quota accounting.
+// sender is the per-message sender state: the Aeolus sender plus Homa's
+// grant-quota accounting. Its data packets carry the message's unscheduled
+// priority (set at init from the cutoffs) or the latest grant's scheduled
+// one.
 type sender struct {
-	rdbase.Sender
+	core.PreCredit
 	p *Protocol
 
-	unschedPrio uint8
-	quota       int64 // granted bytes not yet spent
-	grantPrio   uint8
-	maxGrant    int64 // highest grant offset accounted so far
-	grantBased  bool  // maxGrant baselined to the end of the burst
+	quota      int64 // granted bytes not yet spent
+	maxGrant   int64 // highest grant offset accounted so far
+	grantBased bool  // maxGrant baselined to the end of the burst
 }
 
 // init wires a zeroed sender slot (from the packed sender table) for a flow.
 func (s *sender) init(p *Protocol, f *transport.Flow) {
-	s.p, s.unschedPrio = p, PrioFor(p.cutoffs, f.Size)
+	s.p = p
 	// The pre-credit burst is Homa's own unscheduled first window, so it is
 	// active in both modes; the probe/ACK machinery only with Aeolus.
 	opts := p.opts.Aeolus
 	opts.Enabled = true
 	s.Init(p.env, f, opts, p.rttBytes)
-	s.Customize = func(pkt *netem.Packet, seg int, scheduled bool) {
-		prio := s.unschedPrio
-		if scheduled {
-			prio = s.grantPrio
-		}
-		pkt.Prio = prio
-		pkt.PathID = s.p.pathID(s.Flow)
-		pkt.Meta = s.Flow.Size
-	}
-	if p.opts.Aeolus.Enabled {
-		s.CustomizeProbe = func(pr *netem.Packet) {
-			pr.Prio = 0
-			pr.PathID = s.p.pathID(s.Flow)
-		}
-	} else {
+	s.Spray, s.UnschedPrio = p.rng, PrioFor(p.cutoffs, f.Size)
+	if !p.opts.Aeolus.Enabled {
 		// Original Homa has no probe and no per-packet ACKs: the burst is
 		// presumed delivered and losses surface only via the receiver RTO.
 		s.DisableProbe()
 	}
 }
 
-func (s *sender) start() { s.Start() }
-
 func (s *sender) receive(pkt *netem.Packet) {
 	switch pkt.Type {
 	case netem.Grant:
 		s.onGrant(pkt.Seq, uint8(pkt.Meta))
 	case netem.Ack:
-		if s.OnAck(pkt) {
+		if s.OnAckPacket(pkt) {
 			s.drainQuota()
 		}
 	case netem.Resend:
-		s.ForceLost(pkt.SegList)
+		for _, seg := range pkt.SegList {
+			s.ForceLost(int(seg))
+		}
 		// Homa retransmits resend-requested packets immediately at the
 		// granted priority, without waiting for fresh grants.
 		s.DrainLost()
@@ -259,13 +241,13 @@ func (s *sender) receive(pkt *netem.Packet) {
 }
 
 func (s *sender) onGrant(offset int64, prio uint8) {
-	s.PC.StopBurst()
-	s.grantPrio = prio
+	s.StopBurst()
+	s.SchedPrio = prio
 	if !s.grantBased {
 		// Grants are absolute offsets; the unscheduled burst already
 		// covered everything below its end, so quota starts there.
 		s.grantBased = true
-		s.maxGrant = s.PC.ProbeSeq()
+		s.maxGrant = s.ProbeSeq()
 	}
 	if offset > s.maxGrant {
 		s.quota += offset - s.maxGrant
@@ -287,7 +269,7 @@ func (s *sender) drainQuota() {
 		if class == core.ClassNone {
 			return
 		}
-		s.quota -= int64(s.PC.Seg.SegLen(seg))
+		s.quota -= int64(s.Seg.SegLen(seg))
 	}
 }
 
@@ -302,7 +284,7 @@ type rxMsg struct {
 	host       *rxHost
 }
 
-func (m *rxMsg) remaining() int64 { return m.rx.Flow.Size - m.rx.Tracker.Bytes() }
+func (m *rxMsg) remaining() int64 { return m.rx.Flow.Size - m.rx.Bytes() }
 
 // wantGrant computes the receiver's grant offset for this message. Grants
 // are self-clocked by *scheduled* progress: the sender may have one RTTbytes
@@ -350,7 +332,7 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 		m.host = r
 		m.rx.Env = r.p.env
 		m.rx.Flow = f
-		m.rx.Tracker = transport.NewRxTracker(f.Size, r.p.env.MSS)
+		m.rx.Track()
 		m.rx.RTO.Init(r.p.env.Eng, r.p.opts.RTO, m.rtoExpire)
 		m.rx.RTO.Arm()
 	}
@@ -367,14 +349,15 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 			// that survived has arrived before its trailing probe: the holes
 			// below the burst end are exactly the selective-dropping losses.
 			if m.burstEnd > 0 {
-				seg := m.rx.Tracker.Seg
+				seg := m.rx.Seg()
 				last := seg.SegOf(m.burstEnd - 1)
-				for _, i := range m.rx.Missing(last + 1) {
+				r.p.missing = m.rx.Missing(last+1, r.p.missing[:0])
+				for _, i := range r.p.missing {
 					m.lostBytes += int64(seg.SegLen(i))
 				}
 			}
 		}
-		m.rx.SendAck(pkt.Seq, rdbase.ProbeAckMark)
+		m.rx.SendAck(pkt.Seq, core.ProbeAckMark)
 	case netem.Data:
 		if !pkt.Scheduled && r.p.opts.Aeolus.Enabled {
 			m.rx.SendAck(pkt.Seq, 0)
@@ -457,17 +440,16 @@ func (m *rxMsg) rtoExpire() {
 	if expect > m.rx.Flow.Size {
 		expect = m.rx.Flow.Size
 	}
-	n := m.rx.Tracker.Seg.SegOf(expect - 1)
-	if missing := m.rx.Missing(n + 1); len(missing) > 0 {
-		m.rx.SendResend(missing)
+	n := m.rx.Seg().SegOf(expect - 1)
+	if r.p.missing = m.rx.Missing(n+1, r.p.missing[:0]); len(r.p.missing) > 0 {
+		m.rx.SendResend(r.p.missing)
 	}
 }
 
 // AuditInvariants checks every message's Aeolus state machine for internal
 // consistency, returning one error per violation in flow-ID order.
 func (p *Protocol) AuditInvariants() []error {
-	return rdbase.AuditPreCredits("homa", p.tbl.Senders(),
-		func(s *sender) *core.PreCredit { return s.PC })
+	return rdbase.AuditPreCredits("homa", p.tbl.Senders())
 }
 
 // Footprint implements transport.FootprintReporter: resident flow

@@ -334,3 +334,62 @@ func TestLateDuplicateDoesNotResurrectMessage(t *testing.T) {
 		t.Fatalf("duplicate spawned %d new events", env.Eng.Fired()-fired)
 	}
 }
+
+// TestWirePriorities checks the bands a Homa+Aeolus sender puts its packets
+// on: burst data carry the message's unscheduled priority from the cutoffs,
+// scheduled data the level of the latest grant the sender received, inside
+// the scheduled bands, and probes ride band 0.
+func TestWirePriorities(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Aeolus = core.DefaultOptions()
+	env, p := build(t, opts, netem.DefaultBuffer)
+	grants := map[uint64]uint8{} // latest grant level per flow, as delivered
+	netem.InstrumentHosts(env.Net.Hosts, netem.TraceFunc(func(_ sim.Time, _ netem.TraceEvent, _ string, pkt *netem.Packet) {
+		if pkt.Type == netem.Grant {
+			grants[pkt.Flow] = uint8(pkt.Meta)
+		}
+	}))
+	unsched := map[uint8]int{}
+	sched, probes := 0, 0
+	var nics []*netem.Port
+	for _, h := range env.Net.Hosts {
+		nics = append(nics, h.NIC)
+	}
+	netem.InstrumentPorts(nics, netem.TraceFunc(func(_ sim.Time, _ netem.TraceEvent, _ string, pkt *netem.Packet) {
+		switch {
+		case pkt.Type == netem.Probe:
+			probes++
+			if pkt.Prio != 0 {
+				t.Errorf("flow %d: probe on band %d, want 0", pkt.Flow, pkt.Prio)
+			}
+		case pkt.Type != netem.Data:
+		case !pkt.Scheduled:
+			unsched[pkt.Prio]++
+			if want := PrioFor(p.cutoffs, p.tbl.Flow(pkt.Flow).Size); pkt.Prio != want {
+				t.Errorf("flow %d: unscheduled data on band %d, want %d", pkt.Flow, pkt.Prio, want)
+			}
+		default:
+			sched++
+			g, ok := grants[pkt.Flow]
+			if !ok || pkt.Prio != g {
+				t.Errorf("flow %d: scheduled data on band %d, latest grant %d (received %v)", pkt.Flow, pkt.Prio, g, ok)
+			}
+			if int(pkt.Prio) < opts.UnschedPrios || int(pkt.Prio) >= opts.NumPrios {
+				t.Errorf("flow %d: scheduled data on band %d, outside [%d, %d)", pkt.Flow, pkt.Prio, opts.UnschedPrios, opts.NumPrios)
+			}
+		}
+	}))
+	var trace []workload.FlowSpec
+	for i, size := range []int64{3_000, 40_000, 200_000, 1_000_000, 3_000, 40_000, 200_000, 1_000_000} {
+		trace = append(trace, workload.FlowSpec{
+			ID: uint64(i + 1), Src: i + 1, Dst: 0, Size: size,
+			Start: sim.Time(sim.Microsecond),
+		})
+	}
+	if done := transport.Runner(env, p, trace, sim.Time(sim.Second)); done != len(trace) {
+		t.Fatalf("completed %d of %d", done, len(trace))
+	}
+	if len(unsched) < 2 || sched == 0 || probes == 0 {
+		t.Fatalf("saw unscheduled bands %v, %d scheduled data, %d probes: the run does not exercise every rule", unsched, sched, probes)
+	}
+}

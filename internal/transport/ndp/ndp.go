@@ -16,9 +16,10 @@
 // locates first-window losses that now produce no NACK (§5.4: Aeolus works
 // as an alternative to cutting payload, deployable on commodity switches).
 //
-// The package is a policy layer over the shared receiver-driven substrate
-// (internal/transport/rdbase): rdbase owns the PreCredit binding, packet
-// construction and the RTO lifecycle; this file owns trimming reactions and
+// The package is a policy layer: each flow's sender is the Aeolus machine
+// (internal/core.PreCredit), which builds and sends the flow's packets, and
+// the shared receiver-driven substrate (internal/transport/rdbase) owns
+// reassembly and the RTO lifecycle; this file owns trimming reactions and
 // the pull pacer.
 package ndp
 
@@ -97,10 +98,11 @@ func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
 type Protocol struct {
 	env  *transport.Env
 	opts Options
-	rng  *rand.Rand
+	rng  *rand.Rand // draws each sprayed packet's path; nil when Spray is off
 
 	tbl     rdbase.Tables[sender]
 	rxHosts rdbase.HostMap[rxHost]
+	missing []int // the receivers' scratch for loss scans
 }
 
 // New builds the protocol and attaches it to every host of the environment.
@@ -108,8 +110,10 @@ type Protocol struct {
 func New(env *transport.Env, opts Options) *Protocol {
 	p := &Protocol{
 		env: env, opts: opts,
-		rng: sim.NewRand(opts.Seed, 0xfd9),
 		tbl: rdbase.NewTables[sender](),
+	}
+	if opts.Spray {
+		p.rng = sim.NewRand(opts.Seed, 0xfd9)
 	}
 	p.rxHosts = rdbase.NewHostMap(func(host netem.NodeID) *rxHost {
 		r := &rxHost{p: p, host: host}
@@ -134,15 +138,6 @@ func (p *Protocol) Start(f *transport.Flow) {
 	s.start()
 }
 
-// pathID draws a spraying path for one packet (or the flow hash when
-// spraying is off).
-func (p *Protocol) pathID(f *transport.Flow) uint32 {
-	if p.opts.Spray {
-		return p.rng.Uint32()
-	}
-	return f.PathID
-}
-
 type endpoint struct {
 	p    *Protocol
 	host netem.NodeID
@@ -160,30 +155,22 @@ func (ep *endpoint) Receive(pkt *netem.Packet) {
 	}
 }
 
-// sender is the per-flow sender state: the rdbase substrate plus NDP's
+// sender is the per-flow sender state: the Aeolus sender plus NDP's
 // NACK/pull reactions and the sender-side safety timeout.
 type sender struct {
-	rdbase.Sender
-	p *Protocol
+	core.PreCredit
 
 	rto rdbase.RTO
 }
 
 // init wires a zeroed sender slot (from the packed sender table) for a flow.
 func (s *sender) init(p *Protocol, f *transport.Flow) {
-	s.p = p
 	s.rto.Init(p.env.Eng, p.opts.RTO, s.rtoExpire)
 	opts := p.opts.Aeolus
 	opts.Enabled = true // the line-rate first window is NDP's own behaviour
 	s.Init(p.env, f, opts, p.env.Net.BDPBytes())
-	s.Customize = func(pkt *netem.Packet, seg int, scheduled bool) {
-		pkt.PathID, pkt.Meta = s.p.pathID(s.Flow), s.Flow.Size
-	}
-	if p.opts.Aeolus.Enabled {
-		s.CustomizeProbe = func(pr *netem.Packet) {
-			pr.PathID = s.p.pathID(s.Flow)
-		}
-	} else {
+	s.Spray = p.rng
+	if !p.opts.Aeolus.Enabled {
 		// Original NDP: trimming turns every loss into a NACK, so no probe
 		// is needed and blind class-3 retransmissions are never useful.
 		s.DisableProbe()
@@ -199,12 +186,12 @@ func (s *sender) receive(pkt *netem.Packet) {
 	s.rto.Touch()
 	switch pkt.Type {
 	case netem.Ack:
-		s.OnAck(pkt)
+		s.OnAckPacket(pkt)
 	case netem.Nack:
-		s.PC.StopBurst()
-		s.PC.ForceLost(s.PC.Seg.SegOf(pkt.Seq))
+		s.StopBurst()
+		s.ForceLost(s.Seg.SegOf(pkt.Seq))
 	case netem.Pull:
-		s.PC.StopBurst()
+		s.StopBurst()
 		s.Spend()
 	}
 }
@@ -217,7 +204,7 @@ func (s *sender) receive(pkt *netem.Packet) {
 // immediately. Idle detection and rearming live in rdbase.RTO; completion
 // disarms the timer from the receiver path.
 func (s *sender) rtoExpire() {
-	if s.PC.AllAcked() {
+	if s.AllAcked() {
 		// Every byte is acknowledged; nothing is left to recover.
 		// Sequentially the receiver's completion path disarms this timer
 		// before it can fire, but on a sharded run the receiver may live on
@@ -227,7 +214,7 @@ func (s *sender) rtoExpire() {
 		s.rto.Disarm()
 		return
 	}
-	if s.PC.RequeueUnacked() > 0 {
+	if s.RequeueUnacked() > 0 {
 		s.Flow.Timeouts++
 		s.DrainLost()
 	} else if _, class := s.Spend(); class != core.ClassNone {
@@ -279,15 +266,14 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 		fl, _ = r.flows.Put(pkt.Flow)
 		fl.rx.Env = r.p.env
 		fl.rx.Flow = f
-		fl.rx.Tracker = transport.NewRxTracker(f.Size, r.p.env.MSS)
-		// NDP sprays control packets like data.
-		fl.rx.CtrlPath = func() uint32 { return r.p.pathID(f) }
+		fl.rx.Spray = r.p.rng // NDP sprays control packets like data
+		fl.rx.Track()
 		// Initial debt: everything beyond the sender's line-rate window.
 		windowSegs := int(r.p.env.Net.BDPBytes()) / r.p.env.MSS
 		if windowSegs < 1 {
 			windowSegs = 1
 		}
-		if n := fl.rx.Tracker.Seg.NumSegs() - windowSegs; n > 0 {
+		if n := fl.rx.Seg().NumSegs() - windowSegs; n > 0 {
 			fl.pullDebt = n
 		}
 	}
@@ -296,13 +282,14 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 	}
 	switch {
 	case pkt.Type == netem.Probe:
-		fl.rx.SendAck(pkt.Seq, rdbase.ProbeAckMark)
+		fl.rx.SendAck(pkt.Seq, core.ProbeAckMark)
 		// Dropped first-window packets produced no trimmed header and
 		// therefore no pull; each observed hole below the burst end adds a
 		// retransmission to the pull debt (NDP+Aeolus, §5.4).
 		if pkt.Seq > 0 {
-			last := fl.rx.Tracker.Seg.SegOf(pkt.Seq - 1)
-			fl.pullDebt += len(fl.rx.Missing(last + 1))
+			last := fl.rx.Seg().SegOf(pkt.Seq - 1)
+			r.p.missing = fl.rx.Missing(last+1, r.p.missing[:0])
+			fl.pullDebt += len(r.p.missing)
 		}
 		r.servePulls(fl)
 	case pkt.Trimmed:
@@ -376,8 +363,7 @@ func (r *rxHost) pacePull() {
 // AuditInvariants checks every flow's Aeolus state machine for internal
 // consistency, returning one error per violation in flow-ID order.
 func (p *Protocol) AuditInvariants() []error {
-	return rdbase.AuditPreCredits("ndp", p.tbl.Senders(),
-		func(s *sender) *core.PreCredit { return s.PC })
+	return rdbase.AuditPreCredits("ndp", p.tbl.Senders())
 }
 
 // Footprint implements transport.FootprintReporter: resident flow

@@ -1,147 +1,25 @@
 // Package rdbase is the shared receiver-driven substrate under ExpressPass,
 // Homa and NDP: the per-host flow/sender/receiver state tables, the
-// sender-side send queue and segment iterator bound to the Aeolus PreCredit
-// machine (internal/core), the receiver-side control-packet plumbing, and
-// the retransmission-timeout lifecycle on the pooled sim.Timer.
+// receiver-side reassembly and control-packet plumbing, and the
+// retransmission-timeout lifecycle on the pooled sim.Timer. The sender side
+// of every flow is the Aeolus machine (internal/core.PreCredit) the
+// transports embed.
 //
 // The split with the transport packages is policy versus mechanism: rdbase
-// owns how a segment becomes a wire packet, how the PreCredit burst, probe,
-// selective-ACK and lost-queue interplay is driven, and how an RTO arms,
-// detects idleness and rearms; the transports own *when* those mechanisms
-// fire — credit shaping (ExpressPass), grant scheduling (Homa), trimming
-// and pull pacing (NDP).
+// owns how a flow is reassembled, how control packets reach the sender, and
+// how an RTO arms, detects idleness and rearms; the transports own *when*
+// those mechanisms fire — credit shaping (ExpressPass), grant scheduling
+// (Homa), trimming and pull pacing (NDP).
 package rdbase
 
 import (
 	"fmt"
 	"sort"
 
-	"github.com/aeolus-transport/aeolus/internal/core"
 	"github.com/aeolus-transport/aeolus/internal/flatmap"
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/transport"
 )
-
-// ProbeAckMark distinguishes a probe ACK from a per-packet data ACK in the
-// Meta field of Ack packets. Every transport of the substrate shares it.
-const ProbeAckMark int64 = 1
-
-// Sender is the per-flow sender substrate: the Aeolus PreCredit state
-// machine plus the send queue turning segment indices into wire packets.
-// Transports embed it and customize the packets through the hooks.
-type Sender struct {
-	Env  *transport.Env
-	Flow *transport.Flow
-	PC   *core.PreCredit
-
-	// Customize, when non-nil, decorates an outgoing data packet (priority,
-	// spraying path, piggybacked flow size) after the common fields are set.
-	Customize func(p *netem.Packet, seg int, scheduled bool)
-
-	// CustomizeProbe, when non-nil, decorates the end-of-burst probe.
-	CustomizeProbe func(p *netem.Packet)
-}
-
-// Init wires the sender substrate for one flow: the PreCredit machine is
-// built over window bytes of unscheduled burst and bound to the sender's
-// send queue and probe path.
-func (s *Sender) Init(env *transport.Env, f *transport.Flow, opts core.Options, window int64) {
-	s.Env = env
-	s.Flow = f
-	s.PC = core.NewPreCredit(env, f, opts, window)
-	s.PC.SendSeg = s.SendSeg
-	s.PC.SendProbe = s.SendProbe
-}
-
-// DisableProbe turns off the Aeolus probe/per-packet-ACK loss detection
-// while keeping the burst: no probe is sent and the ClassUnacked sweep is
-// disabled, so losses surface only through ForceLost (receiver resend
-// requests) — the original-transport and RTO-only configurations.
-func (s *Sender) DisableProbe() {
-	s.PC.SendProbe = func() {}
-	s.PC.DisableUnackedSweep()
-}
-
-// Host returns the sending host.
-func (s *Sender) Host() *netem.Host { return s.Env.Net.Host(s.Flow.Src) }
-
-// Start begins the pre-credit phase.
-func (s *Sender) Start() { s.PC.Start() }
-
-// SendSeg transmits one segment, marked scheduled or unscheduled. It is the
-// single place a data packet is built in the substrate.
-func (s *Sender) SendSeg(seg int, scheduled bool) {
-	payload := s.PC.Seg.SegLen(seg)
-	s.Env.CountSent(payload)
-	p := s.Env.Pkt()
-	p.Type, p.Flow, p.Src, p.Dst = netem.Data, s.Flow.ID, s.Flow.Src, s.Flow.Dst
-	p.Seq, p.PayloadLen = s.PC.Seg.Offset(seg), payload
-	p.WireSize, p.Scheduled = netem.WireSizeFor(payload), scheduled
-	p.PathID = s.Flow.PathID
-	if s.Customize != nil {
-		s.Customize(p, seg, scheduled)
-	}
-	s.Host().Send(p)
-}
-
-// SendProbe transmits the end-of-burst probe.
-func (s *Sender) SendProbe() {
-	p := s.PC.MakeProbe()
-	if s.CustomizeProbe != nil {
-		s.CustomizeProbe(p)
-	}
-	s.Host().Send(p)
-}
-
-// OnAck routes an Ack packet into the PreCredit machine: probe ACKs trigger
-// the §3.3 loss inference, data ACKs mark their segment. It reports whether
-// the packet was the probe ACK, so transports can hook phase transitions
-// (Homa drains its grant quota once the probe verdict lands).
-func (s *Sender) OnAck(p *netem.Packet) (probeAck bool) {
-	if p.Meta == ProbeAckMark {
-		s.PC.OnProbeAck()
-		return true
-	}
-	s.PC.OnAck(p.Seq)
-	return false
-}
-
-// ForceLost queues every segment of a receiver resend request for
-// highest-priority retransmission.
-func (s *Sender) ForceLost(segs []int32) {
-	for _, seg := range segs {
-		s.PC.ForceLost(int(seg))
-	}
-}
-
-// Spend spends one scheduled transmission opportunity (credit, pull) on the
-// next segment in the §3.3 priority order, transmitting it as scheduled. It
-// returns the segment and its class; ClassNone means the opportunity found
-// nothing to send (and nothing was transmitted).
-func (s *Sender) Spend() (seg int, class core.RetxClass) {
-	seg, class = s.PC.Next()
-	if class == core.ClassNone {
-		return seg, class
-	}
-	s.SendSeg(seg, true)
-	return seg, class
-}
-
-// DrainLost retransmits every pending loss-queue segment immediately as
-// scheduled packets — the path for transports that answer resend requests
-// or timeouts without waiting for fresh transmission opportunities. It
-// returns the number of segments retransmitted.
-func (s *Sender) DrainLost() int {
-	n := 0
-	for {
-		seg, ok := s.PC.NextLost()
-		if !ok {
-			return n
-		}
-		s.SendSeg(seg, true)
-		n++
-	}
-}
 
 // Ctrl builds and sends a minimum-size control packet for a flow. Control
 // packets are scheduled (protected) and routed on the flow's ECMP path
@@ -218,15 +96,18 @@ func (t *FlowTable[T]) At(i int) *T { return t.at(uint32(i)) }
 // Keys returns the flow IDs in insertion order (read-only view).
 func (t *FlowTable[T]) Keys() []uint64 { return t.idx.Keys() }
 
-// AuditPreCredits checks every per-flow PreCredit machine for internal
-// consistency, in flow-ID order, prefixing violations with the transport
-// name. It is the shared body of the transports' AuditInvariants.
-func AuditPreCredits[S any](name string, senders *FlowTable[S], pc func(*S) *core.PreCredit) []error {
+// AuditPreCredits checks every sender's embedded PreCredit machine for
+// internal consistency, in flow-ID order, prefixing violations with the
+// transport name. It is the shared body of the transports' AuditInvariants.
+func AuditPreCredits[S any, P interface {
+	*S
+	Audit() error
+}](name string, senders *FlowTable[S]) []error {
 	ids := append([]uint64(nil), senders.Keys()...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var errs []error
 	for _, id := range ids {
-		if err := pc(senders.Get(id)).Audit(); err != nil {
+		if err := P(senders.Get(id)).Audit(); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", name, err))
 		}
 	}

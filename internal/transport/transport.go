@@ -1,7 +1,6 @@
 // Package transport provides the plumbing shared by every protocol in this
-// repository: flow descriptors, payload segmentation, receiver-side
-// reassembly tracking, and the simulation environment (network, metrics,
-// completion reporting) a protocol runs in.
+// repository: flow descriptors, payload segmentation, and the simulation
+// environment (network, metrics, completion reporting) a protocol runs in.
 //
 // The three proactive transports (ExpressPass, Homa, NDP) live in
 // subpackages and implement the Protocol interface; the Aeolus building
@@ -9,7 +8,7 @@
 package transport
 
 import (
-	"fmt"
+	"math/rand/v2"
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -31,6 +30,16 @@ type Flow struct {
 
 	// Timeouts counts retransmission timeouts suffered by the flow.
 	Timeouts int
+}
+
+// Path returns the PathID of one of the flow's packets: a fresh draw from
+// spray when the sender sprays per packet, the flow's ECMP hash when spray
+// is nil.
+func (f *Flow) Path(spray *rand.Rand) uint32 {
+	if spray != nil {
+		return spray.Uint32()
+	}
+	return f.PathID
 }
 
 // Protocol is a transport implementation driving all hosts of a network.
@@ -141,63 +150,6 @@ func (s Segmenter) Offset(i int) int64 { return int64(i) * int64(s.MSS) }
 
 // SegOf returns the segment index covering byte offset off.
 func (s Segmenter) SegOf(off int64) int { return int(off / int64(s.MSS)) }
-
-// RxTracker reassembles a flow at the receiver: it deduplicates segments and
-// reports completion. Receipt flags are one bit per segment, so the tracker
-// costs ~n/8 bytes for an n-segment flow.
-type RxTracker struct {
-	Seg       Segmenter
-	got       Bitset
-	remaining int
-	bytes     int64
-}
-
-// NewRxTracker builds a tracker for a flow of the given size.
-func NewRxTracker(size int64, mss int) *RxTracker {
-	seg := Segmenter{Size: size, MSS: mss}
-	n := seg.NumSegs()
-	return &RxTracker{Seg: seg, got: NewBitset(n), remaining: n}
-}
-
-// Accept marks the segment at the given byte offset received. It returns the
-// number of new unique payload bytes (0 for duplicates).
-func (t *RxTracker) Accept(off int64) int {
-	i := t.Seg.SegOf(off)
-	if i < 0 || i >= t.got.Len() {
-		panic(fmt.Sprintf("transport: offset %d outside flow of %d bytes", off, t.Seg.Size))
-	}
-	if t.got.Get(i) {
-		return 0
-	}
-	t.got.Set(i)
-	t.remaining--
-	n := t.Seg.SegLen(i)
-	t.bytes += int64(n)
-	return n
-}
-
-// Has reports whether segment i was received.
-func (t *RxTracker) Has(i int) bool { return t.got.Get(i) }
-
-// Complete reports whether every segment arrived.
-func (t *RxTracker) Complete() bool { return t.remaining == 0 }
-
-// Bytes returns the unique payload bytes received so far.
-func (t *RxTracker) Bytes() int64 { return t.bytes }
-
-// Missing appends the indices of segments not yet received among the first
-// n segments (n ≤ NumSegs) to out and returns it. Callers on the receive
-// hot path pass a reusable scratch buffer (sliced to length zero) so loss
-// scans allocate nothing in steady state.
-func (t *RxTracker) Missing(n int, out []int) []int {
-	if n > t.got.Len() {
-		n = t.got.Len()
-	}
-	for i := t.got.NextZero(0); i < n; i = t.got.NextZero(i + 1) {
-		out = append(out, i)
-	}
-	return out
-}
 
 // FlowHash derives a stable per-flow ECMP PathID.
 func FlowHash(id uint64) uint32 {

@@ -57,66 +57,6 @@ func TestSegmenterTilingProperty(t *testing.T) {
 	}
 }
 
-func TestRxTracker(t *testing.T) {
-	tr := NewRxTracker(3000, 1460)
-	if tr.Complete() {
-		t.Fatal("empty tracker complete")
-	}
-	if n := tr.Accept(0); n != 1460 {
-		t.Fatalf("Accept(0) = %d", n)
-	}
-	if n := tr.Accept(0); n != 0 {
-		t.Fatalf("duplicate Accept = %d", n)
-	}
-	if got := tr.Missing(3, nil); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Missing = %v", got)
-	}
-	scratch := make([]int, 0, 4)
-	if got := tr.Missing(3, scratch); len(got) != 2 || &got[0] != &scratch[:1][0] {
-		t.Fatalf("Missing did not reuse scratch: %v", got)
-	}
-	tr.Accept(2920)
-	tr.Accept(1460)
-	if !tr.Complete() || tr.Bytes() != 3000 {
-		t.Fatalf("tracker incomplete: bytes=%d", tr.Bytes())
-	}
-	if !tr.Has(1) {
-		t.Fatal("Has(1) = false")
-	}
-}
-
-func TestRxTrackerPanicsOutOfRange(t *testing.T) {
-	tr := NewRxTracker(1000, 1460)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Accept did not panic")
-		}
-	}()
-	tr.Accept(5000)
-}
-
-// Property: accepting any permutation of offsets completes the flow with
-// exactly Size unique bytes.
-func TestRxTrackerConservationProperty(t *testing.T) {
-	prop := func(sizeRaw uint16, order []uint8) bool {
-		size := int64(sizeRaw) + 1
-		tr := NewRxTracker(size, 100)
-		n := tr.Seg.NumSegs()
-		// Accept segments in a scrambled order with duplicates.
-		var unique int64
-		for _, o := range order {
-			unique += int64(tr.Accept(tr.Seg.Offset(int(o) % n)))
-		}
-		for i := 0; i < n; i++ {
-			unique += int64(tr.Accept(tr.Seg.Offset(i)))
-		}
-		return tr.Complete() && unique == size && tr.Bytes() == size
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIdealFCT(t *testing.T) {
 	env := testEnv(t)
 	small := env.IdealFCT(1460)

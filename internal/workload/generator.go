@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -37,7 +39,30 @@ func (cfg *PoissonConfig) ArrivalRate() float64 {
 	return cfg.Load * float64(cfg.Hosts) * float64(cfg.HostRate) / (8 * mean)
 }
 
-// Generate samples the flow trace. It is deterministic in the seed.
+// Check reports why Generate cannot place cfg's arrivals on the simulation
+// clock, or nil: the arrival rate must be positive and finite, the mean gap
+// between arrivals at least the clock's 1 ps tick, and the expected span of
+// all arrivals, Flows mean gaps, must fit in sim.Time 64 times over past
+// StartAt. One exponential gap from math/rand stays under 45 times its mean,
+// so no sampled arrival can overflow the clock.
+func (cfg *PoissonConfig) Check() error {
+	lambda := cfg.ArrivalRate()
+	gap := float64(sim.Second) / lambda // mean gap between arrivals, ps
+	what := fmt.Sprintf("workload: load %g on %d hosts at %v", cfg.Load, cfg.Hosts, cfg.HostRate)
+	switch {
+	case !(lambda > 0) || math.IsInf(lambda, 1):
+		return fmt.Errorf("%s gives an arrival rate of %g flows/s; it must be positive and finite", what, lambda)
+	case gap < 1:
+		return fmt.Errorf("%s spaces arrivals %.3g ps apart on average, under the clock's 1 ps tick", what, gap)
+	case 64*gap*float64(cfg.Flows) > float64(sim.MaxTime-cfg.StartAt):
+		return fmt.Errorf("%s spreads %d arrivals over about %.3g s, more than the simulation clock holds",
+			what, cfg.Flows, gap*float64(cfg.Flows)/float64(sim.Second))
+	}
+	return nil
+}
+
+// Generate samples the flow trace. It is deterministic in the seed. Check
+// reports the configurations it cannot serve.
 func (cfg *PoissonConfig) Generate() []FlowSpec {
 	r := rand.New(rand.NewPCG(cfg.Seed, 0xae0105))
 	lambda := cfg.ArrivalRate()
