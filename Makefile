@@ -72,12 +72,14 @@ golden:
 # across shards x pool on a multi-pod fabric, the golden digests pinned under
 # shard requests x pool on the single switch (which never splits), the
 # per-shard + global conservation audit, the one-shard event-count pins, the
-# impairment and trace x shards rules, and the ShardGroup / partitioner unit
-# tests. Any divergence is a synchronization bug — see DESIGN.md §13.
+# impairment and trace x shards rules, and the ShardGroup / partitioner /
+# exchange unit tests (spinning on and off, parked shards woken, more shards
+# than processors, inbox delivery order). Any divergence is a
+# synchronization bug — see DESIGN.md §13.
 shard-golden:
 	$(GO) test -race -run 'TestShardedDifferential|TestShardGoldenMatrix|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting|TestCheckImpairShards|TestCheckTraceShards' \
 		./internal/experiments
-	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestFlushDeterministicOrder' ./internal/sim ./internal/netem
+	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestDeliverOrder' ./internal/sim ./internal/netem
 
 # Impairment-layer gate: the timeline-parser seed corpus (the checked-in
 # fuzz inputs as a plain test), the impaired-run determinism contract (rerun

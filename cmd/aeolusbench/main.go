@@ -26,7 +26,9 @@
 // Every run the selected experiments make is validated under the flags
 // before anything runs or prints: a flag value one of those runs cannot take
 // (a zero or negative -budget, an -impair target missing from an
-// experiment's fabric) exits 2 naming the experiment and the problem.
+// experiment's fabric, an -impair timeline on a fabric that -shards splits)
+// exits 2 naming the experiment and the problem. A -shards below 1 exits 2
+// too.
 //
 // The -budget flag (in MiB of offered traffic per run) trades fidelity for
 // time; -quick trims parameter sweeps for a fast pass. Independent
@@ -64,7 +66,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "trim parameter sweeps")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
-		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each fabric; deterministic at a given count, equal to the one-shard run only for RNG-free configurations)")
+		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each fabric; deterministic at a given count, but not always equal to the one-shard run, see experiments.Config.Shards)")
 		progress  = flag.Bool("progress", stderrIsTerminal(), "report per-run progress on stderr")
 		auditOn   = flag.Bool("audit", false, "verify packet-conservation invariants; exit 1 on any violation")
 		jsonOut   = flag.Bool("json", false, "emit one JSON array of tables instead of aligned text")
@@ -111,12 +113,8 @@ func main() {
 	cfg.Parallel = *parallel
 	cfg.Shards = *shards
 	cfg.Impair = timeline
-	// One experiment's runs span many topologies, and experiments.CheckRun
-	// validates one run at a time, so reject the combination outright rather
-	// than fail on whichever run first splits into several shards.
-	if *shards > 1 && timeline != nil {
-		fmt.Fprintln(os.Stderr, "-shards > 1 is incompatible with -impair/-impair-file: impairments are engine-local")
-		os.Exit(2)
+	if *shards < 1 {
+		cliutil.Die(fmt.Errorf("-shards %d: at least one shard is needed", *shards))
 	}
 	selected := experiments.Registry
 	if *exp != "all" {

@@ -60,6 +60,12 @@ func TestFlagValidation(t *testing.T) {
 			`fig15: experiments: timeline step 0: target "sw9->*" matches no port`},
 		{"scenarios-budget-zero", []string{"-scenarios", "fig9", "-budget", "0"},
 			"fig9: scenario: workload needs flows or budget"},
+		{"impair-shards-split", []string{"-exp", "fig9", "-quick", "-shards", "2", "-impair", "0s sw0->* loss rate=0.01"},
+			"fig9: experiments: impairment timelines need one shard, but topology fattree splits into 2"},
+		{"impair-shards-split-all", []string{"-exp", "all", "-quick", "-shards", "2", "-impair", "0s sw0->* loss rate=0.01"},
+			"fig1: experiments: impairment timelines need one shard"},
+		{"shards-zero", []string{"-exp", "fig8", "-quick", "-budget", "1", "-shards", "0"}, "-shards 0:"},
+		{"shards-negative", []string{"-exp", "fig8", "-quick", "-budget", "1", "-shards", "-2"}, "-shards -2:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, code := aeolusbench(t, tc.args...)
@@ -73,5 +79,29 @@ func TestFlagValidation(t *testing.T) {
 				t.Errorf("aeolusbench %q output %q does not mention %q", tc.args, out, tc.want)
 			}
 		})
+	}
+}
+
+// TestImpairShardsUnsplit runs an impairment timeline with -shards 2 on an
+// experiment whose fabric never splits: fig8's testbed is one switch, so the
+// request falls back to one shard and the tables are those of -shards 1.
+// Only an experiment whose fabric does split is rejected (TestFlagValidation).
+func TestImpairShardsUnsplit(t *testing.T) {
+	tables := func(shards string) string {
+		out, code := aeolusbench(t, "-exp", "fig8", "-quick", "-budget", "1", "-shards", shards,
+			"-impair", "0s sw0->* loss rate=0.01")
+		if code != 0 {
+			t.Fatalf("aeolusbench -exp fig8 -shards %s -impair exited %d:\n%s", shards, code, out)
+		}
+		// Drop the "[fig8 done in …]" timing line.
+		out, _, _ = strings.Cut(out, "[fig8 done in")
+		return out
+	}
+	one, two := tables("1"), tables("2")
+	if !strings.Contains(two, "## fig8") {
+		t.Fatalf("no fig8 table in the output:\n%s", two)
+	}
+	if one != two {
+		t.Errorf("-shards 2 changed fig8's tables on its one-switch fabric:\n%s\nwant\n%s", two, one)
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		runs     = flag.Int("runs", 1, "repeat over this many consecutive seeds")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (with -runs > 1)")
-		shards   = flag.Int("shards", 1, "spatial shards per run (>1 partitions the fabric across goroutines; deterministic at a given count, equal to the one-shard run only for RNG-free configurations)")
+		shards   = flag.Int("shards", 1, "spatial shards per run (>1 partitions the fabric across goroutines; deterministic at a given count, but not always equal to the one-shard run, see experiments.Config.Shards)")
 		deadline = flag.Int64("deadline", 500, "extra simulated time after last arrival, ms")
 		trace    = flag.Uint64("trace", 0, "print a packet trace for this flow ID")
 		cdf      = flag.Bool("cdf", false, "print the small-flow FCT CDF (the paper's figure format)")
@@ -111,6 +111,9 @@ func main() {
 		return
 	}
 
+	if *shards < 1 {
+		cliutil.Die(fmt.Errorf("-shards %d: at least one shard is needed", *shards))
+	}
 	cfg := experiments.Config{Parallel: *parallel, Shards: *shards, Audit: *auditOn, TraceFlow: *trace}
 	var scns []scenario.Scenario
 	if *scenFile != "" {

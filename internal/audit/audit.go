@@ -366,8 +366,11 @@ func AttachScope(eng *sim.Engine, pool *netem.PacketPool, ports []*netem.Port, h
 // Depart moves a packet's ledger entry to a shard boundary: its remaining
 // unaccounted payload is booked as forwarded and the packet is forgotten, so
 // it can neither show up as residual here nor be double-counted when the
-// destination shard's auditor takes over. The sharded harness calls it at a
-// window barrier, with every shard worker parked.
+// destination shard's auditor takes over. In a sharded run the departing
+// shard calls it from its own Deliver (netem.Boundary), on its goroutine,
+// before the window after the packet left. The destination may already
+// hold the packet then, so Depart reads nothing of it: a shared auditor
+// keys its ledger by the packet's address.
 func (a *Auditor) Depart(p *netem.Packet) {
 	st := a.lookup(p)
 	if st == nil {
@@ -385,7 +388,8 @@ func (a *Auditor) Depart(p *netem.Packet) {
 // Arrive registers a packet handed in from another shard: a fresh ledger
 // entry seeded with the in-flight payload, booked as arrived rather than
 // injected so the first local observation is not mistaken for an injection.
-// Paired with the source auditor's Depart at the same barrier.
+// Paired with the source auditor's Depart of the same handoff; the
+// receiving shard calls it from its own Deliver.
 func (a *Auditor) Arrive(p *netem.Packet) {
 	st, _ := a.ensure(p)
 	*st = pktState{seen: true, payload: p.PayloadLen, flow: p.Flow, isData: p.Type == netem.Data}
@@ -617,7 +621,7 @@ func (a *Auditor) Finish() *Report {
 	// (arrived) is an input like injection, payload handed out (forwarded) an
 	// output like delivery — so the check closes per shard, and summing the
 	// per-shard ledgers closes globally because every Depart pairs with an
-	// Arrive at the same barrier.
+	// Arrive of the same handoff.
 	for slot, id := range a.flowIdx.Keys() {
 		fa := &a.flowAccts[slot]
 		got := fa.delivered + fa.dropped + fa.trimmed + fa.residual + fa.forwarded

@@ -40,7 +40,9 @@ func microRun(cfg Config, n int, threshold, msg int64, rounds int,
 	trace := workload.Merge(traces...)
 	probe(p.envs[0], net.Switches[0].Ports[0])
 	p.inject(trace)
-	p.execute(len(trace), sim.Time(200*sim.Millisecond), p.auds != nil)
+	// The micro fabric is one switch, which never splits, so execute drives
+	// one engine and no shard waits or spins.
+	p.execute(len(trace), sim.Time(200*sim.Millisecond), p.auds != nil, 0)
 	p.finishAudit(cfg, spec)
 }
 

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"time"
 
 	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -63,11 +65,17 @@ type Config struct {
 	// minimum cross-shard link latency (see netem.BuildShardedClos and
 	// sim.ShardGroup). Like Parallel it is a runtime knob that scenarios do
 	// not serialize. A run is deterministic at a given shard count, but it
-	// equals the one-shard run only when the scheme draws no random numbers
-	// (Homa and NDP spraying and ExpressPass credit jitter draw per protocol
-	// instance, and a sharded run has one instance per shard). The run's plan
-	// clamps the request to the topology's pod structure (an edge switch and
-	// its hosts are never split), so single-pod topologies run as one shard.
+	// need not equal the one-shard run. Homa and NDP spraying and
+	// ExpressPass credit jitter draw per protocol instance, and a sharded
+	// run has one instance per shard. A run that draws no random number can
+	// differ too: two deliveries due at a port at the same picosecond and
+	// scheduled at the same instant fire in one engine's schedule order
+	// within that instant, but a cross-shard delivery fires after the
+	// destination shard's own events of that instant, and ties with other
+	// deliveries by source shard (netem.ShardedNetwork.Deliver). The run's
+	// plan clamps the request to the topology's pod structure (an edge
+	// switch and its hosts are never split), so single-pod topologies run as
+	// one shard. Shards ≤ 1 means one shard.
 	// A packet trace or an impairment timeline on a run that still splits is
 	// an error (the tracer and the timeline's RNG and engine hooks are
 	// single-engine), which CheckRun reports up front.
@@ -202,9 +210,9 @@ func (r *RunResult) Records() []stats.FlowRecord { return r.records }
 // shard count; each shard gets its own engine, packet pool, transport
 // environment and protocol instance. One shard drives its engine directly.
 // Several advance in conservative lookahead windows (sim.ShardGroup), and
-// packet deliveries that cross the cut are exchanged at window barriers in
-// deterministic (time, source shard, generation order) order, so results
-// are independent of goroutine scheduling.
+// each shard schedules the packet deliveries that cross the cut into it
+// before its next window, in deterministic (source shard, generation order)
+// order, so results are independent of goroutine scheduling.
 //
 // Cross-shard flows exist in two copies: the sender's shard starts the flow
 // (its protocol instance owns the sender state machine), and the receiver's
@@ -337,6 +345,9 @@ func plan(cfg Config, spec RunSpec) (*runPlan, error) {
 		for i := range p.auds {
 			p.auds[i] = audit.AttachScope(sn.Engines[i], sn.Pools[i],
 				sn.ShardPorts(i), sn.ShardHosts(i), n > 1)
+			if n > 1 {
+				sn.SetBoundary(i, p.auds[i])
+			}
 		}
 	}
 	return p, nil
@@ -363,7 +374,11 @@ func CheckRun(cfg Config, spec RunSpec) error {
 // observe, traffic and goodput samplers, inject, execute, extract and
 // finishAudit. A spec the plan rejects panics; the CLIs validate up front
 // with CheckRun.
-func Run(cfg Config, spec RunSpec) RunResult {
+func Run(cfg Config, spec RunSpec) RunResult { return run(cfg, spec, 1) }
+
+// run is Run as one of concurrent runs executing at once, which decides
+// whether a sharded run's waiting goroutines spin (shardSpin).
+func run(cfg Config, spec RunSpec, concurrent int) RunResult {
 	p, err := plan(cfg, spec)
 	if err != nil {
 		panic(err)
@@ -414,7 +429,7 @@ func Run(cfg Config, spec RunSpec) RunResult {
 	p.inject(trace)
 
 	total := len(trace)
-	endTime := p.execute(total, last.Add(deadline), p.auds != nil)
+	endTime := p.execute(total, last.Add(deadline), p.auds != nil, shardSpin(concurrent, n))
 
 	res := RunResult{
 		Scheme:    p.scheme.Name,
@@ -531,8 +546,9 @@ func (p *runPlan) completed() int {
 // set and every flow complete, it then runs on until every engine is idle,
 // so in-flight control traffic and disarmed timers settle and the
 // drain-time audit invariants hold in their strict form (completed flows
-// disarm every retransmission loop, so the drain terminates).
-func (p *runPlan) execute(total int, endAt sim.Time, drain bool) sim.Time {
+// disarm every retransmission loop, so the drain terminates). spin is the
+// shard group's sim.ShardGroup.Spin; one engine never waits.
+func (p *runPlan) execute(total int, endAt sim.Time, drain bool, spin time.Duration) sim.Time {
 	if len(p.envs) == 1 {
 		// One engine, driven directly: stop at the event that completes the
 		// last flow, so the end time is that completion's timestamp.
@@ -549,26 +565,19 @@ func (p *runPlan) execute(total int, endAt sim.Time, drain bool) sim.Time {
 		}
 		return end
 	}
-	sn := p.sn
-	var visit func(h netem.Handoff)
-	if p.auds != nil {
-		visit = func(h netem.Handoff) {
-			p.auds[h.Src].Depart(h.P)
-			p.auds[h.Dst].Arrive(h.P)
-		}
-	}
 	group := &sim.ShardGroup{
-		Engines:   sn.Engines,
-		Lookahead: sn.Lookahead,
-		Barrier:   func() { sn.Flush(visit) },
+		Engines:   p.sn.Engines,
+		Lookahead: p.sn.Lookahead,
+		Exchange:  p.sn,
 		StopWhen:  func() bool { return p.completed() == total },
+		Spin:      spin,
 	}
 	group.Run(endAt)
 	if p.completed() != total {
 		return endAt
 	}
-	// The group stops at the first barrier after the last completion;
-	// recover the completion's timestamp from the records.
+	// The group stops after the window of the last completion; recover the
+	// completion's timestamp from the records.
 	var end sim.Time
 	for _, env := range p.envs {
 		for _, r := range env.FCT.Records() {
@@ -580,6 +589,24 @@ func (p *runPlan) execute(total int, endAt sim.Time, drain bool) sim.Time {
 		group.Run(sim.MaxTime)
 	}
 	return end
+}
+
+// spinBudget is how long a sharded run's waiting goroutines spin before
+// they park, when shardSpin allows it: about two windows of a 256-host run
+// on 2 shards, well past the 50–200 µs an OS wake-up of a parked goroutine
+// can take.
+const spinBudget = 2 * time.Millisecond
+
+// shardSpin returns the spin budget of a run on shards shards, one of
+// concurrent runs executing at once: spinBudget when every shard goroutine
+// of every such run has a processor of its own, else zero. A spinning shard
+// on an oversubscribed machine holds the processor that the shard it waits
+// for needs.
+func shardSpin(concurrent, shards int) time.Duration {
+	if runtime.GOMAXPROCS(0) >= concurrent*shards {
+		return spinBudget
+	}
+	return 0
 }
 
 // collector returns the run's flow records: the shard's own collector when

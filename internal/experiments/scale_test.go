@@ -125,8 +125,8 @@ func TestScaleSmokeSharded(t *testing.T) {
 		t.Errorf("footprint over shards reports %d flow entries, want within [%d, %d]",
 			pt.StateFlows, pt.Flows, 2*pt.Flows)
 	}
-	// The sharded run fires the same simulation plus cross-shard handoff and
-	// barrier events; compare against the sequential baseline of the same
+	// The sharded run fires the same simulation plus cross-shard handoff
+	// events; compare against the sequential baseline of the same
 	// cell, not a sharded one, so the bound also caps the sharding overhead.
 	if base, ok := led.Baseline["h64/l0.4"]; ok {
 		if float64(pt.Events) > 1.5*float64(base.Events) {

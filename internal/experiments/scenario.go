@@ -114,9 +114,10 @@ func (c Config) ForScenario(sem Config) Config {
 // order. A scenario CheckScenario would reject panics.
 func RunScenarios(rt Config, scns []scenario.Scenario) []RunResult {
 	res := make([]RunResult, len(scns))
+	concurrent := min(rt.Workers(), len(scns)) // forEachPar's worker count
 	forEachPar(rt, len(scns), func(i int) {
 		sem, spec := mustFromScenario(scns[i])
-		res[i] = Run(rt.ForScenario(sem), spec)
+		res[i] = run(rt.ForScenario(sem), spec, concurrent)
 	})
 	return res
 }

@@ -13,9 +13,15 @@ import (
 // off is the one catalogued configuration that draws no random number
 // anywhere — ExpressPass jitters credit gaps at receivers, NDP and default
 // Homa spray paths at senders, and each of those streams would be consumed
-// in per-shard order rather than global order. With no RNG, a sharded run
-// must reproduce the sequential run exactly: identical flow records,
-// identical meters, identical drop counters — the full digest.
+// in per-shard order rather than global order. Drawing no random number is
+// necessary but not sufficient for a sharded run to reproduce the
+// sequential one: two deliveries due at a port at the same picosecond and
+// scheduled at the same instant can fire in a different order when one of
+// them crossed the cut (see Config.Shards). The same scheme on WebSearch at
+// core load 0.6 (300 flows, scheme seed 1) finishes 95 of its flows at
+// other times on 2 shards. This WebServer run meets no such tie, so its
+// full digest — flow records, meters, drop counters — matches the
+// sequential run.
 func shardDiffSpec() RunSpec {
 	return RunSpec{
 		Scheme: SchemeSpec{ID: "homa+aeolus", Seed: 3,
@@ -34,10 +40,11 @@ func shardDiffConfig() Config {
 	return cfg
 }
 
-// TestShardedDifferential pins the tentpole contract on a fabric that
-// actually splits: the same run on the 8-pod leaf-spine must digest
-// byte-identical, with a clean audit, in every cell of the runtime-knob
-// matrix — shards {1,2,4} × pool on/off.
+// TestShardedDifferential pins the sharded engine against the sequential
+// one on a fabric that actually splits: the same run on the 8-pod
+// leaf-spine must digest byte-identical, with a clean audit, in every cell
+// of the runtime-knob matrix — shards {1,2,4} × pool on/off. It holds for
+// this run (shardDiffSpec), not for every run that draws no random number.
 func TestShardedDifferential(t *testing.T) {
 	spec := shardDiffSpec()
 	cfg := shardDiffConfig()
@@ -170,7 +177,7 @@ func TestShardGoldenMatrix(t *testing.T) {
 // TestShardedEventsAccounting pins the execution metadata on RunResult. One
 // shard drives its engine directly and stops at the event that completes the
 // last flow, so the one-shard event counts are pinned: routing one shard
-// through ShardGroup windows, which stop only at a barrier, or overshooting
+// through ShardGroup windows, which stop only between windows, or overshooting
 // the last completion moves them. The unaudited xpass+aeolus run still has
 // credit traffic pending at its last completion, which is what makes an
 // overshoot visible there. A sharded run's Events and Sched are the sums

@@ -35,7 +35,7 @@ type Port struct {
 
 	// X, when non-nil, marks this port as a cross-shard link: the delivery
 	// event is handed to the shard exchange instead of the local engine, and
-	// the destination shard schedules it at the next window barrier. Ports
+	// the destination shard schedules it before its next window. Ports
 	// inside a shard (and every port of an unsharded run) pay one nil check.
 	X *CrossLink
 

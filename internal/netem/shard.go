@@ -1,16 +1,11 @@
 package netem
 
-import (
-	"cmp"
-	"slices"
-
-	"github.com/aeolus-transport/aeolus/internal/sim"
-)
+import "github.com/aeolus-transport/aeolus/internal/sim"
 
 // This file is the netem half of the spatially-sharded engine: a topology
 // partitioner that cuts a Clos fabric along pod boundaries, a per-port
-// cross-shard hook (Port.X), and the barrier exchange that moves packet
-// delivery events between shard engines in deterministic order.
+// cross-shard hook (Port.X), and the exchange that moves packet delivery
+// events between shard engines in deterministic order.
 //
 // The partitioning rule reuses the TopoSpec tier structure. An edge switch
 // and the hosts under it form the indivisible unit; contiguous runs of
@@ -23,39 +18,63 @@ import (
 // serialization time of a minimum-size frame — equals the core-link
 // latency, independent of how many shards the fabric is cut into.
 
-// Handoff is one cross-shard packet delivery awaiting a window barrier:
-// the packet (with its in-flight destination already recorded in p.next),
-// the absolute delivery time, the instant the source shard put it on the
-// wire (the event's tie-break stamp — see Engine.AtHandlerFrom), and the
-// shard pair it crosses.
-type Handoff struct {
-	At  sim.Time
-	Gen sim.Time
-	P   *Packet
-	Src int
-	Dst int
+// handoff is one cross-shard packet delivery awaiting its destination's
+// next window: the packet (with its in-flight destination already recorded
+// in p.next), the absolute delivery time, and the instant the source shard
+// put it on the wire (the event's tie-break stamp — see
+// Engine.AtHandlerFrom). The buffer it sits in names the shard pair.
+type handoff struct {
+	at, gen sim.Time
+	p       *Packet
 }
 
 // CrossLink is the per-port hook installed on every port whose destination
 // node lives in another shard. depart runs on the source shard's goroutine
-// inside a window and appends to that shard's single-writer buffer; the
-// buffers are drained at the barrier, with every worker parked.
+// inside a window and appends to that shard's own outbox.
 type CrossLink struct {
 	bar      *crossBar
 	src, dst int
 }
 
 func (x *CrossLink) depart(p *Packet, at, gen sim.Time) {
-	x.bar.out[x.src] = append(x.bar.out[x.src], Handoff{At: at, Gen: gen, P: p, Src: x.src, Dst: x.dst})
+	out := &x.bar.box[x.bar.cur][x.src]
+	out.to[x.dst] = append(out.to[x.dst], handoff{at: at, gen: gen, p: p})
+	if at < out.min {
+		out.min = at
+	}
 }
 
-// crossBar holds the per-source-shard handoff buffers. Each buffer has
-// exactly one writer (its shard's goroutine, during a window) and is read
-// only at the barrier; the ShardGroup's park/resume edges order the
-// accesses, so no locking is needed anywhere on the packet path.
+// outbox is the handoffs one source shard generated in one window, by
+// destination shard, in generation order, with the earliest delivery time
+// among them (MaxTime when there are none).
+type outbox struct {
+	to  [][]handoff
+	min sim.Time
+}
+
+// crossBar holds two outboxes per source shard, one per window parity.
+// During a window each shard appends only to its own outbox of parity cur,
+// while every shard reads the other parity: its inbox (the outboxes' entries
+// for it) and, for boundary accounting, its own previous outbox. The group
+// flips cur between windows with every shard parked, and a shard clears its
+// outbox of parity cur in Deliver, before it appends to it again — after the
+// window in which it was last read. So every buffer has one writer, no
+// reader overlaps a write, and no lock is needed anywhere on the packet
+// path.
 type crossBar struct {
-	out     [][]Handoff
-	scratch []Handoff
+	box   [2][]outbox // [parity][source shard]
+	cur   int
+	bound []Boundary // per shard; nil entries book nothing
+}
+
+// A Boundary books the handoffs of one shard as they cross the cut: Depart
+// for each packet the shard handed to another, Arrive for each it received.
+// Both run inside the shard's Deliver, on its goroutine. By then a departed
+// packet may already be in its destination's hands, so Depart must use the
+// packet as an identity only and read nothing of it.
+type Boundary interface {
+	Depart(p *Packet)
+	Arrive(p *Packet)
 }
 
 // ShardedNetwork is a Network partitioned into spatial shards: one engine
@@ -116,7 +135,13 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Qdi
 	for i := 1; i < shards; i++ {
 		sn.Pools[i] = NewPacketPool()
 	}
-	sn.bar = &crossBar{out: make([][]Handoff, shards)}
+	sn.bar = &crossBar{bound: make([]Boundary, shards)}
+	for par := range sn.bar.box {
+		sn.bar.box[par] = make([]outbox, shards)
+		for src := range sn.bar.box[par] {
+			sn.bar.box[par][src] = outbox{to: make([][]handoff, shards), min: sim.MaxTime}
+		}
+	}
 	sn.hostsOf = make([][]*Host, shards)
 	sn.portsOf = make([][]*Port, shards)
 	sp := spec.normalized()
@@ -242,39 +267,64 @@ func (sn *ShardedNetwork) View(i int) *Network {
 	return &v
 }
 
-// Flush runs at a window barrier, with every shard worker parked: it merges
-// the handoffs generated during the window into deterministic (time,
-// srcShard, generation order) order, invokes visit for each (when non-nil —
-// the audit layer's boundary accounting), and schedules each delivery on
-// its destination shard's engine. Every handoff time is ≥ window start +
-// Lookahead and every engine clock is at window end (start + Lookahead - 1),
-// so the schedules can never land in a shard's past. Returns the number of
-// handoffs exchanged.
-func (sn *ShardedNetwork) Flush(visit func(h Handoff)) int {
+// SetBoundary installs b as shard i's boundary observer (see Boundary).
+// Install before the run starts; a one-shard network has no boundary.
+func (sn *ShardedNetwork) SetBoundary(i int, b Boundary) { sn.bar.bound[i] = b }
+
+// The exchange of a sharded run: ShardedNetwork implements sim.Exchange.
+
+// Turn makes the handoffs the window just run generated the inboxes of the
+// next. It runs with every shard parked.
+func (sn *ShardedNetwork) Turn() { sn.bar.cur ^= 1 }
+
+// Pending returns the earliest delivery time among the handoffs not yet
+// delivered.
+func (sn *ShardedNetwork) Pending() (sim.Time, bool) {
+	t := sim.MaxTime
+	for _, out := range sn.bar.box[sn.bar.cur^1] {
+		t = min(t, out.min)
+	}
+	return t, t != sim.MaxTime
+}
+
+// Deliver schedules shard d's inbox on its engine, on shard d's goroutine
+// before its window: the handoffs from each source shard in index order,
+// each source's in generation order. With a Boundary installed it books
+// the shard's departures of the last window and then each arrival. Last it
+// clears the shard's outbox for the window about to run.
+//
+// The walk needs no sort. Deliveries fire in (time, schedAt, seq) order,
+// and each is stamped with its generation instant (AtHandlerFrom), so two
+// handoffs that differ in delivery or generation time fire in that order
+// whatever seq they take; only a tie in both falls to seq, which the walk
+// issues in (source shard, generation order). Every seq is issued after the
+// shard's events of the window that generated the handoff and before any
+// of the next, since nothing else runs on the engine in between. Every
+// delivery time is ≥ that window's start + Lookahead, after the clock it
+// left, so a delivery never lands in the shard's past.
+func (sn *ShardedNetwork) Deliver(d int) {
 	bar := sn.bar
-	bar.scratch = bar.scratch[:0]
-	for i := range bar.out {
-		bar.scratch = append(bar.scratch, bar.out[i]...)
-		bar.out[i] = bar.out[i][:0]
-	}
-	// Within one source shard the buffer is already in generation order; a
-	// stable sort on (delivery time, generation time, source shard) keeps
-	// it, making the merged order — and therefore the destination engines'
-	// event sequence — independent of scheduling accidents, and consistent
-	// with the (time, schedAt, seq) dispatch order the stamps induce.
-	slices.SortStableFunc(bar.scratch, func(a, b Handoff) int {
-		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Gen, b.Gen), cmp.Compare(a.Src, b.Src))
-	})
-	// Backdating each delivery to its generation instant restores the
-	// scheduling order of the sequential run: a delivery competing with a
-	// locally scheduled event for the same timestamp wins exactly when its
-	// packet departed before the local decision was made, which is the order
-	// a single engine executing both shards would have produced.
-	for _, h := range bar.scratch {
-		if visit != nil {
-			visit(h)
+	in := bar.box[bar.cur^1]
+	b := bar.bound[d]
+	if b != nil {
+		for _, hs := range in[d].to {
+			for _, h := range hs {
+				b.Depart(h.p)
+			}
 		}
-		sn.Engines[h.Dst].AtHandlerFrom(h.At, h.Gen, h.P)
 	}
-	return len(bar.scratch)
+	eng := sn.Engines[d]
+	for src := range in {
+		for _, h := range in[src].to[d] {
+			if b != nil {
+				b.Arrive(h.p)
+			}
+			eng.AtHandlerFrom(h.at, h.gen, h.p)
+		}
+	}
+	out := &bar.box[bar.cur][d]
+	for dst := range out.to {
+		out.to[dst] = out.to[dst][:0]
+	}
+	out.min = sim.MaxTime
 }

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -144,38 +145,97 @@ func TestShardedClosViews(t *testing.T) {
 	}
 }
 
-// TestFlushDeterministicOrder loads the handoff buffers in a scrambled order
-// and checks the barrier delivers them sorted by (delivery time, generation
-// time, source shard) and schedules each on its destination engine.
-func TestFlushDeterministicOrder(t *testing.T) {
-	sn := BuildShardedClos(leafSpineSpec, 2, sim.SchedWheel, testQdisc, 1538)
-	p := func() *Packet { return &Packet{} }
-	sn.bar.out[1] = append(sn.bar.out[1],
-		Handoff{At: 100, Gen: 40, P: p(), Src: 1, Dst: 0},
-		Handoff{At: 200, Gen: 10, P: p(), Src: 1, Dst: 0},
-	)
-	sn.bar.out[0] = append(sn.bar.out[0],
-		Handoff{At: 100, Gen: 50, P: p(), Src: 0, Dst: 1},
-		Handoff{At: 100, Gen: 40, P: p(), Src: 0, Dst: 1},
-	)
-	var got [][3]sim.Time
-	n := sn.Flush(func(h Handoff) {
-		got = append(got, [3]sim.Time{h.At, h.Gen, sim.Time(h.Src)})
-	})
-	if n != 4 {
-		t.Fatalf("Flush moved %d handoffs, want 4", n)
-	}
-	want := [][3]sim.Time{{100, 40, 0}, {100, 40, 1}, {100, 50, 0}, {200, 10, 1}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("handoff %d delivered as %v, want %v (full order %v)", i, got[i], want[i], got)
-		}
-	}
-	if sn.Engines[0].Pending() != 2 || sn.Engines[1].Pending() != 2 {
-		t.Fatalf("destination engines hold %d/%d events, want 2/2",
-			sn.Engines[0].Pending(), sn.Engines[1].Pending())
-	}
-	if len(sn.bar.out[0]) != 0 || len(sn.bar.out[1]) != 0 {
-		t.Fatal("Flush left handoffs in the buffers")
+// recordNode is a delivery target that logs the name of every packet it
+// receives.
+type recordNode struct {
+	names map[*Packet]string
+	got   []string
+}
+
+func (r *recordNode) Receive(p *Packet) { r.got = append(r.got, r.names[p]) }
+
+// countBoundary counts the departures and arrivals a shard books.
+type countBoundary struct{ departs, arrives int }
+
+func (c *countBoundary) Depart(*Packet) { c.departs++ }
+func (c *countBoundary) Arrive(*Packet) { c.arrives++ }
+
+// TestDeliverOrder loads handoffs from three sources in scrambled delivery
+// order, turns and delivers them, and checks that each destination engine
+// fires its inbox in (delivery time, generation time, source shard,
+// generation order) order on both schedulers — the order the walk over
+// sources produces with no sort — and that each shard books its own
+// departures and arrivals. A second window then delivers only its own
+// handoff: delivered inboxes are not delivered again.
+func TestDeliverOrder(t *testing.T) {
+	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
+		t.Run(string(kind), func(t *testing.T) {
+			sn := BuildShardedClos(leafSpineSpec, 3, kind, testQdisc, 1538)
+			names := map[*Packet]string{}
+			dsts := make([]*recordNode, 3)
+			bounds := make([]*countBoundary, 3)
+			for i := range dsts {
+				dsts[i] = &recordNode{names: names}
+				bounds[i] = &countBoundary{}
+				sn.SetBoundary(i, bounds[i])
+			}
+			send := func(src, dst int, at, gen sim.Time, name string) {
+				p := &Packet{next: dsts[dst]}
+				names[p] = name
+				(&CrossLink{bar: sn.bar, src: src, dst: dst}).depart(p, at, gen)
+			}
+			// Each source's handoffs in generation order (gen nondecreasing).
+			send(0, 1, 100, 40, "0a")
+			send(0, 2, 150, 40, "0b")
+			send(0, 1, 100, 50, "0c")
+			send(0, 1, 100, 50, "0d")
+			send(0, 2, 120, 60, "0e")
+			send(1, 0, 300, 5, "1a")
+			send(1, 2, 150, 40, "1b")
+			send(1, 0, 100, 40, "1c")
+			send(1, 2, 120, 60, "1d")
+			send(2, 0, 200, 10, "2a")
+			send(2, 0, 100, 40, "2b")
+			send(2, 1, 100, 40, "2c")
+			send(2, 1, 90, 70, "2d")
+			if _, ok := sn.Pending(); ok {
+				t.Fatal("handoffs of the running window count as pending before Turn")
+			}
+			sn.Turn()
+			if at, ok := sn.Pending(); !ok || at != 90 {
+				t.Fatalf("Pending() = %v, %v after Turn, want 90, true", at, ok)
+			}
+			for d := range dsts {
+				sn.Deliver(d)
+				sn.Engines[d].Run()
+			}
+			want := []string{"[1c 2b 2a 1a]", "[2d 0a 2c 0c 0d]", "[0e 1d 0b 1b]"}
+			for d, r := range dsts {
+				if got := fmt.Sprint(r.got); got != want[d] {
+					t.Errorf("shard %d fired its inbox as %s, want %s", d, got, want[d])
+				}
+			}
+			for d, b := range bounds {
+				if wantDep := []int{5, 4, 4}[d]; b.departs != wantDep || b.arrives != 4+d%2 {
+					t.Errorf("shard %d booked %d departures and %d arrivals, want %d and %d",
+						d, b.departs, b.arrives, wantDep, 4+d%2)
+				}
+			}
+
+			// The next window: one new handoff, appended to an outbox that
+			// Deliver cleared.
+			send(2, 0, 500, 400, "next")
+			sn.Turn()
+			for d := range dsts {
+				sn.Deliver(d)
+				sn.Engines[d].Run()
+			}
+			if got := fmt.Sprint(dsts[0].got); got != "[1c 2b 2a 1a next]" {
+				t.Errorf("shard 0 after the second window fired %s, want [1c 2b 2a 1a next]", got)
+			}
+			if len(dsts[1].got) != 5 || len(dsts[2].got) != 4 {
+				t.Errorf("shards 1 and 2 fired %v and %v again", dsts[1].got, dsts[2].got)
+			}
+		})
 	}
 }

@@ -41,8 +41,9 @@ type Event struct {
 	// or at Reserve for an event scheduled later with AtStamped), which makes
 	// it nondecreasing in seq and therefore invisible: (time, schedAt, seq)
 	// order is exactly the historical (time, seq) order. Its purpose is
-	// AtHandlerFrom, where a sharded runner backdates a barrier-scheduled
-	// cross-shard delivery to the instant the source shard generated it, so
+	// AtHandlerFrom, where a sharded runner backdates a cross-shard delivery,
+	// scheduled on its destination between windows, to the instant the
+	// source shard generated it, so
 	// that same-timestamp ties against locally scheduled events resolve in
 	// the same order a single sequential engine would have produced.
 	schedAt Time
@@ -278,8 +279,8 @@ func (e *Engine) AfterHandler(d Duration, h Handler) Handle {
 // influences tie-breaking among events sharing a deadline: events fire in
 // (time, schedAt, seq) order, and on a lone engine schedAt is nondecreasing in
 // seq, so backdating is the one way the stamp's instant can ever matter. The
-// sharded runner uses it when a window barrier transfers a cross-shard packet
-// delivery onto its destination engine: stamping the source shard's
+// sharded runner uses it when it transfers a cross-shard packet delivery onto
+// its destination engine between windows: stamping the source shard's
 // generation instant restores the scheduling order a sequential run would
 // have had, so same-timestamp collisions at contended queues resolve
 // identically. As for AtStamped, an event that has already passed, or a from

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 type fnHandler func()
@@ -19,44 +21,90 @@ func TestShardGroupPanicsWithoutLookahead(t *testing.T) {
 	g.Run(MaxTime)
 }
 
+// testExchange is the smallest Exchange: one buffer per (window parity,
+// source shard, destination shard). A source appends to the current parity
+// from its own goroutine; Deliver walks the other parity's buffers for its
+// shard, sources in index order, and clears its own outbox for the window
+// it is about to run.
+type testExchange struct {
+	engs []*Engine
+	cur  int
+	out  [2][][][]testHandoff // [parity][src][dst]
+}
+
+type testHandoff struct {
+	at, gen Time
+	h       Handler
+}
+
+func newTestExchange(engs []*Engine) *testExchange {
+	x := &testExchange{engs: engs}
+	for par := range x.out {
+		x.out[par] = make([][][]testHandoff, len(engs))
+		for src := range engs {
+			x.out[par][src] = make([][]testHandoff, len(engs))
+		}
+	}
+	return x
+}
+
+// send hands h to shard dst for delivery at at; it runs on shard src's
+// goroutine, inside a window, at src's current time.
+func (x *testExchange) send(src, dst int, at Time, h Handler) {
+	buf := &x.out[x.cur][src][dst]
+	*buf = append(*buf, testHandoff{at: at, gen: x.engs[src].Now(), h: h})
+}
+
+func (x *testExchange) Turn() { x.cur ^= 1 }
+
+func (x *testExchange) Pending() (Time, bool) {
+	t, ok := MaxTime, false
+	for _, row := range x.out[x.cur^1] {
+		for _, hs := range row {
+			for _, h := range hs {
+				if h.at < t {
+					t, ok = h.at, true
+				}
+			}
+		}
+	}
+	return t, ok
+}
+
+func (x *testExchange) Deliver(d int) {
+	for _, row := range x.out[x.cur^1] {
+		for _, h := range row[d] {
+			x.engs[d].AtHandlerFrom(h.at, h.gen, h.h)
+		}
+	}
+	for dst := range x.out[x.cur][d] {
+		x.out[x.cur][d][dst] = x.out[x.cur][d][dst][:0]
+	}
+}
+
 // TestShardGroupExchange drives two engines that ping-pong a message across a
-// latency-L boundary: each delivery schedules the reply's handoff, the barrier
-// moves pending handoffs to the peer engine. The trace must be exactly the
-// alternating sequence a sequential simulation of the same system produces,
-// and every engine must end at the deadline.
+// latency-L boundary: each delivery hands the reply to the peer engine
+// through the exchange. The trace must be exactly the alternating sequence a
+// sequential simulation of the same system produces, and every engine must
+// end at the deadline.
 func TestShardGroupExchange(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
 		t.Run(string(kind), func(t *testing.T) {
 			const L = Duration(100)
 			const deadline = Time(1000)
 			engs := []*Engine{NewEngineWith(kind), NewEngineWith(kind)}
-			type handoff struct {
-				at, gen Time
-				dst     int
-			}
-			var pending [2][]handoff
+			x := newTestExchange(engs)
 			var trace []string
 			var bounce func(self int) fnHandler
 			bounce = func(self int) fnHandler {
 				return func() {
 					now := engs[self].Now()
 					trace = append(trace, fmt.Sprintf("%d@%d", self, now))
-					pending[self] = append(pending[self], handoff{at: now.Add(L), gen: now, dst: 1 - self})
+					x.send(self, 1-self, now.Add(L), bounce(1-self))
 				}
 			}
 			engs[0].AtHandler(0, bounce(0))
-			g := &ShardGroup{
-				Engines:   engs,
-				Lookahead: L,
-				Barrier: func() {
-					for src := range pending {
-						for _, h := range pending[src] {
-							engs[h.dst].AtHandlerFrom(h.at, h.gen, bounce(h.dst))
-						}
-						pending[src] = pending[src][:0]
-					}
-				},
-			}
+			g := &ShardGroup{Engines: engs, Lookahead: L, Exchange: x}
 			end := g.Run(deadline)
 			if end != deadline {
 				t.Fatalf("Run returned %v, want deadline %v", end, deadline)
@@ -76,51 +124,192 @@ func TestShardGroupExchange(t *testing.T) {
 			if got := g.Fired(); got != uint64(len(want)) {
 				t.Errorf("Fired() = %d, want %d", got, len(want))
 			}
+			// The handoff the last window generated lies past the deadline;
+			// Run delivered it, so it waits on its destination engine.
+			if at, ok := engs[1].NextEventTime(); !ok || at != deadline.Add(L) {
+				t.Errorf("engine 1 next event %v (%v), want the undelivered reply at %v", at, ok, deadline.Add(L))
+			}
+			if _, ok := x.Pending(); ok {
+				t.Error("Run left a handoff undelivered")
+			}
 		})
 	}
 }
 
-// TestShardGroupStopWhen ends the run at the first barrier where the
+// TestShardGroupStopWhen ends the run after the first window in which the
 // predicate holds; engine clocks then rest at the end of that window rather
-// than advancing to the deadline.
+// than advancing to the deadline, and the handoff that window generated has
+// been delivered to its destination engine.
 func TestShardGroupStopWhen(t *testing.T) {
 	const L = Duration(50)
 	engs := []*Engine{NewEngine(), NewEngine()}
-	fired := 0
+	x := newTestExchange(engs)
+	fired, echoes := 0, 0
 	for i := 0; i < 10; i++ {
-		engs[i%2].AtHandler(Time(i*200), fnHandler(func() { fired++ }))
+		self := i % 2
+		engs[self].AtHandler(Time(i*200), fnHandler(func() {
+			fired++
+			x.send(self, 1-self, engs[self].Now().Add(L), fnHandler(func() { echoes++ }))
+		}))
 	}
 	g := &ShardGroup{
 		Engines:   engs,
 		Lookahead: L,
+		Exchange:  x,
 		StopWhen:  func() bool { return fired >= 3 },
 	}
 	g.Run(MaxTime)
-	if fired != 3 {
-		t.Fatalf("fired %d events before stop, want 3 (one per 200-tick window)", fired)
+	if fired != 3 || echoes != 2 {
+		t.Fatalf("fired %d events and %d echoes before stop, want 3 and 2 (one event per 200-tick window)", fired, echoes)
 	}
 	for i, e := range engs {
 		if e.Now() >= Time(600) {
 			t.Errorf("engine %d clock %v ran past the stopping window", i, e.Now())
 		}
 	}
+	if at, ok := engs[1].NextEventTime(); !ok || at != 450 {
+		t.Errorf("engine 1 next event %v (%v), want the third echo at 450", at, ok)
+	}
 }
 
 // TestShardGroupDrainsWithoutDeadline checks the exhaustion path: with
 // MaxTime as the deadline the loop ends when no events are pending and no
-// final clock-advance pass runs.
+// final clock-advance pass runs. A handoff relayed back and forth sets the
+// window starts: each window begins at the earliest undelivered handoff,
+// not at the engines' next event (70), or the relay's reply at 20 would
+// land in engine 0's past.
 func TestShardGroupDrainsWithoutDeadline(t *testing.T) {
 	engs := []*Engine{NewEngine(), NewEngine()}
-	engs[0].AtHandler(10, fnHandler(func() {}))
-	engs[1].AtHandler(70, fnHandler(func() {}))
-	g := &ShardGroup{Engines: engs, Lookahead: 5}
+	x := newTestExchange(engs)
+	var order []Time
+	record := func(self int) { order = append(order, engs[self].Now()) }
+	engs[0].AtHandler(10, fnHandler(func() {
+		record(0)
+		x.send(0, 1, 15, fnHandler(func() {
+			record(1)
+			x.send(1, 0, 20, fnHandler(func() { record(0) }))
+		}))
+	}))
+	engs[1].AtHandler(70, fnHandler(func() { record(1) }))
+	g := &ShardGroup{Engines: engs, Lookahead: 5, Exchange: x}
 	// The last event fires at 70 inside the window [70, 74]; worker clocks
 	// advance to the window end before the group discovers the queues are dry.
 	if end := g.Run(MaxTime); end != 74 {
 		t.Fatalf("Run returned %v, want 74 (end of the last window)", end)
 	}
-	if got := g.Fired(); got != 2 {
-		t.Fatalf("Fired() = %d, want 2", got)
+	if got := g.Fired(); got != 4 {
+		t.Fatalf("Fired() = %d, want 4", got)
+	}
+	if got := fmt.Sprint(order); got != "[10ps 15ps 20ps 70ps]" {
+		t.Fatalf("fire order %v, want [10ps 15ps 20ps 70ps]", got)
+	}
+}
+
+// meshRun simulates a mesh of shards that keep handing work to each other
+// and returns each engine's fire trace. Each shard starts a few chains of
+// events; every event records itself and, before the horizon, continues its
+// chain either locally or on the next shard, with the choice and the delay
+// drawn from the event's own seeded stream, so the system is the same
+// whatever the goroutine schedule. Each engine's trace is written only by
+// its own goroutine.
+func meshRun(t *testing.T, kind SchedulerKind, shards int, spin time.Duration, hold func(shard int, now Time)) [][]string {
+	t.Helper()
+	const L = Duration(40)
+	const horizon = Time(4000)
+	const chains = 4
+	engs := make([]*Engine, shards)
+	for i := range engs {
+		engs[i] = NewEngineWith(kind)
+	}
+	x := newTestExchange(engs)
+	traces := make([][]string, shards)
+	var ev func(self int, tag uint64) fnHandler
+	ev = func(self int, tag uint64) fnHandler {
+		return func() {
+			now := engs[self].Now()
+			traces[self] = append(traces[self], fmt.Sprintf("%d@%d", tag, now))
+			if hold != nil {
+				hold(self, now)
+			}
+			if now >= horizon {
+				return
+			}
+			r := NewRand(tag, uint64(self))
+			if r.IntN(2) == 0 {
+				engs[self].AfterHandler(Duration(1+r.IntN(60)), ev(self, r.Uint64()))
+				return
+			}
+			dst := (self + 1) % shards
+			x.send(self, dst, now.Add(L+Duration(r.IntN(30))), ev(dst, r.Uint64()))
+		}
+	}
+	for i := range engs {
+		for c := 0; c < chains; c++ {
+			engs[i].AtHandler(Time(i+c), ev(i, uint64(i*chains+c)))
+		}
+	}
+	g := &ShardGroup{Engines: engs, Lookahead: L, Exchange: x, Spin: spin}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Run(MaxTime)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("ShardGroup.Run did not return: a wake-up was lost")
+	}
+	return traces
+}
+
+// TestShardGroupSpinInvariant: spinning changes when goroutines run, never
+// what fires. Each engine's fire trace is identical with spinning off, on,
+// and on with a budget so short that nearly every wait also parks.
+func TestShardGroupSpinInvariant(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		t.Run(string(kind), func(t *testing.T) {
+			want := fmt.Sprint(meshRun(t, kind, 3, 0, nil))
+			for _, spin := range []time.Duration{time.Microsecond, 2 * time.Millisecond} {
+				if got := fmt.Sprint(meshRun(t, kind, 3, spin, nil)); got != want {
+					t.Errorf("spin %v changed the fire traces", spin)
+				}
+			}
+		})
+	}
+}
+
+// TestShardGroupParksAndWakes holds a window past the spin budget on each
+// side in turn: a long window on shard 0 (the calling goroutine) makes the
+// other shard give up spinning and park until the next window is published;
+// a long window on shard 1 makes the caller park until its peer finishes.
+// Both must be woken, and the traces must match an unhurried run.
+func TestShardGroupParksAndWakes(t *testing.T) {
+	const spin = 200 * time.Microsecond
+	want := fmt.Sprint(meshRun(t, SchedWheel, 2, 0, nil))
+	var held [2]int // written by each shard's own goroutine only
+	hold := func(shard int, now Time) {
+		// A few dozen windows of each kind, spaced through the run.
+		if now%400 < 4 && held[shard] < 20 {
+			held[shard]++
+			time.Sleep(4 * spin)
+		}
+	}
+	if got := fmt.Sprint(meshRun(t, SchedWheel, 2, spin, hold)); got != want {
+		t.Error("parked and woken shards changed the fire traces")
+	}
+	if held[0] == 0 || held[1] == 0 {
+		t.Fatalf("held %v windows per shard; the test needs long windows on both sides", held)
+	}
+}
+
+// TestShardGroupMoreShardsThanProcs runs more shards than GOMAXPROCS, spinning
+// and not: spinners yield, so every shard still gets a processor, and the
+// traces are those of a run with spinning off.
+func TestShardGroupMoreShardsThanProcs(t *testing.T) {
+	shards := runtime.GOMAXPROCS(0) + 2
+	want := fmt.Sprint(meshRun(t, SchedWheel, shards, 0, nil))
+	if got := fmt.Sprint(meshRun(t, SchedWheel, shards, 2*time.Millisecond, nil)); got != want {
+		t.Errorf("%d spinning shards on %d processors changed the fire traces", shards, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -138,8 +327,9 @@ func TestAtHandlerFromTieBreak(t *testing.T) {
 				e.AtHandler(100, fnHandler(func() { order = append(order, "late") })) // schedAt 50
 			}))
 			e.RunUntil(60)
-			// Emulates a barrier: the engine is parked at 60 and a cross-shard
-			// delivery generated at 25 on some other engine lands at 100.
+			// Emulates a delivery between windows: the engine is parked at 60
+			// and a cross-shard delivery generated at 25 on some other engine
+			// lands at 100.
 			e.AtHandlerFrom(100, 25, fnHandler(func() { order = append(order, "backdated") }))
 			e.Run()
 			want := "[early backdated late]"

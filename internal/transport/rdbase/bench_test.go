@@ -1,7 +1,9 @@
 package rdbase
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"github.com/aeolus-transport/aeolus/internal/raceflag"
 )
@@ -78,17 +80,18 @@ func TestFlowTableLookupGate(t *testing.T) {
 	if raceflag.Enabled {
 		return // ns ceilings are meaningless under race instrumentation
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		tbl := benchTable()
-		b.ResetTimer()
-		var sink uint64
-		for n := 0; n < b.N; n++ {
-			id := uint64(n)*2654435761%benchTableFlows + 1
-			sink += tbl.Get(id).id
+	// Time flowGateIterations lookups, best of three passes: a fixed op count
+	// costs milliseconds, and the best pass discounts a preemption or a GC
+	// cycle that lands in another.
+	best := time.Duration(math.MaxInt64)
+	for pass := 0; pass < 3; pass++ {
+		start := time.Now()
+		for n := 0; n < flowGateIterations; n++ {
+			lookup()
 		}
-		_ = sink
-	})
-	if ns := res.NsPerOp(); res.N >= flowGateIterations && ns > flowLookupNsCeiling {
+		best = min(best, time.Since(start))
+	}
+	if ns := best.Nanoseconds() / flowGateIterations; ns > flowLookupNsCeiling {
 		t.Errorf("lookup %d ns/op, ceiling %d", ns, flowLookupNsCeiling)
 	}
 	_ = sink
