@@ -53,10 +53,11 @@ audit:
 # workload, and the only digest of the fig15/fig16 microbenchmark runs, which
 # declare no scenarios), the wheel must match the heap oracle op for op on
 # the scheduler differential's seed corpus (firings, NextEventTime, Pending,
-# Now and CheckInvariants after every op) and pass the wheel's own tests, and
-# a port must resolve the ties at its tx end as an always-scheduled tx-done
-# would, on both schedulers, while scheduling tx-done only when a packet
-# waits (the event count per packet is pinned), and the senders must stamp
+# Now and CheckInvariants after every op) and pass the tests of both its
+# tiers, and a port must resolve the ties at its tx end as an
+# always-scheduled tx-done would, on both schedulers, while scheduling
+# tx-done only when a packet waits (the event count per packet is pinned),
+# and the senders must stamp
 # the wire fields the digests ride on (Homa's data bands from its cutoffs and
 # grants, probes on band 0, ExpressPass on each flow's ECMP hash). The
 # heap and pool-off mode exist only as these oracles; a drift in one cell is a
@@ -64,7 +65,7 @@ audit:
 # internal/experiments/golden_test.go and internal/sim/fuzz_test.go.
 golden:
 	$(GO) test -run 'TestGoldenDigests|TestQueueTableDigests' ./internal/experiments
-	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetectsWheelCorruption' ./internal/sim
+	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestNear|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetects(Wheel|Near)Corruption' ./internal/sim
 	$(GO) test -run 'TestPortTxDoneTies|TestIdlePortEventsPerPacket' ./internal/netem
 	$(GO) test -run 'TestWire' ./internal/transport/homa ./internal/transport/expresspass
 
@@ -126,8 +127,9 @@ bench:
 # small-run allocation ceilings (a 7-to-1 30 KB leafspine incast per Aeolus
 # family under a committed byte budget), the per-flow allocation-count
 # ceilings (the objects each flow adds to a 30 KB leafspine incast, from 8 to
-# 16 senders, per Aeolus family), one quick iteration of the hot-path
-# benchmarks, and the race detector over the packet-pool tests.
+# 16 senders, per Aeolus family), the scheduler's tier split (at most 3% of a
+# scale cell's events placed in the far tier), one quick iteration of the
+# hot-path benchmarks, and the race detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
 		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs|TestQueueBufferFollowsBacklog' ./internal/netem
@@ -137,7 +139,7 @@ bench-smoke:
 		-run=TestFlowTableLookupGate ./internal/transport/rdbase
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
 	$(GO) test -run=TestMessageAllocsFlat ./internal/transport/homa
-	$(GO) test -run='TestSmallRunAllocCeiling|TestPerFlowMallocCeiling' ./internal/experiments
+	$(GO) test -run='TestSmallRunAllocCeiling|TestPerFlowMallocCeiling|TestFarTierShare' ./internal/experiments
 	$(GO) test -race -run=TestPool ./internal/netem
 
 # The benchmark is its own module (bench/, run by bench/run.sh), so the root

@@ -113,8 +113,11 @@ func main() {
 	cfg.Parallel = *parallel
 	cfg.Shards = *shards
 	cfg.Impair = timeline
-	if *shards < 1 {
+	switch {
+	case *shards < 1:
 		cliutil.Die(fmt.Errorf("-shards %d: at least one shard is needed", *shards))
+	case *parallel < 1:
+		cliutil.Die(fmt.Errorf("-parallel %d: at least one worker is needed", *parallel))
 	}
 	selected := experiments.Registry
 	if *exp != "all" {

@@ -66,6 +66,8 @@ func TestFlagValidation(t *testing.T) {
 			"fig1: experiments: impairment timelines need one shard"},
 		{"shards-zero", []string{"-exp", "fig8", "-quick", "-budget", "1", "-shards", "0"}, "-shards 0:"},
 		{"shards-negative", []string{"-exp", "fig8", "-quick", "-budget", "1", "-shards", "-2"}, "-shards -2:"},
+		{"parallel-zero", []string{"-exp", "fig8", "-quick", "-budget", "1", "-parallel", "0"}, "-parallel 0:"},
+		{"parallel-negative", []string{"-exp", "fig8", "-quick", "-budget", "1", "-parallel", "-1"}, "-parallel -1:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, code := aeolusbench(t, tc.args...)

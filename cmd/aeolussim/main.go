@@ -111,8 +111,11 @@ func main() {
 		return
 	}
 
-	if *shards < 1 {
+	switch {
+	case *shards < 1:
 		cliutil.Die(fmt.Errorf("-shards %d: at least one shard is needed", *shards))
+	case *parallel < 1:
+		cliutil.Die(fmt.Errorf("-parallel %d: at least one worker is needed", *parallel))
 	}
 	cfg := experiments.Config{Parallel: *parallel, Shards: *shards, Audit: *auditOn, TraceFlow: *trace}
 	var scns []scenario.Scenario

@@ -206,6 +206,8 @@ func TestFlagValidation(t *testing.T) {
 		{"incast-negative", "-topo single -workload WebSearch -flows 5 -incast -2", "-incast -2:"},
 		{"shards-negative", "-topo leafspine -scheme homa -workload WebSearch -flows 20 -shards -1", "-shards -1:"},
 		{"shards-zero", "-topo single -incast 3 -shards 0", "-shards 0:"},
+		{"parallel-zero", "-topo single -incast 3 -runs 2 -parallel 0", "-parallel 0:"},
+		{"parallel-negative", "-topo single -incast 3 -runs 2 -parallel -3", "-parallel -3:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := aeolussim(t, strings.Fields(tc.args)...)

@@ -325,13 +325,23 @@ func (pc *PreCredit) ForceLost(seg int) {
 // scheduled opportunity (Homa's RTO path). ok is false when none remain.
 func (pc *PreCredit) NextLost() (seg int, ok bool) {
 	pc.oppSeen = true
+	return pc.popLost()
+}
+
+// popLost pops the oldest loss-queue segment still unacknowledged (an ACK
+// can race ahead of the loss verdict), or returns false once the queue is
+// empty. A pop that empties the queue drops its array, so a flow that
+// recovered its losses does not hold the array until the run ends.
+func (pc *PreCredit) popLost() (seg int, ok bool) {
 	for len(pc.lost) > 0 {
 		s := int(pc.lost[0])
 		pc.lost = pc.lost[1:]
-		if pc.acked.Get(s) {
-			continue
+		if len(pc.lost) == 0 {
+			pc.lost = nil
 		}
-		return s, true
+		if !pc.acked.Get(s) {
+			return s, true
+		}
 	}
 	return -1, false
 }
@@ -363,12 +373,7 @@ func (pc *PreCredit) Next() (seg int, class RetxClass) {
 	pc.oppSeen = true
 	// Class 1: loss-detected unscheduled packets ("we want to fill the gap
 	// as soon as possible to minimize the re-sequence buffer").
-	for len(pc.lost) > 0 {
-		s := int(pc.lost[0])
-		pc.lost = pc.lost[1:]
-		if pc.acked.Get(s) {
-			continue // ACK raced ahead of the loss verdict
-		}
+	if s, ok := pc.popLost(); ok {
 		return s, ClassLost
 	}
 	// Class 2: unsent payload ("to avoid redundant retransmissions").

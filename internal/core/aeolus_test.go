@@ -215,6 +215,48 @@ func TestPreCreditAckRacesLossVerdict(t *testing.T) {
 	}
 }
 
+// TestPreCreditReleasesDrainedLossQueue checks that the pop emptying the
+// loss queue drops its array, through Next and through NextLost alike, and
+// that a stale entry popped last (its ACK raced the verdict) counts too.
+func TestPreCreditReleasesDrainedLossQueue(t *testing.T) {
+	env, _, _, _ := harness(t, 3*1460, DefaultOptions())
+	f := &transport.Flow{ID: 6, Src: 0, Dst: 1, Size: 3 * 1460}
+	pc := newPreCredit(env, f, DefaultOptions(), 3*1460)
+	pc.Start()
+	env.Eng.Run()
+	if n := pc.OnProbeAck(); n != 3 {
+		t.Fatalf("losses = %d, want 3", n)
+	}
+	if seg, class := pc.Next(); seg != 0 || class != ClassLost {
+		t.Fatalf("Next = (%d, %v), want (0, ClassLost)", seg, class)
+	}
+	if pc.lost == nil {
+		t.Fatal("loss queue released with two segments still queued")
+	}
+	if seg, ok := pc.NextLost(); seg != 1 || !ok {
+		t.Fatalf("NextLost = (%d, %v), want (1, true)", seg, ok)
+	}
+	if seg, class := pc.Next(); seg != 2 || class != ClassLost {
+		t.Fatalf("Next = (%d, %v), want (2, ClassLost)", seg, class)
+	}
+	if pc.lost != nil {
+		t.Fatalf("drained loss queue keeps its array (cap %d)", cap(pc.lost))
+	}
+
+	pc.ForceLost(0)
+	pc.ForceLost(1)
+	pc.OnAck(pc.Seg.Offset(1))
+	if seg, ok := pc.NextLost(); seg != 0 || !ok {
+		t.Fatalf("NextLost = (%d, %v), want (0, true)", seg, ok)
+	}
+	if seg, ok := pc.NextLost(); ok {
+		t.Fatalf("NextLost = (%d, true) on a stale entry, want false", seg)
+	}
+	if pc.lost != nil {
+		t.Fatalf("loss queue drained past a stale entry keeps its array (cap %d)", cap(pc.lost))
+	}
+}
+
 func TestPreCreditNoDoubleRetransmission(t *testing.T) {
 	env, _, _, _ := harness(t, 3*1460, DefaultOptions())
 	f := &transport.Flow{ID: 4, Src: 0, Dst: 1, Size: 3 * 1460}

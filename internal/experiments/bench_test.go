@@ -107,6 +107,33 @@ func TestSmallRunAllocCeiling(t *testing.T) {
 	}
 }
 
+// farShareCeiling is the committed share of a run's fired events that may
+// have been scheduled past the scheduler's near window (sim.SchedStats
+// FarPlaced), where they wait in the far tier and are moved a second time
+// when the window reaches them. The scale cell below places 1.4% there.
+const farShareCeiling = 0.03
+
+// TestFarTierShare gates the two-tier scheduler's split on a fabric run:
+// the scale cell at width 8 and core load 0.8 with 5 flows per host (the
+// benchmark's smoke-test size of its scale workloads). Counts do not depend
+// on timing, so the gate is exact: a delay that starts landing past the
+// window — a slower link, a longer timer — moves it at once.
+func TestFarTierShare(t *testing.T) {
+	sc := ScaleScenario(Config{Seed: 1}, 8, 0.8)
+	sc.Flows = ScaleFabric(8).Hosts() * 5
+	sem, spec := mustFromScenario(sc)
+	res := Run(Config{}.ForScenario(sem), spec)
+	if res.Completed != res.Total {
+		t.Fatalf("completed %d of %d", res.Completed, res.Total)
+	}
+	share := float64(res.Sched.FarPlaced) / float64(res.Events)
+	t.Logf("%d of %d events placed in the far tier (%.2f%%)", res.Sched.FarPlaced, res.Events, 100*share)
+	if share > farShareCeiling {
+		t.Errorf("%.2f%% of the events fired were placed in the far tier, ceiling %.0f%%",
+			100*share, 100*farShareCeiling)
+	}
+}
+
 // perFlowMallocCeilings are the committed allocation-count budgets of each
 // Aeolus family per flow a leafspine incast of 30 KB messages adds. A flow's
 // sender is one packed table slot and its receiver another; what remains per

@@ -483,6 +483,7 @@ func run(cfg Config, spec RunSpec, concurrent int) RunResult {
 		ss := e.SchedStats()
 		res.Sched.Pending += ss.Pending
 		res.Sched.PeakPending += ss.PeakPending
+		res.Sched.FarPlaced += ss.FarPlaced
 	}
 	res.Audit = p.finishAudit(cfg, spec)
 	return res

@@ -48,16 +48,18 @@ type Event struct {
 	// the same order a single sequential engine would have produced.
 	schedAt Time
 
-	// Scheduler residency, all in slab indices. The heap uses index; the
-	// wheel links the event into an intrusive list (a slot or the dispatch
-	// batch) named by in. An event outside any queue
-	// has index -1 and in == listNone.
-	next, prev uint32
-	index      int32
-	in         uint16
+	// Scheduler residency. The heap uses index, the event's heap position;
+	// the two tiers link the slot into a list (a near-tier bucket or a
+	// far-tier slot, through the slab's links) or hold it in the near
+	// tier's dispatch batch, as in says. An event outside any queue has
+	// index -1 and in == listNone.
+	index int32
+	in    uint16
 
 	gen   uint32 // bumped each time the slot is (re)issued
 	flags uint8
+
+	_ [8]byte // keeps the event one 64-byte cache line
 }
 
 func (ev *Event) fired() bool    { return ev.flags&evFired != 0 }
@@ -160,7 +162,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero, no pending events, and
-// the default (timing-wheel) scheduler.
+// the default (two-tier) scheduler.
 func NewEngine() *Engine { return NewEngineWith(DefaultScheduler) }
 
 // NewEngineWith returns an engine backed by the named scheduler. Both kinds
@@ -174,7 +176,7 @@ func NewEngineWith(kind SchedulerKind) *Engine {
 	case SchedHeap:
 		e.q = &heapQueue{sl: &e.slab}
 	case SchedWheel, "":
-		e.q = newWheel(&e.slab)
+		e.q = newTiered(&e.slab)
 	default:
 		panic(fmt.Sprintf("sim: unknown scheduler kind %q", kind))
 	}
@@ -299,12 +301,12 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // CheckInvariants verifies the engine's internal bookkeeping: the scheduler's
-// own structure (heap order and index bookkeeping, or wheel slot membership,
-// occupancy bitmaps and cascade currency), that no pending event is behind
-// the clock, and that the slab's free list holds only resolved, fully
-// unlinked events. It returns nil when everything is
-// coherent; the audit layer calls it at drain time, and it is cheap enough
-// to call in tests after every run.
+// own structure (heap order and index bookkeeping, or the two tiers' bucket
+// and slot membership, occupancy bitmaps, window bounds, batch order and
+// cascade currency), that no pending event is behind the clock, and that
+// the slab's free list holds only resolved, fully unlinked events. It
+// returns nil when everything is coherent; the audit layer calls it at
+// drain time, and it is cheap enough to call in tests after every run.
 func (e *Engine) CheckInvariants() error {
 	if err := e.q.check(e.now); err != nil {
 		return err
@@ -319,7 +321,7 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("sim: free-list entry %d carries heap index %d", i, ev.index)
 		}
 		if ev.in != listNone {
-			return fmt.Errorf("sim: free-list entry %d still claims wheel list %d", i, ev.in)
+			return fmt.Errorf("sim: free-list entry %d still claims scheduler list %d", i, ev.in)
 		}
 		if ev.h != nil {
 			return fmt.Errorf("sim: free-list entry %d retains a callback", i)
@@ -330,7 +332,7 @@ func (e *Engine) CheckInvariants() error {
 		if seen++; seen > e.slab.carved {
 			return fmt.Errorf("sim: free-list cycle after %d entries", seen)
 		}
-		i = ev.next
+		i = e.slab.link(i).next
 	}
 	if seen != uint64(e.slab.freeLen) {
 		return fmt.Errorf("sim: free-list holds %d entries but freeLen says %d", seen, e.slab.freeLen)

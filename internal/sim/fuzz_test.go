@@ -18,7 +18,7 @@ type schedTrace struct {
 
 // runSchedProgram interprets prog on an engine with the given scheduler and
 // fails t as soon as CheckInvariants reports a fault after an op.
-// Opcodes (byte % 12), with operands drawn from following bytes:
+// Opcodes (byte % 14), with operands drawn from following bytes:
 //
 //	0: schedule at now+delta (delta exponential in one byte, reaching wheel
 //	   levels 0 through 8)
@@ -39,6 +39,11 @@ type schedTrace struct {
 //	   waiting in A's dispatch batch
 //	11: schedule at now+2^(54 + arg%9), on wheel level 9 or 10, unless that
 //	   would pass MaxTime
+//	12: schedule at the edge of the near window a pop at now leaves: the
+//	   start of now's bucket plus 2^22, give or take 8 ps (arg%16 - 8)
+//	13: schedule A at now+delta, then B and C up to 4 and 2 ps later; when
+//	   A fires, it cancels B, which shares A's bucket and so its dispatch
+//	   batch unless the three straddle a bucket boundary
 func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 	t.Helper()
 	e := NewEngineWith(kind)
@@ -65,7 +70,7 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 
 	for i := 0; i+1 < len(prog); i += 2 {
 		op, arg := prog[i], prog[i+1]
-		switch op % 12 {
+		switch op % 14 {
 		case 0:
 			label++
 			handles = append(handles, e.At(e.Now().Add(delta(arg)), record(label)))
@@ -118,6 +123,21 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 				label++
 				handles = append(handles, e.At(e.Now()+d, record(label)))
 			}
+		case 12:
+			at := e.Now()&^(1<<bucketBits-1) + nearSpan + Time(arg%16) - 8
+			label++
+			handles = append(handles, e.At(max(at, e.Now()), record(label)))
+		case 13:
+			at := e.Now().Add(delta(arg))
+			label += 3
+			a, b, c := label-2, label-1, label
+			var hb Handle
+			handles = append(handles, e.At(at, func() {
+				record(a)()
+				hb.Cancel()
+			}))
+			hb = e.At(at+Time(arg%5), record(b))
+			handles = append(handles, e.At(at+Time(arg%3), record(c)))
 		}
 		tr.Pendings = append(tr.Pendings, e.Pending())
 		tr.Nows = append(tr.Nows, e.Now())
@@ -141,23 +161,23 @@ var schedSeeds = [][]byte{
 	{0, 12, 0, 24, 0, 36, 0, 51, 2, 13, 2, 37}, // one event per tier
 	{0, 6, 1, 0, 0, 6, 1, 0, 0, 6, 2, 8, 0, 6}, // churny cancel/replace
 
-	// Two events at 1027 and 1030 share level-1 slot 16, window [1024, 1088).
-	// RunUntil(514) stops short of the window start, so the clock must stay
-	// put; a zero-delay event at 514 follows. RunUntil(1026) then stops
-	// inside the window, before its earliest event, leaving the wheel clock
-	// at the window start behind the engine clock; another zero-delay event
-	// at 1026 must fire before the window's two.
+	// Two events at 1027 and 1030 share near-tier bucket 1, [1024, 2048).
+	// RunUntil(514) stops short of the bucket, so the window stays put; a
+	// zero-delay event at 514 follows. RunUntil(1026) then turns the bucket
+	// into the dispatch batch but stops before its earliest key; another
+	// zero-delay event at 1026 joins the batch ahead of the bucket's two.
 	{0, 10, 0, 62, 2, 9, 5, 0, 7, 0, 2, 217, 5, 0, 7, 0},
 
-	// A lone event at 8198 on level 2: RunUntil(4101) must leave it pending,
-	// the next RunUntil pops it without a cascade. Then a plain and a
-	// backdated event share one far instant (level 3) and fire backdated
+	// A lone event at 8198 in bucket 8: RunUntil(4101) must leave it
+	// pending, the next RunUntil pops it directly. Then a plain and a
+	// backdated event share one instant about 1 µs ahead and fire backdated
 	// first.
 	{0, 13, 2, 12, 7, 0, 2, 14, 0, 20, 6, 20, 7, 0, 2, 21},
 
-	// Two level-8 events (2^49 and 2^50+1, slots 2 and 4) behind one level-0
-	// event: once it has fired, RunUntil stops short of both, and the next
-	// RunUntil pops each as the lone resident of its slot.
+	// Two far-tier level-8 events (2^49 and 2^50+1, slots 2 and 4) behind
+	// one near event: once it has fired, RunUntil stops short of both, and
+	// the next RunUntil jumps the window to each in turn, the lone resident
+	// of its slot.
 	{0, 49, 0, 50, 0, 3, 2, 4, 2, 30, 7, 0, 2, 51, 5, 0, 7, 0},
 
 	// A and B share instant 37 with a stamp reserved between them: A's
@@ -168,33 +188,43 @@ var schedSeeds = [][]byte{
 	// past B1, A2 and B2 to the head of the batch, the second past B2 only.
 	{10, 5, 10, 5, 7, 0, 2, 10},
 
-	// B canceled: A pops alone, and its stamped event goes to the level-0
-	// slot rather than a batch. Then, at 1027, a zero-delay event and a
-	// triple one tick later.
+	// B canceled: A pops alone, and its stamped event goes to its bucket
+	// rather than a batch. Then, at 1027, a zero-delay event and a triple
+	// one tick later.
 	{10, 5, 1, 1, 2, 10, 10, 0, 5, 0, 2, 1},
 
-	// Reserved stamps used later: one at a level-1 instant it shares with a
+	// Reserved stamps used later: one at an instant (1027) it shares with a
 	// plain event scheduled after the reservation (the stamped one fires
-	// first), one at a far level-3 instant after time has moved on.
+	// first), one about 1 µs ahead after time has moved on.
 	{8, 0, 8, 0, 0, 10, 9, 10, 2, 11, 9, 20, 7, 0, 2, 21},
 
-	// Events at 2^54 (level 9) and 2^62 (level 10, slot 4) behind one at 11
-	// (level 0). After that one fires, 2^62+11 joins 2^62 in slot 4 and
+	// Far-tier events at 2^54 (level 9) and 2^62 (level 10, slot 4) behind
+	// one at 11. After that one fires, 2^62+11 joins 2^62 in slot 4 and
 	// 2^61+11 takes slot 2. Canceling 2^54 leaves NextEventTime to read
 	// slot 2, canceling 2^61+11 leaves it to scan slot 4, and the drain
 	// cascades slot 4 through the top level's window mask.
 	{0, 3, 11, 0, 11, 8, 2, 3, 11, 8, 11, 7, 1, 1, 7, 0, 1, 3, 7, 0},
 
-	// Two events at 2^55 share a level-9 slot behind one at 11: the drain
-	// cascades them into one level-0 dispatch batch, fired in seq order.
+	// Two events at 2^55 share a far-tier level-9 slot behind one at 11:
+	// the drain cascades them into one level-0 slot, which hands them over
+	// in either order, and their bucket's batch fires them in seq order.
 	{0, 3, 11, 1, 11, 1, 7, 0, 2, 3, 7, 0},
+
+	// The near window's last instant and the one after it, 2^22-1 in the
+	// near tier and 2^22 in the far tier; then, once the clock has moved,
+	// the same pair at the edge of the new window.
+	{12, 7, 12, 8, 7, 0, 2, 22, 0, 9, 2, 3, 12, 7, 12, 8, 7, 0, 2, 23},
+
+	// A at 1027 cancels B at the same instant from inside their batch,
+	// and C at 1028 still fires; then two such triples in one bucket.
+	{13, 10, 2, 11, 13, 12, 13, 12, 7, 0, 2, 13},
 }
 
 // FuzzSchedulerEquivalence replays random schedule/cancel/reset/advance
-// programs on the heap and the wheel and requires identical firing sequences,
-// identical NextEventTime reads, identical Pending()/Now() after every step
-// and clean invariants on both — the differential proof that the wheel is a
-// drop-in replacement for the reference heap.
+// programs on the heap and the two tiers and requires identical firing
+// sequences, identical NextEventTime reads, identical Pending()/Now() after
+// every step and clean invariants on both — the differential proof that the
+// two tiers are a drop-in replacement for the reference heap.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	for _, prog := range schedSeeds {
 		f.Add(prog)

@@ -10,8 +10,10 @@ import "fmt"
 type SchedulerKind string
 
 const (
-	// SchedWheel is the hierarchical timing wheel: O(1) schedule, O(1) true
-	// removal on cancel, amortized O(levels) dispatch. The default.
+	// SchedWheel is the two-tier wheel: a ring of 1 ns buckets covering the
+	// next 4.19 µs in front of a hierarchical timing wheel for everything
+	// later. O(1) schedule, O(1) true removal on cancel, dispatch by sorting
+	// a bucket's few events. The default.
 	SchedWheel SchedulerKind = "wheel"
 
 	// SchedHeap is the container/heap-equivalent reference implementation:
@@ -33,6 +35,11 @@ type SchedStats struct {
 	// PeakOverflow is always zero on both schedulers: the wheel places every
 	// deadline in a slot. It stays because the benchmark module reads it.
 	PeakOverflow int
+	// FarPlaced counts the schedules due past the near tier's window, which
+	// wait in the far tier until the window reaches them; the heap reports
+	// zero. It is counted on the far path only, and pinned as a share of
+	// the events fired (TestFarTierShare).
+	FarPlaced int
 }
 
 // scheduler is the event-queue contract the Engine drives. Exactly the events
@@ -74,104 +81,90 @@ type scheduler interface {
 	check(now Time) error
 }
 
-// Wheel list identifiers, stored in Event.in. The 704 slot lists are named
-// level<<wheelBits | slot; the dispatch batch follows. listNone marks an
-// event resident in no list (free, or in the heap).
+// List identifiers, stored in Event.in. The far tier's 704 slot lists are
+// named level<<wheelBits | slot; a near-tier bucket member carries listNear
+// (its deadline names the bucket), and a member of the near tier's live
+// dispatch batch carries listBatch. listNone marks an event resident in no
+// list (free, or in the heap).
 const (
-	numSlotLists = wheelLevels * wheelSlots // slot list ids: 0..703
-	listDue      = uint16(numSlotLists)
+	numSlotLists = wheelLevels * wheelSlots // far-tier slot list ids: 0..703
+	listNear     = uint16(numSlotLists)
+	listBatch    = listNear + 1
 	listNone     = ^uint16(0)
 )
 
-// slotList is an intrusive doubly-linked list of pending events, used by the
-// timing wheel for its slots and its same-timestamp dispatch batch. Links
-// are slab indices living on the Event itself, so membership changes are a
-// handful of 4-byte stores with no allocation and the list head is a single
-// word. The zero value is NOT an empty list — index 0 is a real slot — so
-// wheels initialize head and tail to nilIdx.
-type slotList struct {
-	head, tail uint32
-}
+// Both tiers keep their events in doubly-linked lists whose links are slab
+// indices in the slab's link chunks, so membership changes are a handful
+// of 4-byte stores with no allocation and a list head is one word.
+// A tier's occupancy bitmap says which of its lists hold events; the head
+// of an empty list is stale and never read, so no head needs initializing.
+// Events are pushed at the front: neither tier depends on the order within
+// a list, because the near tier sorts a bucket before dispatching it.
 
-func (l *slotList) init() { l.head, l.tail = nilIdx, nilIdx }
-
-func (l *slotList) empty() bool { return l.head == nilIdx }
-
-// pushBack appends ev (at slab index idx) and records the owning list id on
-// the event.
-func (l *slotList) pushBack(sl *eventSlab, ev *Event, idx uint32, id uint16) {
+// pushFront links ev (at slab index idx) at the front of the list headed by
+// *head, recording the list id on the event. empty says the list holds no
+// events, so *head is stale.
+func (s *eventSlab) pushFront(head *uint32, empty bool, ev *Event, idx uint32, id uint16) {
 	ev.in = id
-	ev.prev = l.tail
-	ev.next = nilIdx
-	if l.tail != nilIdx {
-		sl.at(l.tail).next = idx
+	l := s.link(idx)
+	l.prev = nilIdx
+	if empty {
+		l.next = nilIdx
 	} else {
-		l.head = idx
+		l.next = *head
+		s.link(*head).prev = idx
 	}
-	l.tail = idx
+	*head = idx
 }
 
-// insertAfter links ev (at slab index idx) right behind the resident at
-// slab index after, or at the head when after is nilIdx, and records the
-// owning list id on the event.
-func (l *slotList) insertAfter(sl *eventSlab, ev *Event, idx, after uint32, id uint16) {
-	ev.in = id
-	ev.prev = after
-	if after == nilIdx {
-		ev.next = l.head
-		l.head = idx
-	} else {
-		a := sl.at(after)
-		ev.next = a.next
-		a.next = idx
+// unlink removes ev (at slab index idx) from the list headed by *head in
+// O(1), clears its links, and reports whether the list is now empty: the
+// caller clears the list's occupancy bit then.
+func (s *eventSlab) unlink(head *uint32, ev *Event, idx uint32) (emptied bool) {
+	l := s.link(idx)
+	switch {
+	case l.prev != nilIdx:
+		s.link(l.prev).next = l.next
+	case l.next == nilIdx:
+		emptied = true
+	default:
+		*head = l.next
 	}
-	if ev.next != nilIdx {
-		sl.at(ev.next).prev = idx
-	} else {
-		l.tail = idx
+	if l.next != nilIdx {
+		s.link(l.next).prev = l.prev
 	}
+	*l = link{nilIdx, nilIdx}
+	ev.in = listNone
+	return emptied
 }
 
-// unlink removes ev from this list in O(1) and clears its links. Callers
-// removing the last resident of a wheel slot must clear the level's
-// occupancy bit themselves (the wheel's remove and cascade paths do).
-func (l *slotList) unlink(sl *eventSlab, ev *Event) {
-	if ev.prev != nilIdx {
-		sl.at(ev.prev).next = ev.next
-	} else {
-		l.head = ev.next
-	}
-	if ev.next != nilIdx {
-		sl.at(ev.next).prev = ev.prev
-	} else {
-		l.tail = ev.prev
-	}
-	ev.next, ev.prev, ev.in = nilIdx, nilIdx, listNone
-}
-
-// checkLinks validates the list's internal link structure — every resident
-// claims the list id, prev links mirror next links, tail reaches the last
-// entry — and returns the number of events it holds.
-func (l *slotList) checkLinks(sl *eventSlab, id uint16, what string) (int, error) {
+// checkList validates the link structure of the nonempty list starting at
+// head — every member is a carved slot, claims the list id, is pending, and
+// has a prev link mirroring the next link that reached it — and calls visit
+// on each member. It returns the number of members.
+func (s *eventSlab) checkList(head uint32, id uint16, what string, visit func(*Event) error) (int, error) {
 	n := 0
 	prev := nilIdx
-	for i := l.head; i != nilIdx; {
-		ev := sl.at(i)
+	for i := head; i != nilIdx; {
+		if uint64(i) >= s.carved || uint64(n) >= s.carved {
+			return n, fmt.Errorf("sim: %s entry %d links to slot %d, past the slab or round a cycle", what, n, i)
+		}
+		ev, l := s.at(i), s.link(i)
 		if ev.in != id {
 			return n, fmt.Errorf("sim: %s entry %d claims a different owning list (%d)", what, n, ev.in)
 		}
-		if ev.prev != prev {
+		if l.prev != prev {
 			return n, fmt.Errorf("sim: %s entry %d has a broken prev link", what, n)
 		}
+		if ev.resolved() {
+			return n, fmt.Errorf("sim: resolved event resident in %s", what)
+		}
+		if err := visit(ev); err != nil {
+			return n, err
+		}
 		prev = i
-		i = ev.next
+		i = l.next
 		n++
-	}
-	if l.tail != prev {
-		return n, fmt.Errorf("sim: %s tail does not reach the last entry", what)
-	}
-	if (l.head == nilIdx) != (l.tail == nilIdx) {
-		return n, fmt.Errorf("sim: %s head/tail nil mismatch", what)
 	}
 	return n, nil
 }

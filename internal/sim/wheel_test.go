@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -9,13 +10,13 @@ import (
 // bit 48 differs from the clock at zero.
 const level8 = Time(1) << (8 * wheelBits)
 
-// TestWheelFarFuture schedules deadlines on the wheel's top three levels, up
-// to MaxTime, between near events, and checks each lands in the slot the
-// placement rule selects, the invariants hold after every schedule, and all
-// fire in order as the clock cascades down to them.
+// TestWheelFarFuture schedules deadlines on the far tier's top three levels,
+// up to MaxTime, between nearer events, and checks each lands in the slot
+// the placement rule selects, the invariants hold after every schedule, and
+// all fire in order as the clock cascades down to them.
 func TestWheelFarFuture(t *testing.T) {
 	e := NewEngine()
-	w := e.q.(*wheel)
+	w := &e.q.(*tiered).far
 	var order []int
 	for i, at := range []Time{
 		5,
@@ -110,30 +111,35 @@ func TestWheelZeroDelay(t *testing.T) {
 	}
 }
 
-// TestTimerResetAcrossCascadeBoundary arms a rearmable Timer, lets the clock
-// approach a high-level slot boundary, and Resets the deadline across it —
-// the cancel-and-reinsert must survive the cascade that rebases the wheel.
+// TestTimerResetAcrossCascadeBoundary arms a rearmable Timer past the near
+// window, lets the clock approach a far-tier slot boundary, and Resets the
+// deadline across it — the cancel-and-reinsert must survive the cascades
+// and the migration that rebase the far tier.
 func TestTimerResetAcrossCascadeBoundary(t *testing.T) {
 	e := NewEngine()
 	var tm Timer
 	fired := 0
 	tm.Init(e, func() { fired++ })
 
-	// Park the deadline just past a level-2 boundary (64^2 = 4096 ticks),
-	// then walk the clock toward the boundary with plain events, rearming the
-	// timer each step so its event keeps crossing the cascade.
-	boundary := Time(1) << (2 * wheelBits)
-	tm.ResetAt(boundary + 100)
+	// Park the deadline a window's span past a level-4 boundary (64^4
+	// ticks), then walk the clock toward the boundary with plain events,
+	// rearming the timer each step so its event keeps crossing the cascade.
+	boundary := Time(1) << (4 * wheelBits)
+	deadline := boundary + nearSpan + 100
+	tm.ResetAt(deadline)
 	for step := Time(1); step < 10; step++ {
 		at := boundary - 10 + step
-		e.At(at, func() { tm.ResetAt(boundary + 100) })
+		e.At(at, func() { tm.ResetAt(deadline) })
 	}
 	e.RunUntil(boundary + 50)
 	if fired != 0 {
 		t.Fatalf("timer fired %d times before its deadline", fired)
 	}
-	if !tm.Pending() || tm.When() != boundary+100 {
-		t.Fatalf("timer pending=%v when=%v, want armed at %v", tm.Pending(), tm.When(), boundary+100)
+	if !tm.Pending() || tm.When() != deadline {
+		t.Fatalf("timer pending=%v when=%v, want armed at %v", tm.Pending(), tm.When(), deadline)
+	}
+	if in := tm.h.deref().in; in>>wheelBits != 4 {
+		t.Fatalf("timer event in list %d, want a far-tier level-4 slot", in)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("mid-run: %v", err)
@@ -142,8 +148,8 @@ func TestTimerResetAcrossCascadeBoundary(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("timer fired %d times, want exactly 1", fired)
 	}
-	if e.Now() != boundary+100 {
-		t.Fatalf("run ended at %v, want %v", e.Now(), boundary+100)
+	if e.Now() != deadline {
+		t.Fatalf("run ended at %v, want %v", e.Now(), deadline)
 	}
 }
 
@@ -180,74 +186,79 @@ func TestWheelInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsDetectsWheelCorruption pokes the wheel's structure
+// TestCheckInvariantsDetectsWheelCorruption pokes the far tier's structure
 // directly and checks each corruption is caught: occupancy-bit drift, slot
-// mismembership, count drift, and an overdue cascade.
+// mismembership, count drift, a clock past the near window, and a resident
+// left in the clock's own slot above level 0.
 func TestCheckInvariantsDetectsWheelCorruption(t *testing.T) {
+	// far3 is past the near window of a fresh engine, on far-tier level 3,
+	// slot 16: it differs from the clock at zero first in bit 22.
+	const far3 = nearSpan + 100
 	newPopulated := func() (*Engine, *wheel) {
 		e := NewEngine()
 		e.At(100, func() {})
-		e.At(5000, func() {})
+		e.At(far3, func() {})
 		e.At(level8+3, func() {})
-		return e, e.q.(*wheel)
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("populated: %v", err)
+		}
+		return e, &e.q.(*tiered).far
 	}
-
-	e, w := newPopulated()
-	w.occupied[0] |= 1 << 7 // bit set for an empty slot
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("occupancy-bit drift not detected")
-	}
-
-	e, w = newPopulated()
-	w.count++
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("count drift not detected")
-	}
-
-	e, w = newPopulated()
-	// Relocate an event into a slot its deadline does not select.
-	from := uint16(1<<wheelBits | 1)
-	idx := w.slots[from].head
-	if idx == nilIdx {
-		t.Fatal("test premise broken: expected a level-1 resident at slot 1")
-	}
-	ev := w.sl.at(idx)
-	w.slots[from].unlink(w.sl, ev)
-	w.occupied[1] &^= 1 << 1
-	to := uint16(1<<wheelBits | 9)
-	w.slots[to].pushBack(w.sl, ev, idx, to)
-	w.occupied[1] |= 1 << 9
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("slot mismembership not detected")
-	}
-
-	e, w = newPopulated()
-	// A wheel clock ahead of the engine clock means popDue overshot.
-	w.cur = 50
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("wheel clock ahead of engine clock not detected")
-	}
-
-	e, w = newPopulated()
-	// With both clocks at 64 the level-1 event at 100 sits in the clock's
-	// own level-1 slot: it belongs on level 0, and a same-instant schedule
-	// would land there, apart from it.
-	e.now, w.cur = 64, 64
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("resident in the clock's own level-1 slot not detected")
+	for _, c := range []struct {
+		name    string
+		corrupt func(*Engine, *wheel)
+		want    string
+	}{
+		{"occupancy-bit drift", func(_ *Engine, w *wheel) { w.occupied[0] |= 1 << 7 }, "claims a different owning list"},
+		{"count drift", func(_ *Engine, w *wheel) { w.count++ }, "count says"},
+		{"slot mismembership", func(_ *Engine, w *wheel) {
+			// Relocate the level-3 event into a slot its deadline does not
+			// select.
+			from := uint16(3<<wheelBits | 16)
+			idx := w.slots[from]
+			if w.occupied[3] != 1<<16 {
+				t.Fatal("test premise broken: expected a lone level-3 resident at slot 16")
+			}
+			ev := w.sl.at(idx)
+			w.sl.unlink(&w.slots[from], ev, idx)
+			w.occupied[3] = 0
+			to := uint16(3<<wheelBits | 9)
+			w.sl.pushFront(&w.slots[to], true, ev, idx, to)
+			w.occupied[3] = 1 << 9
+		}, "deadline selects slot 16"},
+		// Migration may carry the far clock to the window's last instant,
+		// never past it (or past the engine clock).
+		{"clock past the window", func(_ *Engine, w *wheel) { w.cur = nearSpan }, "far-tier clock"},
+		// With both clocks at 2^22 (the near window left where it was, and
+		// its event at 100 dropped) the level-3 event at 2^22+100 sits in
+		// the clock's own level-3 slot: it belongs on level 1, where a
+		// same-instant schedule would land, apart from it.
+		{"resident in the clock's own slot", func(e *Engine, w *wheel) {
+			e.now, w.cur = nearSpan, nearSpan
+			q := e.q.(*tiered)
+			q.clear(bucket(100))
+			q.count--
+		}, "clock 4.194us selects another"},
+	} {
+		e, w := newPopulated()
+		c.corrupt(e, w)
+		if err := e.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 
 // TestWheelClockRestsInsideWindow stops a RunUntil inside a multi-event
-// slot's window, short of its earliest event. The engine clock must read the
-// deadline, the wheel clock rests at the window start behind it, and an
-// event scheduled at the deadline fires before the window's events.
+// far-tier slot's window, short of its earliest event, with the near tier
+// empty. The engine clock must read the deadline, the far clock rests at
+// the window start behind it, and an event scheduled at the deadline fires
+// before the window's events.
 func TestWheelClockRestsInsideWindow(t *testing.T) {
 	e := NewEngine()
-	w := e.q.(*wheel)
+	w := &e.q.(*tiered).far
 	var order []Time
 	rec := func() { order = append(order, e.Now()) }
-	const start = Time(5 << wheelBits) // level-1 slot 5: [320, 384)
+	const start = Time(5 << (4 * wheelBits)) // level-4 slot 5: [5·2^24, 6·2^24)
 	e.At(start+10, rec)
 	e.At(start+20, rec)
 	deadline := start + 3
@@ -258,7 +269,7 @@ func TestWheelClockRestsInsideWindow(t *testing.T) {
 		t.Fatalf("fired %v before the window's first event", order)
 	}
 	if w.cur != start {
-		t.Fatalf("wheel clock %v, want the window start %v", w.cur, start)
+		t.Fatalf("far-tier clock %v, want the window start %v", w.cur, start)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("resting inside the window: %v", err)
@@ -274,28 +285,30 @@ func TestWheelClockRestsInsideWindow(t *testing.T) {
 	}
 }
 
-// TestWheelSameInstantAcrossLevels parks an event far ahead on level 3, lets
-// the clock come within 10 ticks of it, and then schedules two more events at
-// that instant, one backdated. Placement is relative to the wheel clock, not
-// the engine clock, so all three share the parked event's slot — which is
-// what lets popDue pop a lone higher-level resident as the only event at its
-// instant. They fire in (schedAt, seq) order, as the heap fires them.
+// TestWheelSameInstantAcrossLevels parks an event far ahead on far-tier
+// level 4, lets the clock come within a window's span of it, and then
+// schedules two more events at that instant, one backdated. Far-tier
+// placement is relative to the far clock, not the engine clock, so all
+// three share the parked event's slot, and the migration that carries one
+// into the near tier carries all three. They fire in (schedAt, seq) order,
+// as the heap fires them.
 func TestWheelSameInstantAcrossLevels(t *testing.T) {
-	const at = Time(3<<(3*wheelBits) + 5) // level 3 from the origin
+	const at = Time(3<<(4*wheelBits) + 5) // level 4 from the origin
+	const step = at - 10 - nearSpan       // the window's last instant stays short of at
 	for _, kind := range []SchedulerKind{SchedHeap, SchedWheel} {
 		e := NewEngineWith(kind)
 		var order []string
 		rec := func(name string) func() { return func() { order = append(order, name) } }
 		e.RunUntil(100)
 		far := e.At(at, rec("far")) // schedAt 100
-		e.At(at-10, rec("step"))
-		e.RunUntil(at - 10)
-		late := e.At(at, rec("late"))                                  // schedAt at-10
+		e.At(step, rec("step"))
+		e.RunUntil(step)
+		late := e.At(at, rec("late"))                                  // schedAt step
 		back := e.AtHandlerFrom(at, 50, funcHandler(rec("backdated"))) // schedAt 50
 		if kind == SchedWheel {
 			in := far.deref().in
-			if in>>wheelBits != 3 || late.deref().in != in || back.deref().in != in {
-				t.Fatalf("lists: far %d, late %d, backdated %d; want one level-3 slot",
+			if in>>wheelBits != 4 || late.deref().in != in || back.deref().in != in {
+				t.Fatalf("lists: far %d, late %d, backdated %d; want one far-tier level-4 slot",
 					in, late.deref().in, back.deref().in)
 			}
 		}
@@ -336,14 +349,15 @@ func TestWheelPendingAcrossLevels(t *testing.T) {
 }
 
 // TestWheelOverflowMassCancel is the capacity gate for one crowded slot:
-// with over a million events parked in a single level-8 slot, canceling
-// large swaths of them — repeatedly including the slot's earliest event —
-// must keep the earliest-deadline query truthful, keep the occupancy counter
-// exact, and leave the survivors firing in timestamp order.
+// with over a million events parked in a single far-tier level-8 slot,
+// canceling large swaths of them — repeatedly including the slot's earliest
+// event — must keep the earliest-deadline query truthful, keep the
+// occupancy counter exact, and leave the survivors firing in timestamp
+// order once the window reaches them.
 func TestWheelOverflowMassCancel(t *testing.T) {
 	const n = 1 << 20 // ~1.05M pending events
 	e := NewEngine()
-	w := e.q.(*wheel)
+	w := &e.q.(*tiered).far
 
 	// Park n events in level-8 slot 1 with a deterministic shuffled order of
 	// deadlines so the slot list is thoroughly unsorted. With the lower
@@ -360,7 +374,7 @@ func TestWheelOverflowMassCancel(t *testing.T) {
 	if w.occupied[8] != 1<<1 {
 		t.Fatalf("level-8 occupancy %#x, want slot 1 only", w.occupied[8])
 	}
-	if st := e.SchedStats(); st != (SchedStats{Pending: n, PeakPending: n}) {
+	if st := e.SchedStats(); st != (SchedStats{Pending: n, PeakPending: n, FarPlaced: n}) {
 		t.Fatalf("stats = %+v, want %d pending at the peak", st, n)
 	}
 
