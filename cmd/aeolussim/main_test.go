@@ -192,6 +192,8 @@ func TestFlagValidation(t *testing.T) {
 		{"load-zero", "-topo single -workload WebSearch -load 0", "core load 0"},
 		{"flows-negative", "-topo single -workload WebSearch -flows -5", "flows=-5"},
 		{"buffer-negative", "-topo single -incast 3 -buffer -5", "buffer -5"},
+		{"buffer-sub-frame", "-topo single -incast 3 -buffer 100", "buffer 100 B cannot hold one full 1538 B frame"},
+		{"buffer-sub-jumbo", "-topo single -incast 3 -scheme ndp+aeolus -buffer 5000", "buffer 5000 B cannot hold one full 9000 B frame"},
 		{"deadline-negative", "-topo single -incast 3 -deadline -1", "deadline -1ms"},
 		{"one-host-incast", "-topo clos:1,hosts=1 -incast 1", "has 1 host"},
 		{"clos-repeated", "-topo clos:1,hosts=4,hosts=8 -incast 3", `repeated parameter "hosts"`},

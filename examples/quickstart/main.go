@@ -29,12 +29,12 @@ func main() {
 	opts := expresspass.DefaultOptions()
 	opts.Aeolus = core.DefaultOptions()
 
-	// 2. Build the fabric. The qdisc factory installs the Aeolus switch
-	//    queues (shaped credit queue + selective dropping) on every port.
+	// 2. Build the fabric. The queue factory installs the Aeolus switch
+	//    queues (shaped credit band + selective dropping) on every port.
 	eng := sim.NewEngine()
 	spec := netem.TopoSpec{HostsPerEdge: 3, Tiers: []netem.TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: 3 * sim.Microsecond}
-	net := netem.BuildClos(eng, spec, expresspass.QdiscFactory(opts, netem.DefaultBuffer), 0)
+	net := netem.BuildClos(eng, spec, expresspass.QueueFactory(opts, netem.DefaultBuffer), 0)
 	fmt.Printf("fabric: 3 hosts @10Gbps, base RTT %v, BDP %d bytes\n\n",
 		net.BaseRTT, net.BDPBytes())
 

@@ -9,8 +9,8 @@
 //     delivered, dropped (attributed to a netem.DropReason), trimmed, or
 //     still sitting in a queue (residual). When the engine has no pending
 //     events, residual must be zero and every port backlog empty.
-//  2. Queue coherence: each qdisc's cached byte counters match its actual
-//     contents (netem.AuditQdisc), and the event engine's bookkeeping is
+//  2. Queue coherence: each port queue's cached byte counters match its
+//     contents (netem.Queue.Audit), and the event engine's bookkeeping is
 //     internally consistent (sim.Engine.CheckInvariants).
 //  3. Delivery bounds: a flow's unique delivered payload never exceeds its
 //     size; duplicates are legal only as explicit retransmissions.
@@ -583,7 +583,7 @@ func (a *Auditor) Finish() *Report {
 	drained := a.eng.Pending() == 0
 	var backlog int64
 	for _, pt := range a.ports {
-		if err := netem.AuditQdisc(pt.Q); err != nil {
+		if err := pt.Q.Audit(); err != nil {
 			a.report.add(Violation{Check: "qdisc-backlog", Where: pt.Label, Detail: err.Error()})
 		}
 		backlog += pt.Q.Backlog().Bytes

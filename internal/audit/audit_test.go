@@ -50,7 +50,7 @@ func TestAuditorCleanDelivery(t *testing.T) {
 func TestAuditorAccountsDrops(t *testing.T) {
 	net := netem.BuildClos(sim.NewEngine(), netem.TopoSpec{HostsPerEdge: 3, Tiers: []netem.TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
-		func(kind netem.PortKind, _ sim.Rate) netem.Qdisc {
+		func(kind netem.PortKind, _ sim.Rate) *netem.Queue {
 			if kind == netem.HostNIC {
 				return netem.NewQueue(1, 0, 0)
 			}

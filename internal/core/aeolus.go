@@ -6,7 +6,7 @@
 // The selective-dropping switch queue itself (§3.2/§4.1) is a threshold on
 // internal/netem's Queue, since it is a property of the fabric; so is the
 // scheduled-first queue that models the paper's "hypothetical" idealized
-// baselines. Each transport's qdisc factory installs them.
+// baselines. Each transport's queue factory installs them.
 //
 // Aeolus is deliberately a layer, not a transport: ExpressPass, Homa and NDP
 // each embed a PreCredit per flow as the flow's sender and spend their own

@@ -366,7 +366,7 @@ func TestOraclePrioSchedFirstNeverDrops(t *testing.T) {
 	if q.Backlog().Packets != 1000 {
 		t.Fatalf("backlog = %d", q.Backlog().Packets)
 	}
-	if q.NextWake(0) != sim.MaxTime {
+	if q.NextWake() != sim.MaxTime {
 		t.Fatal("NextWake should be MaxTime")
 	}
 }
@@ -502,7 +502,7 @@ func TestPreCreditAuditDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestOraclePrioAuditBacklog checks AuditQdisc covers the oracle queue: a
+// TestOraclePrioAuditBacklog checks Queue.Audit covers the oracle queue: a
 // mixed scheduled/unscheduled backlog audits clean, and a queued packet whose
 // size changes behind the queue's back shows up as byte drift. The packet
 // count is derived from the bands, so it cannot drift on its own.
@@ -513,18 +513,18 @@ func TestOraclePrioAuditBacklog(t *testing.T) {
 	q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538, Scheduled: true}, 0)
 	q.Enqueue(&netem.Packet{Type: netem.Data, WireSize: 1538, Scheduled: true}, 0)
 	q.Dequeue(0)
-	if err := netem.AuditQdisc(q); err != nil {
+	if err := q.Audit(); err != nil {
 		t.Fatalf("clean oracle queue failed audit: %v", err)
 	}
 	if b := q.Backlog(); b.Packets != 2 || b.Bytes != 2*1538 {
 		t.Fatalf("backlog = %+v, want 2 packets / %d bytes", b, 2*1538)
 	}
 	u.WireSize += 9
-	if err := netem.AuditQdisc(q); err == nil {
+	if err := q.Audit(); err == nil {
 		t.Fatal("oracle byte drift not detected")
 	}
 	u.WireSize -= 9
-	if err := netem.AuditQdisc(q); err != nil {
+	if err := q.Audit(); err != nil {
 		t.Fatalf("restored oracle queue failed audit: %v", err)
 	}
 }

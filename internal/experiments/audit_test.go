@@ -155,7 +155,7 @@ func TestMicrobenchmarkRuntimeKnobs(t *testing.T) {
 }
 
 // TestAuditCatchesInjectedLoss proves the auditor is live end-to-end: a
-// fault-injection qdisc silently discarding packets (no trace event, no
+// fault-injection node silently discarding packets (no trace event, no
 // drop counter) must surface as a conservation violation.
 func TestAuditCatchesInjectedLoss(t *testing.T) {
 	cfg := testConfig()
@@ -171,8 +171,7 @@ func TestAuditCatchesInjectedLoss(t *testing.T) {
 	net := topo.Build(scheme.Factory(netem.DefaultBuffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
 	// Sabotage one switch port behind the auditor's back: every packet on
 	// the receiver downlink vanishes without a trace event or counter.
-	pt := net.Switches[0].Ports[0]
-	pt.Q = dropAllQdisc{pt.Q}
+	net.Switches[0].Ports[0].Dst = dropAll{}
 	a := audit.Attach(net)
 	a.RegisterFlow(1, 3000)
 	p := &netem.Packet{Type: netem.Data, Flow: 1, Src: 1, Dst: 0,
@@ -183,14 +182,16 @@ func TestAuditCatchesInjectedLoss(t *testing.T) {
 	if rep.Ok() {
 		t.Fatal("silent packet loss produced a clean audit")
 	}
+	if err := rep.Err(); !strings.Contains(err.Error(), "residual: engine idle but 1460 payload bytes unaccounted") {
+		t.Fatalf("silent loss reported as %v, want the lost 1460 payload bytes as residual", err)
+	}
 }
 
-// dropAllQdisc silently swallows every enqueue — the kind of accounting bug
-// the audit layer exists to catch.
-type dropAllQdisc struct{ netem.Qdisc }
+// dropAll silently swallows every packet delivered to it — the kind of
+// accounting bug the audit layer exists to catch.
+type dropAll struct{}
 
-func (d dropAllQdisc) Enqueue(*netem.Packet, sim.Time) netem.DropReason { return netem.Queued }
-func (d dropAllQdisc) Dequeue(sim.Time) *netem.Packet                   { return nil }
+func (dropAll) Receive(*netem.Packet) {}
 
 // TestWindowGoodputIncastFallback is the regression for the steady-state
 // goodput metric degenerating to zero on pure incast runs: simultaneous

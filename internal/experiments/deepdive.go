@@ -77,14 +77,12 @@ func fig15(cfg Config) []Table {
 			func(env *transport.Env, bn *netem.Port) {
 				// Sample while the per-RTT bursts keep arriving.
 				stop := sim.Time(10 * sim.Microsecond).Add(sim.Duration(rounds) * env.Net.BaseRTT)
-				// The maxQueue column is this queue's high-water mark: a
-				// bottleneck of any other shape panics here rather than
-				// leave the column silently unobserved.
-				data := bn.Q.(*netem.XPassQdisc).Data().(*netem.Queue)
+				// The maxQueue column is the data bands' high-water mark,
+				// which never counts the credits in the front band.
 				var tick func()
 				tick = func() {
 					sampler.Observe(bn.Backlog().Bytes)
-					sampler.ObserveMax(data.MaxBacklogBytes())
+					sampler.ObserveMax(bn.Q.MaxBacklogBytes())
 					if env.Eng.Now() < stop {
 						env.Eng.After(200*sim.Nanosecond, tick)
 					}

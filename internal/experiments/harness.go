@@ -270,6 +270,9 @@ func resolve(cfg Config, spec RunSpec) (*runPlan, error) {
 	case spec.Incast != nil && (spec.Incast.Receiver < 0 || spec.Incast.Receiver >= hosts):
 		err = fmt.Errorf("experiments: incast receiver %d is not a host of topology %s (hosts 0..%d)",
 			spec.Incast.Receiver, spec.Topo, hosts-1)
+	case spec.Buffer > 0 && spec.Buffer < int64(netem.WireSizeFor(scheme.MSS)):
+		err = fmt.Errorf("experiments: buffer %d B cannot hold one full %d B frame of scheme %s",
+			spec.Buffer, netem.WireSizeFor(scheme.MSS), spec.Scheme.ID)
 	case spec.Workload != nil && !(spec.CoreLoad > 0):
 		err = fmt.Errorf("experiments: core load %v must be positive to drive a Poisson workload", spec.CoreLoad)
 	case n > 1 && (spec.Impair != nil || cfg.Impair != nil):

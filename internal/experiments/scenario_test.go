@@ -181,8 +181,9 @@ func TestForScenarioKeepsRuntimeKnobs(t *testing.T) {
 // panic or misbehave inside the run: a one-host fabric leaves no sender for
 // an incast (divide by zero) or a Poisson pair (IntN(0)), a receiver outside
 // the fabric has no route, and a zero load makes every Poisson arrival start
-// at once. CheckScenario, and so every CLI, must reject each with an error
-// naming the bad value.
+// at once, and a per-port buffer smaller than one full frame of the scheme
+// tail-drops every data packet. CheckScenario, and so every CLI, must reject
+// each with an error naming the bad value.
 func TestCheckRunRejectsUnservableTraffic(t *testing.T) {
 	incast := &scenario.IncastSpec{Fanin: 3, MsgSize: 64_000}
 	webSearch := &scenario.WorkloadSpec{Name: "WebSearch"}
@@ -198,6 +199,8 @@ func TestCheckRunRejectsUnservableTraffic(t *testing.T) {
 			Incast: &scenario.IncastSpec{Fanin: 3, Receiver: 100, MsgSize: 64_000}}, "receiver 100"},
 		{"zero load", scenario.Scenario{Topo: TopoSingleSwitch, Scheme: "xpass",
 			Workload: webSearch, Flows: 100}, "core load 0"},
+		{"sub-frame buffer", scenario.Scenario{Topo: TopoSingleSwitch, Scheme: "ndp+aeolus",
+			Incast: incast, Buffer: 5000}, "buffer 5000 B cannot hold one full 9000 B frame"},
 	} {
 		sc := c.sc
 		if err := CheckScenario(Config{}, &sc); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -209,6 +212,7 @@ func TestCheckRunRejectsUnservableTraffic(t *testing.T) {
 		{Topo: "clos:1,hosts=2", Scheme: "xpass", Incast: incast},
 		{Topo: TopoSingleSwitch, Scheme: "xpass", Incast: &scenario.IncastSpec{Fanin: 3, Receiver: 7, MsgSize: 64_000}},
 		{Topo: TopoSingleSwitch, Scheme: "xpass", Workload: webSearch, CoreLoad: 0.4, Flows: 100},
+		{Topo: TopoSingleSwitch, Scheme: "ndp+aeolus", Incast: incast, Buffer: 9000},
 	} {
 		if err := CheckScenario(Config{}, &sc); err != nil {
 			t.Errorf("CheckScenario(%s on %s): %v", sc.Scheme, sc.Topo, err)

@@ -43,9 +43,9 @@ func (d TopoDef) EdgeLoad(coreLoad float64) float64 { return coreLoad / d.loadFa
 // Hosts returns the topology's host count.
 func (d TopoDef) Hosts() int { return d.Spec.Hosts() }
 
-// Build constructs the fabric with the scheme's qdisc factory and full-frame
+// Build constructs the fabric with the scheme's queue factory and full-frame
 // size on an engine backed by the named scheduler.
-func (d TopoDef) Build(qf netem.QdiscFactory, frameBytes int, sched sim.SchedulerKind) *netem.Network {
+func (d TopoDef) Build(qf netem.QueueFactory, frameBytes int, sched sim.SchedulerKind) *netem.Network {
 	return netem.BuildClos(sim.NewEngineWith(sched), d.Spec, qf, frameBytes)
 }
 

@@ -10,11 +10,11 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-// The qdisc benchmarks call through the Qdisc interface, as Port does.
+// The queue benchmarks call *Queue directly, as Port does.
 
 // BenchmarkSelectiveDrop measures the Aeolus switch queue's hot path.
 func BenchmarkSelectiveDrop(b *testing.B) {
-	var q Qdisc = NewQueue(1, 6<<10, DefaultBuffer)
+	q := NewQueue(1, 6<<10, DefaultBuffer)
 	p := dataPkt(1, 1538, false)
 	s := dataPkt(2, 1538, true)
 	b.ReportAllocs()
@@ -28,7 +28,7 @@ func BenchmarkSelectiveDrop(b *testing.B) {
 
 // BenchmarkPrioQdisc measures the 8-band strict-priority queue.
 func BenchmarkPrioQdisc(b *testing.B) {
-	var q Qdisc = NewQueue(8, 0, DefaultBuffer)
+	q := NewQueue(8, 0, DefaultBuffer)
 	pkts := make([]*Packet, 8)
 	for i := range pkts {
 		pkts[i] = dataPkt(uint64(i), 1538, false)
@@ -41,9 +41,9 @@ func BenchmarkPrioQdisc(b *testing.B) {
 	}
 }
 
-// BenchmarkXPassQdisc measures the shaped credit queue plus data path.
+// BenchmarkXPassQdisc measures the shaped credit band plus data path.
 func BenchmarkXPassQdisc(b *testing.B) {
-	var q Qdisc = NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(100 * sim.Gbps)})
+	q := NewQueue(1, 0, DefaultBuffer).WithCredits(100 * sim.Gbps)
 	credit := &Packet{Type: Credit, WireSize: CreditSize}
 	data := dataPkt(1, 1538, true)
 	b.ReportAllocs()
@@ -233,7 +233,7 @@ func TestPacketSlabChurnGate(t *testing.T) {
 // TestQueueBufferFollowsBacklog gates the ring FIFO: a queue's buffer is
 // sized by its peak backlog, not its busy period. 100k packets stream
 // through a FIFO whose backlog never exceeds 4, and through the ExpressPass
-// credit queue held at its 15-credit cap (the CreditLimit default). Each
+// credit band held at its 15-credit cap (creditLimit). Each
 // ring must end at the next power of two of its backlog (8 and 16 slots),
 // allocating once per size it reaches — 8, then 16 for the credits — and
 // never while the stream passes.
@@ -241,16 +241,16 @@ func TestQueueBufferFollowsBacklog(t *testing.T) {
 	const packets = 100_000
 	cases := []struct {
 		name    string
-		q       Qdisc
-		ring    func(Qdisc) *fifo
+		q       *Queue
+		ring    func(*Queue) *fifo
 		typ     PacketType
 		backlog int
 		slots   int
 		allocs  uint64
 	}{
-		{"fifo", NewQueue(1, 0, 0), func(q Qdisc) *fifo { return &q.(*Queue).bands[0] }, Data, 4, 8, 1},
-		{"xpass credits", NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(100 * sim.Gbps)}),
-			func(q Qdisc) *fifo { return &q.(*XPassQdisc).credits }, Credit, 15, 16, 2},
+		{"fifo", NewQueue(1, 0, 0), func(q *Queue) *fifo { return &q.bands[0] }, Data, 4, 8, 1},
+		{"xpass credits", NewQueue(1, 0, DefaultBuffer).WithCredits(100 * sim.Gbps),
+			func(q *Queue) *fifo { return &q.front.fifo }, Credit, creditLimit, 16, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 // values. clos_test.go pins the structure digest (labels, node IDs, port
 // orders, routing tables and BaseRTT) of every catalogue shape.
 
-// PortKind tells a QdiscFactory where a port sits, so transports can install
-// different disciplines at host NICs and at switch ports.
+// PortKind tells a QueueFactory where a port sits, so transports can install
+// different queues at host NICs and at switch ports.
 type PortKind int
 
 // Port kinds.
@@ -28,9 +28,9 @@ const (
 	SwitchToSwitch                 // fabric link
 )
 
-// QdiscFactory builds the queueing discipline for a port of the given kind
-// and rate. Transports provide one when building a topology.
-type QdiscFactory func(kind PortKind, rate sim.Rate) Qdisc
+// QueueFactory builds the queue for a port of the given kind and rate.
+// Transports provide one when building a topology.
+type QueueFactory func(kind PortKind, rate sim.Rate) *Queue
 
 // TierSpec sizes one switch tier of a Clos fabric and describes its wiring to
 // the tier above. Uplinks and Groups apply to the boundary between this tier
@@ -266,13 +266,13 @@ func (s TopoSpec) idSpacing() int {
 // (NDP's 9 KB MSS) pass their own full frame, or the derived BaseRTT/BDP
 // undercounts serialization. A spec that fails Validate panics: topology
 // construction errors are program bugs, never run results.
-func BuildClos(eng *sim.Engine, spec TopoSpec, qf QdiscFactory, frameBytes int) *Network {
+func BuildClos(eng *sim.Engine, spec TopoSpec, qf QueueFactory, frameBytes int) *Network {
 	sp := spec.normalized()
 	if err := sp.Validate(); err != nil {
 		panic("netem: " + err.Error())
 	}
 	if qf == nil {
-		qf = func(PortKind, sim.Rate) Qdisc { return NewQueue(1, 0, DefaultBuffer) }
+		qf = func(PortKind, sim.Rate) *Queue { return NewQueue(1, 0, DefaultBuffer) }
 	}
 	core := sp.coreRate()
 	T := len(sp.Tiers)
@@ -535,7 +535,7 @@ func nodeLabel(n Node) string {
 // StructureDump renders every structural fact of the built network — hosts,
 // switches, IDs, labels, port orders, rates, delays, routing tables, BaseRTT —
 // in a canonical text form. Two networks behave identically under this
-// simulator iff their dumps match (qdisc choice aside), so the dump is the
+// simulator iff their dumps match (queue choice aside), so the dump is the
 // basis for the pinned structure digests.
 func (n *Network) StructureDump() string {
 	var b strings.Builder

@@ -20,7 +20,7 @@ import (
 // Composition order on the arrival path is fixed: link failure, then
 // blackhole, then the loss process (every-nth, Gilbert-Elliott, or uniform —
 // mutually exclusive), then the port's own discipline; Port.Send asks the
-// controller before it offers a packet to the qdisc. A failed link also
+// controller before it offers a packet to the queue. A failed link also
 // freezes the serializer (Port.kick idles until Restore). Rate caps and
 // delay/jitter act on the serializer side (the Port consults the controller
 // when it transmits) and never discard packets.
@@ -65,7 +65,7 @@ type LinkImpairment struct {
 
 // InstallImpairment hangs an impairment controller off the port and returns
 // it. The zero configuration impairs nothing; seed drives the (per-port) loss
-// and jitter processes deterministically. The port's qdisc and any tap are
+// and jitter processes deterministically. The port's queue and any tap are
 // untouched, so instrumentation may come before or after.
 func InstallImpairment(pt *Port, seed uint64) *LinkImpairment {
 	li := &LinkImpairment{

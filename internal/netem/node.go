@@ -174,7 +174,7 @@ func (n *Network) AllPorts() []*Port {
 }
 
 // attachPool wires one PacketPool into every packet-terminating element of
-// the network: hosts (endpoint delivery) and all ports (qdisc drops).
+// the network: hosts (endpoint delivery) and all ports (queue drops).
 func (n *Network) attachPool(pp *PacketPool) {
 	n.Pool = pp
 	for _, h := range n.Hosts {

@@ -22,7 +22,7 @@ type PoolObserver interface {
 // run its own).
 //
 // Ownership rule: whoever terminates a packet releases it. Concretely:
-//   - a Port that fails to Enqueue (qdisc drop, including trim-fail and
+//   - a Port that fails to Enqueue (queue drop, including trim-fail and
 //     credit overflow) Puts the packet;
 //   - a Host Puts the packet after its Endpoint's Receive returns — the
 //     endpoint boundary is the end of the packet's life, and endpoints must

@@ -7,16 +7,16 @@ type Node interface {
 	Receive(p *Packet)
 }
 
-// Port is a unidirectional output port: a queueing discipline feeding a
-// serializer at the link rate, followed by a fixed propagation delay to the
-// destination node. Ports never reorder what their qdisc hands them.
+// Port is a unidirectional output port: a Queue feeding a serializer at the
+// link rate, followed by a fixed propagation delay to the destination node.
+// Ports never reorder what their queue hands them.
 //
 // The serialization hot path schedules no closures: the tx-done and wake-up
 // events dispatch through pointer-cast views of the port itself, and the
 // delivery event is the packet (see Packet.Fire).
 type Port struct {
 	Eng   *sim.Engine
-	Q     Qdisc
+	Q     *Queue
 	Rate  sim.Rate
 	Delay sim.Duration
 	Dst   Node
@@ -75,14 +75,14 @@ func (w *portWake) Fire() {
 	pt.kick()
 }
 
-// NewPort constructs a port. The qdisc, rate and destination must be set.
-func NewPort(eng *sim.Engine, q Qdisc, rate sim.Rate, delay sim.Duration, dst Node, label string) *Port {
+// NewPort constructs a port. The queue, rate and destination must be set.
+func NewPort(eng *sim.Engine, q *Queue, rate sim.Rate, delay sim.Duration, dst Node, label string) *Port {
 	return &Port{Eng: eng, Q: q, Rate: rate, Delay: delay, Dst: dst, Label: label}
 }
 
 // Send offers a packet to the port and settles its fate in one place, in a
 // fixed order: the impairment's arrival drop (DropImpairment), otherwise the
-// qdisc's Enqueue; then the tap, when set, observes the outcome (a drop, a
+// queue's Enqueue; then the tap, when set, observes the outcome (a drop, a
 // trim, or a plain enqueue); then a refused packet is counted in Drops under
 // its reason and released to the pool, mirroring Host.deliver for
 // deliveries.
@@ -112,7 +112,7 @@ func (pt *Port) Send(p *Packet) {
 }
 
 // kick starts the serializer if it is idle and a packet is eligible. If the
-// qdisc is holding shaped packets, a wake-up is scheduled instead. A busy
+// queue is holding shaped credits, a wake-up is scheduled instead. A busy
 // serializer arms its tx-done when a packet waits, so that tx-done kicks
 // again. A failed link is frozen: kick does nothing until
 // LinkImpairment.Restore kicks it.
@@ -129,7 +129,7 @@ func (pt *Port) kick() {
 	now := pt.Eng.Now()
 	p := pt.Q.Dequeue(now)
 	if p == nil {
-		w := pt.Q.NextWake(now)
+		w := pt.Q.NextWake()
 		if w == sim.MaxTime {
 			return
 		}
@@ -137,9 +137,6 @@ func (pt *Port) kick() {
 			return // an earlier or equal wake-up is already pending
 		}
 		pt.wake.Cancel()
-		if w <= now {
-			w = now + 1 // defensive: never busy-loop at the same instant
-		}
 		pt.wakeAt = w
 		pt.wake = pt.Eng.AtHandler(w, (*portWake)(pt))
 		return
@@ -170,5 +167,5 @@ func (pt *Port) armTxDone() {
 	pt.Eng.AtStamped(pt.txEnd, pt.txStamp, (*portTxDone)(pt))
 }
 
-// Backlog reports the qdisc occupancy.
+// Backlog reports the queue occupancy.
 func (pt *Port) Backlog() Backlog { return pt.Q.Backlog() }

@@ -4,15 +4,15 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-// DropReason classifies why a queueing discipline refused a packet.
+// DropReason classifies why a port refused a packet.
 type DropReason uint8
 
 // Drop reasons.
 const (
 	DropTailFull   DropReason = iota // buffer exhausted
 	DropSelective                    // Aeolus selective dropping (unscheduled over threshold)
-	DropCreditOver                   // ExpressPass credit queue overflow
-	DropTrimFail                     // NDP control queue full, trimmed header lost
+	DropCreditOver                   // ExpressPass credit band full
+	DropTrimFail                     // NDP control band full, a trimmed header included
 	DropImpairment                   // injected by the link-impairment layer (loss, blackhole, failed link)
 
 	numDropReasons // sentinel: must stay last among the reasons
@@ -52,31 +52,7 @@ type Backlog struct {
 	Bytes   int64
 }
 
-// Qdisc is a queueing discipline attached to an output port. Enqueue may
-// accept, refuse, or mutate (trim) the packet; Dequeue returns the next
-// packet eligible for transmission, or nil if none is eligible right now.
-// Shaped disciplines (the ExpressPass credit queue) may hold eligible packets
-// until a future instant, which they advertise through NextWake.
-type Qdisc interface {
-	// Enqueue offers p to the queue at the current instant. It returns
-	// Queued if the packet was queued (possibly mutated), otherwise the
-	// reason it refused it. A discipline never counts or releases a refused
-	// packet: Port.Send does both.
-	Enqueue(p *Packet, now sim.Time) DropReason
-
-	// Dequeue removes and returns the next transmittable packet, or nil.
-	Dequeue(now sim.Time) *Packet
-
-	// NextWake returns the earliest future instant at which Dequeue may
-	// return a packet even without further Enqueue calls, or sim.MaxTime if
-	// no such instant exists. Unshaped disciplines always return MaxTime.
-	NextWake(now sim.Time) sim.Time
-
-	// Backlog reports current occupancy (all internal queues combined).
-	Backlog() Backlog
-}
-
-// fifo is the byte-accounted packet FIFO underlying every discipline: a
+// fifo is the byte-accounted packet FIFO underlying every band: a
 // power-of-two ring that doubles only when its live backlog fills it. A
 // port can stay busy for millions of packets at a backlog of a few, so a
 // queue's buffer is sized by its peak backlog, never by its busy period.
@@ -124,27 +100,78 @@ func (f *fifo) len() int    { return f.n }
 func (f *fifo) size() int64 { return f.bytes }
 func (f *fifo) empty() bool { return f.n == 0 }
 
-// Queue is the port discipline of a commodity shared-buffer switch, and of
-// every port but NDP's and ExpressPass's credit shaper (which wraps one):
-// strict-priority bands, band 0 served first, all drawing on one byte buffer
-// so arrivals are tail-dropped regardless of band once it is full.
+// Queue is the discipline of every port, the queue of a commodity
+// shared-buffer switch: strict-priority bands, band 0 served first, all
+// drawing on one byte buffer so arrivals are tail-dropped regardless of band
+// once it is full.
 //
 // Aeolus adds no mechanism of its own (§3.2, §4.1): an optional selective
 // dropping threshold discards an arriving *unscheduled* data packet whenever
-// the port's total backlog would exceed it, while scheduled and control
+// the bands' total backlog would exceed it, while scheduled and control
 // packets are bounded only by the buffer. This is the RED/ECN
 // re-interpretation on commodity switches: unscheduled packets are Non-ECT
 // and dropped at the RED threshold; scheduled packets are ECT(0) and would
 // merely be marked, which endpoints ignore. For Homa the threshold applies
 // per port across its eight priority queues (§5.1: "for Homa, we configure
 // per-port ECN/RED").
+//
+// ExpressPass's credit shaping and NDP's control queue and trimming are each
+// one more setting of the same queue: a front band (WithCredits,
+// WithControl), served ahead of the bands under its own byte bound, outside
+// their shared buffer and their threshold.
 type Queue struct {
 	limit      int64 // shared buffer bound; <= 0 means unbounded
 	threshold  int64 // selective dropping threshold; <= 0 means off
 	schedFirst bool  // band rule: scheduled-first instead of Packet.Prio
 	bands      []fifo
-	total      int64
+	total      int64 // bytes in the bands, the front band excluded
 	maxBytes   int64
+	front      *front // nil unless WithCredits or WithControl set one
+}
+
+// front is a Queue's front band. A credit band takes ExpressPass credits and
+// releases them no closer than gap apart; a control band takes control
+// packets and trimmed headers, and with trim it also takes, cut to its
+// header, a data packet that would overflow the bands' buffer.
+type front struct {
+	fifo
+	limit   int64        // byte bound
+	gap     sim.Duration // shaper spacing; 0 on a control band
+	next    sim.Time     // earliest instant the head may leave
+	credits bool
+	trim    bool
+}
+
+// creditLimit bounds a credit band in credits. ExpressPass drops the credits
+// past it, the congestion signal its feedback control reads.
+const creditLimit = 15
+
+// CreditRateFor returns the shaped credit rate for a given link rate,
+// following ExpressPass: creditSize/(creditSize+maxDataSize-ish) — the
+// canonical ratio 84/1538. At that rate the data the credits trigger on the
+// reverse link never exceeds its capacity.
+func CreditRateFor(link sim.Rate) sim.Rate {
+	return sim.Rate(int64(link) * CreditSize / 1538)
+}
+
+// takes reports whether p belongs in the front band.
+func (f *front) takes(p *Packet) bool {
+	if f.credits {
+		return p.Type == Credit
+	}
+	return p.Type.IsControl() || p.Trimmed
+}
+
+// admit queues p within the band's bound, or returns the reason it refuses.
+func (f *front) admit(p *Packet) DropReason {
+	if f.size()+int64(p.WireSize) > f.limit {
+		if f.credits {
+			return DropCreditOver
+		}
+		return DropTrimFail
+	}
+	f.push(p)
+	return Queued
 }
 
 // NewQueue returns a queue whose packets pick their band by Packet.Prio
@@ -170,14 +197,43 @@ func NewSchedFirstQueue(limitBytes int64) *Queue {
 	return q
 }
 
-// Enqueue implements Qdisc.
+// WithCredits gives q the front band of an ExpressPass port on a link of the
+// given rate: it holds up to creditLimit credits and releases them one
+// credit time at CreditRateFor(link) apart. The shaper keeps a one-credit
+// token, so an idle period does not accumulate a burst. It returns q.
+func (q *Queue) WithCredits(link sim.Rate) *Queue {
+	gap := sim.TxTime(CreditSize, CreditRateFor(link))
+	q.front = &front{limit: creditLimit * CreditSize, gap: gap, credits: true}
+	return q
+}
+
+// WithControl gives q the front band of an NDP switch port (§5.4): control
+// packets and trimmed headers, up to limitBytes, served ahead of data. With
+// trim, a data packet that would overflow the bands' buffer is cut to its
+// header and queued there instead of dropped. It returns q.
+func (q *Queue) WithControl(limitBytes int64, trim bool) *Queue {
+	q.front = &front{limit: limitBytes, trim: trim}
+	return q
+}
+
+// Enqueue offers p to the queue. It returns Queued if the packet was queued
+// (trimmed, perhaps), otherwise the reason it refused it. The queue never
+// counts or releases a refused packet: Port.Send does both.
 func (q *Queue) Enqueue(p *Packet, _ sim.Time) DropReason {
+	f := q.front
+	if f != nil && f.takes(p) {
+		return f.admit(p)
+	}
 	total := q.total + int64(p.WireSize)
 	unsched := !p.Scheduled && !p.Type.IsControl()
 	if q.threshold > 0 && unsched && total > q.threshold {
 		return DropSelective
 	}
 	if q.limit > 0 && total > q.limit {
+		if f != nil && f.trim {
+			p.Trim()
+			return f.admit(p)
+		}
 		return DropTailFull
 	}
 	b := 0
@@ -194,8 +250,14 @@ func (q *Queue) Enqueue(p *Packet, _ sim.Time) DropReason {
 	return Queued
 }
 
-// Dequeue implements Qdisc: the head of the first non-empty band.
-func (q *Queue) Dequeue(_ sim.Time) *Packet {
+// Dequeue removes and returns the next packet eligible at now: the front
+// band's head once its shaper releases it, else the head of the first
+// non-empty band, else nil.
+func (q *Queue) Dequeue(now sim.Time) *Packet {
+	if f := q.front; f != nil && !f.empty() && now >= f.next {
+		f.next = now.Add(f.gap)
+		return f.pop()
+	}
 	for i := range q.bands {
 		if f := &q.bands[i]; !f.empty() {
 			p := f.pop()
@@ -206,17 +268,29 @@ func (q *Queue) Dequeue(_ sim.Time) *Packet {
 	return nil
 }
 
-// NextWake implements Qdisc.
-func (q *Queue) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
-
-// Backlog implements Qdisc.
-func (q *Queue) Backlog() Backlog {
-	var n int
-	for i := range q.bands {
-		n += q.bands[i].len()
+// NextWake returns the instant the front band's head becomes eligible, or
+// sim.MaxTime when no front packet waits: every other packet is eligible at
+// once. After Dequeue returns nil it is the shaper's next release, which
+// lies after now.
+func (q *Queue) NextWake() sim.Time {
+	if f := q.front; f != nil && !f.empty() {
+		return f.next
 	}
-	return Backlog{n, q.total}
+	return sim.MaxTime
 }
 
-// MaxBacklogBytes reports the high-water mark of total occupancy.
+// Backlog reports current occupancy, the front band included.
+func (q *Queue) Backlog() Backlog {
+	b := Backlog{Bytes: q.total}
+	if f := q.front; f != nil {
+		b = Backlog{f.len(), f.size() + q.total}
+	}
+	for i := range q.bands {
+		b.Packets += q.bands[i].len()
+	}
+	return b
+}
+
+// MaxBacklogBytes reports the high-water mark of the bands' total
+// occupancy; the front band never counts toward it.
 func (q *Queue) MaxBacklogBytes() int64 { return q.maxBytes }

@@ -215,8 +215,14 @@ func TestPrioQdiscClampsOutOfRangeBand(t *testing.T) {
 	}
 }
 
+// ndpQueue is an NDP switch port: control packets and trimmed headers in the
+// front band, up to DefaultBuffer, ahead of a data band of dataLimit bytes.
+func ndpQueue(threshold, dataLimit int64, trim bool) *Queue {
+	return NewQueue(1, threshold, dataLimit).WithControl(DefaultBuffer, trim)
+}
+
 func TestNDPQueueTrims(t *testing.T) {
-	q := NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 4 * 9000})
+	q := ndpQueue(0, 4*9000, true)
 	for i := 0; i < 4; i++ {
 		if q.Enqueue(dataPkt(uint64(i), 9000, false), 0) != Queued {
 			t.Fatalf("data packet %d dropped below limit", i)
@@ -229,17 +235,28 @@ func TestNDPQueueTrims(t *testing.T) {
 	if !p.Trimmed || p.WireSize != HeaderSize || p.PayloadLen != 0 {
 		t.Fatalf("packet not trimmed: %v", p)
 	}
-	if q.Trimmed() != 1 {
-		t.Fatalf("Trimmed() = %d, want 1", q.Trimmed())
+	// The trimmed header must come out before the queued data, and it is
+	// the only packet the queue trimmed.
+	trimmed := 0
+	for i := 0; ; i++ {
+		got := q.Dequeue(0)
+		if got == nil {
+			break
+		}
+		if i == 0 && got != p {
+			t.Fatalf("first dequeue = %v, want trimmed header", got)
+		}
+		if got.Trimmed {
+			trimmed++
+		}
 	}
-	// The trimmed header must come out before the queued data.
-	if got := q.Dequeue(0); got != p {
-		t.Fatalf("first dequeue = %v, want trimmed header", got)
+	if trimmed != 1 {
+		t.Fatalf("dequeued %d trimmed packets, want 1", trimmed)
 	}
 }
 
 func TestNDPQueueControlPriority(t *testing.T) {
-	q := NewNDPQueue(NDPQueueConfig{Trim: true})
+	q := ndpQueue(0, 8*JumboMTU, true)
 	d := dataPkt(1, 9000, false)
 	q.Enqueue(d, 0)
 	pull := &Packet{Type: Pull, WireSize: HeaderSize}
@@ -254,7 +271,7 @@ func TestNDPQueueControlPriority(t *testing.T) {
 
 func TestNDPQueueSelectiveMode(t *testing.T) {
 	// NDP+Aeolus: selective dropping instead of trimming.
-	q := NewNDPQueue(NDPQueueConfig{SelectiveThresholdBytes: 6000, DataLimitBytes: DefaultBuffer})
+	q := ndpQueue(6000, DefaultBuffer, false)
 	for i := 0; i < 4; i++ {
 		if q.Enqueue(dataPkt(uint64(i), 1500, false), 0) != Queued {
 			t.Fatalf("unscheduled %d dropped below threshold", i)
@@ -275,7 +292,7 @@ func TestNDPQueueSelectiveMode(t *testing.T) {
 func TestXPassQdiscShaping(t *testing.T) {
 	eng := sim.NewEngine()
 	link := sim.Rate(10 * sim.Gbps)
-	q := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(link)})
+	q := NewQueue(1, 0, DefaultBuffer).WithCredits(link)
 	gap := sim.TxTime(CreditSize, CreditRateFor(link))
 
 	mkCredit := func(i uint64) *Packet {
@@ -290,7 +307,7 @@ func TestXPassQdiscShaping(t *testing.T) {
 	if p := q.Dequeue(0); p != nil {
 		t.Fatal("second credit released before shaper gap")
 	}
-	if w := q.NextWake(0); w != sim.Time(gap) {
+	if w := q.NextWake(); w != sim.Time(gap) {
 		t.Fatalf("NextWake = %v, want %v", w, sim.Time(gap))
 	}
 	if p := q.Dequeue(sim.Time(gap)); p == nil {
@@ -299,8 +316,8 @@ func TestXPassQdiscShaping(t *testing.T) {
 }
 
 func TestXPassQdiscCreditOverflow(t *testing.T) {
-	q := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(10 * sim.Gbps), CreditLimit: 3})
-	for i := 0; i < 3; i++ {
+	q := NewQueue(1, 0, DefaultBuffer).WithCredits(10 * sim.Gbps)
+	for i := 0; i < creditLimit; i++ {
 		if q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0) != Queued {
 			t.Fatalf("credit %d dropped below limit", i)
 		}
@@ -311,7 +328,7 @@ func TestXPassQdiscCreditOverflow(t *testing.T) {
 }
 
 func TestXPassQdiscDataBypassesShaper(t *testing.T) {
-	q := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(10 * sim.Gbps)})
+	q := NewQueue(1, 0, DefaultBuffer).WithCredits(10 * sim.Gbps)
 	d := dataPkt(1, 1538, true)
 	q.Enqueue(d, 0)
 	q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0)

@@ -121,7 +121,7 @@ func ShardCount(spec TopoSpec, requested int) int {
 // effective count from ShardCount (≥ 1); with shards == 1 the result is the
 // BuildClos network itself: the re-homing pass is skipped, and the shard
 // accessors below answer with the whole network.
-func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf QdiscFactory, frameBytes int) *ShardedNetwork {
+func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf QueueFactory, frameBytes int) *ShardedNetwork {
 	engines := make([]*sim.Engine, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngineWith(sched)

@@ -7,7 +7,7 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-func testQdisc(kind PortKind, rate sim.Rate) Qdisc { return NewQueue(1, 0, DefaultBuffer) }
+func testQueue(kind PortKind, rate sim.Rate) *Queue { return NewQueue(1, 0, DefaultBuffer) }
 
 func TestShardCountClamps(t *testing.T) {
 	tests := []struct {
@@ -37,7 +37,7 @@ func TestShardCountClamps(t *testing.T) {
 // lives elsewhere carry a CrossLink.
 func TestShardedClosPartition(t *testing.T) {
 	const shards = 4
-	sn := BuildShardedClos(leafSpineSpec, shards, sim.SchedWheel, testQdisc, 1538)
+	sn := BuildShardedClos(leafSpineSpec, shards, sim.SchedWheel, testQueue, 1538)
 	if sn.Shards() != shards {
 		t.Fatalf("Shards() = %d, want %d", sn.Shards(), shards)
 	}
@@ -113,7 +113,7 @@ func TestShardedClosPartition(t *testing.T) {
 }
 
 func TestShardedClosSingleShardHasNoCrossLinks(t *testing.T) {
-	sn := BuildShardedClos(leafSpineSpec, 1, sim.SchedWheel, testQdisc, 1538)
+	sn := BuildShardedClos(leafSpineSpec, 1, sim.SchedWheel, testQueue, 1538)
 	if sn.CrossPorts() != 0 {
 		t.Fatalf("shards=1 network has %d cross ports", sn.CrossPorts())
 	}
@@ -130,7 +130,7 @@ func TestShardedClosSingleShardHasNoCrossLinks(t *testing.T) {
 // TestShardedClosViews checks the per-shard facade: shared structure, private
 // engine, pool and endpoint-host set.
 func TestShardedClosViews(t *testing.T) {
-	sn := BuildShardedClos(leafSpineSpec, 2, sim.SchedWheel, testQdisc, 1538)
+	sn := BuildShardedClos(leafSpineSpec, 2, sim.SchedWheel, testQueue, 1538)
 	for i := 0; i < 2; i++ {
 		v := sn.View(i)
 		if v.Eng != sn.Engines[i] || v.Pool != sn.Pools[i] {
@@ -170,7 +170,7 @@ func (c *countBoundary) Arrive(*Packet) { c.arrives++ }
 func TestDeliverOrder(t *testing.T) {
 	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
 		t.Run(string(kind), func(t *testing.T) {
-			sn := BuildShardedClos(leafSpineSpec, 3, kind, testQdisc, 1538)
+			sn := BuildShardedClos(leafSpineSpec, 3, kind, testQueue, 1538)
 			names := map[*Packet]string{}
 			dsts := make([]*recordNode, 3)
 			bounds := make([]*countBoundary, 3)

@@ -60,7 +60,7 @@ func TestPortWakesForShapedCredits(t *testing.T) {
 	dst := &collector{eng: eng}
 	host := &Host{ID: 1, Eng: eng, EP: dst}
 	link := sim.Rate(10 * sim.Gbps)
-	q := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(link)})
+	q := NewQueue(1, 0, DefaultBuffer).WithCredits(link)
 	pt := NewPort(eng, q, link, 0, host, "t")
 
 	for i := 0; i < 3; i++ {
@@ -267,7 +267,7 @@ func TestHostDelayAppliedOnReceive(t *testing.T) {
 
 func TestDropTotals(t *testing.T) {
 	eng := sim.NewEngine()
-	selective := func(PortKind, sim.Rate) Qdisc { return NewQueue(1, 6000, DefaultBuffer) }
+	selective := func(PortKind, sim.Rate) *Queue { return NewQueue(1, 6000, DefaultBuffer) }
 	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond}, selective, 0)
 	attachCollectors(net)
@@ -311,7 +311,7 @@ func TestDropTotals(t *testing.T) {
 func TestCascadingDelay(t *testing.T) {
 	run := func(selective bool) sim.Time {
 		eng := sim.NewEngine()
-		qf := func(kind PortKind, rate sim.Rate) Qdisc {
+		qf := func(kind PortKind, rate sim.Rate) *Queue {
 			if selective {
 				return NewQueue(1, 6000, DefaultBuffer)
 			}

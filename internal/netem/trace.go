@@ -13,7 +13,7 @@ type TraceEvent uint8
 // Trace event kinds.
 const (
 	TraceEnqueue TraceEvent = iota // accepted into a port queue
-	TraceDrop                      // refused by a port: qdisc or impairment
+	TraceDrop                      // refused by a port: queue or impairment
 	TraceTrim                      // payload cut by an NDP queue
 	TraceDeliver                   // handed to a host endpoint
 )

@@ -41,7 +41,7 @@ func TestInstrumentedPortsAndHosts(t *testing.T) {
 	eng := sim.NewEngine()
 	net := BuildClos(eng, TopoSpec{HostsPerEdge: 3, Tiers: []TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
-		func(PortKind, sim.Rate) Qdisc { return NewQueue(1, 6000, DefaultBuffer) }, 0)
+		func(PortKind, sim.Rate) *Queue { return NewQueue(1, 6000, DefaultBuffer) }, 0)
 	attachCollectors(net)
 	tr := NewCountingTracer()
 	InstrumentPorts(net.AllPorts(), tr)
@@ -101,15 +101,15 @@ func TestTapsChainInInstallOrder(t *testing.T) {
 	}
 }
 
-// TestTraceTrimEvent overflows an NDP port's data queue: Port.Send reports
+// TestTraceTrimEvent overflows an NDP port's data band: Port.Send reports
 // the packet the queue cut to a header as a trim, not an enqueue or a drop.
 func TestTraceTrimEvent(t *testing.T) {
 	tr := NewCountingTracer()
-	pt := NewPort(sim.NewEngine(), NewNDPQueue(NDPQueueConfig{Trim: true, DataLimitBytes: 2 * 9000}),
+	pt := NewPort(sim.NewEngine(), NewQueue(1, 0, 2*9000).WithControl(DefaultBuffer, true),
 		10*sim.Gbps, 0, nil, "t")
 	InstrumentPorts([]*Port{pt}, tr)
 	// The first packet goes straight to the serializer, the next two fill
-	// the data queue, and the fourth overflows it.
+	// the data band, and the fourth overflows it.
 	for i := 0; i < 4; i++ {
 		pt.Send(dataPkt(uint64(i), 9000, false))
 	}

@@ -23,33 +23,22 @@ func (f *fifo) audit(name string) error {
 	return nil
 }
 
-// AuditQdisc verifies a discipline's cached byte counters against its actual
-// queue contents: each Queue band and the shared-buffer total against the
-// band sums, the two NDP queues, and the ExpressPass credit queue plus its
-// inner data discipline. Any other discipline passes vacuously.
-func AuditQdisc(q Qdisc) error {
-	switch v := q.(type) {
-	case *Queue:
-		var total int64
-		for i := range v.bands {
-			if err := v.bands[i].audit(fmt.Sprintf("band %d", i)); err != nil {
-				return err
-			}
-			total += v.bands[i].size()
-		}
-		if total != v.total {
-			return fmt.Errorf("queue: cached total %d, bands sum to %d", v.total, total)
-		}
-	case *NDPQueue:
-		if err := v.ctrl.audit("ndp ctrl"); err != nil {
+// Audit verifies the queue's cached byte counters against its contents:
+// each band and the front band, and the bands' shared total against their
+// sum.
+func (q *Queue) Audit() error {
+	var total int64
+	for i := range q.bands {
+		if err := q.bands[i].audit(fmt.Sprintf("band %d", i)); err != nil {
 			return err
 		}
-		return v.data.audit("ndp data")
-	case *XPassQdisc:
-		if err := v.credits.audit("xpass credits"); err != nil {
-			return err
-		}
-		return AuditQdisc(v.cfg.Data)
+		total += q.bands[i].size()
+	}
+	if total != q.total {
+		return fmt.Errorf("queue: cached total %d, bands sum to %d", q.total, total)
+	}
+	if q.front != nil {
+		return q.front.audit("front band")
 	}
 	return nil
 }

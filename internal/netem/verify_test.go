@@ -7,21 +7,22 @@ import (
 )
 
 func TestAuditQdiscCleanQueues(t *testing.T) {
-	qs := []Qdisc{
+	qs := []*Queue{
 		NewQueue(1, 0, 0),
 		NewQueue(1, 6<<10, DefaultBuffer),
 		NewQueue(8, 0, DefaultBuffer),
 		NewSchedFirstQueue(0),
-		NewNDPQueue(NDPQueueConfig{Trim: true}),
-		NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(10 * sim.Gbps)}),
+		NewQueue(1, 0, 8*JumboMTU).WithControl(DefaultBuffer, true),
+		NewQueue(1, 0, DefaultBuffer).WithCredits(10 * sim.Gbps),
 	}
-	for _, q := range qs {
-		for i := 0; i < 5; i++ {
-			q.Enqueue(dataPkt(uint64(i), 1538, i%2 == 0), 0)
+	for i, q := range qs {
+		for j := 0; j < 5; j++ {
+			q.Enqueue(dataPkt(uint64(j), 1538, j%2 == 0), 0)
 		}
+		q.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0)
 		q.Dequeue(0)
-		if err := AuditQdisc(q); err != nil {
-			t.Errorf("%T: clean queue failed audit: %v", q, err)
+		if err := q.Audit(); err != nil {
+			t.Errorf("queue %d: clean queue failed audit: %v", i, err)
 		}
 	}
 }
@@ -30,14 +31,14 @@ func TestAuditQdiscDetectsCounterDrift(t *testing.T) {
 	f := NewQueue(1, 0, 0)
 	f.Enqueue(dataPkt(1, 1538, false), 0)
 	f.bands[0].bytes += 7
-	if err := AuditQdisc(f); err == nil {
+	if err := f.Audit(); err == nil {
 		t.Error("FIFO byte drift not detected")
 	}
 
 	pq := NewQueue(4, 0, DefaultBuffer)
 	pq.Enqueue(dataPkt(1, 1538, false), 0)
 	pq.total -= 100
-	if err := AuditQdisc(pq); err == nil {
+	if err := pq.Audit(); err == nil {
 		t.Error("priority queue total drift not detected")
 	}
 
@@ -46,45 +47,52 @@ func TestAuditQdiscDetectsCounterDrift(t *testing.T) {
 	sq.Enqueue(dataPkt(2, 1538, true), 0)
 	sq.Dequeue(0)
 	sq.bands[1].bytes += 9
-	if err := AuditQdisc(sq); err == nil {
+	if err := sq.Audit(); err == nil {
 		t.Error("scheduled-first unscheduled-band drift not detected")
 	}
 
-	nq := NewNDPQueue(NDPQueueConfig{Trim: true})
+	nq := NewQueue(1, 0, 8*JumboMTU).WithControl(DefaultBuffer, true)
 	nq.Enqueue(dataPkt(1, 1538, false), 0)
-	nq.data.bytes++
-	if err := AuditQdisc(nq); err == nil {
-		t.Error("NDPQueue data drift not detected")
+	nq.bands[0].bytes++
+	if err := nq.Audit(); err == nil {
+		t.Error("NDP data band drift not detected")
 	}
 
-	xq := NewXPassQdisc(XPassQdiscConfig{CreditRate: CreditRateFor(10 * sim.Gbps)})
+	cq := NewQueue(1, 0, 8*JumboMTU).WithControl(DefaultBuffer, true)
+	cq.Enqueue(&Packet{Type: Pull, WireSize: HeaderSize}, 0)
+	cq.front.bytes++
+	if err := cq.Audit(); err == nil {
+		t.Error("NDP control band drift not detected")
+	}
+
+	xq := NewQueue(1, 0, DefaultBuffer).WithCredits(10 * sim.Gbps)
 	xq.Enqueue(&Packet{Type: Credit, WireSize: CreditSize}, 0)
-	xq.credits.bytes--
-	if err := AuditQdisc(xq); err == nil {
-		t.Error("XPassQdisc credit drift not detected")
+	xq.front.bytes--
+	if err := xq.Audit(); err == nil {
+		t.Error("ExpressPass credit band drift not detected")
 	}
 }
 
 // TestInstrumentedImpairedPortKeepsItsQdisc: taps and impairment hang off
-// the port, never around its discipline, so on a traced, impaired port pt.Q
-// is still the scheme's own queue and AuditQdisc reads its counters.
+// the port, never around its queue, so on a traced, impaired port pt.Q is
+// still the scheme's own queue and its Audit reads its counters.
 func TestInstrumentedImpairedPortKeepsItsQdisc(t *testing.T) {
 	q := NewQueue(1, 0, DefaultBuffer)
 	pt := NewPort(sim.NewEngine(), q, 10*sim.Gbps, sim.Microsecond, nil, "sw0->h0")
 	InstrumentPorts([]*Port{pt}, NewCountingTracer())
 	InstallImpairment(pt, 1)
 	InstrumentPorts([]*Port{pt}, NewCountingTracer())
-	if pt.Q != Qdisc(q) {
-		t.Fatalf("pt.Q is %T, want the port's own *Queue", pt.Q)
+	if pt.Q != q {
+		t.Fatalf("pt.Q is %p, want the port's own queue %p", pt.Q, q)
 	}
 	// The first packet goes to the serializer, the second stays queued.
 	pt.Send(dataPkt(1, 1538, false))
 	pt.Send(dataPkt(2, 1538, false))
-	if err := AuditQdisc(pt.Q); err != nil {
+	if err := pt.Q.Audit(); err != nil {
 		t.Fatalf("clean queue failed audit: %v", err)
 	}
 	q.bands[0].bytes = 42
-	if err := AuditQdisc(pt.Q); err == nil {
+	if err := pt.Q.Audit(); err == nil {
 		t.Fatal("corrupted byte counter not detected")
 	}
 }

@@ -4,9 +4,9 @@
 // "homa-eager" — pairing a fabric discipline with a protocol constructor.
 // Transport packages register their schemes from init: a Family describes
 // the base transport (default options, fabric, constructor) and each Variant
-// decorates it with an options mutator and/or a qdisc wrapper. Nothing in
-// this package knows any transport by name; adding a transport or a variant
-// is a registration, not a switch arm.
+// decorates it with an options mutator and/or its own queue factory.
+// Nothing in this package knows any transport by name; adding a transport or
+// a variant is a registration, not a switch arm.
 //
 // Consumers resolve schemes with Build, enumerate them with Entries/IDs, and
 // print the catalogue with Catalog. The experiments harness and both CLIs
@@ -56,7 +56,7 @@ func (s Spec) ThresholdOr(def int64) int64 {
 type Scheme struct {
 	Name    string
 	MSS     int
-	Factory func(buffer int64) netem.QdiscFactory
+	Factory func(buffer int64) netem.QueueFactory
 	New     func(env *transport.Env) transport.Protocol
 }
 
@@ -157,13 +157,13 @@ type Family[O any] struct {
 	// Protocol constructs the transport over the final options.
 	Protocol func(env *transport.Env, o O) transport.Protocol
 
-	// Qdisc is the family's base fabric discipline.
-	Qdisc func(o O, buffer int64) netem.QdiscFactory
+	// Queue is the family's base fabric discipline.
+	Queue func(o O, buffer int64) netem.QueueFactory
 }
 
 // Variant decorates a Family: the registered scheme ID is Base+Suffix, the
 // options are Defaults → Mutate → Options, and the fabric is either the
-// family's base Qdisc or the variant's override. This is the composition
+// family's base Queue or the variant's override. This is the composition
 // that replaces per-variant switch arms.
 type Variant[O any] struct {
 	Suffix  string // "" registers the base scheme itself
@@ -176,8 +176,8 @@ type Variant[O any] struct {
 	// Mutate is the variant's options decorator; nil keeps the defaults.
 	Mutate func(o *O, spec Spec)
 
-	// Qdisc overrides the family fabric; nil keeps Family.Qdisc.
-	Qdisc func(o O, buffer int64) netem.QdiscFactory
+	// Queue overrides the family fabric; nil keeps Family.Queue.
+	Queue func(o O, buffer int64) netem.QueueFactory
 }
 
 // Register registers every variant of the family, each as one catalogue
@@ -196,15 +196,15 @@ func (f Family[O]) Register(variants ...Variant[O]) {
 				if err := applyOpts(&o, spec, f.Options); err != nil {
 					return Scheme{}, fmt.Errorf("scheme %s: %w", f.Base+v.Suffix, err)
 				}
-				qd := f.Qdisc
-				if v.Qdisc != nil {
-					qd = v.Qdisc
+				qf := f.Queue
+				if v.Queue != nil {
+					qf = v.Queue
 				}
 				return Scheme{
 					Name: v.Name(o),
 					MSS:  f.MSS,
-					Factory: func(buffer int64) netem.QdiscFactory {
-						return qd(o, buffer)
+					Factory: func(buffer int64) netem.QueueFactory {
+						return qf(o, buffer)
 					},
 					New: func(env *transport.Env) transport.Protocol {
 						return f.Protocol(env, o)

@@ -233,7 +233,7 @@ func (s *QueueSampler) Observe(bytes int64) {
 	}
 }
 
-// ObserveMax folds in an externally tracked high-water mark (qdiscs track
+// ObserveMax folds in an externally tracked high-water mark (queues track
 // per-enqueue maxima, which sampling can miss).
 func (s *QueueSampler) ObserveMax(bytes int64) {
 	if bytes > s.maxSeen {

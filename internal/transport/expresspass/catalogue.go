@@ -30,9 +30,7 @@ func init() {
 		Protocol: func(env *transport.Env, o Options) transport.Protocol {
 			return New(env, o)
 		},
-		Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
-			return QdiscFactory(o, buffer)
-		},
+		Queue: QueueFactory,
 	}
 	family.Register(
 		scheme.Variant[Options]{
@@ -55,10 +53,10 @@ func init() {
 			Mutate: func(o *Options, spec scheme.Spec) {
 				o.Aeolus = core.DefaultOptions()
 			},
-			Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
+			Queue: func(o Options, buffer int64) netem.QueueFactory {
 				// Idealized pre-credit: scheduled-first data queues that
 				// never drop scheduled packets.
-				return wrapData(func() netem.Qdisc { return netem.NewSchedFirstQueue(0) })
+				return withCredits(func() *netem.Queue { return netem.NewSchedFirstQueue(0) })
 			},
 		},
 		scheme.Variant[Options]{
@@ -71,8 +69,8 @@ func init() {
 				o.Aeolus = core.DefaultOptions()
 				o.RTOOnly = true
 			},
-			Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
-				return wrapData(func() netem.Qdisc { return netem.NewSchedFirstQueue(buffer) })
+			Queue: func(o Options, buffer int64) netem.QueueFactory {
+				return withCredits(func() *netem.Queue { return netem.NewSchedFirstQueue(buffer) })
 			},
 		},
 	)

@@ -5,9 +5,9 @@
 // ExpressPass is receiver-driven: a sender asks for credits; the receiver
 // paces 84-byte credit packets toward the sender; each arriving credit
 // authorizes one maximum-size (1538 B) scheduled data frame. Credits are
-// rate-limited at every port by the fabric (netem.XPassQdisc), so the data
-// they trigger can never oversubscribe a link; credits dropped by the
-// shaper feed the receiver's credit feedback control, which adjusts the
+// rate-limited at every port by the fabric (netem.Queue.WithCredits), so
+// the data they trigger can never oversubscribe a link; credits dropped by
+// the shaper feed the receiver's credit feedback control, which adjusts the
 // per-flow credit rate between 1/16 and 1.0 of the link.
 //
 // Vanilla ExpressPass sends no payload in the first RTT ("waiting credits",
@@ -75,33 +75,28 @@ func DefaultOptions() Options {
 	}
 }
 
-// QdiscFactory returns the fabric discipline for an ExpressPass network:
-// per-port shaped credit queues over drop-tail data FIFOs, with a selective
+// QueueFactory returns the fabric discipline for an ExpressPass network:
+// per-port shaped credit bands over drop-tail data FIFOs, with a selective
 // dropping threshold under Aeolus.
-func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
+func QueueFactory(opts Options, bufferBytes int64) netem.QueueFactory {
 	var threshold int64
 	if opts.Aeolus.Enabled {
 		threshold = opts.Aeolus.ThresholdBytes
 	}
-	return wrapData(func() netem.Qdisc { return netem.NewQueue(1, threshold, bufferBytes) })
+	return withCredits(func() *netem.Queue { return netem.NewQueue(1, threshold, bufferBytes) })
 }
 
-// wrapData builds an ExpressPass fabric whose per-port data queue is
-// produced by mk. Every port keeps its shaped credit queue, and host NICs
-// always get an unbounded scheduled-first data queue, so pre-credit bursts
-// never block a sender's own scheduled packets or outgoing credits.
-func wrapData(mk func() netem.Qdisc) netem.QdiscFactory {
-	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
-		var data netem.Qdisc
+// withCredits builds an ExpressPass fabric whose switch ports queue data in
+// the queue mk builds. Every port takes credits in a shaped front band, and
+// host NICs always get an unbounded scheduled-first data queue, so
+// pre-credit bursts never block a sender's own scheduled packets or
+// outgoing credits.
+func withCredits(mk func() *netem.Queue) netem.QueueFactory {
+	return func(kind netem.PortKind, rate sim.Rate) *netem.Queue {
 		if kind == netem.HostNIC {
-			data = netem.NewSchedFirstQueue(0)
-		} else {
-			data = mk()
+			return netem.NewSchedFirstQueue(0).WithCredits(rate)
 		}
-		return netem.NewXPassQdisc(netem.XPassQdiscConfig{
-			CreditRate: netem.CreditRateFor(rate),
-			Data:       data,
-		})
+		return mk().WithCredits(rate)
 	}
 }
 

@@ -17,7 +17,7 @@ func build(t *testing.T, hosts int, opts Options) (*transport.Env, *Protocol) {
 	eng := sim.NewEngine()
 	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: hosts, Tiers: []netem.TierSpec{{Switches: 1}},
 		HostRate: 10 * sim.Gbps, LinkDelay: 3 * sim.Microsecond},
-		QdiscFactory(opts, netem.DefaultBuffer), 0)
+		QueueFactory(opts, netem.DefaultBuffer), 0)
 	env := transport.NewEnv(net, netem.MaxPayload)
 	return env, New(env, opts)
 }

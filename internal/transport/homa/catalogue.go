@@ -27,9 +27,7 @@ func init() {
 		Protocol: func(env *transport.Env, o Options) transport.Protocol {
 			return New(env, o)
 		},
-		Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
-			return QdiscFactory(o, buffer)
-		},
+		Queue: QueueFactory,
 	}
 	family.Register(
 		scheme.Variant[Options]{
@@ -49,13 +47,13 @@ func init() {
 			Suffix:  "+oracle",
 			Summary: "hypothetical Homa (no unscheduled interference, §2.3)",
 			Name:    func(Options) string { return "Homa+IdealFirstRTT" },
-			Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
+			Queue: func(o Options, buffer int64) netem.QueueFactory {
 				// The hypothetical Homa of §2.3: scheduled packets are never
 				// queued or dropped for lack of buffer. Homa's own priority
 				// structure with unbounded buffers realizes it — exactly the
 				// infinite-buffer assumption the paper notes in Homa's own
 				// simulator (§5.5).
-				return QdiscFactory(o, 0)
+				return QueueFactory(o, 0)
 			},
 		},
 		scheme.Variant[Options]{

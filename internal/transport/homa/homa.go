@@ -89,17 +89,17 @@ func DefaultOptions() Options {
 	}
 }
 
-// QdiscFactory returns the fabric discipline: 8 strict priorities with a
+// QueueFactory returns the fabric discipline: 8 strict priorities with a
 // shared buffer, plus per-port selective dropping for Homa+Aeolus — the
 // paper's configuration keeps Homa's priority queues ("for Homa, we
 // configure per-port ECN/RED", §5.1). Host NICs get an unbounded variant of
 // the same bands so local ordering matches the fabric's.
-func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
+func QueueFactory(opts Options, bufferBytes int64) netem.QueueFactory {
 	var threshold int64
 	if opts.Aeolus.Enabled {
 		threshold = opts.Aeolus.ThresholdBytes
 	}
-	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
+	return func(kind netem.PortKind, rate sim.Rate) *netem.Queue {
 		if kind == netem.HostNIC {
 			return netem.NewQueue(opts.NumPrios, 0, 0) // unbounded host queue
 		}

@@ -18,7 +18,7 @@ func build(t *testing.T, opts Options, buffer int64) (*transport.Env, *Protocol)
 	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: 4,
 		Tiers:    []netem.TierSpec{{Switches: 4}, {Switches: 2}},
 		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond},
-		QdiscFactory(opts, buffer), 0)
+		QueueFactory(opts, buffer), 0)
 	env := transport.NewEnv(net, netem.MaxPayload)
 	return env, New(env, opts)
 }

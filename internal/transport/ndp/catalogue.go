@@ -26,9 +26,7 @@ func init() {
 		Protocol: func(env *transport.Env, o Options) transport.Protocol {
 			return New(env, o)
 		},
-		Qdisc: func(o Options, buffer int64) netem.QdiscFactory {
-			return QdiscFactory(o, buffer)
-		},
+		Queue: QueueFactory,
 	}
 	family.Register(
 		scheme.Variant[Options]{

@@ -66,31 +66,31 @@ func DefaultOptions() Options {
 // MSS is NDP's jumbo-frame payload (the paper sets NDP's MTU to 9 KB).
 const MSS = netem.JumboPayload
 
-// QdiscFactory returns the fabric discipline: trimming two-queue ports for
-// original NDP, selective-dropping two-queue ports for NDP+Aeolus. Host
-// NICs get an unbounded scheduled-first queue (retransmissions and control
-// ahead of the blind first window).
-func QdiscFactory(opts Options, bufferBytes int64) netem.QdiscFactory {
+// QueueFactory returns the fabric discipline (§5.4): a switch port serves
+// control packets and trimmed headers in a front band ahead of a short data
+// queue, which trims on overflow for original NDP and drops selectively for
+// NDP+Aeolus. Host NICs get an unbounded scheduled-first queue
+// (retransmissions and control ahead of the blind first window).
+func QueueFactory(opts Options, bufferBytes int64) netem.QueueFactory {
 	trim := opts.TrimThresholdPkts
 	if trim <= 0 {
 		trim = 8
 	}
-	return func(kind netem.PortKind, rate sim.Rate) netem.Qdisc {
+	// Without a buffer, data gets 8 jumbo frames and control the default.
+	data, ctrl := bufferBytes, bufferBytes
+	if bufferBytes <= 0 {
+		data, ctrl = 8*netem.JumboMTU, netem.DefaultBuffer
+	}
+	return func(kind netem.PortKind, rate sim.Rate) *netem.Queue {
 		if kind == netem.HostNIC {
 			return netem.NewSchedFirstQueue(0)
 		}
 		if opts.Aeolus.Enabled {
-			return netem.NewNDPQueue(netem.NDPQueueConfig{
-				SelectiveThresholdBytes: opts.Aeolus.ThresholdBytes,
-				DataLimitBytes:          bufferBytes,
-				CtrlLimitBytes:          bufferBytes,
-			})
+			return netem.NewQueue(1, opts.Aeolus.ThresholdBytes, data).WithControl(ctrl, false)
 		}
-		return netem.NewNDPQueue(netem.NDPQueueConfig{
-			Trim:           true,
-			DataLimitBytes: int64(trim) * netem.JumboMTU,
-			CtrlLimitBytes: bufferBytes,
-		})
+		// The paper's trimming threshold: "the threshold of packet trimming
+		// is set to 8 packets (72KB)" with 9 KB jumbo frames.
+		return netem.NewQueue(1, 0, int64(trim)*netem.JumboMTU).WithControl(ctrl, true)
 	}
 }
 

@@ -16,7 +16,7 @@ func build(t *testing.T, opts Options) (*transport.Env, *Protocol) {
 	net := netem.BuildClos(eng, netem.TopoSpec{HostsPerEdge: 4,
 		Tiers:    []netem.TierSpec{{Switches: 4}, {Switches: 2}},
 		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond},
-		QdiscFactory(opts, netem.DefaultBuffer), 0)
+		QueueFactory(opts, netem.DefaultBuffer), 0)
 	env := transport.NewEnv(net, MSS)
 	return env, New(env, opts)
 }
@@ -68,6 +68,12 @@ func TestLargeFlowPullPaced(t *testing.T) {
 func TestIncastTrimsButDelivers(t *testing.T) {
 	opts := DefaultOptions()
 	env, p := build(t, opts)
+	trimmed := 0
+	netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, _ *netem.Packet) {
+		if ev == netem.TraceTrim {
+			trimmed++
+		}
+	}))
 	trace := (&workload.IncastConfig{
 		Fanin: 15, Receiver: 0, Hosts: 16, MsgSize: 150_000, Seed: 11,
 		StartAt: sim.Time(sim.Microsecond),
@@ -75,12 +81,6 @@ func TestIncastTrimsButDelivers(t *testing.T) {
 	done := transport.Runner(env, p, trace, sim.Time(sim.Second))
 	if done != 15 {
 		t.Fatalf("completed %d of 15", done)
-	}
-	var trimmed uint64
-	for _, pt := range env.Net.SwitchPorts() {
-		if q, ok := pt.Q.(*netem.NDPQueue); ok {
-			trimmed += q.Trimmed()
-		}
 	}
 	if trimmed == 0 {
 		t.Fatal("15:1 jumbo incast trimmed nothing")
@@ -96,9 +96,12 @@ func TestAeolusIncastDropsInsteadOfTrims(t *testing.T) {
 	opts.Aeolus = core.DefaultOptions()
 	opts.Aeolus.ThresholdBytes = 4 * netem.JumboMTU
 	env, p := build(t, opts)
-	schedDrops := 0
+	schedDrops, trimmed := 0, 0
 	netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, pkt *netem.Packet) {
-		if ev == netem.TraceDrop && pkt.Type == netem.Data && pkt.Scheduled {
+		switch {
+		case ev == netem.TraceTrim:
+			trimmed++
+		case ev == netem.TraceDrop && pkt.Type == netem.Data && pkt.Scheduled:
 			schedDrops++
 		}
 	}))
@@ -109,12 +112,6 @@ func TestAeolusIncastDropsInsteadOfTrims(t *testing.T) {
 	done := transport.Runner(env, p, trace, sim.Time(sim.Second))
 	if done != 15 {
 		t.Fatalf("completed %d of 15", done)
-	}
-	// Instrumented ports keep their own discipline, so the queues report
-	// their trims directly.
-	var trimmed uint64
-	for _, pt := range env.Net.SwitchPorts() {
-		trimmed += pt.Q.(*netem.NDPQueue).Trimmed()
 	}
 	if trimmed != 0 {
 		t.Fatalf("NDP+Aeolus trimmed %d packets; trimming must be off", trimmed)
