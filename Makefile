@@ -97,9 +97,11 @@ degrade:
 	$(GO) run ./cmd/aeolusbench -exp degrade -json > results/degradation.json
 	@echo "wrote results/degradation.json"
 
-# Short fuzz pass over the CDF text parser, the scheduler differential and
-# the three text grammars with a round-trip contract: impairment timelines,
-# "clos:" fabric specs and scenarios (CI smoke; raise -fuzztime locally).
+# Short fuzz pass over the CDF text parser, the scheduler differential, the
+# three text grammars with a round-trip contract (impairment timelines,
+# "clos:" fabric specs and scenarios) and the switches' routes on "clos:"
+# fabrics against the per-host table they replaced (CI smoke; raise
+# -fuzztime locally).
 # -fuzzminimizetime=1s caps the minimization of each new interesting input:
 # at the default 60 s budget a 30 s pass of FuzzSchedulerEquivalence spent
 # most of its time minimizing at 0 execs/s (31,229 execs in all, against
@@ -109,13 +111,15 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=30s -fuzzminimizetime=1s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzImpairmentTimeline -fuzztime=30s -fuzzminimizetime=1s ./internal/netem
 	$(GO) test -run=^$$ -fuzz=FuzzTopoSpecRoundTrip -fuzztime=30s -fuzzminimizetime=1s ./internal/netem
+	$(GO) test -run=^$$ -fuzz=FuzzClosRoutes -fuzztime=30s -fuzzminimizetime=1s ./internal/netem
 	$(GO) test -run=^$$ -fuzz=FuzzScenarioRoundTrip -fuzztime=30s -fuzzminimizetime=1s ./internal/scenario
 
 # Full benchmark ledger: micro (event engine, queues, port path) and macro
 # (per-scheme packets/sec) benchmarks, folded into BENCH_micro.json with the
-# committed pre-pooling baseline preserved for comparison.
+# committed pre-pooling baseline preserved for comparison. Each micro row is
+# five samples, recorded as their median and quartiles.
 bench:
-	( $(GO) test -bench=. -benchtime=20000x -benchmem -run=^$$ ./internal/sim ./internal/netem ./internal/transport/rdbase ./internal/flatmap ; \
+	( $(GO) test -bench=. -benchtime=20000x -count=5 -benchmem -run=^$$ ./internal/sim ./internal/netem ./internal/transport/rdbase ./internal/flatmap ; \
 	  $(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/experiments ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_micro.json
 
@@ -124,6 +128,8 @@ bench:
 # traced host delivery, the queue-buffer gate (100k packets through a FIFO at
 # a backlog of 4 and the ExpressPass credit band at its 15-credit cap leave
 # 8- and 16-slot rings: a buffer follows its backlog, not its busy period),
+# the fabric-build gate (BuildClos's bytes and mallocs per port at width 32
+# within 1.1x of width 8: forwarding state grows with ports, not hosts),
 # the event-scheduler hot-path and cold-pending-set gates (committed
 # schedule/cancel ceilings, both schedulers, cache-hot and out-of-cache), the
 # flow-table lookup gate, the Homa+Aeolus message whose allocations must not
@@ -136,7 +142,7 @@ bench:
 # hot-path benchmarks, and the race detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
-		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs|TestQueueBufferFollowsBacklog' ./internal/netem
+		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs|TestQueueBufferFollowsBacklog|TestClosBuildPerPort' ./internal/netem
 	$(GO) test -bench=. -benchtime=1x -benchmem \
 		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate' ./internal/sim
 	$(GO) test -bench=BenchmarkFlowTableLookup -benchtime=100x -benchmem \

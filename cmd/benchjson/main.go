@@ -7,7 +7,9 @@
 //	go test -bench . -benchtime 100x -benchmem -run '^$' ./... | benchjson -o BENCH_micro.json
 //
 // The ledger maps benchmark name (GOMAXPROCS suffix stripped) to ns/op,
-// B/op, allocs/op and any custom metrics (e.g. packets/sec).
+// B/op, allocs/op and any custom metrics (e.g. packets/sec). A benchmark run
+// several times (-count) is folded into one row: the median of each value,
+// with the quartiles of ns/op and the sample count beside it.
 //
 // With -compare, benchjson instead reads BENCH_scale.json ledgers and prints
 // per-cell ratios for events/sec, state_bytes_per_flow, heap_peak_bytes and
@@ -28,6 +30,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,10 +38,14 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/experiments"
 )
 
-// Result is one benchmark's measurements. Custom metrics reported via
+// Result is one benchmark's measurements, each the median over its samples;
+// NsQ1 and NsQ3 are the quartiles of ns/op. Custom metrics reported via
 // testing.B.ReportMetric land in Metrics keyed by their unit.
 type Result struct {
 	NsPerOp     float64            `json:"ns_per_op"`
+	NsQ1        float64            `json:"ns_q1,omitempty"`
+	NsQ3        float64            `json:"ns_q3,omitempty"`
+	Samples     int                `json:"samples,omitempty"`
 	BytesPerOp  float64            `json:"bytes_per_op"`
 	AllocsPerOp float64            `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
@@ -227,14 +234,15 @@ func compareCells(before, after map[string]experiments.ScalePoint, threshold flo
 	return b.String(), regressed
 }
 
-// parse extracts benchmark lines. A line looks like:
+// parse extracts benchmark lines and folds each benchmark's lines into one
+// Result. A line looks like:
 //
 //	BenchmarkPortPath-8   1000   179.5 ns/op   11 B/op   0 allocs/op
 //
 // with tab-separated "value unit" cells after the iteration count.
-func parse(f *os.File) (map[string]Result, error) {
-	res := make(map[string]Result)
-	sc := bufio.NewScanner(f)
+func parse(r io.Reader) (map[string]Result, error) {
+	samples := make(map[[2]string][]float64) // {name, unit} -> one value per line
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -248,27 +256,48 @@ func parse(f *os.File) (map[string]Result, error) {
 				name = name[:i]
 			}
 		}
-		r := res[name]
 		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				r.NsPerOp = v
-			case "B/op":
-				r.BytesPerOp = v
-			case "allocs/op":
-				r.AllocsPerOp = v
-			default:
-				if r.Metrics == nil {
-					r.Metrics = make(map[string]float64)
-				}
-				r.Metrics[unit] = v
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				k := [2]string{name, fields[i+1]}
+				samples[k] = append(samples[k], v)
 			}
 		}
-		res[name] = r
+	}
+	res := make(map[string]Result)
+	for k, vs := range samples {
+		r := res[k[0]]
+		q1, med, q3 := quartiles(vs)
+		switch k[1] {
+		case "ns/op":
+			r.NsPerOp, r.NsQ1, r.NsQ3, r.Samples = med, q1, q3, len(vs)
+		case "B/op":
+			r.BytesPerOp = med
+		case "allocs/op":
+			r.AllocsPerOp = med
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[k[1]] = med
+		}
+		res[k[0]] = r
 	}
 	return res, sc.Err()
+}
+
+// quartiles returns the first quartile, median and third quartile of v as
+// Python's statistics.quantiles(v, n=4) computes them (its exclusive
+// method), the spreads aeolusperf reports; one sample is all three.
+func quartiles(v []float64) (q1, med, q3 float64) {
+	s := slices.Sorted(slices.Values(v))
+	n := len(s)
+	if n == 1 {
+		return s[0], s[0], s[0]
+	}
+	q := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return q(1), q(2), q(3)
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -76,5 +77,52 @@ func TestDamagedLedgerLeftAlone(t *testing.T) {
 	}
 	if led.Current["PortPath"].NsPerOp != 179.5 || led.Baseline["PortPath"].NsPerOp != 179.5 {
 		t.Errorf("fresh ledger %+v: want the run as both current and baseline", led)
+	}
+}
+
+// TestFoldRepeatedRuns checks the -count fold: the five lines of one
+// benchmark become one row holding their medians, the quartiles of ns/op
+// (as Python's statistics.quantiles(n=4) gives them) and the sample count;
+// a benchmark run once is its own median and quartiles; and the ledger's
+// note and baseline section are left as they were.
+func TestFoldRepeatedRuns(t *testing.T) {
+	const run = `goos: linux
+BenchmarkPortPath-2   20000   120 ns/op   0 B/op   0 allocs/op
+BenchmarkPortPath-2   20000   100 ns/op   0 B/op   0 allocs/op
+BenchmarkPortPath-2   20000   187 ns/op   16 B/op   1 allocs/op
+BenchmarkPortPath-2   20000   110 ns/op   0 B/op   0 allocs/op
+BenchmarkPortPath-2   20000   130 ns/op   0 B/op   0 allocs/op
+BenchmarkFabricForwarding/clos32-2   20000   900 ns/op   0 B/op   0 allocs/op   1.5e+06 packets/sec
+PASS
+`
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	const committed = `{"note": "frozen", "baseline": {"PortPath": {"ns_per_op": 90, "bytes_per_op": 640, "allocs_per_op": 17}}, "current": {}}`
+	if err := os.WriteFile(path, []byte(committed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if stderr, code := benchjson(t, run, "-o", path); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want Ledger
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(committed), &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Note != want.Note || !reflect.DeepEqual(got.Baseline, want.Baseline) {
+		t.Errorf("note and baseline rewritten: %q %+v, want %q %+v", got.Note, got.Baseline, want.Note, want.Baseline)
+	}
+	wantCurrent := map[string]Result{
+		"PortPath": {NsPerOp: 120, NsQ1: 105, NsQ3: 158.5, Samples: 5},
+		"FabricForwarding/clos32": {NsPerOp: 900, NsQ1: 900, NsQ3: 900, Samples: 1,
+			Metrics: map[string]float64{"packets/sec": 1.5e6}},
+	}
+	if !reflect.DeepEqual(got.Current, wantCurrent) {
+		t.Errorf("current = %+v, want %+v", got.Current, wantCurrent)
 	}
 }

@@ -149,8 +149,9 @@ var perFlowMallocCeilings = map[string]float64{
 
 // TestPerFlowMallocCeiling gates how many objects each added flow costs: the
 // runtime.MemStats.Mallocs of the second of two identical Runs (so
-// package-level lazy state is excluded) of a 16-to-1 incast, less that of an
-// 8-to-1 incast, divided by the 8 added flows.
+// package-level lazy state is excluded), on a freshly collected heap, of a
+// 16-to-1 incast, less that of an 8-to-1 incast, divided by the 8 added
+// flows.
 func TestPerFlowMallocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what the runtime allocates")
@@ -165,6 +166,11 @@ func TestPerFlowMallocCeiling(t *testing.T) {
 		}
 		cfg := testConfig()
 		Run(cfg, spec)
+		// Settle the heap first: a collection that starts inside the
+		// measured run brings allocations of its own (the standard
+		// library's pools refill), and where one lands depends on what
+		// ran before, not on the flows.
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res := Run(cfg, spec)

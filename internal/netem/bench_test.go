@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -57,23 +58,50 @@ func BenchmarkXPassQdisc(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricForwarding measures end-to-end packet cost across the
+// BenchmarkFabricForwarding measures end-to-end packet cost across a
 // two-tier fabric: host -> leaf -> spine -> leaf -> host. Packets come from
 // the network's pool, as they do in real runs, so the steady state recycles
-// instead of allocating.
+// instead of allocating. clos2 sends from host 0 to host 3 of a 4-host
+// fabric, whose few ports stay cache-hot; clos32 sends over the scale
+// sweep's 1,024-host fabric along a fixed sequence of host pairs and
+// PathIDs.
 func BenchmarkFabricForwarding(b *testing.B) {
+	b.Run("clos2", func(b *testing.B) {
+		forwardPackets(b, 2, func(i int) (src, dst NodeID, pathID uint32) { return 0, 3, uint32(i) })
+	})
+	b.Run("clos32", func(b *testing.B) {
+		type send struct {
+			src, dst NodeID
+			pathID   uint32
+		}
+		r := rand.New(rand.NewPCG(1, 2))
+		seq := make([]send, 4096)
+		for i := range seq {
+			src := r.IntN(1024)
+			seq[i] = send{NodeID(src), NodeID((src + 1 + r.IntN(1023)) % 1024), r.Uint32()}
+		}
+		forwardPackets(b, 32, func(i int) (NodeID, NodeID, uint32) {
+			s := seq[i%len(seq)]
+			return s.src, s.dst, s.pathID
+		})
+	})
+}
+
+// forwardPackets sends b.N pooled packets over the scale sweep's fabric at
+// width, the i-th along next(i), running the engine every 64 sends.
+func forwardPackets(b *testing.B, width int, next func(i int) (src, dst NodeID, pathID uint32)) {
 	eng := sim.NewEngine()
-	net := BuildClos(eng, TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 2}, {Switches: 2}},
-		HostRate: 100 * sim.Gbps, LinkDelay: 500 * sim.Nanosecond}, nil, 0)
+	net := BuildClos(eng, scaleSpec(width), nil, 0)
 	for _, h := range net.Hosts {
 		h.EP = nopEndpoint{}
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := net.Pool.Get()
 		p.Type, p.Flow, p.WireSize, p.Scheduled = Data, uint64(i), 1538, true
-		p.Src, p.Dst, p.PathID = 0, 3, uint32(i)
-		net.Hosts[0].Send(p)
+		p.Src, p.Dst, p.PathID = next(i)
+		net.Hosts[p.Src].Send(p)
 		if i%64 == 63 {
 			eng.Run()
 		}

@@ -15,7 +15,7 @@ import (
 // fabric comes from: the paper's single-switch testbed, the leaf-spine and
 // fat-tree evaluation fabrics and the scale-sweep shapes are all TopoSpec
 // values. clos_test.go pins the structure digest (labels, node IDs, port
-// orders, routing tables and BaseRTT) of every catalogue shape.
+// orders, routes and BaseRTT) of every catalogue shape.
 
 // PortKind tells a QueueFactory where a port sits, so transports can install
 // different queues at host NICs and at switch ports.
@@ -100,25 +100,42 @@ func (s TopoSpec) coreRate() sim.Rate {
 // switch reaches going down and how many switches of the tier share one such
 // reach. Edge switches each own a distinct HostsPerEdge-host span; a boundary
 // with G groups gives each parent the union of its group's child reaches.
-// Requires a normalized, validated spec.
-func (s TopoSpec) reachGeometry() (spans, perReach []int) {
+// It fails on boundary group counts that do not divide both tiers evenly or
+// that split a set of reach-sharing switches, and on a top tier whose
+// switches do not each reach every host (the fabric is partitioned).
+// Requires a normalized spec with at least one tier.
+func (s TopoSpec) reachGeometry() (spans, perReach []int, err error) {
 	T := len(s.Tiers)
 	spans = make([]int, T)
 	perReach = make([]int, T)
 	spans[0], perReach[0] = s.HostsPerEdge, 1
 	for t := 0; t < T-1; t++ {
 		g := s.Tiers[t].Groups
+		if s.Tiers[t].Switches%g != 0 {
+			return nil, nil, fmt.Errorf("clos spec: tier %d's %d switches do not split into %d groups",
+				t, s.Tiers[t].Switches, g)
+		}
+		if s.Tiers[t+1].Switches%g != 0 {
+			return nil, nil, fmt.Errorf("clos spec: tier %d's %d switches do not split into tier %d's %d groups",
+				t+1, s.Tiers[t+1].Switches, t, g)
+		}
 		cpg := s.Tiers[t].Switches / g
+		if cpg%perReach[t] != 0 {
+			return nil, nil, fmt.Errorf("clos spec: tier %d groups of %d split a set of %d reach-sharing switches",
+				t, cpg, perReach[t])
+		}
 		spans[t+1] = cpg / perReach[t] * spans[t]
 		perReach[t+1] = s.Tiers[t+1].Switches / g
 	}
-	return spans, perReach
+	if top := spans[T-1]; top != s.Hosts() {
+		return nil, nil, fmt.Errorf("clos spec: top-tier switches reach only %d of %d hosts — the fabric is partitioned (top-boundary groups must be 1-connected)",
+			top, s.Hosts())
+	}
+	return spans, perReach, nil
 }
 
 // Validate checks the spec describes a well-formed, fully connected fabric:
-// positive sizes, boundary group counts that divide both tiers evenly and do
-// not split a set of reach-sharing switches, and a top tier whose switches
-// each reach every host (anything less partitions the fabric).
+// positive sizes and a consistent reach geometry (see reachGeometry).
 func (s TopoSpec) Validate() error {
 	n := s.normalized()
 	if len(n.Tiers) == 0 {
@@ -135,32 +152,8 @@ func (s TopoSpec) Validate() error {
 			return fmt.Errorf("clos spec: tier %d has %d switches", t, tier.Switches)
 		}
 	}
-	spans := make([]int, len(n.Tiers))
-	perReach := make([]int, len(n.Tiers))
-	spans[0], perReach[0] = n.HostsPerEdge, 1
-	for t := 0; t < len(n.Tiers)-1; t++ {
-		g := n.Tiers[t].Groups
-		if n.Tiers[t].Switches%g != 0 {
-			return fmt.Errorf("clos spec: tier %d's %d switches do not split into %d groups",
-				t, n.Tiers[t].Switches, g)
-		}
-		if n.Tiers[t+1].Switches%g != 0 {
-			return fmt.Errorf("clos spec: tier %d's %d switches do not split into tier %d's %d groups",
-				t+1, n.Tiers[t+1].Switches, t, g)
-		}
-		cpg := n.Tiers[t].Switches / g
-		if cpg%perReach[t] != 0 {
-			return fmt.Errorf("clos spec: tier %d groups of %d split a set of %d reach-sharing switches",
-				t, cpg, perReach[t])
-		}
-		spans[t+1] = cpg / perReach[t] * spans[t]
-		perReach[t+1] = n.Tiers[t+1].Switches / g
-	}
-	if top := spans[len(spans)-1]; top != n.Hosts() {
-		return fmt.Errorf("clos spec: top-tier switches reach only %d of %d hosts — the fabric is partitioned (top-boundary groups must be 1-connected)",
-			top, n.Hosts())
-	}
-	return nil
+	_, _, err := n.reachGeometry()
+	return err
 }
 
 // Oversubscription returns the worst-case downlink:uplink capacity ratio over
@@ -277,33 +270,28 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QueueFactory, frameBytes int) 
 	core := sp.coreRate()
 	T := len(sp.Tiers)
 	nHosts := sp.Hosts()
-	spans, perReach := sp.reachGeometry()
+	spans, perReach, _ := sp.reachGeometry() // checked by Validate
 	names := sp.tierNames()
 	spacing := sp.idSpacing()
 
+	// Switches, tier by tier. A switch's down window is its reach: an edge
+	// switch's blocks are its hosts, one port each; above the edge a block
+	// is the reach a set of children share, on their parallel links.
 	net := &Network{Eng: eng, HostRate: sp.HostRate}
 	sw := make([][]*Switch, T)
-	for t := 0; t < T; t++ {
+	for t := range sw {
 		sw[t] = make([]*Switch, sp.Tiers[t].Switches)
+		block, run := 1, 1
+		if t > 0 {
+			block, run = spans[t-1], perReach[t-1]*sp.Tiers[t-1].Uplinks
+		}
 		for i := range sw[t] {
 			sw[t][i] = &Switch{ID: NodeID(spacing*(t+1) + i), Eng: eng, PipeDelay: sp.SwitchPipe,
-				Label: fmt.Sprintf("%s%d", names[t], i), Table: make([][]int32, nHosts)}
+				Label: fmt.Sprintf("%s%d", names[t], i), hosts: int32(nHosts),
+				lo: int32(i / perReach[t] * spans[t]), span: int32(spans[t]),
+				block: int32(block), run: int32(run)}
 		}
-	}
-
-	// reach returns the contiguous host-ID window switch i of tier t serves.
-	reach := func(t, i int) (lo, hi int) {
-		lo = i / perReach[t] * spans[t]
-		return lo, lo + spans[t]
-	}
-
-	// linkLabel names the port from switch a toward switch b on a boundary
-	// with u parallel links; the ".n" suffix appears only on parallel links.
-	linkLabel := func(a, b *Switch, u, uplinks int) string {
-		if uplinks > 1 {
-			return fmt.Sprintf("%s->%s.%d", a.Label, b.Label, u)
-		}
-		return fmt.Sprintf("%s->%s", a.Label, b.Label)
+		net.Switches = append(net.Switches, sw[t]...)
 	}
 
 	// Hosts and edge down-ports.
@@ -313,79 +301,45 @@ func BuildClos(eng *sim.Engine, spec TopoSpec, qf QueueFactory, frameBytes int) 
 			h := &Host{ID: id, Eng: eng, HostDelay: sp.HostDelay}
 			h.NIC = NewPort(eng, qf(HostNIC, sp.HostRate), sp.HostRate, sp.LinkDelay,
 				edge, fmt.Sprintf("h%d->%s", id, edge.Label))
-			down := NewPort(eng, qf(SwitchToHost, sp.HostRate), sp.HostRate, sp.LinkDelay,
-				h, fmt.Sprintf("%s->h%d", edge.Label, id))
-			edge.Ports = append(edge.Ports, down)
-			edge.Table[id] = []int32{int32(len(edge.Ports) - 1)}
+			edge.Ports = append(edge.Ports, NewPort(eng, qf(SwitchToHost, sp.HostRate), sp.HostRate,
+				sp.LinkDelay, h, fmt.Sprintf("%s->h%d", edge.Label, id)))
 			net.Hosts = append(net.Hosts, h)
 		}
 	}
 
-	// addUplinks wires switch c of tier t to every parent in its boundary
-	// group and points all out-of-reach hosts at the (shared) uplink set.
-	addUplinks := func(t, c int) {
-		me := sw[t][c]
-		uplinks := sp.Tiers[t].Uplinks
-		g := c / (sp.Tiers[t].Switches / sp.Tiers[t].Groups)
-		ppg := sp.Tiers[t+1].Switches / sp.Tiers[t].Groups
-		var ups []int32
-		for pi := g * ppg; pi < (g+1)*ppg; pi++ {
-			for u := 0; u < uplinks; u++ {
-				up := NewPort(eng, qf(SwitchToSwitch, core), core, sp.LinkDelay,
-					sw[t+1][pi], linkLabel(me, sw[t+1][pi], u, uplinks))
-				me.Ports = append(me.Ports, up)
-				ups = append(ups, int32(len(me.Ports)-1))
-			}
-		}
-		lo, hi := reach(t, c)
-		for id := 0; id < nHosts; id++ {
-			if id < lo || id >= hi {
-				me.Table[id] = ups
+	// wire appends links parallel ports from me to each of peers, in order;
+	// only parallel links get the ".n" label suffix.
+	wire := func(me *Switch, peers []*Switch, links int) {
+		for _, peer := range peers {
+			for u := 0; u < links; u++ {
+				label := me.Label + "->" + peer.Label
+				if links > 1 {
+					label += "." + strconv.Itoa(u)
+				}
+				me.Ports = append(me.Ports, NewPort(eng, qf(SwitchToSwitch, core), core, sp.LinkDelay, peer, label))
 			}
 		}
 	}
 
-	// addDownlinks wires switch p of tier t to every child in its boundary
-	// group, routing each child's reach through the child's parallel ports.
-	addDownlinks := func(t, p int) {
-		me := sw[t][p]
-		uplinks := sp.Tiers[t-1].Uplinks
-		g := p / (sp.Tiers[t].Switches / sp.Tiers[t-1].Groups)
-		cpg := sp.Tiers[t-1].Switches / sp.Tiers[t-1].Groups
-		for c := g * cpg; c < (g+1)*cpg; c++ {
-			child := sw[t-1][c]
-			var downs []int32
-			for u := 0; u < uplinks; u++ {
-				down := NewPort(eng, qf(SwitchToSwitch, core), core, sp.LinkDelay,
-					child, linkLabel(me, child, u, uplinks))
-				me.Ports = append(me.Ports, down)
-				downs = append(downs, int32(len(me.Ports)-1))
+	// Fabric links, switch by switch: down to every child of the boundary
+	// group in child order, so the children sharing a reach give one run,
+	// then up to every parent of the group, the run to every other host.
+	for t := range sw {
+		for i, me := range sw[t] {
+			if t > 0 {
+				cpg := sp.Tiers[t-1].Switches / sp.Tiers[t-1].Groups
+				g := i / perReach[t]
+				wire(me, sw[t-1][g*cpg:(g+1)*cpg], sp.Tiers[t-1].Uplinks)
 			}
-			lo, hi := reach(t-1, c)
-			for id := lo; id < hi; id++ {
-				me.Table[id] = append(me.Table[id], downs...)
+			if t < T-1 {
+				ppg := perReach[t+1]
+				g := i / (sp.Tiers[t].Switches / sp.Tiers[t].Groups)
+				me.up, me.nUp = int32(len(me.Ports)), int32(ppg*sp.Tiers[t].Uplinks)
+				wire(me, sw[t+1][g*ppg:(g+1)*ppg], sp.Tiers[t].Uplinks)
 			}
 		}
 	}
 
-	if T > 1 {
-		for e := range sw[0] {
-			addUplinks(0, e)
-		}
-		for t := 1; t < T-1; t++ {
-			for p := range sw[t] {
-				addDownlinks(t, p)
-				addUplinks(t, p)
-			}
-		}
-		for p := range sw[T-1] {
-			addDownlinks(T-1, p)
-		}
-	}
-
-	for t := 0; t < T; t++ {
-		net.Switches = append(net.Switches, sw[t]...)
-	}
 	net.BaseRTT = baseRTT(sp, frameBytes)
 	net.attachPool(NewPacketPool())
 	return net
@@ -533,8 +487,9 @@ func nodeLabel(n Node) string {
 }
 
 // StructureDump renders every structural fact of the built network — hosts,
-// switches, IDs, labels, port orders, rates, delays, routing tables, BaseRTT —
-// in a canonical text form. Two networks behave identically under this
+// switches, IDs, labels, port orders, rates, delays, routes, BaseRTT — in a
+// canonical text form. Each switch's route to each host prints as the list
+// of ports its run spans. Two networks behave identically under this
 // simulator iff their dumps match (queue choice aside), so the dump is the
 // basis for the pinned structure digests.
 func (n *Network) StructureDump() string {
@@ -552,8 +507,13 @@ func (n *Network) StructureDump() string {
 			fmt.Fprintf(&b, "  port %d rate=%v delay=%s dst=%s label=%q\n",
 				i, pt.Rate, pt.Delay.ExactString(), nodeLabel(pt.Dst), pt.Label)
 		}
-		for id, row := range sw.Table {
-			fmt.Fprintf(&b, "  route %d %v\n", id, row)
+		ports := make([]int32, len(sw.Ports))
+		for i := range ports {
+			ports[i] = int32(i)
+		}
+		for id := range n.Hosts {
+			first, k := sw.route(id)
+			fmt.Fprintf(&b, "  route %d %v\n", id, ports[first:first+k])
 		}
 	}
 	return b.String()

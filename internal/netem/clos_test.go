@@ -1,9 +1,12 @@
 package netem
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/aeolus-transport/aeolus/internal/raceflag"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
@@ -114,37 +117,39 @@ func TestClosPortCounts(t *testing.T) {
 	}
 }
 
-// routeWalk follows the forwarding tables from src to dst with a fixed ECMP
-// path ID, returning the hop count or -1 if the walk does not terminate at
-// dst within the hop budget.
-func routeWalk(net *Network, src, dst NodeID, pathID int) int {
-	node := net.Hosts[src].NIC.Dst
-	for hops := 1; hops <= 16; hops++ {
+// routeWalk follows the switches' routes from node to host dst with a fixed
+// ECMP path ID, returning the number of links crossed, or -1 if the walk
+// does not end at dst within 16 links.
+func routeWalk(node Node, dst NodeID, pathID int) int {
+	for links := 0; links <= 16; links++ {
 		sw, ok := node.(*Switch)
 		if !ok {
 			if h, ok := node.(*Host); ok && h.ID == dst {
-				return hops
+				return links
 			}
 			return -1
 		}
-		if int(dst) >= len(sw.Table) || len(sw.Table[dst]) == 0 {
+		first, n := sw.route(int(dst))
+		if n == 0 {
 			return -1
 		}
-		choices := sw.Table[dst]
-		node = sw.Ports[choices[pathID%len(choices)]].Dst
+		node = sw.Ports[first+pathID%n].Dst
 	}
 	return -1
 }
 
-// TestClosConnectivity walks the forwarding tables of every generated
-// catalogue fabric (plus a grouped-pod shape outside the catalogue) for
-// every host pair over several ECMP path IDs: every walk must terminate at
-// the destination, and the hop count must be the tier-symmetric 2T for
+// podSpec is a grouped-pod shape outside the catalogue: edge pairs under
+// leaf pairs, every leaf meshed to every spine.
+var podSpec = TopoSpec{HostsPerEdge: 4,
+	Tiers:    []TierSpec{{Switches: 8, Groups: 4}, {Switches: 8, Groups: 1}, {Switches: 4}},
+	HostRate: 100 * sim.Gbps, LinkDelay: sim.Microsecond}
+
+// TestClosConnectivity walks the routes of every generated catalogue
+// fabric (plus a grouped-pod shape outside the catalogue) for every host
+// pair over several ECMP path IDs: every walk must terminate at the
+// destination, and the hop count must be the tier-symmetric 2T for
 // cross-fabric pairs (up to the common ancestor and back down).
 func TestClosConnectivity(t *testing.T) {
-	podSpec := TopoSpec{HostsPerEdge: 4,
-		Tiers:    []TierSpec{{Switches: 8, Groups: 4}, {Switches: 8, Groups: 1}, {Switches: 4}},
-		HostRate: 100 * sim.Gbps, LinkDelay: sim.Microsecond}
 	specs := map[string]TopoSpec{"leafspine": leafSpineSpec, "fattree": fatTreeSpec, "pods": podSpec}
 	for name, spec := range specs {
 		if err := spec.Validate(); err != nil {
@@ -159,16 +164,205 @@ func TestClosConnectivity(t *testing.T) {
 					continue
 				}
 				for pathID := 0; pathID < 5; pathID++ {
-					hops := routeWalk(net, src, dst, pathID)
+					hops := routeWalk(net.Hosts[src].NIC.Dst, dst, pathID)
 					if hops < 0 {
 						t.Fatalf("%s: no route %d->%d (path %d)", name, src, dst, pathID)
 					}
-					if hops > maxHops {
-						t.Fatalf("%s: route %d->%d takes %d hops, max %d", name, src, dst, hops, maxHops)
+					if hops+1 > maxHops {
+						t.Fatalf("%s: route %d->%d takes %d hops, max %d", name, src, dst, hops+1, maxHops)
 					}
 				}
 			}
 		}
+	}
+}
+
+// referenceRoutes is the per-host routing table BuildClos built before
+// routes became runs, kept as an oracle: for every switch, in
+// Network.Switches order, and every host, the port indices the builder
+// appended to the host's row as it wired the fabric in BuildClos's order.
+func referenceRoutes(spec TopoSpec) [][][]int32 {
+	sp := spec.normalized()
+	T := len(sp.Tiers)
+	nHosts := sp.Hosts()
+	spans, perReach, _ := sp.reachGeometry()
+	table := make([][][][]int32, T) // [tier][switch][host] -> row
+	ports := make([][]int32, T)     // [tier][switch] -> ports wired so far
+	for t := range table {
+		table[t] = make([][][]int32, sp.Tiers[t].Switches)
+		ports[t] = make([]int32, sp.Tiers[t].Switches)
+		for i := range table[t] {
+			table[t][i] = make([][]int32, nHosts)
+		}
+	}
+	addPort := func(t, i int) int32 {
+		ports[t][i]++
+		return ports[t][i] - 1
+	}
+	reach := func(t, i int) (lo, hi int) {
+		lo = i / perReach[t] * spans[t]
+		return lo, lo + spans[t]
+	}
+	for e := range table[0] {
+		for k := 0; k < sp.HostsPerEdge; k++ {
+			table[0][e][e*sp.HostsPerEdge+k] = []int32{addPort(0, e)}
+		}
+	}
+	addUplinks := func(t, c int) {
+		var ups []int32
+		for k := 0; k < sp.Tiers[t+1].Switches/sp.Tiers[t].Groups*sp.Tiers[t].Uplinks; k++ {
+			ups = append(ups, addPort(t, c))
+		}
+		lo, hi := reach(t, c)
+		for id := 0; id < nHosts; id++ {
+			if id < lo || id >= hi {
+				table[t][c][id] = ups
+			}
+		}
+	}
+	addDownlinks := func(t, p int) {
+		g := p / (sp.Tiers[t].Switches / sp.Tiers[t-1].Groups)
+		cpg := sp.Tiers[t-1].Switches / sp.Tiers[t-1].Groups
+		for c := g * cpg; c < (g+1)*cpg; c++ {
+			var downs []int32
+			for u := 0; u < sp.Tiers[t-1].Uplinks; u++ {
+				downs = append(downs, addPort(t, p))
+			}
+			lo, hi := reach(t-1, c)
+			for id := lo; id < hi; id++ {
+				table[t][p][id] = append(table[t][p][id], downs...)
+			}
+		}
+	}
+	if T > 1 {
+		for e := range table[0] {
+			addUplinks(0, e)
+		}
+		for t := 1; t < T-1; t++ {
+			for p := range table[t] {
+				addDownlinks(t, p)
+				addUplinks(t, p)
+			}
+		}
+		for p := range table[T-1] {
+			addDownlinks(T-1, p)
+		}
+	}
+	var rows [][][]int32
+	for _, tier := range table {
+		rows = append(rows, tier...)
+	}
+	return rows
+}
+
+// scaleSpec is the experiments package's ScaleFabric(n): an n-leaf,
+// n-spine Clos with n hosts per leaf.
+func scaleSpec(n int) TopoSpec {
+	spec, err := ParseTopoSpec(fmt.Sprintf("clos:%d/%d,hosts=%d,delay=500ns", n, n, n))
+	if err != nil {
+		panic(err)
+	}
+	return spec
+}
+
+// FuzzClosRoutes holds every switch's route to every host to the table the
+// builder used to store (referenceRoutes), over valid "clos:" fabrics of 1
+// to 4 tiers: the run equals the reference row and lies inside the
+// switch's ports, a walk from the switch reaches the host within 2T links,
+// and a host outside [0, hosts) has no route anywhere. The seeds are the
+// catalogue shapes, the scale sweep's widths, a grouped pod and a 4-tier
+// stack with parallel links.
+func FuzzClosRoutes(f *testing.F) {
+	for _, spec := range []TopoSpec{singleSpec, microSpec, leafSpineSpec, fatTreeSpec, incastFabricSpec,
+		scaleSpec(8), scaleSpec(16), scaleSpec(32), podSpec} {
+		f.Add(spec.String())
+	}
+	f.Add("clos:8x2g4/8g2/4x2/2,hosts=2")
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseTopoSpec(in)
+		if err != nil || len(spec.Tiers) > 4 {
+			return
+		}
+		// Bound the work: switches × hosts route checks, and the links built.
+		sp := spec.normalized()
+		switches, links := 0, 0
+		for i, tier := range sp.Tiers {
+			switches += tier.Switches
+			if i+1 < len(sp.Tiers) {
+				links += tier.Switches * sp.Tiers[i+1].Switches / tier.Groups * tier.Uplinks
+			}
+		}
+		if spec.Hosts() > 1<<12 || switches*spec.Hosts() > 1<<17 || links > 1<<13 {
+			return
+		}
+		net := BuildClos(sim.NewEngine(), spec, nil, 0)
+		ref := referenceRoutes(spec)
+		hosts := len(net.Hosts)
+		for s, sw := range net.Switches {
+			for d := 0; d < hosts; d++ {
+				first, n := sw.route(d)
+				if n < 1 || first < 0 || first+n > len(sw.Ports) {
+					t.Fatalf("%s: %s's route to h%d is ports [%d, %d+%d) of %d", in, sw.Label, d, first, first, n, len(sw.Ports))
+				}
+				row := ref[s][d]
+				if len(row) != n {
+					t.Fatalf("%s: %s's route to h%d spans %d ports, the reference row %v", in, sw.Label, d, n, row)
+				}
+				for k, port := range row {
+					if int(port) != first+k {
+						t.Fatalf("%s: %s's route to h%d is ports [%d, %d), the reference row %v", in, sw.Label, d, first, first+n, row)
+					}
+				}
+				for pathID := 0; pathID < 3; pathID++ {
+					if links := routeWalk(sw, NodeID(d), pathID); links < 0 || links > 2*len(spec.Tiers) {
+						t.Fatalf("%s: the walk from %s to h%d (path %d) crosses %d links", in, sw.Label, d, pathID, links)
+					}
+				}
+			}
+			for _, d := range []int{-1, hosts} {
+				if _, n := sw.route(d); n != 0 {
+					t.Fatalf("%s: %s routes host %d of %d", in, sw.Label, d, hosts)
+				}
+			}
+		}
+	})
+}
+
+// closBuildPerPortGrowth bounds how much a port's share of BuildClos's
+// allocation may grow from the scale sweep's width 8 to width 32, a fabric
+// with 16 times the hosts: the build state must grow with the ports, not
+// with switches × hosts, as a per-host routing table on every switch did.
+const closBuildPerPortGrowth = 1.1
+
+// TestClosBuildPerPort gates the O(ports) build: BuildClos of the scale
+// sweep's fabric at widths 8 and 32 with the default queue, the engine made
+// outside the measured window, must allocate at width 32 no more than
+// closBuildPerPortGrowth times the bytes and the mallocs per port (NICs
+// included) it does at width 8.
+func TestClosBuildPerPort(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes what the runtime allocates")
+	}
+	perPort := func(width int) (bytes, mallocs float64) {
+		eng := sim.NewEngine()
+		spec := scaleSpec(width)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net := BuildClos(eng, spec, nil, 0)
+		runtime.ReadMemStats(&after)
+		ports := float64(len(net.AllPorts()))
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / ports
+		mallocs = float64(after.Mallocs-before.Mallocs) / ports
+		t.Logf("clos:%d/%d: %.0f B and %.2f mallocs per port over %.0f ports", width, width, bytes, mallocs, ports)
+		return bytes, mallocs
+	}
+	b8, m8 := perPort(8)
+	b32, m32 := perPort(32)
+	if b32 > closBuildPerPortGrowth*b8 {
+		t.Errorf("BuildClos allocates %.0f B per port at width 32, over %.1f× the %.0f at width 8", b32, closBuildPerPortGrowth, b8)
+	}
+	if m32 > closBuildPerPortGrowth*m8 {
+		t.Errorf("BuildClos makes %.2f mallocs per port at width 32, over %.1f× the %.2f at width 8", m32, closBuildPerPortGrowth, m8)
 	}
 }
 

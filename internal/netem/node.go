@@ -74,14 +74,32 @@ func (h *Host) Send(p *Packet) {
 
 // Switch is an output-queued switch: packets are routed to an output port by
 // destination host ID, with ECMP among equal-cost ports selected by the
-// packet's PathID. PipeDelay models the switching pipeline latency.
+// packet's PathID. PipeDelay models the switching pipeline latency. A route
+// is a run of consecutive ports worked out from a few numbers BuildClos sets,
+// the same few on every switch of any fabric (see route).
 type Switch struct {
 	ID        NodeID
 	Eng       *sim.Engine
 	Ports     []*Port
-	Table     [][]int32 // dst host ID -> eligible output port indices
 	PipeDelay sim.Duration
 	Label     string
+
+	hosts      int32 // hosts in the fabric: no other Dst has a route
+	lo, span   int32 // down window: hosts [lo, lo+span), below this switch
+	block, run int32 // hosts per block of the window, ports per block (from 0)
+	up, nUp    int32 // uplink run, for every other host: Ports[up : up+nUp]
+}
+
+// route returns the run of ports a packet for host d may leave on,
+// Ports[first : first+n]; n == 0 means there is no route.
+func (s *Switch) route(d int) (first, n int) {
+	if off := d - int(s.lo); uint(off) < uint(s.span) {
+		return off / int(s.block) * int(s.run), int(s.run)
+	}
+	if uint(d) >= uint(s.hosts) {
+		return 0, 0
+	}
+	return int(s.up), int(s.nUp)
 }
 
 // Receive implements Node. The pipeline-delay hop reuses the packet as its
@@ -102,12 +120,11 @@ type switchPipe Switch
 func (sp *switchPipe) Receive(p *Packet) { (*Switch)(sp).forward(p) }
 
 func (s *Switch) forward(p *Packet) {
-	if int(p.Dst) >= len(s.Table) || len(s.Table[p.Dst]) == 0 {
+	first, n := s.route(int(p.Dst))
+	if n == 0 {
 		panic(fmt.Sprintf("netem: switch %s has no route to host %d for %v", s.Label, p.Dst, p))
 	}
-	choices := s.Table[p.Dst]
-	idx := choices[int(p.PathID)%len(choices)]
-	s.Ports[idx].Send(p)
+	s.Ports[first+int(p.PathID)%n].Send(p)
 }
 
 // Network is a built topology: the engine, all hosts and switches, and the

@@ -114,8 +114,8 @@ func ShardCount(spec TopoSpec, requested int) int {
 
 // BuildShardedClos builds the fabric a TopoSpec describes, partitioned into
 // shards engines. The network is wired by the exact same BuildClos pass as
-// an unsharded build — node IDs, labels, port orders, routing tables and
-// BaseRTT are byte-identical — and then re-homed: every host, switch and
+// an unsharded build — node IDs, labels, port orders, routes and BaseRTT
+// are byte-identical — and then re-homed: every host, switch and
 // port is assigned to its shard's engine and packet pool, and every port
 // whose destination is foreign gets a CrossLink. shards must already be an
 // effective count from ShardCount (≥ 1); with shards == 1 the result is the
@@ -147,9 +147,9 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Que
 	sp := spec.normalized()
 
 	// Assignment. Hosts follow their edge switch; edge switches map to
-	// contiguous shard blocks; a higher-tier switch joins the shard that
-	// owns its whole downward reach, or is spread by index when the reach
-	// crosses shards.
+	// contiguous shard blocks; any switch joins the shard that owns its
+	// whole down window (an edge switch's hosts always lie in one), or is
+	// spread by index when the window crosses shards.
 	edges := sp.Tiers[0].Switches
 	sn.hostShard = make([]int, len(net.Hosts))
 	for id := range net.Hosts {
@@ -157,20 +157,13 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Que
 		sn.hostShard[id] = s
 		sn.hostsOf[s] = append(sn.hostsOf[s], net.Hosts[id])
 	}
-	spans, perReach := sp.reachGeometry()
 	swShard := make(map[*Switch]int, len(net.Switches))
 	idx := 0
-	for t, tier := range sp.Tiers {
+	for _, tier := range sp.Tiers {
 		for i := 0; i < tier.Switches; i++ {
 			sw := net.Switches[idx]
 			idx++
-			if t == 0 {
-				swShard[sw] = i * shards / edges
-				continue
-			}
-			lo := i / perReach[t] * spans[t]
-			hi := lo + spans[t]
-			if s := sn.hostShard[lo]; s == sn.hostShard[hi-1] {
+			if s := sn.hostShard[sw.lo]; s == sn.hostShard[sw.lo+sw.span-1] {
 				swShard[sw] = s
 			} else {
 				swShard[sw] = i * shards / tier.Switches

@@ -32,9 +32,10 @@ func TestShardCountClamps(t *testing.T) {
 
 // TestShardedClosPartition checks the structural contract of the partitioner
 // on the leaf-spine fabric: hosts follow their edge switch in contiguous
-// blocks, the shard host/port sets partition the network, every element is
-// homed on its shard's engine and pool, and exactly the ports whose peer
-// lives elsewhere carry a CrossLink.
+// blocks, switches join the shard their down window lies in or are spread,
+// the shard host/port sets partition the network, every element is homed on
+// its shard's engine and pool, and exactly the ports whose peer lives
+// elsewhere carry a CrossLink.
 func TestShardedClosPartition(t *testing.T) {
 	const shards = 4
 	sn := BuildShardedClos(leafSpineSpec, shards, sim.SchedWheel, testQueue, 1538)
@@ -94,6 +95,14 @@ func TestShardedClosPartition(t *testing.T) {
 	}
 	if crossed != sn.CrossPorts() || crossed == 0 {
 		t.Fatalf("counted %d cross ports, CrossPorts() = %d (want equal, nonzero)", crossed, sn.CrossPorts())
+	}
+
+	// A leaf joins its hosts' shard; the spines, whose down windows span
+	// every shard, are spread over the shards by index.
+	for i, sw := range sn.Net.Switches {
+		if want := i % edges * shards / edges; sw.Eng != sn.Engines[want] {
+			t.Fatalf("switch %s not homed on shard %d", sw.Label, want)
+		}
 	}
 
 	// Host NICs and edge down-ports never cross: an edge switch and its hosts

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -351,15 +352,37 @@ func TestCascadingDelay(t *testing.T) {
 	}
 }
 
+// TestSwitchPanicsOnMissingRoute checks that a packet with no route panics
+// at the first switch it reaches: a switch with no routes at all, and an
+// edge switch with uplinks given a destination outside the fabric's hosts,
+// which must not climb the uplinks toward a switch that also has no route.
 func TestSwitchPanicsOnMissingRoute(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := &Switch{ID: 1, Eng: eng, Table: make([][]int32, 1), Label: "s"}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("forwarding without a route did not panic")
-		}
-	}()
-	sw.Receive(&Packet{Dst: 0})
+	net := BuildClos(sim.NewEngine(), leafSpineSpec, nil, 0)
+	edge := net.Switches[0]
+	hosts := NodeID(len(net.Hosts))
+	cases := []struct {
+		name string
+		sw   *Switch
+		dst  NodeID
+	}{
+		{"no routes", &Switch{ID: 1, Eng: sim.NewEngine(), Label: "s"}, 0},
+		{"dst == hosts", edge, hosts},
+		{"negative dst", edge, -1},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: forwarding without a route did not panic", tc.name)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "switch "+tc.sw.Label+" has no route") {
+					t.Fatalf("%s: panic %q, want it raised at %s", tc.name, msg, tc.sw.Label)
+				}
+			}()
+			tc.sw.Receive(&Packet{Dst: tc.dst})
+		}()
+	}
 }
 
 func TestWireSizeFor(t *testing.T) {
