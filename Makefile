@@ -57,7 +57,9 @@ audit:
 # tiers, and a port must resolve the ties at its tx end as an
 # always-scheduled tx-done would, on both schedulers, while scheduling
 # tx-done only when a packet waits (the event count per packet is pinned),
-# and the senders must stamp
+# a switch must spread a route's packets over its run of ports by PathID,
+# up and down parallel links alike, and stop a looping packet at the hop
+# bound, and the senders must stamp
 # the wire fields the digests ride on (Homa's data bands from its cutoffs and
 # grants, probes on band 0, ExpressPass on each flow's ECMP hash). The
 # heap and pool-off mode exist only as these oracles; a drift in one cell is a
@@ -66,7 +68,7 @@ audit:
 golden:
 	$(GO) test -run 'TestGoldenDigests|TestQueueTableDigests' ./internal/experiments
 	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestNear|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetects(Wheel|Near)Corruption' ./internal/sim
-	$(GO) test -run 'TestPortTxDoneTies|TestIdlePortEventsPerPacket' ./internal/netem
+	$(GO) test -run 'TestPortTxDoneTies|TestIdlePortEventsPerPacket|TestECMPSpread|TestSwitchPanicsOnRoutingLoop' ./internal/netem
 	$(GO) test -run 'TestWire' ./internal/transport/homa ./internal/transport/expresspass
 
 # Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix

@@ -14,8 +14,8 @@
 //     internally consistent (sim.Engine.CheckInvariants).
 //  3. Delivery bounds: a flow's unique delivered payload never exceeds its
 //     size; duplicates are legal only as explicit retransmissions.
-//  4. Protocol state: transports exposing Auditable have each flow's Aeolus
-//     state machine verified (core.PreCredit.Audit).
+//  4. Protocol state: the transport's own per-flow checks (each flow's
+//     Aeolus state machine, core.PreCredit.Audit), handed in as errors.
 //  5. Meter coherence: the transfer-efficiency meter's sent counter matches
 //     the payload the fabric saw injected, and its delivered counter never
 //     exceeds the unique payload the fabric delivered.
@@ -37,12 +37,6 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
-
-// Auditable is implemented by transports that can verify their own per-flow
-// invariants (the three Protocol types in internal/transport).
-type Auditable interface {
-	AuditInvariants() []error
-}
 
 // Violation is one invariant breach, structured so tests and tools can
 // filter by check and locate the offending port or flow.
@@ -543,13 +537,10 @@ func (a *Auditor) Trace(now sim.Time, ev netem.TraceEvent, where string, p *nete
 	}
 }
 
-// AuditProtocol runs the transport's own invariant checks, when it has any.
-func (a *Auditor) AuditProtocol(p any) {
-	aud, ok := p.(Auditable)
-	if !ok {
-		return
-	}
-	for _, err := range aud.AuditInvariants() {
+// AuditProtocol reports each breach the transport's own invariant checks
+// found (transport.Protocol.AuditInvariants).
+func (a *Auditor) AuditProtocol(errs []error) {
+	for _, err := range errs {
 		a.report.add(Violation{Check: "protocol-state", Detail: err.Error()})
 	}
 }

@@ -190,18 +190,13 @@ func TestAuditorCheckMeter(t *testing.T) {
 	}
 }
 
-type fakeAuditable struct{ errs []error }
-
-func (f fakeAuditable) AuditInvariants() []error { return f.errs }
-
 func TestAuditProtocol(t *testing.T) {
 	a := Attach(testNet())
-	a.AuditProtocol(struct{}{}) // not auditable: ignored
-	a.AuditProtocol(fakeAuditable{})
+	a.AuditProtocol(nil)
 	if !a.report.Ok() {
 		t.Fatalf("clean protocol flagged: %v", a.report.Err())
 	}
-	a.AuditProtocol(fakeAuditable{errs: []error{errFake("pc broken")}})
+	a.AuditProtocol([]error{errFake("pc broken")})
 	if !hasCheck(&a.report, "protocol-state") {
 		t.Fatal("protocol error not flagged")
 	}

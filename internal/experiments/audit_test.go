@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -192,6 +193,54 @@ func TestAuditCatchesInjectedLoss(t *testing.T) {
 type dropAll struct{}
 
 func (dropAll) Receive(*netem.Packet) {}
+
+// TestShardedAuditCatchesPoolLeak is TestAuditCatchesInjectedLoss on two
+// shards, through Run: a host downlink whose receiver swallows one delivery
+// (no trace event, no counter, no return to the pool) must surface as
+// pool-leak in the merged report. Each shard's pool trades packets with the
+// other, so only the harness's cross-pool balance can see the leak.
+func TestShardedAuditCatchesPoolLeak(t *testing.T) {
+	cfg := shardDiffConfig()
+	cfg.Shards = 2
+	var sabotaged bool
+	cfg.Observe = func(net *netem.Network, _ *transport.Env, _ transport.Protocol) {
+		if !sabotaged {
+			sabotaged = true
+			pt := net.Switches[0].Ports[0]
+			pt.Dst = &swallowOne{next: pt.Dst}
+		}
+	}
+	spec := shardDiffSpec()
+	spec.Flows = 60
+	r := Run(cfg, spec)
+	if r.Shards != 2 || r.Completed != r.Total {
+		t.Fatalf("ran on %d shards and completed %d of %d flows, want 2 shards and every flow", r.Shards, r.Completed, r.Total)
+	}
+	if r.Audit == nil {
+		t.Fatal("no audit report attached")
+	}
+	for _, v := range r.Audit.Violations {
+		if v.Check == "pool-leak" && strings.Contains(v.Detail, fmt.Sprintf("got back %d", r.Audit.Pool.Gets-1)) {
+			return
+		}
+	}
+	t.Fatalf("a swallowed delivery on a sharded run was not reported as a one-packet pool-leak: %v", r.Audit.Err())
+}
+
+// swallowOne silently swallows the first packet delivered to it and hands
+// every later one to next.
+type swallowOne struct {
+	next netem.Node
+	done bool
+}
+
+func (s *swallowOne) Receive(p *netem.Packet) {
+	if !s.done {
+		s.done = true
+		return
+	}
+	s.next.Receive(p)
+}
 
 // TestWindowGoodputIncastFallback is the regression for the steady-state
 // goodput metric degenerating to zero on pure incast runs: simultaneous

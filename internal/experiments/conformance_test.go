@@ -3,7 +3,9 @@ package experiments
 import (
 	"testing"
 
+	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
+	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
 // TestSchemeConformance runs every registered scheme through the shared
@@ -14,6 +16,8 @@ import (
 //   - the packet-conservation audit is clean
 //   - no flow beats its ideal completion time
 //   - transfer efficiency never exceeds 1
+//   - the protocol's Footprint holds one flow descriptor, sender and
+//     receiver state per flow
 func TestSchemeConformance(t *testing.T) {
 	for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
 		for _, e := range Schemes() {
@@ -23,6 +27,8 @@ func TestSchemeConformance(t *testing.T) {
 				cfg := GoldenConfig()
 				cfg.Audit = true
 				cfg.sched = sched
+				var proto transport.Protocol
+				cfg.Observe = func(_ *netem.Network, _ *transport.Env, p transport.Protocol) { proto = p }
 				r := Run(cfg, GoldenSpec(e.ID))
 				if r.Completed != r.Total {
 					t.Errorf("completed %d of %d flows", r.Completed, r.Total)
@@ -42,6 +48,10 @@ func TestSchemeConformance(t *testing.T) {
 				}
 				if r.Scheme == "" {
 					t.Error("empty display name")
+				}
+				want := transport.Footprint{Flows: r.Total, Senders: r.Total, Receivers: r.Total}
+				if fp := proto.Footprint(); fp != want {
+					t.Errorf("footprint %+v, want %+v: one descriptor, sender and receiver state per flow", fp, want)
 				}
 			})
 		}

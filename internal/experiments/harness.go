@@ -216,19 +216,13 @@ func (r *RunResult) Records() []stats.FlowRecord { return r.records }
 //
 // Cross-shard flows exist in two copies: the sender's shard starts the flow
 // (its protocol instance owns the sender state machine), and the receiver's
-// shard gets the descriptor pre-registered (flowRegistrar) so its protocol
-// instance can establish receiver state when the first packet arrives. The
-// receiver side reports completion, so FCT records land in the destination
-// shard's collector and are merged by finish time afterwards. One known
-// divergence: sender-side timeout counts stay on the sender copy, so a
-// cross-shard flow's record reports Timeouts the sender copy suffered as 0.
-
-// flowRegistrar is the cross-shard pre-registration hook the transports
-// implement: it adds a flow descriptor to the instance's table without
-// starting a sender, so the receive path can look the flow up.
-type flowRegistrar interface {
-	Register(f *transport.Flow)
-}
+// shard gets the descriptor pre-registered (Protocol.Register) so its
+// protocol instance can establish receiver state when the first packet
+// arrives. The receiver side reports completion, so FCT records land in the
+// destination shard's collector and are merged by finish time afterwards.
+// One known divergence: sender-side timeout counts stay on the sender copy,
+// so a cross-shard flow's record reports Timeouts the sender copy suffered
+// as 0.
 
 // runPlan is a run built up to its first event: the fabric, and one engine,
 // environment and protocol (and auditor, when auditing) per shard.
@@ -524,12 +518,8 @@ func (p *runPlan) inject(trace []workload.FlowSpec) {
 		}
 		s := sn.HostShard(f.Src)
 		if d := sn.HostShard(f.Dst); d != s {
-			reg, ok := p.protos[d].(flowRegistrar)
-			if !ok {
-				panic(fmt.Sprintf("experiments: scheme %s cannot register cross-shard flows", p.scheme.Name))
-			}
 			rf := *f
-			reg.Register(&rf)
+			p.protos[d].Register(&rf)
 		}
 		proto := p.protos[s]
 		p.envs[s].Eng.At(f.Start, func() { proto.Start(f) })
@@ -653,7 +643,7 @@ func (p *runPlan) finishAudit(cfg Config, spec RunSpec) *audit.Report {
 func (p *runPlan) auditReport() *audit.Report {
 	reps := make([]*audit.Report, len(p.auds))
 	for i, a := range p.auds {
-		a.AuditProtocol(p.protos[i])
+		a.AuditProtocol(p.protos[i].AuditInvariants())
 		a.CheckMeter(p.envs[i].Meter.SentPayload, p.envs[i].Meter.DeliveredPayload)
 		reps[i] = a.Finish()
 	}

@@ -105,7 +105,7 @@ type ScalePoint struct {
 	// StateBytesPerFlow is the retained heap growth across the run divided by
 	// the flow count — the per-flow footprint of transport tables, FCT
 	// records and trace, measured after a settling GC. The transport's own
-	// resident-object counts come from transport.FootprintReporter.
+	// resident-object counts come from its Footprint.
 	StateBytesPerFlow float64 `json:"state_bytes_per_flow"`
 	StateFlows        int     `json:"state_flows"`
 	StateSenders      int     `json:"state_senders"`
@@ -211,12 +211,10 @@ func MeasureScale(cfg Config, width int, load float64) ScalePoint {
 		pt.StateBytesPerFlow = float64(heapEnd-heapStart) / float64(pt.Flows)
 	}
 	for _, p := range protos {
-		if fr, ok := p.(transport.FootprintReporter); ok {
-			fp := fr.Footprint()
-			pt.StateFlows += fp.Flows
-			pt.StateSenders += fp.Senders
-			pt.StateReceivers += fp.Receivers
-		}
+		fp := p.Footprint()
+		pt.StateFlows += fp.Flows
+		pt.StateSenders += fp.Senders
+		pt.StateReceivers += fp.Receivers
 	}
 	pt.AuditClean = res.Audit != nil && res.Audit.Ok()
 	return pt

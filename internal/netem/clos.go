@@ -134,12 +134,21 @@ func (s TopoSpec) reachGeometry() (spans, perReach []int, err error) {
 	return spans, perReach, nil
 }
 
+// maxTiers is the deepest tier stack Validate accepts. A route through T
+// tiers crosses at most 2T-1 switches, so no packet of a valid fabric
+// crosses more than maxSwitchHops; Switch.forward panics on one that does.
+const (
+	maxTiers      = 8
+	maxSwitchHops = 2*maxTiers - 1
+)
+
 // Validate checks the spec describes a well-formed, fully connected fabric:
-// positive sizes and a consistent reach geometry (see reachGeometry).
+// 1 to maxTiers tiers, positive sizes and a consistent reach geometry (see
+// reachGeometry).
 func (s TopoSpec) Validate() error {
 	n := s.normalized()
-	if len(n.Tiers) == 0 {
-		return fmt.Errorf("clos spec: no tiers")
+	if len(n.Tiers) == 0 || len(n.Tiers) > maxTiers {
+		return fmt.Errorf("clos spec: %d tiers, want 1 to %d", len(n.Tiers), maxTiers)
 	}
 	if n.HostsPerEdge < 1 {
 		return fmt.Errorf("clos spec: hosts per edge switch must be >= 1, got %d", n.HostsPerEdge)

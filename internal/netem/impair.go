@@ -18,12 +18,12 @@ import (
 // byte accounting and drop-counter coherence hold under injected chaos.
 //
 // Composition order on the arrival path is fixed: link failure, then
-// blackhole, then the loss process (every-nth, Gilbert-Elliott, or uniform —
-// mutually exclusive), then the port's own discipline; Port.Send asks the
-// controller before it offers a packet to the queue. A failed link also
-// freezes the serializer (Port.kick idles until Restore). Rate caps and
-// delay/jitter act on the serializer side (the Port consults the controller
-// when it transmits) and never discard packets.
+// blackhole, then the loss process (every-nth or the Gilbert-Elliott chain,
+// of which uniform loss is the case without transitions), then the port's
+// own discipline; Port.Send asks the controller before it offers a packet to
+// the queue. A failed link also freezes the serializer (Port.kick idles until
+// Restore). Rate caps and delay/jitter act on the serializer side (the Port
+// consults the controller when it transmits) and never discard packets.
 
 // LinkImpairment is the impairment controller of one port. Install it with
 // InstallImpairment, then configure it directly (tests) or let a Timeline
@@ -36,21 +36,20 @@ type LinkImpairment struct {
 	origRate sim.Rate
 
 	// Loss process: matching packets are dropped every Nth arrival when
-	// nth > 0, else with probability lossRate. ge switches to the
-	// Gilbert-Elliott two-state chain instead; the three processes are
-	// mutually exclusive (SetLoss and SetGE clear each other).
-	lossRate float64
-	nth      int64
-	nthSeen  int64
-	match    func(*Packet) bool
+	// nth > 0, else by the Gilbert-Elliott chain. Each of SetLoss and SetGE
+	// replaces whatever the other configured.
+	nth     int64
+	nthSeen int64
+	match   func(*Packet) bool
 
 	// Gilbert-Elliott correlated loss: a two-state (good/bad) Markov chain
 	// advanced once per matching arrival. geP is the good→bad transition
 	// probability, geR the bad→good recovery probability; geGood and geBad
 	// are the per-packet loss probabilities inside each state. The stationary
 	// loss rate is (r·good + p·bad)/(p+r), with mean bad-burst length 1/r —
-	// the knob independent random loss does not have.
-	ge        bool
+	// the knob independent random loss does not have. With p = r = 0 the
+	// chain never leaves the good state: uniform loss at rate good, one draw
+	// per matching arrival, and none when good is 0.
 	geBad     bool // current chain state (false = good)
 	geP, geR  float64
 	geGood    float64
@@ -79,11 +78,11 @@ func InstallImpairment(pt *Port, seed uint64) *LinkImpairment {
 
 // SetLoss configures the loss process for matching packets (nil match means
 // every packet): drop every nth arrival when nth > 0, else drop with
-// probability rate. The nth counter restarts, so reconfiguring mid-run is
-// reproducible.
+// probability rate — the Gilbert-Elliott chain without transitions. The nth
+// counter and the chain restart, so reconfiguring mid-run is reproducible.
 func (li *LinkImpairment) SetLoss(rate float64, nth int64, match func(*Packet) bool) {
-	li.lossRate, li.nth, li.nthSeen, li.match = rate, nth, 0, match
-	li.ge = false
+	li.SetGE(0, 0, rate, 0, match)
+	li.nth = nth
 }
 
 // SetGE configures Gilbert-Elliott correlated loss for matching packets (nil
@@ -91,11 +90,11 @@ func (li *LinkImpairment) SetLoss(rate float64, nth int64, match func(*Packet) b
 // probability p and bad→good with probability r at each matching arrival,
 // dropping with probability good in the good state and bad in the bad state.
 // The chain restarts in the good state, so reconfiguring mid-run is
-// reproducible; any uniform or every-nth loss process is cleared.
+// reproducible; any every-nth loss process is cleared.
 func (li *LinkImpairment) SetGE(p, r, good, bad float64, match func(*Packet) bool) {
-	li.ge, li.geBad = true, false
+	li.geBad = false
 	li.geP, li.geR, li.geGood, li.geBadLoss = p, r, good, bad
-	li.lossRate, li.nth, li.nthSeen, li.match = 0, 0, 0, match
+	li.nth, li.nthSeen, li.match = 0, 0, match
 }
 
 // Fail takes the link down: arrivals are dropped and the queue freezes (the
@@ -145,29 +144,23 @@ func (li *LinkImpairment) dropOnArrival(p *Packet) bool {
 	}
 	if li.nth > 0 {
 		li.nthSeen++
-		if li.nthSeen%li.nth == 0 {
-			return true
-		}
-		return false
+		return li.nthSeen%li.nth == 0
 	}
-	if li.ge {
-		// Sample the loss under the current state, then advance the chain —
-		// the textbook per-packet discretization, one transition per arrival.
-		prob := li.geGood
-		if li.geBad {
-			prob = li.geBadLoss
-		}
-		drop := prob > 0 && li.rng.Float64() < prob
-		if li.geBad {
-			if li.geR > 0 && li.rng.Float64() < li.geR {
-				li.geBad = false
-			}
-		} else if li.geP > 0 && li.rng.Float64() < li.geP {
-			li.geBad = true
-		}
-		return drop
+	// Sample the loss under the current state, then advance the chain — the
+	// textbook per-packet discretization, one transition per arrival.
+	prob := li.geGood
+	if li.geBad {
+		prob = li.geBadLoss
 	}
-	return li.lossRate > 0 && li.rng.Float64() < li.lossRate
+	drop := prob > 0 && li.rng.Float64() < prob
+	if li.geBad {
+		if li.geR > 0 && li.rng.Float64() < li.geR {
+			li.geBad = false
+		}
+	} else if li.geP > 0 && li.rng.Float64() < li.geP {
+		li.geBad = true
+	}
+	return drop
 }
 
 // wireDelay returns the extra delivery delay for one transmission.

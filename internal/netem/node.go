@@ -27,16 +27,11 @@ type Host struct {
 	// InstrumentHosts). Untraced hosts pay one nil check.
 	Tap   Tracer
 	label string
-
-	RxPackets uint64
-	RxBytes   int64
 }
 
 // Receive implements Node: deliver to the endpoint after the host stack delay.
 // The delayed hop reuses the packet as its own event (see Packet.Fire).
 func (h *Host) Receive(p *Packet) {
-	h.RxPackets++
-	h.RxBytes += int64(p.WireSize)
 	if h.HostDelay > 0 {
 		p.next = (*hostStack)(h)
 		h.Eng.AfterHandler(h.HostDelay, p)
@@ -64,13 +59,8 @@ type hostStack Host
 
 func (h *hostStack) Receive(p *Packet) { (*Host)(h).deliver(p) }
 
-// Send stamps the packet's send time (if unset) and offers it to the NIC.
-func (h *Host) Send(p *Packet) {
-	if p.SendTime == 0 {
-		p.SendTime = h.Eng.Now()
-	}
-	h.NIC.Send(p)
-}
+// Send offers the packet to the NIC.
+func (h *Host) Send(p *Packet) { h.NIC.Send(p) }
 
 // Switch is an output-queued switch: packets are routed to an output port by
 // destination host ID, with ECMP among equal-cost ports selected by the
@@ -123,6 +113,10 @@ func (s *Switch) forward(p *Packet) {
 	first, n := s.route(int(p.Dst))
 	if n == 0 {
 		panic(fmt.Sprintf("netem: switch %s has no route to host %d for %v", s.Label, p.Dst, p))
+	}
+	if p.hops++; p.hops > maxSwitchHops {
+		panic(fmt.Sprintf("netem: switch %s is hop %d of %v, but no valid route crosses more than %d switches: a routing loop",
+			s.Label, p.hops, p, maxSwitchHops))
 	}
 	s.Ports[first+int(p.PathID)%n].Send(p)
 }

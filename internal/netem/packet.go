@@ -10,11 +10,7 @@
 // Aeolus paper).
 package netem
 
-import (
-	"fmt"
-
-	"github.com/aeolus-transport/aeolus/internal/sim"
-)
+import "fmt"
 
 // NodeID identifies a host or switch in a Network. Host IDs are dense and
 // start at zero; routing tables are keyed by destination host ID.
@@ -83,7 +79,7 @@ func WireSizeFor(payload int) int { return payload + FrameOverhead }
 //
 // The field order is deliberate: 8-byte fields first, then the pointers,
 // then the 4-byte IDs, then the packed byte-wide type/priority/flag tail —
-// no interior padding, so a Packet is 112 bytes and a pool slab chunk packs
+// no interior padding, so a Packet is 104 bytes and a pool slab chunk packs
 // them shoulder to shoulder.
 type Packet struct {
 	Flow uint64 // flow identifier, unique per run
@@ -96,8 +92,6 @@ type Packet struct {
 
 	PayloadLen int // application payload bytes carried (0 for control/trimmed)
 	WireSize   int // total bytes occupying the wire, headers included
-
-	SendTime sim.Time // first placed on the wire at the source
 
 	// Meta carries one transport-specific scalar of a control packet: the
 	// flow size on an Aeolus probe and an ExpressPass credit request, the
@@ -147,6 +141,11 @@ type Packet struct {
 	// Put on an already-pooled packet is the double-free bug the audit layer
 	// reports as a structured violation.
 	pooled bool
+
+	// hops counts the switches the packet has crossed. A switch panics once
+	// it exceeds maxSwitchHops, so a routing loop fails at once instead of
+	// circling forever.
+	hops uint8
 }
 
 // PoolSlot returns the packet's dense index in its pool's slab arena, or -1

@@ -55,7 +55,7 @@ type PacketPool struct {
 	doublePuts uint64 // Put calls on packets already in the pool
 }
 
-// Packet slab geometry: 512 packets per chunk — 56 KiB of 112-byte packets,
+// Packet slab geometry: 512 packets per chunk — 52 KiB of 104-byte packets,
 // sized so one chunk covers the in-flight population of a loaded port chain.
 const (
 	packetChunkBits = 9

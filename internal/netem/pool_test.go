@@ -1,18 +1,29 @@
 package netem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestPacketSize pins the layout packet.go describes and the slab chunk is
+// sized by: the fields pack with no interior padding into 104 bytes.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 104 {
+		t.Fatalf("Packet is %d bytes, want 104", n)
+	}
+}
 
 func TestPoolRecyclesAndResets(t *testing.T) {
 	pp := NewPacketPool()
 	p := pp.Get()
-	p.Type, p.Flow, p.Seq, p.WireSize = Data, 7, 42, 1538
+	p.Type, p.Flow, p.Seq, p.WireSize, p.hops = Data, 7, 42, 1538, 3
 	p.SegList = append(p.SegList, 1, 2, 3)
 	pp.Put(p)
 	q := pp.Get()
 	if q != p {
 		t.Fatal("pool did not recycle the released packet")
 	}
-	if q.Type != 0 || q.Flow != 0 || q.Seq != 0 || q.WireSize != 0 || q.pooled {
+	if q.Type != 0 || q.Flow != 0 || q.Seq != 0 || q.WireSize != 0 || q.pooled || q.hops != 0 {
 		t.Fatalf("recycled packet not reset: %+v", q)
 	}
 	if len(q.SegList) != 0 || cap(q.SegList) < 3 {

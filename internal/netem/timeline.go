@@ -345,18 +345,16 @@ func (tl *Timeline) Apply(net *Network, seed uint64) error {
 
 func applyStep(li *LinkImpairment, st TimelineStep) {
 	switch st.Action {
-	case ActLoss:
+	case ActLoss, ActGE:
 		m, err := MatchClass(st.Match)
 		if err != nil {
 			panic(err) // unreachable: validate checked the class
 		}
-		li.SetLoss(st.Rate, st.Nth, m)
-	case ActGE:
-		m, err := MatchClass(st.Match)
-		if err != nil {
-			panic(err) // unreachable: validate checked the class
+		if st.Action == ActLoss {
+			li.SetLoss(st.Rate, st.Nth, m)
+		} else {
+			li.SetGE(st.P, st.R, st.Good, st.Bad, m)
 		}
-		li.SetGE(st.P, st.R, st.Good, st.Bad, m)
 	case ActFail:
 		li.Fail()
 	case ActRestore:

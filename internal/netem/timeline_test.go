@@ -178,6 +178,7 @@ func TestTimelineApply(t *testing.T) {
 	if err := tl.Apply(net, 42); err != nil {
 		t.Fatal(err)
 	}
+	cs := attachCollectors(net)
 	impaired := 0
 	for _, pt := range net.AllPorts() {
 		if pt.Imp != nil {
@@ -198,8 +199,8 @@ func TestTimelineApply(t *testing.T) {
 	if got := DropTotals(net.SwitchPorts())[DropImpairment]; got != 1 {
 		t.Fatalf("injected drops = %d, want 1", got)
 	}
-	if h := net.Hosts[1]; h.RxPackets != 1 {
-		t.Fatalf("host received %d packets, want 1", h.RxPackets)
+	if got := len(cs[1].pkts); got != 1 {
+		t.Fatalf("host received %d packets, want 1", got)
 	}
 	if live := net.Pool.Live(); live != 0 {
 		t.Fatalf("%d packets leaked", live)

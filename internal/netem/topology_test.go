@@ -385,6 +385,87 @@ func TestSwitchPanicsOnMissingRoute(t *testing.T) {
 	}
 }
 
+// TestSwitchPanicsOnRoutingLoop corrupts leaf1's down window so that it
+// sends packets for its own hosts back up to a spine, which sends them down
+// to leaf1 again. The packet must stop at the hop bound, not circle
+// forever. The deepest stack Validate accepts must still deliver: its
+// longest route crosses exactly maxSwitchHops switches.
+func TestSwitchPanicsOnRoutingLoop(t *testing.T) {
+	net := BuildClos(sim.NewEngine(), TopoSpec{HostsPerEdge: 2, Tiers: []TierSpec{{Switches: 2}, {Switches: 4}},
+		HostRate: 100 * sim.Gbps, LinkDelay: 100 * sim.Nanosecond}, nil, 0)
+	net.Switches[1].span = 0 // leaf1 no longer sees hosts 2 and 3 below it
+	func() {
+		defer func() {
+			want := fmt.Sprintf("is hop %d of", maxSwitchHops+1)
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) || !strings.Contains(msg, "routing loop") {
+				t.Fatalf("looping packet: panic %q, want one containing %q", msg, want)
+			}
+		}()
+		p := dataPkt(1, 1538, false)
+		p.Src, p.Dst = 0, 2
+		net.Hosts[0].Send(p)
+		net.Eng.Run()
+	}()
+
+	// Each tier below the top two is a pair of separate chains, so a packet
+	// between the two hosts climbs to the single top switch and back down.
+	chains := func(tiers int) string { return "clos:" + strings.Repeat("2g2/", tiers-2) + "2/1,hosts=1" }
+	deep, err := ParseTopoSpec(chains(maxTiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net = BuildClos(sim.NewEngine(), deep, nil, 0)
+	cs := attachCollectors(net)
+	p := dataPkt(1, 1538, false)
+	p.Src, p.Dst = 0, 1
+	net.Hosts[0].Send(p)
+	net.Eng.Run()
+	if len(cs[1].pkts) != 1 || p.hops != maxSwitchHops {
+		t.Fatalf("%d-tier chain delivered %d packets after %d hops, want 1 after %d", maxTiers, len(cs[1].pkts), p.hops, maxSwitchHops)
+	}
+	if _, err := ParseTopoSpec(chains(maxTiers + 1)); err == nil || !strings.Contains(err.Error(), "tiers") {
+		t.Fatalf("a %d-tier stack: error %v, want the tier bound", maxTiers+1, err)
+	}
+}
+
+// TestECMPSpread sends one packet for each PathID 0..15 from host 0 to a
+// host under leaf1. Every port of each run the route takes must carry
+// exactly 4 of them: leaf0's uplinks to 4 spines, and, on x2 links to 2
+// spines, both leaf0's 4 uplinks and the spines' parallel down links to
+// leaf1.
+func TestECMPSpread(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		runs []string // each label glob matches the 4 ports of a run
+	}{
+		{"clos:2/4,hosts=2", []string{"leaf0->spine*"}},
+		{"clos:2x2/2,hosts=2", []string{"leaf0->spine*", "spine*->leaf1.*"}},
+	} {
+		spec, err := ParseTopoSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := BuildClos(sim.NewEngine(), spec, nil, 0)
+		for path := uint32(0); path < 16; path++ {
+			p := dataPkt(uint64(path), 1538, false)
+			p.Src, p.Dst, p.PathID = 0, 2, path
+			net.Hosts[0].Send(p)
+		}
+		net.Eng.Run()
+		for _, run := range tc.runs {
+			var carried []uint64
+			for _, pt := range net.SwitchPorts() {
+				if matchGlob(run, pt.Label) {
+					carried = append(carried, pt.TxPackets)
+				}
+			}
+			if len(carried) != 4 || carried[0] != 4 || carried[1] != 4 || carried[2] != 4 || carried[3] != 4 {
+				t.Errorf("%s: the ports of %s carried %v of PathIDs 0..15, want 4 each", tc.spec, run, carried)
+			}
+		}
+	}
+}
+
 func TestWireSizeFor(t *testing.T) {
 	if WireSizeFor(MaxPayload) != 1538 {
 		t.Fatalf("WireSizeFor(MaxPayload) = %d, want 1538", WireSizeFor(MaxPayload))

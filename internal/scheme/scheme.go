@@ -1,24 +1,21 @@
-// Package scheme is the self-registering catalogue of transport schemes.
+// Package scheme is the model the transport catalogues are declared in.
 //
 // A scheme is one transport configuration under test — "xpass+aeolus",
 // "homa-eager" — pairing a fabric discipline with a protocol constructor.
-// Transport packages register their schemes from init: a Family describes
-// the base transport (default options, fabric, constructor) and each Variant
-// decorates it with an options mutator and/or its own queue factory.
-// Nothing in this package knows any transport by name; adding a transport or
-// a variant is a registration, not a switch arm.
+// Each transport package declares its schemes in a catalogue.go that returns
+// them as a []Entry: a Family describes the base transport (default options,
+// fabric, constructor) and each Variant decorates it with an options mutator
+// and/or its own queue factory. Nothing in this package knows any transport
+// by name; adding a variant is one more Variant value, not a switch arm.
 //
-// Consumers resolve schemes with Build, enumerate them with Entries/IDs, and
-// print the catalogue with Catalog. The experiments harness and both CLIs
-// sit on top of exactly that surface.
+// The experiments package concatenates the transports' lists into the one
+// catalogue, resolves scheme IDs against it and prints it.
 package scheme
 
 import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
-	"strings"
 
 	"github.com/aeolus-transport/aeolus/internal/kv"
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -29,7 +26,7 @@ import (
 
 // Spec selects and parameterizes a scheme by ID.
 type Spec struct {
-	ID        string        // see Entries() for the catalogue
+	ID        string        // a catalogue entry's ID
 	Workload  *workload.CDF // Homa unscheduled priority cutoffs
 	RTO       sim.Duration  // 0 keeps the scheme's paper default
 	Threshold int64         // selective dropping threshold; 0 = paper default
@@ -68,75 +65,7 @@ type Entry struct {
 	Build   func(Spec) (Scheme, error)
 }
 
-var (
-	registry = map[string]Entry{}
-	order    []string // registration order, for catalogue printing
-)
-
-// Register adds an entry to the catalogue. It panics on empty or duplicate
-// IDs and nil builders: registration runs from transport-package init, so a
-// malformed catalogue is a programming error, not a runtime condition.
-func Register(e Entry) {
-	switch {
-	case e.ID == "":
-		panic("scheme: Register with empty ID")
-	case e.Build == nil:
-		panic("scheme: Register " + e.ID + " with nil builder")
-	}
-	if _, dup := registry[e.ID]; dup {
-		panic("scheme: duplicate registration of " + e.ID)
-	}
-	registry[e.ID] = e
-	order = append(order, e.ID)
-}
-
-// Build resolves a spec against the registry and builds the scheme. An
-// unknown ID returns an error carrying the full catalogue, so callers can
-// surface it to users verbatim.
-func Build(spec Spec) (Scheme, error) {
-	e, ok := registry[spec.ID]
-	if !ok {
-		return Scheme{}, fmt.Errorf("unknown scheme %q; available schemes:\n%s", spec.ID, Catalog())
-	}
-	return e.Build(spec)
-}
-
-// Lookup returns the catalogue entry for an ID.
-func Lookup(id string) (Entry, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
-// Entries returns the catalogue in registration order (transport packages
-// initialize in import-path order, so the listing is stable).
-func Entries() []Entry {
-	out := make([]Entry, 0, len(order))
-	for _, id := range order {
-		out = append(out, registry[id])
-	}
-	return out
-}
-
-// IDs returns every catalogued scheme ID, sorted.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Catalog renders the catalogue as an aligned two-column listing.
-func Catalog() string {
-	var sb strings.Builder
-	for _, e := range Entries() {
-		fmt.Fprintf(&sb, "  %-14s %s\n", e.ID, e.Summary)
-	}
-	return strings.TrimRight(sb.String(), "\n")
-}
-
-// Family describes a base transport for registration: its default options,
+// Family describes a base transport for its catalogue: its default options,
 // fabric discipline and protocol constructor, parameterized by the typed
 // options struct O of the transport package.
 type Family[O any] struct {
@@ -150,8 +79,9 @@ type Family[O any] struct {
 	// workload — everything shared by all variants).
 	Defaults func(spec Spec) O
 
-	// Options binds the -opt keys to fields of o: the option table Build
-	// sets user options through. Nil disables option pass-through.
+	// Options binds the -opt keys to fields of o: the option table an
+	// entry's Build sets user options through. Nil disables option
+	// pass-through.
 	Options func(o *O) []kv.Field
 
 	// Protocol constructs the transport over the final options.
@@ -161,12 +91,12 @@ type Family[O any] struct {
 	Queue func(o O, buffer int64) netem.QueueFactory
 }
 
-// Variant decorates a Family: the registered scheme ID is Base+Suffix, the
+// Variant decorates a Family: the scheme ID is Base+Suffix, the
 // options are Defaults → Mutate → Options, and the fabric is either the
 // family's base Queue or the variant's override. This is the composition
 // that replaces per-variant switch arms.
 type Variant[O any] struct {
-	Suffix  string // "" registers the base scheme itself
+	Suffix  string // "" is the base scheme itself
 	Summary string
 
 	// Name renders the display name from the final options (names may
@@ -180,12 +110,12 @@ type Variant[O any] struct {
 	Queue func(o O, buffer int64) netem.QueueFactory
 }
 
-// Register registers every variant of the family, each as one catalogue
-// entry composing the family defaults with the variant's decorators.
-func (f Family[O]) Register(variants ...Variant[O]) {
-	for _, v := range variants {
-		v := v
-		Register(Entry{
+// Entries returns one catalogue entry per variant, in order, each composing
+// the family defaults with the variant's decorators.
+func (f Family[O]) Entries(variants ...Variant[O]) []Entry {
+	entries := make([]Entry, len(variants))
+	for i, v := range variants {
+		entries[i] = Entry{
 			ID:      f.Base + v.Suffix,
 			Summary: v.Summary,
 			Build: func(spec Spec) (Scheme, error) {
@@ -211,8 +141,9 @@ func (f Family[O]) Register(variants ...Variant[O]) {
 					},
 				}, nil
 			},
-		})
+		}
 	}
+	return entries
 }
 
 // applyOpts sets the generic key=value options through the family's option

@@ -10,12 +10,11 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
-// Catalogue registration: the ExpressPass family and its paper variants.
-// Importing this package (the experiments harness does) makes the schemes
-// available to scheme.Build; nothing outside this file knows the IDs.
-
-func init() {
-	family := scheme.Family[Options]{
+// Schemes returns the ExpressPass family and its paper variants, the
+// catalogue entries the experiments harness lists; nothing outside this file
+// knows the IDs.
+func Schemes() []scheme.Entry {
+	return scheme.Family[Options]{
 		Base: "xpass",
 		MSS:  netem.MaxPayload,
 		Defaults: func(spec scheme.Spec) Options {
@@ -31,8 +30,7 @@ func init() {
 			return New(env, o)
 		},
 		Queue: QueueFactory,
-	}
-	family.Register(
+	}.Entries(
 		scheme.Variant[Options]{
 			Summary: "ExpressPass (waits for credits in the first RTT)",
 			Name:    func(Options) string { return "ExpressPass" },

@@ -9,10 +9,10 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
-// Catalogue registration: the Homa family and its paper variants.
-
-func init() {
-	family := scheme.Family[Options]{
+// Schemes returns the Homa family and its paper variants as catalogue
+// entries.
+func Schemes() []scheme.Entry {
+	return scheme.Family[Options]{
 		Base: "homa",
 		MSS:  netem.MaxPayload,
 		Defaults: func(spec scheme.Spec) Options {
@@ -28,8 +28,7 @@ func init() {
 			return New(env, o)
 		},
 		Queue: QueueFactory,
-	}
-	family.Register(
+	}.Entries(
 		scheme.Variant[Options]{
 			Summary: "Homa over 8 priority queues (RTO 10ms default)",
 			Name:    func(Options) string { return "Homa" },

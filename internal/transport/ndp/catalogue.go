@@ -8,10 +8,10 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
-// Catalogue registration: the NDP family and its Aeolus variant.
-
-func init() {
-	family := scheme.Family[Options]{
+// Schemes returns the NDP family and its Aeolus variant as catalogue
+// entries.
+func Schemes() []scheme.Entry {
+	return scheme.Family[Options]{
 		Base: "ndp",
 		MSS:  MSS,
 		Defaults: func(spec scheme.Spec) Options {
@@ -27,8 +27,7 @@ func init() {
 			return New(env, o)
 		},
 		Queue: QueueFactory,
-	}
-	family.Register(
+	}.Entries(
 		scheme.Variant[Options]{
 			Summary: "NDP with switch trimming and per-packet spraying",
 			Name:    func(Options) string { return "NDP" },

@@ -45,11 +45,23 @@ func (f *Flow) Path(spray *rand.Rand) uint32 {
 // Protocol is a transport implementation driving all hosts of a network.
 // A single Protocol instance holds per-host, per-flow state keyed by host
 // ID — logically distributed state in one object, as is conventional in
-// packet-level simulators.
+// packet-level simulators. It names every method the experiments harness
+// calls, so a transport states its whole contract by satisfying it.
 type Protocol interface {
 	// Start injects a new flow at the sender. Callers must invoke it at
 	// flow.Start simulated time.
 	Start(f *Flow)
+
+	// Register adds a flow descriptor without starting a sender, so the
+	// receive path can look the flow up: the receiver shard's copy of a flow
+	// whose sender runs on another shard.
+	Register(f *Flow)
+
+	// AuditInvariants checks every flow's Aeolus state machine for internal
+	// consistency and returns one error per breach.
+	AuditInvariants() []error
+
+	FootprintReporter
 }
 
 // Env is the environment a protocol operates in: the built network plus the
@@ -201,8 +213,8 @@ type Footprint struct {
 	Receivers int
 }
 
-// FootprintReporter is implemented by protocols that can report their state
-// footprint; the scale sweep asserts for it and records what it finds.
+// FootprintReporter reports a protocol's state footprint. Every Protocol
+// is one; the scale sweep reads it after a run.
 type FootprintReporter interface {
 	Footprint() Footprint
 }

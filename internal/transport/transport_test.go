@@ -90,8 +90,12 @@ func TestFlowHashDeterministicAndSpread(t *testing.T) {
 	}
 }
 
-// nullProto completes flows instantly without any network traffic.
-type nullProto struct{ env *Env }
+// nullProto completes flows instantly without any network traffic. The
+// nil embedded Protocol stands in for the methods Runner never calls.
+type nullProto struct {
+	Protocol
+	env *Env
+}
 
 func (n *nullProto) Start(f *Flow) {
 	n.env.FlowDone(f)
