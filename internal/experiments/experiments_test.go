@@ -227,6 +227,14 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+func TestMakeSchemeUnknownErrors(t *testing.T) {
+	if _, err := MakeScheme(SchemeSpec{ID: "bogus"}); err == nil {
+		t.Fatal("unknown scheme did not error")
+	} else if !strings.Contains(err.Error(), "xpass+aeolus") {
+		t.Fatalf("error does not carry the catalogue: %v", err)
+	}
+}
+
 func TestAllSchemesRunIncast(t *testing.T) {
 	// Every scheme in the catalogue must complete a small incast.
 	for _, e := range Schemes() {
