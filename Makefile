@@ -4,11 +4,12 @@
 # packet-conservation audit sweep, the golden-digest and scheduler-contract
 # gate (timing wheel and reference heap, pool on and off), the allocation
 # regression smoke (bench-smoke: the port path, a traced delivery and a Homa
-# message allocate nothing per packet, a queue's buffer follows its backlog,
-# a small run stays under its allocation ceiling, and each added flow under
-# its allocation-count ceiling), the benchmark module's
-# own build and tests (bench-check), and the rule that every example program
-# is tested (examples).
+# message allocate nothing per packet, a queue's buffer, the packet slab, a
+# flow table and the audit ledger follow what they hold, a timer allocates
+# nothing, a small run stays under its allocation ceiling, and each added
+# flow under its allocation-count ceiling), the benchmark module's own build
+# and tests (bench-check), and the rule that every example program is tested
+# (examples).
 
 GO ?= go
 
@@ -140,15 +141,21 @@ bench:
 # family under a committed byte budget), the per-flow allocation-count
 # ceilings (the objects each flow adds to a 30 KB leafspine incast, from 8 to
 # 16 senders, per Aeolus family), the scheduler's tier split (at most 3% of a
-# scale cell's events placed in the far tier), one quick iteration of the
-# hot-path benchmarks, and the race detector over the packet-pool tests.
+# scale cell's events placed in the far tier), the growth rules of the
+# per-run containers (TestPoolCarveFollowsLivePackets, TestFlowTableGrowth and
+# TestAuditorLedgerFollowsThePool: the packet slab, a flow table and the
+# audit ledger carve no more than whole chunks for what they hold and never
+# move a value), a timer bound to a pointer view that allocates nothing
+# (TestTimerViewAllocatesNothing), one quick iteration of the hot-path
+# benchmarks, and the race detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
-		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs|TestQueueBufferFollowsBacklog|TestClosBuildPerPort' ./internal/netem
+		-run='TestPortPathAllocs|TestPacketSlabChurnGate|TestTracedDeliveryAllocs|TestQueueBufferFollowsBacklog|TestClosBuildPerPort|TestPoolCarveFollowsLivePackets' ./internal/netem
 	$(GO) test -bench=. -benchtime=1x -benchmem \
-		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate' ./internal/sim
+		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate|TestTimerViewAllocatesNothing' ./internal/sim
 	$(GO) test -bench=BenchmarkFlowTableLookup -benchtime=100x -benchmem \
-		-run=TestFlowTableLookupGate ./internal/transport/rdbase
+		-run='TestFlowTableLookupGate|TestFlowTableGrowth' ./internal/transport/rdbase
+	$(GO) test -run=TestAuditorLedgerFollowsThePool ./internal/audit
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
 	$(GO) test -run=TestMessageAllocsFlat ./internal/transport/homa
 	$(GO) test -run='TestSmallRunAllocCeiling|TestPerFlowMallocCeiling|TestFarTierShare' ./internal/experiments

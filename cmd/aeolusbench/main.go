@@ -17,7 +17,8 @@
 // -digest prints the golden-trace behavior digest for one scheme (or, with
 // no -scheme, for the whole catalogue) — the regeneration path for the
 // pinned table in internal/experiments/golden_test.go — with the digest of
-// the scenario declaring each golden run alongside.
+// the scenario declaring each golden run alongside. No other mode takes a
+// -scheme: it exits 2.
 //
 // -scenarios prints the scenario values an experiment's runs resolve to as a
 // JSON array; each element is a self-contained scenario file runnable with
@@ -76,6 +77,9 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a post-run allocation profile to this file")
 	)
 	flag.Parse()
+	if *schemeID != "" && !*digest {
+		cliutil.Die(fmt.Errorf("-scheme %s: only -digest takes a scheme", *schemeID))
+	}
 	stopProfiles := cliutil.StartProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
 	timeline := cliutil.Timeline(*impair, *impFile)

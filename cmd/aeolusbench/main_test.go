@@ -68,6 +68,10 @@ func TestFlagValidation(t *testing.T) {
 		{"shards-negative", []string{"-exp", "fig8", "-quick", "-budget", "1", "-shards", "-2"}, "-shards -2:"},
 		{"parallel-zero", []string{"-exp", "fig8", "-quick", "-budget", "1", "-parallel", "0"}, "-parallel 0:"},
 		{"parallel-negative", []string{"-exp", "fig8", "-quick", "-budget", "1", "-parallel", "-1"}, "-parallel -1:"},
+		{"scheme-without-digest", []string{"-exp", "fig2", "-quick", "-scheme", "nope"},
+			"-scheme nope: only -digest takes a scheme"},
+		{"digest-unknown-scheme", []string{"-digest", "-scheme", "nope"},
+			"unknown scheme \"nope\"; available schemes:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, code := aeolusbench(t, tc.args...)

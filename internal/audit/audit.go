@@ -245,14 +245,16 @@ func appendSpan(s []int64, start, end int64) []int64 {
 // implements netem.Tracer. Attach it before any traffic is injected; it is
 // not safe for use from multiple goroutines (one auditor per run).
 //
-// The per-packet ledger is kept in a flat array indexed by the packet's
-// dense pool slot (netem.Packet.PoolSlot) whenever that key is valid: on a
-// non-shared pool, slots name storage uniquely, so the Trace hot path is an
-// array index instead of a pointer-keyed map probe. Packets without a slot
-// (nil or disabled pools, hand-built fixtures) and every packet of a shared
-// pool — where slots collide across the exchanging pools — fall back to the
-// pointer-keyed map. Per-flow ledgers live in a flat open-addressed table
-// for the same reason.
+// The per-packet ledger is kept in a flatmap.Slab of ledger lines indexed
+// by the packet's dense pool slot (netem.Packet.PoolSlot) whenever that key
+// is valid: on a non-shared pool, slots name storage uniquely, so the Trace
+// hot path is a block index instead of a pointer-keyed map probe. The slab
+// carves lines as new slots appear, in runs of at most one pool chunk, so
+// the ledger follows the pool's carve and growing it copies no entry.
+// Packets without a slot (nil or disabled pools, hand-built fixtures) and
+// every packet of a shared pool — where slots collide across the exchanging
+// pools — fall back to the pointer-keyed map. Per-flow ledgers live in a
+// flat open-addressed table for the same reason.
 type Auditor struct {
 	eng    *sim.Engine
 	pool   *netem.PacketPool
@@ -260,12 +262,24 @@ type Auditor struct {
 	shared bool // pool exchanges packets with other shards' pools
 	report Report
 
-	slotStates []pktState                  // PoolSlot-indexed ledger (non-shared pools)
-	pkts       map[*netem.Packet]*pktState // slot-less packets, shared pools
-	flowIdx    flatmap.Index               // flow ID -> dense index into flowAccts
-	flowAccts  []flowAcct
-	lastTime   sim.Time
-	drops      uint64 // traced drops
+	slots     flatmap.Slab[ledgerLine]    // PoolSlot-indexed ledger (non-shared pools)
+	pkts      map[*netem.Packet]*pktState // slot-less packets, shared pools
+	flowIdx   flatmap.Index               // flow ID -> dense index into flowAccts
+	flowAccts []flowAcct
+	lastTime  sim.Time
+	drops     uint64 // traced drops
+}
+
+// ledgerLine is the unit of the per-packet ledger's slab: 16 entries, so
+// the slab's directory keeps one block pointer per 64 slots and stays in
+// cache on the Trace path.
+type ledgerLine [ledgerLineLen]pktState
+
+const ledgerLineLen = 16
+
+// entry returns the ledger entry of slot s, which the ledger has carved.
+func (a *Auditor) entry(s int32) *pktState {
+	return &a.slots.At(uint32(s) / ledgerLineLen)[uint32(s)%ledgerLineLen]
 }
 
 // slotOf returns the packet's dense ledger slot, or -1 when the packet must
@@ -278,14 +292,13 @@ func (a *Auditor) slotOf(p *netem.Packet) int32 {
 	return p.PoolSlot()
 }
 
-// lookup returns the packet's existing ledger entry, or nil. The pointer is
-// only valid until the next ensure call (the slot array may grow).
+// lookup returns the packet's existing ledger entry, or nil.
 func (a *Auditor) lookup(p *netem.Packet) *pktState {
 	if s := a.slotOf(p); s >= 0 {
-		if int(s) >= len(a.slotStates) {
+		if int(s) >= a.slots.Cap()*ledgerLineLen {
 			return nil
 		}
-		if st := &a.slotStates[s]; st.seen {
+		if st := a.entry(s); st.seen {
 			return st
 		}
 		return nil
@@ -294,16 +307,13 @@ func (a *Auditor) lookup(p *netem.Packet) *pktState {
 }
 
 // ensure returns the packet's ledger entry, creating a zeroed one (with
-// seen set) when absent; existed reports which. The pointer is only valid
-// until the next ensure call.
+// seen set) when absent; existed reports which.
 func (a *Auditor) ensure(p *netem.Packet) (st *pktState, existed bool) {
 	if s := a.slotOf(p); s >= 0 {
-		if int(s) >= len(a.slotStates) {
-			grown := make([]pktState, int(s)+netem.PacketChunkSize)
-			copy(grown, a.slotStates)
-			a.slotStates = grown
+		for int(s) >= a.slots.Cap()*ledgerLineLen {
+			a.slots.Grow(netem.PacketChunkSize / ledgerLineLen)
 		}
-		st = &a.slotStates[s]
+		st = a.entry(s)
 		existed = st.seen
 		st.seen = true
 		return st, existed
@@ -319,8 +329,8 @@ func (a *Auditor) ensure(p *netem.Packet) (st *pktState, existed bool) {
 // forget retires the packet's ledger entry (recycle, shard departure).
 func (a *Auditor) forget(p *netem.Packet) {
 	if s := a.slotOf(p); s >= 0 {
-		if int(s) < len(a.slotStates) {
-			a.slotStates[s] = pktState{}
+		if int(s) < a.slots.Cap()*ledgerLineLen {
+			*a.entry(s) = pktState{}
 		}
 		return
 	}
@@ -596,8 +606,11 @@ func (a *Auditor) Finish() *Report {
 		a.report.ResidualPayload += int64(st.payload)
 		a.flowOf(st.flow).residual += int64(st.payload)
 	}
-	for i := range a.slotStates {
-		residual(&a.slotStates[i])
+	for i := 0; i < a.slots.Cap(); i++ {
+		line := a.slots.At(uint32(i))
+		for j := range line {
+			residual(&line[j])
+		}
 	}
 	for _, st := range a.pkts {
 		residual(st)

@@ -231,3 +231,39 @@ func hasCheck(r *Report, check string) bool {
 	}
 	return false
 }
+
+// TestAuditorLedgerFollowsThePool sends more packets at once than two full
+// pool chunks hold, so the pool carves past two chunks and the per-packet
+// ledger grows with it. The report must stay clean, the ledger must carve
+// no more slots than the pool's whole chunks, and an entry taken before the
+// growth must still be the one the ledger holds for its slot after it: the
+// ledger grows by blocks and never copies.
+func TestAuditorLedgerFollowsThePool(t *testing.T) {
+	net := netem.BuildClos(sim.NewEngine(), netem.TopoSpec{HostsPerEdge: 2, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
+		func(netem.PortKind, sim.Rate) *netem.Queue { return netem.NewQueue(1, 0, 0) }, 0)
+	a := Attach(net)
+	const n, payload = 2*netem.PacketChunkSize + 100, 100
+	a.RegisterFlow(1, n*payload)
+	net.Hosts[0].Send(dataPkt(net.Pool, 1, 0, payload))
+	first := a.entry(0)
+	for i := 1; i < n; i++ {
+		net.Hosts[0].Send(dataPkt(net.Pool, 1, int64(i)*payload, payload))
+	}
+	net.Eng.Run()
+	rep := a.Finish()
+	if err := rep.Err(); err != nil {
+		t.Fatalf("run past two pool chunks: %v", err)
+	}
+	if rep.Pool.Allocated != n || rep.UniquePayload != n*payload {
+		t.Fatalf("pool carved %d packets and %d bytes arrived, want %d and %d",
+			rep.Pool.Allocated, rep.UniquePayload, n, n*payload)
+	}
+	chunks := (n + netem.PacketChunkSize - 1) / netem.PacketChunkSize
+	if got := a.slots.Cap() * ledgerLineLen; got < n || got > chunks*netem.PacketChunkSize {
+		t.Errorf("ledger carved %d slots for %d packets, want at most %d", got, n, chunks*netem.PacketChunkSize)
+	}
+	if a.entry(0) != first {
+		t.Error("slot 0's ledger entry moved while the ledger grew")
+	}
+}

@@ -170,9 +170,20 @@ func (pc *PreCredit) Init(env *transport.Env, f *transport.Flow, opts Options, b
 		burstLimit:   int32(burst),
 	}
 	pc.acked, pc.assigned = transport.NewBitsetPair(n)
-	pc.pacer.Init(env.Eng, pc.sendNext)
-	pc.timer.Init(env.Eng, pc.onProbeTimeout)
+	pc.pacer.Init(env.Eng, (*burstPacer)(pc))
+	pc.timer.Init(env.Eng, (*probeTimer)(pc))
 }
+
+// burstPacer and probeTimer are the Handler views of a PreCredit its two
+// timers fire: casting the machine's pointer selects which method runs, so
+// binding a timer allocates nothing.
+type burstPacer PreCredit
+
+func (v *burstPacer) Fire() { (*PreCredit)(v).sendNext() }
+
+type probeTimer PreCredit
+
+func (v *probeTimer) Fire() { (*PreCredit)(v).onProbeTimeout() }
 
 // DisableProbe turns off the Aeolus probe/per-packet-ACK loss detection
 // while keeping the burst: no probe is sent and the ClassUnacked sweep is

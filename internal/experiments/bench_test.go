@@ -62,16 +62,16 @@ func BenchmarkSchedulerComparison(b *testing.B) {
 }
 
 // smallRunAllocCeilings are the committed allocation budgets, in bytes, of
-// one 7-to-1, 30 KB incast on leafspine per Aeolus family, about 15% above
-// the recorded 281, 350 and 260 KiB. Every per-run container holds memory
+// one 7-to-1, 30 KB incast on leafspine per Aeolus family, about 17% above
+// the recorded 209, 295 and 197 KiB. Every per-run container holds memory
 // in proportion to what the run puts in it, so a fixed container size
-// (flow-table and event-slab chunks, queue buffers) that a small run leaves
-// mostly empty shows up here. Raising a ceiling is a memory regression and
-// needs a PR saying why.
+// (flow-table and event-slab chunks, packet-slab runs, queue buffers) that a
+// small run leaves mostly empty shows up here. Raising a ceiling is a memory
+// regression and needs a PR saying why.
 var smallRunAllocCeilings = map[string]uint64{
-	"xpass+aeolus": 320 << 10,
-	"homa+aeolus":  400 << 10,
-	"ndp+aeolus":   300 << 10,
+	"xpass+aeolus": 245 << 10,
+	"homa+aeolus":  345 << 10,
+	"ndp+aeolus":   230 << 10,
 }
 
 // TestSmallRunAllocCeiling gates what a small run allocates: the second of
@@ -136,15 +136,15 @@ func TestFarTierShare(t *testing.T) {
 
 // perFlowMallocCeilings are the committed allocation-count budgets of each
 // Aeolus family per flow a leafspine incast of 30 KB messages adds. A flow's
-// sender is one packed table slot and its receiver another; what remains per
-// flow is its descriptor, its segment bitmaps, the closures its timers bind,
-// and its share of the growing tables and packet slabs. The recorded counts
-// are 24.5, 26.8 and 19.6; one more closure or object per flow pushes a
-// family past its ceiling.
+// sender is one packed table slot and its receiver another, and its timers
+// bind views, not closures; what remains per flow is its descriptor, its
+// segment bitmaps and its share of the growing tables, packet-slab runs and
+// queue rings. The recorded counts are 18.4, 23.6 and 16.9; one more object
+// per flow pushes a family past its ceiling.
 var perFlowMallocCeilings = map[string]float64{
-	"xpass+aeolus": 25.2,
-	"homa+aeolus":  27.5,
-	"ndp+aeolus":   20.3,
+	"xpass+aeolus": 19.0,
+	"homa+aeolus":  24.2,
+	"ndp+aeolus":   17.5,
 }
 
 // TestPerFlowMallocCeiling gates how many objects each added flow costs: the

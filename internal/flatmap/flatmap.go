@@ -1,15 +1,16 @@
 // Package flatmap provides a dependency-free open-addressed hash index
 // mapping uint64 keys to dense uint32 slots, for per-flow state tables that
-// only ever grow (the simulator never forgets a flow mid-run).
+// only ever grow (the simulator never forgets a flow mid-run), and the
+// block slab that holds values at such slots.
 //
 // The point versus a built-in map is layout: the index hands out *dense*
 // slots in insertion order, so callers keep their actual state in a packed
-// array (or chunked slab) indexed by slot, instead of scattering
-// pointer-sized map values across the heap. Lookups are one multiplicative
-// hash plus a short linear probe over two flat arrays — no bucket pointers,
-// no tophash bytes, no write barriers — and iteration over Keys() is
-// insertion-ordered and allocation-free, which the deterministic audits
-// rely on.
+// array (or a Slab, which grows in blocks without copying) indexed by slot,
+// instead of scattering pointer-sized map values across the heap. Lookups
+// are one multiplicative hash plus a short linear probe over two flat
+// arrays — no bucket pointers, no tophash bytes, no write barriers — and
+// iteration over Keys() is insertion-ordered and allocation-free, which the
+// deterministic audits rely on.
 //
 // The index does not support deletion; none of its users ever delete.
 package flatmap

@@ -13,7 +13,8 @@ package netem
 import "fmt"
 
 // NodeID identifies a host or switch in a Network. Host IDs are dense and
-// start at zero; routing tables are keyed by destination host ID.
+// start at zero, so per-host state is a slice indexed by ID, and a switch
+// routes a destination host by arithmetic on its ID (BuildClos).
 type NodeID int32
 
 // PacketType enumerates the packet kinds used by the transports in this

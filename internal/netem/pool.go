@@ -34,18 +34,23 @@ type PoolObserver interface {
 // receivers copy SegList rather than alias it, reuse cannot leak stale
 // segment data across packets.
 //
-// Storage is a chunked slab arena: fresh packets are carved sequentially
-// from non-moving chunks, so packets traversing a port chain are contiguous
-// in allocation order and the steady-state working set packs into a few
-// cache-resident chunks. The free-list still holds pointers — packets move
-// through the fabric by pointer — but every pointer aims into the slab, and
-// each slab packet knows its slot (Packet.PoolSlot) so observers can key
-// per-packet state by dense index. A disabled pool allocates individually
-// instead, preserving the old release-to-GC behavior for pool-off runs.
+// Storage is a slab arena: fresh packets are carved sequentially from
+// non-moving runs, so packets traversing a port chain are contiguous in
+// allocation order and the steady-state working set packs into a few
+// cache-resident runs. The runs follow the live population: the first 512
+// packets are carved in runs of 32, 32, 64, 128 and 256, and then 512 at a
+// time, so a run that never holds more than a few dozen packets in flight
+// carves a few dozen, and at every multiple of PacketChunkSize the carve is
+// exactly one chunk per 512 packets. The free-list still holds pointers —
+// packets move through the fabric by pointer — but every pointer aims into
+// the slab, and each slab packet knows its slot (Packet.PoolSlot) so
+// observers can key per-packet state by dense index. A disabled pool
+// allocates individually instead, preserving the old release-to-GC behavior
+// for pool-off runs.
 type PacketPool struct {
 	free     []*Packet
-	chunks   []*[PacketChunkSize]Packet
-	carved   uint32 // slots issued from the slab
+	run      []Packet // the current run's packets not yet carved
+	carved   uint32   // slots issued from the slab
 	disabled bool
 	obs      PoolObserver
 
@@ -55,16 +60,16 @@ type PacketPool struct {
 	doublePuts uint64 // Put calls on packets already in the pool
 }
 
-// Packet slab geometry: 512 packets per chunk — 52 KiB of 104-byte packets,
-// sized so one chunk covers the in-flight population of a loaded port chain.
+// Packet slab geometry: runs of at most 512 packets — 52 KiB of 104-byte
+// packets, sized so one run covers the in-flight population of a loaded
+// port chain — and at least 32.
 const (
-	packetChunkBits = 9
+	// PacketChunkSize is the largest run the pool slab carves at once.
+	// Exported so the scale ledger can stamp the slab geometry a measurement
+	// ran under.
+	PacketChunkSize = 512
 
-	// PacketChunkSize is the number of packets per pool slab chunk. Exported
-	// so the scale ledger can stamp the slab geometry a measurement ran under.
-	PacketChunkSize = 1 << packetChunkBits
-
-	packetChunkMask = PacketChunkSize - 1
+	packetRunMin = 32
 )
 
 // PoolStats is a snapshot of pool counters.
@@ -82,12 +87,12 @@ func NewPacketPool() *PacketPool { return &PacketPool{} }
 
 // Disable makes Get always allocate individually and Put always discard
 // (while still counting), so a run can be replayed without recycling to
-// prove pooling does not change results. The free-list is dropped; slab
-// chunks stay resident only if packets were already carved from them (a
-// live packet must keep its storage).
+// prove pooling does not change results. The free-list and the rest of the
+// current run are dropped; slab runs stay resident only if packets were
+// already carved from them (a live packet must keep its storage).
 func (pp *PacketPool) Disable() {
 	pp.disabled = true
-	pp.free = nil
+	pp.free, pp.run = nil, nil
 }
 
 // Disabled reports whether recycling is off.
@@ -121,13 +126,15 @@ func (pp *PacketPool) Get() *Packet {
 		p = &Packet{}
 		pp.allocs++
 	} else {
-		idx := pp.carved
-		if int(idx>>packetChunkBits) == len(pp.chunks) {
-			pp.chunks = append(pp.chunks, new([PacketChunkSize]Packet))
+		if len(pp.run) == 0 {
+			// Each run doubles what is carved, from packetRunMin up to a
+			// whole chunk.
+			pp.run = make([]Packet, min(max(pp.carved, packetRunMin), PacketChunkSize))
 		}
+		p = &pp.run[0]
+		pp.run = pp.run[1:]
 		pp.carved++
-		p = &pp.chunks[idx>>packetChunkBits][idx&packetChunkMask]
-		p.slot = idx + 1
+		p.slot = pp.carved
 		pp.allocs++
 	}
 	if pp.obs != nil {

@@ -174,3 +174,36 @@ func TestPoolSlotSlabSemantics(t *testing.T) {
 		t.Errorf("disabled-pool packet reports slot %d, want -1", got)
 	}
 }
+
+// TestPoolCarveFollowsLivePackets holds every packet it takes, from 1 to
+// three chunks and one packet, so the slab must carve for each. The carve
+// (issued slots plus the rest of the current run) never exceeds whole
+// chunks for the packets live, so a run that never holds a chunk's worth
+// in flight never carves one, and no run carves more than the one-chunk
+// layout did. Slots stay dense, and every packet taken earlier keeps its
+// own storage and fields while later runs are carved.
+func TestPoolCarveFollowsLivePackets(t *testing.T) {
+	pp := NewPacketPool()
+	const n = 3*PacketChunkSize + 1
+	pkts := make([]*Packet, 0, n)
+	for i := 0; i < n; i++ {
+		p := pp.Get()
+		if p.PoolSlot() != int32(i) {
+			t.Fatalf("packet %d carved with slot %d, want dense slots", i, p.PoolSlot())
+		}
+		p.Flow, p.Seq = uint64(i), int64(i)
+		pkts = append(pkts, p)
+		live := i + 1
+		whole := (live + PacketChunkSize - 1) / PacketChunkSize * PacketChunkSize
+		if carve := int(pp.carved) + len(pp.run); carve > whole {
+			t.Fatalf("%d live packets carved %d slots, more than %d", live, carve, whole)
+		}
+	}
+	seen := make(map[*Packet]bool, n)
+	for i, p := range pkts {
+		if seen[p] || p.Flow != uint64(i) || p.Seq != int64(i) || p.PoolSlot() != int32(i) {
+			t.Fatalf("packet %d shares storage or lost its fields: %v slot %d", i, p, p.PoolSlot())
+		}
+		seen[p] = true
+	}
+}

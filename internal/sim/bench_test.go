@@ -65,7 +65,7 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 func BenchmarkTimerReset(b *testing.B) {
 	e := NewEngine()
 	var tm Timer
-	tm.Init(e, func() {})
+	tm.Init(e, funcHandler(func() {}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tm.Reset(1000)

@@ -53,7 +53,7 @@ func runSchedProgram(t testing.TB, kind SchedulerKind, prog []byte) schedTrace {
 	label := int64(0)
 
 	var tm Timer
-	tm.Init(e, func() { tr.Fires = append(tr.Fires, [3]int64{-1, int64(e.Now()), int64(e.Fired())}) })
+	tm.Init(e, funcHandler(func() { tr.Fires = append(tr.Fires, [3]int64{-1, int64(e.Now()), int64(e.Fired())}) }))
 
 	record := func(lbl int64) func() {
 		return func() { tr.Fires = append(tr.Fires, [3]int64{lbl, int64(e.Now()), int64(e.Fired())}) }

@@ -113,7 +113,7 @@ func TestEngineEventAllocsSteadyState(t *testing.T) {
 func TestTimerResetStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := NewTimer(e, func() { fired++ })
+	tm := NewTimer(e, funcHandler(func() { fired++ }))
 	if tm.Pending() {
 		t.Fatal("fresh timer is pending")
 	}
@@ -153,12 +153,12 @@ func TestTimerRearmInCallback(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
 	var tm Timer
-	tm.Init(e, func() {
+	tm.Init(e, funcHandler(func() {
 		ticks = append(ticks, e.Now())
 		if len(ticks) < 5 {
 			tm.Reset(10)
 		}
-	})
+	}))
 	tm.Reset(10)
 	end := e.Run()
 	if len(ticks) != 5 {
@@ -174,14 +174,14 @@ func TestTimerRearmInCallback(t *testing.T) {
 
 func TestTimerInitOnArmedPanics(t *testing.T) {
 	e := NewEngine()
-	tm := NewTimer(e, func() {})
+	tm := NewTimer(e, funcHandler(func() {}))
 	tm.Reset(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Init on an armed timer did not panic")
 		}
 	}()
-	tm.Init(e, func() {})
+	tm.Init(e, funcHandler(func() {}))
 }
 
 // FuzzTimerChurn interleaves Reset/Stop/advance operations on a small set of
@@ -199,10 +199,10 @@ func FuzzTimerChurn(f *testing.F) {
 		timers := make([]*Timer, nTimers)
 		for i := 0; i < nTimers; i++ {
 			i := i
-			timers[i] = NewTimer(e, func() {
+			timers[i] = NewTimer(e, funcHandler(func() {
 				fired[i]++
 				armedAt[i] = 0
-			})
+			}))
 		}
 		for _, op := range ops {
 			ti := int(op) % nTimers
@@ -256,4 +256,35 @@ func FuzzTimerChurn(f *testing.F) {
 			t.Fatalf("Pending() = %d after drain", e.Pending())
 		}
 	})
+}
+
+// viewOwner stands in for per-flow state that embeds a Timer and hands it a
+// zero-state view of itself, as the transports do.
+type viewOwner struct {
+	tm    Timer
+	fired int
+}
+
+type viewOwnerTimeout viewOwner
+
+func (v *viewOwnerTimeout) Fire() { (*viewOwner)(v).fired++ }
+
+// TestTimerViewAllocatesNothing: binding a timer to a pointer view, arming
+// it and firing it allocate nothing once the engine's event slab holds a
+// slot, so a flow's timers cost no closure each.
+func TestTimerViewAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	o := &viewOwner{}
+	cycle := func() {
+		o.tm.Init(e, (*viewOwnerTimeout)(o))
+		o.tm.Reset(10)
+		e.Run()
+	}
+	cycle() // carve the engine's first event slot
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Init, Reset and a fire allocate %.1f objects, want 0", allocs)
+	}
+	if o.fired != 102 {
+		t.Errorf("the timer fired %d times, want 102", o.fired)
+	}
 }

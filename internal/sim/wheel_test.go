@@ -119,7 +119,7 @@ func TestTimerResetAcrossCascadeBoundary(t *testing.T) {
 	e := NewEngine()
 	var tm Timer
 	fired := 0
-	tm.Init(e, func() { fired++ })
+	tm.Init(e, funcHandler(func() { fired++ }))
 
 	// Park the deadline a window's span past a level-4 boundary (64^4
 	// ticks), then walk the clock toward the boundary with plain events,
@@ -138,7 +138,7 @@ func TestTimerResetAcrossCascadeBoundary(t *testing.T) {
 	if !tm.Pending() || tm.When() != deadline {
 		t.Fatalf("timer pending=%v when=%v, want armed at %v", tm.Pending(), tm.When(), deadline)
 	}
-	if in := tm.h.deref().in; in>>wheelBits != 4 {
+	if in := tm.handle().deref().in; in>>wheelBits != 4 {
 		t.Fatalf("timer event in list %d, want a far-tier level-4 slot", in)
 	}
 	if err := e.CheckInvariants(); err != nil {

@@ -177,7 +177,7 @@ type sender struct {
 func (s *sender) init(p *Protocol, f *transport.Flow) {
 	s.p = p
 	s.Init(p.env, f, p.opts.Aeolus, p.env.Net.BDPBytes())
-	s.reqTm.Init(p.env.Eng, s.reqExpire)
+	s.reqTm.Init(p.env.Eng, (*reqRetry)(s))
 	if p.opts.RTOOnly {
 		// No probe, no selective ACKs: the burst is presumed delivered and
 		// losses surface only through receiver RTO resend requests.
@@ -203,6 +203,11 @@ func (s *sender) sendReq() {
 	rdbase.Ctrl(s.Env, s.Flow, netem.CreditReq,
 		s.Flow.Src, s.Flow.Dst, 0, s.Flow.Size, s.Flow.PathID)
 }
+
+// reqRetry is the Handler view of a sender its request timer fires.
+type reqRetry sender
+
+func (v *reqRetry) Fire() { (*sender)(v).reqExpire() }
 
 func (s *sender) reqExpire() {
 	if s.heard {
@@ -271,10 +276,23 @@ func (r *receiver) init(p *Protocol, flowID uint64) {
 	r.p, r.flowID = p, flowID
 	r.rate, r.w = p.opts.InitRate, p.opts.Aggressiveness
 	r.rx.Env = p.env
-	r.creditTm.Init(p.env.Eng, r.creditTick)
-	r.feedback.Init(p.env.Eng, r.feedbackTick)
-	r.rx.RTO.Init(p.env.Eng, p.opts.RTO, r.rtoExpire)
+	r.creditTm.Init(p.env.Eng, (*creditPacer)(r))
+	r.feedback.Init(p.env.Eng, (*feedbackWindow)(r))
+	r.rx.RTO.Init(p.env.Eng, p.opts.RTO, (*rxTimeout)(r))
 }
+
+// creditPacer, feedbackWindow and rxTimeout are the Handler views of a
+// receiver its credit timer, feedback timer and RTO fire, so binding them
+// allocates nothing.
+type (
+	creditPacer    receiver
+	feedbackWindow receiver
+	rxTimeout      receiver
+)
+
+func (v *creditPacer) Fire()    { (*receiver)(v).creditTick() }
+func (v *feedbackWindow) Fire() { (*receiver)(v).feedbackTick() }
+func (v *rxTimeout) Fire()      { (*receiver)(v).rtoExpire() }
 
 func (r *receiver) host() *netem.Host { return r.p.env.Net.Host(r.rx.Flow.Dst) }
 

@@ -333,7 +333,7 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 		m.rx.Env = r.p.env
 		m.rx.Flow = f
 		m.rx.Track()
-		m.rx.RTO.Init(r.p.env.Eng, r.p.opts.RTO, m.rtoExpire)
+		m.rx.RTO.Init(r.p.env.Eng, r.p.opts.RTO, (*msgTimeout)(m))
 		m.rx.RTO.Arm()
 	}
 	if m.rx.Done {
@@ -425,6 +425,11 @@ func (r *rxHost) schedule() {
 		}
 	}
 }
+
+// msgTimeout is the Handler view of a message its RTO fires.
+type msgTimeout rxMsg
+
+func (v *msgTimeout) Fire() { (*rxMsg)(v).rtoExpire() }
 
 // rtoExpire is Homa's timeout recovery policy: request every missing
 // segment below the highest expectation — the unscheduled window plus

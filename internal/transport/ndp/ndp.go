@@ -117,7 +117,7 @@ func New(env *transport.Env, opts Options) *Protocol {
 	}
 	p.rxHosts = rdbase.NewHostMap(func(host netem.NodeID) *rxHost {
 		r := &rxHost{p: p, host: host}
-		r.pullTm.Init(p.env.Eng, r.pacePull)
+		r.pullTm.Init(p.env.Eng, (*pullPacer)(r))
 		return r
 	})
 	for _, h := range env.Net.EndpointHosts() {
@@ -165,7 +165,7 @@ type sender struct {
 
 // init wires a zeroed sender slot (from the packed sender table) for a flow.
 func (s *sender) init(p *Protocol, f *transport.Flow) {
-	s.rto.Init(p.env.Eng, p.opts.RTO, s.rtoExpire)
+	s.rto.Init(p.env.Eng, p.opts.RTO, (*senderTimeout)(s))
 	opts := p.opts.Aeolus
 	opts.Enabled = true // the line-rate first window is NDP's own behaviour
 	s.Init(p.env, f, opts, p.env.Net.BDPBytes())
@@ -195,6 +195,11 @@ func (s *sender) receive(pkt *netem.Packet) {
 		s.Spend()
 	}
 }
+
+// senderTimeout is the Handler view of a sender its RTO fires.
+type senderTimeout sender
+
+func (v *senderTimeout) Fire() { (*sender)(v).rtoExpire() }
 
 // rtoExpire is NDP's safety-net recovery policy: trimming (or Aeolus's
 // probe) normally makes timeouts unnecessary, but a lost probe ACK or
@@ -337,6 +342,11 @@ func (r *rxHost) servePulls(fl *rxFlow) {
 		r.pacePull()
 	}
 }
+
+// pullPacer is the Handler view of a host its pull timer fires.
+type pullPacer rxHost
+
+func (v *pullPacer) Fire() { (*rxHost)(v).pacePull() }
 
 // pacePull emits one PULL per full-MTU serialization time, so the data the
 // pulls trigger arrives at exactly the receiver's link rate.

@@ -33,36 +33,27 @@ func Ctrl(env *transport.Env, f *transport.Flow, typ netem.PacketType,
 	env.Net.Host(src).Send(p)
 }
 
-// flowChunkBits sizes FlowTable's value slab chunks at 32 values. Every
-// host's receive table carves a chunk for a handful of flows, so a chunk
-// must be small next to the flows a host holds; 32 still packs per-flow
-// machines that are touched together (sequential flow IDs) into contiguous
-// memory, and at() stays one shift and one mask.
-const (
-	flowChunkBits = 5
-
-	// FlowChunkSize is the number of values per FlowTable chunk. Exported so
-	// the scale ledger can stamp the table geometry a measurement ran under.
-	FlowChunkSize = 1 << flowChunkBits
-
-	flowChunkMask = FlowChunkSize - 1
-)
+// FlowChunkSize is the largest run of values a FlowTable carves at once: 32
+// values. Every host's receive table holds a handful of flows, so its first
+// runs are far smaller (4, 4, 8 and 16 values, a flatmap.Slab ramp that adds
+// up to one chunk); a busy table carves whole chunks, which pack per-flow
+// machines touched together (sequential flow IDs) into contiguous memory.
+// Exported so the scale ledger can stamp the table geometry a measurement
+// ran under.
+const FlowChunkSize = 32
 
 // FlowTable is an open-addressed table of packed per-flow state structs
-// keyed by flow ID. Values live in non-moving chunked slabs in insertion
-// order — the table hands out stable *T pointers, but the structs themselves
-// sit shoulder to shoulder instead of one heap object per flow, and lookups
-// go through a flat open-addressed index instead of a Go map. Flows are
-// never deleted mid-run (completed state is kept for audits and footprint
-// accounting), so the table does not support deletion.
+// keyed by flow ID. Values live in a flatmap.Slab in insertion order — the
+// table hands out stable *T pointers, but the structs themselves sit
+// shoulder to shoulder in blocks instead of one heap object per flow, and
+// lookups go through a flat open-addressed index instead of a Go map. The
+// slab grows with the table, so a table of three flows carves four slots
+// and one of a thousand carves them in 32-value runs, never copying. Flows
+// are never deleted mid-run (completed state is kept for audits and
+// footprint accounting), so the table does not support deletion.
 type FlowTable[T any] struct {
-	idx    flatmap.Index
-	chunks []*[FlowChunkSize]T
-}
-
-// at returns the value at a dense slot.
-func (t *FlowTable[T]) at(slot uint32) *T {
-	return &t.chunks[slot>>flowChunkBits][slot&flowChunkMask]
+	idx  flatmap.Index
+	vals flatmap.Slab[T]
 }
 
 // Get returns the state of a flow, or nil when the flow is unknown.
@@ -71,7 +62,7 @@ func (t *FlowTable[T]) Get(id uint64) *T {
 	if !ok {
 		return nil
 	}
-	return t.at(slot)
+	return t.vals.At(slot)
 }
 
 // Put returns the state of a flow, materializing a zeroed slot on first
@@ -79,10 +70,10 @@ func (t *FlowTable[T]) Get(id uint64) *T {
 // initialize). The returned pointer is stable for the table's lifetime.
 func (t *FlowTable[T]) Put(id uint64) (v *T, added bool) {
 	slot, added := t.idx.Put(id)
-	if added && int(slot>>flowChunkBits) == len(t.chunks) {
-		t.chunks = append(t.chunks, new([FlowChunkSize]T))
+	if added && int(slot) == t.vals.Cap() {
+		t.vals.Grow(FlowChunkSize)
 	}
-	return t.at(slot), added
+	return t.vals.At(slot), added
 }
 
 // Len returns the number of resident flows.
@@ -91,7 +82,7 @@ func (t *FlowTable[T]) Len() int { return t.idx.Len() }
 // At returns the i-th entry in insertion order, 0 ≤ i < Len(). Paired with
 // Len it gives hot loops closure-free iteration (Homa's grant scheduler
 // walks every message on every arrival).
-func (t *FlowTable[T]) At(i int) *T { return t.at(uint32(i)) }
+func (t *FlowTable[T]) At(i int) *T { return t.vals.At(uint32(i)) }
 
 // Keys returns the flow IDs in insertion order (read-only view).
 func (t *FlowTable[T]) Keys() []uint64 { return t.idx.Keys() }

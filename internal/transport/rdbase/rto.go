@@ -5,7 +5,9 @@ import "github.com/aeolus-transport/aeolus/internal/sim"
 // RTO is the receiver-driven retransmission-timeout lifecycle shared by the
 // transports: a rearmable idle detector on the pooled sim.Timer. Arm starts
 // (or restarts) the countdown; Touch records activity; when the timer fires
-// with no activity for a full period, Expire runs and the timer rearms.
+// with no activity for a full period, Expire fires and the timer rearms.
+// Like the Timer, an RTO allocates nothing: it hands its timer a view of
+// itself, and its owner hands it a view of the owner as Expire.
 //
 // Stop and Disarm end the lifecycle in two ways matching the two shutdown
 // idioms of the transports: Stop cancels the pending timer event outright
@@ -20,18 +22,23 @@ type RTO struct {
 	last    sim.Time
 	stopped bool
 
-	// Expire is the policy hook run when a full period passed with no
+	// Expire is the policy hook fired when a full period passed with no
 	// Touch. The RTO rearms after Expire returns.
-	Expire func()
+	Expire sim.Handler
 }
+
+// rtoFire is the Handler view of an RTO its timer fires.
+type rtoFire RTO
+
+func (v *rtoFire) Fire() { (*RTO)(v).fire() }
 
 // Init binds the RTO to the engine with its period and expiry policy. A
 // zero or negative period disables the lifecycle: Arm becomes a no-op.
-func (r *RTO) Init(eng *sim.Engine, period sim.Duration, expire func()) {
+func (r *RTO) Init(eng *sim.Engine, period sim.Duration, expire sim.Handler) {
 	r.eng = eng
 	r.period = period
 	r.Expire = expire
-	r.tm.Init(eng, r.fire)
+	r.tm.Init(eng, (*rtoFire)(r))
 }
 
 // Arm starts (or restarts) the countdown.
@@ -62,7 +69,7 @@ func (r *RTO) fire() {
 		return
 	}
 	if r.eng.Now().Sub(r.last) >= r.period {
-		r.Expire()
+		r.Expire.Fire()
 	}
 	r.Arm()
 }

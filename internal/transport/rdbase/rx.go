@@ -14,8 +14,8 @@ import (
 // their receiver state and keep only policy — crediting, grant scheduling,
 // pull pacing — for themselves.
 //
-// Homa's and NDP's per-host tables carve receivers in 32-slot chunks that
-// small runs leave mostly empty, so the slot stays compact: the segmentation
+// Homa's and NDP's per-host tables keep every receiver a host ever had, so
+// the slot stays compact: the segmentation
 // derives from Flow.Size and Env.MSS, receipt is one bit per segment, the
 // flow is complete when its unique bytes reach Flow.Size, and Missing fills
 // the caller's buffer rather than one per flow.
