@@ -5,9 +5,10 @@
 # gate (timing wheel and reference heap, pool on and off), the allocation
 # regression smoke (bench-smoke: the port path, a traced delivery and a Homa
 # message allocate nothing per packet, a queue's buffer, the packet slab, a
-# flow table and the audit ledger follow what they hold, a timer allocates
-# nothing, a small run stays under its allocation ceiling, and each added
-# flow under its allocation-count ceiling), the benchmark module's own build
+# flow table and the audit's packet and flow ledgers follow what they hold,
+# an RTO stays 72 bytes, a timer allocates nothing, a small run stays under
+# its allocation ceiling, and each added flow under its allocation-count
+# ceiling), the benchmark module's own build
 # and tests (bench-check), and the rule that every example program is tested
 # (examples).
 
@@ -60,9 +61,11 @@ audit:
 # tx-done only when a packet waits (the event count per packet is pinned),
 # a switch must spread a route's packets over its run of ports by PathID,
 # up and down parallel links alike, and stop a looping packet at the hop
-# bound, and the senders must stamp
+# bound, the senders must stamp
 # the wire fields the digests ride on (Homa's data bands from its cutoffs and
-# grants, probes on band 0, ExpressPass on each flow's ECMP hash). The
+# grants, probes on band 0, ExpressPass on each flow's ECMP hash), and Homa's
+# grant scheduler must hold on each host's active list exactly the messages
+# that need grants after every data or probe arrival. The
 # heap and pool-off mode exist only as these oracles; a drift in one cell is a
 # scheduler or pool bug, not a behavior change — see
 # internal/experiments/golden_test.go and internal/sim/fuzz_test.go.
@@ -70,7 +73,7 @@ golden:
 	$(GO) test -run 'TestGoldenDigests|TestQueueTableDigests' ./internal/experiments
 	$(GO) test -run 'TestSchedulerEquivalenceSeeds|TestWheel|TestNear|TestTimerResetAcrossCascadeBoundary|TestCheckInvariantsDetects(Wheel|Near)Corruption' ./internal/sim
 	$(GO) test -run 'TestPortTxDoneTies|TestIdlePortEventsPerPacket|TestECMPSpread|TestSwitchPanicsOnRoutingLoop' ./internal/netem
-	$(GO) test -run 'TestWire' ./internal/transport/homa ./internal/transport/expresspass
+	$(GO) test -run 'TestWire|TestActiveListIsTheGrantSet' ./internal/transport/homa ./internal/transport/expresspass
 
 # Sharded-engine gate, race-enabled: the sharded-vs-sequential digest matrix
 # across shards x pool on a multi-pod fabric, the golden digests pinned under
@@ -142,11 +145,12 @@ bench:
 # ceilings (the objects each flow adds to a 30 KB leafspine incast, from 8 to
 # 16 senders, per Aeolus family), the scheduler's tier split (at most 3% of a
 # scale cell's events placed in the far tier), the growth rules of the
-# per-run containers (TestPoolCarveFollowsLivePackets, TestFlowTableGrowth and
-# TestAuditorLedgerFollowsThePool: the packet slab, a flow table and the
-# audit ledger carve no more than whole chunks for what they hold and never
-# move a value), a timer bound to a pointer view that allocates nothing
-# (TestTimerViewAllocatesNothing), one quick iteration of the hot-path
+# per-run containers (TestPoolCarveFollowsLivePackets, TestFlowTableGrowth,
+# TestAuditorLedgerFollowsThePool and TestFlowLedgerNeverMoves: the packet
+# slab, a flow table and the audit's packet and flow ledgers carve no more
+# than whole chunks for what they hold and never move a value), the RTO's
+# 72 bytes (TestRTOSize), a timer bound to a pointer view that allocates
+# nothing (TestTimerViewAllocatesNothing), one quick iteration of the hot-path
 # benchmarks, and the race detector over the packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
@@ -154,8 +158,8 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem \
 		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate|TestTimerViewAllocatesNothing' ./internal/sim
 	$(GO) test -bench=BenchmarkFlowTableLookup -benchtime=100x -benchmem \
-		-run='TestFlowTableLookupGate|TestFlowTableGrowth' ./internal/transport/rdbase
-	$(GO) test -run=TestAuditorLedgerFollowsThePool ./internal/audit
+		-run='TestFlowTableLookupGate|TestFlowTableGrowth|TestRTOSize' ./internal/transport/rdbase
+	$(GO) test -run='TestAuditorLedgerFollowsThePool|TestFlowLedgerNeverMoves' ./internal/audit
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats
 	$(GO) test -run=TestMessageAllocsFlat ./internal/transport/homa
 	$(GO) test -run='TestSmallRunAllocCeiling|TestPerFlowMallocCeiling|TestFarTierShare' ./internal/experiments

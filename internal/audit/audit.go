@@ -253,8 +253,9 @@ func appendSpan(s []int64, start, end int64) []int64 {
 // the ledger follows the pool's carve and growing it copies no entry.
 // Packets without a slot (nil or disabled pools, hand-built fixtures) and
 // every packet of a shared pool — where slots collide across the exchanging
-// pools — fall back to the pointer-keyed map. Per-flow ledgers live in a
-// flat open-addressed table for the same reason.
+// pools — fall back to the pointer-keyed map. Per-flow ledgers sit in a
+// slab at the slots of a flat open-addressed index for the same reason, in
+// runs of up to flowAcctChunk ledgers, so they never move either.
 type Auditor struct {
 	eng    *sim.Engine
 	pool   *netem.PacketPool
@@ -264,8 +265,8 @@ type Auditor struct {
 
 	slots     flatmap.Slab[ledgerLine]    // PoolSlot-indexed ledger (non-shared pools)
 	pkts      map[*netem.Packet]*pktState // slot-less packets, shared pools
-	flowIdx   flatmap.Index               // flow ID -> dense index into flowAccts
-	flowAccts []flowAcct
+	flowIdx   flatmap.Index               // flow ID -> dense slot in flowAccts
+	flowAccts flatmap.Slab[flowAcct]
 	lastTime  sim.Time
 	drops     uint64 // traced drops
 }
@@ -431,36 +432,29 @@ func (a *Auditor) PoolPut(p *netem.Packet, firstPut bool) {
 // RegisterFlow declares a flow's payload size so delivery-bound checks have
 // a reference. Unregistered flows are still conservation-checked, but their
 // size-dependent invariants are skipped.
-func (a *Auditor) RegisterFlow(id uint64, size int64) {
-	slot, added := a.flowIdx.Put(id)
-	if !added {
-		return
-	}
-	_ = slot // slots are dense and issued in Put order: slot == len(flowAccts)
-	a.appendAcct(flowAcct{size: size})
-}
-
-// appendAcct appends one flow ledger with a 1.25x growth policy: at ~96
-// bytes per flowAcct, append's doubling would leave up to one ledger's worth
-// of slack per resident flow at the scale cells' measurement point.
-func (a *Auditor) appendAcct(fa flowAcct) {
-	if len(a.flowAccts) == cap(a.flowAccts) {
-		grown := make([]flowAcct, len(a.flowAccts), len(a.flowAccts)+len(a.flowAccts)/4+8)
-		copy(grown, a.flowAccts)
-		a.flowAccts = grown
-	}
-	a.flowAccts = append(a.flowAccts, fa)
-}
+func (a *Auditor) RegisterFlow(id uint64, size int64) { a.putFlow(id, size) }
 
 // flowOf returns the flow's ledger, materializing an unregistered flow with
-// unknown size. The pointer is only valid until the next flowOf call (the
-// backing array may grow) — callers use it immediately and never retain it.
-func (a *Auditor) flowOf(id uint64) *flowAcct {
+// unknown size.
+func (a *Auditor) flowOf(id uint64) *flowAcct { return a.putFlow(id, -1) }
+
+// flowAcctChunk is the largest run of ledgers the flow slab carves at once,
+// the run rdbase.FlowTable carves its per-flow values in.
+const flowAcctChunk = 32
+
+// putFlow returns the flow's ledger, materializing it with the given size
+// when the flow is new. Index slots are dense and issued in order, so a new
+// flow's slot is at most the first one past the slab's carve.
+func (a *Auditor) putFlow(id uint64, size int64) *flowAcct {
 	slot, added := a.flowIdx.Put(id)
-	if added {
-		a.appendAcct(flowAcct{size: -1})
+	if added && int(slot) == a.flowAccts.Cap() {
+		a.flowAccts.Grow(flowAcctChunk)
 	}
-	return &a.flowAccts[slot]
+	fa := a.flowAccts.At(slot)
+	if added {
+		fa.size = size
+	}
+	return fa
 }
 
 // Trace implements netem.Tracer: the per-packet ledger.
@@ -627,7 +621,7 @@ func (a *Auditor) Finish() *Report {
 	// per-shard ledgers closes globally because every Depart pairs with an
 	// Arrive of the same handoff.
 	for slot, id := range a.flowIdx.Keys() {
-		fa := &a.flowAccts[slot]
+		fa := a.flowAccts.At(uint32(slot))
 		got := fa.delivered + fa.dropped + fa.trimmed + fa.residual + fa.forwarded
 		if want := fa.injected + fa.arrived; got != want {
 			a.report.add(Violation{Check: "conservation", Flow: id,

@@ -267,3 +267,25 @@ func TestAuditorLedgerFollowsThePool(t *testing.T) {
 		t.Error("slot 0's ledger entry moved while the ledger grew")
 	}
 }
+
+// TestFlowLedgerNeverMoves registers flows past three runs of the flow
+// ledger's slab. A ledger taken before the growth must still be the flow's
+// ledger after it, and the slab must carve no more than the whole runs its
+// flows need.
+func TestFlowLedgerNeverMoves(t *testing.T) {
+	a := Attach(netem.BuildClos(sim.NewEngine(), netem.TopoSpec{HostsPerEdge: 2, Tiers: []netem.TierSpec{{Switches: 1}},
+		HostRate: 10 * sim.Gbps, LinkDelay: sim.Microsecond},
+		func(netem.PortKind, sim.Rate) *netem.Queue { return netem.NewQueue(1, 0, 0) }, 0))
+	const n = 3*flowAcctChunk + 5
+	a.RegisterFlow(1, 1000)
+	first := a.flowOf(1)
+	for id := uint64(2); id <= n; id++ {
+		a.RegisterFlow(id, 1000)
+	}
+	if a.flowOf(1) != first || first.size != 1000 {
+		t.Error("flow 1's ledger moved while the ledger grew")
+	}
+	if got, whole := a.flowAccts.Cap(), (n+flowAcctChunk-1)/flowAcctChunk*flowAcctChunk; got < n || got > whole {
+		t.Errorf("flow ledger carved %d slots for %d flows, want at most %d", got, n, whole)
+	}
+}

@@ -111,28 +111,3 @@ func (ix *Index) grow() {
 		ix.ctrl[i] = c
 	}
 }
-
-// Reserve pre-sizes the index for at least n keys, so a caller that knows
-// its flow count up front avoids incremental rehashing.
-func (ix *Index) Reserve(n int) {
-	need := minBuckets
-	for 3*need < 4*n {
-		need <<= 1
-	}
-	if need > len(ix.keys) {
-		old := len(ix.keys)
-		// grow() doubles; loop until the bucket array is large enough.
-		for len(ix.keys) < need {
-			ix.grow()
-			if len(ix.keys) == old { // defensive: grow always makes progress
-				break
-			}
-			old = len(ix.keys)
-		}
-	}
-	if cap(ix.order) < n {
-		order := make([]uint64, len(ix.order), n)
-		copy(order, ix.order)
-		ix.order = order
-	}
-}

@@ -107,26 +107,8 @@ func TestIndexCollisions(t *testing.T) {
 	}
 }
 
-func TestIndexReserve(t *testing.T) {
-	var ix Index
-	ix.Reserve(1000)
-	buckets := len(ix.keys)
-	for k := uint64(0); k < 1000; k++ {
-		ix.Put(k)
-	}
-	if len(ix.keys) != buckets {
-		t.Fatalf("reserved index rehashed: %d -> %d buckets", buckets, len(ix.keys))
-	}
-	for k := uint64(0); k < 1000; k++ {
-		if s, ok := ix.Get(k); !ok || s != uint32(k) {
-			t.Fatalf("Get(%d) = (%d, %v) after Reserve", k, s, ok)
-		}
-	}
-}
-
 func BenchmarkIndexPutGet(b *testing.B) {
 	var ix Index
-	ix.Reserve(1 << 16)
 	for i := 0; i < 1<<16; i++ {
 		ix.Put(uint64(i) * 2654435761)
 	}

@@ -131,9 +131,6 @@ func (li *LinkImpairment) SetDelay(add, jitter sim.Duration) {
 	li.addDelay, li.jitter = add, jitter
 }
 
-// Port returns the impaired port.
-func (li *LinkImpairment) Port() *Port { return li.port }
-
 // dropOnArrival decides the fate of an arriving packet.
 func (li *LinkImpairment) dropOnArrival(p *Packet) bool {
 	if li.down || li.blackhole {

@@ -82,6 +82,9 @@ func (t *Timer) Stop() {
 	t.slot = 0
 }
 
+// Now returns the current time of the timer's engine.
+func (t *Timer) Now() Time { return t.eng.Now() }
+
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.handle().Pending() }
 

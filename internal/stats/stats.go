@@ -62,9 +62,6 @@ func (c *FCTCollector) Reserve(n int) {
 // Add records a completed flow.
 func (c *FCTCollector) Add(r FlowRecord) { c.records = append(c.records, r) }
 
-// Len returns the number of completed flows.
-func (c *FCTCollector) Len() int { return len(c.records) }
-
 // Records exposes the raw records (not a copy; do not mutate).
 func (c *FCTCollector) Records() []FlowRecord { return c.records }
 

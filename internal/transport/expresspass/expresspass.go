@@ -100,15 +100,15 @@ func withCredits(mk func() *netem.Queue) netem.QueueFactory {
 	}
 }
 
-// Protocol is the ExpressPass implementation. One instance drives all hosts.
+// Protocol is the ExpressPass implementation. One instance drives all
+// hosts: it is every host's endpoint, and its tables hold every flow's state.
 type Protocol struct {
-	env  *transport.Env
-	opts Options
-	rng  *rand.Rand
+	rdbase.Tables[sender, receiver]
 
-	tbl       rdbase.Tables[sender]
-	receivers rdbase.FlowTable[receiver]
-	missing   []int // the receivers' scratch for loss scans
+	env     *transport.Env
+	opts    Options
+	rng     *rand.Rand
+	missing []int // the receivers' scratch for loss scans
 
 	// WastedCredits counts credits that arrived at a sender with nothing
 	// left to send.
@@ -120,43 +120,33 @@ func New(env *transport.Env, opts Options) *Protocol {
 	p := &Protocol{
 		env: env, opts: opts,
 		rng: sim.NewRand(opts.Seed, 0xE9),
-		tbl: rdbase.NewTables[sender](),
 	}
 	for _, h := range env.Net.EndpointHosts() {
-		h.EP = &endpoint{p: p}
+		h.EP = p
 	}
 	return p
 }
 
-// Register records a flow without starting a sender. The sharded harness
-// calls it on the receiver shard's protocol instance (when the receiver
-// lives on a different shard than the sender) so arriving packets can
-// resolve the flow; on sequential runs Start's own AddFlow covers it.
-func (p *Protocol) Register(f *transport.Flow) { p.tbl.AddFlow(f) }
-
 // Start implements transport.Protocol.
 func (p *Protocol) Start(f *transport.Flow) {
-	p.tbl.AddFlow(f)
-	s := p.tbl.AddSender(f.ID)
+	p.Register(f)
+	s := p.AddSender(f.ID)
 	s.init(p, f)
 	s.start()
 }
 
-// endpoint demultiplexes packets at a host to the per-flow state machines.
-type endpoint struct{ p *Protocol }
-
-// Receive implements netem.Endpoint.
-func (ep *endpoint) Receive(pkt *netem.Packet) {
-	p := ep.p
+// Receive implements netem.Endpoint for every host: requests, data, probes
+// and credit stops go to the flow's receiver, the rest to its sender.
+func (p *Protocol) Receive(pkt *netem.Packet) {
 	switch pkt.Type {
 	case netem.CreditReq, netem.Data, netem.Probe, netem.CtrlOther:
-		r, added := p.receivers.Put(pkt.Flow)
+		r, added := p.AddReceiver(pkt.Flow)
 		if added {
 			r.init(p, pkt.Flow)
 		}
 		r.receive(pkt)
 	case netem.Credit, netem.Ack, netem.Resend:
-		if s := p.tbl.Sender(pkt.Flow); s != nil {
+		if s := p.Sender(pkt.Flow); s != nil {
 			s.receive(pkt)
 		}
 	}
@@ -327,7 +317,7 @@ func (r *receiver) establish() {
 	if r.rx.Tracking() {
 		return
 	}
-	r.rx.Flow = r.p.tbl.Flow(r.flowID)
+	r.rx.Flow = r.p.Flow(r.flowID)
 	r.rx.Track()
 	for _, off := range r.pending {
 		r.rx.Accept(off)
@@ -357,7 +347,7 @@ func (r *receiver) onData(pkt *netem.Packet) {
 // kept for robustness).
 func (r *receiver) sendAckDeferred(seq int64, mark int64) {
 	if r.rx.Flow == nil {
-		if f := r.p.tbl.Flow(r.flowID); f != nil {
+		if f := r.p.Flow(r.flowID); f != nil {
 			r.rx.Flow = f
 		} else {
 			return
@@ -483,12 +473,5 @@ func maxF(a, b float64) float64 {
 // AuditInvariants checks every flow's Aeolus state machine for internal
 // consistency, returning one error per violation in flow-ID order.
 func (p *Protocol) AuditInvariants() []error {
-	return rdbase.AuditPreCredits("expresspass", p.tbl.Senders())
-}
-
-// Footprint implements transport.FootprintReporter: resident flow
-// descriptors, sender machines and per-flow credit-shaping receivers.
-func (p *Protocol) Footprint() transport.Footprint {
-	flows, senders := p.tbl.Len()
-	return transport.Footprint{Flows: flows, Senders: senders, Receivers: p.receivers.Len()}
+	return rdbase.AuditPreCredits("expresspass", &p.Tables)
 }

@@ -107,8 +107,11 @@ func QueueFactory(opts Options, bufferBytes int64) netem.QueueFactory {
 	}
 }
 
-// Protocol is the Homa implementation. One instance drives all hosts.
+// Protocol is the Homa implementation. One instance drives all hosts: it
+// is every host's endpoint, and its tables hold every message's state.
 type Protocol struct {
+	rdbase.Tables[sender, rxMsg]
+
 	env  *transport.Env
 	opts Options
 	rng  *rand.Rand // draws each sprayed packet's path; nil when Spray is off
@@ -116,9 +119,8 @@ type Protocol struct {
 	rttBytes int64
 	cutoffs  []int64
 
-	tbl     rdbase.Tables[sender]
-	rxHosts rdbase.HostMap[rxHost]
-	missing []int // the receivers' scratch for loss scans
+	rxHosts []rxHost // each host's grant scheduler, indexed by host ID
+	missing []int    // the receivers' scratch for loss scans
 }
 
 // New builds the protocol and attaches it to every host of the environment.
@@ -135,14 +137,11 @@ func New(env *transport.Env, opts Options) *Protocol {
 	p := &Protocol{
 		env: env, opts: opts,
 		rttBytes: opts.RTTBytes,
-		tbl:      rdbase.NewTables[sender](),
+		rxHosts:  make([]rxHost, len(env.Net.Hosts)),
 	}
 	if opts.Spray {
 		p.rng = sim.NewRand(opts.Seed, 0x40a1)
 	}
-	p.rxHosts = rdbase.NewHostMap(func(host netem.NodeID) *rxHost {
-		return &rxHost{p: p, host: host}
-	})
 	if p.rttBytes <= 0 {
 		p.rttBytes = env.Net.BDPBytes()
 	}
@@ -159,35 +158,27 @@ func New(env *transport.Env, opts Options) *Protocol {
 		p.cutoffs[opts.UnschedPrios-1] = 1 << 62
 	}
 	for _, h := range env.Net.EndpointHosts() {
-		h.EP = &endpoint{p: p, host: h.ID}
+		h.EP = p
 	}
 	return p
 }
 
-// Register records a flow without starting a sender — the receiver-shard
-// half of a cross-shard flow (see expresspass.Protocol.Register).
-func (p *Protocol) Register(f *transport.Flow) { p.tbl.AddFlow(f) }
-
 // Start implements transport.Protocol.
 func (p *Protocol) Start(f *transport.Flow) {
-	p.tbl.AddFlow(f)
-	s := p.tbl.AddSender(f.ID)
+	p.Register(f)
+	s := p.AddSender(f.ID)
 	s.init(p, f)
 	s.Start()
 }
 
-type endpoint struct {
-	p    *Protocol
-	host netem.NodeID
-}
-
-// Receive implements netem.Endpoint.
-func (ep *endpoint) Receive(pkt *netem.Packet) {
+// Receive implements netem.Endpoint for every host: data and probes go to
+// the message's receiver, grants, ACKs and resend requests to its sender.
+func (p *Protocol) Receive(pkt *netem.Packet) {
 	switch pkt.Type {
 	case netem.Data, netem.Probe:
-		ep.p.rxHosts.Get(ep.host).receive(pkt)
+		p.receive(pkt)
 	case netem.Grant, netem.Ack, netem.Resend:
-		if s := ep.p.tbl.Sender(pkt.Flow); s != nil {
+		if s := p.Sender(pkt.Flow); s != nil {
 			s.receive(pkt)
 		}
 	}
@@ -199,7 +190,6 @@ func (ep *endpoint) Receive(pkt *netem.Packet) {
 // one.
 type sender struct {
 	core.PreCredit
-	p *Protocol
 
 	quota      int64 // granted bytes not yet spent
 	maxGrant   int64 // highest grant offset accounted so far
@@ -208,7 +198,6 @@ type sender struct {
 
 // init wires a zeroed sender slot (from the packed sender table) for a flow.
 func (s *sender) init(p *Protocol, f *transport.Flow) {
-	s.p = p
 	// The pre-credit burst is Homa's own unscheduled first window, so it is
 	// active in both modes; the probe/ACK machinery only with Aeolus.
 	opts := p.opts.Aeolus
@@ -279,12 +268,20 @@ type rxMsg struct {
 	granted    int64 // highest grant offset sent
 	burstEnd   int64 // estimated end of the sender's unscheduled burst
 	probeSeen  bool  // burstEnd finalized by the probe
+	listed     bool  // on its host's active list
 	lostBytes  int64 // burst bytes lost, latched once when the probe arrives
 	schedBytes int64 // unique bytes delivered by scheduled packets
-	host       *rxHost
+	p          *Protocol
 }
 
 func (m *rxMsg) remaining() int64 { return m.rx.Flow.Size - m.rx.Bytes() }
+
+// needsGrants reports whether an incomplete message competes for grants:
+// it is longer than the unscheduled window, or its burst has begun
+// arriving, so holes a probe reveals are retransmitted as scheduled data.
+func (m *rxMsg) needsGrants(rttBytes int64) bool {
+	return !m.rx.Done && (m.rx.Flow.Size > rttBytes || m.burstEnd > 0)
+}
 
 // wantGrant computes the receiver's grant offset for this message. Grants
 // are self-clocked by *scheduled* progress: the sender may have one RTTbytes
@@ -310,30 +307,29 @@ func (m *rxMsg) wantGrant(rttBytes int64) int64 {
 	return m.burstEnd + window
 }
 
-// rxHost is the per-receiving-host message scheduler: it tracks all incoming
-// messages and runs the SRPT grant policy with overcommitment. Messages live
-// packed in a FlowTable slab; the scheduler walks them by dense slot.
+// rxHost is a receiving host's grant-scheduler state: its active list, the
+// messages that need grants, which the SRPT policy ranks. The messages live
+// in the protocol's receiver table, completed ones as tombstones; a message
+// joins the list when an arrival leaves it needing grants and leaves it
+// when it completes, so a packet costs O(active messages), not O(messages
+// the host has seen).
 type rxHost struct {
-	p    *Protocol
-	host netem.NodeID
-	msgs rdbase.FlowTable[rxMsg]
-
-	sched []*rxMsg // scratch for the grant scheduler's active set
+	active []*rxMsg
 }
 
-func (r *rxHost) receive(pkt *netem.Packet) {
-	m := r.msgs.Get(pkt.Flow)
+func (p *Protocol) receive(pkt *netem.Packet) {
+	m := p.Receiver(pkt.Flow)
 	if m == nil {
-		f := r.p.tbl.Flow(pkt.Flow)
+		f := p.Flow(pkt.Flow)
 		if f == nil {
 			return
 		}
-		m, _ = r.msgs.Put(pkt.Flow)
-		m.host = r
-		m.rx.Env = r.p.env
+		m, _ = p.AddReceiver(pkt.Flow)
+		m.p = p
+		m.rx.Env = p.env
 		m.rx.Flow = f
 		m.rx.Track()
-		m.rx.RTO.Init(r.p.env.Eng, r.p.opts.RTO, (*msgTimeout)(m))
+		m.rx.RTO.Init(p.env.Eng, p.opts.RTO, (*msgTimeout)(m))
 		m.rx.RTO.Arm()
 	}
 	if m.rx.Done {
@@ -351,15 +347,15 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 			if m.burstEnd > 0 {
 				seg := m.rx.Seg()
 				last := seg.SegOf(m.burstEnd - 1)
-				r.p.missing = m.rx.Missing(last+1, r.p.missing[:0])
-				for _, i := range r.p.missing {
+				p.missing = m.rx.Missing(last+1, p.missing[:0])
+				for _, i := range p.missing {
 					m.lostBytes += int64(seg.SegLen(i))
 				}
 			}
 		}
 		m.rx.SendAck(pkt.Seq, core.ProbeAckMark)
 	case netem.Data:
-		if !pkt.Scheduled && r.p.opts.Aeolus.Enabled {
+		if !pkt.Scheduled && p.opts.Aeolus.Enabled {
 			m.rx.SendAck(pkt.Seq, 0)
 		}
 		if !pkt.Scheduled && !m.probeSeen {
@@ -377,27 +373,34 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 			// recreate the message and arm a ghost RTO.
 			m.rx.Done = true
 			m.rx.RTO.Stop()
-			r.p.env.FlowDone(m.rx.Flow)
+			p.env.FlowDone(m.rx.Flow)
 		}
 	}
-	r.schedule()
+	r := &p.rxHosts[pkt.Dst]
+	if !m.listed && m.needsGrants(p.rttBytes) {
+		m.listed = true
+		r.active = append(r.active, m)
+	}
+	p.schedule(r)
 }
 
-// schedule runs Homa's grant policy: the Overcommit messages with the least
-// remaining bytes hold grants; each is granted up to received + RTTbytes;
-// the k-th ranked granted message transmits at the k-th scheduled priority.
-func (r *rxHost) schedule() {
-	active := r.sched[:0]
-	for i, n := 0, r.msgs.Len(); i < n; i++ {
-		m := r.msgs.At(i)
-		// Messages longer than the unscheduled window need grants; shorter
-		// ones join the granted set only once a probe reveals holes that
-		// must be retransmitted through scheduled packets.
-		if !m.rx.Done && (m.rx.Flow.Size > r.p.rttBytes || m.burstEnd > 0) {
+// schedule runs Homa's grant policy at one host: the Overcommit messages
+// with the least remaining bytes hold grants; each is granted up to
+// received + RTTbytes; the k-th ranked granted message transmits at the
+// k-th scheduled priority. Whether a message needs grants changes only when
+// one of its own packets arrives, and every arrival schedules, so once the
+// messages that no longer need grants are dropped the list is exactly the
+// set that does.
+func (p *Protocol) schedule(r *rxHost) {
+	active := r.active[:0]
+	for _, m := range r.active {
+		if m.needsGrants(p.rttBytes) {
 			active = append(active, m)
+		} else {
+			m.listed = false
 		}
 	}
-	r.sched = active
+	r.active = active
 	if len(active) == 0 {
 		return
 	}
@@ -406,7 +409,7 @@ func (r *rxHost) schedule() {
 	slices.SortFunc(active, func(a, b *rxMsg) int {
 		return cmp.Or(cmp.Compare(a.remaining(), b.remaining()), cmp.Compare(a.rx.Flow.ID, b.rx.Flow.ID))
 	})
-	k := r.p.opts.Overcommit
+	k := p.opts.Overcommit
 	if k > len(active) {
 		k = len(active)
 	}
@@ -414,11 +417,11 @@ func (r *rxHost) schedule() {
 		m := active[rank]
 		// The rank-th granted message transmits at the rank-th scheduled
 		// priority level (shorter remaining → higher priority).
-		prio := r.p.opts.UnschedPrios + rank
-		if prio >= r.p.opts.NumPrios {
-			prio = r.p.opts.NumPrios - 1
+		prio := p.opts.UnschedPrios + rank
+		if prio >= p.opts.NumPrios {
+			prio = p.opts.NumPrios - 1
 		}
-		want := m.wantGrant(r.p.rttBytes)
+		want := m.wantGrant(p.rttBytes)
 		if want > m.granted {
 			m.granted = want
 			m.rx.SendCtrl(netem.Grant, want, int64(prio))
@@ -436,9 +439,8 @@ func (v *msgTimeout) Fire() { (*rxMsg)(v).rtoExpire() }
 // whatever was granted. Idle detection, the done guard and rearming live in
 // rdbase.RTO.
 func (m *rxMsg) rtoExpire() {
-	r := m.host
 	m.rx.Flow.Timeouts++
-	expect := r.p.rttBytes
+	expect := m.p.rttBytes
 	if m.granted > expect {
 		expect = m.granted
 	}
@@ -446,23 +448,13 @@ func (m *rxMsg) rtoExpire() {
 		expect = m.rx.Flow.Size
 	}
 	n := m.rx.Seg().SegOf(expect - 1)
-	if r.p.missing = m.rx.Missing(n+1, r.p.missing[:0]); len(r.p.missing) > 0 {
-		m.rx.SendResend(r.p.missing)
+	if m.p.missing = m.rx.Missing(n+1, m.p.missing[:0]); len(m.p.missing) > 0 {
+		m.rx.SendResend(m.p.missing)
 	}
 }
 
 // AuditInvariants checks every message's Aeolus state machine for internal
 // consistency, returning one error per violation in flow-ID order.
 func (p *Protocol) AuditInvariants() []error {
-	return rdbase.AuditPreCredits("homa", p.tbl.Senders())
-}
-
-// Footprint implements transport.FootprintReporter: resident flow
-// descriptors, sender machines and per-message receiver state across every
-// materialized host scheduler.
-func (p *Protocol) Footprint() transport.Footprint {
-	flows, senders := p.tbl.Len()
-	fp := transport.Footprint{Flows: flows, Senders: senders}
-	p.rxHosts.Each(func(_ netem.NodeID, r *rxHost) { fp.Receivers += r.msgs.Len() })
-	return fp
+	return rdbase.AuditPreCredits("homa", &p.Tables)
 }

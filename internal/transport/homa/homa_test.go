@@ -286,14 +286,98 @@ func TestGrantPriorityMapping(t *testing.T) {
 	_ = p
 }
 
+// epSpy wraps a host's endpoint: it hands every packet the host receives
+// to onPkt once the endpoint has taken it.
 type epSpy struct {
 	inner netem.Endpoint
 	onPkt func(*netem.Packet)
 }
 
 func (s epSpy) Receive(p *netem.Packet) {
-	s.onPkt(p)
 	s.inner.Receive(p)
+	s.onPkt(p)
+}
+
+// TestActiveListIsTheGrantSet checks each host's active list against the
+// set a scan over every message the host has seen would build: after every
+// data or probe delivery, the host's list holds exactly the incomplete
+// messages that are longer than the unscheduled window or whose burst has
+// begun arriving. The run is a homa+aeolus incast of short and long
+// messages into host 0, staggered so that they overlap and selective drops
+// occur, plus two messages into host 5; after it every list is empty.
+func TestActiveListIsTheGrantSet(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Aeolus = core.DefaultOptions()
+	env, p := build(t, opts, netem.DefaultBuffer)
+	drops := 0
+	netem.InstrumentPorts(env.Net.SwitchPorts(), netem.TraceFunc(func(_ sim.Time, ev netem.TraceEvent, _ string, pkt *netem.Packet) {
+		if ev == netem.TraceDrop && pkt.Type == netem.Data && !pkt.Scheduled {
+			drops++
+		}
+	}))
+	var trace []workload.FlowSpec
+	sizes := []int64{3_000, 20_000, 200_000, 1_000_000}
+	for i := 0; i < 12; i++ {
+		trace = append(trace, workload.FlowSpec{
+			ID: uint64(i + 1), Src: i + 1, Dst: 0, Size: sizes[i%len(sizes)],
+			Start: sim.Time(sim.Microsecond) + sim.Time(i)*sim.Time(2*sim.Microsecond),
+		})
+	}
+	trace = append(trace,
+		workload.FlowSpec{ID: 13, Src: 13, Dst: 5, Size: 20_000, Start: sim.Time(sim.Microsecond)},
+		workload.FlowSpec{ID: 14, Src: 14, Dst: 5, Size: 500_000, Start: sim.Time(sim.Microsecond)})
+	checks, mixed := 0, 0
+	for _, h := range env.Net.Hosts {
+		h.EP = epSpy{inner: h.EP, onPkt: func(pkt *netem.Packet) {
+			if pkt.Type != netem.Data && pkt.Type != netem.Probe {
+				return
+			}
+			checks++
+			want := map[*rxMsg]bool{}
+			short, long := false, false
+			for _, f := range trace {
+				m := p.Receiver(f.ID)
+				if f.Dst != int(pkt.Dst) || m == nil || m.rx.Done {
+					continue
+				}
+				if m.rx.Flow.Size > p.rttBytes {
+					want[m], long = true, true
+				} else if m.burstEnd > 0 {
+					want[m], short = true, true
+				}
+			}
+			if short && long {
+				mixed++
+			}
+			active := p.rxHosts[pkt.Dst].active
+			got := map[*rxMsg]bool{}
+			for _, m := range active {
+				got[m] = true
+			}
+			if len(got) != len(active) || len(got) != len(want) {
+				t.Fatalf("host %d after flow %d's %v: active list holds %d messages (%d distinct), want %d",
+					pkt.Dst, pkt.Flow, pkt.Type, len(active), len(got), len(want))
+			}
+			for m := range want {
+				if !got[m] {
+					t.Fatalf("host %d after flow %d's %v: flow %d needs grants but is not on the active list",
+						pkt.Dst, pkt.Flow, pkt.Type, m.rx.Flow.ID)
+				}
+			}
+		}}
+	}
+	if done := transport.Runner(env, p, trace, sim.Time(sim.Second)); done != len(trace) {
+		t.Fatalf("completed %d of %d", done, len(trace))
+	}
+	for id := range p.rxHosts {
+		if n := len(p.rxHosts[id].active); n != 0 {
+			t.Errorf("host %d keeps %d messages on its active list after every message completed", id, n)
+		}
+	}
+	if drops == 0 || mixed == 0 {
+		t.Fatalf("%d selective drops, %d checks with short and long messages both active (of %d): the run does not exercise the list",
+			drops, mixed, checks)
+	}
 }
 
 // TestLateDuplicateDoesNotResurrectMessage is the regression test for the
@@ -311,16 +395,15 @@ func TestLateDuplicateDoesNotResurrectMessage(t *testing.T) {
 	// Drain the events that were still pending when the runner stopped.
 	env.Eng.RunUntil(env.Eng.Now().Add(10 * sim.Millisecond))
 	// Replay a duplicate of the first segment directly into the receiver.
-	rx := p.rxHosts.Get(5)
-	before := rx.msgs.Len()
-	rx.receive(&netem.Packet{
+	before := p.Footprint().Receivers
+	p.Receive(&netem.Packet{
 		Type: netem.Data, Flow: 1, Src: 0, Dst: 5,
 		Seq: 0, PayloadLen: 1460, WireSize: netem.WireSizeFor(1460),
 	})
-	if rx.msgs.Len() != before {
-		t.Fatalf("duplicate resurrected message state: %d -> %d entries", before, rx.msgs.Len())
+	if after := p.Footprint().Receivers; after != before {
+		t.Fatalf("duplicate resurrected message state: %d -> %d entries", before, after)
 	}
-	m := rx.msgs.Get(1)
+	m := p.Receiver(1)
 	if m == nil || !m.rx.Done {
 		t.Fatal("tombstone missing or not done")
 	}
@@ -365,7 +448,7 @@ func TestWirePriorities(t *testing.T) {
 		case pkt.Type != netem.Data:
 		case !pkt.Scheduled:
 			unsched[pkt.Prio]++
-			if want := PrioFor(p.cutoffs, p.tbl.Flow(pkt.Flow).Size); pkt.Prio != want {
+			if want := PrioFor(p.cutoffs, p.Flow(pkt.Flow).Size); pkt.Prio != want {
 				t.Errorf("flow %d: unscheduled data on band %d, want %d", pkt.Flow, pkt.Prio, want)
 			}
 		default:

@@ -94,15 +94,17 @@ func QueueFactory(opts Options, bufferBytes int64) netem.QueueFactory {
 	}
 }
 
-// Protocol is the NDP implementation. One instance drives all hosts.
+// Protocol is the NDP implementation. One instance drives all hosts: it is
+// every host's endpoint, and its tables hold every flow's state.
 type Protocol struct {
+	rdbase.Tables[sender, rxFlow]
+
 	env  *transport.Env
 	opts Options
 	rng  *rand.Rand // draws each sprayed packet's path; nil when Spray is off
 
-	tbl     rdbase.Tables[sender]
-	rxHosts rdbase.HostMap[rxHost]
-	missing []int // the receivers' scratch for loss scans
+	rxHosts []rxHost // each host's pull pacer, indexed by host ID
+	missing []int    // the receivers' scratch for loss scans
 }
 
 // New builds the protocol and attaches it to every host of the environment.
@@ -110,46 +112,38 @@ type Protocol struct {
 func New(env *transport.Env, opts Options) *Protocol {
 	p := &Protocol{
 		env: env, opts: opts,
-		tbl: rdbase.NewTables[sender](),
+		rxHosts: make([]rxHost, len(env.Net.Hosts)),
 	}
 	if opts.Spray {
 		p.rng = sim.NewRand(opts.Seed, 0xfd9)
 	}
-	p.rxHosts = rdbase.NewHostMap(func(host netem.NodeID) *rxHost {
-		r := &rxHost{p: p, host: host}
-		r.pullTm.Init(p.env.Eng, (*pullPacer)(r))
-		return r
-	})
+	for i := range p.rxHosts {
+		r := &p.rxHosts[i]
+		r.p = p
+		r.pullTm.Init(env.Eng, (*pullPacer)(r))
+	}
 	for _, h := range env.Net.EndpointHosts() {
-		h.EP = &endpoint{p: p, host: h.ID}
+		h.EP = p
 	}
 	return p
 }
 
-// Register records a flow without starting a sender — the receiver-shard
-// half of a cross-shard flow (see expresspass.Protocol.Register).
-func (p *Protocol) Register(f *transport.Flow) { p.tbl.AddFlow(f) }
-
 // Start implements transport.Protocol.
 func (p *Protocol) Start(f *transport.Flow) {
-	p.tbl.AddFlow(f)
-	s := p.tbl.AddSender(f.ID)
+	p.Register(f)
+	s := p.AddSender(f.ID)
 	s.init(p, f)
 	s.start()
 }
 
-type endpoint struct {
-	p    *Protocol
-	host netem.NodeID
-}
-
-// Receive implements netem.Endpoint.
-func (ep *endpoint) Receive(pkt *netem.Packet) {
+// Receive implements netem.Endpoint for every host: data and probes go to
+// the host they reached (pkt.Dst), ACKs, NACKs and pulls to the sender.
+func (p *Protocol) Receive(pkt *netem.Packet) {
 	switch pkt.Type {
 	case netem.Data, netem.Probe:
-		ep.p.rxHosts.Get(ep.host).receive(pkt)
+		p.rxHosts[pkt.Dst].receive(pkt)
 	case netem.Ack, netem.Nack, netem.Pull:
-		if s := ep.p.tbl.Sender(pkt.Flow); s != nil {
+		if s := p.Sender(pkt.Flow); s != nil {
 			s.receive(pkt)
 		}
 	}
@@ -239,12 +233,11 @@ type rxFlow struct {
 	pullDebt int
 }
 
-// rxHost is the per-receiving-host state: flow reassembly plus the pull
-// pacer that clocks all senders transmitting to this host.
+// rxHost is one receiving host's pull pacer: it clocks the pulls of every
+// sender transmitting to the host at the host's link rate. The flows it
+// paces live in the protocol's receiver table.
 type rxHost struct {
-	p     *Protocol
-	host  netem.NodeID
-	flows rdbase.FlowTable[rxFlow]
+	p *Protocol
 
 	// pullQ holds the pull slots awaiting the pacer as runs of one flow,
 	// served from pullHead; a flow's whole debt is one run.
@@ -262,13 +255,13 @@ type pullRun struct {
 }
 
 func (r *rxHost) receive(pkt *netem.Packet) {
-	fl := r.flows.Get(pkt.Flow)
+	fl := r.p.Receiver(pkt.Flow)
 	if fl == nil {
-		f := r.p.tbl.Flow(pkt.Flow)
+		f := r.p.Flow(pkt.Flow)
 		if f == nil {
 			return
 		}
-		fl, _ = r.flows.Put(pkt.Flow)
+		fl, _ = r.p.AddReceiver(pkt.Flow)
 		fl.rx.Env = r.p.env
 		fl.rx.Flow = f
 		fl.rx.Spray = r.p.rng // NDP sprays control packets like data
@@ -311,7 +304,7 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 			// the flow and restart the pull machinery.
 			fl.rx.Done = true
 			r.p.env.FlowDone(fl.rx.Flow)
-			if s := r.p.tbl.Sender(pkt.Flow); s != nil {
+			if s := r.p.Sender(pkt.Flow); s != nil {
 				s.rto.Disarm()
 			}
 			return
@@ -362,7 +355,7 @@ func (r *rxHost) pacePull() {
 			r.pullQ, r.pullHead = r.pullQ[:0], 0
 		}
 	}
-	if fl := r.flows.Get(flow); fl != nil && !fl.rx.Done {
+	if fl := r.p.Receiver(flow); fl != nil && !fl.rx.Done {
 		r.pullSeq++
 		fl.rx.SendCtrl(netem.Pull, r.pullSeq, 0)
 	}
@@ -373,15 +366,5 @@ func (r *rxHost) pacePull() {
 // AuditInvariants checks every flow's Aeolus state machine for internal
 // consistency, returning one error per violation in flow-ID order.
 func (p *Protocol) AuditInvariants() []error {
-	return rdbase.AuditPreCredits("ndp", p.tbl.Senders())
-}
-
-// Footprint implements transport.FootprintReporter: resident flow
-// descriptors, sender machines and per-flow reassembly state across every
-// materialized host.
-func (p *Protocol) Footprint() transport.Footprint {
-	flows, senders := p.tbl.Len()
-	fp := transport.Footprint{Flows: flows, Senders: senders}
-	p.rxHosts.Each(func(_ netem.NodeID, r *rxHost) { fp.Receivers += r.flows.Len() })
-	return fp
+	return rdbase.AuditPreCredits("ndp", &p.Tables)
 }

@@ -1,9 +1,9 @@
 // Package rdbase is the shared receiver-driven substrate under ExpressPass,
-// Homa and NDP: the per-host flow/sender/receiver state tables, the
-// receiver-side reassembly and control-packet plumbing, and the
-// retransmission-timeout lifecycle on the pooled sim.Timer. The sender side
-// of every flow is the Aeolus machine (internal/core.PreCredit) the
-// transports embed.
+// Homa and NDP: the per-flow state tables each protocol embeds (flow
+// descriptors, senders and receivers), the receiver-side reassembly and
+// control-packet plumbing, and the retransmission-timeout lifecycle on the
+// pooled sim.Timer. The sender side of every flow is the Aeolus machine
+// (internal/core.PreCredit) the transports embed.
 //
 // The split with the transport packages is policy versus mechanism: rdbase
 // owns how a flow is reassembled, how control packets reach the sender, and
@@ -34,7 +34,7 @@ func Ctrl(env *transport.Env, f *transport.Flow, typ netem.PacketType,
 }
 
 // FlowChunkSize is the largest run of values a FlowTable carves at once: 32
-// values. Every host's receive table holds a handful of flows, so its first
+// values. A small run's tables hold a handful of flows, so their first
 // runs are far smaller (4, 4, 8 and 16 values, a flatmap.Slab ramp that adds
 // up to one chunk); a busy table carves whole chunks, which pack per-flow
 // machines touched together (sequential flow IDs) into contiguous memory.
@@ -79,53 +79,51 @@ func (t *FlowTable[T]) Put(id uint64) (v *T, added bool) {
 // Len returns the number of resident flows.
 func (t *FlowTable[T]) Len() int { return t.idx.Len() }
 
-// At returns the i-th entry in insertion order, 0 ≤ i < Len(). Paired with
-// Len it gives hot loops closure-free iteration (Homa's grant scheduler
-// walks every message on every arrival).
-func (t *FlowTable[T]) At(i int) *T { return t.vals.At(uint32(i)) }
-
 // Keys returns the flow IDs in insertion order (read-only view).
 func (t *FlowTable[T]) Keys() []uint64 { return t.idx.Keys() }
 
 // AuditPreCredits checks every sender's embedded PreCredit machine for
 // internal consistency, in flow-ID order, prefixing violations with the
 // transport name. It is the shared body of the transports' AuditInvariants.
-func AuditPreCredits[S any, P interface {
+func AuditPreCredits[S, R any, P interface {
 	*S
 	Audit() error
-}](name string, senders *FlowTable[S]) []error {
-	ids := append([]uint64(nil), senders.Keys()...)
+}](name string, t *Tables[S, R]) []error {
+	ids := append([]uint64(nil), t.senders.Keys()...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var errs []error
 	for _, id := range ids {
-		if err := P(senders.Get(id)).Audit(); err != nil {
+		if err := P(t.Sender(id)).Audit(); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", name, err))
 		}
 	}
 	return errs
 }
 
-// Tables are the per-host protocol state tables keyed by flow ID: the flow
-// descriptors and the per-flow sender machines. One Tables instance serves
-// a whole Protocol (all hosts), as is conventional in packet-level
-// simulators — logically distributed state in one object. Sender machines
-// are stored packed in the table's slab, not as one allocation per flow.
-type Tables[S any] struct {
-	flows   FlowTable[*transport.Flow]
-	senders FlowTable[S]
+// Tables are a protocol's per-flow state, keyed by flow ID: the flow
+// descriptors, the sender machines and the receiver states, each packed in
+// a FlowTable of its own. One Tables serves every host of a Protocol, as is
+// conventional in packet-level simulators — logically distributed state in
+// one object — and the transports embed it, so Register and Footprint are
+// written once. No table is pruned when a flow completes: a completed
+// receiver stays as a tombstone, so a late duplicate finds it instead of
+// recreating the flow. The zero value is empty and ready to use.
+type Tables[S, R any] struct {
+	flows     FlowTable[*transport.Flow]
+	senders   FlowTable[S]
+	receivers FlowTable[R]
 }
 
-// NewTables returns empty state tables.
-func NewTables[S any]() Tables[S] { return Tables[S]{} }
-
-// AddFlow registers a flow descriptor.
-func (t *Tables[S]) AddFlow(f *transport.Flow) {
+// Register adds a flow descriptor without starting a sender, so the receive
+// path can look the flow up (transport.Protocol.Register); Start registers
+// the flows it starts.
+func (t *Tables[S, R]) Register(f *transport.Flow) {
 	p, _ := t.flows.Put(f.ID)
 	*p = f
 }
 
 // Flow returns the descriptor of a flow, or nil.
-func (t *Tables[S]) Flow(id uint64) *transport.Flow {
+func (t *Tables[S, R]) Flow(id uint64) *transport.Flow {
 	if p := t.flows.Get(id); p != nil {
 		return *p
 	}
@@ -135,55 +133,25 @@ func (t *Tables[S]) Flow(id uint64) *transport.Flow {
 // AddSender materializes the sender machine of a flow in the packed sender
 // slab and returns it, zeroed, for in-place initialization. The pointer is
 // stable for the protocol's lifetime.
-func (t *Tables[S]) AddSender(id uint64) *S {
+func (t *Tables[S, R]) AddSender(id uint64) *S {
 	s, _ := t.senders.Put(id)
 	return s
 }
 
 // Sender returns the sender machine of a flow, or nil.
-func (t *Tables[S]) Sender(id uint64) *S { return t.senders.Get(id) }
+func (t *Tables[S, R]) Sender(id uint64) *S { return t.senders.Get(id) }
 
-// Senders exposes the sender table for audits.
-func (t *Tables[S]) Senders() *FlowTable[S] { return &t.senders }
+// AddReceiver returns the receiver state of a flow, materializing a zeroed
+// slot on first use; added reports whether this call created it, so the
+// caller knows to initialize it. The pointer is stable for the protocol's
+// lifetime.
+func (t *Tables[S, R]) AddReceiver(id uint64) (r *R, added bool) { return t.receivers.Put(id) }
 
-// Len returns the resident flow-descriptor and sender-machine counts — the
-// per-flow state the scale sweep tracks, since neither table is pruned on
-// flow completion.
-func (t *Tables[S]) Len() (flows, senders int) { return t.flows.Len(), t.senders.Len() }
+// Receiver returns the receiver state of a flow, or nil.
+func (t *Tables[S, R]) Receiver(id uint64) *R { return t.receivers.Get(id) }
 
-// HostMap lazily materializes per-receiving-host state (Homa's message
-// scheduler, NDP's pull pacer). Host IDs are dense and start at zero
-// (netem.NodeID's contract), so the map is a flat slice indexed by host ID.
-type HostMap[R any] struct {
-	hosts []*R
-	mk    func(host netem.NodeID) *R
-}
-
-// NewHostMap returns a host map materializing entries with mk.
-func NewHostMap[R any](mk func(host netem.NodeID) *R) HostMap[R] {
-	return HostMap[R]{mk: mk}
-}
-
-// Get returns the state of a host, materializing it on first use.
-func (h *HostMap[R]) Get(host netem.NodeID) *R {
-	if int(host) >= len(h.hosts) {
-		grown := make([]*R, int(host)+1)
-		copy(grown, h.hosts)
-		h.hosts = grown
-	}
-	r := h.hosts[host]
-	if r == nil {
-		r = h.mk(host)
-		h.hosts[host] = r
-	}
-	return r
-}
-
-// Each visits every materialized host state in host-ID order.
-func (h *HostMap[R]) Each(f func(host netem.NodeID, r *R)) {
-	for id, r := range h.hosts {
-		if r != nil {
-			f(netem.NodeID(id), r)
-		}
-	}
+// Footprint implements transport.FootprintReporter: the resident flow
+// descriptors, sender machines and receiver states.
+func (t *Tables[S, R]) Footprint() transport.Footprint {
+	return transport.Footprint{Flows: t.flows.Len(), Senders: t.senders.Len(), Receivers: t.receivers.Len()}
 }

@@ -14,11 +14,11 @@ import (
 // their receiver state and keep only policy — crediting, grant scheduling,
 // pull pacing — for themselves.
 //
-// Homa's and NDP's per-host tables keep every receiver a host ever had, so
-// the slot stays compact: the segmentation
-// derives from Flow.Size and Env.MSS, receipt is one bit per segment, the
-// flow is complete when its unique bytes reach Flow.Size, and Missing fills
-// the caller's buffer rather than one per flow.
+// A protocol's receiver table keeps every receiver it ever had, completed
+// ones as tombstones, so the slot stays compact: the segmentation derives
+// from Flow.Size and Env.MSS, receipt is one bit per segment, the flow is
+// complete when its unique bytes reach Flow.Size, and Missing fills the
+// caller's buffer rather than one per flow.
 type Rx struct {
 	Env  *transport.Env
 	Flow *transport.Flow

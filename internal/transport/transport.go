@@ -43,9 +43,9 @@ func (f *Flow) Path(spray *rand.Rand) uint32 {
 }
 
 // Protocol is a transport implementation driving all hosts of a network.
-// A single Protocol instance holds per-host, per-flow state keyed by host
-// ID — logically distributed state in one object, as is conventional in
-// packet-level simulators. It names every method the experiments harness
+// A single Protocol instance is every host's endpoint and holds the
+// per-flow state of all of them, keyed by flow ID — logically distributed
+// state in one object, as is conventional in packet-level simulators. It names every method the experiments harness
 // calls, so a transport states its whole contract by satisfying it.
 type Protocol interface {
 	// Start injects a new flow at the sender. Callers must invoke it at
